@@ -1,0 +1,79 @@
+"""Pinned sha256 digests of every CLI output on a small fixed synthetic corpus.
+
+Refactors must keep these bytes. A change that alters an output on purpose
+updates the digest here and says why in CHANGES.md.
+"""
+import hashlib
+
+import pytest
+
+from camsieve.cli import main
+
+SEED = 11
+FLOWS_PER_KIND = 30
+KINDS = (("camera", "Ezviz"), ("conf", "Teams"), ("share", "YouTube"))
+
+# cells overwritten in the predict input: (data row, CSV column, value); columns
+# 6 and 7 are the first two features, which the corpus's tree splits on
+NON_FINITE_CELLS = ((0, 6, "nan"), (1, 7, "inf"), (2, 6, "-inf"), (2, 30, "nan"))
+
+GOLDEN = {
+    "camera.pcap": "5001b9857b5e5f1dcfa34009d0637c29e3bc9700a90cad16e7804a0b4049dd9c",
+    "camera.pcap.manifest.jsonl": "8ef82a56dfdc24266918fa5fd3c6bf5242c1e657634dc66a4662fcd27d2842fe",
+    "conf.pcap": "dc4b10f1c1f175fdd7f5ab4dc0e43afe88ab47eadbba0e80fba3d817cedf315b",
+    "conf.pcap.manifest.jsonl": "98324172da899f0fc548c9284e1624157a302c626791713a82240074611d842e",
+    "share.pcap": "21664c25d12404703dd53485cbb6ef4bcece941b43dba14c213a73d7ace03080",
+    "share.pcap.manifest.jsonl": "451b7db379881893cb3dd9b88215adad6adea121df40526374fea8f8640b15e7",
+    "camera.csv": "de2cd25878a18fe4987d00cb3c2580fc836251baec9bf1514c7bd78a4568db62",
+    "conf.csv": "28f63ba53362af0fb63c9177fbaa6710ec151fbb79e99b7e7a87ec66b49877db",
+    "share.csv": "caf9eff8d68d6475020b7f29803c86d8a2d480c45f52ab7bf39a7e6136f3bde8",
+    "model.json": "3ed8f0c3d612589a861b14946b86576a03991f42b3a420776e4337a24df3696a",
+    "cv.txt": "896365dcfe7a5c22057d404ab84b7523a81d20be9add9f53066dc1185a962392",
+    "report.txt": "a8281768e0d4a354c40288590838e73b4596187556933db13f93b5a7cd945568",
+    "inspect.json": "d5f7d857c48c39a80e2c6934878b6ce501feacd7d07fd491fea0adab3d20a7d6",
+    "scored.csv": "fb9f0dcb2ed21f24a426a70de292a199ca5bdc5d76e6379df93dc936dc0a3368",
+}
+
+
+def _run(*argv):
+    assert main([str(a) for a in argv]) == 0, argv
+
+
+def _with_non_finite(csv_bytes: bytes) -> bytes:
+    lines = csv_bytes.split(b"\r\n")
+    for row, col, value in NON_FINITE_CELLS:
+        cells = lines[2 + row].split(b",")
+        cells[col] = value.encode()
+        lines[2 + row] = b",".join(cells)
+    return b"\r\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    for kind, label in KINDS:
+        _run("synth", "--kind", kind, "-n", FLOWS_PER_KIND, "--seed", SEED, "-o", d / f"{kind}.pcap")
+        _run("extract", d / f"{kind}.pcap", "--label", label, "-o", d / f"{kind}.csv")
+    # one corpus: the first file's schema and header lines, then every data row
+    parts = [(d / f"{kind}.csv").read_bytes().split(b"\r\n") for kind, _ in KINDS]
+    corpus = parts[0][:-1] + [line for part in parts[1:] for line in part[2:-1]]
+    (d / "corpus.csv").write_bytes(b"\r\n".join(corpus) + b"\r\n")
+    (d / "nonfinite.csv").write_bytes(_with_non_finite((d / "conf.csv").read_bytes()))
+
+    _run("train", d / "corpus.csv", "-o", d / "model.json")
+    _run("cv", d / "corpus.csv", "-k", 4, "-o", d / "cv.txt")
+    _run("report", d / "corpus.csv", "-k", 4, "-o", d / "report.txt")
+    _run("inspect", d / "conf.pcap", "--app", "teams", "--json", "-o", d / "inspect.json")
+    _run("predict", d / "model.json", d / "nonfinite.csv", "-o", d / "scored.csv")
+    return {name: (d / name).read_bytes() for name in GOLDEN}
+
+
+def test_predict_input_has_non_finite_cells(outputs):
+    scored = outputs["scored.csv"].decode("utf-8")
+    for token in ("nan", "inf", "-inf"):
+        assert f",{token}," in scored
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest(outputs, name):
+    assert hashlib.sha256(outputs[name]).hexdigest() == GOLDEN[name]
