@@ -5,7 +5,6 @@ import argparse
 import csv
 import json
 import sys
-from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +25,7 @@ def extract_records(
     """pcap to labeled feature records: decode, sort, assemble, summarize."""
     sorted_packets = packets.read_packets_sorted(pcap_path)
     flow_list = flows.assemble_flows(sorted_packets, flow_timeout_us)
-    return [
-        dataset.record_from_features(features.compute_features(f, activity_threshold_us), label)
-        for f in flow_list
-    ]
+    return [features.compute_features(f, activity_threshold_us, label) for f in flow_list]
 
 
 def matrix_from_records(records: list[dataset.LabeledRecord]) -> tuple[np.ndarray, list[str]]:
@@ -91,22 +87,8 @@ def cmd_synth(args) -> int:
 def cmd_inspect(args) -> int:
     sorted_packets = packets.read_packets_sorted(args.pcap)
     flow_list = flows.assemble_flows(sorted_packets, int(args.flow_timeout * 1e6))
-
-    # flows sharing a key never overlap in time, so a packet belongs to the
-    # last flow of its key that started at or before it
-    by_key: dict[flows.FlowKey, tuple[list[int], list[int]]] = {}
-    for pos, flow in enumerate(flow_list):
-        starts, positions = by_key.setdefault(flow.key, ([], []))
-        starts.append(flow.start_ts)
-        positions.append(pos)
-    payloads: list[list[bytes]] = [[] for _ in flow_list]
-    for pkt in sorted_packets:
-        starts, positions = by_key[flows.canonical_key(pkt)]
-        idx = bisect_right(starts, pkt.timestamp) - 1
-        payloads[positions[idx]].append(pkt.payload)
-
     report = protocols.build_report(
-        flow_list, payloads, protocols.AppContext(args.app.upper())
+        flow_list, [f.payloads for f in flow_list], protocols.AppContext(args.app.upper())
     )
     text = json.dumps(report, indent=2) + "\n" if args.json else protocols.render_report(report)
     if args.output:
@@ -134,7 +116,7 @@ def cmd_train(args) -> int:
             seed=args.seed,
         )
     blob = tree.model_bytes(model)
-    dataset.atomic_write_text(args.output, lambda fh: fh.write(blob.decode("utf-8")))
+    dataset.atomic_write_text(args.output, lambda fh: fh.write(blob), binary=True)
     print(f"trained on {len(y)} records ({', '.join(class_names)}); model at {args.output}")
     return 0
 
@@ -163,14 +145,15 @@ def cmd_predict(args) -> int:
             f"input schema hash {csv_hash}; refusing to predict"
         )
     records = dataset.read_csv(args.csv)
+    cleaned, _ = dataset.clean(records)
 
     def emit(fh):
         writer = csv.writer(fh)
         writer.writerow(list(features.ALL_COLUMNS) + ["Predicted Class", "Prediction Probability"])
-        for rec in records:
-            values = tuple(v if np.isfinite(v) else 0.0 for v in rec.values)
-            proba = tree.predict_proba(model, values)
-            best = max(range(len(proba)), key=lambda i: (proba[i], -i))
+        # the raw values are echoed, nan/inf included; only scoring sees the cleaned ones
+        for rec, scored in zip(records, cleaned):
+            proba = tree.predict_proba(model, scored.values)
+            best = tree.best_class(proba)
             writer.writerow(
                 [rec.flow_id, rec.src_ip, rec.dst_ip, rec.src_port, rec.dst_port, rec.protocol]
                 + [repr(v) for v in rec.values]
@@ -192,20 +175,19 @@ def cmd_report(args) -> int:
     lines.append(f"  non-finite values cleaned: {replaced}")
     lines.append("")
 
-    full_cv = tree.cross_validate(
-        X, y, features.FEATURE_NAMES, k=args.k, class_names=class_names,
-        max_depth=args.max_depth, seed=args.seed,
+    params = dict(
+        class_names=class_names, max_depth=args.max_depth,
+        min_samples_split=args.min_samples_split, seed=args.seed,
     )
+    full_cv = tree.cross_validate(X, y, features.FEATURE_NAMES, k=args.k, **params)
     lines.append("all features:")
     lines.append(full_cv.render())
 
-    selected, pruned_model = tree.prune_features(
-        X, y, features.FEATURE_NAMES, threshold=args.importance_threshold,
-        class_names=class_names, max_depth=args.max_depth, seed=args.seed,
-    )
+    full_model = tree.train(X, y, features.FEATURE_NAMES, **params)
+    importances = tree.feature_importances(full_model)
+    selected = tree.select_features(importances, args.importance_threshold)
     pruned_cv = tree.cross_validate(
-        X, y, features.FEATURE_NAMES, k=args.k, class_names=class_names,
-        max_depth=args.max_depth, seed=args.seed, candidate_features=selected,
+        X, y, features.FEATURE_NAMES, k=args.k, candidate_features=selected, **params
     )
     lines.append(
         f"importance pruning at {args.importance_threshold:g}: kept {len(selected)} "
@@ -213,11 +195,6 @@ def cmd_report(args) -> int:
     )
     lines.append(pruned_cv.render())
 
-    full_model = tree.train(
-        X, y, features.FEATURE_NAMES, class_names=class_names,
-        max_depth=args.max_depth, seed=args.seed,
-    )
-    importances = tree.feature_importances(full_model)
     top = sorted(enumerate(importances), key=lambda kv: -kv[1])[:10]
     lines.append("top feature importances:")
     for idx, imp in top:
@@ -229,10 +206,7 @@ def cmd_report(args) -> int:
     train_part, test_part = dataset.stratified_split(cleaned, (0.8, 0.2), args.seed)
     X_tr, y_tr = matrix_from_records(train_part)
     X_te, _ = matrix_from_records(test_part)
-    deploy_model = tree.train(
-        X_tr, y_tr, features.FEATURE_NAMES, class_names=class_names,
-        max_depth=args.max_depth, seed=args.seed,
-    )
+    deploy_model = tree.train(X_tr, y_tr, features.FEATURE_NAMES, **params)
     confident = 0
     for row in X_te:
         if max(tree.predict_proba(deploy_model, row)) >= 0.9:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import EmptyClass, RowParseError, SchemaMismatch
-from .features import ALL_COLUMNS, FEATURE_NAMES, SCHEMA_NAME, SCHEMA_VERSION, FeatureVector
+from .features import ALL_COLUMNS, SCHEMA_NAME, SCHEMA_VERSION, LabeledRecord
 
 CLASS_IOT_CAM = "IoTCam"
 CLASS_CONF = "Conf"
@@ -21,38 +21,6 @@ CLASS_OTHERS = "Others"
 CLASSES = (CLASS_IOT_CAM, CLASS_CONF, CLASS_SHARE, CLASS_OTHERS)
 
 _VERSION_LINE = f"# {SCHEMA_NAME} v{SCHEMA_VERSION}"
-
-
-@dataclass(frozen=True)
-class LabeledRecord:
-    """One CSV row: six identity columns, 77 feature values, one label."""
-
-    flow_id: str
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    protocol: int
-    values: tuple[float, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        if len(self.values) != len(FEATURE_NAMES):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(self.values)}")
-
-
-def record_from_features(vector: FeatureVector, label: str = "") -> LabeledRecord:
-    ident = vector.identity
-    return LabeledRecord(
-        flow_id=ident.flow_id,
-        src_ip=ident.src_ip,
-        dst_ip=ident.dst_ip,
-        src_port=ident.src_port,
-        dst_port=ident.dst_port,
-        protocol=ident.protocol,
-        values=vector.values,
-        label=label or vector.label,
-    )
 
 
 @dataclass(frozen=True)
@@ -98,13 +66,18 @@ def default_taxonomy() -> LabelTaxonomy:
     )
 
 
-def atomic_write_text(path: str | Path, writer: Callable) -> None:
+def atomic_write_text(path: str | Path, writer: Callable, binary: bool = False) -> None:
     """Write through a sibling temp file and rename, so failures leave no
-    partial output behind."""
+    partial output behind. writer gets a UTF-8 text handle without newline
+    translation, or a bytes handle when binary is set."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        if binary:
+            fh = os.fdopen(fd, "wb")
+        else:
+            fh = os.fdopen(fd, "w", encoding="utf-8", newline="")
+        with fh:
             writer(fh)
         os.replace(tmp_name, path)
     except BaseException:

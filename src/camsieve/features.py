@@ -176,19 +176,17 @@ def activity_segments(timestamps: Sequence[int], threshold: int) -> ActivitySegm
     return ActivitySegments(tuple(active), tuple(idle), threshold)
 
 
-class FlowIdentity(NamedTuple):
+@dataclass(frozen=True)
+class LabeledRecord:
+    """One CSV row: six identity columns, 77 feature values, one label."""
+
     flow_id: str
     src_ip: str
     dst_ip: str
     src_port: int
     dst_port: int
     protocol: int
-
-
-@dataclass(frozen=True)
-class FeatureVector:
     values: tuple[float, ...]
-    identity: FlowIdentity
     label: str = ""
 
     def __post_init__(self):
@@ -228,8 +226,8 @@ def _bulk_stats(packets: Sequence[FlowPacket]) -> tuple[float, float, float]:
 
 
 def compute_features(
-    flow: FlowState, activity_threshold_us: int = DEFAULT_ACTIVITY_THRESHOLD_US
-) -> FeatureVector:
+    flow: FlowState, activity_threshold_us: int = DEFAULT_ACTIVITY_THRESHOLD_US, label: str = ""
+) -> LabeledRecord:
     """All 77 statistics for one completed flow; degenerate flows yield zeros,
     never NaN or infinity (rates with zero duration are pinned to 0)."""
     fwd = flow.fwd_packets
@@ -345,12 +343,13 @@ def compute_features(
     v["Idle Max"] = idle.maximum
     v["Idle Min"] = idle.minimum
 
-    identity = FlowIdentity(
+    return LabeledRecord(
         flow_id=flow.flow_id,
         src_ip=flow.initiator[0],
         dst_ip=flow.responder[0],
         src_port=flow.initiator[1],
         dst_port=flow.responder[1],
         protocol=PROTO_NUMBER[flow.key.protocol],
+        values=tuple(v[name] for name in FEATURE_NAMES),
+        label=label,
     )
-    return FeatureVector(tuple(v[name] for name in FEATURE_NAMES), identity)

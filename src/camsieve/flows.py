@@ -50,7 +50,11 @@ class Termination(enum.Enum):
 
 @dataclass
 class FlowState:
-    """Accumulating per-direction packet lists; forward = sent by the initiator."""
+    """Accumulating per-direction packet lists; forward = sent by the initiator.
+
+    payloads holds every packet's transport payload, both directions, in the
+    order the packets were ingested.
+    """
 
     key: FlowKey
     initiator: Endpoint
@@ -59,6 +63,7 @@ class FlowState:
     last_ts: int
     fwd_packets: list[FlowPacket] = field(default_factory=list)
     bwd_packets: list[FlowPacket] = field(default_factory=list)
+    payloads: list[bytes] = field(default_factory=list)
     termination: Termination | None = None
     fin_fwd: bool = False
     fin_bwd: bool = False
@@ -132,6 +137,7 @@ class FlowAssembler:
 
         forward = (pkt.src_ip, pkt.src_port) == flow.initiator
         (flow.fwd_packets if forward else flow.bwd_packets).append(_flow_packet(pkt))
+        flow.payloads.append(pkt.payload)
         flow.last_ts = pkt.timestamp
 
         if pkt.protocol is Transport.TCP:

@@ -36,7 +36,6 @@ _PCAP_MAGICS = {
 class Transport(enum.Enum):
     TCP = "TCP"
     UDP = "UDP"
-    OTHER = "OTHER"  # never emitted by decode_packet; kept for completeness
 
 
 PROTO_NUMBER = {Transport.TCP: 6, Transport.UDP: 17}

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .dataset import atomic_write_text
 from .errors import IoFailure
 from .packets import TcpFlags
 
@@ -308,15 +309,9 @@ def write_pcap(path: str | Path, frames: Iterable[tuple[int, bytes]]) -> None:
             fh.write(struct.pack("<IIII", ts // 1_000_000, ts % 1_000_000, len(frame), len(frame)))
             fh.write(frame)
 
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
-            emit(fh)
-        tmp.replace(path)
+        atomic_write_text(path, emit, binary=True)
     except OSError as exc:
-        if tmp.exists():
-            tmp.unlink()
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
@@ -366,12 +361,9 @@ def generate(
 
     if manifest_path is None:
         manifest_path = str(out) + ".manifest.jsonl"
+    text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in manifest_entries)
     try:
-        tmp = Path(str(manifest_path) + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for entry in manifest_entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        tmp.replace(manifest_path)
+        atomic_write_text(manifest_path, lambda fh: fh.write(text))
     except OSError as exc:
         raise IoFailure(f"cannot write {manifest_path}: {exc}") from exc
     return manifest_entries

@@ -261,11 +261,14 @@ def predict_proba(model: DecisionTreeModel, vector: Sequence[float]) -> tuple[fl
     return tuple(c / total for c in counts)
 
 
+def best_class(proba: Sequence[float]) -> int:
+    """Index of the most probable class; ties go to the first declared class."""
+    return max(range(len(proba)), key=lambda i: (proba[i], -i))
+
+
 def predict(model: DecisionTreeModel, vector: Sequence[float]) -> str:
     """Majority class of the reached leaf; ties go to the first declared class."""
-    proba = predict_proba(model, vector)
-    best = max(range(len(proba)), key=lambda i: (proba[i], -i))
-    return model.class_names[best]
+    return model.class_names[best_class(predict_proba(model, vector))]
 
 
 def feature_importances(model: DecisionTreeModel) -> tuple[float, ...]:
@@ -289,6 +292,14 @@ def feature_importances(model: DecisionTreeModel) -> tuple[float, ...]:
     return tuple(v / total for v in raw)
 
 
+def select_features(importances: Sequence[float], threshold: float) -> tuple[int, ...]:
+    """Indexes of the features whose importance reaches the threshold."""
+    selected = tuple(i for i, imp in enumerate(importances) if imp >= threshold)
+    if not selected:
+        raise AllFeaturesPruned(f"threshold {threshold} removed all {len(importances)} features")
+    return selected
+
+
 def prune_features(
     X,
     y: Sequence[str],
@@ -305,10 +316,7 @@ def prune_features(
         X, y, feature_names, class_names=class_names, max_depth=max_depth,
         min_samples_split=min_samples_split, seed=seed,
     )
-    importances = feature_importances(full)
-    selected = tuple(i for i, imp in enumerate(importances) if imp >= threshold)
-    if not selected:
-        raise AllFeaturesPruned(f"threshold {threshold} removed all {len(importances)} features")
+    selected = select_features(feature_importances(full), threshold)
     pruned = train(
         X, y, feature_names, class_names=full.class_names, max_depth=max_depth,
         min_samples_split=min_samples_split, seed=seed, candidate_features=selected,
@@ -381,8 +389,9 @@ def cross_validate(
     accuracies: list[float] = []
     confusion = [[0] * len(class_names) for _ in class_names]
     for fold in folds:
-        in_fold = set(fold)
-        train_idx = [i for i in range(len(y_list)) if i not in in_fold]
+        in_train = np.ones(len(y_list), dtype=bool)
+        in_train[fold] = False
+        train_idx = np.flatnonzero(in_train)
         model = train(
             arr[train_idx], [y_list[i] for i in train_idx], feature_names,
             class_names=class_names, max_depth=max_depth,

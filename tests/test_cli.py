@@ -149,6 +149,27 @@ class TestInspect:
 
 
 class TestReport:
+    def test_report_honours_min_samples_split(self, tmp_path, capsys):
+        # 30 flows a class: 4-fold training sets of 45 rows stay single leaves at
+        # min-samples-split 50, while the 60-row full model can still split
+        parts = []
+        for kind, label in (("conf", "Conf"), ("camera", "IoTCam")):
+            pcap, out = tmp_path / f"{kind}.pcap", tmp_path / f"{kind}.csv"
+            assert main(["synth", "--kind", kind, "-n", "30", "--seed", "3", "-o", str(pcap)]) == 0
+            assert main(["extract", str(pcap), "--label", label, "-o", str(out)]) == 0
+            parts.append(out.read_text().splitlines())
+        both = tmp_path / "both.csv"
+        both.write_text("\n".join(parts[0] + parts[1][2:]) + "\n")
+
+        flags = ["-k", "4", "--min-samples-split", "50"]
+        assert main(["cv", str(both), *flags, "-o", str(tmp_path / "cv.txt")]) == 0
+        assert main(["report", str(both), *flags, "-o", str(tmp_path / "report.txt")]) == 0
+        assert main(["cv", str(both), "-k", "4", "-o", str(tmp_path / "default.txt")]) == 0
+        cv_block = (tmp_path / "cv.txt").read_text()
+        report = (tmp_path / "report.txt").read_text()
+        assert "all features:\n" + cv_block + "\n" in report
+        assert cv_block != (tmp_path / "default.txt").read_text()
+
     def test_report_sections(self, workdir, tmp_path, capsys):
         out = tmp_path / "report.txt"
         assert main(["report", str(workdir / "both.csv"), "-k", "4", "-o", str(out)]) == 0

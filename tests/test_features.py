@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from camsieve.features import (
     ALL_COLUMNS,
     FEATURE_NAMES,
-    FeatureVector,
     activity_segments,
     compute_features,
     stat_summary,
@@ -188,17 +188,18 @@ class TestComputeFeatures:
         assert b["Flow Packets/s"] == pytest.approx(a["Flow Packets/s"] / 2, rel=1e-9)
 
     def test_identity_carried_not_in_features(self):
-        vec = compute_features(make_flow([udp_fp(0, 10)], []))
-        assert vec.identity.src_ip == "10.0.0.1"
-        assert vec.identity.protocol == 17
-        assert len(vec.values) == 77
+        rec = compute_features(make_flow([udp_fp(0, 10)], []), label="Conf")
+        assert rec.src_ip == "10.0.0.1"
+        assert rec.protocol == 17
+        assert rec.label == "Conf"
+        assert len(rec.values) == 77
         for banned in ("IP", "Port"):
             leaky = [n for n in FEATURE_NAMES if banned in n and not n.startswith("Init_Win")]
             assert leaky == []
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError):
-            FeatureVector((0.0,) * 76, compute_features(make_flow([udp_fp(0, 1)], [])).identity)
+            dataclasses.replace(compute_features(make_flow([udp_fp(0, 1)], [])), values=(0.0,) * 76)
 
 
 class TestOracleEquivalence:

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from camsieve.errors import OutOfOrderTimestamp
 from camsieve.flows import FlowAssembler, Termination, assemble_flows, canonical_key
-from camsieve.packets import PacketRecord, TcpFlags, Transport
+from camsieve.packets import PacketRecord, TcpFlags, Transport, read_packets_sorted
+
+from conftest import ipv4_frame, tcp_segment, udp_segment, write_pcap_bytes
 
 
 def udp_pkt(ts, src=("10.0.0.1", 5000), dst=("10.0.0.2", 6000), payload=b"x"):
@@ -190,3 +192,44 @@ class TestProperties:
                 if f.protocol is Transport.UDP
                 else tcp_pkt(0, f.initiator, f.responder)
             ) == f.key
+
+
+class TestPayloads:
+    def test_each_flow_keeps_its_own_payloads_in_capture_order(self, tmp_path):
+        client, server = ("10.0.0.1", 5000), ("10.0.0.2", 80)
+
+        def tcp(ts, forward, flags, payload):
+            src, dst = (client, server) if forward else (server, client)
+            seg = tcp_segment(src[1], dst[1], flags=flags, payload=payload)
+            return ts, ipv4_frame(src[0], dst[0], proto=6, transport=seg)
+
+        def udp(ts, payload):
+            return ts, ipv4_frame("10.0.0.3", "10.0.0.4", transport=udp_segment(7000, 7001, payload))
+
+        ack, fin = TcpFlags.ACK, TcpFlags.FIN | TcpFlags.ACK
+        frames = [
+            tcp(0, True, TcpFlags.SYN, b"a1"),
+            tcp(100, False, TcpFlags.SYN | ack, b"a2"),
+            tcp(100, True, ack, b"a3"),  # same timestamp as the backward packet before it
+            udp(150, b"u1"),
+            tcp(200, True, fin, b"a4"),
+            tcp(300, False, fin, b"a5"),
+            udp(350, b"u2"),
+            tcp(400, True, ack, b"a6"),  # last ACK closes the first connection
+            tcp(500, True, TcpFlags.SYN, b"b1"),  # same 5-tuple, new flow
+            tcp(600, False, ack, b"b2"),
+            tcp(600, True, ack, b"b3"),
+        ]
+        pcap = tmp_path / "reuse.pcap"
+        pcap.write_bytes(write_pcap_bytes(frames))
+        packets = read_packets_sorted(pcap)
+        flows = assemble_flows(packets)
+
+        assert [f.payloads for f in flows] == [
+            [b"a1", b"a2", b"a3", b"a4", b"a5", b"a6"],
+            [b"u1", b"u2"],
+            [b"b1", b"b2", b"b3"],
+        ]
+        assert flows[0].termination is Termination.TCP_FIN
+        assert flows[0].key == flows[2].key
+        assert sum(len(f.payloads) for f in flows) == len(packets) == len(frames)

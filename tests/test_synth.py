@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from camsieve import cli
+from camsieve.errors import IoFailure
 from camsieve.features import FEATURE_NAMES
 from camsieve.flows import assemble_flows
 from camsieve.packets import open_capture, decode_packet, read_packets_sorted
@@ -183,3 +184,16 @@ class TestManifest:
     def test_labels_per_kind(self, small_runs):
         for kind, (_, entries) in small_runs.items():
             assert {e["label"] for e in entries} == {KIND_LABELS[kind]}
+
+
+class TestWriteFailure:
+    @pytest.mark.parametrize("blocked", ["pcap", "manifest"])
+    def test_failed_write_raises_and_leaves_no_temp_file(self, tmp_path, blocked):
+        pcap, manifest = tmp_path / "out.pcap", tmp_path / "out.manifest.jsonl"
+        # a directory in the way makes the final rename fail
+        (pcap if blocked == "pcap" else manifest).mkdir()
+        with pytest.raises(IoFailure):
+            generate(SynthProfile(TrafficKind.CONF, 1, seed=1), pcap, manifest)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["out.pcap"] + (["out.manifest.jsonl"] if blocked == "manifest" else [])
+        )

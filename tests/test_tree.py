@@ -14,6 +14,7 @@ from camsieve.errors import (
 from camsieve.tree import (
     DecisionTreeModel,
     TreeNode,
+    best_class,
     best_split,
     cross_validate,
     feature_importances,
@@ -200,6 +201,7 @@ class TestPredict:
 
     def test_tie_goes_to_first_declared_class(self):
         assert predict(self.leaf_model((5, 5)), [0.0, 0.0]) == "IoTCam"
+        assert best_class((0.2, 0.4, 0.4)) == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
