@@ -42,6 +42,16 @@ def _class_names(y: list[str]) -> list[str]:
     return ordered
 
 
+def _fold_count(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {k}")
+    return k
+
+
 def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-depth", type=int, default=tree.DEFAULT_MAX_DEPTH)
     p.add_argument("--min-samples-split", type=int, default=tree.DEFAULT_MIN_SAMPLES_SPLIT)
@@ -115,8 +125,7 @@ def cmd_train(args) -> int:
             max_depth=args.max_depth, min_samples_split=args.min_samples_split,
             seed=args.seed,
         )
-    blob = tree.model_bytes(model)
-    dataset.atomic_write_text(args.output, lambda fh: fh.write(blob), binary=True)
+    tree.save_model(model, args.output)
     print(f"trained on {len(y)} records ({', '.join(class_names)}); model at {args.output}")
     return 0
 
@@ -272,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="stratified k-fold cross-validation report")
     p.add_argument("csv", type=Path)
     p.add_argument("-o", "--output", type=Path, default=None)
-    p.add_argument("-k", type=int, default=tree.DEFAULT_K_FOLDS)
+    p.add_argument("-k", type=_fold_count, default=tree.DEFAULT_K_FOLDS)
     _add_common_model_args(p)
     p.set_defaults(func=cmd_cv)
 
@@ -285,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full evaluation: CV, importances, pruning, probabilities")
     p.add_argument("csv", type=Path)
     p.add_argument("-o", "--output", type=Path, default=None)
-    p.add_argument("-k", type=int, default=tree.DEFAULT_K_FOLDS)
+    p.add_argument("-k", type=_fold_count, default=tree.DEFAULT_K_FOLDS)
     p.add_argument("--importance-threshold", type=float,
                    default=tree.IMPORTANCE_THRESHOLD_COMPACT)
     _add_common_model_args(p)

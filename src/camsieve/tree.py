@@ -12,12 +12,13 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .dataset import atomic_write_text
 from .errors import (
     AllFeaturesPruned,
     CorruptModel,
@@ -46,6 +47,12 @@ def _tie_margin(n: int) -> float:
     # comfortably above the scan's accumulated rounding error (which grows
     # with n), and false inclusions only cost an exact re-check
     return 1e-9 + n * 1e-13
+
+
+# Cells (features x node rows) that one block of the split scan covers. The
+# scan's temporaries take about 50 bytes per cell, so a block stays near
+# 13 MB at any dataset size.
+_SCAN_CELLS = 1 << 18
 
 
 def gini(class_counts: Sequence[int]) -> float:
@@ -77,66 +84,119 @@ class _Candidate:
         return (self.feature, self.threshold) < (other.feature, other.threshold)
 
 
+def _presort(X: np.ndarray, features: Sequence[int]) -> np.ndarray:
+    """Row indexes of X sorted stably by each feature, one row per feature."""
+    order = np.empty((len(features), len(X)), dtype=np.int32 if len(X) < 2**31 else np.int64)
+    for i, fi in enumerate(features):
+        order[i] = np.argsort(X[:, fi], kind="stable")
+    return order
+
+
+def _scan(values: np.ndarray, labels: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Float weighted child impurity w = A / (nl * nr) after each position of
+    each sorted row; inf where the next value is equal (no boundary there).
+
+    values and labels are (features x n) in the same sorted order; parent
+    holds the node's class counts as floats.
+    """
+    n = values.shape[1]
+    nl = np.arange(1, n, dtype=np.float64)
+    sum_sq_left = np.zeros((len(values), n - 1))
+    sum_sq_right = np.zeros((len(values), n - 1))
+    left_labels = labels[:, :-1]
+    for c, total in enumerate(parent):
+        # class c left of every position; exact integers in float64
+        left = np.cumsum(left_labels == c, axis=1, dtype=np.float64)
+        sum_sq_left += left * left
+        left -= total  # minus the right count; only its square is used
+        sum_sq_right += left * left
+    sum_sq_left /= nl
+    sum_sq_right /= nl[::-1]
+    sum_sq_left += sum_sq_right
+    w = np.subtract(n, sum_sq_left, out=sum_sq_left)  # n - (sl / nl + sr / nr)
+    w[values[:, 1:] == values[:, :-1]] = np.inf
+    return w
+
+
 def best_split(
-    X: np.ndarray, y: np.ndarray, n_classes: int, candidate_features: Sequence[int]
+    X: np.ndarray,
+    y: np.ndarray,
+    n_classes: int,
+    candidate_features: Sequence[int],
+    order: np.ndarray | None = None,
 ) -> tuple[int, float, float] | None:
     """Exhaustive best (feature, threshold) by Gini gain; None without positive gain.
 
     y must be integer class ids in [0, n_classes). Returns (feature_index,
-    threshold, gain).
+    threshold, gain). Without order the node is every row of X. With it,
+    order[i] lists the node's row indexes of X sorted stably by feature
+    sorted(candidate_features)[i], as train passes them down the tree.
+
+    All features are scanned at once in float, in blocks of at most
+    _SCAN_CELLS cells. Every position whose w is within _tie_margin(n) of the
+    smallest w over all features is then re-ranked with exact integers. The
+    float w of any position is off by at most a few ulps of n: counts and
+    their squared sums are exact in float64 below 2**26 rows, and two
+    divisions, one add and one subtract leave an error below n * 5e-16, a
+    hundredth of the margin. So the exact winner, and every position tied
+    with it, is among those re-ranked, and the exact order (impurity, then
+    feature, then threshold) picks the same split as a search that re-ranked
+    every position.
     """
-    n = len(y)
-    if n < 2:
+    features = sorted(candidate_features)
+    if order is None:
+        order = _presort(X, features)
+    n = order.shape[1]
+    if n < 2 or not features:
         return None
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), y] = 1
-    parent_counts = onehot.sum(axis=0)
+    parent_counts = np.bincount(y[order[0]], minlength=n_classes)
     parent_sq = int((parent_counts * parent_counts).sum())
     if parent_sq == n * n:  # pure node
         return None
 
-    best: _Candidate | None = None
     margin = _tie_margin(n)
-    for fi in sorted(candidate_features):
-        col = X[:, fi]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
-        if boundaries.size == 0:
+    parent = parent_counts.astype(np.float64)
+    columns = np.array(features)[:, None]
+    block = max(1, _SCAN_CELLS // n)
+    w_min = np.inf
+    near: list[tuple[float, int, int]] = []  # (w, row of order, position) near a block's min
+    for start in range(0, len(features), block):
+        rows = order[start:start + block]
+        w = _scan(X[rows, columns[start:start + block]], y[rows], parent)
+        block_min = w.min()
+        if block_min == np.inf or block_min > w_min + margin:
             continue
-        cum = onehot[order].cumsum(axis=0)
-        left = cum[boundaries]
-        # scan in float (no overflow at any n), confirm near-ties exactly
-        nl = (boundaries + 1).astype(np.float64)
-        nr = n - nl
-        right = (parent_counts[None, :] - left).astype(np.float64)
-        leftf = left.astype(np.float64)
-        sl = (leftf * leftf).sum(axis=1)
-        sr = (right * right).sum(axis=1)
-        w = (nr * (nl * nl - sl) + nl * (nr * nr - sr)) / (nl * nr)
-        w_min = w.min()
-        for idx in np.nonzero(w <= w_min + margin)[0]:
-            b = int(boundaries[idx])
-            threshold = float((sv[b] + sv[b + 1]) / 2.0)
-            if threshold >= sv[b + 1]:  # midpoint rounded up between adjacent floats
-                threshold = float(sv[b])
-            l_counts = [int(c) for c in left[idx]]
-            nl_i = b + 1
-            nr_i = n - nl_i
-            r_counts = [int(t) - c for t, c in zip(parent_counts, l_counts)]
-            s_left = sum(c * c for c in l_counts)
-            s_right = sum(c * c for c in r_counts)
-            cand = _Candidate(
-                feature=fi,
-                threshold=threshold,
-                impurity_num=nr_i * (nl_i * nl_i - s_left) + nl_i * (nr_i * nr_i - s_right),
-                pair_product=nl_i * nr_i,
-            )
-            if best is None or cand.better_than(best):
-                best = cand
-
-    if best is None:
+        w_min = min(w_min, block_min)
+        i, pos = np.nonzero(w <= block_min + margin)
+        near += zip(w[i, pos].tolist(), (i + start).tolist(), pos.tolist())
+    if w_min == np.inf:
         return None
+
+    best: _Candidate | None = None
+    for w_float, i, b in near:
+        if w_float > w_min + margin:
+            continue
+        fi = features[i]
+        sorted_rows = order[i]
+        lo, hi = X[sorted_rows[b], fi], X[sorted_rows[b + 1], fi]
+        threshold = float((lo + hi) / 2.0)
+        if threshold >= hi:  # midpoint rounded up between adjacent floats
+            threshold = float(lo)
+        l_counts = np.bincount(y[sorted_rows[:b + 1]], minlength=n_classes).tolist()
+        nl_i = b + 1
+        nr_i = n - nl_i
+        r_counts = [int(t) - c for t, c in zip(parent_counts, l_counts)]
+        s_left = sum(c * c for c in l_counts)
+        s_right = sum(c * c for c in r_counts)
+        cand = _Candidate(
+            feature=fi,
+            threshold=threshold,
+            impurity_num=nr_i * (nl_i * nl_i - s_left) + nl_i * (nr_i * nr_i - s_right),
+            pair_product=nl_i * nr_i,
+        )
+        if best is None or cand.better_than(best):
+            best = cand
+
     # positive gain check, exact: (n^2 - parent_sq) * pair > A * n
     if (n * n - parent_sq) * best.pair_product <= best.impurity_num * n:
         return None
@@ -205,6 +265,15 @@ def train(
 
     candidate_features restricts which columns may be split on without
     changing the feature space (used by importance pruning).
+
+    Each candidate column is argsorted once; every node hands best_split its
+    rows in that order and splits the order matrix stably into its children.
+
+    seed does not steer training, which has no randomness; it is only
+    recorded in training_meta. It stays because training_meta is part of the
+    checksummed model payload, so dropping it would change the model bytes,
+    and because it records the seed that cross_validate and the CLI use for
+    fold and hold-out assignment.
     """
     arr = _as_matrix(X)
     n, f = arr.shape
@@ -222,23 +291,31 @@ def train(
     candidates = tuple(range(f)) if candidate_features is None else tuple(sorted(candidate_features))
 
     nodes: list[TreeNode] = []
-
-    def build(idx: np.ndarray, depth: int) -> int:
-        counts = tuple(int(c) for c in np.bincount(labels[idx], minlength=k))
+    # depth first, left before right, so nodes are numbered in preorder as a
+    # recursion would; pending nodes hold disjoint rows, so their row-order
+    # matrices together hold at most n_candidates x n indexes
+    pending = [(_presort(arr, candidates), 0, -1)]  # (order, depth, parent of a right child)
+    goes_left = np.empty(n, dtype=bool)
+    while pending:
+        order, depth, parent = pending.pop()
         my_index = len(nodes)
-        nodes.append(TreeNode(-1, 0.0, -1, -1, counts))  # placeholder
+        if parent >= 0:
+            nodes[parent] = replace(nodes[parent], right=my_index)
+        rows = order[0] if candidates else np.arange(n)  # without candidates only the root exists
+        counts = tuple(int(c) for c in np.bincount(labels[rows], minlength=k))
+        nodes.append(TreeNode(-1, 0.0, -1, -1, counts))
         split = None
-        if depth < max_depth and len(idx) >= min_samples_split:
-            split = best_split(arr[idx], labels[idx], k, candidates)
+        if depth < max_depth and len(rows) >= min_samples_split:
+            split = best_split(arr, labels, k, candidates, order)
         if split is not None:
             fi, threshold, _gain = split
-            mask = arr[idx, fi] <= threshold
-            left = build(idx[mask], depth + 1)
-            right = build(idx[~mask], depth + 1)
-            nodes[my_index] = TreeNode(fi, threshold, left, right, counts)
-        return my_index
+            nodes[my_index] = TreeNode(fi, threshold, my_index + 1, -1, counts)
+            goes_left[rows] = arr[rows, fi] <= threshold
+            mask = goes_left[order]
+            n_left = int(mask[0].sum())
+            pending.append((order[~mask].reshape(len(order), -1), depth + 1, my_index))
+            pending.append((order[mask].reshape(len(order), n_left), depth + 1, -1))
 
-    build(np.arange(n), 0)
     return DecisionTreeModel(
         nodes=tuple(nodes),
         max_depth=max_depth,
@@ -352,6 +429,8 @@ class CvReport:
 
 def stratified_folds(y: Sequence[str], k: int, seed: int) -> list[list[int]]:
     """Deterministic stratified fold assignment: per-class shuffle, round robin."""
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got {k}")
     by_class: dict[str, list[int]] = {}
     for i, label in enumerate(y):
         by_class.setdefault(label, []).append(i)
@@ -450,7 +529,9 @@ def model_bytes(model: DecisionTreeModel) -> bytes:
 
 
 def save_model(model: DecisionTreeModel, path: str | Path) -> None:
-    Path(path).write_bytes(model_bytes(model))
+    """Write model_bytes through a temp file and rename; a failure leaves no file."""
+    blob = model_bytes(model)
+    atomic_write_text(path, lambda fh: fh.write(blob), binary=True)
 
 
 def load_model(path: str | Path) -> DecisionTreeModel:

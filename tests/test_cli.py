@@ -62,6 +62,16 @@ class TestUsageErrors:
             main(["synth", "--kind", "conf"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["cv", "report"])
+    @pytest.mark.parametrize("k", ["0", "1", "-2"])
+    def test_fewer_than_two_folds_exits_2(self, workdir, tmp_path, capsys, command, k):
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(workdir / "both.csv"), "-k", k, "-o", str(out)])
+        assert exc.value.code == 2
+        assert "need at least 2 folds" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCvPredict:
     def test_train_then_predict(self, workdir, capsys):

@@ -1,8 +1,10 @@
+import os
 import random
 
 import numpy as np
 import pytest
 
+from camsieve import tree
 from camsieve.errors import (
     AllFeaturesPruned,
     CorruptModel,
@@ -97,6 +99,130 @@ class TestBestSplit:
                 assert got[2] == pytest.approx(float(want[2]), abs=1e-12)
                 checked_splits += 1
         assert checked_splits > 100
+
+
+def tie_heavy(seed, n, f, k):
+    """Seeded matrix full of ties: constant, few-valued and coarsely rounded
+    columns, a quarter of the rows duplicated (labels drawn independently,
+    so some equal rows disagree), and 40% of the labels noise."""
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, f))
+    for j in range(f):
+        kind = j % 4
+        if kind == 0:
+            X[:, j] = 7.0
+        elif kind == 1:
+            X[:, j] = rng.integers(0, 3, n)
+        elif kind == 2:
+            X[:, j] = rng.integers(0, 12, n) * 0.5
+        else:
+            X[:, j] = rng.normal(size=n).round(1)
+    dup = rng.integers(0, n - n // 4, n // 4)
+    X[n - n // 4:] = X[dup]
+    signal = (X[:, 1].astype(np.int64) + (X[:, 3] > 0)) % k
+    labels = np.where(rng.random(n) < 0.6, signal, rng.integers(0, k, n))
+    return X, labels
+
+
+def node_order(X, idx, features):
+    """The node's rows idx sorted stably by each feature, one row per feature."""
+    return np.array([idx[np.argsort(X[idx, fi], kind="stable")] for fi in sorted(features)])
+
+
+def reference_nodes(X, labels, k, candidates, max_depth, min_samples_split):
+    """Plain recursion that hands best_split each node's own rows, unsorted;
+    checks on the way that a presorted order gives the same split."""
+    nodes = []
+
+    def build(idx, depth):
+        counts = tuple(int(c) for c in np.bincount(labels[idx], minlength=k))
+        me = len(nodes)
+        nodes.append(None)
+        split = None
+        if depth < max_depth and len(idx) >= min_samples_split:
+            split = best_split(X[idx], labels[idx], k, candidates)
+            presorted = best_split(X, labels, k, candidates, node_order(X, idx, candidates))
+            assert presorted == split
+        if split is None:
+            nodes[me] = TreeNode(-1, 0.0, -1, -1, counts)
+        else:
+            fi, threshold, _gain = split
+            goes_left = X[idx, fi] <= threshold
+            left = build(idx[goes_left], depth + 1)
+            right = build(idx[~goes_left], depth + 1)
+            nodes[me] = TreeNode(fi, threshold, left, right, counts)
+        return me
+
+    build(np.arange(len(labels)), 0)
+    return tuple(nodes)
+
+
+class TestPresortedSplits:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_train_matches_per_node_search(self, seed):
+        rng = random.Random(seed)
+        k = 2 + seed % 3
+        n, f = rng.randint(60, 300), rng.randint(5, 10)
+        X, labels = tie_heavy(seed, n, f, k)
+        subset = None if seed % 2 else sorted(rng.sample(range(f), rng.randint(2, f)))
+        candidates = tuple(range(f)) if subset is None else tuple(subset)
+        min_samples_split = rng.choice([2, 3, 8])
+        classes = [f"c{i}" for i in range(k)]
+        model = train(X, [classes[i] for i in labels], [f"x{j}" for j in range(f)],
+                      class_names=classes, max_depth=7, min_samples_split=min_samples_split,
+                      candidate_features=subset)
+        want = reference_nodes(X, labels, k, candidates, 7, min_samples_split)
+        assert model.nodes == want
+        assert sum(not node.is_leaf for node in want) >= 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_split_matches_exhaustive_oracle(self, seed):
+        k = 2 + seed % 3
+        X, labels = tie_heavy(100 + seed, 200, 8, k)
+        X[:, 6] = X[:, 5]  # an exact tie between two whole columns as well
+        want = exhaustive_best_split(X.tolist(), labels.tolist(), k)
+        idx = np.arange(len(labels))
+        for got in (best_split(X, labels, k, range(8)),
+                    best_split(X, labels, k, range(8), node_order(X, idx, range(8)))):
+            assert (got[0], got[1]) == (want[0], want[1])
+            assert got[2] == pytest.approx(float(want[2]), abs=1e-12)
+
+    def test_identical_columns_tie_to_lower_index(self, monkeypatch):
+        X, labels = tie_heavy(11, 400, 8, 3)
+        X[:, 2] = X[:, 5] = labels * 2.0 + (X[:, 3] > 1)  # best column, twice
+        for cells in (tree._SCAN_CELLS, 1):  # one block, then one block per feature
+            monkeypatch.setattr(tree, "_SCAN_CELLS", cells)
+            for candidates in (range(8), [5, 2], [2, 5, 7]):
+                assert best_split(X, labels, 3, candidates)[0] == 2
+            model = train(X, [str(c) for c in labels], list("abcdefgh"), max_depth=1)
+            assert model.nodes[0].feature == 2
+
+
+class TestScanMemoryBound:
+    def test_order_matrix_is_int32(self):
+        assert tree._presort(np.zeros((5, 3)), [0, 2]).dtype == np.int32
+
+    @pytest.mark.parametrize("cells", [1, 20_000])
+    def test_tiny_budget_grows_the_same_tree(self, monkeypatch, cells):
+        X, labels = tie_heavy(5, 3000, 12, 3)
+        y = [str(c) for c in labels]
+        names = [f"x{j}" for j in range(12)]
+        want = train(X, y, names)
+        assert len(want.nodes) > 50
+        block_rows = set()
+        scan = tree._scan
+
+        def recording_scan(values, *args):
+            block_rows.add(len(values))
+            return scan(values, *args)
+
+        monkeypatch.setattr(tree, "_SCAN_CELLS", cells)
+        monkeypatch.setattr(tree, "_scan", recording_scan)
+        assert train(X, y, names).nodes == want.nodes
+        if cells == 1:
+            assert block_rows == {1}
+        else:  # blocks of 6 features at the root, all 12 at once in small nodes
+            assert min(block_rows) < 12 == max(block_rows)
 
 
 class TestTrain:
@@ -354,6 +480,11 @@ class TestCrossValidate:
         for ci, name in enumerate(report.class_names):
             assert sum(report.confusion[ci]) == y.count(name)
 
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_fewer_than_two_folds_rejected(self, k):
+        with pytest.raises(ValueError):
+            stratified_folds(["a", "b", "a", "b"], k, seed=0)
+
     def test_insufficient_samples(self):
         X = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(InsufficientSamples):
@@ -423,6 +554,17 @@ class TestPersistence:
         path.write_bytes(b"\x00\x01\x02 not json")
         with pytest.raises(CorruptModel):
             load_model(path)
+
+    def test_blocked_rename_leaves_no_file(self, tmp_path, rng, monkeypatch):
+        model = self.trained(rng)
+
+        def blocked(src, dst):
+            raise PermissionError(f"rename to {dst} blocked")
+
+        monkeypatch.setattr(os, "replace", blocked)
+        with pytest.raises(PermissionError):
+            save_model(model, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_training_determinism_bytes(self, rng):
         X = np.array([[rng.random() for _ in range(4)] for _ in range(50)])
