@@ -30,6 +30,7 @@ def extract_records(
 
 def matrix_from_records(records: list[dataset.LabeledRecord]) -> tuple[np.ndarray, list[str]]:
     X = np.array([rec.values for rec in records], dtype=np.float64)
+    X = X.reshape(len(records), len(features.FEATURE_NAMES))  # 2-D even with no rows
     y = [rec.label for rec in records]
     return X, y
 
@@ -42,19 +43,25 @@ def _class_names(y: list[str]) -> list[str]:
     return ordered
 
 
-def _fold_count(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if k < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {k}")
-    return k
+def _int_at_least(minimum: int, unit: str):
+    """argparse type: an int no smaller than minimum (exit 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"need at least {minimum} {unit}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_common_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-depth", type=int, default=tree.DEFAULT_MAX_DEPTH)
-    p.add_argument("--min-samples-split", type=int, default=tree.DEFAULT_MIN_SAMPLES_SPLIT)
+    p.add_argument("--max-depth", type=_int_at_least(0, "levels"), default=tree.DEFAULT_MAX_DEPTH)
+    p.add_argument("--min-samples-split", type=_int_at_least(2, "samples"),
+                   default=tree.DEFAULT_MIN_SAMPLES_SPLIT)
     p.add_argument("--seed", type=int, default=tree.DEFAULT_SEED)
     p.add_argument("--taxonomy", type=Path, default=None,
                    help="JSON file mapping application labels to classes")
@@ -97,9 +104,7 @@ def cmd_synth(args) -> int:
 def cmd_inspect(args) -> int:
     sorted_packets = packets.read_packets_sorted(args.pcap)
     flow_list = flows.assemble_flows(sorted_packets, int(args.flow_timeout * 1e6))
-    report = protocols.build_report(
-        flow_list, [f.payloads for f in flow_list], protocols.AppContext(args.app.upper())
-    )
+    report = protocols.build_report(flow_list, protocols.AppContext(args.app.upper()))
     text = json.dumps(report, indent=2) + "\n" if args.json else protocols.render_report(report)
     if args.output:
         dataset.atomic_write_text(args.output, lambda fh: fh.write(text))
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="stratified k-fold cross-validation report")
     p.add_argument("csv", type=Path)
     p.add_argument("-o", "--output", type=Path, default=None)
-    p.add_argument("-k", type=_fold_count, default=tree.DEFAULT_K_FOLDS)
+    p.add_argument("-k", type=_int_at_least(2, "folds"), default=tree.DEFAULT_K_FOLDS)
     _add_common_model_args(p)
     p.set_defaults(func=cmd_cv)
 
@@ -294,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full evaluation: CV, importances, pruning, probabilities")
     p.add_argument("csv", type=Path)
     p.add_argument("-o", "--output", type=Path, default=None)
-    p.add_argument("-k", type=_fold_count, default=tree.DEFAULT_K_FOLDS)
+    p.add_argument("-k", type=_int_at_least(2, "folds"), default=tree.DEFAULT_K_FOLDS)
     p.add_argument("--importance-threshold", type=float,
                    default=tree.IMPORTANCE_THRESHOLD_COMPACT)
     _add_common_model_args(p)

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .flows import FlowPacket, FlowState
-from .packets import PROTO_NUMBER, TcpFlags
+from .flows import FlowState
+from .packets import PROTO_NUMBER, PacketRecord, TcpFlags
 
 SCHEMA_NAME = "camsieve-flow-stats"
 SCHEMA_VERSION = "1"
@@ -198,18 +198,18 @@ def _diffs(timestamps: Sequence[int]) -> list[int]:
     return [b - a for a, b in zip(timestamps, timestamps[1:])]
 
 
-def _flag_count(packets: Sequence[FlowPacket], flag: TcpFlags) -> int:
+def _flag_count(packets: Sequence[PacketRecord], flag: TcpFlags) -> int:
     return sum(1 for p in packets if flag in p.tcp_flags)
 
 
-def _bulk_stats(packets: Sequence[FlowPacket]) -> tuple[float, float, float]:
+def _bulk_stats(packets: Sequence[PacketRecord]) -> tuple[float, float, float]:
     """Average bytes per bulk, packets per bulk and bulk byte rate (per second).
 
     A bulk is a run of >= BULK_MIN_PACKETS consecutive data packets (payload
     >= 1 byte) in one direction with inter-arrivals <= BULK_GAP_US.
     """
-    data = [p for p in packets if p.payload_length >= 1]
-    runs: list[list[FlowPacket]] = []
+    data = [p for p in packets if p.payload]
+    runs: list[list[PacketRecord]] = []
     for pkt in data:
         if runs and pkt.timestamp - runs[-1][-1].timestamp <= BULK_GAP_US:
             runs[-1].append(pkt)
@@ -218,7 +218,7 @@ def _bulk_stats(packets: Sequence[FlowPacket]) -> tuple[float, float, float]:
     bulks = [run for run in runs if len(run) >= BULK_MIN_PACKETS]
     if not bulks:
         return 0.0, 0.0, 0.0
-    total_bytes = sum(p.payload_length for run in bulks for p in run)
+    total_bytes = sum(len(p.payload) for run in bulks for p in run)
     total_pkts = sum(len(run) for run in bulks)
     total_dur_us = sum(run[-1].timestamp - run[0].timestamp for run in bulks)
     rate = total_bytes / (total_dur_us / 1e6) if total_dur_us > 0 else 0.0
@@ -232,7 +232,7 @@ def compute_features(
     never NaN or infinity (rates with zero duration are pinned to 0)."""
     fwd = flow.fwd_packets
     bwd = flow.bwd_packets
-    merged = sorted(fwd + bwd, key=lambda p: p.timestamp)
+    merged = sorted(flow.packets, key=lambda p: p.timestamp)
     if not merged:
         raise ValueError("flow has no packets")
 
@@ -240,8 +240,8 @@ def compute_features(
     duration = all_ts[-1] - all_ts[0]
     dur_s = duration / 1e6
 
-    fwd_pl = [p.payload_length for p in fwd]
-    bwd_pl = [p.payload_length for p in bwd]
+    fwd_pl = [len(p.payload) for p in fwd]
+    bwd_pl = [len(p.payload) for p in bwd]
     fwd_len = stat_summary(fwd_pl)
     bwd_len = stat_summary(bwd_pl)
     all_len = stat_summary(fwd_pl + bwd_pl)
@@ -332,7 +332,7 @@ def compute_features(
     v["Subflow Bwd Bytes"] = bwd_len.total / n_subflows
     v["Init_Win_bytes_forward"] = float(init_win_fwd)
     v["Init_Win_bytes_backward"] = float(init_win_bwd)
-    v["act_data_pkt_fwd"] = float(sum(1 for p in fwd if p.payload_length >= 1))
+    v["act_data_pkt_fwd"] = float(sum(1 for p in fwd if p.payload))
     v["min_seg_size_forward"] = float(min(p.transport_header_length for p in fwd)) if fwd else 0.0
     v["Active Mean"] = active.mean
     v["Active Std"] = active.std

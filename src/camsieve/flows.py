@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import OutOfOrderTimestamp
 from .packets import PROTO_NUMBER, PacketRecord, TcpFlags, Transport
@@ -32,15 +32,6 @@ def canonical_key(pkt: PacketRecord) -> FlowKey:
     return FlowKey(a, b, pkt.protocol)
 
 
-class FlowPacket(NamedTuple):
-    timestamp: int
-    total_length: int
-    transport_header_length: int
-    payload_length: int
-    tcp_flags: TcpFlags
-    tcp_window: int | None
-
-
 class Termination(enum.Enum):
     TIMEOUT = "TIMEOUT"
     TCP_FIN = "TCP_FIN"
@@ -50,10 +41,10 @@ class Termination(enum.Enum):
 
 @dataclass
 class FlowState:
-    """Accumulating per-direction packet lists; forward = sent by the initiator.
+    """One flow's decoded packets, both directions, in the order they were ingested.
 
-    payloads holds every packet's transport payload, both directions, in the
-    order the packets were ingested.
+    Forward means sent by the initiator's endpoint (`is_forward`); the
+    `fwd_packets` and `bwd_packets` views split `packets` by that rule.
     """
 
     key: FlowKey
@@ -61,9 +52,7 @@ class FlowState:
     responder: Endpoint
     start_ts: int
     last_ts: int
-    fwd_packets: list[FlowPacket] = field(default_factory=list)
-    bwd_packets: list[FlowPacket] = field(default_factory=list)
-    payloads: list[bytes] = field(default_factory=list)
+    packets: list[PacketRecord] = field(default_factory=list)
     termination: Termination | None = None
     fin_fwd: bool = False
     fin_bwd: bool = False
@@ -80,18 +69,18 @@ class FlowState:
 
     @property
     def packet_count(self) -> int:
-        return len(self.fwd_packets) + len(self.bwd_packets)
+        return len(self.packets)
 
+    def is_forward(self, pkt: PacketRecord) -> bool:
+        return (pkt.src_ip, pkt.src_port) == self.initiator
 
-def _flow_packet(pkt: PacketRecord) -> FlowPacket:
-    return FlowPacket(
-        pkt.timestamp,
-        pkt.total_length,
-        pkt.transport_header_length,
-        len(pkt.payload),
-        pkt.tcp_flags,
-        pkt.tcp_window,
-    )
+    @property
+    def fwd_packets(self) -> list[PacketRecord]:
+        return [p for p in self.packets if self.is_forward(p)]
+
+    @property
+    def bwd_packets(self) -> list[PacketRecord]:
+        return [p for p in self.packets if not self.is_forward(p)]
 
 
 class FlowAssembler:
@@ -135,9 +124,7 @@ class FlowAssembler:
             )
             self._table[key] = flow
 
-        forward = (pkt.src_ip, pkt.src_port) == flow.initiator
-        (flow.fwd_packets if forward else flow.bwd_packets).append(_flow_packet(pkt))
-        flow.payloads.append(pkt.payload)
+        flow.packets.append(pkt)
         flow.last_ts = pkt.timestamp
 
         if pkt.protocol is Transport.TCP:
@@ -147,7 +134,7 @@ class FlowAssembler:
             elif fin_both_before and pkt.tcp_flags & (TcpFlags.ACK | TcpFlags.FIN):
                 completed.append(self._complete(key, Termination.TCP_FIN))
             elif TcpFlags.FIN in pkt.tcp_flags:
-                if forward:
+                if flow.is_forward(pkt):
                     flow.fin_fwd = True
                 else:
                     flow.fin_bwd = True

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InsufficientRtp
@@ -222,13 +222,15 @@ def classify_udp_payload(payload: bytes, src_port: int, dst_port: int) -> Protoc
     return ProtocolHint(HintKind.UNKNOWN, codec_note=note)
 
 
-def rtp_stream_continuity(flow_payloads: Sequence[bytes]) -> float:
+def rtp_stream_continuity(headers: Sequence[RtpHeader | None]) -> float:
     """Fraction of consecutive RTP sequence numbers incrementing by exactly 1.
 
-    Headers are filtered to the most frequent SSRC (lowest wins a tie);
-    raises InsufficientRtp when fewer than two such headers parse.
+    `headers` are a flow's parsed RTP headers in packet order; None entries
+    (payloads that did not parse) are skipped. Headers are filtered to the
+    most frequent SSRC (lowest wins a tie); raises InsufficientRtp when fewer
+    than two such headers remain.
     """
-    headers = [h for h in (parse_rtp_header(p) for p in flow_payloads) if h is not None]
+    headers = [h for h in headers if h is not None]
     if len(headers) >= 2:
         ssrc_counts = Counter(h.ssrc for h in headers)
         top = max(ssrc_counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
@@ -263,21 +265,6 @@ def port_profile(flows: Sequence[FlowState], side: Side = Side.DST) -> dict[int,
     return {port: PortShare(c, c / total) for port, c in sorted(counts.items())}
 
 
-@dataclass
-class FlowInspection:
-    """Aggregate payload hints for one flow."""
-
-    flow_id: str
-    protocol: str
-    src_port: int
-    dst_port: int
-    packets: int
-    kind_counts: dict[str, int]
-    dominant: ProtocolHint
-    payload_types: dict[int, int] = field(default_factory=dict)
-    continuity: float | None = None
-
-
 _KIND_PRIORITY = [
     HintKind.RTP,
     HintKind.RTCP,
@@ -288,7 +275,9 @@ _KIND_PRIORITY = [
 ]
 
 
-def inspect_flow(flow: FlowState, payloads: Sequence[bytes], app: AppContext) -> FlowInspection:
+def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
+    """One flow's entry in the inspection report, plus its RTP payload-type counts."""
+    payloads = [p.payload for p in flow.packets]
     hints = []
     if flow.protocol is Transport.UDP:
         hints = [
@@ -301,63 +290,49 @@ def inspect_flow(flow: FlowState, payloads: Sequence[bytes], app: AppContext) ->
     else:
         dominant = ProtocolHint(HintKind.UNKNOWN)
 
+    headers = [parse_rtp_header(p) for p in payloads]
     pt_counts: Counter[int] = Counter()
     if dominant.kind is HintKind.RTP:
-        headers = [h for h in (parse_rtp_header(p) for p in payloads) if h is not None]
-        pt_counts.update(h.payload_type for h in headers)
-        if headers:
-            media, note = media_hint(headers[0], app)
+        parsed = [h for h in headers if h is not None]
+        pt_counts.update(h.payload_type for h in parsed)
+        if parsed:
+            media, note = media_hint(parsed[0], app)
             dominant = ProtocolHint(HintKind.RTP, media=media, codec_note=note)
     continuity = None
     try:
-        continuity = rtp_stream_continuity(payloads)
+        continuity = rtp_stream_continuity(headers)
     except InsufficientRtp:
         pass
 
-    return FlowInspection(
-        flow_id=flow.flow_id,
-        protocol=flow.protocol.value,
-        src_port=flow.initiator[1],
-        dst_port=flow.responder[1],
-        packets=flow.packet_count,
-        kind_counts={k.value: c for k, c in sorted(kind_counts.items(), key=lambda kv: kv[0].value)},
-        dominant=dominant,
-        payload_types=dict(sorted(pt_counts.items())),
-        continuity=continuity,
-    )
+    entry = {
+        "flow_id": flow.flow_id,
+        "protocol": flow.protocol.value,
+        "src_port": flow.initiator[1],
+        "dst_port": flow.responder[1],
+        "packets": flow.packet_count,
+        "hint": dominant.kind.value,
+        "media": dominant.media.value,
+        "codec_note": dominant.codec_note,
+        "confidence": dominant.confidence.value,
+        "kind_counts": dict(sorted((k.value, c) for k, c in kind_counts.items())),
+        # sorted as ints before the keys become strings: 96 comes before 100
+        "rtp_payload_types": {str(k): v for k, v in sorted(pt_counts.items())},
+        "rtp_continuity": continuity,
+    }
+    return entry, pt_counts
 
 
-def build_report(
-    flows: Sequence[FlowState],
-    payloads_per_flow: Sequence[Sequence[bytes]],
-    app: AppContext = AppContext.GENERIC,
-) -> dict:
+def build_report(flows: Sequence[FlowState], app: AppContext = AppContext.GENERIC) -> dict:
     """Inspection report: per-flow hints, port profiles and payload-type totals."""
-    inspections = [
-        inspect_flow(flow, payloads, app) for flow, payloads in zip(flows, payloads_per_flow)
-    ]
+    entries = []
     pt_total: Counter[int] = Counter()
-    for ins in inspections:
-        pt_total.update(ins.payload_types)
+    for flow in flows:
+        entry, pt_counts = inspect_flow(flow, app)
+        entries.append(entry)
+        pt_total.update(pt_counts)
     return {
         "app_context": app.value,
-        "flows": [
-            {
-                "flow_id": ins.flow_id,
-                "protocol": ins.protocol,
-                "src_port": ins.src_port,
-                "dst_port": ins.dst_port,
-                "packets": ins.packets,
-                "hint": ins.dominant.kind.value,
-                "media": ins.dominant.media.value,
-                "codec_note": ins.dominant.codec_note,
-                "confidence": ins.dominant.confidence.value,
-                "kind_counts": ins.kind_counts,
-                "rtp_payload_types": {str(k): v for k, v in ins.payload_types.items()},
-                "rtp_continuity": ins.continuity,
-            }
-            for ins in inspections
-        ],
+        "flows": entries,
         "port_profile_src": {str(p): s.proportion for p, s in port_profile(flows, Side.SRC).items()},
         "port_profile_dst": {str(p): s.proportion for p, s in port_profile(flows, Side.DST).items()},
         "rtp_payload_type_totals": {str(k): v for k, v in sorted(pt_total.items())},

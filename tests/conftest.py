@@ -1,13 +1,14 @@
 """Shared builders for tests: hand-rolled frames and random flows."""
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
 
 import pytest
 
-from camsieve.flows import FlowKey, FlowPacket, FlowState, Termination
-from camsieve.packets import TcpFlags, Transport
+from camsieve.flows import FlowKey, FlowState, Termination
+from camsieve.packets import PacketRecord, TcpFlags, Transport
 
 
 def ipv4_frame(
@@ -77,22 +78,40 @@ def write_pcap_bytes(frames, magic=0xA1B2C3D4, order="<", subsec_scale=1) -> byt
     return out
 
 
+def flow_packet(ts, payload_len, total_length, header_len=8, flags=TcpFlags(0), window=None):
+    """PacketRecord with placeholder endpoints, for make_flow to fill in."""
+    return PacketRecord(
+        timestamp=ts, src_ip="", dst_ip="", src_port=0, dst_port=0, protocol=Transport.UDP,
+        total_length=total_length, transport_header_length=header_len,
+        payload=bytes(payload_len), tcp_flags=flags, tcp_window=window,
+    )
+
+
 def make_flow(fwd_packets, bwd_packets, protocol=Transport.UDP,
               initiator=("10.0.0.1", 5000), responder=("10.0.0.2", 6000)) -> FlowState:
-    """FlowState built directly, bypassing the assembler."""
+    """FlowState built directly, bypassing the assembler.
+
+    Each packet gets the flow's protocol and the endpoints of its direction;
+    the flow holds them in timestamp order, forward first on equal timestamps.
+    """
+
+    def sent(pkt, src, dst):
+        return dataclasses.replace(pkt, src_ip=src[0], src_port=src[1],
+                                   dst_ip=dst[0], dst_port=dst[1], protocol=protocol)
+
+    packets = [sent(p, initiator, responder) for p in fwd_packets]
+    packets += [sent(p, responder, initiator) for p in bwd_packets]
+    packets.sort(key=lambda p: p.timestamp)
     a, b = sorted([initiator, responder])
-    all_ts = [p.timestamp for p in fwd_packets + bwd_packets]
-    flow = FlowState(
+    return FlowState(
         key=FlowKey(a, b, protocol),
         initiator=initiator,
         responder=responder,
-        start_ts=min(all_ts),
-        last_ts=max(all_ts),
-        fwd_packets=list(fwd_packets),
-        bwd_packets=list(bwd_packets),
+        start_ts=packets[0].timestamp,
+        last_ts=packets[-1].timestamp,
+        packets=packets,
         termination=Termination.END_OF_CAPTURE,
     )
-    return flow
 
 
 def random_flow(rng: random.Random) -> FlowState:
@@ -112,7 +131,7 @@ def random_flow(rng: random.Random) -> FlowState:
             window = rng.randint(0, 65535)
         else:
             header_len, flags, window = 8, TcpFlags(0), None
-        pkt = FlowPacket(ts, payload_len + header_len + 34, header_len, payload_len, flags, window)
+        pkt = flow_packet(ts, payload_len, payload_len + header_len + 34, header_len, flags, window)
         (fwd if forward else bwd).append(pkt)
     return make_flow(fwd, bwd, Transport.TCP if tcp else Transport.UDP)
 

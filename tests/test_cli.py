@@ -62,14 +62,28 @@ class TestUsageErrors:
             main(["synth", "--kind", "conf"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["cv", "report"])
-    @pytest.mark.parametrize("k", ["0", "1", "-2"])
-    def test_fewer_than_two_folds_exits_2(self, workdir, tmp_path, capsys, command, k):
+    @pytest.mark.parametrize("command, argv, message", [
+        pytest.param(command, ["-k", k], "need at least 2 folds", id=f"{k}-{command}")
+        for k in ["0", "1", "-2"] for command in ["cv", "report"]
+    ] + [
+        pytest.param(command, [flag, value], message, id=f"{flag[2:]}={value}-{command}")
+        for flag, value, message in [
+            ("--max-depth", "-1", "need at least 0 levels"),
+            ("--max-depth", "-3", "need at least 0 levels"),
+            ("--max-depth", "2.5", "invalid int value"),
+            ("--min-samples-split", "1", "need at least 2 samples"),
+            ("--min-samples-split", "0", "need at least 2 samples"),
+            ("--min-samples-split", "-4", "need at least 2 samples"),
+        ]
+        for command in ["train", "cv", "report"]
+    ])
+    def test_fewer_than_two_folds_exits_2(self, workdir, tmp_path, capsys, command, argv, message):
+        """-k, --max-depth and --min-samples-split below their minimum are usage errors."""
         out = tmp_path / "out.txt"
         with pytest.raises(SystemExit) as exc:
-            main([command, str(workdir / "both.csv"), "-k", k, "-o", str(out)])
+            main([command, str(workdir / "both.csv"), *argv, "-o", str(out)])
         assert exc.value.code == 2
-        assert "need at least 2 folds" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -126,6 +140,16 @@ class TestTrainCvPredict:
         assert not (tmp_path / "never.csv").exists()
         # the diagnostic names both hashes
         assert err.count("hash") >= 2
+
+    @pytest.mark.parametrize("command", ["train", "cv", "report"])
+    def test_header_only_csv_is_data_error(self, workdir, tmp_path, capsys, command):
+        empty = tmp_path / "empty.csv"
+        schema_and_header = (workdir / "both.csv").read_text().splitlines()[:2]
+        empty.write_text("\n".join(schema_and_header) + "\n")
+        out = tmp_path / "out"
+        assert main([command, str(empty), "-o", str(out)]) == 1
+        assert "error: cannot train on an empty dataset" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_model_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.model"

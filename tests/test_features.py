@@ -13,22 +13,20 @@ from camsieve.features import (
     compute_features,
     stat_summary,
 )
-from camsieve.flows import FlowPacket
 from camsieve.packets import TcpFlags, Transport
 
-from conftest import make_flow, random_flow
+from conftest import flow_packet, make_flow, random_flow
 from oracles import reference_features
 
 S = 1_000_000  # microseconds per second
 
 
 def udp_fp(ts, payload_len, total=None):
-    return FlowPacket(ts, total if total is not None else payload_len + 42, 8, payload_len,
-                      TcpFlags(0), None)
+    return flow_packet(ts, payload_len, total if total is not None else payload_len + 42)
 
 
 def tcp_fp(ts, payload_len, flags=TcpFlags.ACK, window=8192, header=20):
-    return FlowPacket(ts, payload_len + 54, header, payload_len, flags, window)
+    return flow_packet(ts, payload_len, payload_len + 54, header, flags, window)
 
 
 class TestStatSummary:

@@ -225,11 +225,23 @@ class TestPayloads:
         packets = read_packets_sorted(pcap)
         flows = assemble_flows(packets)
 
-        assert [f.payloads for f in flows] == [
+        def payloads(pkts):
+            return [p.payload for p in pkts]
+
+        assert [payloads(f.packets) for f in flows] == [
             [b"a1", b"a2", b"a3", b"a4", b"a5", b"a6"],
             [b"u1", b"u2"],
             [b"b1", b"b2", b"b3"],
         ]
+        # the flows hold the decoder's own records, not copies
+        decoded = {p.payload: p for p in packets}
+        for f in flows:
+            assert all(p is decoded[p.payload] for p in f.packets)
+        # a2/a3 and b2/b3 share a timestamp: the direction comes from the sender alone
+        assert [payloads(f.fwd_packets) for f in flows] == [
+            [b"a1", b"a3", b"a4", b"a6"], [b"u1", b"u2"], [b"b1", b"b3"],
+        ]
+        assert [payloads(f.bwd_packets) for f in flows] == [[b"a2", b"a5"], [], [b"b2"]]
         assert flows[0].termination is Termination.TCP_FIN
         assert flows[0].key == flows[2].key
-        assert sum(len(f.payloads) for f in flows) == len(packets) == len(frames)
+        assert sum(f.packet_count for f in flows) == len(packets) == len(frames)

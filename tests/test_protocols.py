@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import pytest
@@ -5,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsieve.errors import InsufficientRtp
-from camsieve.flows import FlowPacket
-from camsieve.packets import TcpFlags, Transport
+from camsieve.packets import Transport
 from camsieve.protocols import (
     AppContext,
     Confidence,
@@ -14,6 +14,7 @@ from camsieve.protocols import (
     MediaType,
     MuxClass,
     Side,
+    build_report,
     classify_udp_payload,
     demux_rtp_rtcp,
     media_hint,
@@ -23,7 +24,7 @@ from camsieve.protocols import (
     rtp_stream_continuity,
 )
 
-from conftest import make_flow
+from conftest import flow_packet, make_flow
 
 
 def rtp_bytes(version=2, padding=0, extension=0, cc=0, marker=0, pt=96,
@@ -171,7 +172,7 @@ class TestClassifyUdpPayload:
 
 class TestContinuity:
     def seqs(self, numbers, ssrc=7):
-        return [rtp_bytes(pt=96, seq=n, ssrc=ssrc) for n in numbers]
+        return [parse_rtp_header(rtp_bytes(pt=96, seq=n, ssrc=ssrc)) for n in numbers]
 
     def test_perfect_increments(self):
         assert rtp_stream_continuity(self.seqs([5, 6, 7, 8])) == 1.0
@@ -189,15 +190,15 @@ class TestContinuity:
         with pytest.raises(InsufficientRtp):
             rtp_stream_continuity(self.seqs([5]))
         with pytest.raises(InsufficientRtp):
-            rtp_stream_continuity([b"notrtp"])
+            rtp_stream_continuity([parse_rtp_header(b"notrtp")])
 
     def test_filters_to_dominant_ssrc(self):
-        payloads = self.seqs([1, 2, 3], ssrc=7) + self.seqs([100], ssrc=9)
-        assert rtp_stream_continuity(payloads) == 1.0
+        headers = self.seqs([1, 2, 3], ssrc=7) + self.seqs([100], ssrc=9)
+        assert rtp_stream_continuity(headers) == 1.0
 
 
 def _one_packet_flow(src_port, dst_port, protocol=Transport.UDP):
-    pkt = FlowPacket(0, 60, 8, 10, TcpFlags(0), None)
+    pkt = flow_packet(0, 10, 60)
     return make_flow([pkt], [], protocol,
                      initiator=("10.0.0.1", src_port), responder=("10.0.0.2", dst_port))
 
@@ -222,3 +223,26 @@ class TestPortProfile:
         for side in Side:
             total = sum(s.proportion for s in port_profile(flows, side).values())
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBuildReport:
+    def rtp_flow(self, fwd_pts, src_port):
+        def rtp_packet(i, pt):
+            # the X bit set: the RTP/RTCP demux counts only such payloads as RTP
+            payload = rtp_bytes(extension=1, pt=pt, seq=i, ssrc=7)
+            return dataclasses.replace(flow_packet(i, 0, 54), payload=payload)
+
+        fwd = [rtp_packet(i, pt) for i, pt in enumerate(fwd_pts)]
+        bwd = [dataclasses.replace(flow_packet(len(fwd), 0, 44), payload=b"xx")]
+        return make_flow(fwd, bwd, initiator=("10.0.0.1", src_port))
+
+    def test_payload_types_read_from_packets_and_sorted_numerically(self):
+        flows = [self.rtp_flow([100, 100, 96, 100], 5000), self.rtp_flow([9, 9], 5001)]
+        report = build_report(flows, AppContext.GENERIC)
+        first, second = report["flows"]
+        assert first["hint"] == "RTP" and first["packets"] == 5
+        assert first["kind_counts"] == {"RTP": 4, "UNKNOWN": 1}
+        assert list(first["rtp_payload_types"].items()) == [("96", 1), ("100", 3)]
+        assert first["rtp_continuity"] == 1.0  # the backward non-RTP payload is skipped
+        assert list(second["rtp_payload_types"].items()) == [("9", 2)]
+        assert list(report["rtp_payload_type_totals"].items()) == [("9", 2), ("96", 1), ("100", 3)]

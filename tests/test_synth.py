@@ -96,7 +96,7 @@ class TestConfRtp:
             assert fwd_payloads
             headers = [parse_rtp_header(p) for p in fwd_payloads]
             assert all(h is not None and h.version == 2 for h in headers)
-            assert rtp_stream_continuity(fwd_payloads) == 1.0
+            assert rtp_stream_continuity(headers) == 1.0
             assert {h.ssrc for h in headers} == {entry["rtp"]["ssrc_fwd"]}
             media, _ = media_hint(headers[0], AppContext(entry["rtp"]["app"]))
             assert media is MediaType.VIDEO
