@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +54,27 @@ def _int_at_least(minimum: int, unit: str):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"need at least {minimum} {unit}, got {value}")
+        return value
+
+    return parse
+
+
+def _seconds(minimum_us: int):
+    """argparse type: a finite, non-negative number of seconds that is still at
+    least minimum_us once the command truncates it to microseconds (exit 2
+    otherwise)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}") from None
+        if not math.isfinite(value * 1e6):  # nan, inf, or too large in microseconds
+            raise argparse.ArgumentTypeError(f"need a finite number of seconds, got {text}")
+        if value < 0 or int(value * 1e6) < minimum_us:
+            raise argparse.ArgumentTypeError(
+                f"need at least {minimum_us / 1e6:g} seconds, got {text}"
+            )
         return value
 
     return parse
@@ -168,11 +190,7 @@ def cmd_predict(args) -> int:
         for rec, scored in zip(records, cleaned):
             proba = tree.predict_proba(model, scored.values)
             best = tree.best_class(proba)
-            writer.writerow(
-                [rec.flow_id, rec.src_ip, rec.dst_ip, rec.src_port, rec.dst_port, rec.protocol]
-                + [repr(v) for v in rec.values]
-                + [rec.label, model.class_names[best], repr(proba[best])]
-            )
+            writer.writerow(dataset.csv_row(rec) + [model.class_names[best], repr(proba[best])])
 
     dataset.atomic_write_text(args.output, emit)
     print(f"predicted {len(records)} rows into {args.output}")
@@ -250,15 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pcap", type=Path)
     p.add_argument("-o", "--output", type=Path, required=True)
     p.add_argument("--label", default="", help="label written on every flow")
-    p.add_argument("--flow-timeout", type=float, default=DEFAULT_FLOW_TIMEOUT_S,
-                   help="flow window in seconds (default 600)")
-    p.add_argument("--activity-threshold", type=float, default=DEFAULT_ACTIVITY_THRESHOLD_S,
+    p.add_argument("--flow-timeout", type=_seconds(minimum_us=1),
+                   default=DEFAULT_FLOW_TIMEOUT_S, help="flow window in seconds (default 600)")
+    p.add_argument("--activity-threshold", type=_seconds(minimum_us=0),
+                   default=DEFAULT_ACTIVITY_THRESHOLD_S,
                    help="active/idle gap threshold in seconds (default 5)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("synth", help="generate synthetic traffic as pcap + manifest")
     p.add_argument("--kind", choices=[k.value for k in synth.TrafficKind], required=True)
-    p.add_argument("-n", "--count", type=int, default=50, help="number of flows")
+    p.add_argument("-n", "--count", type=_int_at_least(1, "flow"), default=50,
+                   help="number of flows")
     p.add_argument("--seed", type=int, default=tree.DEFAULT_SEED)
     p.add_argument("-o", "--output", type=Path, required=True)
     p.add_argument("--manifest", type=Path, default=None,
@@ -271,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--app", choices=[a.value.lower() for a in protocols.AppContext],
                    default="generic", help="payload-type table to apply")
-    p.add_argument("--flow-timeout", type=float, default=DEFAULT_FLOW_TIMEOUT_S)
+    p.add_argument("--flow-timeout", type=_seconds(minimum_us=1), default=DEFAULT_FLOW_TIMEOUT_S)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("train", help="train a decision tree from a labeled CSV")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import EmptyClass, RowParseError, SchemaMismatch
+from .errors import BadTaxonomy, EmptyClass, RowParseError, SchemaMismatch
 from .features import ALL_COLUMNS, SCHEMA_NAME, SCHEMA_VERSION, LabeledRecord
 
 CLASS_IOT_CAM = "IoTCam"
@@ -42,8 +42,17 @@ class LabelTaxonomy:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "LabelTaxonomy":
-        mapping = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(app_to_class=dict(mapping))
+        """Read a JSON object of label-to-class names; BadTaxonomy if it is not one."""
+        try:
+            mapping = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise BadTaxonomy(f"{path}: not a JSON file: {exc}") from exc
+        if not isinstance(mapping, dict) or not all(isinstance(c, str) for c in mapping.values()):
+            raise BadTaxonomy(f"{path}: expected a JSON object mapping labels to class names")
+        try:
+            return cls(app_to_class=mapping)
+        except ValueError as exc:
+            raise BadTaxonomy(f"{path}: {exc}") from exc
 
 
 def default_taxonomy() -> LabelTaxonomy:
@@ -86,20 +95,25 @@ def atomic_write_text(path: str | Path, writer: Callable, binary: bool = False) 
         raise
 
 
+def csv_row(rec: LabeledRecord) -> list:
+    """A record's 84 cells in ALL_COLUMNS order. Floats use their shortest
+    round-trip form, so reading them back reproduces every finite value bit
+    for bit."""
+    return (
+        [rec.flow_id, rec.src_ip, rec.dst_ip, rec.src_port, rec.dst_port, rec.protocol]
+        + [repr(v) for v in rec.values]
+        + [rec.label]
+    )
+
+
 def write_csv(records: Sequence[LabeledRecord], path: str | Path) -> None:
-    """Write the 84-column CSV. Floats use their shortest round-trip form,
-    so reading the file back reproduces every finite value bit for bit."""
+    """Write the 84-column CSV, one `csv_row` per record."""
 
     def emit(fh):
         fh.write(_VERSION_LINE + "\r\n")
         writer = csv.writer(fh)
         writer.writerow(ALL_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [rec.flow_id, rec.src_ip, rec.dst_ip, rec.src_port, rec.dst_port, rec.protocol]
-                + [repr(v) for v in rec.values]
-                + [rec.label]
-            )
+        writer.writerows(csv_row(rec) for rec in records)
 
     atomic_write_text(path, emit)
 

@@ -41,6 +41,10 @@ class CorruptModel(CamsieveError):
     """Model file failed its version or checksum check."""
 
 
+class BadTaxonomy(CamsieveError):
+    """Taxonomy file is not a JSON object mapping labels to known classes."""
+
+
 class SchemaMismatch(CamsieveError):
     """CSV column layout does not match the frozen feature schema."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .flows import FlowState
-from .packets import PROTO_NUMBER, PacketRecord, TcpFlags
+from .packets import PacketRecord, TcpFlags
 
 SCHEMA_NAME = "camsieve-flow-stats"
 SCHEMA_VERSION = "1"
@@ -198,8 +198,8 @@ def _diffs(timestamps: Sequence[int]) -> list[int]:
     return [b - a for a, b in zip(timestamps, timestamps[1:])]
 
 
-def _flag_count(packets: Sequence[PacketRecord], flag: TcpFlags) -> int:
-    return sum(1 for p in packets if flag in p.tcp_flags)
+def _flag_count(packets: Sequence[PacketRecord], flag: int) -> int:
+    return sum(1 for p in packets if p.tcp_flags & flag)
 
 
 def _bulk_stats(packets: Sequence[PacketRecord]) -> tuple[float, float, float]:
@@ -260,9 +260,6 @@ def compute_features(
     n_subflows = 1 + sum(1 for gap in _diffs(all_ts) if gap > SUBFLOW_GAP_US)
     fwd_bulk_bytes, fwd_bulk_pkts, fwd_bulk_rate = _bulk_stats(fwd)
     bwd_bulk_bytes, bwd_bulk_pkts, bwd_bulk_rate = _bulk_stats(bwd)
-
-    init_win_fwd = fwd[0].tcp_window if fwd and fwd[0].tcp_window is not None else 0
-    init_win_bwd = bwd[0].tcp_window if bwd and bwd[0].tcp_window is not None else 0
 
     v: dict[str, float] = {}
     v["Flow Duration"] = float(duration)
@@ -330,8 +327,8 @@ def compute_features(
     v["Subflow Fwd Bytes"] = fwd_len.total / n_subflows
     v["Subflow Bwd Packets"] = len(bwd) / n_subflows
     v["Subflow Bwd Bytes"] = bwd_len.total / n_subflows
-    v["Init_Win_bytes_forward"] = float(init_win_fwd)
-    v["Init_Win_bytes_backward"] = float(init_win_bwd)
+    v["Init_Win_bytes_forward"] = float(fwd[0].tcp_window) if fwd else 0.0
+    v["Init_Win_bytes_backward"] = float(bwd[0].tcp_window) if bwd else 0.0
     v["act_data_pkt_fwd"] = float(sum(1 for p in fwd if p.payload))
     v["min_seg_size_forward"] = float(min(p.transport_header_length for p in fwd)) if fwd else 0.0
     v["Active Mean"] = active.mean
@@ -349,7 +346,7 @@ def compute_features(
         dst_ip=flow.responder[0],
         src_port=flow.initiator[1],
         dst_port=flow.responder[1],
-        protocol=PROTO_NUMBER[flow.key.protocol],
+        protocol=flow.protocol,
         values=tuple(v[name] for name in FEATURE_NAMES),
         label=label,
     )

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import OutOfOrderTimestamp
-from .packets import PROTO_NUMBER, PacketRecord, TcpFlags, Transport
+from .packets import IPPROTO_TCP, PacketRecord, TcpFlags
 
 DEFAULT_FLOW_TIMEOUT_US = 600_000_000
 # a half-closed TCP flow is considered finished after this much silence
@@ -15,21 +15,13 @@ HALF_CLOSE_SILENCE_US = 1_000_000
 Endpoint = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Direction-independent flow identity: two endpoints plus transport."""
-
-    endpoint_a: Endpoint
-    endpoint_b: Endpoint
-    protocol: Transport
-
-
-def canonical_key(pkt: PacketRecord) -> FlowKey:
+def canonical_key(pkt: PacketRecord) -> tuple[Endpoint, Endpoint, int]:
+    """Direction-independent flow identity: (lower endpoint, higher endpoint, protocol)."""
     a = (pkt.src_ip, pkt.src_port)
     b = (pkt.dst_ip, pkt.dst_port)
     if b < a:
         a, b = b, a
-    return FlowKey(a, b, pkt.protocol)
+    return (a, b, pkt.protocol)
 
 
 class Termination(enum.Enum):
@@ -47,7 +39,7 @@ class FlowState:
     `fwd_packets` and `bwd_packets` views split `packets` by that rule.
     """
 
-    key: FlowKey
+    key: tuple[Endpoint, Endpoint, int]
     initiator: Endpoint
     responder: Endpoint
     start_ts: int
@@ -58,14 +50,13 @@ class FlowState:
     fin_bwd: bool = False
 
     @property
-    def protocol(self) -> Transport:
-        return self.key.protocol
+    def protocol(self) -> int:
+        return self.key[2]
 
     @property
     def flow_id(self) -> str:
         src, dst = self.initiator, self.responder
-        proto = PROTO_NUMBER[self.key.protocol]
-        return f"{src[0]}-{dst[0]}-{src[1]}-{dst[1]}-{proto}-{self.start_ts}"
+        return f"{src[0]}-{dst[0]}-{src[1]}-{dst[1]}-{self.protocol}-{self.start_ts}"
 
     @property
     def packet_count(self) -> int:
@@ -88,7 +79,7 @@ class FlowAssembler:
 
     def __init__(self, flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US):
         self.flow_timeout_us = flow_timeout_us
-        self._table: dict[FlowKey, FlowState] = {}
+        self._table: dict[tuple, FlowState] = {}
         self._last_ts: int | None = None
 
     def ingest(self, pkt: PacketRecord) -> list[FlowState]:
@@ -127,13 +118,13 @@ class FlowAssembler:
         flow.packets.append(pkt)
         flow.last_ts = pkt.timestamp
 
-        if pkt.protocol is Transport.TCP:
+        if pkt.protocol == IPPROTO_TCP:
             fin_both_before = flow.fin_fwd and flow.fin_bwd
-            if TcpFlags.RST in pkt.tcp_flags:
+            if pkt.tcp_flags & TcpFlags.RST:
                 completed.append(self._complete(key, Termination.TCP_RST))
             elif fin_both_before and pkt.tcp_flags & (TcpFlags.ACK | TcpFlags.FIN):
                 completed.append(self._complete(key, Termination.TCP_FIN))
-            elif TcpFlags.FIN in pkt.tcp_flags:
+            elif pkt.tcp_flags & TcpFlags.FIN:
                 if flow.is_forward(pkt):
                     flow.fin_fwd = True
                 else:
@@ -148,7 +139,7 @@ class FlowAssembler:
         self._table.clear()
         return flows
 
-    def _complete(self, key: FlowKey, termination: Termination) -> FlowState:
+    def _complete(self, key: tuple, termination: Termination) -> FlowState:
         flow = self._table.pop(key)
         flow.termination = termination
         return flow

@@ -5,8 +5,8 @@ timestamp resolution). pcapng files are rejected at the magic check.
 """
 from __future__ import annotations
 
-import enum
 import ipaddress
+import socket
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +23,10 @@ ETHERTYPE_VLAN = (0x8100, 0x88A8)
 
 IPPROTO_TCP = 6
 IPPROTO_UDP = 17
+PROTOCOL_NAMES = {IPPROTO_TCP: "TCP", IPPROTO_UDP: "UDP"}
+
+# libpcap's MAXIMUM_SNAPLEN: no real capture holds a longer record
+MAX_RECORD_LENGTH = 262_144
 
 # magic -> (byte order, divisor turning the subsecond field into microseconds)
 _PCAP_MAGICS = {
@@ -33,15 +37,9 @@ _PCAP_MAGICS = {
 }
 
 
-class Transport(enum.Enum):
-    TCP = "TCP"
-    UDP = "UDP"
+class TcpFlags:
+    """Bit masks of the TCP flags byte: `p.tcp_flags & TcpFlags.PSH`."""
 
-
-PROTO_NUMBER = {Transport.TCP: 6, Transport.UDP: 17}
-
-
-class TcpFlags(enum.IntFlag):
     FIN = 0x01
     SYN = 0x02
     RST = 0x04
@@ -61,12 +59,12 @@ class PacketRecord:
     dst_ip: str
     src_port: int
     dst_port: int
-    protocol: Transport
+    protocol: int  # IPPROTO_TCP or IPPROTO_UDP
     total_length: int  # bytes on the wire (pcap orig_len, link header included)
     transport_header_length: int
     payload: bytes
-    tcp_flags: TcpFlags = TcpFlags(0)
-    tcp_window: int | None = None
+    tcp_flags: int = 0  # raw flags byte; always 0 for UDP
+    tcp_window: int = 0  # always 0 for UDP
 
 
 class CapturedFrame(NamedTuple):
@@ -80,8 +78,9 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
     """Yield raw frames from a pcap file in file order.
 
     Timestamps are converted to microseconds (nanosecond captures are
-    truncated). Raises MalformedCapture on a bad magic number or a record
-    cut short by file truncation; frames before the cut are still yielded.
+    truncated). Raises MalformedCapture on a bad magic number, a record
+    longer than MAX_RECORD_LENGTH or a record cut short by file truncation;
+    frames before the bad record are still yielded.
     """
     with open(path, "rb") as fh:
         header = fh.read(24)
@@ -100,6 +99,10 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
             if len(rec) < 16:
                 raise MalformedCapture(f"{path}: truncated record header")
             ts_sec, ts_frac, incl_len, orig_len = struct.unpack(order + "IIII", rec)
+            if incl_len > MAX_RECORD_LENGTH:
+                raise MalformedCapture(
+                    f"{path}: record claims {incl_len} bytes, more than {MAX_RECORD_LENGTH}"
+                )
             data = fh.read(incl_len)
             if len(data) < incl_len:
                 raise MalformedCapture(f"{path}: truncated record body")
@@ -164,8 +167,8 @@ def _decode_ipv4(data: bytes, timestamp: int, wire_length: int) -> PacketRecord 
     if frag_word & 0x1FFF:  # non-first fragments carry no transport header
         return None
     proto = data[9]
-    src = str(ipaddress.IPv4Address(data[12:16]))
-    dst = str(ipaddress.IPv4Address(data[16:20]))
+    src = socket.inet_ntoa(data[12:16])
+    dst = socket.inet_ntoa(data[16:20])
     end = min(len(data), total_len) if total_len >= header_len else len(data)
     return _decode_transport(data[header_len:end], proto, src, dst, timestamp, wire_length)
 
@@ -175,6 +178,8 @@ def _decode_ipv6(data: bytes, timestamp: int, wire_length: int) -> PacketRecord 
         return None
     payload_len = struct.unpack("!H", data[4:6])[0]
     next_header = data[6]
+    # ipaddress, not inet_ntop: before Python 3.13 the two write IPv4-mapped
+    # addresses differently (::ffff:102:304 vs ::ffff:1.2.3.4)
     src = str(ipaddress.IPv6Address(data[8:24]))
     dst = str(ipaddress.IPv6Address(data[24:40]))
     end = min(len(data), 40 + payload_len) if payload_len else len(data)
@@ -217,7 +222,7 @@ def _decode_transport(
             dst_ip=dst,
             src_port=src_port,
             dst_port=dst_port,
-            protocol=Transport.UDP,
+            protocol=IPPROTO_UDP,
             total_length=wire_length,
             transport_header_length=8,
             payload=data[8:end],
@@ -229,7 +234,6 @@ def _decode_transport(
         header_len = (data[12] >> 4) * 4
         if header_len < 20 or len(data) < header_len:
             return None
-        flags = TcpFlags(data[13])
         window = struct.unpack("!H", data[14:16])[0]
         return PacketRecord(
             timestamp=timestamp,
@@ -237,11 +241,11 @@ def _decode_transport(
             dst_ip=dst,
             src_port=src_port,
             dst_port=dst_port,
-            protocol=Transport.TCP,
+            protocol=IPPROTO_TCP,
             total_length=wire_length,
             transport_header_length=header_len,
             payload=data[header_len:],
-            tcp_flags=flags,
+            tcp_flags=data[13],
             tcp_window=window,
         )
     return None

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InsufficientRtp
 from .flows import FlowState
-from .packets import Transport
+from .packets import IPPROTO_UDP, PROTOCOL_NAMES
 
 RTCP_STANDARD_TYPES = frozenset({200, 201, 202, 203, 204})
 RTCP_FEEDBACK_TYPES = frozenset({205, 206})  # transport/payload-specific feedback
@@ -144,9 +144,11 @@ def parse_rtcp_header(payload: bytes) -> RtcpHeader | None:
 def demux_rtp_rtcp(payload: bytes) -> MuxClass:
     """Separate multiplexed RTP from RTCP on a shared port.
 
-    Version bits must equal 2. Bit 4 of the first byte is 1 for RTP; when it
-    is 0 the second byte must additionally carry a known RTCP packet type,
-    which guards against mistaking ordinary data for RTCP.
+    Version bits must equal 2. Bit 4 of the first byte (RTP's header-extension
+    bit X) set means RTP. Otherwise a known RTCP packet type in the second
+    byte means RTCP, which guards against mistaking ordinary data for RTCP,
+    and any other payload holding the full 12-byte fixed header is RTP
+    without an extension.
     """
     if len(payload) < 2:
         return MuxClass.NEITHER
@@ -157,6 +159,8 @@ def demux_rtp_rtcp(payload: bytes) -> MuxClass:
         return MuxClass.RTP
     if payload[1] in RTCP_STANDARD_TYPES | RTCP_FEEDBACK_TYPES:
         return MuxClass.RTCP
+    if len(payload) >= 12:
+        return MuxClass.RTP
     return MuxClass.NEITHER
 
 
@@ -279,7 +283,7 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
     """One flow's entry in the inspection report, plus its RTP payload-type counts."""
     payloads = [p.payload for p in flow.packets]
     hints = []
-    if flow.protocol is Transport.UDP:
+    if flow.protocol == IPPROTO_UDP:
         hints = [
             classify_udp_payload(p, flow.initiator[1], flow.responder[1]) for p in payloads
         ]
@@ -306,7 +310,7 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
 
     entry = {
         "flow_id": flow.flow_id,
-        "protocol": flow.protocol.value,
+        "protocol": PROTOCOL_NAMES[flow.protocol],
         "src_port": flow.initiator[1],
         "dst_port": flow.responder[1],
         "packets": flow.packet_count,

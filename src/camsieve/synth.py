@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import random
+import socket
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Iterable
 
 from .dataset import atomic_write_text
 from .errors import IoFailure
-from .packets import TcpFlags
+from .packets import IPPROTO_TCP, IPPROTO_UDP, TcpFlags
 
 BASE_TIMESTAMP_US = 1_700_000_000_000_000
 FLOW_STAGGER_US = 50_000
@@ -69,7 +70,7 @@ class _Event:
     ts: int
     forward: bool
     payload: bytes
-    flags: TcpFlags = TcpFlags(0)
+    flags: int = 0
 
 
 def _ipv4_checksum(header: bytes) -> int:
@@ -84,7 +85,7 @@ def _build_frame(
     forward: bool,
     flow: "_FlowPlan",
     payload: bytes,
-    flags: TcpFlags,
+    flags: int,
     seq_state: dict[str, int],
 ) -> bytes:
     if forward:
@@ -109,7 +110,7 @@ def _build_frame(
             seq & 0xFFFFFFFF,
             ack & 0xFFFFFFFF,
             (TCP_HEADER // 4) << 4,
-            int(flags),
+            flags,
             flow.client_window if forward else flow.server_window,
             0,
             0,
@@ -119,7 +120,6 @@ def _build_frame(
         transport = struct.pack("!HHHH", src_port, dst_port, UDP_HEADER + len(payload), 0) + payload
 
     total_len = IP_HEADER + len(transport)
-    proto = 6 if flow.tcp else 17
     ip_wo_ck = struct.pack(
         "!BBHHHBBH4s4s",
         0x45,
@@ -128,10 +128,10 @@ def _build_frame(
         seq_state["ip_id"] & 0xFFFF,
         0,
         64,
-        proto,
+        IPPROTO_TCP if flow.tcp else IPPROTO_UDP,
         0,
-        bytes(int(o) for o in src_ip.split(".")),
-        bytes(int(o) for o in dst_ip.split(".")),
+        socket.inet_aton(src_ip),
+        socket.inet_aton(dst_ip),
     )
     seq_state["ip_id"] += 1
     checksum = _ipv4_checksum(ip_wo_ck)
@@ -156,8 +156,8 @@ class _FlowPlan:
 def _rtp_payload(
     pt: int, seq: int, rtp_ts: int, ssrc: int, marker: bool, size: int
 ) -> bytes:
-    # version 2 with the extension bit set, which is also the bit the
-    # RTP/RTCP demux keys on
+    # version 2 with the extension bit set; the RTP/RTCP demux calls this RTP
+    # at once, before it looks for an RTCP type or the full 12-byte header
     b0 = 0x90
     b1 = (0x80 if marker else 0) | pt
     header = struct.pack("!BBHII", b0, b1, seq & 0xFFFF, rtp_ts & 0xFFFFFFFF, ssrc)
@@ -340,7 +340,7 @@ def generate(
             "src_port": plan.client_port,
             "dst_ip": plan.server_ip,
             "dst_port": plan.server_port,
-            "protocol": 6 if plan.tcp else 17,
+            "protocol": IPPROTO_TCP if plan.tcp else IPPROTO_UDP,
             "rtp": None,
             "seed": profile.seed,
         }

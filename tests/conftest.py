@@ -7,8 +7,8 @@ import struct
 
 import pytest
 
-from camsieve.flows import FlowKey, FlowState, Termination
-from camsieve.packets import PacketRecord, TcpFlags, Transport
+from camsieve.flows import FlowState, Termination
+from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PacketRecord, TcpFlags
 
 
 def ipv4_frame(
@@ -57,7 +57,7 @@ def tcp_segment(
     header = struct.pack(
         "!HHIIBBHHH",
         src_port, dst_port, seq, ack,
-        data_offset_words << 4, int(flags), window, 0, 0,
+        data_offset_words << 4, flags, window, 0, 0,
     )
     header += b"\x00" * (data_offset_words * 4 - 20)
     return header + payload
@@ -78,16 +78,16 @@ def write_pcap_bytes(frames, magic=0xA1B2C3D4, order="<", subsec_scale=1) -> byt
     return out
 
 
-def flow_packet(ts, payload_len, total_length, header_len=8, flags=TcpFlags(0), window=None):
+def flow_packet(ts, payload_len, total_length, header_len=8, flags=0, window=0):
     """PacketRecord with placeholder endpoints, for make_flow to fill in."""
     return PacketRecord(
-        timestamp=ts, src_ip="", dst_ip="", src_port=0, dst_port=0, protocol=Transport.UDP,
+        timestamp=ts, src_ip="", dst_ip="", src_port=0, dst_port=0, protocol=IPPROTO_UDP,
         total_length=total_length, transport_header_length=header_len,
         payload=bytes(payload_len), tcp_flags=flags, tcp_window=window,
     )
 
 
-def make_flow(fwd_packets, bwd_packets, protocol=Transport.UDP,
+def make_flow(fwd_packets, bwd_packets, protocol=IPPROTO_UDP,
               initiator=("10.0.0.1", 5000), responder=("10.0.0.2", 6000)) -> FlowState:
     """FlowState built directly, bypassing the assembler.
 
@@ -104,7 +104,7 @@ def make_flow(fwd_packets, bwd_packets, protocol=Transport.UDP,
     packets.sort(key=lambda p: p.timestamp)
     a, b = sorted([initiator, responder])
     return FlowState(
-        key=FlowKey(a, b, protocol),
+        key=(a, b, protocol),
         initiator=initiator,
         responder=responder,
         start_ts=packets[0].timestamp,
@@ -127,13 +127,13 @@ def random_flow(rng: random.Random) -> FlowState:
         payload_len = rng.choice([0, 0, rng.randint(1, 1500)])
         if tcp:
             header_len = rng.choice([20, 24, 32, 40])
-            flags = TcpFlags(rng.randint(0, 255))
+            flags = rng.randint(0, 255)
             window = rng.randint(0, 65535)
         else:
-            header_len, flags, window = 8, TcpFlags(0), None
+            header_len, flags, window = 8, 0, 0
         pkt = flow_packet(ts, payload_len, payload_len + header_len + 34, header_len, flags, window)
         (fwd if forward else bwd).append(pkt)
-    return make_flow(fwd, bwd, Transport.TCP if tcp else Transport.UDP)
+    return make_flow(fwd, bwd, IPPROTO_TCP if tcp else IPPROTO_UDP)
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
 import json
+import struct
 
 import pytest
 
 from camsieve.cli import main
 from camsieve.dataset import read_csv
 from camsieve.tree import load_model
+
+from conftest import write_pcap_bytes
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,85 @@ class TestExtract:
         assert code == 1
         assert not out.exists()
         assert not list(tmp_path.glob("out.csv.*"))
+
+
+class TestOverlongRecord:
+    @pytest.mark.parametrize("record", [
+        pytest.param(struct.pack("<IIII", 0, 0, 262_145, 262_145) + bytes(262_145), id="complete"),
+        pytest.param(struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 0xFFFFFFF0), id="absurd-claim"),
+    ])
+    def test_extract_is_data_error(self, tmp_path, capsys, record):
+        pcap = tmp_path / "long.pcap"
+        pcap.write_bytes(write_pcap_bytes([]) + record)
+        out = tmp_path / "out.csv"
+        assert main(["extract", str(pcap), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "more than 262144" in err
+        assert not out.exists()
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("text", [
+        pytest.param("not json {", id="not-json"),
+        pytest.param("\udcff", id="not-utf8"),
+        pytest.param('["Skype", "Conf"]', id="list"),
+        pytest.param('{"MyCam": "NotAClass"}', id="unknown-class"),
+        pytest.param('{"MyCam": ["IoTCam"]}', id="non-string-class"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "cv", "report"])
+    def test_bad_taxonomy_is_data_error(self, workdir, tmp_path, capsys, command, text):
+        tax = tmp_path / "tax.json"
+        tax.write_bytes(text.encode("utf-8", "surrogateescape"))
+        out = tmp_path / "out"
+        assert main([command, str(workdir / "both.csv"), "--taxonomy", str(tax),
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tax}")
+        assert not out.exists()
+
+    def test_good_taxonomy_file_used(self, workdir, tmp_path, capsys):
+        tax = tmp_path / "tax.json"
+        tax.write_text('{"Conf": "Others"}')  # class names pass through unchanged
+        assert main(["train", str(workdir / "both.csv"), "--taxonomy", str(tax),
+                     "-o", str(tmp_path / "m.json")]) == 0
+        assert set(load_model(tmp_path / "m.json").class_names) == {"IoTCam", "Conf"}
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("extract", "--flow-timeout", "nan", "need a finite number of seconds"),
+        ("extract", "--flow-timeout", "inf", "need a finite number of seconds"),
+        ("extract", "--flow-timeout", "1e308", "need a finite number of seconds"),
+        ("extract", "--flow-timeout", "-1", "need at least 1e-06 seconds"),
+        ("extract", "--flow-timeout", "0", "need at least 1e-06 seconds"),
+        ("extract", "--flow-timeout", "1e-9", "need at least 1e-06 seconds"),
+        ("extract", "--flow-timeout", "ten", "invalid number of seconds"),
+        ("extract", "--activity-threshold", "nan", "need a finite number of seconds"),
+        ("extract", "--activity-threshold", "-inf", "need a finite number of seconds"),
+        ("extract", "--activity-threshold", "-0.5", "need at least 0 seconds"),
+        ("inspect", "--flow-timeout", "nan", "need a finite number of seconds"),
+        ("inspect", "--flow-timeout", "-1", "need at least 1e-06 seconds"),
+    ])
+    def test_bad_seconds_exit_2(self, workdir, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(workdir / "conf.pcap"), f"{flag}={value}", "-o", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_seconds_accepted(self, workdir, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["extract", str(workdir / "conf.pcap"), "--activity-threshold", "0",
+                     "--flow-timeout", "1e-6", "-o", str(out)]) == 0
+        assert len(read_csv(out)) > 12
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_synth_without_flows_exits_2(self, tmp_path, capsys, count):
+        out = tmp_path / "x.pcap"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--kind", "camera", "-n", count, "-o", str(out)])
+        assert exc.value.code == 2
+        assert "need at least 1 flow" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsageErrors:
@@ -104,6 +186,9 @@ class TestTrainCvPredict:
             cells = line.rsplit(",", 2)
             assert cells[1] == "Conf"
             assert 0.0 <= float(cells[2]) <= 1.0
+        # each scored row starts with its input row, cell for cell
+        extracted = (workdir / "conf.csv").read_text().splitlines()[1:]
+        assert [line.rsplit(",", 2)[0] for line in lines] == extracted
 
     def test_cv_prints_and_writes_identical_report(self, workdir, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"

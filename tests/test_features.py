@@ -13,7 +13,7 @@ from camsieve.features import (
     compute_features,
     stat_summary,
 )
-from camsieve.packets import TcpFlags, Transport
+from camsieve.packets import IPPROTO_TCP, TcpFlags
 
 from conftest import flow_packet, make_flow, random_flow
 from oracles import reference_features
@@ -113,7 +113,7 @@ class TestComputeFeatures:
         fwd = [
             tcp_fp(i * 1000, 10, TcpFlags.ACK if i < 3 else TcpFlags.PSH) for i in range(5)
         ]
-        vec = compute_features(make_flow(fwd, [], Transport.TCP))
+        vec = compute_features(make_flow(fwd, [], IPPROTO_TCP))
         v = dict(zip(FEATURE_NAMES, vec.values))
         assert v["ACK Flag Count"] == 3
         assert v["PSH Flag Count"] == 2
@@ -127,7 +127,7 @@ class TestComputeFeatures:
     def test_init_windows_and_seg_size(self):
         fwd = [tcp_fp(0, 0, TcpFlags.SYN, window=64240, header=32)]
         bwd = [tcp_fp(10, 0, TcpFlags.SYN | TcpFlags.ACK, window=65535)]
-        vec = compute_features(make_flow(fwd, bwd, Transport.TCP))
+        vec = compute_features(make_flow(fwd, bwd, IPPROTO_TCP))
         v = dict(zip(FEATURE_NAMES, vec.values))
         assert v["Init_Win_bytes_forward"] == 64240
         assert v["Init_Win_bytes_backward"] == 65535
@@ -153,7 +153,7 @@ class TestComputeFeatures:
 
     def test_header_length_duplicate_column(self):
         fwd = [tcp_fp(0, 10, header=20), tcp_fp(1, 10, header=32)]
-        vec = compute_features(make_flow(fwd, [], Transport.TCP))
+        vec = compute_features(make_flow(fwd, [], IPPROTO_TCP))
         v = dict(zip(FEATURE_NAMES, vec.values))
         assert v["Fwd Header Length"] == v["Fwd Header Length.1"] == 52
 

@@ -1,16 +1,20 @@
+import io
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camsieve import packets
 from camsieve.errors import MalformedCapture
 from camsieve.packets import (
+    IPPROTO_TCP,
+    IPPROTO_UDP,
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
+    MAX_RECORD_LENGTH,
     PacketRecord,
     TcpFlags,
-    Transport,
     decode_packet,
     open_capture,
     read_packets,
@@ -61,6 +65,37 @@ class TestOpenCapture:
         with pytest.raises(MalformedCapture):
             next(it)
 
+    def test_record_at_max_snaplen_accepted(self, tmp_path):
+        p = tmp_path / "max.pcap"
+        p.write_bytes(write_pcap_bytes([(0, bytes(MAX_RECORD_LENGTH))]))
+        assert [len(f.data) for f in open_capture(p)] == [262_144]
+
+    def test_complete_record_over_max_snaplen_rejected(self, tmp_path):
+        frame = ipv4_frame(transport=udp_segment(payload=b"abcd"))
+        p = tmp_path / "long.pcap"
+        p.write_bytes(write_pcap_bytes([(0, frame), (1000, bytes(262_145))]))
+        it = open_capture(p)
+        assert next(it).data == frame
+        with pytest.raises(MalformedCapture, match="262145"):
+            next(it)
+
+    def test_absurd_length_rejected_before_reading_body(self, tmp_path, monkeypatch):
+        p = tmp_path / "absurd.pcap"
+        p.write_bytes(write_pcap_bytes([]) + struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 60))
+        reads = []
+
+        class SpyFile(io.BytesIO):
+            def read(self, n=-1):
+                reads.append(n)
+                assert n <= MAX_RECORD_LENGTH, f"read of {n} bytes attempted"
+                return super().read(n)
+
+        monkeypatch.setattr(packets, "open", lambda path, mode: SpyFile(p.read_bytes()),
+                            raising=False)
+        with pytest.raises(MalformedCapture, match=str(0xFFFFFFF0)):
+            list(open_capture(p))
+        assert reads == [24, 16]  # global header, record header, no body
+
     def test_too_short_for_global_header(self, tmp_path):
         p = tmp_path / "tiny.pcap"
         p.write_bytes(b"\xd4\xc3\xb2\xa1short")
@@ -82,7 +117,7 @@ class TestDecodePacket:
             dst_ip="10.0.0.2",
             src_port=5000,
             dst_port=6000,
-            protocol=Transport.UDP,
+            protocol=IPPROTO_UDP,
             total_length=len(frame),
             transport_header_length=8,
             payload=b"abcd",
@@ -91,7 +126,7 @@ class TestDecodePacket:
     def test_tcp_syn_window(self):
         seg = tcp_segment(flags=TcpFlags.SYN, window=65535)
         rec = decode_packet(ipv4_frame(proto=6, transport=seg), LINKTYPE_ETHERNET)
-        assert rec.protocol is Transport.TCP
+        assert rec.protocol == IPPROTO_TCP
         assert rec.tcp_flags == TcpFlags.SYN
         assert rec.tcp_window == 65535
         assert rec.transport_header_length == 20
@@ -163,5 +198,5 @@ class TestReadPackets:
         p.write_bytes(write_pcap_bytes(frames))
         records = list(read_packets(p))
         assert [r.timestamp for r in records] == [10, 30]  # ARP dropped
-        assert records[0].protocol is Transport.UDP
+        assert records[0].protocol == IPPROTO_UDP
         assert records[1].tcp_flags == TcpFlags.SYN | TcpFlags.ACK

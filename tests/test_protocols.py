@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsieve.errors import InsufficientRtp
-from camsieve.packets import Transport
+from camsieve.packets import IPPROTO_UDP
 from camsieve.protocols import (
     AppContext,
     Confidence,
@@ -89,6 +89,15 @@ class TestDemux:
 
     def test_bit_four_clear_without_rtcp_type_is_neither(self):
         assert demux_rtp_rtcp(bytes([0x80, 0x60])) is MuxClass.NEITHER
+
+    @pytest.mark.parametrize("pt", [0, 96, 100, 127])
+    def test_full_header_without_bit_four_is_rtp(self, pt):
+        payload = rtp_bytes(extension=0, pt=pt)
+        assert demux_rtp_rtcp(payload) is MuxClass.RTP
+        assert demux_rtp_rtcp(payload[:11]) is MuxClass.NEITHER  # one byte short
+
+    def test_rtcp_type_wins_over_full_header(self):
+        assert demux_rtp_rtcp(bytes([0x80, 0xC8]) + b"\x00" * 26) is MuxClass.RTCP
 
     def test_short_payload(self):
         assert demux_rtp_rtcp(b"\x90") is MuxClass.NEITHER
@@ -197,7 +206,7 @@ class TestContinuity:
         assert rtp_stream_continuity(headers) == 1.0
 
 
-def _one_packet_flow(src_port, dst_port, protocol=Transport.UDP):
+def _one_packet_flow(src_port, dst_port, protocol=IPPROTO_UDP):
     pkt = flow_packet(0, 10, 60)
     return make_flow([pkt], [], protocol,
                      initiator=("10.0.0.1", src_port), responder=("10.0.0.2", dst_port))
@@ -226,10 +235,11 @@ class TestPortProfile:
 
 
 class TestBuildReport:
-    def rtp_flow(self, fwd_pts, src_port):
+    def rtp_flow(self, fwd_pts, src_port, extension=1):
         def rtp_packet(i, pt):
-            # the X bit set: the RTP/RTCP demux counts only such payloads as RTP
-            payload = rtp_bytes(extension=1, pt=pt, seq=i, ssrc=7)
+            # the demux counts X=1 payloads as RTP from the first byte, X=0
+            # ones from the full 12-byte header
+            payload = rtp_bytes(extension=extension, pt=pt, seq=i, ssrc=7)
             return dataclasses.replace(flow_packet(i, 0, 54), payload=payload)
 
         fwd = [rtp_packet(i, pt) for i, pt in enumerate(fwd_pts)]
@@ -246,3 +256,14 @@ class TestBuildReport:
         assert first["rtp_continuity"] == 1.0  # the backward non-RTP payload is skipped
         assert list(second["rtp_payload_types"].items()) == [("9", 2)]
         assert list(report["rtp_payload_type_totals"].items()) == [("9", 2), ("96", 1), ("100", 3)]
+
+    def test_rtp_without_header_extension_is_rtp(self):
+        flows = [self.rtp_flow([96, 100, 100, 96], 5000, extension=0)]
+        report = build_report(flows, AppContext.MEET)
+        (entry,) = report["flows"]
+        assert entry["hint"] == "RTP"
+        assert entry["media"] == "VIDEO" and entry["codec_note"] == "dynamic video"
+        assert entry["kind_counts"] == {"RTP": 4, "UNKNOWN": 1}
+        assert list(entry["rtp_payload_types"].items()) == [("96", 2), ("100", 2)]
+        assert entry["rtp_continuity"] == 1.0
+        assert list(report["rtp_payload_type_totals"].items()) == [("96", 2), ("100", 2)]

@@ -7,7 +7,7 @@ from camsieve import cli
 from camsieve.errors import IoFailure
 from camsieve.features import FEATURE_NAMES
 from camsieve.flows import assemble_flows
-from camsieve.packets import open_capture, decode_packet, read_packets_sorted
+from camsieve.packets import IPPROTO_TCP, open_capture, decode_packet, read_packets_sorted
 from camsieve.protocols import AppContext, MediaType, media_hint, parse_rtp_header, rtp_stream_continuity
 from camsieve.synth import KIND_LABELS, SynthProfile, TrafficKind, generate
 from camsieve.tree import best_split
@@ -77,7 +77,7 @@ class TestWireValidity:
         for flow, entry in zip(flows, sorted(entries, key=lambda e: e["first_ts_us"])):
             assert flow.initiator == (entry["src_ip"], entry["src_port"])
             assert flow.responder == (entry["dst_ip"], entry["dst_port"])
-            assert flow.key.protocol.value == "TCP"
+            assert flow.protocol == IPPROTO_TCP
 
 
 class TestConfRtp:
