@@ -13,8 +13,8 @@ import numpy as np
 from . import dataset, features, flows, packets, protocols, synth, tree
 from .errors import CamsieveError
 
-DEFAULT_FLOW_TIMEOUT_S = 600.0
-DEFAULT_ACTIVITY_THRESHOLD_S = 5.0
+DEFAULT_FLOW_TIMEOUT_S = flows.DEFAULT_FLOW_TIMEOUT_US / 1e6
+DEFAULT_ACTIVITY_THRESHOLD_S = features.DEFAULT_ACTIVITY_THRESHOLD_US / 1e6
 
 
 def extract_records(
@@ -27,13 +27,6 @@ def extract_records(
     sorted_packets = packets.read_packets_sorted(pcap_path)
     flow_list = flows.assemble_flows(sorted_packets, flow_timeout_us)
     return [features.compute_features(f, activity_threshold_us, label) for f in flow_list]
-
-
-def matrix_from_records(records: list[dataset.LabeledRecord]) -> tuple[np.ndarray, list[str]]:
-    X = np.array([rec.values for rec in records], dtype=np.float64)
-    X = X.reshape(len(records), len(features.FEATURE_NAMES))  # 2-D even with no rows
-    y = [rec.label for rec in records]
-    return X, y
 
 
 def _class_names(y: list[str]) -> list[str]:
@@ -89,18 +82,18 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
                    help="JSON file mapping application labels to classes")
 
 
-def _taxonomy(args) -> dataset.LabelTaxonomy:
-    if getattr(args, "taxonomy", None):
-        return dataset.LabelTaxonomy.from_json(args.taxonomy)
-    return dataset.default_taxonomy()
-
-
-def _load_clean(path: Path, taxonomy: dataset.LabelTaxonomy) -> tuple[list, int]:
-    records = dataset.read_csv(path, taxonomy)
-    cleaned, replaced = dataset.clean(records)
+def _load(args) -> tuple[np.ndarray, list[str], int]:
+    """The labeled CSV's cleaned feature matrix, its labels resolved through
+    the taxonomy, and the number of non-finite cells set to 0."""
+    if args.taxonomy:
+        taxonomy = dataset.LabelTaxonomy.from_json(args.taxonomy)
+    else:
+        taxonomy = dataset.default_taxonomy()
+    records = dataset.read_csv(args.csv, taxonomy)
+    X, replaced = dataset.clean(records)
     if replaced:
         print(f"cleaned {replaced} non-finite values to 0", file=sys.stderr)
-    return cleaned, replaced
+    return X, [rec.label for rec in records], replaced
 
 
 def cmd_extract(args) -> int:
@@ -136,8 +129,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cleaned, _ = _load_clean(args.csv, _taxonomy(args))
-    X, y = matrix_from_records(cleaned)
+    X, y, _ = _load(args)
     class_names = _class_names(y)
     if args.prune_threshold is not None:
         selected, model = tree.prune_features(
@@ -158,8 +150,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cleaned, _ = _load_clean(args.csv, _taxonomy(args))
-    X, y = matrix_from_records(cleaned)
+    X, y, _ = _load(args)
     report = tree.cross_validate(
         X, y, features.FEATURE_NAMES, k=args.k, class_names=_class_names(y),
         max_depth=args.max_depth, min_samples_split=args.min_samples_split,
@@ -181,14 +172,14 @@ def cmd_predict(args) -> int:
             f"input schema hash {csv_hash}; refusing to predict"
         )
     records = dataset.read_csv(args.csv)
-    cleaned, _ = dataset.clean(records)
+    X, _ = dataset.clean(records)
 
     def emit(fh):
         writer = csv.writer(fh)
         writer.writerow(list(features.ALL_COLUMNS) + ["Predicted Class", "Prediction Probability"])
-        # the raw values are echoed, nan/inf included; only scoring sees the cleaned ones
-        for rec, scored in zip(records, cleaned):
-            proba = tree.predict_proba(model, scored.values)
+        # the raw values are echoed, nan/inf included; only scoring sees the cleaned rows
+        for rec, row in zip(records, map(np.ndarray.tolist, X)):
+            proba = tree.predict_proba(model, row)
             best = tree.best_class(proba)
             writer.writerow(dataset.csv_row(rec) + [model.class_names[best], repr(proba[best])])
 
@@ -198,8 +189,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cleaned, replaced = _load_clean(args.csv, _taxonomy(args))
-    X, y = matrix_from_records(cleaned)
+    X, y, replaced = _load(args)
     class_names = _class_names(y)
     lines: list[str] = ["dataset summary:"]
     for name in class_names:
@@ -235,10 +225,11 @@ def cmd_report(args) -> int:
     lines.append("")
 
     # deployment-style probability summary on a held-out split
-    train_part, test_part = dataset.stratified_split(cleaned, (0.8, 0.2), args.seed)
-    X_tr, y_tr = matrix_from_records(train_part)
-    X_te, _ = matrix_from_records(test_part)
-    deploy_model = tree.train(X_tr, y_tr, features.FEATURE_NAMES, **params)
+    train_idx, test_idx = dataset.stratified_split(y, (0.8, 0.2), args.seed)
+    X_te = X[test_idx]
+    deploy_model = tree.train(
+        X[train_idx], [y[i] for i in train_idx], features.FEATURE_NAMES, **params
+    )
     confident = 0
     for row in X_te:
         if max(tree.predict_proba(deploy_model, row)) >= 0.9:
@@ -269,10 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", type=Path, required=True)
     p.add_argument("--label", default="", help="label written on every flow")
     p.add_argument("--flow-timeout", type=_seconds(minimum_us=1),
-                   default=DEFAULT_FLOW_TIMEOUT_S, help="flow window in seconds (default 600)")
+                   default=DEFAULT_FLOW_TIMEOUT_S,
+                   help="flow window in seconds (default %(default)g)")
     p.add_argument("--activity-threshold", type=_seconds(minimum_us=0),
                    default=DEFAULT_ACTIVITY_THRESHOLD_S,
-                   help="active/idle gap threshold in seconds (default 5)")
+                   help="active/idle gap threshold in seconds (default %(default)g)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("synth", help="generate synthetic traffic as pcap + manifest")

@@ -1,4 +1,4 @@
-"""84-column CSV persistence, non-finite cleaning and label taxonomy."""
+"""84-column CSV persistence, the cleaned feature matrix and label taxonomy."""
 from __future__ import annotations
 
 import csv
@@ -7,12 +7,14 @@ import math
 import os
 import random
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import BadTaxonomy, EmptyClass, RowParseError, SchemaMismatch
-from .features import ALL_COLUMNS, SCHEMA_NAME, SCHEMA_VERSION, LabeledRecord
+from .features import ALL_COLUMNS, FEATURE_NAMES, SCHEMA_NAME, SCHEMA_VERSION, LabeledRecord
 
 CLASS_IOT_CAM = "IoTCam"
 CLASS_CONF = "Conf"
@@ -160,45 +162,42 @@ def read_csv(path: str | Path, taxonomy: LabelTaxonomy | None = None) -> list[La
 
 
 class CleanResult(NamedTuple):
-    records: list[LabeledRecord]
+    matrix: np.ndarray
     replaced: int
 
 
 def clean(records: Sequence[LabeledRecord]) -> CleanResult:
-    """Replace every NaN or +/-Inf feature value with 0; idempotent."""
-    cleaned: list[LabeledRecord] = []
-    replaced = 0
-    for rec in records:
-        if all(math.isfinite(v) for v in rec.values):
-            cleaned.append(rec)
-            continue
-        fixed = tuple(v if math.isfinite(v) else 0.0 for v in rec.values)
-        replaced += sum(1 for v in rec.values if not math.isfinite(v))
-        cleaned.append(replace(rec, values=fixed))
-    return CleanResult(cleaned, replaced)
+    """The records' (len(records), 77) float64 feature matrix, with every NaN
+    or +/-Inf cell set to 0; replaced counts those cells. Finite values pass
+    through bit for bit."""
+    X = np.array([rec.values for rec in records], dtype=np.float64)
+    X = X.reshape(len(records), len(FEATURE_NAMES))  # 2-D even with no rows
+    bad = ~np.isfinite(X)
+    X[bad] = 0.0
+    return CleanResult(X, int(bad.sum()))
 
 
 def stratified_split(
-    records: Sequence[LabeledRecord], fractions: Sequence[float], seed: int
-) -> list[list[LabeledRecord]]:
-    """Split preserving per-class proportions within one sample.
+    labels: Sequence[str], fractions: Sequence[float], seed: int
+) -> list[list[int]]:
+    """Split row indexes preserving per-class proportions within one sample.
 
     Partition sizes come from cumulative targets rounded half up, so the
     first partition takes the rounding benefit and sizes always sum exactly.
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions sum to {sum(fractions)}, expected 1")
-    if not records:
+    if not labels:
         raise EmptyClass("no records to split")
 
-    by_class: dict[str, list[LabeledRecord]] = {}
-    for rec in records:
-        by_class.setdefault(rec.label, []).append(rec)
+    by_class: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        by_class.setdefault(label, []).append(i)
 
     rng = random.Random(seed)
-    partitions: list[list[LabeledRecord]] = [[] for _ in fractions]
+    partitions: list[list[int]] = [[] for _ in fractions]
     for label in sorted(by_class):
-        group = list(by_class[label])
+        group = by_class[label]
         rng.shuffle(group)
         c = len(group)
         cumulative = 0.0

@@ -6,8 +6,10 @@ CICFlowMeter export (including its historical duplicate of the forward
 header-length column) so datasets interoperate with existing tooling.
 
 Unit conventions: durations and IATs are microseconds, rates are per
-second, "packet length" means transport payload bytes, "header length"
-means transport header bytes, and Average Packet Size uses wire bytes.
+second, "packet length" means transport payload bytes on the wire (read
+from the IP/UDP length fields, so a snaplen-cut capture gives the same
+values), "header length" means transport header bytes, and Average Packet
+Size uses wire bytes.
 """
 from __future__ import annotations
 
@@ -208,7 +210,7 @@ def _bulk_stats(packets: Sequence[PacketRecord]) -> tuple[float, float, float]:
     A bulk is a run of >= BULK_MIN_PACKETS consecutive data packets (payload
     >= 1 byte) in one direction with inter-arrivals <= BULK_GAP_US.
     """
-    data = [p for p in packets if p.payload]
+    data = [p for p in packets if p.payload_length]
     runs: list[list[PacketRecord]] = []
     for pkt in data:
         if runs and pkt.timestamp - runs[-1][-1].timestamp <= BULK_GAP_US:
@@ -218,7 +220,7 @@ def _bulk_stats(packets: Sequence[PacketRecord]) -> tuple[float, float, float]:
     bulks = [run for run in runs if len(run) >= BULK_MIN_PACKETS]
     if not bulks:
         return 0.0, 0.0, 0.0
-    total_bytes = sum(len(p.payload) for run in bulks for p in run)
+    total_bytes = sum(p.payload_length for run in bulks for p in run)
     total_pkts = sum(len(run) for run in bulks)
     total_dur_us = sum(run[-1].timestamp - run[0].timestamp for run in bulks)
     rate = total_bytes / (total_dur_us / 1e6) if total_dur_us > 0 else 0.0
@@ -240,8 +242,8 @@ def compute_features(
     duration = all_ts[-1] - all_ts[0]
     dur_s = duration / 1e6
 
-    fwd_pl = [len(p.payload) for p in fwd]
-    bwd_pl = [len(p.payload) for p in bwd]
+    fwd_pl = [p.payload_length for p in fwd]
+    bwd_pl = [p.payload_length for p in bwd]
     fwd_len = stat_summary(fwd_pl)
     bwd_len = stat_summary(bwd_pl)
     all_len = stat_summary(fwd_pl + bwd_pl)
@@ -329,7 +331,7 @@ def compute_features(
     v["Subflow Bwd Bytes"] = bwd_len.total / n_subflows
     v["Init_Win_bytes_forward"] = float(fwd[0].tcp_window) if fwd else 0.0
     v["Init_Win_bytes_backward"] = float(bwd[0].tcp_window) if bwd else 0.0
-    v["act_data_pkt_fwd"] = float(sum(1 for p in fwd if p.payload))
+    v["act_data_pkt_fwd"] = float(sum(1 for p in fwd if p.payload_length))
     v["min_seg_size_forward"] = float(min(p.transport_header_length for p in fwd)) if fwd else 0.0
     v["Active Mean"] = active.mean
     v["Active Std"] = active.std

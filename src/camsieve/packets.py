@@ -62,7 +62,8 @@ class PacketRecord:
     protocol: int  # IPPROTO_TCP or IPPROTO_UDP
     total_length: int  # bytes on the wire (pcap orig_len, link header included)
     transport_header_length: int
-    payload: bytes
+    payload_length: int  # transport payload bytes on the wire, from the IP/UDP length fields
+    payload: bytes  # the captured payload bytes, fewer than payload_length on a snaplen cut
     tcp_flags: int = 0  # raw flags byte; always 0 for UDP
     tcp_window: int = 0  # always 0 for UDP
 
@@ -138,9 +139,9 @@ def decode_packet(
             offset += 4
             tags += 1
         if ethertype == ETHERTYPE_IPV4:
-            return _decode_ipv4(raw_frame[offset:], timestamp, wire_length)
+            return _decode_ipv4(raw_frame[offset:], timestamp, wire_length, offset)
         if ethertype == ETHERTYPE_IPV6:
-            return _decode_ipv6(raw_frame[offset:], timestamp, wire_length)
+            return _decode_ipv6(raw_frame[offset:], timestamp, wire_length, offset)
         return None
 
     if link_type == LINKTYPE_RAW_IP:
@@ -148,15 +149,17 @@ def decode_packet(
             return None
         version = raw_frame[0] >> 4
         if version == 4:
-            return _decode_ipv4(raw_frame, timestamp, wire_length)
+            return _decode_ipv4(raw_frame, timestamp, wire_length, 0)
         if version == 6:
-            return _decode_ipv6(raw_frame, timestamp, wire_length)
+            return _decode_ipv6(raw_frame, timestamp, wire_length, 0)
         return None
 
     return None
 
 
-def _decode_ipv4(data: bytes, timestamp: int, wire_length: int) -> PacketRecord | None:
+def _decode_ipv4(
+    data: bytes, timestamp: int, wire_length: int, link_length: int
+) -> PacketRecord | None:
     if len(data) < 20 or data[0] >> 4 != 4:
         return None
     header_len = (data[0] & 0x0F) * 4
@@ -169,11 +172,18 @@ def _decode_ipv4(data: bytes, timestamp: int, wire_length: int) -> PacketRecord 
     proto = data[9]
     src = socket.inet_ntoa(data[12:16])
     dst = socket.inet_ntoa(data[16:20])
-    end = min(len(data), total_len) if total_len >= header_len else len(data)
-    return _decode_transport(data[header_len:end], proto, src, dst, timestamp, wire_length)
+    # zero (segmentation offload), too small, or longer than the frame on the
+    # wire: the length field is wrong, so trust the capture
+    if not header_len <= total_len <= wire_length - link_length:
+        total_len = len(data)
+    return _decode_transport(
+        data[header_len:total_len], proto, src, dst, timestamp, wire_length, total_len - header_len
+    )
 
 
-def _decode_ipv6(data: bytes, timestamp: int, wire_length: int) -> PacketRecord | None:
+def _decode_ipv6(
+    data: bytes, timestamp: int, wire_length: int, link_length: int
+) -> PacketRecord | None:
     if len(data) < 40 or data[0] >> 4 != 6:
         return None
     payload_len = struct.unpack("!H", data[4:6])[0]
@@ -182,7 +192,10 @@ def _decode_ipv6(data: bytes, timestamp: int, wire_length: int) -> PacketRecord 
     # addresses differently (::ffff:102:304 vs ::ffff:1.2.3.4)
     src = str(ipaddress.IPv6Address(data[8:24]))
     dst = str(ipaddress.IPv6Address(data[24:40]))
-    end = min(len(data), 40 + payload_len) if payload_len else len(data)
+    ip_end = 40 + payload_len
+    if not payload_len or ip_end > wire_length - link_length:  # jumbogram or bogus
+        ip_end = len(data)
+    end = min(len(data), ip_end)
     offset = 40
 
     # walk the common extension-header chain; anything exotic is a skip
@@ -205,17 +218,30 @@ def _decode_ipv6(data: bytes, timestamp: int, wire_length: int) -> PacketRecord 
             return None
         if offset > end:
             return None
-    return _decode_transport(data[offset:end], next_header, src, dst, timestamp, wire_length)
+    return _decode_transport(
+        data[offset:end], next_header, src, dst, timestamp, wire_length, ip_end - offset
+    )
 
 
 def _decode_transport(
-    data: bytes, proto: int, src: str, dst: str, timestamp: int, wire_length: int
+    data: bytes,
+    proto: int,
+    src: str,
+    dst: str,
+    timestamp: int,
+    wire_length: int,
+    segment_length: int,
 ) -> PacketRecord | None:
+    """Decode the transport header at the start of data, the captured part of
+    a segment that the IP header says is segment_length bytes long. Payload
+    lengths come from these length fields, so a snaplen-cut frame reports its
+    wire payload length."""
     if proto == IPPROTO_UDP:
         if len(data) < 8:
             return None
         src_port, dst_port, udp_len = struct.unpack("!HHH", data[:6])
-        end = min(len(data), udp_len) if udp_len >= 8 else len(data)
+        if 8 <= udp_len < segment_length:
+            segment_length = udp_len
         return PacketRecord(
             timestamp=timestamp,
             src_ip=src,
@@ -225,7 +251,8 @@ def _decode_transport(
             protocol=IPPROTO_UDP,
             total_length=wire_length,
             transport_header_length=8,
-            payload=data[8:end],
+            payload_length=segment_length - 8,
+            payload=data[8:segment_length],
         )
     if proto == IPPROTO_TCP:
         if len(data) < 20:
@@ -244,6 +271,7 @@ def _decode_transport(
             protocol=IPPROTO_TCP,
             total_length=wire_length,
             transport_header_length=header_len,
+            payload_length=segment_length - header_len,
             payload=data[header_len:],
             tcp_flags=data[13],
             tcp_window=window,

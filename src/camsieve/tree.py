@@ -534,8 +534,41 @@ def save_model(model: DecisionTreeModel, path: str | Path) -> None:
     atomic_write_text(path, lambda fh: fh.write(blob), binary=True)
 
 
+def _node_table(raw, n_features: int, n_classes: int) -> tuple[TreeNode, ...]:
+    """The stored node table, checked so that every walk from the root moves
+    down the table (preorder: children come after their parent) and ends on
+    a leaf with a usable class count. ValueError names the first bad node."""
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("empty or missing node table")
+    for i, node in enumerate(raw):
+        if not isinstance(node, list) or len(node) != 5:
+            raise ValueError(f"node {i} does not have 5 fields")
+        feature, threshold, left, right, counts = node
+        if not all(isinstance(v, int) for v in (feature, left, right)):
+            raise ValueError(f"node {i} has a non-int feature or child")
+        if not isinstance(threshold, (int, float)):
+            raise ValueError(f"node {i} has a non-numeric threshold")
+        if not -1 <= feature < n_features:
+            raise ValueError(f"node {i} splits on feature {feature} of {n_features}")
+        if feature == -1 and (left, right) != (-1, -1):
+            raise ValueError(f"leaf {i} has children {left}, {right}")
+        if feature >= 0 and not (i < left < len(raw) and i < right < len(raw)):
+            raise ValueError(f"node {i} has children {left}, {right} outside {i + 1}..{len(raw) - 1}")
+        if not (isinstance(counts, list) and len(counts) == n_classes
+                and all(isinstance(c, int) and c >= 0 for c in counts) and sum(counts) > 0):
+            raise ValueError(f"node {i} counts are not {n_classes} non-negative ints with samples")
+    return tuple(TreeNode(f, t, l, r, tuple(counts)) for f, t, l, r, counts in raw)
+
+
+def _names(raw, field_name: str) -> tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(name, str) for name in raw):
+        raise ValueError(f"{field_name} is not a list of strings")
+    return tuple(raw)
+
+
 def load_model(path: str | Path) -> DecisionTreeModel:
-    """Inverse of save_model; checksum or version problems raise CorruptModel."""
+    """Inverse of save_model; checksum, version or node-table problems raise
+    CorruptModel."""
     try:
         wrapper = json.loads(Path(path).read_bytes())
         checksum = wrapper["checksum"]
@@ -545,17 +578,23 @@ def load_model(path: str | Path) -> DecisionTreeModel:
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if hashlib.sha256(body.encode("utf-8")).hexdigest() != checksum:
         raise CorruptModel(f"{path}: checksum mismatch")
+    if not isinstance(payload, dict):
+        raise CorruptModel(f"{path}: payload is not an object")
     if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
         raise CorruptModel(
             f"{path}: unsupported format {payload.get('format')!r} v{payload.get('version')!r}"
         )
-    nodes = tuple(
-        TreeNode(f, t, l, r, tuple(counts)) for f, t, l, r, counts in payload["nodes"]
-    )
-    return DecisionTreeModel(
-        nodes=nodes,
-        max_depth=payload["max_depth"],
-        feature_names=tuple(payload["feature_names"]),
-        class_names=tuple(payload["class_names"]),
-        training_meta=payload["training_meta"],
-    )
+    try:
+        feature_names = _names(payload["feature_names"], "feature_names")
+        class_names = _names(payload["class_names"], "class_names")
+        return DecisionTreeModel(
+            nodes=_node_table(payload["nodes"], len(feature_names), len(class_names)),
+            max_depth=payload["max_depth"],
+            feature_names=feature_names,
+            class_names=class_names,
+            training_meta=payload["training_meta"],
+        )
+    except KeyError as exc:
+        raise CorruptModel(f"{path}: model has no {exc} field") from exc
+    except ValueError as exc:
+        raise CorruptModel(f"{path}: {exc}") from exc

@@ -1,14 +1,18 @@
-"""Shared builders for tests: hand-rolled frames and random flows."""
+"""Shared builders for tests: hand-rolled frames, random flows and model files."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import random
 import struct
 
 import pytest
 
+from camsieve.features import FEATURE_NAMES
 from camsieve.flows import FlowState, Termination
 from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PacketRecord, TcpFlags
+from camsieve.tree import DecisionTreeModel, TreeNode, _model_payload
 
 
 def ipv4_frame(
@@ -83,7 +87,7 @@ def flow_packet(ts, payload_len, total_length, header_len=8, flags=0, window=0):
     return PacketRecord(
         timestamp=ts, src_ip="", dst_ip="", src_port=0, dst_port=0, protocol=IPPROTO_UDP,
         total_length=total_length, transport_header_length=header_len,
-        payload=bytes(payload_len), tcp_flags=flags, tcp_window=window,
+        payload_length=payload_len, payload=bytes(payload_len), tcp_flags=flags, tcp_window=window,
     )
 
 
@@ -139,3 +143,57 @@ def random_flow(rng: random.Random) -> FlowState:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def small_model_payload() -> dict:
+    """Payload of a hand-built 2-class tree over the 77 schema features:
+    node 0 splits to leaf 1 and node 2, which splits to leaves 3 and 4."""
+    nodes = (
+        TreeNode(0, 0.5, 1, 2, (3, 3)),
+        TreeNode(-1, 0.0, -1, -1, (3, 0)),
+        TreeNode(5, 10.0, 3, 4, (0, 3)),
+        TreeNode(-1, 0.0, -1, -1, (0, 2)),
+        TreeNode(-1, 0.0, -1, -1, (0, 1)),
+    )
+    model = DecisionTreeModel(nodes, 2, FEATURE_NAMES, ("Conf", "IoTCam"))
+    return _model_payload(model)
+
+
+def write_model_payload(path, payload) -> None:
+    """A model file holding payload under a valid checksum."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps({"checksum": checksum, "payload": payload}))
+
+
+def _set_node(index, field, value):
+    def mutate(payload):
+        payload["nodes"][index][field] = value
+    return mutate
+
+
+# (id, mutation of small_model_payload()): each leaves a model that predict
+# cannot use, mostly a node table it cannot walk, under a valid checksum
+MALFORMED_PAYLOADS = [
+    ("no-max-depth", lambda payload: payload.pop("max_depth")),
+    ("class-names-not-strings", lambda payload: payload.update(class_names=[0, 1])),
+    ("feature-names-not-a-list", lambda payload: payload.update(feature_names=7)),
+    ("no-nodes", lambda payload: payload.pop("nodes")),
+    ("empty-table", lambda payload: payload.update(nodes=[])),
+    ("table-not-a-list", lambda payload: payload.update(nodes={"0": []})),
+    ("node-not-a-list", lambda payload: payload["nodes"].__setitem__(1, 7)),
+    ("short-node", lambda payload: payload["nodes"][2].pop()),
+    ("long-node", lambda payload: payload["nodes"][2].append(0)),
+    ("child-out-of-range", _set_node(2, 3, 5)),
+    ("child-points-to-itself", _set_node(2, 2, 2)),
+    ("child-points-back", _set_node(2, 3, 0)),
+    ("non-int-child", _set_node(0, 2, 1.0)),
+    ("leaf-with-children", _set_node(1, 2, 3)),
+    ("feature-out-of-range", _set_node(2, 0, 77)),
+    ("feature-below-minus-one", _set_node(1, 0, -2)),
+    ("non-numeric-threshold", _set_node(0, 1, "0.5")),
+    ("counts-too-short", _set_node(3, 4, [2])),
+    ("negative-count", _set_node(3, 4, [-1, 2])),
+    ("non-int-count", _set_node(3, 4, [0, 1.5])),
+    ("empty-leaf", _set_node(4, 4, [0, 0])),
+]

@@ -50,7 +50,7 @@ def _count_flag(pkts, bit):
 
 def _bulks(pkts):
     """Runs of >= 4 consecutive data packets with gaps <= 1 s, one direction."""
-    data = [p for p in pkts if len(p.payload) >= 1]
+    data = [p for p in pkts if p.payload_length >= 1]
     all_runs = []
     i = 0
     while i < len(data):
@@ -63,7 +63,7 @@ def _bulks(pkts):
     if not bulk_runs:
         return 0.0, 0.0, 0.0
     nb = len(bulk_runs)
-    byts = sum(len(p.payload) for r in bulk_runs for p in r)
+    byts = sum(p.payload_length for r in bulk_runs for p in r)
     cnt = sum(len(r) for r in bulk_runs)
     dur = sum(r[-1].timestamp - r[0].timestamp for r in bulk_runs)
     return byts / nb, cnt / nb, (byts * 1e6 / dur if dur else 0.0)
@@ -77,8 +77,8 @@ def reference_features(flow: FlowState, threshold_us: int = ACTIVITY_THRESHOLD_U
     ts = [p.timestamp for p in everything]
     dur = ts[-1] - ts[0]
 
-    f_pl = [len(p.payload) for p in fwd]
-    b_pl = [len(p.payload) for p in bwd]
+    f_pl = [p.payload_length for p in fwd]
+    b_pl = [p.payload_length for p in bwd]
     a_pl = f_pl + b_pl
 
     # active segments via an explicit scan over merged timestamps
@@ -164,7 +164,7 @@ def reference_features(flow: FlowState, threshold_us: int = ACTIVITY_THRESHOLD_U
         "Subflow Bwd Bytes": sum(b_pl) / subflows,
         "Init_Win_bytes_forward": float(fwd[0].tcp_window or 0) if fwd else 0.0,
         "Init_Win_bytes_backward": float(bwd[0].tcp_window or 0) if bwd else 0.0,
-        "act_data_pkt_fwd": float(sum(1 for p in fwd if len(p.payload) >= 1)),
+        "act_data_pkt_fwd": float(sum(1 for p in fwd if p.payload_length >= 1)),
         "min_seg_size_forward": float(min(p.transport_header_length for p in fwd)) if fwd else 0.0,
         "Active Mean": _mean(actives),
         "Active Std": _std(actives),

@@ -60,14 +60,12 @@ def corpus(tmp_path_factory):
         generate(SynthProfile(kind, FLOWS_PER_CLASS, seed=SEED), pcap)
         pcaps[kind] = pcap
         records.extend(cli.extract_records(pcap, label=KIND_LABELS[kind]))
-    cleaned, _ = clean(records)
-    X, y = cli.matrix_from_records(cleaned)
+    X, _ = clean(records)
     return {
         "dir": base,
         "pcaps": pcaps,
-        "records": cleaned,
         "X": X,
-        "y": y,
+        "y": [rec.label for rec in records],
         "elapsed_build": time.perf_counter() - t0,
     }
 
@@ -222,14 +220,15 @@ def test_criterion_6_cleaning_contract(tmp_path):
     write_csv(rows, path)
 
     loaded = read_csv(path)
-    cleaned, replaced = clean(loaded)
+    X, replaced = clean(loaded)
     assert replaced == 30
-    assert all(math.isfinite(v) for rec in cleaned for v in rec.values)
-    for rec, orig in zip(cleaned, loaded):
-        for v_new, v_old in zip(rec.values, orig.values):
+    assert X.shape == (len(loaded), len(FEATURE_NAMES))
+    assert np.isfinite(X).all()
+    for row, orig in zip(X.tolist(), loaded):
+        for v_new, v_old in zip(row, orig.values):
             assert v_new == (0.0 if not math.isfinite(v_old) else v_old)
 
-    X, y = cli.matrix_from_records(cleaned)
+    y = [rec.label for rec in loaded]
     model = train(X, y, FEATURE_NAMES, max_depth=5, seed=SEED)
     assert model.nodes
     ok(6, f"CSV with {replaced} Inf/-Inf/NaN cells loaded, cleaned to zeros, trained")
@@ -270,9 +269,9 @@ def test_criterion_7_pipeline_determinism(tmp_path):
 def test_criterion_8_probability_contract(corpus):
     from camsieve.dataset import stratified_split
 
-    train_part, test_part = stratified_split(corpus["records"], (0.8, 0.2), SEED)
-    X_tr, y_tr = cli.matrix_from_records(train_part)
-    X_te, y_te = cli.matrix_from_records(test_part)
+    train_idx, test_idx = stratified_split(corpus["y"], (0.8, 0.2), SEED)
+    X_tr, y_tr = corpus["X"][train_idx], [corpus["y"][i] for i in train_idx]
+    X_te = corpus["X"][test_idx]
     model = train(X_tr, y_tr, FEATURE_NAMES, class_names=cli._class_names(y_tr),
                   max_depth=11, seed=SEED)
     confident = 0

@@ -1,13 +1,21 @@
+import contextlib
 import json
+import signal
 import struct
 
 import pytest
 
+from camsieve import cli, features, flows
 from camsieve.cli import main
 from camsieve.dataset import read_csv
 from camsieve.tree import load_model
 
-from conftest import write_pcap_bytes
+from conftest import (
+    MALFORMED_PAYLOADS,
+    small_model_payload,
+    write_model_payload,
+    write_pcap_bytes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +60,70 @@ class TestExtract:
         assert code == 1
         assert not out.exists()
         assert not list(tmp_path.glob("out.csv.*"))
+
+
+def cut_pcap(src, dst, snaplen):
+    """Copy a little-endian microsecond pcap with every record cut to snaplen
+    bytes, as a capture taken with `tcpdump -s snaplen` would hold it. Returns
+    the number of records that lost bytes."""
+    data = src.read_bytes()
+    out = bytearray(data[:16] + struct.pack("<I", snaplen) + data[20:24])
+    pos, cut = 24, 0
+    while pos < len(data):
+        ts_sec, ts_us, incl_len, orig_len = struct.unpack_from("<IIII", data, pos)
+        body = data[pos + 16 : pos + 16 + incl_len]
+        out += struct.pack("<IIII", ts_sec, ts_us, min(incl_len, snaplen), orig_len)
+        out += body[:snaplen]
+        cut += incl_len > snaplen
+        pos += 16 + incl_len
+    dst.write_bytes(bytes(out))
+    return cut
+
+
+class TestSnaplenCut:
+    @pytest.mark.parametrize("kind", ["camera", "conf", "share"])
+    def test_cut_capture_gives_same_csv(self, tmp_path, kind):
+        full = tmp_path / "full.pcap"
+        assert main(["synth", "--kind", kind, "-n", "20", "--seed", "3", "-o", str(full)]) == 0
+        assert cut_pcap(full, tmp_path / "cut.pcap", 128) > 0
+        for name in ("full", "cut"):
+            assert main(["extract", str(tmp_path / f"{name}.pcap"), "--label", kind,
+                         "-o", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test, instead of hanging it, if the body runs too long."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize(
+        "mutate", [pytest.param(m, id=name) for name, m in MALFORMED_PAYLOADS]
+    )
+    def test_predict_is_data_error(self, workdir, tmp_path, capsys, mutate):
+        payload = small_model_payload()
+        mutate(payload)
+        model = tmp_path / "model.json"
+        write_model_payload(model, payload)
+        out = tmp_path / "scored.csv"
+        # a child index pointing back up the table once made predict loop forever
+        with time_limit(20):
+            code = main(["predict", str(model), str(workdir / "conf.csv"), "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestOverlongRecord:
@@ -131,6 +203,17 @@ class TestBadInputs:
         assert exc.value.code == 2
         assert "need at least 1 flow" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDefaults:
+    def test_default_seconds_come_from_the_library(self, capsys):
+        assert int(cli.DEFAULT_FLOW_TIMEOUT_S * 1e6) == flows.DEFAULT_FLOW_TIMEOUT_US
+        assert int(cli.DEFAULT_ACTIVITY_THRESHOLD_S * 1e6) == features.DEFAULT_ACTIVITY_THRESHOLD_US
+        with pytest.raises(SystemExit):
+            main(["extract", "-h"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "flow window in seconds (default 600)" in help_text
+        assert "gap threshold in seconds (default 5)" in help_text
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from camsieve.dataset import (
@@ -144,66 +145,97 @@ class TestClean:
         values[3] = float("inf")
         values[4] = float("-inf")
         values[5] = float("nan")
-        cleaned, replaced = clean([record(values=tuple(values))])
+        X, replaced = clean([record(values=tuple(values))])
         assert replaced == 3
-        assert cleaned[0].values[3] == 0.0
-        assert cleaned[0].values[4] == 0.0
-        assert cleaned[0].values[5] == 0.0
+        assert X[0, 3] == 0.0
+        assert X[0, 4] == 0.0
+        assert X[0, 5] == 0.0
+        assert np.isfinite(X).all()
 
     def test_finite_records_untouched(self):
-        rec = record(seed=5)
-        cleaned, replaced = clean([rec])
+        records = [record(seed=5), record(seed=6)]
+        X, replaced = clean(records)
         assert replaced == 0
-        assert cleaned[0] is rec
+        assert X.dtype == np.float64 and X.shape == (2, len(FEATURE_NAMES))
+        assert [tuple(row) for row in X.tolist()] == [rec.values for rec in records]
+
+    def test_finite_values_pass_bit_for_bit(self):
+        tiny = 5e-324  # smallest subnormal
+        values = [-0.0, tiny, -tiny, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, 1 / 3, 1e-300, 123456789.00000001]
+        values += [float(i) * 0.7 for i in range(len(FEATURE_NAMES) - len(values) - 1)]
+        values.append(float("nan"))
+        X, replaced = clean([record(values=tuple(values))])
+        assert replaced == 1
+        expected = np.array(values[:-1] + [0.0], dtype=np.float64)
+        assert X[0].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert math.copysign(1.0, X[0, 0]) == -1.0
+
+    def test_empty_gives_two_dimensional_matrix(self):
+        X, replaced = clean([])
+        assert X.shape == (0, len(FEATURE_NAMES)) and X.dtype == np.float64
+        assert replaced == 0
 
     def test_idempotent(self):
         values = list(record().values)
         values[0] = float("nan")
         once, n1 = clean([record(values=tuple(values))])
-        twice, n2 = clean(once)
-        assert twice == once
+        twice, n2 = clean([record(values=tuple(row)) for row in once.tolist()])
+        assert np.array_equal(twice, once)
         assert (n1, n2) == (1, 0)
 
     def test_identity_untouched(self):
         values = [float("inf")] * len(FEATURE_NAMES)
         rec = record(values=tuple(values))
-        cleaned, _ = clean([rec])
-        assert cleaned[0].flow_id == rec.flow_id
-        assert cleaned[0].label == rec.label
+        X, replaced = clean([rec])
+        assert replaced == len(FEATURE_NAMES) and not X.any()
+        # the input record is not modified: its identity, label and raw values stay
+        assert rec == record(values=tuple(values))
+        assert all(math.isinf(v) for v in rec.values)
 
 
 class TestStratifiedSplit:
     def test_exact_divisibility(self):
-        records = [record(label="A", seed=i) for i in range(100)] + [
-            record(label="B", seed=100 + i) for i in range(100)
-        ]
-        parts = stratified_split(records, (0.8, 0.2), seed=1)
+        labels = ["A"] * 100 + ["B"] * 100
+        parts = stratified_split(labels, (0.8, 0.2), seed=1)
         assert len(parts[0]) == 160 and len(parts[1]) == 40
         for label in ("A", "B"):
-            assert sum(1 for r in parts[0] if r.label == label) == 80
-            assert sum(1 for r in parts[1] if r.label == label) == 20
+            assert sum(1 for i in parts[0] if labels[i] == label) == 80
+            assert sum(1 for i in parts[1] if labels[i] == label) == 20
 
     def test_deterministic(self):
-        records = [record(label=lbl, seed=i) for i, lbl in enumerate(["A", "B"] * 20)]
-        a = stratified_split(records, (0.5, 0.5), seed=9)
-        b = stratified_split(records, (0.5, 0.5), seed=9)
+        labels = ["A", "B"] * 20
+        a = stratified_split(labels, (0.5, 0.5), seed=9)
+        b = stratified_split(labels, (0.5, 0.5), seed=9)
         assert a == b
+        assert stratified_split(labels, (0.5, 0.5), seed=10) != a
 
     def test_round_half_up_on_first_partition(self):
-        records = [record(label="A", seed=i) for i in range(3)]
-        parts = stratified_split(records, (0.5, 0.5), seed=0)
+        parts = stratified_split(["A"] * 3, (0.5, 0.5), seed=0)
         assert (len(parts[0]), len(parts[1])) == (2, 1)
 
     def test_union_is_input_multiset(self):
-        records = [record(label=lbl, seed=i) for i, lbl in enumerate(["A", "B", "C"] * 7)]
-        parts = stratified_split(records, (0.3, 0.3, 0.4), seed=3)
-        rejoined = sorted((r.flow_id for part in parts for r in part))
-        assert rejoined == sorted(r.flow_id for r in records)
-        assert sum(len(p) for p in parts) == len(records)
+        labels = ["A", "B", "C"] * 7
+        parts = stratified_split(labels, (0.3, 0.3, 0.4), seed=3)
+        assert sorted(i for part in parts for i in part) == list(range(len(labels)))
+
+    def test_same_rows_as_a_per_class_shuffle(self):
+        # per class in sorted label order: shuffle the class's row indexes with
+        # one shared generator, then cut at the cumulative boundaries
+        labels = ["B", "A", "C", "A", "B", "A"] * 9
+        rng = random.Random(7)
+        expected = [[], []]
+        for label in sorted(set(labels)):
+            group = [i for i, lbl in enumerate(labels) if lbl == label]
+            rng.shuffle(group)
+            cut = math.floor(len(group) * 0.8 + 0.5)
+            expected[0] += group[:cut]
+            expected[1] += group[cut:]
+        assert stratified_split(labels, (0.8, 0.2), seed=7) == expected
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
-            stratified_split([record()], (0.5, 0.4), seed=0)
+            stratified_split(["A"], (0.5, 0.4), seed=0)
 
     def test_empty_records(self):
         with pytest.raises(EmptyClass):

@@ -15,7 +15,7 @@ def udp_pkt(ts, src=("10.0.0.1", 5000), dst=("10.0.0.2", 6000), payload=b"x"):
     return PacketRecord(
         timestamp=ts, src_ip=src[0], dst_ip=dst[0], src_port=src[1], dst_port=dst[1],
         protocol=IPPROTO_UDP, total_length=42 + len(payload),
-        transport_header_length=8, payload=payload,
+        transport_header_length=8, payload_length=len(payload), payload=payload,
     )
 
 
@@ -24,7 +24,7 @@ def tcp_pkt(ts, src=("10.0.0.1", 5000), dst=("10.0.0.2", 6000), flags=TcpFlags.A
     return PacketRecord(
         timestamp=ts, src_ip=src[0], dst_ip=dst[0], src_port=src[1], dst_port=dst[1],
         protocol=IPPROTO_TCP, total_length=54 + len(payload),
-        transport_header_length=20, payload=payload,
+        transport_header_length=20, payload_length=len(payload), payload=payload,
         tcp_flags=flags, tcp_window=window,
     )
 

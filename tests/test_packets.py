@@ -120,6 +120,7 @@ class TestDecodePacket:
             protocol=IPPROTO_UDP,
             total_length=len(frame),
             transport_header_length=8,
+            payload_length=4,
             payload=b"abcd",
         )
 
@@ -185,6 +186,100 @@ class TestDecodePacket:
     def test_total_on_arbitrary_bytes(self, blob, link_type):
         result = decode_packet(blob, link_type)
         assert result is None or isinstance(result, PacketRecord)
+
+
+def ipv6_frame(next_header, transport, extension=b"", payload_length=None) -> bytes:
+    """Ethernet+IPv6 frame; extension is a pre-built extension-header chain."""
+    if payload_length is None:
+        payload_length = len(extension) + len(transport)
+    ip6 = struct.pack("!IHBB", 6 << 28, payload_length, next_header, 64)
+    ip6 += bytes(range(16)) + bytes(range(16, 32))
+    return b"\xbb" * 6 + b"\xaa" * 6 + struct.pack("!H", 0x86DD) + ip6 + extension + transport
+
+
+class TestPayloadLength:
+    """payload_length comes from the IP/UDP length fields; payload holds the
+    captured bytes, which a snaplen cut shortens."""
+
+    def test_udp_cut_frame_keeps_wire_length(self):
+        frame = ipv4_frame(transport=udp_segment(payload=bytes(range(250)) * 4))
+        rec = decode_packet(frame[:96], LINKTYPE_ETHERNET, wire_length=len(frame))
+        assert rec.payload_length == 1000
+        assert rec.payload == frame[42:96]
+        assert rec.total_length == len(frame)
+
+    def test_tcp_over_ipv4_cut_frame_keeps_wire_length(self):
+        seg = tcp_segment(data_offset_words=8, payload=b"p" * 700)
+        frame = ipv4_frame(proto=6, transport=seg, ihl_words=6)
+        rec = decode_packet(frame[:80], LINKTYPE_ETHERNET, wire_length=len(frame))
+        assert rec.transport_header_length == 32
+        assert rec.payload_length == 700
+        assert rec.payload == b"p" * (80 - 14 - 24 - 32)
+
+    def test_tcp_over_ipv6_subtracts_extension_headers(self):
+        hop_by_hop = bytes([6, 0]) + b"\x00" * 6  # next header TCP, 8 bytes long
+        seg = tcp_segment(payload=b"q" * 300)
+        frame = ipv6_frame(0, seg, extension=hop_by_hop)
+        rec = decode_packet(frame[:100], LINKTYPE_ETHERNET, wire_length=len(frame))
+        assert rec.protocol == IPPROTO_TCP
+        assert rec.payload_length == 300
+        assert rec.payload == b"q" * (100 - 14 - 40 - 8 - 20)
+
+    def test_udp_over_ipv6_cut_frame_keeps_wire_length(self):
+        frame = ipv6_frame(17, udp_segment(payload=b"v" * 500))
+        rec = decode_packet(frame[:90], LINKTYPE_ETHERNET, wire_length=len(frame))
+        assert rec.payload_length == 500
+
+    def test_tcp_ethernet_padding_not_counted(self):
+        frame = ipv4_frame(proto=6, transport=tcp_segment())
+        rec = decode_packet(frame + b"\x00" * 6, LINKTYPE_ETHERNET)
+        assert rec.payload_length == 0 and rec.payload == b""
+
+    @pytest.mark.parametrize("total_length", [0, 19])
+    def test_ipv4_total_length_too_small_falls_back_to_capture(self, total_length):
+        frame = ipv4_frame(proto=6, transport=tcp_segment(payload=b"x" * 40),
+                           total_length=total_length)
+        rec = decode_packet(frame, LINKTYPE_ETHERNET)
+        assert rec.payload_length == 40 and rec.payload == b"x" * 40
+
+    @pytest.mark.parametrize("proto, transport", [
+        (6, tcp_segment(payload=b"abcd")),
+        (17, udp_segment(payload=b"abcd")),
+    ])
+    def test_ipv4_total_length_beyond_the_wire_falls_back_to_capture(self, proto, transport):
+        frame = ipv4_frame(proto=proto, transport=transport, total_length=60000)
+        for rec in (decode_packet(frame, LINKTYPE_ETHERNET),
+                    decode_packet(frame[14:], LINKTYPE_RAW_IP)):
+            assert rec.payload_length == 4 and rec.payload == b"abcd"
+
+    def test_ipv6_payload_length_beyond_the_wire_falls_back_to_capture(self):
+        frame = ipv6_frame(6, tcp_segment(payload=b"abcd"), payload_length=60000)
+        for rec in (decode_packet(frame, LINKTYPE_ETHERNET),
+                    decode_packet(frame[14:], LINKTYPE_RAW_IP)):
+            assert rec.payload_length == 4 and rec.payload == b"abcd"
+
+    def test_raw_ip_cut_frame_keeps_wire_length(self):
+        packet = ipv4_frame(proto=6, transport=tcp_segment(payload=b"r" * 900))[14:]
+        rec = decode_packet(packet[:60], LINKTYPE_RAW_IP, wire_length=len(packet))
+        assert rec.payload_length == 900 and rec.payload == b"r" * 20
+
+    def test_ipv6_jumbogram_length_falls_back_to_capture(self):
+        frame = ipv6_frame(6, tcp_segment(payload=b"j" * 64), payload_length=0)
+        rec = decode_packet(frame, LINKTYPE_ETHERNET)
+        assert rec.payload_length == 64
+
+    @pytest.mark.parametrize("udp_length", [0, 7])
+    def test_udp_length_too_small_falls_back_to_ip_length(self, udp_length):
+        seg = bytearray(udp_segment(payload=b"u" * 600))
+        struct.pack_into("!H", seg, 4, udp_length)
+        frame = ipv4_frame(transport=bytes(seg))
+        rec = decode_packet(frame[:64], LINKTYPE_ETHERNET, wire_length=len(frame))
+        assert rec.payload_length == 600
+
+    def test_udp_length_below_ip_length_wins(self):
+        seg = udp_segment(payload=b"w" * 10) + b"trailer"
+        rec = decode_packet(ipv4_frame(transport=seg), LINKTYPE_ETHERNET)
+        assert rec.payload_length == 10 and rec.payload == b"w" * 10
 
 
 class TestReadPackets:

@@ -31,6 +31,7 @@ from camsieve.tree import (
     train,
 )
 
+from conftest import MALFORMED_PAYLOADS, small_model_payload, write_model_payload
 from oracles import exhaustive_best_split, gini_exact
 
 
@@ -572,3 +573,32 @@ class TestPersistence:
         m1 = train(X, y, list("wxyz"), max_depth=6, seed=5)
         m2 = train(X, y, list("wxyz"), max_depth=6, seed=5)
         assert model_bytes(m1) == model_bytes(m2)
+
+
+class TestMalformedModel:
+    def test_small_model_loads_and_predicts(self, tmp_path):
+        path = tmp_path / "model.json"
+        write_model_payload(path, small_model_payload())
+        model = load_model(path)
+        assert len(model.nodes) == 5
+        row = [0.0] * len(model.feature_names)
+        assert predict(model, row) == "Conf"
+        row[0], row[5] = 1.0, 11.0
+        assert predict(model, row) == "IoTCam"
+
+    @pytest.mark.parametrize(
+        "mutate", [pytest.param(m, id=name) for name, m in MALFORMED_PAYLOADS]
+    )
+    def test_rejected_on_load(self, tmp_path, mutate):
+        payload = small_model_payload()
+        mutate(payload)
+        path = tmp_path / "model.json"
+        write_model_payload(path, payload)
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    def test_payload_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        write_model_payload(path, [small_model_payload()])
+        with pytest.raises(CorruptModel, match="payload is not an object"):
+            load_model(path)
