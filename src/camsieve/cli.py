@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -90,7 +91,7 @@ def _load(args) -> tuple[np.ndarray, list[str], int]:
     else:
         taxonomy = dataset.default_taxonomy()
     records = dataset.read_csv(args.csv, taxonomy)
-    X, replaced = dataset.clean(records)
+    X, replaced = dataset.clean([rec.values for rec in records])
     if replaced:
         print(f"cleaned {replaced} non-finite values to 0", file=sys.stderr)
     return X, [rec.label for rec in records], replaced
@@ -171,20 +172,31 @@ def cmd_predict(args) -> int:
             f"model schema hash {model.schema_hash} does not match "
             f"input schema hash {csv_hash}; refusing to predict"
         )
-    records = dataset.read_csv(args.csv)
-    X, _ = dataset.clean(records)
+    # each class name's cell as the csv writer quotes it, with the comma before it
+    class_cells = []
+    for name in model.class_names:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(["", name])
+        class_cells.append(buf.getvalue())
+    rows = 0
 
     def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(list(features.ALL_COLUMNS) + ["Predicted Class", "Prediction Probability"])
-        # the raw values are echoed, nan/inf included; only scoring sees the cleaned rows
-        for rec, row in zip(records, map(np.ndarray.tolist, X)):
-            proba = tree.predict_proba(model, row)
-            best = tree.best_class(proba)
-            writer.writerow(dataset.csv_row(rec) + [model.class_names[best], repr(proba[best])])
+        nonlocal rows
+        header = list(features.ALL_COLUMNS) + ["Predicted Class", "Prediction Probability"]
+        csv.writer(fh).writerow(header)
+        # each record is echoed as read, nan/inf included; only scoring sees the cleaned rows
+        for chunk in dataset.read_chunks(args.csv):
+            X, _ = dataset.clean(chunk.values)
+            lines = []
+            for text, row in zip(chunk.texts, X.tolist()):
+                proba = tree.predict_proba(model, row)
+                best = tree.best_class(proba)
+                lines.append(f"{text}{class_cells[best]},{proba[best]!r}\r\n")
+            fh.write("".join(lines))
+            rows += len(lines)
 
     dataset.atomic_write_text(args.output, emit)
-    print(f"predicted {len(records)} rows into {args.output}")
+    print(f"predicted {rows} rows into {args.output}")
     return 0
 
 

@@ -7,13 +7,15 @@ import math
 import os
 import random
 import tempfile
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadTaxonomy, EmptyClass, RowParseError, SchemaMismatch
+from .errors import BadEncoding, BadTaxonomy, EmptyClass, RowParseError, SchemaMismatch
 from .features import ALL_COLUMNS, FEATURE_NAMES, SCHEMA_NAME, SCHEMA_VERSION, LabeledRecord
 
 CLASS_IOT_CAM = "IoTCam"
@@ -23,6 +25,17 @@ CLASS_OTHERS = "Others"
 CLASSES = (CLASS_IOT_CAM, CLASS_CONF, CLASS_SHARE, CLASS_OTHERS)
 
 _VERSION_LINE = f"# {SCHEMA_NAME} v{SCHEMA_VERSION}"
+
+# records per read_chunks chunk: bounds a streaming reader's memory, and
+# amortises each np.loadtxt call
+CHUNK_ROWS = 2048
+_NUMERIC_COLUMNS = range(3, len(ALL_COLUMNS) - 1)  # two ports, protocol, 77 values
+# parsing the int cells as int64 is their check; only the values are kept
+_NUMERIC_DTYPE = np.dtype(
+    [("ints", np.int64, (3,)), ("values", np.float64, (len(FEATURE_NAMES),))]
+)
+# np.loadtxt strips these around a number as space; int() and float() do not
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -120,44 +133,149 @@ def write_csv(records: Sequence[LabeledRecord], path: str | Path) -> None:
     atomic_write_text(path, emit)
 
 
+class Chunk(NamedTuple):
+    """Consecutive records of a flow CSV: the text of each as read, without its
+    line ending, and their raw (len(texts), 77) float64 value matrix."""
+
+    texts: list[str]
+    values: np.ndarray
+
+
+def read_chunks(path: str | Path) -> Iterator[Chunk]:
+    """The flow CSV at path, CHUNK_ROWS records at a time, after its schema line
+    and header are checked. Blank rows are skipped.
+
+    Every record must have 84 cells, int() port and protocol cells and float()
+    value cells; otherwise RowParseError names the record's row, counting the
+    column header as row 1 and blank rows too. A file that is not UTF-8 raises
+    BadEncoding.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            _check_header(fh, path)
+            records = _records(fh)
+            while batch := list(islice(records, CHUNK_ROWS)):
+                rows, texts = zip(*batch)
+                values = _parse_numeric(texts)
+                if values is None:
+                    values = _parse_cells(texts, rows)
+                yield Chunk(list(texts), values)
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _check_header(fh, path) -> None:
+    """Read the optional schema line and the column header; SchemaMismatch
+    unless they are this schema's."""
+    first = fh.readline()
+    if not first.startswith("#"):
+        fh.seek(0)
+    elif SCHEMA_NAME not in first:
+        raise SchemaMismatch(f"{path}: unrecognized schema line {first.strip()!r}")
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise SchemaMismatch(f"{path}: missing header row")
+    if tuple(header) != ALL_COLUMNS:
+        raise SchemaMismatch(
+            f"{path}: header has {len(header)} columns, expected {len(ALL_COLUMNS)} "
+            "matching the frozen schema"
+        )
+
+
+def _records(lines: Iterator[str]) -> Iterator[tuple[int, str]]:
+    """(row number, text) of each non-blank record after the header, where a
+    record is one line unless a quoted cell spans line endings, as the csv
+    module reads it. The text keeps inner line endings and drops the last."""
+    row_no = 1
+    for line in lines:
+        row_no += 1
+        while '"' in line and _ends_in_quotes(line):
+            more = next(lines, "")
+            if not more:  # the file ends inside quotes: the line ending is part of the cell
+                break
+            line += more
+        else:
+            line = line.rstrip("\r\n")
+        if line:
+            yield row_no, line
+
+
+def _ends_in_quotes(text: str) -> bool:
+    """Whether the csv module's default dialect is inside a quoted cell at the
+    end of text. A quote opens a cell only as its first character; after the
+    closing quote the cell runs on unquoted to the next comma."""
+    i = 0
+    while i < len(text):  # i is at the start of a cell
+        if text[i] == '"':
+            end = text.find('"', i + 1)
+            while end >= 0 and text.startswith('"', end + 1):  # a doubled quote
+                end = text.find('"', end + 2)
+            if end < 0:
+                return True
+            i = end + 1
+        i = text.find(",", i)
+        if i < 0:
+            return False
+        i += 1
+    return False
+
+
+def _cell_count(text: str) -> int:
+    return len(next(csv.reader([text]))) if '"' in text else text.count(",") + 1
+
+
+def _parse_numeric(texts: Sequence[str]) -> np.ndarray | None:
+    """The value matrix of the records from one np.loadtxt call, or None when
+    it could differ from int() and float(): a record without 84 cells, a cell
+    loadtxt rejects or warns about, or a character loadtxt strips as space
+    around a number where int() and float() refuse it. Every spelling loadtxt
+    accepts otherwise parses to the same value as int() or float()."""
+    if any(_cell_count(t) != len(ALL_COLUMNS) for t in texts):
+        return None
+    joined = "".join(texts)
+    if any(c in joined for c in _LOADTXT_ONLY_SPACE):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.0 only warns on some cells int() refuses, such as "80.0"
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                texts, dtype=_NUMERIC_DTYPE, delimiter=",", comments=None, quotechar='"',
+                usecols=_NUMERIC_COLUMNS, ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    return table["values"]
+
+
+def _parse_cells(texts: Sequence[str], rows: Sequence[int]) -> np.ndarray:
+    """The value matrix of the records cell by cell through int() and float();
+    RowParseError at the first record that fails."""
+    values = np.empty((len(texts), len(FEATURE_NAMES)))
+    for i, (row_no, cells) in enumerate(zip(rows, csv.reader(texts))):
+        if len(cells) != len(ALL_COLUMNS):
+            raise RowParseError(row_no, f"{len(cells)} columns, expected {len(ALL_COLUMNS)}")
+        try:
+            int(cells[3]), int(cells[4]), int(cells[5])
+            values[i] = [float(cell) for cell in cells[6:-1]]
+        except ValueError as exc:
+            raise RowParseError(row_no, str(exc)) from exc
+    return values
+
+
 def read_csv(path: str | Path, taxonomy: LabelTaxonomy | None = None) -> list[LabeledRecord]:
-    """Load records, enforcing the frozen column layout.
+    """Load records, enforcing the frozen column layout (see read_chunks).
 
     With a taxonomy, application labels are resolved to their class.
-    Unparseable numeric cells raise RowParseError with the row number.
     """
     records: list[LabeledRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        elif SCHEMA_NAME not in first:
-            raise SchemaMismatch(f"{path}: unrecognized schema line {first.strip()!r}")
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaMismatch(f"{path}: missing header row")
-        if tuple(header) != ALL_COLUMNS:
-            raise SchemaMismatch(
-                f"{path}: header has {len(header)} columns, expected {len(ALL_COLUMNS)} "
-                "matching the frozen schema"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(ALL_COLUMNS):
-                raise RowParseError(row_no, f"{len(row)} columns, expected {len(ALL_COLUMNS)}")
-            try:
-                src_port, dst_port, protocol = int(row[3]), int(row[4]), int(row[5])
-                values = tuple(float(cell) for cell in row[6:-1])
-            except ValueError as exc:
-                raise RowParseError(row_no, str(exc)) from exc
-            label = row[-1]
-            if taxonomy is not None:
-                label = taxonomy.resolve(label)
-            records.append(
-                LabeledRecord(row[0], row[1], row[2], src_port, dst_port, protocol, values, label)
-            )
+    for chunk in read_chunks(path):
+        for cells, values in zip(csv.reader(chunk.texts), chunk.values.tolist()):
+            label = cells[-1] if taxonomy is None else taxonomy.resolve(cells[-1])
+            records.append(LabeledRecord(
+                cells[0], cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5]),
+                tuple(values), label,
+            ))
     return records
 
 
@@ -166,12 +284,12 @@ class CleanResult(NamedTuple):
     replaced: int
 
 
-def clean(records: Sequence[LabeledRecord]) -> CleanResult:
-    """The records' (len(records), 77) float64 feature matrix, with every NaN
-    or +/-Inf cell set to 0; replaced counts those cells. Finite values pass
-    through bit for bit."""
-    X = np.array([rec.values for rec in records], dtype=np.float64)
-    X = X.reshape(len(records), len(FEATURE_NAMES))  # 2-D even with no rows
+def clean(values) -> CleanResult:
+    """The raw values as an (n, 77) float64 matrix, with every NaN or +/-Inf
+    cell set to 0; replaced counts those cells. Finite values pass through bit
+    for bit, and the input is not modified."""
+    X = np.array(values, dtype=np.float64)
+    X = X.reshape(len(X), len(FEATURE_NAMES))  # 2-D even with no rows
     bad = ~np.isfinite(X)
     X[bad] = 0.0
     return CleanResult(X, int(bad.sum()))

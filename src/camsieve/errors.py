@@ -63,3 +63,7 @@ class EmptyClass(CamsieveError):
 
 class IoFailure(CamsieveError):
     """Generated output could not be written."""
+
+
+class BadEncoding(CamsieveError):
+    """A text input file is not UTF-8."""

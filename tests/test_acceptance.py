@@ -60,7 +60,7 @@ def corpus(tmp_path_factory):
         generate(SynthProfile(kind, FLOWS_PER_CLASS, seed=SEED), pcap)
         pcaps[kind] = pcap
         records.extend(cli.extract_records(pcap, label=KIND_LABELS[kind]))
-    X, _ = clean(records)
+    X, _ = clean([rec.values for rec in records])
     return {
         "dir": base,
         "pcaps": pcaps,
@@ -220,7 +220,7 @@ def test_criterion_6_cleaning_contract(tmp_path):
     write_csv(rows, path)
 
     loaded = read_csv(path)
-    X, replaced = clean(loaded)
+    X, replaced = clean([rec.values for rec in loaded])
     assert replaced == 30
     assert X.shape == (len(loaded), len(FEATURE_NAMES))
     assert np.isfinite(X).all()

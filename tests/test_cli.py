@@ -1,13 +1,20 @@
 import contextlib
+import csv
+import io
 import json
+import os
+import re
 import signal
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from camsieve import cli, features, flows
 from camsieve.cli import main
-from camsieve.dataset import read_csv
+from camsieve.dataset import CHUNK_ROWS, read_csv
 from camsieve.tree import load_model
 
 from conftest import (
@@ -325,6 +332,112 @@ class TestTrainCvPredict:
         assert main(["predict", str(bad), str(workdir / "conf.csv"),
                      "-o", str(tmp_path / "x.csv")]) == 1
 
+
+
+@pytest.fixture(scope="module")
+def model_path(workdir):
+    path = workdir / "stream_model.json"
+    assert main(["train", str(workdir / "both.csv"), "-o", str(path)]) == 0
+    return path
+
+
+def csv_lines(path):
+    """The schema line, the column header and the data rows of a CSV that
+    camsieve wrote, without their CRLF endings."""
+    schema, header, *rows = path.read_bytes().decode().split("\r\n")[:-1]
+    return schema, header, rows
+
+
+class TestPredictStreaming:
+    def test_scored_row_is_input_record_then_two_cells(self, workdir, model_path, tmp_path):
+        schema, header, rows = csv_lines(workdir / "conf.csv")
+        hand = rows[3].split(",")
+        spelled = [i for i in range(8, 82) if "." in hand[i] and "e" not in hand[i]]
+        hand[6] = f'"{hand[6]}"'  # needless quotes
+        hand[7] = f" {hand[7]} "
+        hand[spelled[0]] += "0"  # e.g. 1.5 -> 1.50
+        records = [
+            '"weird,""id"""' + rows[0][rows[0].index(","):],
+            rows[1].rsplit(",", 1)[0] + ',"Conf, or not"',
+            rows[2].rsplit(",", 1)[0] + ',"two\r\nlines"',
+            ",".join(hand),
+            rows[3],
+        ]
+        text = (schema + "\r\n" + header + "\r\n" + records[0] + "\r\n\r\n" + records[1]
+                + "\n\n\n" + records[2] + "\r\n" + records[3] + "\n" + records[4] + "\r\n\r\n")
+        src, out = tmp_path / "hand.csv", tmp_path / "scored.csv"
+        src.write_bytes(text.encode())
+        assert main(["predict", str(model_path), str(src), "-o", str(out)]) == 0
+
+        scored = re.escape(header + ",Predicted Class,Prediction Probability\r\n")
+        scored += "".join(re.escape(r) + r",(IoTCam|Conf),([^,\r\n]+)\r\n" for r in records)
+        out_text = out.read_bytes().decode()
+        match = re.fullmatch(scored, out_text)
+        assert match, "a scored row is not its input record followed by two cells"
+        cells = match.groups()
+        # the hand spellings score as the values they spell
+        assert cells[6:8] == cells[8:10]
+        # read as CSV, each scored row is its input row's cells and two more
+        read = [row for row in csv.reader(io.StringIO(text, newline="")) if row][1:]
+        assert [row[:-2] for row in csv.reader(io.StringIO(out_text, newline=""))] == read
+
+    def test_header_only_writes_only_the_header(self, workdir, model_path, tmp_path, capsys):
+        schema, header, _ = csv_lines(workdir / "conf.csv")
+        src, out = tmp_path / "empty.csv", tmp_path / "scored.csv"
+        src.write_bytes(f"{schema}\r\n{header}\r\n".encode())
+        assert main(["predict", str(model_path), str(src), "-o", str(out)]) == 0
+        assert out.read_bytes() == f"{header},Predicted Class,Prediction Probability\r\n".encode()
+        assert "predicted 0 rows" in capsys.readouterr().out
+
+    def test_class_names_are_quoted_as_csv_cells(self, workdir, tmp_path):
+        payload = small_model_payload()
+        payload["class_names"] = ["", 'say "cam", twice']
+        firsts = sorted(rec.values[0] for rec in read_csv(workdir / "both.csv"))
+        payload["nodes"][0][1] = firsts[len(firsts) // 2]  # the root sends rows both ways
+        model, out = tmp_path / "model.json", tmp_path / "scored.csv"
+        write_model_payload(model, payload)
+        assert main(["predict", str(model), str(workdir / "both.csv"), "-o", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(out.read_bytes().decode(), newline="")))[1:]
+        assert {len(row) for row in rows} == {len(features.ALL_COLUMNS) + 2}
+        assert {row[-2] for row in rows} == {"", 'say "cam", twice'}
+
+    @pytest.mark.parametrize("command", ["train", "cv", "report", "predict"])
+    def test_csv_not_utf8_is_data_error(self, workdir, model_path, tmp_path, capsys, command):
+        lines = (workdir / "both.csv").read_bytes().split(b"\n")[:5]
+        lines[3] = lines[3].rsplit(b",", 1)[0] + ",Cönf".encode("latin-1")
+        src, out = tmp_path / "latin1.csv", tmp_path / "out"
+        src.write_bytes(b"\n".join(lines) + b"\n")
+        args = [str(model_path)] if command == "predict" else []
+        assert main([command, *args, str(src), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {src}: not UTF-8")
+        assert not out.exists()
+
+    def test_peak_memory_does_not_grow_with_the_input(self, workdir, model_path, tmp_path):
+        schema, header, rows = csv_lines(workdir / "conf.csv")
+        src_dir = Path(cli.__file__).resolve().parents[1]
+        peaks = []
+        for n in (2 * CHUNK_ROWS, 16 * CHUNK_ROWS):
+            src, out = tmp_path / f"{n}.csv", tmp_path / f"{n}.scored.csv"
+            with open(src, "w", encoding="utf-8", newline="") as fh:
+                fh.write(f"{schema}\r\n{header}\r\n")
+                fh.writelines(rows[i % len(rows)] + "\r\n" for i in range(n))
+            child = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS_CHILD, "predict", str(model_path), str(src),
+                 "-o", str(out)],
+                env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            peaks.append(int(child.stdout.split()[-1]))
+        assert peaks[1] <= 1.1 * peaks[0], f"peak RSS {peaks[0]} kB on N rows, {peaks[1]} kB on 8N"
+
+
+# runs one CLI command and prints the process's peak RSS in kB (Linux units)
+PEAK_RSS_CHILD = """
+import resource, sys
+from camsieve.cli import main
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 class TestInspect:
     def test_text_report_mentions_rtp(self, workdir, capsys):

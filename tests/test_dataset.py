@@ -1,20 +1,31 @@
+import csv
 import math
 import random
+import struct
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from camsieve import dataset
 from camsieve.dataset import (
+    CHUNK_ROWS,
     CLASSES,
     LabelTaxonomy,
     LabeledRecord,
     clean,
     default_taxonomy,
+    read_chunks,
     read_csv,
     stratified_split,
     write_csv,
 )
-from camsieve.errors import EmptyClass, RowParseError, SchemaMismatch
+from camsieve.errors import BadEncoding, EmptyClass, RowParseError, SchemaMismatch
 from camsieve.features import ALL_COLUMNS, FEATURE_NAMES
 
 
@@ -106,6 +117,151 @@ class TestCsvRoundTrip:
         assert math.isnan(loaded.values[2])
 
 
+def cell_by_cell(path):
+    """The reference reader: csv.reader over the file, int() and float() on
+    each cell. The cells and values of every non-blank record, or the
+    RowParseError for the first bad one (row 1 is the column header)."""
+    cells, values = [], []
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.readline()  # the schema line
+        reader = csv.reader(fh)
+        next(reader)
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(ALL_COLUMNS):
+                raise RowParseError(row_no, f"{len(row)} columns, expected {len(ALL_COLUMNS)}")
+            try:
+                int(row[3]), int(row[4]), int(row[5])
+                values.append([float(cell) for cell in row[6:-1]])
+            except ValueError as exc:
+                raise RowParseError(row_no, str(exc)) from exc
+            cells.append(row)
+    return cells, values
+
+
+def chunked(path):
+    """read_chunks' records in the reference's form."""
+    cells, values = [], []
+    for chunk in read_chunks(path):
+        assert chunk.values.shape == (len(chunk.texts), len(FEATURE_NAMES))
+        cells += list(csv.reader(chunk.texts))
+        values += chunk.values.tolist()
+    return cells, values
+
+
+def outcome(reader, path):
+    try:
+        cells, values = reader(path)
+    except RowParseError as exc:
+        return "error", exc.row, str(exc)
+    bits = np.array(values, dtype=np.float64).view(np.uint64).tolist()
+    return "ok", cells, bits
+
+
+# cell spellings as written in the file, quotes included
+IDENTITY_CELLS = ["f1", "10.0.0.1", "", '"weird,""id"""', 'a"b', '"ab"c', '"l,ab"', '"x\r\ny"']
+PORT_CELLS = ["80", "+7", "1_000", "12345678901234567890", " 443 ", '"53"']
+VALUE_CELLS = ["inf", "-inf", "nan", "NaN", "1.50", " 2 ", "1e400", "\xa01.5", "1_000", "١٢",
+               '"1.5"', "-0.0", "5e-324"]
+BAD_PORT_CELLS = ["80.0", "x", "\x1c80", ""]
+BAD_VALUE_CELLS = ["abc", "", "1.5\x1c", "0x10", "١.٥x"]
+
+
+@st.composite
+def flow_csv(draw):
+    """A flow CSV's text with hand spellings, blank rows, cells quoted or not,
+    and at most one fault: a bad int or float cell, or 83 or 85 cells."""
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        cells = [draw(st.sampled_from(IDENTITY_CELLS)) for _ in range(3)]
+        cells += [draw(st.sampled_from(PORT_CELLS)) for _ in range(3)]
+        rng = random.Random(draw(st.integers(0, 2**32)))  # any double, nan and inf included
+        cells += [repr(struct.unpack("<d", rng.randbytes(8))[0]) for _ in FEATURE_NAMES]
+        for _ in range(draw(st.integers(0, 3))):
+            cells[draw(st.integers(6, len(ALL_COLUMNS) - 2))] = draw(st.sampled_from(VALUE_CELLS))
+        cells.append(draw(st.sampled_from(IDENTITY_CELLS + ["Teams"])))
+        rows.append(cells)
+    if rows and draw(st.booleans()):
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(["port", "value", "83", "85"]))
+        if fault == "port":
+            cells[draw(st.integers(3, 5))] = draw(st.sampled_from(BAD_PORT_CELLS))
+        elif fault == "value":
+            cells[draw(st.integers(6, len(ALL_COLUMNS) - 2))] = draw(st.sampled_from(BAD_VALUE_CELLS))
+        elif fault == "83":
+            del cells[draw(st.integers(6, len(ALL_COLUMNS) - 2))]
+        else:
+            cells.insert(draw(st.integers(0, len(cells))), "1.0")
+    lines = []
+    for cells in rows:
+        lines += [""] * draw(st.integers(0, 2)) + [",".join(cells)]
+    end = draw(st.sampled_from(["\r\n", "\n"]))
+    text = "# camsieve-flow-stats v1" + end + ",".join(ALL_COLUMNS) + end + end.join(lines)
+    return text + (end if draw(st.booleans()) else "")
+
+
+class TestChunkReader:
+    @settings(max_examples=200, deadline=None)
+    @given(flow_csv(), st.integers(1, 4))
+    def test_matches_cell_by_cell(self, text, chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flows.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            expected = outcome(cell_by_cell, path)
+            with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+                assert outcome(chunked, path) == expected
+
+    @pytest.mark.parametrize("column, cell", [(8, "1.5\x1c"), (9, "\x1f2"), (4, "80\x1d")])
+    def test_space_only_loadtxt_strips_is_an_error(self, tmp_path, column, cell):
+        # np.loadtxt reads these cells as numbers; int() and float() do not
+        path = tmp_path / "flows.csv"
+        write_csv([record(seed=1), record(seed=2)], path)
+        lines = path.read_bytes().decode().split("\r\n")
+        cells = lines[3].split(",")
+        cells[column] = cell
+        lines[3] = ",".join(cells)
+        path.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(RowParseError) as exc:
+            list(read_chunks(path))
+        assert exc.value.row == 3
+
+    def test_bad_cell_past_first_chunk(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        write_csv([record(seed=i % 7) for i in range(CHUNK_ROWS + 10)], path)
+        lines = path.read_bytes().decode().split("\r\n")
+        chunks = list(read_chunks(path))
+        assert [len(c.texts) for c in chunks] == [CHUNK_ROWS, 10]
+        assert [t for c in chunks for t in c.texts] == lines[2:-1]
+
+        cells = lines[CHUNK_ROWS + 6].split(",")
+        cells[40] = "1_0x"
+        lines[CHUNK_ROWS + 6] = ",".join(cells)
+        path.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(RowParseError) as exc:
+            list(read_chunks(path))
+        # the schema line is not a row, the header is row 1
+        assert exc.value.row == CHUNK_ROWS + 6
+        assert "1_0x" in str(exc.value)
+
+    def test_no_data_rows_warn_nothing(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        write_csv([], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(read_chunks(path)) == []
+            assert read_csv(path) == []
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        write_csv([record(label="Kamera")], path)
+        path.write_bytes(path.read_bytes().replace(b"Kamera", "Kämera".encode("latin-1")))
+        with pytest.raises(BadEncoding, match="flows.csv: not UTF-8"):
+            read_csv(path)
+
+
 class TestTaxonomy:
     def test_app_resolves_to_class(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -145,7 +301,7 @@ class TestClean:
         values[3] = float("inf")
         values[4] = float("-inf")
         values[5] = float("nan")
-        X, replaced = clean([record(values=tuple(values))])
+        X, replaced = clean([values])
         assert replaced == 3
         assert X[0, 3] == 0.0
         assert X[0, 4] == 0.0
@@ -154,7 +310,7 @@ class TestClean:
 
     def test_finite_records_untouched(self):
         records = [record(seed=5), record(seed=6)]
-        X, replaced = clean(records)
+        X, replaced = clean([rec.values for rec in records])
         assert replaced == 0
         assert X.dtype == np.float64 and X.shape == (2, len(FEATURE_NAMES))
         assert [tuple(row) for row in X.tolist()] == [rec.values for rec in records]
@@ -165,7 +321,7 @@ class TestClean:
                   -1.7976931348623157e308, 0.1, 1 / 3, 1e-300, 123456789.00000001]
         values += [float(i) * 0.7 for i in range(len(FEATURE_NAMES) - len(values) - 1)]
         values.append(float("nan"))
-        X, replaced = clean([record(values=tuple(values))])
+        X, replaced = clean([values])
         assert replaced == 1
         expected = np.array(values[:-1] + [0.0], dtype=np.float64)
         assert X[0].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
@@ -179,19 +335,17 @@ class TestClean:
     def test_idempotent(self):
         values = list(record().values)
         values[0] = float("nan")
-        once, n1 = clean([record(values=tuple(values))])
-        twice, n2 = clean([record(values=tuple(row)) for row in once.tolist()])
+        once, n1 = clean([values])
+        twice, n2 = clean(once)
         assert np.array_equal(twice, once)
         assert (n1, n2) == (1, 0)
 
     def test_identity_untouched(self):
-        values = [float("inf")] * len(FEATURE_NAMES)
-        rec = record(values=tuple(values))
-        X, replaced = clean([rec])
-        assert replaced == len(FEATURE_NAMES) and not X.any()
-        # the input record is not modified: its identity, label and raw values stay
-        assert rec == record(values=tuple(values))
-        assert all(math.isinf(v) for v in rec.values)
+        raw = np.full((2, len(FEATURE_NAMES)), np.inf)
+        X, replaced = clean(raw)
+        assert replaced == raw.size and not X.any()
+        # the caller's raw values stay as they were
+        assert np.isinf(raw).all()
 
 
 class TestStratifiedSplit:
