@@ -172,7 +172,10 @@ def _check_header(fh, path) -> None:
         fh.seek(0)
     elif SCHEMA_NAME not in first:
         raise SchemaMismatch(f"{path}: unrecognized schema line {first.strip()!r}")
-    header = next(csv.reader(fh), None)
+    try:
+        header = next(csv.reader(fh), None)
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise SchemaMismatch(f"{path}: unreadable header row: {exc}") from exc
     if header is None:
         raise SchemaMismatch(f"{path}: missing header row")
     if tuple(header) != ALL_COLUMNS:
@@ -226,11 +229,14 @@ def _cell_count(text: str) -> int:
 
 def _parse_numeric(texts: Sequence[str]) -> np.ndarray | None:
     """The value matrix of the records from one np.loadtxt call, or None when
-    it could differ from int() and float(): a record without 84 cells, a cell
-    loadtxt rejects or warns about, or a character loadtxt strips as space
-    around a number where int() and float() refuse it. Every spelling loadtxt
-    accepts otherwise parses to the same value as int() or float()."""
-    if any(_cell_count(t) != len(ALL_COLUMNS) for t in texts):
+    it could differ from int() and float(): a record longer than
+    csv.field_size_limit() (loadtxt has no such limit, csv.reader refuses a
+    longer cell), a record without 84 cells, a cell loadtxt rejects or warns
+    about, or a character loadtxt strips as space around a number where int()
+    and float() refuse it. Every spelling loadtxt accepts otherwise parses to
+    the same value as int() or float()."""
+    limit = csv.field_size_limit()
+    if any(len(t) > limit or _cell_count(t) != len(ALL_COLUMNS) for t in texts):
         return None
     joined = "".join(texts)
     if any(c in joined for c in _LOADTXT_ONLY_SPACE):
@@ -249,10 +255,15 @@ def _parse_numeric(texts: Sequence[str]) -> np.ndarray | None:
 
 
 def _parse_cells(texts: Sequence[str], rows: Sequence[int]) -> np.ndarray:
-    """The value matrix of the records cell by cell through int() and float();
-    RowParseError at the first record that fails."""
+    """The value matrix of the records cell by cell through csv.reader, int()
+    and float(); RowParseError at the first record that fails."""
     values = np.empty((len(texts), len(FEATURE_NAMES)))
-    for i, (row_no, cells) in enumerate(zip(rows, csv.reader(texts))):
+    reader = csv.reader(texts)
+    for i, row_no in enumerate(rows):
+        try:
+            cells = next(reader)
+        except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+            raise RowParseError(row_no, str(exc)) from exc
         if len(cells) != len(ALL_COLUMNS):
             raise RowParseError(row_no, f"{len(cells)} columns, expected {len(ALL_COLUMNS)}")
         try:

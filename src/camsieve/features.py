@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .flows import FlowState
@@ -148,7 +150,7 @@ def stat_summary(values: Sequence[float]) -> StatSummary:
     if n < 2:
         variance = 0.0
     else:
-        variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+        variance = sum([(v - mean) ** 2 for v in values]) / (n - 1)
     return StatSummary(float(min(values)), float(max(values)), mean, math.sqrt(variance), variance, total)
 
 
@@ -200,8 +202,9 @@ def _diffs(timestamps: Sequence[int]) -> list[int]:
     return [b - a for a, b in zip(timestamps, timestamps[1:])]
 
 
-def _flag_count(packets: Sequence[PacketRecord], flag: int) -> int:
-    return sum(1 for p in packets if p.tcp_flags & flag)
+def _flag_count(flag_bytes: Counter[int], flag: int) -> int:
+    """Packets with flag set, from a count of packets per flags byte."""
+    return sum(n for flags, n in flag_bytes.items() if flags & flag)
 
 
 def _bulk_stats(packets: Sequence[PacketRecord]) -> tuple[float, float, float]:
@@ -232,13 +235,13 @@ def compute_features(
 ) -> LabeledRecord:
     """All 77 statistics for one completed flow; degenerate flows yield zeros,
     never NaN or infinity (rates with zero duration are pinned to 0)."""
-    fwd = flow.fwd_packets
-    bwd = flow.bwd_packets
-    merged = sorted(flow.packets, key=lambda p: p.timestamp)
+    fwd, bwd = flow.split()
+    merged = sorted(flow.packets, key=attrgetter("timestamp"))
     if not merged:
         raise ValueError("flow has no packets")
 
     all_ts = [p.timestamp for p in merged]
+    all_gaps = _diffs(all_ts)
     duration = all_ts[-1] - all_ts[0]
     dur_s = duration / 1e6
 
@@ -248,7 +251,7 @@ def compute_features(
     bwd_len = stat_summary(bwd_pl)
     all_len = stat_summary(fwd_pl + bwd_pl)
 
-    flow_iat = stat_summary(_diffs(all_ts))
+    flow_iat = stat_summary(all_gaps)
     fwd_iat = stat_summary(_diffs([p.timestamp for p in fwd]))
     bwd_iat = stat_summary(_diffs([p.timestamp for p in bwd]))
 
@@ -259,7 +262,11 @@ def compute_features(
     active = stat_summary([end - start for start, end in segments.active])
     idle = stat_summary(segments.idle)
 
-    n_subflows = 1 + sum(1 for gap in _diffs(all_ts) if gap > SUBFLOW_GAP_US)
+    fwd_flags = Counter(p.tcp_flags for p in fwd)
+    bwd_flags = Counter(p.tcp_flags for p in bwd)
+    all_flags = fwd_flags + bwd_flags
+
+    n_subflows = 1 + sum(1 for gap in all_gaps if gap > SUBFLOW_GAP_US)
     fwd_bulk_bytes, fwd_bulk_pkts, fwd_bulk_rate = _bulk_stats(fwd)
     bwd_bulk_bytes, bwd_bulk_pkts, bwd_bulk_rate = _bulk_stats(bwd)
 
@@ -293,10 +300,10 @@ def compute_features(
     v["Bwd IAT Std"] = bwd_iat.std
     v["Bwd IAT Max"] = bwd_iat.maximum
     v["Bwd IAT Min"] = bwd_iat.minimum
-    v["Fwd PSH Flags"] = float(_flag_count(fwd, TcpFlags.PSH))
-    v["Bwd PSH Flags"] = float(_flag_count(bwd, TcpFlags.PSH))
-    v["Fwd URG Flags"] = float(_flag_count(fwd, TcpFlags.URG))
-    v["Bwd URG Flags"] = float(_flag_count(bwd, TcpFlags.URG))
+    v["Fwd PSH Flags"] = float(_flag_count(fwd_flags, TcpFlags.PSH))
+    v["Bwd PSH Flags"] = float(_flag_count(bwd_flags, TcpFlags.PSH))
+    v["Fwd URG Flags"] = float(_flag_count(fwd_flags, TcpFlags.URG))
+    v["Bwd URG Flags"] = float(_flag_count(bwd_flags, TcpFlags.URG))
     v["Fwd Header Length"] = float(fwd_hdr)
     v["Bwd Header Length"] = float(bwd_hdr)
     v["Fwd Packets/s"] = len(fwd) / dur_s if duration > 0 else 0.0
@@ -306,16 +313,16 @@ def compute_features(
     v["Packet Length Mean"] = all_len.mean
     v["Packet Length Std"] = all_len.std
     v["Packet Length Variance"] = all_len.variance
-    v["FIN Flag Count"] = float(_flag_count(merged, TcpFlags.FIN))
-    v["SYN Flag Count"] = float(_flag_count(merged, TcpFlags.SYN))
-    v["RST Flag Count"] = float(_flag_count(merged, TcpFlags.RST))
-    v["PSH Flag Count"] = float(_flag_count(merged, TcpFlags.PSH))
-    v["ACK Flag Count"] = float(_flag_count(merged, TcpFlags.ACK))
-    v["URG Flag Count"] = float(_flag_count(merged, TcpFlags.URG))
-    v["CWE Flag Count"] = float(_flag_count(merged, TcpFlags.CWE))
-    v["ECE Flag Count"] = float(_flag_count(merged, TcpFlags.ECE))
+    v["FIN Flag Count"] = float(_flag_count(all_flags, TcpFlags.FIN))
+    v["SYN Flag Count"] = float(_flag_count(all_flags, TcpFlags.SYN))
+    v["RST Flag Count"] = float(_flag_count(all_flags, TcpFlags.RST))
+    v["PSH Flag Count"] = float(_flag_count(all_flags, TcpFlags.PSH))
+    v["ACK Flag Count"] = float(_flag_count(all_flags, TcpFlags.ACK))
+    v["URG Flag Count"] = float(_flag_count(all_flags, TcpFlags.URG))
+    v["CWE Flag Count"] = float(_flag_count(all_flags, TcpFlags.CWE))
+    v["ECE Flag Count"] = float(_flag_count(all_flags, TcpFlags.ECE))
     v["Down/Up Ratio"] = float(len(bwd) // len(fwd)) if fwd else 0.0
-    v["Average Packet Size"] = stat_summary([p.total_length for p in merged]).mean
+    v["Average Packet Size"] = float(sum([p.total_length for p in merged])) / len(merged)
     v["Avg Fwd Segment Size"] = fwd_len.mean
     v["Avg Bwd Segment Size"] = bwd_len.mean
     v["Fwd Header Length.1"] = float(fwd_hdr)

@@ -35,8 +35,8 @@ class Termination(enum.Enum):
 class FlowState:
     """One flow's decoded packets, both directions, in the order they were ingested.
 
-    Forward means sent by the initiator's endpoint (`is_forward`); the
-    `fwd_packets` and `bwd_packets` views split `packets` by that rule.
+    Forward means sent by the initiator's endpoint (`is_forward`); `split()`
+    and the `fwd_packets` and `bwd_packets` views split `packets` by that rule.
     """
 
     key: tuple[Endpoint, Endpoint, int]
@@ -65,13 +65,22 @@ class FlowState:
     def is_forward(self, pkt: PacketRecord) -> bool:
         return (pkt.src_ip, pkt.src_port) == self.initiator
 
+    def split(self) -> tuple[list[PacketRecord], list[PacketRecord]]:
+        """(forward, backward) packets, each in ingest order, in one pass."""
+        fwd: list[PacketRecord] = []
+        bwd: list[PacketRecord] = []
+        is_forward = self.is_forward
+        for pkt in self.packets:
+            (fwd if is_forward(pkt) else bwd).append(pkt)
+        return fwd, bwd
+
     @property
     def fwd_packets(self) -> list[PacketRecord]:
-        return [p for p in self.packets if self.is_forward(p)]
+        return self.split()[0]
 
     @property
     def bwd_packets(self) -> list[PacketRecord]:
-        return [p for p in self.packets if not self.is_forward(p)]
+        return self.split()[1]
 
 
 class FlowAssembler:

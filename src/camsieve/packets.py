@@ -5,10 +5,11 @@ timestamp resolution). pcapng files are rejected at the magic check.
 """
 from __future__ import annotations
 
+import functools
 import ipaddress
 import socket
 import struct
-from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -50,8 +51,7 @@ class TcpFlags:
     CWE = 0x80  # congestion-window-reduced bit, named as in the CSV schema
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     """One decoded TCP or UDP packet, timestamp in microseconds since epoch."""
 
     timestamp: int
@@ -75,6 +75,12 @@ class CapturedFrame(NamedTuple):
     wire_length: int
 
 
+# Per-frame constructors that skip the Python-level __new__ NamedTuple
+# generates; each takes the tuple of all the fields.
+_new_frame = functools.partial(tuple.__new__, CapturedFrame)
+_new_record = functools.partial(tuple.__new__, PacketRecord)
+
+
 def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
     """Yield raw frames from a pcap file in file order.
 
@@ -92,6 +98,7 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
             raise MalformedCapture(f"{path}: unrecognized magic 0x{magic_le:08X}")
         order, subsec_div = _PCAP_MAGICS[magic_le]
         link_type = struct.unpack(order + "I", header[20:24])[0]
+        record_header = struct.Struct(order + "IIII").unpack
 
         while True:
             rec = fh.read(16)
@@ -99,7 +106,7 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
                 return
             if len(rec) < 16:
                 raise MalformedCapture(f"{path}: truncated record header")
-            ts_sec, ts_frac, incl_len, orig_len = struct.unpack(order + "IIII", rec)
+            ts_sec, ts_frac, incl_len, orig_len = record_header(rec)
             if incl_len > MAX_RECORD_LENGTH:
                 raise MalformedCapture(
                     f"{path}: record claims {incl_len} bytes, more than {MAX_RECORD_LENGTH}"
@@ -108,7 +115,32 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
             if len(data) < incl_len:
                 raise MalformedCapture(f"{path}: truncated record body")
             ts_us = ts_sec * 1_000_000 + ts_frac // subsec_div
-            yield CapturedFrame(ts_us, link_type, data, orig_len)
+            yield _new_frame((ts_us, link_type, data, orig_len))
+
+
+# Each header is read in place with one unpack_from call at its offset in the
+# frame; only the payload is ever copied out of it.
+_U16 = struct.Struct("!H").unpack_from
+# version/IHL, total length, fragment word, protocol, source, destination
+_IPV4 = struct.Struct("!BxHxxHxB2x4s4s").unpack_from
+# version, payload length, next header, source, destination
+_IPV6 = struct.Struct("!B3xHBx16s16s").unpack_from
+# source port, destination port, length
+_UDP = struct.Struct("!HHH").unpack_from
+# source port, destination port, data offset, flags, window
+_TCP = struct.Struct("!HH8xBBH").unpack_from
+
+# Distinct addresses in a capture are few next to its packets, so their text
+# is cached; the bound keeps a capture of many hosts from growing the cache.
+ADDRESS_CACHE_SIZE = 4096
+_ipv4_text = functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)(socket.inet_ntoa)
+
+
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
+def _ipv6_text(packed: bytes) -> str:
+    # ipaddress, not inet_ntop: before Python 3.13 the two write IPv4-mapped
+    # addresses differently (::ffff:102:304 vs ::ffff:1.2.3.4)
+    return str(ipaddress.IPv6Address(packed))
 
 
 def decode_packet(
@@ -129,19 +161,19 @@ def decode_packet(
     if link_type == LINKTYPE_ETHERNET:
         if len(raw_frame) < 14:
             return None
-        ethertype = struct.unpack("!H", raw_frame[12:14])[0]
+        ethertype = _U16(raw_frame, 12)[0]
         offset = 14
         tags = 0
         while ethertype in ETHERTYPE_VLAN and tags < 4:
             if len(raw_frame) < offset + 4:
                 return None
-            ethertype = struct.unpack("!H", raw_frame[offset + 2 : offset + 4])[0]
+            ethertype = _U16(raw_frame, offset + 2)[0]
             offset += 4
             tags += 1
         if ethertype == ETHERTYPE_IPV4:
-            return _decode_ipv4(raw_frame[offset:], timestamp, wire_length, offset)
+            return _decode_ipv4(raw_frame, offset, timestamp, wire_length)
         if ethertype == ETHERTYPE_IPV6:
-            return _decode_ipv6(raw_frame[offset:], timestamp, wire_length, offset)
+            return _decode_ipv6(raw_frame, offset, timestamp, wire_length)
         return None
 
     if link_type == LINKTYPE_RAW_IP:
@@ -149,82 +181,81 @@ def decode_packet(
             return None
         version = raw_frame[0] >> 4
         if version == 4:
-            return _decode_ipv4(raw_frame, timestamp, wire_length, 0)
+            return _decode_ipv4(raw_frame, 0, timestamp, wire_length)
         if version == 6:
-            return _decode_ipv6(raw_frame, timestamp, wire_length, 0)
+            return _decode_ipv6(raw_frame, 0, timestamp, wire_length)
         return None
 
     return None
 
 
 def _decode_ipv4(
-    data: bytes, timestamp: int, wire_length: int, link_length: int
+    frame: bytes, start: int, timestamp: int, wire_length: int
 ) -> PacketRecord | None:
-    if len(data) < 20 or data[0] >> 4 != 4:
+    """The IPv4 packet at frame[start:], start being the link header's length."""
+    captured = len(frame) - start
+    if captured < 20:
         return None
-    header_len = (data[0] & 0x0F) * 4
-    if header_len < 20 or len(data) < header_len:
+    version_ihl, total_len, frag_word, proto, src, dst = _IPV4(frame, start)
+    header_len = (version_ihl & 0x0F) * 4
+    if version_ihl >> 4 != 4 or header_len < 20 or captured < header_len:
         return None
-    total_len = struct.unpack("!H", data[2:4])[0]
-    frag_word = struct.unpack("!H", data[6:8])[0]
     if frag_word & 0x1FFF:  # non-first fragments carry no transport header
         return None
-    proto = data[9]
-    src = socket.inet_ntoa(data[12:16])
-    dst = socket.inet_ntoa(data[16:20])
     # zero (segmentation offload), too small, or longer than the frame on the
     # wire: the length field is wrong, so trust the capture
-    if not header_len <= total_len <= wire_length - link_length:
-        total_len = len(data)
+    if not header_len <= total_len <= wire_length - start:
+        total_len = captured
     return _decode_transport(
-        data[header_len:total_len], proto, src, dst, timestamp, wire_length, total_len - header_len
+        frame, start + header_len, min(start + total_len, len(frame)), proto,
+        _ipv4_text(src), _ipv4_text(dst), timestamp, wire_length, total_len - header_len,
     )
 
 
 def _decode_ipv6(
-    data: bytes, timestamp: int, wire_length: int, link_length: int
+    frame: bytes, start: int, timestamp: int, wire_length: int
 ) -> PacketRecord | None:
-    if len(data) < 40 or data[0] >> 4 != 6:
+    """The IPv6 packet at frame[start:], start being the link header's length."""
+    captured = len(frame) - start
+    if captured < 40:
         return None
-    payload_len = struct.unpack("!H", data[4:6])[0]
-    next_header = data[6]
-    # ipaddress, not inet_ntop: before Python 3.13 the two write IPv4-mapped
-    # addresses differently (::ffff:102:304 vs ::ffff:1.2.3.4)
-    src = str(ipaddress.IPv6Address(data[8:24]))
-    dst = str(ipaddress.IPv6Address(data[24:40]))
+    version, payload_len, next_header, src, dst = _IPV6(frame, start)
+    if version >> 4 != 6:
+        return None
     ip_end = 40 + payload_len
-    if not payload_len or ip_end > wire_length - link_length:  # jumbogram or bogus
-        ip_end = len(data)
-    end = min(len(data), ip_end)
-    offset = 40
+    if not payload_len or ip_end > wire_length - start:  # jumbogram or bogus
+        ip_end = captured
+    end = start + min(captured, ip_end)
+    offset = start + 40
 
-    # walk the common extension-header chain; anything exotic is a skip
+    # walk the common extension-header chain; anything exotic is a skip, and
+    # an offset walked past end fails the next length check
     while next_header not in (IPPROTO_TCP, IPPROTO_UDP):
         if next_header in (0, 43, 60):  # hop-by-hop, routing, destination opts
             if end < offset + 8:
                 return None
-            ext_len = (data[offset + 1] + 1) * 8
-            next_header = data[offset]
+            ext_len = (frame[offset + 1] + 1) * 8
+            next_header = frame[offset]
             offset += ext_len
         elif next_header == 44:  # fragment header
             if end < offset + 8:
                 return None
-            frag_off = struct.unpack("!H", data[offset + 2 : offset + 4])[0] >> 3
-            if frag_off:
+            if _U16(frame, offset + 2)[0] >> 3:
                 return None
-            next_header = data[offset]
+            next_header = frame[offset]
             offset += 8
         else:
             return None
-        if offset > end:
-            return None
     return _decode_transport(
-        data[offset:end], next_header, src, dst, timestamp, wire_length, ip_end - offset
+        frame, offset, end, next_header, _ipv6_text(src), _ipv6_text(dst),
+        timestamp, wire_length, start + ip_end - offset,
     )
 
 
 def _decode_transport(
-    data: bytes,
+    frame: bytes,
+    offset: int,
+    end: int,
     proto: int,
     src: str,
     dst: str,
@@ -232,61 +263,43 @@ def _decode_transport(
     wire_length: int,
     segment_length: int,
 ) -> PacketRecord | None:
-    """Decode the transport header at the start of data, the captured part of
-    a segment that the IP header says is segment_length bytes long. Payload
-    lengths come from these length fields, so a snaplen-cut frame reports its
-    wire payload length."""
+    """Decode the transport header at frame[offset:], the captured part of a
+    segment that ends at frame[end] and that the IP header says is
+    segment_length bytes long. Payload lengths come from these length fields,
+    so a snaplen-cut frame reports its wire payload length."""
     if proto == IPPROTO_UDP:
-        if len(data) < 8:
+        if end - offset < 8:
             return None
-        src_port, dst_port, udp_len = struct.unpack("!HHH", data[:6])
+        src_port, dst_port, udp_len = _UDP(frame, offset)
         if 8 <= udp_len < segment_length:
             segment_length = udp_len
-        return PacketRecord(
-            timestamp=timestamp,
-            src_ip=src,
-            dst_ip=dst,
-            src_port=src_port,
-            dst_port=dst_port,
-            protocol=IPPROTO_UDP,
-            total_length=wire_length,
-            transport_header_length=8,
-            payload_length=segment_length - 8,
-            payload=data[8:segment_length],
-        )
+        # the slice stops at the frame's end when snaplen cut the segment
+        return _new_record((
+            timestamp, src, dst, src_port, dst_port, IPPROTO_UDP, wire_length, 8,
+            segment_length - 8, frame[offset + 8 : offset + segment_length], 0, 0,
+        ))
     if proto == IPPROTO_TCP:
-        if len(data) < 20:
+        if end - offset < 20:
             return None
-        src_port, dst_port = struct.unpack("!HH", data[:4])
-        header_len = (data[12] >> 4) * 4
-        if header_len < 20 or len(data) < header_len:
+        src_port, dst_port, data_offset, flags, window = _TCP(frame, offset)
+        header_len = (data_offset >> 4) * 4
+        if header_len < 20 or end - offset < header_len:
             return None
-        window = struct.unpack("!H", data[14:16])[0]
-        return PacketRecord(
-            timestamp=timestamp,
-            src_ip=src,
-            dst_ip=dst,
-            src_port=src_port,
-            dst_port=dst_port,
-            protocol=IPPROTO_TCP,
-            total_length=wire_length,
-            transport_header_length=header_len,
-            payload_length=segment_length - header_len,
-            payload=data[header_len:],
-            tcp_flags=data[13],
-            tcp_window=window,
-        )
+        return _new_record((
+            timestamp, src, dst, src_port, dst_port, IPPROTO_TCP, wire_length, header_len,
+            segment_length - header_len, frame[offset + header_len : end], flags, window,
+        ))
     return None
 
 
 def read_packets(path: str | Path) -> Iterator[PacketRecord]:
     """Decode every TCP/UDP packet in a capture, skipping everything else."""
-    for frame in open_capture(path):
-        record = decode_packet(frame.data, frame.link_type, frame.timestamp, frame.wire_length)
+    for timestamp, link_type, data, wire_length in open_capture(path):
+        record = decode_packet(data, link_type, timestamp, wire_length)
         if record is not None:
             yield record
 
 
 def read_packets_sorted(path: str | Path) -> list[PacketRecord]:
     """All decodable packets, stably sorted by timestamp for flow assembly."""
-    return sorted(read_packets(path), key=lambda p: p.timestamp)
+    return sorted(read_packets(path), key=attrgetter("timestamp"))

@@ -1,7 +1,6 @@
 """Shared builders for tests: hand-rolled frames, random flows and model files."""
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -100,8 +99,8 @@ def make_flow(fwd_packets, bwd_packets, protocol=IPPROTO_UDP,
     """
 
     def sent(pkt, src, dst):
-        return dataclasses.replace(pkt, src_ip=src[0], src_port=src[1],
-                                   dst_ip=dst[0], dst_port=dst[1], protocol=protocol)
+        return pkt._replace(src_ip=src[0], src_port=src[1],
+                            dst_ip=dst[0], dst_port=dst[1], protocol=protocol)
 
     packets = [sent(p, initiator, responder) for p in fwd_packets]
     packets += [sent(p, responder, initiator) for p in bwd_packets]

@@ -2,15 +2,29 @@
 
 Everything here is written straight-line from the documented semantics,
 on purpose not sharing code with the package: statistics come from the
-stdlib statistics module, split gains from exact Fraction arithmetic.
+stdlib statistics module, split gains from exact Fraction arithmetic, and
+packet decoding from a decoder that slices each header out of the frame.
 """
 from __future__ import annotations
 
+import ipaddress
+import socket
 import statistics
+import struct
 from fractions import Fraction
 
 from camsieve.flows import FlowState
-from camsieve.packets import TcpFlags
+from camsieve.packets import (
+    ETHERTYPE_IPV4,
+    ETHERTYPE_IPV6,
+    ETHERTYPE_VLAN,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    LINKTYPE_ETHERNET,
+    LINKTYPE_RAW_IP,
+    PacketRecord,
+    TcpFlags,
+)
 
 ACTIVITY_THRESHOLD_US = 5_000_000
 GAP_US = 1_000_000
@@ -225,3 +239,176 @@ def exhaustive_best_split(X, y, n_classes):
     if best is None:
         return None
     return best[1], best[2], best[0]
+
+
+# A decoder that slices each header out of the frame and unpacks it field by
+# field; packets.decode_packet must agree with it on every frame, skips
+# included.
+
+
+def reference_decode(
+    raw_frame: bytes,
+    link_type: int,
+    timestamp: int = 0,
+    wire_length: int | None = None,
+) -> PacketRecord | None:
+    """Decode one frame; returns None (skip) for anything that is not IP+TCP/UDP.
+
+    Total by design: ARP, ICMP, unknown ethertypes, non-first IP fragments
+    and malformed headers all skip rather than raise. 802.1Q tags are
+    unwrapped transparently.
+    """
+    if wire_length is None:
+        wire_length = len(raw_frame)
+
+    if link_type == LINKTYPE_ETHERNET:
+        if len(raw_frame) < 14:
+            return None
+        ethertype = struct.unpack("!H", raw_frame[12:14])[0]
+        offset = 14
+        tags = 0
+        while ethertype in ETHERTYPE_VLAN and tags < 4:
+            if len(raw_frame) < offset + 4:
+                return None
+            ethertype = struct.unpack("!H", raw_frame[offset + 2 : offset + 4])[0]
+            offset += 4
+            tags += 1
+        if ethertype == ETHERTYPE_IPV4:
+            return _reference_ipv4(raw_frame[offset:], timestamp, wire_length, offset)
+        if ethertype == ETHERTYPE_IPV6:
+            return _reference_ipv6(raw_frame[offset:], timestamp, wire_length, offset)
+        return None
+
+    if link_type == LINKTYPE_RAW_IP:
+        if not raw_frame:
+            return None
+        version = raw_frame[0] >> 4
+        if version == 4:
+            return _reference_ipv4(raw_frame, timestamp, wire_length, 0)
+        if version == 6:
+            return _reference_ipv6(raw_frame, timestamp, wire_length, 0)
+        return None
+
+    return None
+
+
+def _reference_ipv4(
+    data: bytes, timestamp: int, wire_length: int, link_length: int
+) -> PacketRecord | None:
+    if len(data) < 20 or data[0] >> 4 != 4:
+        return None
+    header_len = (data[0] & 0x0F) * 4
+    if header_len < 20 or len(data) < header_len:
+        return None
+    total_len = struct.unpack("!H", data[2:4])[0]
+    frag_word = struct.unpack("!H", data[6:8])[0]
+    if frag_word & 0x1FFF:  # non-first fragments carry no transport header
+        return None
+    proto = data[9]
+    src = socket.inet_ntoa(data[12:16])
+    dst = socket.inet_ntoa(data[16:20])
+    # zero (segmentation offload), too small, or longer than the frame on the
+    # wire: the length field is wrong, so trust the capture
+    if not header_len <= total_len <= wire_length - link_length:
+        total_len = len(data)
+    return _reference_transport(
+        data[header_len:total_len], proto, src, dst, timestamp, wire_length, total_len - header_len
+    )
+
+
+def _reference_ipv6(
+    data: bytes, timestamp: int, wire_length: int, link_length: int
+) -> PacketRecord | None:
+    if len(data) < 40 or data[0] >> 4 != 6:
+        return None
+    payload_len = struct.unpack("!H", data[4:6])[0]
+    next_header = data[6]
+    # ipaddress, not inet_ntop: before Python 3.13 the two write IPv4-mapped
+    # addresses differently (::ffff:102:304 vs ::ffff:1.2.3.4)
+    src = str(ipaddress.IPv6Address(data[8:24]))
+    dst = str(ipaddress.IPv6Address(data[24:40]))
+    ip_end = 40 + payload_len
+    if not payload_len or ip_end > wire_length - link_length:  # jumbogram or bogus
+        ip_end = len(data)
+    end = min(len(data), ip_end)
+    offset = 40
+
+    # walk the common extension-header chain; anything exotic is a skip
+    while next_header not in (IPPROTO_TCP, IPPROTO_UDP):
+        if next_header in (0, 43, 60):  # hop-by-hop, routing, destination opts
+            if end < offset + 8:
+                return None
+            ext_len = (data[offset + 1] + 1) * 8
+            next_header = data[offset]
+            offset += ext_len
+        elif next_header == 44:  # fragment header
+            if end < offset + 8:
+                return None
+            frag_off = struct.unpack("!H", data[offset + 2 : offset + 4])[0] >> 3
+            if frag_off:
+                return None
+            next_header = data[offset]
+            offset += 8
+        else:
+            return None
+        if offset > end:
+            return None
+    return _reference_transport(
+        data[offset:end], next_header, src, dst, timestamp, wire_length, ip_end - offset
+    )
+
+
+def _reference_transport(
+    data: bytes,
+    proto: int,
+    src: str,
+    dst: str,
+    timestamp: int,
+    wire_length: int,
+    segment_length: int,
+) -> PacketRecord | None:
+    """Decode the transport header at the start of data, the captured part of
+    a segment that the IP header says is segment_length bytes long. Payload
+    lengths come from these length fields, so a snaplen-cut frame reports its
+    wire payload length."""
+    if proto == IPPROTO_UDP:
+        if len(data) < 8:
+            return None
+        src_port, dst_port, udp_len = struct.unpack("!HHH", data[:6])
+        if 8 <= udp_len < segment_length:
+            segment_length = udp_len
+        return PacketRecord(
+            timestamp=timestamp,
+            src_ip=src,
+            dst_ip=dst,
+            src_port=src_port,
+            dst_port=dst_port,
+            protocol=IPPROTO_UDP,
+            total_length=wire_length,
+            transport_header_length=8,
+            payload_length=segment_length - 8,
+            payload=data[8:segment_length],
+        )
+    if proto == IPPROTO_TCP:
+        if len(data) < 20:
+            return None
+        src_port, dst_port = struct.unpack("!HH", data[:4])
+        header_len = (data[12] >> 4) * 4
+        if header_len < 20 or len(data) < header_len:
+            return None
+        window = struct.unpack("!H", data[14:16])[0]
+        return PacketRecord(
+            timestamp=timestamp,
+            src_ip=src,
+            dst_ip=dst,
+            src_port=src_port,
+            dst_port=dst_port,
+            protocol=IPPROTO_TCP,
+            total_length=wire_length,
+            transport_header_length=header_len,
+            payload_length=segment_length - header_len,
+            payload=data[header_len:],
+            tcp_flags=data[13],
+            tcp_window=window,
+        )
+    return None

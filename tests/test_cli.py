@@ -431,6 +431,41 @@ class TestPredictStreaming:
         assert peaks[1] <= 1.1 * peaks[0], f"peak RSS {peaks[0]} kB on N rows, {peaks[1]} kB on 8N"
 
 
+class TestOverlongCell:
+    """A cell longer than csv.field_size_limit() (131,072 characters by
+    default) is a data error naming its row, quoted or not."""
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("command", ["train", "cv", "report", "predict"])
+    def test_long_flow_id_is_row_error(self, workdir, model_path, tmp_path, capsys,
+                                       command, quoted):
+        schema, header, rows = csv_lines(workdir / "conf.csv")
+        flow_id = "f" * 200_000
+        if quoted:
+            flow_id = f'"{flow_id}"'
+        rows[1] = flow_id + rows[1][rows[1].index(","):]
+        src, out = tmp_path / "long.csv", tmp_path / "out"
+        src.write_bytes("".join(line + "\r\n" for line in [schema, header, *rows]).encode())
+        args = [str(model_path)] if command == "predict" else []
+        assert main([command, *args, str(src), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 3: field larger than field limit"), err[:200]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_long_header_cell_is_schema_mismatch(self, workdir, model_path, tmp_path, capsys,
+                                                 command):
+        schema, header, rows = csv_lines(workdir / "conf.csv")
+        header = "F" * 200_000 + header[header.index(","):]
+        src, out = tmp_path / "long.csv", tmp_path / "out"
+        src.write_bytes("".join(line + "\r\n" for line in [schema, header, *rows]).encode())
+        args = [str(model_path)] if command == "predict" else []
+        assert main([command, *args, str(src), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: unreadable header row: field larger"), err[:200]
+        assert not out.exists()
+
+
 # runs one CLI command and prints the process's peak RSS in kB (Linux units)
 PEAK_RSS_CHILD = """
 import resource, sys

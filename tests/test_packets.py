@@ -1,4 +1,6 @@
 import io
+import ipaddress
+import socket
 import struct
 
 import pytest
@@ -21,6 +23,7 @@ from camsieve.packets import (
 )
 
 from conftest import ipv4_frame, tcp_segment, udp_segment, write_pcap_bytes
+from oracles import reference_decode
 
 
 class TestOpenCapture:
@@ -295,3 +298,175 @@ class TestReadPackets:
         assert [r.timestamp for r in records] == [10, 30]  # ARP dropped
         assert records[0].protocol == IPPROTO_UDP
         assert records[1].tcp_flags == TcpFlags.SYN | TcpFlags.ACK
+
+
+VLAN_TPIDS = (0x8100, 0x88A8)
+IPV6_EXTENSIONS = (0, 43, 60, 44)  # hop-by-hop, routing, destination options, fragment
+single_bits = st.integers(0, 15).map(lambda bit: 1 << bit)  # e.g. each fragment-word flag
+
+
+@st.composite
+def transport_segments(draw, proto):
+    """A TCP, UDP or other transport segment whose header fields may lie."""
+    payload = draw(st.binary(max_size=48))
+    ports = draw(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)))
+    if proto == IPPROTO_TCP:
+        data_offset = draw(st.one_of(st.just(5), st.integers(0, 15)))
+        header = struct.pack(
+            "!HHIIBBHHH", *ports, 1, 1, data_offset << 4,
+            draw(st.integers(0, 0xFF)), draw(st.integers(0, 0xFFFF)), 0, 0,
+        )
+        return header + bytes(max(0, data_offset * 4 - 20)) + payload
+    if proto == IPPROTO_UDP:
+        udp_len = draw(st.one_of(
+            st.just(8 + len(payload)), st.integers(0, len(payload) + 16), st.integers(0, 0xFFFF),
+        ))
+        return struct.pack("!HHHH", *ports, udp_len, 0) + payload
+    return payload
+
+
+@st.composite
+def ipv4_packets(draw):
+    proto = draw(st.sampled_from([IPPROTO_TCP, IPPROTO_UDP, 1]))
+    transport = draw(transport_segments(proto))
+    ihl = draw(st.one_of(st.just(5), st.integers(0, 15)))
+    options = draw(st.binary(min_size=max(0, ihl * 4 - 20), max_size=max(0, ihl * 4 - 20)))
+    exact = 20 + len(options) + len(transport)
+    total_length = draw(st.one_of(
+        st.just(exact), st.just(0), st.integers(0, exact), st.integers(exact, 0xFFFF),
+    ))
+    frag_word = draw(st.one_of(st.just(0), single_bits, st.integers(0, 0xFFFF)))
+    version = draw(st.sampled_from([4] * 7 + [6]))
+    header = struct.pack(
+        "!BBHHHBBH4s4s", version << 4 | ihl, 0, total_length, 0, frag_word, 64, proto, 0,
+        draw(st.binary(min_size=4, max_size=4)), draw(st.binary(min_size=4, max_size=4)),
+    )
+    return header + options + transport
+
+
+@st.composite
+def ipv6_addresses(draw):
+    mapped = b"\x00" * 10 + b"\xff\xff" + draw(st.binary(min_size=4, max_size=4))
+    return draw(st.one_of(st.binary(min_size=16, max_size=16), st.just(mapped)))
+
+
+@st.composite
+def ipv6_packets(draw):
+    proto = draw(st.sampled_from([IPPROTO_TCP, IPPROTO_UDP, 58]))
+    body = draw(transport_segments(proto))
+    next_header = proto
+    for ext in reversed(draw(st.lists(st.sampled_from(IPV6_EXTENSIONS), max_size=4))):
+        if ext == 44:
+            # offset and flags: a first fragment, any single bit, or any word
+            frag_word = draw(st.one_of(st.just(0), single_bits, st.integers(0, 0xFFFF)))
+            header = struct.pack("!BBHI", next_header, 0, frag_word, 7)
+        else:
+            words = draw(st.integers(0, 2))
+            header = struct.pack("!BB", next_header, words)
+            header += draw(st.binary(min_size=words * 8 + 6, max_size=words * 8 + 6))
+        body = header + body
+        next_header = ext
+    payload_length = draw(st.one_of(
+        st.just(len(body)), st.just(0), st.integers(0, len(body)), st.integers(len(body), 0xFFFF),
+    ))
+    version = draw(st.sampled_from([6] * 7 + [4]))
+    header = struct.pack("!IHBB", version << 28, payload_length, next_header, 64)
+    return header + draw(ipv6_addresses()) + draw(ipv6_addresses()) + body
+
+
+@st.composite
+def captured_frames(draw):
+    """(frame, link type, bytes on the wire past the frame)."""
+    family = draw(st.sampled_from([4, 6]))
+    ip = draw(ipv4_packets() if family == 4 else ipv6_packets())
+    link_type = draw(st.sampled_from([LINKTYPE_ETHERNET] * 3 + [LINKTYPE_RAW_IP, 0]))
+    if link_type == LINKTYPE_ETHERNET:
+        tags = draw(st.lists(st.sampled_from(VLAN_TPIDS), max_size=5))
+        natural = 0x0800 if family == 4 else 0x86DD
+        ethertype = draw(st.sampled_from([natural] * 5 + [0x0800, 0x86DD, 0x0806]))
+        frame = b"\xbb" * 6 + b"\xaa" * 6
+        frame += b"".join(struct.pack("!HH", tpid, 42) for tpid in tags)
+        frame += struct.pack("!H", ethertype) + ip
+    else:
+        frame = ip
+    trailer = draw(st.one_of(st.just(b""), st.binary(max_size=8)))  # e.g. Ethernet padding
+    return frame + trailer, link_type, draw(st.integers(0, 64))
+
+
+class TestReferenceDecoder:
+    """decode_packet against the slicing decoder in tests/oracles.py, field for
+    field and skip for skip, at every snaplen cut of each generated frame."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(captured_frames())
+    def test_same_record_at_every_cut(self, case):
+        frame, link_type, extra = case
+        for cut in range(len(frame) + 1):
+            captured = frame[:cut]
+            # no wire length (the captured bytes are the whole frame), or more than was captured
+            for wire_length in (None, len(frame) + extra):
+                got = decode_packet(captured, link_type, 1_000_003, wire_length)
+                want = reference_decode(captured, link_type, 1_000_003, wire_length)
+                assert type(got) is type(want), (cut, wire_length, got, want)
+                assert got == want, (cut, wire_length, got, want)
+
+    @pytest.mark.parametrize("version", range(16))
+    def test_each_version_nibble(self, version):
+        # the generated frames above meet a given wrong nibble only now and then
+        udp = udp_segment(payload=b"abc")
+        v4 = ipv4_frame(transport=udp)
+        v6 = ipv6_frame(IPPROTO_UDP, udp)
+        for frame in (v4, v6):
+            frame = frame[:14] + bytes([version << 4 | frame[14] & 0x0F]) + frame[15:]
+            for link_type, captured in ((LINKTYPE_ETHERNET, frame), (LINKTYPE_RAW_IP, frame[14:])):
+                assert decode_packet(captured, link_type) == reference_decode(captured, link_type)
+
+    @pytest.mark.parametrize("bit", range(16))
+    def test_each_fragment_word_bit(self, bit):
+        # the generated words above meet a given lone bit only now and then
+        udp = udp_segment(payload=b"abc")
+        v4 = ipv4_frame(transport=udp)
+        v4 = v4[:20] + struct.pack("!H", 1 << bit) + v4[22:]
+        v6 = ipv6_frame(44, udp, extension=struct.pack("!BBHI", IPPROTO_UDP, 0, 1 << bit, 7))
+        for frame in (v4, v6):
+            assert decode_packet(frame, LINKTYPE_ETHERNET) == reference_decode(frame, LINKTYPE_ETHERNET)
+
+    def test_frames_decode_often_enough_to_compare(self):
+        # the generator must reach the record-building paths, not only skips
+        decoded = []
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @given(captured_frames())
+        def tally(case):
+            frame, link_type, _ = case
+            decoded.append(decode_packet(frame, link_type) is not None)
+
+        tally()
+        assert sum(decoded) >= len(decoded) // 10
+
+
+class TestAddressCache:
+    def test_bounded_and_same_text_as_uncached(self):
+        n = packets.ADDRESS_CACHE_SIZE + 100
+        for i in range(n):
+            src, dst = struct.pack("!I", 0x0A000000 + i), struct.pack("!I", 0xC0A80000 + i)
+            frame = ipv4_frame(transport=udp_segment())
+            frame = frame[:26] + src + dst + frame[34:]
+            rec = decode_packet(frame, LINKTYPE_ETHERNET)
+            assert (rec.src_ip, rec.dst_ip) == (socket.inet_ntoa(src), socket.inet_ntoa(dst))
+
+            mapped = b"\x00" * 10 + b"\xff\xff" + src
+            plain = struct.pack("!QQ", 0x20010DB8 << 32, i)
+            rec = decode_packet(ipv6_frame(IPPROTO_UDP, udp_segment())[:22] + mapped + plain
+                                + udp_segment(), LINKTYPE_ETHERNET)
+            assert rec.src_ip == str(ipaddress.IPv6Address(mapped))
+            assert rec.dst_ip == str(ipaddress.IPv6Address(plain))
+        for cache in (packets._ipv4_text, packets._ipv6_text):
+            assert 0 < cache.cache_info().currsize <= packets.ADDRESS_CACHE_SIZE
+
+    def test_ipv4_mapped_spelling(self):
+        # ipaddress's spelling: ::ffff:102:304 before Python 3.13, ::ffff:1.2.3.4 since
+        mapped = b"\x00" * 10 + b"\xff\xff" + bytes([1, 2, 3, 4])
+        frame = ipv6_frame(IPPROTO_UDP, udp_segment())
+        rec = decode_packet(frame[:22] + mapped + frame[38:], LINKTYPE_ETHERNET)
+        assert rec.src_ip == str(ipaddress.IPv6Address("::ffff:1.2.3.4"))

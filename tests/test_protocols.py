@@ -1,4 +1,3 @@
-import dataclasses
 import struct
 
 import pytest
@@ -240,10 +239,10 @@ class TestBuildReport:
             # the demux counts X=1 payloads as RTP from the first byte, X=0
             # ones from the full 12-byte header
             payload = rtp_bytes(extension=extension, pt=pt, seq=i, ssrc=7)
-            return dataclasses.replace(flow_packet(i, 0, 54), payload=payload)
+            return flow_packet(i, 0, 54)._replace(payload=payload)
 
         fwd = [rtp_packet(i, pt) for i, pt in enumerate(fwd_pts)]
-        bwd = [dataclasses.replace(flow_packet(len(fwd), 0, 44), payload=b"xx")]
+        bwd = [flow_packet(len(fwd), 0, 44)._replace(payload=b"xx")]
         return make_flow(fwd, bwd, initiator=("10.0.0.1", src_port))
 
     def test_payload_types_read_from_packets_and_sorted_numerically(self):
