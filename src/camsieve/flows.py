@@ -74,6 +74,8 @@ class FlowState:
             (fwd if is_forward(pkt) else bwd).append(pkt)
         return fwd, bwd
 
+    # Library views of one direction each; the package itself calls split(),
+    # which gives both for the price of one.
     @property
     def fwd_packets(self) -> list[PacketRecord]:
         return self.split()[0]

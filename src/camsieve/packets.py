@@ -75,12 +75,6 @@ class CapturedFrame(NamedTuple):
     wire_length: int
 
 
-# Per-frame constructors that skip the Python-level __new__ NamedTuple
-# generates; each takes the tuple of all the fields.
-_new_frame = functools.partial(tuple.__new__, CapturedFrame)
-_new_record = functools.partial(tuple.__new__, PacketRecord)
-
-
 def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
     """Yield raw frames from a pcap file in file order.
 
@@ -115,7 +109,7 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
             if len(data) < incl_len:
                 raise MalformedCapture(f"{path}: truncated record body")
             ts_us = ts_sec * 1_000_000 + ts_frac // subsec_div
-            yield _new_frame((ts_us, link_type, data, orig_len))
+            yield CapturedFrame(ts_us, link_type, data, orig_len)
 
 
 # Each header is read in place with one unpack_from call at its offset in the
@@ -130,17 +124,10 @@ _UDP = struct.Struct("!HHH").unpack_from
 # source port, destination port, data offset, flags, window
 _TCP = struct.Struct("!HH8xBBH").unpack_from
 
-# Distinct addresses in a capture are few next to its packets, so their text
-# is cached; the bound keeps a capture of many hosts from growing the cache.
-ADDRESS_CACHE_SIZE = 4096
-_ipv4_text = functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)(socket.inet_ntoa)
-
-
-@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
-def _ipv6_text(packed: bytes) -> str:
-    # ipaddress, not inet_ntop: before Python 3.13 the two write IPv4-mapped
-    # addresses differently (::ffff:102:304 vs ::ffff:1.2.3.4)
-    return str(ipaddress.IPv6Address(packed))
+# A capture's packets come from few hosts, so the text of each IPv4 address is
+# cached; the bound keeps a capture of many hosts from growing the cache.
+_ADDRESS_CACHE_SIZE = 4096
+_ipv4_text = functools.lru_cache(maxsize=_ADDRESS_CACHE_SIZE)(socket.inet_ntoa)
 
 
 def decode_packet(
@@ -246,8 +233,11 @@ def _decode_ipv6(
             offset += 8
         else:
             return None
+    # ipaddress, not inet_ntop: before Python 3.13 the two write IPv4-mapped
+    # addresses differently (::ffff:102:304 vs ::ffff:1.2.3.4)
     return _decode_transport(
-        frame, offset, end, next_header, _ipv6_text(src), _ipv6_text(dst),
+        frame, offset, end, next_header,
+        str(ipaddress.IPv6Address(src)), str(ipaddress.IPv6Address(dst)),
         timestamp, wire_length, start + ip_end - offset,
     )
 
@@ -274,10 +264,10 @@ def _decode_transport(
         if 8 <= udp_len < segment_length:
             segment_length = udp_len
         # the slice stops at the frame's end when snaplen cut the segment
-        return _new_record((
+        return PacketRecord(
             timestamp, src, dst, src_port, dst_port, IPPROTO_UDP, wire_length, 8,
             segment_length - 8, frame[offset + 8 : offset + segment_length], 0, 0,
-        ))
+        )
     if proto == IPPROTO_TCP:
         if end - offset < 20:
             return None
@@ -285,10 +275,10 @@ def _decode_transport(
         header_len = (data_offset >> 4) * 4
         if header_len < 20 or end - offset < header_len:
             return None
-        return _new_record((
+        return PacketRecord(
             timestamp, src, dst, src_port, dst_port, IPPROTO_TCP, wire_length, header_len,
             segment_length - header_len, frame[offset + header_len : end], flags, window,
-        ))
+        )
     return None
 
 

@@ -447,7 +447,7 @@ class TestReferenceDecoder:
 
 class TestAddressCache:
     def test_bounded_and_same_text_as_uncached(self):
-        n = packets.ADDRESS_CACHE_SIZE + 100
+        n = packets._ADDRESS_CACHE_SIZE + 100
         for i in range(n):
             src, dst = struct.pack("!I", 0x0A000000 + i), struct.pack("!I", 0xC0A80000 + i)
             frame = ipv4_frame(transport=udp_segment())
@@ -461,8 +461,7 @@ class TestAddressCache:
                                 + udp_segment(), LINKTYPE_ETHERNET)
             assert rec.src_ip == str(ipaddress.IPv6Address(mapped))
             assert rec.dst_ip == str(ipaddress.IPv6Address(plain))
-        for cache in (packets._ipv4_text, packets._ipv6_text):
-            assert 0 < cache.cache_info().currsize <= packets.ADDRESS_CACHE_SIZE
+        assert 0 < packets._ipv4_text.cache_info().currsize <= packets._ADDRESS_CACHE_SIZE
 
     def test_ipv4_mapped_spelling(self):
         # ipaddress's spelling: ::ffff:102:304 before Python 3.13, ::ffff:1.2.3.4 since
