@@ -129,6 +129,19 @@ _TCP = struct.Struct("!HH8xBBH").unpack_from
 _ADDRESS_CACHE_SIZE = 4096
 _ipv4_text = functools.lru_cache(maxsize=_ADDRESS_CACHE_SIZE)(socket.inet_ntoa)
 
+_IPV4_MAPPED_PREFIX = bytes(10) + b"\xff\xff"
+_IPV4_MAPPED_TAIL = struct.Struct("!HH").unpack_from
+
+
+def _ipv6_text(address: bytes) -> str:
+    """The text of a 16-byte IPv6 address as `ipaddress` writes it on Python
+    3.10-3.12, on every version: 3.13 writes an IPv4-mapped address with a
+    dotted tail (::ffff:1.2.3.4), where earlier versions write ::ffff:102:304."""
+    if address[:12] == _IPV4_MAPPED_PREFIX:
+        # the leading five zero groups are the longest run, so they compress
+        return "::ffff:%x:%x" % _IPV4_MAPPED_TAIL(address, 12)
+    return str(ipaddress.IPv6Address(address))
+
 
 def decode_packet(
     raw_frame: bytes,
@@ -233,11 +246,8 @@ def _decode_ipv6(
             offset += 8
         else:
             return None
-    # ipaddress, not inet_ntop: before Python 3.13 the two write IPv4-mapped
-    # addresses differently (::ffff:102:304 vs ::ffff:1.2.3.4)
     return _decode_transport(
-        frame, offset, end, next_header,
-        str(ipaddress.IPv6Address(src)), str(ipaddress.IPv6Address(dst)),
+        frame, offset, end, next_header, _ipv6_text(src), _ipv6_text(dst),
         timestamp, wire_length, start + ip_end - offset,
     )
 

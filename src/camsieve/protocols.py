@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InsufficientRtp
@@ -19,6 +18,7 @@ from .packets import IPPROTO_UDP, PROTOCOL_NAMES
 
 RTCP_STANDARD_TYPES = frozenset({200, 201, 202, 203, 204})
 RTCP_FEEDBACK_TYPES = frozenset({205, 206})  # transport/payload-specific feedback
+RTCP_TYPES = RTCP_STANDARD_TYPES | RTCP_FEEDBACK_TYPES
 
 QUIC_PORT = 443
 IPSEC_NAT_T_PORT = 4500
@@ -26,8 +26,7 @@ ZOOM_PORT = 8801
 MEET_PORT = 19305
 
 
-@dataclass(frozen=True)
-class RtpHeader:
+class RtpHeader(NamedTuple):
     """Fixed 12-byte RTP header.
 
      0                   1                   2                   3
@@ -52,8 +51,7 @@ class RtpHeader:
     ssrc: int
 
 
-@dataclass(frozen=True)
-class RtcpHeader:
+class RtcpHeader(NamedTuple):
     """First 32 bits of an RTCP packet: V|P|RC/FMT|PT|length."""
 
     version: int
@@ -96,32 +94,30 @@ class AppContext(enum.Enum):
     GENERIC = "GENERIC"
 
 
-@dataclass(frozen=True)
-class ProtocolHint:
+class ProtocolHint(NamedTuple):
     kind: HintKind
     media: MediaType = MediaType.UNKNOWN
     codec_note: str = ""
     confidence: Confidence = Confidence.WEAK
+    rtp: RtpHeader | None = None  # the parsed header of an RTP hint, when it has all 12 bytes
+
+
+# first byte, second byte, sequence, timestamp, SSRC
+_RTP = struct.Struct("!BBHII").unpack_from
+# first byte, packet type, length in 32-bit words minus one
+_RTCP = struct.Struct("!BBH").unpack_from
 
 
 def parse_rtp_header(payload: bytes) -> RtpHeader | None:
     """Decode the fixed RTP header; None for short payloads or version != 2."""
     if len(payload) < 12:
         return None
-    b0, b1 = payload[0], payload[1]
+    b0, b1, sequence, timestamp, ssrc = _RTP(payload)
     if b0 >> 6 != 2:
         return None
-    sequence, timestamp, ssrc = struct.unpack("!HII", payload[2:12])
     return RtpHeader(
-        version=2,
-        padding=bool(b0 & 0x20),
-        extension=bool(b0 & 0x10),
-        csrc_count=b0 & 0x0F,
-        marker=bool(b1 & 0x80),
-        payload_type=b1 & 0x7F,
-        sequence=sequence,
-        timestamp=timestamp,
-        ssrc=ssrc,
+        2, bool(b0 & 0x20), bool(b0 & 0x10), b0 & 0x0F, bool(b1 & 0x80), b1 & 0x7F,
+        sequence, timestamp, ssrc,
     )
 
 
@@ -129,16 +125,10 @@ def parse_rtcp_header(payload: bytes) -> RtcpHeader | None:
     """Decode the common RTCP prefix; accepts types 200-204 plus 205/206 feedback."""
     if len(payload) < 4:
         return None
-    b0, pt = payload[0], payload[1]
-    if b0 >> 6 != 2 or pt not in RTCP_STANDARD_TYPES | RTCP_FEEDBACK_TYPES:
+    b0, pt, length_words = _RTCP(payload)
+    if b0 >> 6 != 2 or pt not in RTCP_TYPES:
         return None
-    return RtcpHeader(
-        version=2,
-        padding=bool(b0 & 0x20),
-        report_info=b0 & 0x1F,
-        packet_type=pt,
-        length_words=struct.unpack("!H", payload[2:4])[0],
-    )
+    return RtcpHeader(2, bool(b0 & 0x20), b0 & 0x1F, pt, length_words)
 
 
 def demux_rtp_rtcp(payload: bytes) -> MuxClass:
@@ -157,7 +147,7 @@ def demux_rtp_rtcp(payload: bytes) -> MuxClass:
         return MuxClass.NEITHER
     if b0 & 0x10:
         return MuxClass.RTP
-    if payload[1] in RTCP_STANDARD_TYPES | RTCP_FEEDBACK_TYPES:
+    if payload[1] in RTCP_TYPES:
         return MuxClass.RTCP
     if len(payload) >= 12:
         return MuxClass.RTP
@@ -214,7 +204,7 @@ def classify_udp_payload(payload: bytes, src_port: int, dst_port: int) -> Protoc
         header = parse_rtp_header(payload)
         if header is not None:
             media, note = media_hint(header)
-            return ProtocolHint(HintKind.RTP, media=media, codec_note=note)
+            return ProtocolHint(HintKind.RTP, media, note, rtp=header)
         return ProtocolHint(HintKind.RTP)
     if mux is MuxClass.RTCP:
         return ProtocolHint(HintKind.RTCP)
@@ -280,13 +270,15 @@ _KIND_PRIORITY = [
 
 
 def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
-    """One flow's entry in the inspection report, plus its RTP payload-type counts."""
-    payloads = [p.payload for p in flow.packets]
+    """One flow's entry in the inspection report, plus its RTP payload-type counts.
+
+    The RTP statistics read only the headers of payloads classified RTP, so
+    TCP flows, RTCP and payloads on the QUIC and IPSec ports add none.
+    """
     hints = []
     if flow.protocol == IPPROTO_UDP:
-        hints = [
-            classify_udp_payload(p, flow.initiator[1], flow.responder[1]) for p in payloads
-        ]
+        src_port, dst_port = flow.initiator[1], flow.responder[1]
+        hints = [classify_udp_payload(p.payload, src_port, dst_port) for p in flow.packets]
     kind_counts: Counter[HintKind] = Counter(h.kind for h in hints)
     if kind_counts:
         top = max(kind_counts.items(), key=lambda kv: (kv[1], -_KIND_PRIORITY.index(kv[0])))[0]
@@ -294,14 +286,12 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
     else:
         dominant = ProtocolHint(HintKind.UNKNOWN)
 
-    headers = [parse_rtp_header(p) for p in payloads]
+    headers = [h.rtp for h in hints if h.rtp is not None]
     pt_counts: Counter[int] = Counter()
-    if dominant.kind is HintKind.RTP:
-        parsed = [h for h in headers if h is not None]
-        pt_counts.update(h.payload_type for h in parsed)
-        if parsed:
-            media, note = media_hint(parsed[0], app)
-            dominant = ProtocolHint(HintKind.RTP, media=media, codec_note=note)
+    if dominant.kind is HintKind.RTP and headers:
+        pt_counts.update(h.payload_type for h in headers)
+        media, note = media_hint(headers[0], app)
+        dominant = dominant._replace(media=media, codec_note=note)
     continuity = None
     try:
         continuity = rtp_stream_continuity(headers)

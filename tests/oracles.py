@@ -7,7 +7,6 @@ packet decoding from a decoder that slices each header out of the frame.
 """
 from __future__ import annotations
 
-import ipaddress
 import socket
 import statistics
 import struct
@@ -316,6 +315,22 @@ def _reference_ipv4(
     )
 
 
+def _reference_ipv6_text(address: bytes) -> str:
+    """Eight lower-case hex groups, the leftmost longest run of two or more zero
+    groups written as '::', and no dotted IPv4 tail, IPv4-mapped or not."""
+    groups = ["%x" % g for g in struct.unpack("!8H", address)]
+    best_start, best_len = 0, 0
+    for start in range(8):
+        length = 0
+        while start + length < 8 and groups[start + length] == "0":
+            length += 1
+        if length > best_len:
+            best_start, best_len = start, length
+    if best_len < 2:
+        return ":".join(groups)
+    return ":".join(groups[:best_start]) + "::" + ":".join(groups[best_start + best_len:])
+
+
 def _reference_ipv6(
     data: bytes, timestamp: int, wire_length: int, link_length: int
 ) -> PacketRecord | None:
@@ -323,10 +338,8 @@ def _reference_ipv6(
         return None
     payload_len = struct.unpack("!H", data[4:6])[0]
     next_header = data[6]
-    # ipaddress, not inet_ntop: before Python 3.13 the two write IPv4-mapped
-    # addresses differently (::ffff:102:304 vs ::ffff:1.2.3.4)
-    src = str(ipaddress.IPv6Address(data[8:24]))
-    dst = str(ipaddress.IPv6Address(data[24:40]))
+    src = _reference_ipv6_text(data[8:24])
+    dst = _reference_ipv6_text(data[24:40])
     ip_end = 40 + payload_len
     if not payload_len or ip_end > wire_length - link_length:  # jumbogram or bogus
         ip_end = len(data)

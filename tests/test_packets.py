@@ -459,13 +459,22 @@ class TestAddressCache:
             plain = struct.pack("!QQ", 0x20010DB8 << 32, i)
             rec = decode_packet(ipv6_frame(IPPROTO_UDP, udp_segment())[:22] + mapped + plain
                                 + udp_segment(), LINKTYPE_ETHERNET)
-            assert rec.src_ip == str(ipaddress.IPv6Address(mapped))
+            assert rec.src_ip == f"::ffff:a00:{i:x}"
             assert rec.dst_ip == str(ipaddress.IPv6Address(plain))
         assert 0 < packets._ipv4_text.cache_info().currsize <= packets._ADDRESS_CACHE_SIZE
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=8, max_size=8))
+    def test_ipv6_text_is_ipaddress_text_outside_the_mapped_range(self, groups):
+        address = struct.pack("!8H", *groups)
+        if address[:12] != b"\x00" * 10 + b"\xff\xff":
+            assert packets._ipv6_text(address) == str(ipaddress.IPv6Address(address))
+
     def test_ipv4_mapped_spelling(self):
-        # ipaddress's spelling: ::ffff:102:304 before Python 3.13, ::ffff:1.2.3.4 since
-        mapped = b"\x00" * 10 + b"\xff\xff" + bytes([1, 2, 3, 4])
+        # ipaddress's spelling on Python 3.10-3.12, on every version: 3.13
+        # writes ::ffff:1.2.3.4
         frame = ipv6_frame(IPPROTO_UDP, udp_segment())
-        rec = decode_packet(frame[:22] + mapped + frame[38:], LINKTYPE_ETHERNET)
-        assert rec.src_ip == str(ipaddress.IPv6Address("::ffff:1.2.3.4"))
+        for tail, text in ((bytes([1, 2, 3, 4]), "::ffff:102:304"), (bytes(4), "::ffff:0:0")):
+            mapped = b"\x00" * 10 + b"\xff\xff" + tail
+            rec = decode_packet(frame[:22] + mapped + frame[38:], LINKTYPE_ETHERNET)
+            assert rec.src_ip == text

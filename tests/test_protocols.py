@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsieve.errors import InsufficientRtp
-from camsieve.packets import IPPROTO_UDP
+from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP
 from camsieve.protocols import (
     AppContext,
     Confidence,
@@ -167,6 +167,18 @@ class TestClassifyUdpPayload:
         assert first == classify_udp_payload(payload, src, dst)
         assert first.kind in HintKind
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=40), st.builds(rtp_bytes, pt=st.integers(0, 127),
+                                                      extension=st.integers(0, 1))),
+           st.one_of(st.sampled_from([443, 4500, 8801]), st.integers(0, 65535)),
+           st.integers(0, 65535))
+    def test_rtp_field_is_the_parsed_header_of_rtp_hints_only(self, payload, src, dst):
+        hint = classify_udp_payload(payload, src, dst)
+        if hint.kind is HintKind.RTP:
+            assert hint.rtp == parse_rtp_header(payload)
+        else:
+            assert hint.rtp is None
+
     def test_media_only_set_for_rtp(self):
         for payload, ports in [
             (bytes([0xC3]) + b"\x00" * 8, (1, 443)),
@@ -245,6 +257,11 @@ class TestBuildReport:
         bwd = [flow_packet(len(fwd), 0, 44)._replace(payload=b"xx")]
         return make_flow(fwd, bwd, initiator=("10.0.0.1", src_port))
 
+    def rtp_looking_flow(self, protocol, dst_port):
+        fwd = [flow_packet(i, 0, 54)._replace(payload=rtp_bytes(pt=96, seq=i, ssrc=7))
+               for i in range(6)]
+        return make_flow(fwd, [], protocol, responder=("10.0.0.2", dst_port))
+
     def test_payload_types_read_from_packets_and_sorted_numerically(self):
         flows = [self.rtp_flow([100, 100, 96, 100], 5000), self.rtp_flow([9, 9], 5001)]
         report = build_report(flows, AppContext.GENERIC)
@@ -266,3 +283,32 @@ class TestBuildReport:
         assert list(entry["rtp_payload_types"].items()) == [("96", 2), ("100", 2)]
         assert entry["rtp_continuity"] == 1.0
         assert list(report["rtp_payload_type_totals"].items()) == [("96", 2), ("100", 2)]
+
+    def test_muxed_rtcp_adds_no_payload_type(self):
+        # RFC 5761: sender reports (PT 200) share the RTP port; read as RTP
+        # headers they would count as payload type 72
+        sender_report = bytes([0x80, 200, 0x00, 0x06]) + bytes(24)
+        payloads = [rtp_bytes(pt=96, seq=i, ssrc=7) for i in range(6)]
+        payloads.insert(2, sender_report)
+        payloads.insert(5, sender_report)
+        fwd = [flow_packet(i, 0, 54)._replace(payload=p) for i, p in enumerate(payloads)]
+        report = build_report([make_flow(fwd, [])], AppContext.GENERIC)
+        (entry,) = report["flows"]
+        assert entry["kind_counts"] == {"RTCP": 2, "RTP": 6}
+        assert entry["rtp_payload_types"] == {"96": 6}
+        assert report["rtp_payload_type_totals"] == {"96": 6}
+        assert entry["rtp_continuity"] == 1.0
+
+    def test_tcp_flow_has_no_rtp_statistics(self):
+        report = build_report([self.rtp_looking_flow(IPPROTO_TCP, 6000)])
+        (entry,) = report["flows"]
+        assert entry["hint"] == "UNKNOWN" and entry["kind_counts"] == {}
+        assert entry["rtp_payload_types"] == {}
+        assert entry["rtp_continuity"] is None
+
+    def test_ipsec_port_flow_has_no_rtp_statistics(self):
+        report = build_report([self.rtp_looking_flow(IPPROTO_UDP, 4500)])
+        (entry,) = report["flows"]
+        assert entry["hint"] == "IPSEC_NAT_T"
+        assert entry["rtp_payload_types"] == {}
+        assert entry["rtp_continuity"] is None
