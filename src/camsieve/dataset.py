@@ -281,8 +281,17 @@ def read_csv(path: str | Path, taxonomy: LabelTaxonomy | None = None) -> list[La
     """
     records: list[LabeledRecord] = []
     for chunk in read_chunks(path):
-        for cells, values in zip(csv.reader(chunk.texts), chunk.values.tolist()):
-            label = cells[-1] if taxonomy is None else taxonomy.resolve(cells[-1])
+        for text, values in zip(chunk.texts, chunk.values.tolist()):
+            # read_chunks has checked the cells; without a quote the csv
+            # module splits a record at every comma
+            if '"' in text:
+                cells = next(csv.reader([text]))
+                label = cells[-1]
+            else:
+                cells = text.split(",", 6)
+                label = text.rpartition(",")[2]
+            if taxonomy is not None:
+                label = taxonomy.resolve(label)
             records.append(LabeledRecord(
                 cells[0], cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5]),
                 tuple(values), label,

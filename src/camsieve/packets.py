@@ -29,6 +29,11 @@ PROTOCOL_NAMES = {IPPROTO_TCP: "TCP", IPPROTO_UDP: "UDP"}
 # libpcap's MAXIMUM_SNAPLEN: no real capture holds a longer record
 MAX_RECORD_LENGTH = 262_144
 
+# Payload bytes a packet record keeps: the fixed 12-byte RTP header, the most
+# that any `protocols` heuristic reads. Features read payload_length, so a
+# record's size does not grow with its payload.
+PAYLOAD_HEAD = 12
+
 # magic -> (byte order, divisor turning the subsecond field into microseconds)
 _PCAP_MAGICS = {
     0xA1B2C3D4: ("<", 1),
@@ -63,7 +68,7 @@ class PacketRecord(NamedTuple):
     total_length: int  # bytes on the wire (pcap orig_len, link header included)
     transport_header_length: int
     payload_length: int  # transport payload bytes on the wire, from the IP/UDP length fields
-    payload: bytes  # the captured payload bytes, fewer than payload_length on a snaplen cut
+    payload_head: bytes  # the first PAYLOAD_HEAD captured payload bytes, or all of fewer
     tcp_flags: int = 0  # raw flags byte; always 0 for UDP
     tcp_window: int = 0  # always 0 for UDP
 
@@ -113,7 +118,7 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
 
 
 # Each header is read in place with one unpack_from call at its offset in the
-# frame; only the payload is ever copied out of it.
+# frame; only the payload head is ever copied out of it.
 _U16 = struct.Struct("!H").unpack_from
 # version/IHL, total length, fragment word, protocol, source, destination
 _IPV4 = struct.Struct("!BxHxxHxB2x4s4s").unpack_from
@@ -273,10 +278,12 @@ def _decode_transport(
         src_port, dst_port, udp_len = _UDP(frame, offset)
         if 8 <= udp_len < segment_length:
             segment_length = udp_len
-        # the slice stops at the frame's end when snaplen cut the segment
+        # the head stops at the segment's end, and at the frame's end when
+        # snaplen cut the segment
+        start = offset + 8
         return PacketRecord(
             timestamp, src, dst, src_port, dst_port, IPPROTO_UDP, wire_length, 8,
-            segment_length - 8, frame[offset + 8 : offset + segment_length], 0, 0,
+            segment_length - 8, frame[start : start + min(segment_length - 8, PAYLOAD_HEAD)], 0, 0,
         )
     if proto == IPPROTO_TCP:
         if end - offset < 20:
@@ -285,9 +292,11 @@ def _decode_transport(
         header_len = (data_offset >> 4) * 4
         if header_len < 20 or end - offset < header_len:
             return None
+        start = offset + header_len
         return PacketRecord(
             timestamp, src, dst, src_port, dst_port, IPPROTO_TCP, wire_length, header_len,
-            segment_length - header_len, frame[offset + header_len : end], flags, window,
+            segment_length - header_len, frame[start : min(end, start + PAYLOAD_HEAD)],
+            flags, window,
         )
     return None
 

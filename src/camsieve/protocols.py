@@ -134,22 +134,22 @@ def parse_rtcp_header(payload: bytes) -> RtcpHeader | None:
 def demux_rtp_rtcp(payload: bytes) -> MuxClass:
     """Separate multiplexed RTP from RTCP on a shared port.
 
-    Version bits must equal 2. Bit 4 of the first byte (RTP's header-extension
-    bit X) set means RTP. Otherwise a known RTCP packet type in the second
-    byte means RTCP, which guards against mistaking ordinary data for RTCP,
-    and any other payload holding the full 12-byte fixed header is RTP
-    without an extension.
+    Version bits must equal 2. A known RTCP packet type in the second byte
+    means RTCP, as RFC 5761 section 4 separates the two: RTP on a muxed port
+    avoids the payload types that would put 200-206 there. It is tested first
+    because bit 4 of the first byte is also RTCP's, the top bit of a 16-31
+    report or source count. Otherwise that bit (RTP's header-extension bit X)
+    set means RTP, and so does any other payload holding the full 12-byte
+    fixed header, RTP without an extension.
     """
     if len(payload) < 2:
         return MuxClass.NEITHER
     b0 = payload[0]
     if b0 >> 6 != 2:
         return MuxClass.NEITHER
-    if b0 & 0x10:
-        return MuxClass.RTP
     if payload[1] in RTCP_TYPES:
         return MuxClass.RTCP
-    if len(payload) >= 12:
+    if b0 & 0x10 or len(payload) >= 12:
         return MuxClass.RTP
     return MuxClass.NEITHER
 
@@ -278,7 +278,7 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
     hints = []
     if flow.protocol == IPPROTO_UDP:
         src_port, dst_port = flow.initiator[1], flow.responder[1]
-        hints = [classify_udp_payload(p.payload, src_port, dst_port) for p in flow.packets]
+        hints = [classify_udp_payload(p.payload_head, src_port, dst_port) for p in flow.packets]
     kind_counts: Counter[HintKind] = Counter(h.kind for h in hints)
     if kind_counts:
         top = max(kind_counts.items(), key=lambda kv: (kv[1], -_KIND_PRIORITY.index(kv[0])))[0]

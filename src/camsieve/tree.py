@@ -50,8 +50,8 @@ def _tie_margin(n: int) -> float:
 
 
 # Cells (features x node rows) that one block of the split scan covers. The
-# scan's temporaries take about 50 bytes per cell, so a block stays near
-# 13 MB at any dataset size.
+# scan's temporaries take about 42 bytes per cell plus 4 per class, so a
+# block of four classes stays near 15 MB at any dataset size.
 _SCAN_CELLS = 1 << 18
 
 
@@ -63,27 +63,6 @@ def gini(class_counts: Sequence[int]) -> float:
     return 1.0 - sum((c / total) ** 2 for c in class_counts)
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """One split candidate with the integers needed for exact comparison.
-
-    Lower weighted child impurity A / (n * nl * nr) means higher gain, so
-    candidates compare by cross-multiplied integer products.
-    """
-
-    feature: int
-    threshold: float
-    impurity_num: int  # A = nr*(nl^2 - sum(left^2)) + nl*(nr^2 - sum(right^2))
-    pair_product: int  # nl * nr
-
-    def better_than(self, other: "_Candidate") -> bool:
-        lhs = self.impurity_num * other.pair_product
-        rhs = other.impurity_num * self.pair_product
-        if lhs != rhs:
-            return lhs < rhs
-        return (self.feature, self.threshold) < (other.feature, other.threshold)
-
-
 def _presort(X: np.ndarray, features: Sequence[int]) -> np.ndarray:
     """Row indexes of X sorted stably by each feature, one row per feature."""
     order = np.empty((len(features), len(X)), dtype=np.int32 if len(X) < 2**31 else np.int64)
@@ -92,9 +71,13 @@ def _presort(X: np.ndarray, features: Sequence[int]) -> np.ndarray:
     return order
 
 
-def _scan(values: np.ndarray, labels: np.ndarray, parent: np.ndarray) -> np.ndarray:
+def _scan(
+    values: np.ndarray, labels: np.ndarray, parent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Float weighted child impurity w = A / (nl * nr) after each position of
-    each sorted row; inf where the next value is equal (no boundary there).
+    each sorted row, inf where the next value is equal (no boundary there),
+    and the (classes x features x n - 1) integer counts of each class left of
+    each position.
 
     values and labels are (features x n) in the same sorted order; parent
     holds the node's class counts as floats.
@@ -103,19 +86,21 @@ def _scan(values: np.ndarray, labels: np.ndarray, parent: np.ndarray) -> np.ndar
     nl = np.arange(1, n, dtype=np.float64)
     sum_sq_left = np.zeros((len(values), n - 1))
     sum_sq_right = np.zeros((len(values), n - 1))
+    square = np.empty((len(values), n - 1))
+    lefts = np.empty((len(parent), len(values), n - 1), dtype=np.int32 if n < 2**31 else np.int64)
     left_labels = labels[:, :-1]
     for c, total in enumerate(parent):
-        # class c left of every position; exact integers in float64
-        left = np.cumsum(left_labels == c, axis=1, dtype=np.float64)
-        sum_sq_left += left * left
-        left -= total  # minus the right count; only its square is used
-        sum_sq_right += left * left
+        left = np.cumsum(left_labels == c, axis=1, dtype=lefts.dtype, out=lefts[c])
+        # squares are exact integers in float64; in int32 they could overflow
+        sum_sq_left += np.multiply(left, left, out=square, dtype=np.float64)
+        np.subtract(left, total, out=square, dtype=np.float64)  # minus the right count
+        sum_sq_right += np.multiply(square, square, out=square)
     sum_sq_left /= nl
     sum_sq_right /= nl[::-1]
     sum_sq_left += sum_sq_right
     w = np.subtract(n, sum_sq_left, out=sum_sq_left)  # n - (sl / nl + sr / nr)
     w[values[:, 1:] == values[:, :-1]] = np.inf
-    return w
+    return w, lefts
 
 
 def best_split(
@@ -159,49 +144,49 @@ def best_split(
     columns = np.array(features)[:, None]
     block = max(1, _SCAN_CELLS // n)
     w_min = np.inf
-    near: list[tuple[float, int, int]] = []  # (w, row of order, position) near a block's min
+    # (w, row of order, position, class counts left of it) near a block's min
+    near: list[tuple[float, int, int, list[int]]] = []
     for start in range(0, len(features), block):
         rows = order[start:start + block]
-        w = _scan(X[rows, columns[start:start + block]], y[rows], parent)
+        w, lefts = _scan(X[rows, columns[start:start + block]], y[rows], parent)
         block_min = w.min()
         if block_min == np.inf or block_min > w_min + margin:
             continue
         w_min = min(w_min, block_min)
         i, pos = np.nonzero(w <= block_min + margin)
-        near += zip(w[i, pos].tolist(), (i + start).tolist(), pos.tolist())
+        near += zip(w[i, pos].tolist(), (i + start).tolist(), pos.tolist(),
+                    lefts[:, i, pos].T.tolist())
     if w_min == np.inf:
         return None
 
-    best: _Candidate | None = None
-    for w_float, i, b in near:
+    # Lower weighted child impurity A / (n * nl * nr) means higher gain, so
+    # candidates compare by cross-multiplied integer products. near runs in
+    # ascending (feature, threshold) order, so the first exact minimum wins.
+    totals = parent_counts.tolist()
+    best: tuple[int, int, int, int] | None = None  # (A, nl * nr, row of order, position)
+    for w_float, i, b, l_counts in near:
         if w_float > w_min + margin:
             continue
-        fi = features[i]
-        sorted_rows = order[i]
-        lo, hi = X[sorted_rows[b], fi], X[sorted_rows[b + 1], fi]
-        threshold = float((lo + hi) / 2.0)
-        if threshold >= hi:  # midpoint rounded up between adjacent floats
-            threshold = float(lo)
-        l_counts = np.bincount(y[sorted_rows[:b + 1]], minlength=n_classes).tolist()
         nl_i = b + 1
         nr_i = n - nl_i
-        r_counts = [int(t) - c for t, c in zip(parent_counts, l_counts)]
         s_left = sum(c * c for c in l_counts)
-        s_right = sum(c * c for c in r_counts)
-        cand = _Candidate(
-            feature=fi,
-            threshold=threshold,
-            impurity_num=nr_i * (nl_i * nl_i - s_left) + nl_i * (nr_i * nr_i - s_right),
-            pair_product=nl_i * nr_i,
-        )
-        if best is None or cand.better_than(best):
-            best = cand
+        s_right = sum((t - c) * (t - c) for t, c in zip(totals, l_counts))
+        # A = nr*(nl^2 - sum(left^2)) + nl*(nr^2 - sum(right^2))
+        a = nr_i * (nl_i * nl_i - s_left) + nl_i * (nr_i * nr_i - s_right)
+        pair = nl_i * nr_i
+        if best is None or a * best[1] < best[0] * pair:
+            best = (a, pair, i, b)
 
+    a, pair, i, b = best
     # positive gain check, exact: (n^2 - parent_sq) * pair > A * n
-    if (n * n - parent_sq) * best.pair_product <= best.impurity_num * n:
+    if (n * n - parent_sq) * pair <= a * n:
         return None
-    gain = gini(parent_counts.tolist()) - best.impurity_num / (n * best.pair_product)
-    return best.feature, best.threshold, gain
+    fi = features[i]
+    lo, hi = X[order[i, b], fi], X[order[i, b + 1], fi]
+    threshold = float((lo + hi) / 2.0)
+    if threshold >= hi:  # midpoint rounded up between adjacent floats
+        threshold = float(lo)
+    return fi, threshold, gini(totals) - a / (n * pair)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 from camsieve.features import FEATURE_NAMES
 from camsieve.flows import FlowState, Termination
-from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PacketRecord, TcpFlags
+from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PAYLOAD_HEAD, PacketRecord, TcpFlags
 from camsieve.tree import DecisionTreeModel, TreeNode, _model_payload
 
 
@@ -86,7 +86,8 @@ def flow_packet(ts, payload_len, total_length, header_len=8, flags=0, window=0):
     return PacketRecord(
         timestamp=ts, src_ip="", dst_ip="", src_port=0, dst_port=0, protocol=IPPROTO_UDP,
         total_length=total_length, transport_header_length=header_len,
-        payload_length=payload_len, payload=bytes(payload_len), tcp_flags=flags, tcp_window=window,
+        payload_length=payload_len, payload_head=bytes(min(payload_len, PAYLOAD_HEAD)),
+        tcp_flags=flags, tcp_window=window,
     )
 
 

@@ -21,6 +21,7 @@ from camsieve.packets import (
     IPPROTO_UDP,
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
+    PAYLOAD_HEAD,
     PacketRecord,
     TcpFlags,
 )
@@ -383,7 +384,8 @@ def _reference_transport(
     """Decode the transport header at the start of data, the captured part of
     a segment that the IP header says is segment_length bytes long. Payload
     lengths come from these length fields, so a snaplen-cut frame reports its
-    wire payload length."""
+    wire payload length; the record keeps the first PAYLOAD_HEAD captured
+    payload bytes."""
     if proto == IPPROTO_UDP:
         if len(data) < 8:
             return None
@@ -400,7 +402,7 @@ def _reference_transport(
             total_length=wire_length,
             transport_header_length=8,
             payload_length=segment_length - 8,
-            payload=data[8:segment_length],
+            payload_head=data[8:segment_length][:PAYLOAD_HEAD],
         )
     if proto == IPPROTO_TCP:
         if len(data) < 20:
@@ -420,7 +422,7 @@ def _reference_transport(
             total_length=wire_length,
             transport_header_length=header_len,
             payload_length=segment_length - header_len,
-            payload=data[header_len:],
+            payload_head=data[header_len:][:PAYLOAD_HEAD],
             tcp_flags=data[13],
             tcp_window=window,
         )

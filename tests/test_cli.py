@@ -15,11 +15,14 @@ import pytest
 from camsieve import cli, features, flows
 from camsieve.cli import main
 from camsieve.dataset import CHUNK_ROWS, read_csv
+from camsieve.packets import PAYLOAD_HEAD
 from camsieve.tree import load_model
 
 from conftest import (
     MALFORMED_PAYLOADS,
+    ipv4_frame,
     small_model_payload,
+    udp_segment,
     write_model_payload,
     write_pcap_bytes,
 )
@@ -348,6 +351,26 @@ def csv_lines(path):
     return schema, header, rows
 
 
+# runs one CLI command and prints the process's peak RSS in kB (Linux units)
+PEAK_RSS_CHILD = """
+import resource, sys
+from camsieve.cli import main
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def run_for_peak_rss(argv) -> int:
+    """Peak RSS in kB of a child process that runs one CLI command."""
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+        env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return int(child.stdout.split()[-1])
+
+
 class TestPredictStreaming:
     def test_scored_row_is_input_record_then_two_cells(self, workdir, model_path, tmp_path):
         schema, header, rows = csv_lines(workdir / "conf.csv")
@@ -414,20 +437,13 @@ class TestPredictStreaming:
 
     def test_peak_memory_does_not_grow_with_the_input(self, workdir, model_path, tmp_path):
         schema, header, rows = csv_lines(workdir / "conf.csv")
-        src_dir = Path(cli.__file__).resolve().parents[1]
         peaks = []
         for n in (2 * CHUNK_ROWS, 16 * CHUNK_ROWS):
             src, out = tmp_path / f"{n}.csv", tmp_path / f"{n}.scored.csv"
             with open(src, "w", encoding="utf-8", newline="") as fh:
                 fh.write(f"{schema}\r\n{header}\r\n")
                 fh.writelines(rows[i % len(rows)] + "\r\n" for i in range(n))
-            child = subprocess.run(
-                [sys.executable, "-c", PEAK_RSS_CHILD, "predict", str(model_path), str(src),
-                 "-o", str(out)],
-                env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
-                check=True, timeout=120,
-            )
-            peaks.append(int(child.stdout.split()[-1]))
+            peaks.append(run_for_peak_rss(["predict", str(model_path), str(src), "-o", str(out)]))
         assert peaks[1] <= 1.1 * peaks[0], f"peak RSS {peaks[0]} kB on N rows, {peaks[1]} kB on 8N"
 
 
@@ -466,13 +482,40 @@ class TestOverlongCell:
         assert not out.exists()
 
 
-# runs one CLI command and prints the process's peak RSS in kB (Linux units)
-PEAK_RSS_CHILD = """
-import resource, sys
-from camsieve.cli import main
-assert main(sys.argv[1:]) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+class TestPayloadMemory:
+    """Packet records keep PAYLOAD_HEAD payload bytes, not the payload, so two
+    captures that differ only in payload size peak alike."""
+
+    FRAMES = 20_000
+    FLOWS = 100
+
+    def write_capture(self, path, payload_size):
+        # RTP-looking UDP flows, one frame a millisecond; payload sizes only differ
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
+            for i in range(self.FRAMES):
+                flow, seq = i % self.FLOWS, i // self.FLOWS
+                rtp = struct.pack("!BBHII", 0x80, 96, seq, seq * 3000, flow)
+                segment = udp_segment(40000 + flow, 50000, rtp + bytes(payload_size - len(rtp)))
+                frame = ipv4_frame("10.0.0.1", "10.0.1.1", transport=segment)
+                fh.write(struct.pack("<IIII", i // 1000, i % 1000 * 1000, len(frame), len(frame)))
+                fh.write(frame)
+
+    @pytest.mark.parametrize("command", ["extract", "inspect"])
+    def test_peak_does_not_grow_with_payload_bytes(self, tmp_path, command):
+        sizes = (100, 1400)
+        assert PAYLOAD_HEAD < min(sizes)  # both keep the same bytes per record
+        peaks = []
+        for size in sizes:
+            pcap, out = tmp_path / f"{size}.pcap", tmp_path / f"{size}.out"
+            self.write_capture(pcap, size)
+            peaks.append(run_for_peak_rss([command, str(pcap), "-o", str(out)]))
+        payload_kb = self.FRAMES * (sizes[1] - sizes[0]) // 1024
+        assert peaks[1] - peaks[0] <= payload_kb // 10, (
+            f"peak RSS {peaks[0]} kB with {sizes[0]}-byte payloads, {peaks[1]} kB with "
+            f"{sizes[1]}-byte ones: {payload_kb} kB more payload bytes"
+        )
+
 
 class TestInspect:
     def test_text_report_mentions_rtp(self, workdir, capsys):

@@ -15,7 +15,7 @@ def udp_pkt(ts, src=("10.0.0.1", 5000), dst=("10.0.0.2", 6000), payload=b"x"):
     return PacketRecord(
         timestamp=ts, src_ip=src[0], dst_ip=dst[0], src_port=src[1], dst_port=dst[1],
         protocol=IPPROTO_UDP, total_length=42 + len(payload),
-        transport_header_length=8, payload_length=len(payload), payload=payload,
+        transport_header_length=8, payload_length=len(payload), payload_head=payload,
     )
 
 
@@ -24,7 +24,7 @@ def tcp_pkt(ts, src=("10.0.0.1", 5000), dst=("10.0.0.2", 6000), flags=TcpFlags.A
     return PacketRecord(
         timestamp=ts, src_ip=src[0], dst_ip=dst[0], src_port=src[1], dst_port=dst[1],
         protocol=IPPROTO_TCP, total_length=54 + len(payload),
-        transport_header_length=20, payload_length=len(payload), payload=payload,
+        transport_header_length=20, payload_length=len(payload), payload_head=payload,
         tcp_flags=flags, tcp_window=window,
     )
 
@@ -226,7 +226,7 @@ class TestPayloads:
         flows = assemble_flows(packets)
 
         def payloads(pkts):
-            return [p.payload for p in pkts]
+            return [p.payload_head for p in pkts]
 
         assert [payloads(f.packets) for f in flows] == [
             [b"a1", b"a2", b"a3", b"a4", b"a5", b"a6"],
@@ -234,9 +234,9 @@ class TestPayloads:
             [b"b1", b"b2", b"b3"],
         ]
         # the flows hold the decoder's own records, not copies
-        decoded = {p.payload: p for p in packets}
+        decoded = {p.payload_head: p for p in packets}
         for f in flows:
-            assert all(p is decoded[p.payload] for p in f.packets)
+            assert all(p is decoded[p.payload_head] for p in f.packets)
         # a2/a3 and b2/b3 share a timestamp: the direction comes from the sender alone
         assert [payloads(f.fwd_packets) for f in flows] == [
             [b"a1", b"a3", b"a4", b"a6"], [b"u1", b"u2"], [b"b1", b"b3"],

@@ -15,6 +15,7 @@ from camsieve.packets import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
     MAX_RECORD_LENGTH,
+    PAYLOAD_HEAD,
     PacketRecord,
     TcpFlags,
     decode_packet,
@@ -124,7 +125,7 @@ class TestDecodePacket:
             total_length=len(frame),
             transport_header_length=8,
             payload_length=4,
-            payload=b"abcd",
+            payload_head=b"abcd",
         )
 
     def test_tcp_syn_window(self):
@@ -139,7 +140,7 @@ class TestDecodePacket:
         seg = tcp_segment(data_offset_words=8, payload=b"xy")
         rec = decode_packet(ipv4_frame(proto=6, transport=seg), LINKTYPE_ETHERNET)
         assert rec.transport_header_length == 32
-        assert rec.payload == b"xy"
+        assert rec.payload_head == b"xy"
 
     def test_udp_header_is_always_eight(self):
         rec = decode_packet(ipv4_frame(transport=udp_segment(payload=b"")), LINKTYPE_ETHERNET)
@@ -148,7 +149,7 @@ class TestDecodePacket:
     def test_vlan_tag_unwrapped(self):
         frame = ipv4_frame(transport=udp_segment(1, 2, b"zz"), vlan=42)
         rec = decode_packet(frame, LINKTYPE_ETHERNET)
-        assert rec is not None and rec.src_port == 1 and rec.payload == b"zz"
+        assert rec is not None and rec.src_port == 1 and rec.payload_head == b"zz"
 
     def test_non_first_fragment_skipped(self):
         frame = ipv4_frame(transport=udp_segment(), frag_offset=100)
@@ -163,7 +164,7 @@ class TestDecodePacket:
         frame = ipv4_frame(transport=udp_segment(payload=b"abcd"))
         padded = frame + b"\x00" * (60 - len(frame))
         rec = decode_packet(padded, LINKTYPE_ETHERNET)
-        assert rec.payload == b"abcd"
+        assert rec.payload_head == b"abcd"
 
     def test_raw_ip_link_type(self):
         inner = ipv4_frame(transport=udp_segment(9, 10, b"q"))[14:]
@@ -178,7 +179,7 @@ class TestDecodePacket:
         rec = decode_packet(frame, LINKTYPE_ETHERNET)
         assert rec is not None
         assert rec.src_port == 1111
-        assert rec.payload == b"hello"
+        assert rec.payload_head == b"hello"
         assert ":" in rec.src_ip
 
     def test_unknown_link_type_skips(self):
@@ -201,14 +202,14 @@ def ipv6_frame(next_header, transport, extension=b"", payload_length=None) -> by
 
 
 class TestPayloadLength:
-    """payload_length comes from the IP/UDP length fields; payload holds the
-    captured bytes, which a snaplen cut shortens."""
+    """payload_length comes from the IP/UDP length fields; payload_head holds
+    the first PAYLOAD_HEAD captured bytes, which a snaplen cut can shorten."""
 
     def test_udp_cut_frame_keeps_wire_length(self):
         frame = ipv4_frame(transport=udp_segment(payload=bytes(range(250)) * 4))
         rec = decode_packet(frame[:96], LINKTYPE_ETHERNET, wire_length=len(frame))
         assert rec.payload_length == 1000
-        assert rec.payload == frame[42:96]
+        assert rec.payload_head == frame[42:42 + PAYLOAD_HEAD]
         assert rec.total_length == len(frame)
 
     def test_tcp_over_ipv4_cut_frame_keeps_wire_length(self):
@@ -217,7 +218,7 @@ class TestPayloadLength:
         rec = decode_packet(frame[:80], LINKTYPE_ETHERNET, wire_length=len(frame))
         assert rec.transport_header_length == 32
         assert rec.payload_length == 700
-        assert rec.payload == b"p" * (80 - 14 - 24 - 32)
+        assert rec.payload_head == b"p" * (80 - 14 - 24 - 32)  # the cut leaves 10
 
     def test_tcp_over_ipv6_subtracts_extension_headers(self):
         hop_by_hop = bytes([6, 0]) + b"\x00" * 6  # next header TCP, 8 bytes long
@@ -226,7 +227,17 @@ class TestPayloadLength:
         rec = decode_packet(frame[:100], LINKTYPE_ETHERNET, wire_length=len(frame))
         assert rec.protocol == IPPROTO_TCP
         assert rec.payload_length == 300
-        assert rec.payload == b"q" * (100 - 14 - 40 - 8 - 20)
+        assert rec.payload_head == b"q" * PAYLOAD_HEAD  # of 18 captured
+
+    @pytest.mark.parametrize("length", [0, 1, 11, 12, 13, 1400])
+    def test_head_is_the_first_payload_bytes(self, length):
+        payload = bytes(range(256)) * 6
+        payload = payload[:length]
+        for proto, segment in ((17, udp_segment(payload=payload)),
+                               (6, tcp_segment(data_offset_words=6, payload=payload))):
+            rec = decode_packet(ipv4_frame(proto=proto, transport=segment), LINKTYPE_ETHERNET)
+            assert rec.payload_length == length
+            assert rec.payload_head == payload[:PAYLOAD_HEAD]
 
     def test_udp_over_ipv6_cut_frame_keeps_wire_length(self):
         frame = ipv6_frame(17, udp_segment(payload=b"v" * 500))
@@ -236,14 +247,14 @@ class TestPayloadLength:
     def test_tcp_ethernet_padding_not_counted(self):
         frame = ipv4_frame(proto=6, transport=tcp_segment())
         rec = decode_packet(frame + b"\x00" * 6, LINKTYPE_ETHERNET)
-        assert rec.payload_length == 0 and rec.payload == b""
+        assert rec.payload_length == 0 and rec.payload_head == b""
 
     @pytest.mark.parametrize("total_length", [0, 19])
     def test_ipv4_total_length_too_small_falls_back_to_capture(self, total_length):
         frame = ipv4_frame(proto=6, transport=tcp_segment(payload=b"x" * 40),
                            total_length=total_length)
         rec = decode_packet(frame, LINKTYPE_ETHERNET)
-        assert rec.payload_length == 40 and rec.payload == b"x" * 40
+        assert rec.payload_length == 40 and rec.payload_head == b"x" * PAYLOAD_HEAD
 
     @pytest.mark.parametrize("proto, transport", [
         (6, tcp_segment(payload=b"abcd")),
@@ -253,18 +264,18 @@ class TestPayloadLength:
         frame = ipv4_frame(proto=proto, transport=transport, total_length=60000)
         for rec in (decode_packet(frame, LINKTYPE_ETHERNET),
                     decode_packet(frame[14:], LINKTYPE_RAW_IP)):
-            assert rec.payload_length == 4 and rec.payload == b"abcd"
+            assert rec.payload_length == 4 and rec.payload_head == b"abcd"
 
     def test_ipv6_payload_length_beyond_the_wire_falls_back_to_capture(self):
         frame = ipv6_frame(6, tcp_segment(payload=b"abcd"), payload_length=60000)
         for rec in (decode_packet(frame, LINKTYPE_ETHERNET),
                     decode_packet(frame[14:], LINKTYPE_RAW_IP)):
-            assert rec.payload_length == 4 and rec.payload == b"abcd"
+            assert rec.payload_length == 4 and rec.payload_head == b"abcd"
 
     def test_raw_ip_cut_frame_keeps_wire_length(self):
         packet = ipv4_frame(proto=6, transport=tcp_segment(payload=b"r" * 900))[14:]
         rec = decode_packet(packet[:60], LINKTYPE_RAW_IP, wire_length=len(packet))
-        assert rec.payload_length == 900 and rec.payload == b"r" * 20
+        assert rec.payload_length == 900 and rec.payload_head == b"r" * PAYLOAD_HEAD
 
     def test_ipv6_jumbogram_length_falls_back_to_capture(self):
         frame = ipv6_frame(6, tcp_segment(payload=b"j" * 64), payload_length=0)
@@ -282,7 +293,7 @@ class TestPayloadLength:
     def test_udp_length_below_ip_length_wins(self):
         seg = udp_segment(payload=b"w" * 10) + b"trailer"
         rec = decode_packet(ipv4_frame(transport=seg), LINKTYPE_ETHERNET)
-        assert rec.payload_length == 10 and rec.payload == b"w" * 10
+        assert rec.payload_length == 10 and rec.payload_head == b"w" * 10  # no trailer
 
 
 class TestReadPackets:

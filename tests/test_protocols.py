@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsieve.errors import InsufficientRtp
-from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP
+from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PAYLOAD_HEAD
 from camsieve.protocols import (
+    RTCP_TYPES,
     AppContext,
     Confidence,
     HintKind,
@@ -31,6 +32,22 @@ def rtp_bytes(version=2, padding=0, extension=0, cc=0, marker=0, pt=96,
     b0 = (version << 6) | (padding << 5) | (extension << 4) | cc
     b1 = (marker << 7) | pt
     return struct.pack("!BBHII", b0, b1, seq, ts, ssrc) + tail
+
+
+def rtcp_bytes(packet_type, count, padding=0):
+    """An RTCP packet of the given type whose 5-bit count field is count, with
+    a body of 24 bytes per report block or source (SR and RR also carry the
+    sender SSRC, SR its 20-byte sender info)."""
+    body = bytes(4 * (packet_type in (200, 201)) + 20 * (packet_type == 200) + 24 * count)
+    b0 = (2 << 6) | (padding << 5) | count
+    return struct.pack("!BBH", b0, packet_type, len(body) // 4) + body
+
+
+def carrying(ts, payload):
+    """A UDP record as the decoder builds it for payload: its wire length, and
+    its first PAYLOAD_HEAD bytes."""
+    return flow_packet(ts, len(payload), 42 + len(payload))._replace(
+        payload_head=payload[:PAYLOAD_HEAD])
 
 
 class TestParseRtpHeader:
@@ -100,6 +117,25 @@ class TestDemux:
 
     def test_short_payload(self):
         assert demux_rtp_rtcp(b"\x90") is MuxClass.NEITHER
+
+    @pytest.mark.parametrize("packet_type", [200, 201, 202, 203])
+    def test_rtcp_with_sixteen_or_more_blocks_is_rtcp(self, packet_type):
+        # a count of 16-31 sets bit 4 of the first byte, RTP's extension bit
+        for count in range(16, 32):
+            for padding in (0, 1):
+                payload = rtcp_bytes(packet_type, count, padding)
+                assert payload[0] & 0x10
+                assert parse_rtcp_header(payload).report_info == count
+                assert demux_rtp_rtcp(payload) is MuxClass.RTCP
+                hint = classify_udp_payload(payload, 50000, 50001)
+                assert hint.kind is HintKind.RTCP and hint.rtp is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 255), st.sampled_from(sorted(RTCP_TYPES)), st.binary(max_size=30))
+    def test_rtcp_type_byte_is_rtcp_whatever_the_first_byte(self, b0, packet_type, tail):
+        payload = bytes([b0, packet_type]) + tail
+        want = MuxClass.RTCP if b0 >> 6 == 2 else MuxClass.NEITHER
+        assert demux_rtp_rtcp(payload) is want
 
 
 class TestMediaHint:
@@ -179,6 +215,19 @@ class TestClassifyUdpPayload:
         else:
             assert hint.rtp is None
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.binary(max_size=64),
+                     st.builds(rtp_bytes, extension=st.integers(0, 1), marker=st.integers(0, 1),
+                               pt=st.integers(0, 127), tail=st.binary(max_size=32)),
+                     st.builds(rtcp_bytes, st.sampled_from(sorted(RTCP_TYPES)),
+                               st.integers(0, 31))),
+           st.one_of(st.sampled_from([443, 4500, 8801, 19305]), st.integers(0, 65535)),
+           st.one_of(st.sampled_from([443, 4500, 8801, 19305]), st.integers(0, 65535)))
+    def test_reads_no_byte_past_the_payload_head(self, payload, src, dst):
+        # packet records keep only the first PAYLOAD_HEAD payload bytes
+        assert (classify_udp_payload(payload, src, dst)
+                == classify_udp_payload(payload[:PAYLOAD_HEAD], src, dst))
+
     def test_media_only_set_for_rtp(self):
         for payload, ports in [
             (bytes([0xC3]) + b"\x00" * 8, (1, 443)),
@@ -251,15 +300,14 @@ class TestBuildReport:
             # the demux counts X=1 payloads as RTP from the first byte, X=0
             # ones from the full 12-byte header
             payload = rtp_bytes(extension=extension, pt=pt, seq=i, ssrc=7)
-            return flow_packet(i, 0, 54)._replace(payload=payload)
+            return carrying(i, payload)
 
         fwd = [rtp_packet(i, pt) for i, pt in enumerate(fwd_pts)]
-        bwd = [flow_packet(len(fwd), 0, 44)._replace(payload=b"xx")]
+        bwd = [carrying(len(fwd), b"xx")]
         return make_flow(fwd, bwd, initiator=("10.0.0.1", src_port))
 
     def rtp_looking_flow(self, protocol, dst_port):
-        fwd = [flow_packet(i, 0, 54)._replace(payload=rtp_bytes(pt=96, seq=i, ssrc=7))
-               for i in range(6)]
+        fwd = [carrying(i, rtp_bytes(pt=96, seq=i, ssrc=7)) for i in range(6)]
         return make_flow(fwd, [], protocol, responder=("10.0.0.2", dst_port))
 
     def test_payload_types_read_from_packets_and_sorted_numerically(self):
@@ -291,13 +339,25 @@ class TestBuildReport:
         payloads = [rtp_bytes(pt=96, seq=i, ssrc=7) for i in range(6)]
         payloads.insert(2, sender_report)
         payloads.insert(5, sender_report)
-        fwd = [flow_packet(i, 0, 54)._replace(payload=p) for i, p in enumerate(payloads)]
+        fwd = [carrying(i, p) for i, p in enumerate(payloads)]
         report = build_report([make_flow(fwd, [])], AppContext.GENERIC)
         (entry,) = report["flows"]
         assert entry["kind_counts"] == {"RTCP": 2, "RTP": 6}
         assert entry["rtp_payload_types"] == {"96": 6}
         assert report["rtp_payload_type_totals"] == {"96": 6}
         assert entry["rtp_continuity"] == 1.0
+
+    @pytest.mark.parametrize("packet_type", [200, 201, 202, 203])
+    def test_rtcp_with_sixteen_or_more_blocks_adds_no_payload_type(self, packet_type):
+        # read as RTP, 0x90-0x9F then 200-203 would count as payload types 72-75
+        payloads = [rtcp_bytes(packet_type, count) for count in range(16, 32)]
+        report = build_report([make_flow([carrying(i, p) for i, p in enumerate(payloads)], [])])
+        (entry,) = report["flows"]
+        assert entry["hint"] == "RTCP"
+        assert entry["kind_counts"] == {"RTCP": 16}
+        assert entry["rtp_payload_types"] == {}
+        assert report["rtp_payload_type_totals"] == {}
+        assert entry["rtp_continuity"] is None
 
     def test_tcp_flow_has_no_rtp_statistics(self):
         report = build_report([self.rtp_looking_flow(IPPROTO_TCP, 6000)])

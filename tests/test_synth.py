@@ -90,7 +90,7 @@ class TestConfRtp:
         packets = read_packets_sorted(pcap)
         for entry in entries:
             fwd_payloads = [
-                p.payload for p in packets
+                p.payload_head for p in packets
                 if (p.src_ip, p.src_port) == (entry["src_ip"], entry["src_port"])
             ]
             assert fwd_payloads

@@ -203,6 +203,19 @@ class TestScanMemoryBound:
     def test_order_matrix_is_int32(self):
         assert tree._presort(np.zeros((5, 3)), [0, 2]).dtype == np.int32
 
+    def test_int32_class_counts_square_exactly(self):
+        # 50,000 squared is past 2**31: the squares must be taken in float64
+        n, cut = 60_000, 50_000
+        X = np.arange(n, dtype=np.float64)[:, None]
+        y = (np.arange(n) >= cut).astype(np.int64)
+        w, lefts = tree._scan(X.T, y[None, :], np.array([cut, n - cut], dtype=np.float64))
+        assert lefts.dtype == np.int32
+        assert lefts[:, 0, cut - 1].tolist() == [cut, 0]
+        assert w[0, cut - 1] == 0.0 and w.argmin() == cut - 1
+        fi, threshold, gain = best_split(X, y, 2, [0])
+        assert (fi, threshold) == (0, cut - 0.5)
+        assert gain == pytest.approx(1 - (cut / n) ** 2 - ((n - cut) / n) ** 2)
+
     @pytest.mark.parametrize("cells", [1, 20_000])
     def test_tiny_budget_grows_the_same_tree(self, monkeypatch, cells):
         X, labels = tie_heavy(5, 3000, 12, 3)
