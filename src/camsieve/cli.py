@@ -337,10 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CamsieveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CamsieveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

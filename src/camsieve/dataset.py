@@ -15,7 +15,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadEncoding, BadTaxonomy, EmptyClass, RowParseError, SchemaMismatch
+from .errors import BadEncoding, BadTaxonomy, EmptyClass, IoFailure, RowParseError, SchemaMismatch
 from .features import ALL_COLUMNS, FEATURE_NAMES, SCHEMA_NAME, SCHEMA_VERSION, LabeledRecord
 
 CLASS_IOT_CAM = "IoTCam"
@@ -93,9 +93,17 @@ def default_taxonomy() -> LabelTaxonomy:
 def atomic_write_text(path: str | Path, writer: Callable, binary: bool = False) -> None:
     """Write through a sibling temp file and rename, so failures leave no
     partial output behind. writer gets a UTF-8 text handle without newline
-    translation, or a bytes handle when binary is set."""
+    translation, or a bytes handle when binary is set.
+
+    IoFailure names path when the temp file cannot be made or renamed to it;
+    an error raised by writer itself, such as one reading its input, passes
+    through as it is.
+    """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".", suffix=".tmp")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
     try:
         if binary:
             fh = os.fdopen(fd, "wb")
@@ -103,7 +111,10 @@ def atomic_write_text(path: str | Path, writer: Callable, binary: bool = False) 
             fh = os.fdopen(fd, "w", encoding="utf-8", newline="")
         with fh:
             writer(fh)
-        os.replace(tmp_name, path)
+        try:
+            os.replace(tmp_name, path)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)

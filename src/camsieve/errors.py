@@ -13,10 +13,6 @@ class OutOfOrderTimestamp(CamsieveError):
     """Packet arrived with a timestamp earlier than one already ingested."""
 
 
-class InsufficientRtp(CamsieveError):
-    """Fewer than two valid RTP headers with a common SSRC were found."""
-
-
 class EmptyDataset(CamsieveError):
     """Training requested on a dataset with no samples."""
 

@@ -17,7 +17,6 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .flows import FlowState
@@ -236,11 +235,11 @@ def compute_features(
     """All 77 statistics for one completed flow; degenerate flows yield zeros,
     never NaN or infinity (rates with zero duration are pinned to 0)."""
     fwd, bwd = flow.split()
-    merged = sorted(flow.packets, key=attrgetter("timestamp"))
-    if not merged:
+    packets = flow.packets
+    if not packets:
         raise ValueError("flow has no packets")
 
-    all_ts = [p.timestamp for p in merged]
+    all_ts = [p.timestamp for p in packets]
     all_gaps = _diffs(all_ts)
     duration = all_ts[-1] - all_ts[0]
     dur_s = duration / 1e6
@@ -285,7 +284,7 @@ def compute_features(
     v["Bwd Packet Length Mean"] = bwd_len.mean
     v["Bwd Packet Length Std"] = bwd_len.std
     v["Flow Bytes/s"] = all_len.total / dur_s if duration > 0 else 0.0
-    v["Flow Packets/s"] = len(merged) / dur_s if duration > 0 else 0.0
+    v["Flow Packets/s"] = len(packets) / dur_s if duration > 0 else 0.0
     v["Flow IAT Mean"] = flow_iat.mean
     v["Flow IAT Std"] = flow_iat.std
     v["Flow IAT Max"] = flow_iat.maximum
@@ -322,7 +321,7 @@ def compute_features(
     v["CWE Flag Count"] = float(_flag_count(all_flags, TcpFlags.CWE))
     v["ECE Flag Count"] = float(_flag_count(all_flags, TcpFlags.ECE))
     v["Down/Up Ratio"] = float(len(bwd) // len(fwd)) if fwd else 0.0
-    v["Average Packet Size"] = float(sum([p.total_length for p in merged])) / len(merged)
+    v["Average Packet Size"] = float(sum([p.total_length for p in packets])) / len(packets)
     v["Avg Fwd Segment Size"] = fwd_len.mean
     v["Avg Bwd Segment Size"] = bwd_len.mean
     v["Fwd Header Length.1"] = float(fwd_hdr)

@@ -35,8 +35,11 @@ class Termination(enum.Enum):
 class FlowState:
     """One flow's decoded packets, both directions, in the order they were ingested.
 
+    `packets` is in non-decreasing timestamp order: `FlowAssembler.ingest`
+    rejects a decreasing timestamp, and a flow built by hand must keep that
+    order, since `compute_features` reads `packets` as the flow's timeline.
     Forward means sent by the initiator's endpoint (`is_forward`); `split()`
-    and the `fwd_packets` and `bwd_packets` views split `packets` by that rule.
+    splits `packets` by that rule.
     """
 
     key: tuple[Endpoint, Endpoint, int]
@@ -73,16 +76,6 @@ class FlowState:
         for pkt in self.packets:
             (fwd if is_forward(pkt) else bwd).append(pkt)
         return fwd, bwd
-
-    # Library views of one direction each; the package itself calls split(),
-    # which gives both for the price of one.
-    @property
-    def fwd_packets(self) -> list[PacketRecord]:
-        return self.split()[0]
-
-    @property
-    def bwd_packets(self) -> list[PacketRecord]:
-        return self.split()[1]
 
 
 class FlowAssembler:

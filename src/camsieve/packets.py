@@ -302,11 +302,20 @@ def _decode_transport(
 
 
 def read_packets(path: str | Path) -> Iterator[PacketRecord]:
-    """Decode every TCP/UDP packet in a capture, skipping everything else."""
+    """Decode every TCP/UDP packet in a capture, skipping everything else.
+
+    Raises MalformedCapture on a frame of a link type that decode_packet does
+    not read: a pcap has one link type, so no frame of it would decode.
+    """
     for timestamp, link_type, data, wire_length in open_capture(path):
         record = decode_packet(data, link_type, timestamp, wire_length)
         if record is not None:
             yield record
+        elif link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
+            raise MalformedCapture(
+                f"{path}: link type {link_type} is not supported; only Ethernet "
+                f"({LINKTYPE_ETHERNET}) and raw IP ({LINKTYPE_RAW_IP}) are read"
+            )
 
 
 def read_packets_sorted(path: str | Path) -> list[PacketRecord]:

@@ -12,13 +12,12 @@ import struct
 from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .errors import InsufficientRtp
 from .flows import FlowState
 from .packets import IPPROTO_UDP, PROTOCOL_NAMES
 
-RTCP_STANDARD_TYPES = frozenset({200, 201, 202, 203, 204})
-RTCP_FEEDBACK_TYPES = frozenset({205, 206})  # transport/payload-specific feedback
-RTCP_TYPES = RTCP_STANDARD_TYPES | RTCP_FEEDBACK_TYPES
+# RTCP packet types: SR, RR, SDES, BYE and APP (200-204), then transport and
+# payload-specific feedback (205, 206)
+RTCP_TYPES = frozenset(range(200, 207))
 
 QUIC_PORT = 443
 IPSEC_NAT_T_PORT = 4500
@@ -51,16 +50,6 @@ class RtpHeader(NamedTuple):
     ssrc: int
 
 
-class RtcpHeader(NamedTuple):
-    """First 32 bits of an RTCP packet: V|P|RC/FMT|PT|length."""
-
-    version: int
-    padding: bool
-    report_info: int  # raw 5-bit field; meaning depends on the packet type
-    packet_type: int
-    length_words: int
-
-
 class MuxClass(enum.Enum):
     RTP = "RTP"
     RTCP = "RTCP"
@@ -68,6 +57,8 @@ class MuxClass(enum.Enum):
 
 
 class HintKind(enum.Enum):
+    """Declared in priority order, which breaks a tie for a flow's dominant kind."""
+
     RTP = "RTP"
     RTCP = "RTCP"
     QUIC_LONG = "QUIC_LONG"
@@ -104,8 +95,6 @@ class ProtocolHint(NamedTuple):
 
 # first byte, second byte, sequence, timestamp, SSRC
 _RTP = struct.Struct("!BBHII").unpack_from
-# first byte, packet type, length in 32-bit words minus one
-_RTCP = struct.Struct("!BBH").unpack_from
 
 
 def parse_rtp_header(payload: bytes) -> RtpHeader | None:
@@ -119,16 +108,6 @@ def parse_rtp_header(payload: bytes) -> RtpHeader | None:
         2, bool(b0 & 0x20), bool(b0 & 0x10), b0 & 0x0F, bool(b1 & 0x80), b1 & 0x7F,
         sequence, timestamp, ssrc,
     )
-
-
-def parse_rtcp_header(payload: bytes) -> RtcpHeader | None:
-    """Decode the common RTCP prefix; accepts types 200-204 plus 205/206 feedback."""
-    if len(payload) < 4:
-        return None
-    b0, pt, length_words = _RTCP(payload)
-    if b0 >> 6 != 2 or pt not in RTCP_TYPES:
-        return None
-    return RtcpHeader(2, bool(b0 & 0x20), b0 & 0x1F, pt, length_words)
 
 
 def demux_rtp_rtcp(payload: bytes) -> MuxClass:
@@ -216,13 +195,13 @@ def classify_udp_payload(payload: bytes, src_port: int, dst_port: int) -> Protoc
     return ProtocolHint(HintKind.UNKNOWN, codec_note=note)
 
 
-def rtp_stream_continuity(headers: Sequence[RtpHeader | None]) -> float:
+def rtp_stream_continuity(headers: Sequence[RtpHeader | None]) -> float | None:
     """Fraction of consecutive RTP sequence numbers incrementing by exactly 1.
 
     `headers` are a flow's parsed RTP headers in packet order; None entries
     (payloads that did not parse) are skipped. Headers are filtered to the
-    most frequent SSRC (lowest wins a tie); raises InsufficientRtp when fewer
-    than two such headers remain.
+    most frequent SSRC (lowest wins a tie); None when fewer than two such
+    headers remain.
     """
     headers = [h for h in headers if h is not None]
     if len(headers) >= 2:
@@ -230,43 +209,17 @@ def rtp_stream_continuity(headers: Sequence[RtpHeader | None]) -> float:
         top = max(ssrc_counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
         headers = [h for h in headers if h.ssrc == top]
     if len(headers) < 2:
-        raise InsufficientRtp(f"need >= 2 valid RTP headers with one SSRC, got {len(headers)}")
+        return None
     pairs = list(zip(headers, headers[1:]))
     hits = sum(1 for a, b in pairs if (b.sequence - a.sequence) % 65536 == 1)
     return hits / len(pairs)
 
 
-class Side(enum.Enum):
-    SRC = "SRC"
-    DST = "DST"
-    BOTH = "BOTH"
-
-
-class PortShare(NamedTuple):
-    count: int
-    proportion: float
-
-
-def port_profile(flows: Sequence[FlowState], side: Side = Side.DST) -> dict[int, PortShare]:
-    """Flow counts per transport port; proportions sum to 1 when non-empty."""
-    counts: Counter[int] = Counter()
-    for flow in flows:
-        if side in (Side.SRC, Side.BOTH):
-            counts[flow.initiator[1]] += 1
-        if side in (Side.DST, Side.BOTH):
-            counts[flow.responder[1]] += 1
-    total = sum(counts.values())
-    return {port: PortShare(c, c / total) for port, c in sorted(counts.items())}
-
-
-_KIND_PRIORITY = [
-    HintKind.RTP,
-    HintKind.RTCP,
-    HintKind.QUIC_LONG,
-    HintKind.QUIC_SHORT,
-    HintKind.IPSEC_NAT_T,
-    HintKind.UNKNOWN,
-]
+def port_profile(ports: Sequence[int]) -> dict[int, float]:
+    """Each port's share of `ports`, in port order; the shares sum to 1 when
+    `ports` is not empty."""
+    counts = Counter(ports)
+    return {port: c / len(ports) for port, c in sorted(counts.items())}
 
 
 def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
@@ -281,7 +234,7 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
         hints = [classify_udp_payload(p.payload_head, src_port, dst_port) for p in flow.packets]
     kind_counts: Counter[HintKind] = Counter(h.kind for h in hints)
     if kind_counts:
-        top = max(kind_counts.items(), key=lambda kv: (kv[1], -_KIND_PRIORITY.index(kv[0])))[0]
+        top = max(kind_counts.items(), key=lambda kv: (kv[1], -list(HintKind).index(kv[0])))[0]
         dominant = next(h for h in hints if h.kind is top)
     else:
         dominant = ProtocolHint(HintKind.UNKNOWN)
@@ -292,12 +245,6 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
         pt_counts.update(h.payload_type for h in headers)
         media, note = media_hint(headers[0], app)
         dominant = dominant._replace(media=media, codec_note=note)
-    continuity = None
-    try:
-        continuity = rtp_stream_continuity(headers)
-    except InsufficientRtp:
-        pass
-
     entry = {
         "flow_id": flow.flow_id,
         "protocol": PROTOCOL_NAMES[flow.protocol],
@@ -311,7 +258,7 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
         "kind_counts": dict(sorted((k.value, c) for k, c in kind_counts.items())),
         # sorted as ints before the keys become strings: 96 comes before 100
         "rtp_payload_types": {str(k): v for k, v in sorted(pt_counts.items())},
-        "rtp_continuity": continuity,
+        "rtp_continuity": rtp_stream_continuity(headers),
     }
     return entry, pt_counts
 
@@ -324,11 +271,13 @@ def build_report(flows: Sequence[FlowState], app: AppContext = AppContext.GENERI
         entry, pt_counts = inspect_flow(flow, app)
         entries.append(entry)
         pt_total.update(pt_counts)
+    src_shares = port_profile([f.initiator[1] for f in flows])
+    dst_shares = port_profile([f.responder[1] for f in flows])
     return {
         "app_context": app.value,
         "flows": entries,
-        "port_profile_src": {str(p): s.proportion for p, s in port_profile(flows, Side.SRC).items()},
-        "port_profile_dst": {str(p): s.proportion for p, s in port_profile(flows, Side.DST).items()},
+        "port_profile_src": {str(p): share for p, share in src_shares.items()},
+        "port_profile_dst": {str(p): share for p, share in dst_shares.items()},
         "rtp_payload_type_totals": {str(k): v for k, v in sorted(pt_total.items())},
     }
 

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .dataset import atomic_write_text
-from .errors import IoFailure
 from .packets import IPPROTO_TCP, IPPROTO_UDP, TcpFlags
 
 BASE_TIMESTAMP_US = 1_700_000_000_000_000
@@ -309,10 +308,7 @@ def write_pcap(path: str | Path, frames: Iterable[tuple[int, bytes]]) -> None:
             fh.write(struct.pack("<IIII", ts // 1_000_000, ts % 1_000_000, len(frame), len(frame)))
             fh.write(frame)
 
-    try:
-        atomic_write_text(path, emit, binary=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    atomic_write_text(path, emit, binary=True)
 
 
 def generate(
@@ -362,8 +358,5 @@ def generate(
     if manifest_path is None:
         manifest_path = str(out) + ".manifest.jsonl"
     text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in manifest_entries)
-    try:
-        atomic_write_text(manifest_path, lambda fh: fh.write(text))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {manifest_path}: {exc}") from exc
+    atomic_write_text(manifest_path, lambda fh: fh.write(text))
     return manifest_entries

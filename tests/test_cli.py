@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import signal
 import struct
 import subprocess
@@ -149,6 +150,57 @@ class TestOverlongRecord:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "more than 262144" in err
         assert not out.exists()
+
+
+class TestUnsupportedLinkType:
+    """113 is LINKTYPE_LINUX_SLL, what `tcpdump -i any` writes."""
+
+    @pytest.mark.parametrize("command", ["extract", "inspect"])
+    def test_frames_of_an_unread_link_type_are_data_error(self, workdir, tmp_path, capsys,
+                                                          command):
+        pcap, out = tmp_path / "sll.pcap", tmp_path / "out"
+        data = bytearray((workdir / "conf.pcap").read_bytes())
+        struct.pack_into("<I", data, 20, 113)  # the global header's link type
+        pcap.write_bytes(data)
+        assert main([command, str(pcap), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pcap}: link type 113 is not supported"), err
+        assert list(tmp_path.iterdir()) == [pcap]
+
+    @pytest.mark.parametrize("command", ["extract", "inspect"])
+    def test_header_only_capture_is_an_empty_run(self, tmp_path, command):
+        pcap, out = tmp_path / "sll.pcap", tmp_path / "out"
+        pcap.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 113))
+        assert main([command, str(pcap), "-o", str(out)]) == 0
+        assert out.exists()
+
+
+class TestWriteErrors:
+    """A failed write names the output path the user gave, not a temp file."""
+
+    def argv(self, command, workdir, model_path, out):
+        inputs = {
+            "extract": [workdir / "conf.pcap"],
+            "inspect": [workdir / "conf.pcap"],
+            "cv": [workdir / "both.csv"],
+            "predict": [model_path, workdir / "both.csv"],
+        }[command]
+        return [command, *map(str, inputs), "-o", str(out)]
+
+    @pytest.mark.parametrize("command", ["extract", "inspect", "cv", "predict"])
+    def test_missing_directory(self, workdir, model_path, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out"
+        assert main(self.argv(command, workdir, model_path, out)) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["extract", "inspect", "cv", "predict"])
+    def test_directory_in_the_way_leaves_no_temp_file(self, workdir, model_path, tmp_path,
+                                                      capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()  # the final rename fails
+        assert main(self.argv(command, workdir, model_path, out)) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestBadInputs:
@@ -351,24 +403,40 @@ def csv_lines(path):
     return schema, header, rows
 
 
-# runs one CLI command and prints the process's peak RSS in kB (Linux units)
-PEAK_RSS_CHILD = """
-import resource, sys
-from camsieve.cli import main
-assert main(sys.argv[1:]) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+# On Linux a process's peak RSS starts at the resident size of the process it
+# was forked from, so the command is started from this small launcher, not from
+# the test process; the launcher prints the command's peak RSS in kB
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+command = "import sys; from camsieve.cli import main; sys.exit(main(sys.argv[1:]))"
+child = subprocess.Popen([sys.executable, "-c", command, *sys.argv[1:]])
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+if child.returncode:
+    sys.exit(f"command exited with {child.returncode}")
+print(usage.ru_maxrss)
 """
 
 
 def run_for_peak_rss(argv) -> int:
     """Peak RSS in kB of a child process that runs one CLI command."""
     src_dir = Path(cli.__file__).resolve().parents[1]
-    child = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+    launcher = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_LAUNCHER, *argv],
         env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    return int(child.stdout.split()[-1])
+    return int(launcher.stdout.split()[-1])
+
+
+class TestPeakRss:
+    def test_reports_the_commands_own_peak(self, tmp_path):
+        ballast = b"\x01" * (150 << 20)  # written, so resident
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss > 150 << 10
+        peak = run_for_peak_rss(["synth", "--kind", "conf", "-n", "1", "-o",
+                                 str(tmp_path / "one.pcap")])
+        del ballast
+        assert peak < 100 << 10, f"peak RSS {peak} kB"
 
 
 class TestPredictStreaming:

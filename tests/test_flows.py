@@ -112,8 +112,9 @@ class TestIngest:
         asm.ingest(udp_pkt(2, A, B))
         flow = asm.flush()[0]
         assert flow.initiator == A
-        assert len(flow.fwd_packets) == 2
-        assert len(flow.bwd_packets) == 1
+        fwd, bwd = flow.split()
+        assert len(fwd) == 2
+        assert len(bwd) == 1
 
     def test_out_of_order_raises(self):
         asm = FlowAssembler()
@@ -186,7 +187,7 @@ class TestProperties:
         pkts = _random_stream(4)
         flows = assemble_flows(pkts)
         for f in flows:
-            assert f.fwd_packets, "forward side must hold at least the first packet"
+            assert f.split()[0], "forward side must hold at least the first packet"
             assert canonical_key(
                 udp_pkt(0, f.initiator, f.responder)
                 if f.protocol == IPPROTO_UDP
@@ -238,10 +239,10 @@ class TestPayloads:
         for f in flows:
             assert all(p is decoded[p.payload_head] for p in f.packets)
         # a2/a3 and b2/b3 share a timestamp: the direction comes from the sender alone
-        assert [payloads(f.fwd_packets) for f in flows] == [
+        assert [payloads(f.split()[0]) for f in flows] == [
             [b"a1", b"a3", b"a4", b"a6"], [b"u1", b"u2"], [b"b1", b"b3"],
         ]
-        assert [payloads(f.bwd_packets) for f in flows] == [[b"a2", b"a5"], [], [b"b2"]]
+        assert [payloads(f.split()[1]) for f in flows] == [[b"a2", b"a5"], [], [b"b2"]]
         assert flows[0].termination is Termination.TCP_FIN
         assert flows[0].key == flows[2].key
         assert sum(f.packet_count for f in flows) == len(packets) == len(frames)

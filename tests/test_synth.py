@@ -68,8 +68,9 @@ class TestWireValidity:
             key = ((entry["src_ip"], entry["src_port"]), (entry["dst_ip"], entry["dst_port"]))
             flow = by_endpoints[key]
             assert flow.packet_count == entry["packets"]
-            assert len(flow.fwd_packets) == entry["fwd_packets"]
-            assert len(flow.bwd_packets) == entry["bwd_packets"]
+            fwd, bwd = flow.split()
+            assert len(fwd) == entry["fwd_packets"]
+            assert len(bwd) == entry["bwd_packets"]
 
     def test_decoded_fields_match_generator_intent(self, small_runs):
         pcap, entries = small_runs[TrafficKind.SHARE]

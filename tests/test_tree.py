@@ -11,6 +11,7 @@ from camsieve.errors import (
     DimensionMismatch,
     EmptyDataset,
     InsufficientSamples,
+    IoFailure,
     UncleanData,
 )
 from camsieve.tree import (
@@ -576,8 +577,9 @@ class TestPersistence:
             raise PermissionError(f"rename to {dst} blocked")
 
         monkeypatch.setattr(os, "replace", blocked)
-        with pytest.raises(PermissionError):
+        with pytest.raises(IoFailure, match="^cannot write .*model.json") as failure:
             save_model(model, tmp_path / "model.json")
+        assert isinstance(failure.value.__cause__, PermissionError)
         assert list(tmp_path.iterdir()) == []
 
     def test_training_determinism_bytes(self, rng):
