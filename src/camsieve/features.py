@@ -17,10 +17,12 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .flows import FlowState
-from .packets import PacketRecord, TcpFlags
+from .packets import TcpFlags
 
 SCHEMA_NAME = "camsieve-flow-stats"
 SCHEMA_VERSION = "1"
@@ -198,7 +200,7 @@ class LabeledRecord:
 
 
 def _diffs(timestamps: Sequence[int]) -> list[int]:
-    return [b - a for a, b in zip(timestamps, timestamps[1:])]
+    return list(map(sub, timestamps[1:], timestamps[:-1]))
 
 
 def _flag_count(flag_bytes: Counter[int], flag: int) -> int:
@@ -206,27 +208,35 @@ def _flag_count(flag_bytes: Counter[int], flag: int) -> int:
     return sum(n for flags, n in flag_bytes.items() if flags & flag)
 
 
-def _bulk_stats(packets: Sequence[PacketRecord]) -> tuple[float, float, float]:
-    """Average bytes per bulk, packets per bulk and bulk byte rate (per second).
+def _bulk_stats(timestamps: list[int], lengths: list[int]) -> tuple[float, float, float]:
+    """Average bytes per bulk, packets per bulk and bulk byte rate (per second),
+    from one direction's packet timestamps and payload lengths.
 
     A bulk is a run of >= BULK_MIN_PACKETS consecutive data packets (payload
     >= 1 byte) in one direction with inter-arrivals <= BULK_GAP_US.
     """
-    data = [p for p in packets if p.payload_length]
-    runs: list[list[PacketRecord]] = []
-    for pkt in data:
-        if runs and pkt.timestamp - runs[-1][-1].timestamp <= BULK_GAP_US:
-            runs[-1].append(pkt)
-        else:
-            runs.append([pkt])
-    bulks = [run for run in runs if len(run) >= BULK_MIN_PACKETS]
+    data_ts = list(compress(timestamps, lengths))
+    if len(data_ts) < BULK_MIN_PACKETS:
+        return 0.0, 0.0, 0.0
+    data_lengths = list(compress(lengths, lengths))
+    gaps = _diffs(data_ts)
+    # each run of data packets is data_ts[start:end]
+    edges = [0, *[i for i, gap in enumerate(gaps, 1) if gap > BULK_GAP_US], len(data_ts)]
+    bulks = total_bytes = total_pkts = total_dur_us = 0
+    for start, end in zip(edges, edges[1:]):
+        if end - start >= BULK_MIN_PACKETS:
+            bulks += 1
+            total_pkts += end - start
+            total_bytes += sum(data_lengths[start:end])
+            total_dur_us += data_ts[end - 1] - data_ts[start]
     if not bulks:
         return 0.0, 0.0, 0.0
-    total_bytes = sum(p.payload_length for run in bulks for p in run)
-    total_pkts = sum(len(run) for run in bulks)
-    total_dur_us = sum(run[-1].timestamp - run[0].timestamp for run in bulks)
     rate = total_bytes / (total_dur_us / 1e6) if total_dur_us > 0 else 0.0
-    return total_bytes / len(bulks), total_pkts / len(bulks), rate
+    return total_bytes / bulks, total_pkts / bulks, rate
+
+
+# maps a FlowState.directions byte to its opposite: 1 for backward packets
+_BACKWARD = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def compute_features(
@@ -234,45 +244,50 @@ def compute_features(
 ) -> LabeledRecord:
     """All 77 statistics for one completed flow; degenerate flows yield zeros,
     never NaN or infinity (rates with zero duration are pinned to 0)."""
-    fwd, bwd = flow.split()
-    packets = flow.packets
-    if not packets:
+    n = flow.packet_count
+    if not n:
         raise ValueError("flow has no packets")
+    fwd = flow.directions
+    bwd = fwd.translate(_BACKWARD)
 
-    all_ts = [p.timestamp for p in packets]
+    all_ts = flow.timestamps.tolist()
     all_gaps = _diffs(all_ts)
     duration = all_ts[-1] - all_ts[0]
     dur_s = duration / 1e6
+    fwd_ts = list(compress(all_ts, fwd))
+    bwd_ts = list(compress(all_ts, bwd))
+    n_fwd, n_bwd = len(fwd_ts), len(bwd_ts)
 
-    fwd_pl = [p.payload_length for p in fwd]
-    bwd_pl = [p.payload_length for p in bwd]
+    lengths = flow.payload_lengths.tolist()
+    fwd_pl = list(compress(lengths, fwd))
+    bwd_pl = list(compress(lengths, bwd))
     fwd_len = stat_summary(fwd_pl)
     bwd_len = stat_summary(bwd_pl)
     all_len = stat_summary(fwd_pl + bwd_pl)
 
     flow_iat = stat_summary(all_gaps)
-    fwd_iat = stat_summary(_diffs([p.timestamp for p in fwd]))
-    bwd_iat = stat_summary(_diffs([p.timestamp for p in bwd]))
+    fwd_iat = stat_summary(_diffs(fwd_ts))
+    bwd_iat = stat_summary(_diffs(bwd_ts))
 
-    fwd_hdr = sum(p.transport_header_length for p in fwd)
-    bwd_hdr = sum(p.transport_header_length for p in bwd)
+    fwd_hdr = sum(compress(flow.header_lengths, fwd))
+    bwd_hdr = sum(compress(flow.header_lengths, bwd))
 
     segments = activity_segments(all_ts, activity_threshold_us)
     active = stat_summary([end - start for start, end in segments.active])
     idle = stat_summary(segments.idle)
 
-    fwd_flags = Counter(p.tcp_flags for p in fwd)
-    bwd_flags = Counter(p.tcp_flags for p in bwd)
+    fwd_flags = Counter(compress(flow.tcp_flags, fwd))
+    bwd_flags = Counter(compress(flow.tcp_flags, bwd))
     all_flags = fwd_flags + bwd_flags
 
     n_subflows = 1 + sum(1 for gap in all_gaps if gap > SUBFLOW_GAP_US)
-    fwd_bulk_bytes, fwd_bulk_pkts, fwd_bulk_rate = _bulk_stats(fwd)
-    bwd_bulk_bytes, bwd_bulk_pkts, bwd_bulk_rate = _bulk_stats(bwd)
+    fwd_bulk_bytes, fwd_bulk_pkts, fwd_bulk_rate = _bulk_stats(fwd_ts, fwd_pl)
+    bwd_bulk_bytes, bwd_bulk_pkts, bwd_bulk_rate = _bulk_stats(bwd_ts, bwd_pl)
 
     v: dict[str, float] = {}
     v["Flow Duration"] = float(duration)
-    v["Total Fwd Packets"] = float(len(fwd))
-    v["Total Backward Packets"] = float(len(bwd))
+    v["Total Fwd Packets"] = float(n_fwd)
+    v["Total Backward Packets"] = float(n_bwd)
     v["Total Length of Fwd Packets"] = fwd_len.total
     v["Total Length of Bwd Packets"] = bwd_len.total
     v["Fwd Packet Length Max"] = fwd_len.maximum
@@ -284,7 +299,7 @@ def compute_features(
     v["Bwd Packet Length Mean"] = bwd_len.mean
     v["Bwd Packet Length Std"] = bwd_len.std
     v["Flow Bytes/s"] = all_len.total / dur_s if duration > 0 else 0.0
-    v["Flow Packets/s"] = len(packets) / dur_s if duration > 0 else 0.0
+    v["Flow Packets/s"] = n / dur_s if duration > 0 else 0.0
     v["Flow IAT Mean"] = flow_iat.mean
     v["Flow IAT Std"] = flow_iat.std
     v["Flow IAT Max"] = flow_iat.maximum
@@ -305,8 +320,8 @@ def compute_features(
     v["Bwd URG Flags"] = float(_flag_count(bwd_flags, TcpFlags.URG))
     v["Fwd Header Length"] = float(fwd_hdr)
     v["Bwd Header Length"] = float(bwd_hdr)
-    v["Fwd Packets/s"] = len(fwd) / dur_s if duration > 0 else 0.0
-    v["Bwd Packets/s"] = len(bwd) / dur_s if duration > 0 else 0.0
+    v["Fwd Packets/s"] = n_fwd / dur_s if duration > 0 else 0.0
+    v["Bwd Packets/s"] = n_bwd / dur_s if duration > 0 else 0.0
     v["Min Packet Length"] = all_len.minimum
     v["Max Packet Length"] = all_len.maximum
     v["Packet Length Mean"] = all_len.mean
@@ -320,8 +335,8 @@ def compute_features(
     v["URG Flag Count"] = float(_flag_count(all_flags, TcpFlags.URG))
     v["CWE Flag Count"] = float(_flag_count(all_flags, TcpFlags.CWE))
     v["ECE Flag Count"] = float(_flag_count(all_flags, TcpFlags.ECE))
-    v["Down/Up Ratio"] = float(len(bwd) // len(fwd)) if fwd else 0.0
-    v["Average Packet Size"] = float(sum([p.total_length for p in packets])) / len(packets)
+    v["Down/Up Ratio"] = float(n_bwd // n_fwd) if n_fwd else 0.0
+    v["Average Packet Size"] = float(flow.wire_bytes) / n
     v["Avg Fwd Segment Size"] = fwd_len.mean
     v["Avg Bwd Segment Size"] = bwd_len.mean
     v["Fwd Header Length.1"] = float(fwd_hdr)
@@ -331,14 +346,14 @@ def compute_features(
     v["Bwd Avg Bytes/Bulk"] = bwd_bulk_bytes
     v["Bwd Avg Packets/Bulk"] = bwd_bulk_pkts
     v["Bwd Avg Bulk Rate"] = bwd_bulk_rate
-    v["Subflow Fwd Packets"] = len(fwd) / n_subflows
+    v["Subflow Fwd Packets"] = n_fwd / n_subflows
     v["Subflow Fwd Bytes"] = fwd_len.total / n_subflows
-    v["Subflow Bwd Packets"] = len(bwd) / n_subflows
+    v["Subflow Bwd Packets"] = n_bwd / n_subflows
     v["Subflow Bwd Bytes"] = bwd_len.total / n_subflows
-    v["Init_Win_bytes_forward"] = float(fwd[0].tcp_window) if fwd else 0.0
-    v["Init_Win_bytes_backward"] = float(bwd[0].tcp_window) if bwd else 0.0
-    v["act_data_pkt_fwd"] = float(sum(1 for p in fwd if p.payload_length))
-    v["min_seg_size_forward"] = float(min(p.transport_header_length for p in fwd)) if fwd else 0.0
+    v["Init_Win_bytes_forward"] = float(flow.first_window_fwd) if n_fwd else 0.0
+    v["Init_Win_bytes_backward"] = float(flow.first_window_bwd) if n_bwd else 0.0
+    v["act_data_pkt_fwd"] = float(n_fwd - fwd_pl.count(0))
+    v["min_seg_size_forward"] = float(min(compress(flow.header_lengths, fwd))) if n_fwd else 0.0
     v["Active Mean"] = active.mean
     v["Active Std"] = active.std
     v["Active Max"] = active.maximum

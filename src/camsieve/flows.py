@@ -2,17 +2,21 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from array import array
 from typing import Iterable
 
 from .errors import OutOfOrderTimestamp
-from .packets import IPPROTO_TCP, PacketRecord, TcpFlags
+from .packets import IPPROTO_TCP, PAYLOAD_HEAD, PacketRecord, TcpFlags
 
 DEFAULT_FLOW_TIMEOUT_US = 600_000_000
 # a half-closed TCP flow is considered finished after this much silence
 HALF_CLOSE_SILENCE_US = 1_000_000
 
 Endpoint = tuple[str, int]
+
+# a payload head's slot in FlowState.payload_heads: a length byte, then the head
+PAYLOAD_SLOT = 1 + PAYLOAD_HEAD
+_PADDING = [bytes(PAYLOAD_HEAD - n) for n in range(PAYLOAD_HEAD)]
 
 
 def canonical_key(pkt: PacketRecord) -> tuple[Endpoint, Endpoint, int]:
@@ -31,26 +35,53 @@ class Termination(enum.Enum):
     END_OF_CAPTURE = "END_OF_CAPTURE"
 
 
-@dataclass
 class FlowState:
-    """One flow's decoded packets, both directions, in the order they were ingested.
+    """One flow's packets, both directions, held as columns in the order they were added.
 
-    `packets` is in non-decreasing timestamp order: `FlowAssembler.ingest`
-    rejects a decreasing timestamp, and a flow built by hand must keep that
-    order, since `compute_features` reads `packets` as the flow's timeline.
-    Forward means sent by the initiator's endpoint (`is_forward`); `split()`
-    splits `packets` by that rule.
+    Each packet added by `add` appends one entry to every per-packet column:
+
+    - `timestamps` and `payload_lengths`: `array('q')`
+    - `directions`: a `bytearray`, 1 for a forward packet (sent from the
+      initiator's endpoint) and 0 for a backward one
+    - `header_lengths` (transport header bytes) and `tcp_flags` (the raw flags
+      byte, 0 for UDP): `bytearray`s
+    - `payload_heads`: a `bytearray` of PAYLOAD_SLOT-byte slots, each the
+      head's length and then the payload head, zero-padded; `heads()` reads it
+
+    Per flow it keeps the wire-byte sum (`wire_bytes`) and the TCP window of
+    the first packet in each direction (`first_window_fwd`, `first_window_bwd`;
+    None before that direction's first packet). The columns are in
+    non-decreasing timestamp order: `FlowAssembler.ingest` rejects a
+    decreasing timestamp, and a flow built by hand must add its packets in
+    that order, since `compute_features` reads the columns as the flow's
+    timeline.
     """
 
-    key: tuple[Endpoint, Endpoint, int]
-    initiator: Endpoint
-    responder: Endpoint
-    start_ts: int
-    last_ts: int
-    packets: list[PacketRecord] = field(default_factory=list)
-    termination: Termination | None = None
-    fin_fwd: bool = False
-    fin_bwd: bool = False
+    __slots__ = (
+        "key", "initiator", "responder", "start_ts", "last_ts", "termination", "fin_fwd",
+        "fin_bwd", "timestamps", "payload_lengths", "directions", "header_lengths",
+        "tcp_flags", "payload_heads", "wire_bytes", "first_window_fwd", "first_window_bwd",
+    )
+
+    def __init__(self, key: tuple[Endpoint, Endpoint, int], initiator: Endpoint,
+                 responder: Endpoint, start_ts: int):
+        self.key = key
+        self.initiator = initiator
+        self.responder = responder
+        self.start_ts = start_ts
+        self.last_ts = start_ts
+        self.termination: Termination | None = None
+        self.fin_fwd = False
+        self.fin_bwd = False
+        self.timestamps = array("q")
+        self.payload_lengths = array("q")
+        self.directions = bytearray()
+        self.header_lengths = bytearray()
+        self.tcp_flags = bytearray()
+        self.payload_heads = bytearray()
+        self.wire_bytes = 0
+        self.first_window_fwd: int | None = None
+        self.first_window_bwd: int | None = None
 
     @property
     def protocol(self) -> int:
@@ -63,19 +94,40 @@ class FlowState:
 
     @property
     def packet_count(self) -> int:
-        return len(self.packets)
+        return len(self.timestamps)
 
-    def is_forward(self, pkt: PacketRecord) -> bool:
-        return (pkt.src_ip, pkt.src_port) == self.initiator
+    def add(self, pkt: PacketRecord) -> bool:
+        """Append one packet to the columns; returns whether it is forward."""
+        (timestamp, src_ip, _, src_port, _, _, total_length, header_length, payload_length,
+         head, flags, window) = pkt
+        forward = src_port == self.initiator[1] and src_ip == self.initiator[0]
+        self.timestamps.append(timestamp)
+        self.payload_lengths.append(payload_length)
+        self.directions.append(forward)
+        self.header_lengths.append(header_length)
+        self.tcp_flags.append(flags)
+        kept = len(head)
+        slots = self.payload_heads
+        if kept < PAYLOAD_HEAD:
+            slots.append(kept)
+            slots += head
+            slots += _PADDING[kept]
+        else:  # a decoded head is at most PAYLOAD_HEAD bytes; a hand-built one may be longer
+            slots.append(PAYLOAD_HEAD)
+            slots += head if kept == PAYLOAD_HEAD else head[:PAYLOAD_HEAD]
+        self.wire_bytes += total_length
+        self.last_ts = timestamp
+        if forward:
+            if self.first_window_fwd is None:
+                self.first_window_fwd = window
+        elif self.first_window_bwd is None:
+            self.first_window_bwd = window
+        return forward
 
-    def split(self) -> tuple[list[PacketRecord], list[PacketRecord]]:
-        """(forward, backward) packets, each in ingest order, in one pass."""
-        fwd: list[PacketRecord] = []
-        bwd: list[PacketRecord] = []
-        is_forward = self.is_forward
-        for pkt in self.packets:
-            (fwd if is_forward(pkt) else bwd).append(pkt)
-        return fwd, bwd
+    def heads(self) -> list[bytes]:
+        """Each packet's payload head, in the order the packets were added."""
+        slots = bytes(self.payload_heads)
+        return [slots[i + 1 : i + 1 + slots[i]] for i in range(0, len(slots), PAYLOAD_SLOT)]
 
 
 class FlowAssembler:
@@ -88,48 +140,41 @@ class FlowAssembler:
 
     def ingest(self, pkt: PacketRecord) -> list[FlowState]:
         """Add one packet; returns any flows this packet completed."""
-        if self._last_ts is not None and pkt.timestamp < self._last_ts:
+        timestamp = pkt.timestamp
+        if self._last_ts is not None and timestamp < self._last_ts:
             raise OutOfOrderTimestamp(
-                f"packet at {pkt.timestamp} after {self._last_ts}; sort the capture first"
+                f"packet at {timestamp} after {self._last_ts}; sort the capture first"
             )
-        self._last_ts = pkt.timestamp
+        self._last_ts = timestamp
 
         key = canonical_key(pkt)
         completed: list[FlowState] = []
         flow = self._table.get(key)
 
-        if flow is not None and pkt.timestamp - flow.start_ts > self.flow_timeout_us:
-            completed.append(self._complete(key, Termination.TIMEOUT))
-            flow = None
-        elif (
-            flow is not None
-            and (flow.fin_fwd or flow.fin_bwd)
-            and pkt.timestamp - flow.last_ts >= HALF_CLOSE_SILENCE_US
-        ):
-            completed.append(self._complete(key, Termination.TCP_FIN))
-            flow = None
+        if flow is not None:
+            if timestamp - flow.start_ts > self.flow_timeout_us:
+                completed.append(self._complete(key, Termination.TIMEOUT))
+                flow = None
+            elif (flow.fin_fwd or flow.fin_bwd) and (
+                timestamp - flow.last_ts >= HALF_CLOSE_SILENCE_US
+            ):
+                completed.append(self._complete(key, Termination.TCP_FIN))
+                flow = None
 
         if flow is None:
-            flow = FlowState(
-                key=key,
-                initiator=(pkt.src_ip, pkt.src_port),
-                responder=(pkt.dst_ip, pkt.dst_port),
-                start_ts=pkt.timestamp,
-                last_ts=pkt.timestamp,
-            )
+            flow = FlowState(key, (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port), timestamp)
             self._table[key] = flow
 
-        flow.packets.append(pkt)
-        flow.last_ts = pkt.timestamp
+        forward = flow.add(pkt)
 
-        if pkt.protocol == IPPROTO_TCP:
-            fin_both_before = flow.fin_fwd and flow.fin_bwd
-            if pkt.tcp_flags & TcpFlags.RST:
+        if key[2] == IPPROTO_TCP:
+            flags = pkt.tcp_flags
+            if flags & TcpFlags.RST:
                 completed.append(self._complete(key, Termination.TCP_RST))
-            elif fin_both_before and pkt.tcp_flags & (TcpFlags.ACK | TcpFlags.FIN):
+            elif flow.fin_fwd and flow.fin_bwd and flags & (TcpFlags.ACK | TcpFlags.FIN):
                 completed.append(self._complete(key, Termination.TCP_FIN))
-            elif pkt.tcp_flags & TcpFlags.FIN:
-                if flow.is_forward(pkt):
+            elif flags & TcpFlags.FIN:
+                if forward:
                     flow.fin_fwd = True
                 else:
                     flow.fin_bwd = True

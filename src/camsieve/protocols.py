@@ -231,7 +231,7 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
     hints = []
     if flow.protocol == IPPROTO_UDP:
         src_port, dst_port = flow.initiator[1], flow.responder[1]
-        hints = [classify_udp_payload(p.payload_head, src_port, dst_port) for p in flow.packets]
+        hints = [classify_udp_payload(head, src_port, dst_port) for head in flow.heads()]
     kind_counts: Counter[HintKind] = Counter(h.kind for h in hints)
     if kind_counts:
         top = max(kind_counts.items(), key=lambda kv: (kv[1], -list(HintKind).index(kv[0])))[0]

@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+from camsieve import flows
 from camsieve.features import FEATURE_NAMES
 from camsieve.flows import FlowState, Termination
 from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PAYLOAD_HEAD, PacketRecord, TcpFlags
@@ -91,12 +92,36 @@ def flow_packet(ts, payload_len, total_length, header_len=8, flags=0, window=0):
     )
 
 
+class RecordedFlow(FlowState):
+    """A FlowState that also keeps every PacketRecord given to `add`, in order.
+
+    The oracles in oracles.py read `records`, never the package's columns, so
+    they check the columns against the packets that went into them.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.records: list[PacketRecord] = []
+
+    def add(self, pkt: PacketRecord) -> bool:
+        self.records.append(pkt)
+        return super().add(pkt)
+
+
+@pytest.fixture
+def recorded_flows(monkeypatch):
+    """While active, the assembler builds every flow as a RecordedFlow."""
+    monkeypatch.setattr(flows, "FlowState", RecordedFlow)
+
+
 def make_flow(fwd_packets, bwd_packets, protocol=IPPROTO_UDP,
-              initiator=("10.0.0.1", 5000), responder=("10.0.0.2", 6000)) -> FlowState:
-    """FlowState built directly, bypassing the assembler.
+              initiator=("10.0.0.1", 5000), responder=("10.0.0.2", 6000)) -> RecordedFlow:
+    """A flow built by hand through `FlowState.add`, bypassing the assembler.
 
     Each packet gets the flow's protocol and the endpoints of its direction;
-    the flow holds them in timestamp order, forward first on equal timestamps.
+    the flow is given them in timestamp order, forward first on equal timestamps.
     """
 
     def sent(pkt, src, dst):
@@ -107,18 +132,14 @@ def make_flow(fwd_packets, bwd_packets, protocol=IPPROTO_UDP,
     packets += [sent(p, responder, initiator) for p in bwd_packets]
     packets.sort(key=lambda p: p.timestamp)
     a, b = sorted([initiator, responder])
-    return FlowState(
-        key=(a, b, protocol),
-        initiator=initiator,
-        responder=responder,
-        start_ts=packets[0].timestamp,
-        last_ts=packets[-1].timestamp,
-        packets=packets,
-        termination=Termination.END_OF_CAPTURE,
-    )
+    flow = RecordedFlow((a, b, protocol), initiator, responder, packets[0].timestamp)
+    for pkt in packets:
+        flow.add(pkt)
+    flow.termination = Termination.END_OF_CAPTURE
+    return flow
 
 
-def random_flow(rng: random.Random) -> FlowState:
+def random_flow(rng: random.Random) -> RecordedFlow:
     """Random mixed TCP/UDP flow of up to 20 packets; first packet is forward."""
     tcp = rng.random() < 0.5
     n = rng.randint(1, 20)

@@ -84,9 +84,13 @@ def _bulks(pkts):
 
 
 def reference_features(flow: FlowState, threshold_us: int = ACTIVITY_THRESHOLD_US) -> dict[str, float]:
-    """All 77 features recomputed from first principles, keyed by column name."""
-    fwd = [p for p in flow.packets if (p.src_ip, p.src_port) == flow.initiator]
-    bwd = [p for p in flow.packets if (p.src_ip, p.src_port) != flow.initiator]
+    """All 77 features recomputed from first principles, keyed by column name.
+
+    Reads only the flow's identity and `flow.records`, the PacketRecords that a
+    conftest.RecordedFlow kept as they were added: never the flow's columns.
+    """
+    fwd = [p for p in flow.records if (p.src_ip, p.src_port) == flow.initiator]
+    bwd = [p for p in flow.records if (p.src_ip, p.src_port) != flow.initiator]
     everything = sorted(fwd + bwd, key=lambda p: p.timestamp)
     ts = [p.timestamp for p in everything]
     dur = ts[-1] - ts[0]

@@ -550,38 +550,82 @@ class TestOverlongCell:
         assert not out.exists()
 
 
+def write_rtp_capture(path, frames, flows, payload_size):
+    """A conf-like capture: `flows` RTP-looking UDP flows taking turns, one
+    frame a millisecond, each payload `payload_size` bytes."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
+        for i in range(frames):
+            flow, seq = i % flows, i // flows
+            rtp = struct.pack("!BBHII", 0x80, 96, seq % 65536, seq * 3000, flow)
+            segment = udp_segment(40000 + flow, 50000, rtp + bytes(payload_size - len(rtp)))
+            frame = ipv4_frame("10.0.0.1", "10.0.1.1", transport=segment)
+            fh.write(struct.pack("<IIII", i // 1000, i % 1000 * 1000, len(frame), len(frame)))
+            fh.write(frame)
+
+
 class TestPayloadMemory:
-    """Packet records keep PAYLOAD_HEAD payload bytes, not the payload, so two
+    """Flows keep PAYLOAD_HEAD payload bytes a packet, not the payload, so two
     captures that differ only in payload size peak alike."""
 
     FRAMES = 20_000
     FLOWS = 100
 
-    def write_capture(self, path, payload_size):
-        # RTP-looking UDP flows, one frame a millisecond; payload sizes only differ
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
-            for i in range(self.FRAMES):
-                flow, seq = i % self.FLOWS, i // self.FLOWS
-                rtp = struct.pack("!BBHII", 0x80, 96, seq, seq * 3000, flow)
-                segment = udp_segment(40000 + flow, 50000, rtp + bytes(payload_size - len(rtp)))
-                frame = ipv4_frame("10.0.0.1", "10.0.1.1", transport=segment)
-                fh.write(struct.pack("<IIII", i // 1000, i % 1000 * 1000, len(frame), len(frame)))
-                fh.write(frame)
-
     @pytest.mark.parametrize("command", ["extract", "inspect"])
     def test_peak_does_not_grow_with_payload_bytes(self, tmp_path, command):
         sizes = (100, 1400)
-        assert PAYLOAD_HEAD < min(sizes)  # both keep the same bytes per record
+        assert PAYLOAD_HEAD < min(sizes)  # both keep the same bytes per packet
         peaks = []
         for size in sizes:
             pcap, out = tmp_path / f"{size}.pcap", tmp_path / f"{size}.out"
-            self.write_capture(pcap, size)
+            write_rtp_capture(pcap, self.FRAMES, self.FLOWS, size)
             peaks.append(run_for_peak_rss([command, str(pcap), "-o", str(out)]))
         payload_kb = self.FRAMES * (sizes[1] - sizes[0]) // 1024
         assert peaks[1] - peaks[0] <= payload_kb // 10, (
             f"peak RSS {peaks[0]} kB with {sizes[0]}-byte payloads, {peaks[1]} kB with "
             f"{sizes[1]}-byte ones: {payload_kb} kB more payload bytes"
+        )
+
+
+class TestPipedCapture:
+    """A capture read from a pipe, which cannot be read twice, gives the
+    same output as the file."""
+
+    @pytest.mark.parametrize("command", ["extract", "inspect"])
+    def test_pipe_gives_the_files_output(self, workdir, tmp_path, command):
+        pcap = workdir / "conf.pcap"
+        from_file, from_pipe = tmp_path / "file.out", tmp_path / "pipe.out"
+        assert main([command, str(pcap), "-o", str(from_file)]) == 0
+        src_dir = Path(cli.__file__).resolve().parents[1]
+        subprocess.run(
+            [sys.executable, "-m", "camsieve.cli", command, "/dev/stdin", "-o", str(from_pipe)],
+            input=pcap.read_bytes(), env={**os.environ, "PYTHONPATH": str(src_dir)},
+            capture_output=True, check=True, timeout=120,
+        )
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+
+
+class TestPacketMemory:
+    """A flow holds a few dozen bytes a packet in columns, and the capture is
+    read in time order without a list of its records, so the peak grows by
+    far less than a PacketRecord (about 350 bytes) per added frame."""
+
+    FLOWS = 100
+    FRAMES = (20_000, 80_000)
+    MAX_BYTES_PER_FRAME = 100
+
+    @pytest.mark.parametrize("command", ["extract", "inspect"])
+    def test_peak_grows_by_few_bytes_per_frame(self, tmp_path, command):
+        peaks = []
+        for frames in self.FRAMES:
+            pcap, out = tmp_path / f"{frames}.pcap", tmp_path / f"{frames}.out"
+            write_rtp_capture(pcap, frames, self.FLOWS, 100)
+            peaks.append(run_for_peak_rss([command, str(pcap), "-o", str(out)]))
+            pcap.unlink()
+        per_frame = (peaks[1] - peaks[0]) * 1024 / (self.FRAMES[1] - self.FRAMES[0])
+        assert per_frame < self.MAX_BYTES_PER_FRAME, (
+            f"peak RSS {peaks[0]} kB at {self.FRAMES[0]} frames, {peaks[1]} kB at "
+            f"{self.FRAMES[1]}: {per_frame:.0f} bytes a frame"
         )
 
 

@@ -13,9 +13,11 @@ from camsieve.features import (
     compute_features,
     stat_summary,
 )
-from camsieve.packets import IPPROTO_TCP, TcpFlags
+from camsieve.flows import assemble_flows
+from camsieve.packets import IPPROTO_TCP, TcpFlags, read_packets_sorted
+from camsieve.synth import SynthProfile, TrafficKind, generate
 
-from conftest import flow_packet, make_flow, random_flow
+from conftest import RecordedFlow, flow_packet, make_flow, random_flow
 from oracles import reference_features
 
 S = 1_000_000  # microseconds per second
@@ -216,6 +218,18 @@ class TestOracleEquivalence:
             for name, got in zip(FEATURE_NAMES, vec.values):
                 want = expected[name]
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), name
+
+    def test_assembled_flows_match_reference(self, recorded_flows, tmp_path):
+        # the assembler fills the columns; the oracle reads the records it was given
+        for kind in TrafficKind:
+            pcap = tmp_path / f"{kind.value}.pcap"
+            generate(SynthProfile(kind, 12, seed=5), pcap)
+            flows = assemble_flows(read_packets_sorted(pcap))
+            assert flows and all(isinstance(f, RecordedFlow) for f in flows)
+            for flow in flows:
+                expected = reference_features(flow)
+                for name, got in zip(FEATURE_NAMES, compute_features(flow).values):
+                    assert got == pytest.approx(expected[name], rel=1e-9, abs=1e-9), name
 
     def test_conservation_and_totals(self, rng):
         for _ in range(100):

@@ -5,8 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsieve.errors import OutOfOrderTimestamp
-from camsieve.flows import FlowAssembler, Termination, assemble_flows, canonical_key
-from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PacketRecord, TcpFlags, read_packets_sorted
+from camsieve.flows import (
+    PAYLOAD_SLOT,
+    FlowAssembler,
+    Termination,
+    assemble_flows,
+    canonical_key,
+)
+from camsieve.packets import (
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    PAYLOAD_HEAD,
+    PacketRecord,
+    TcpFlags,
+    read_packets_sorted,
+)
 
 from conftest import ipv4_frame, tcp_segment, udp_segment, write_pcap_bytes
 
@@ -112,9 +125,7 @@ class TestIngest:
         asm.ingest(udp_pkt(2, A, B))
         flow = asm.flush()[0]
         assert flow.initiator == A
-        fwd, bwd = flow.split()
-        assert len(fwd) == 2
-        assert len(bwd) == 1
+        assert list(flow.directions) == [1, 0, 1]
 
     def test_out_of_order_raises(self):
         asm = FlowAssembler()
@@ -187,7 +198,7 @@ class TestProperties:
         pkts = _random_stream(4)
         flows = assemble_flows(pkts)
         for f in flows:
-            assert f.split()[0], "forward side must hold at least the first packet"
+            assert f.directions[0] == 1, "the first packet must be forward"
             assert canonical_key(
                 udp_pkt(0, f.initiator, f.responder)
                 if f.protocol == IPPROTO_UDP
@@ -196,6 +207,14 @@ class TestProperties:
 
 
 class TestPayloads:
+    def test_heads_keep_at_most_payload_head_bytes(self):
+        asm = FlowAssembler()
+        for ts, payload in enumerate([b"x" * 20, b"", b"yz", b"w" * PAYLOAD_HEAD]):
+            asm.ingest(udp_pkt(ts, payload=payload))
+        (flow,) = asm.flush()
+        assert flow.heads() == [b"x" * PAYLOAD_HEAD, b"", b"yz", b"w" * PAYLOAD_HEAD]
+        assert len(flow.payload_heads) == 4 * PAYLOAD_SLOT
+
     def test_each_flow_keeps_its_own_payloads_in_capture_order(self, tmp_path):
         client, server = ("10.0.0.1", 5000), ("10.0.0.2", 80)
 
@@ -223,26 +242,20 @@ class TestPayloads:
         ]
         pcap = tmp_path / "reuse.pcap"
         pcap.write_bytes(write_pcap_bytes(frames))
-        packets = read_packets_sorted(pcap)
-        flows = assemble_flows(packets)
+        flows = assemble_flows(read_packets_sorted(pcap))
 
-        def payloads(pkts):
-            return [p.payload_head for p in pkts]
-
-        assert [payloads(f.packets) for f in flows] == [
+        assert [f.heads() for f in flows] == [
             [b"a1", b"a2", b"a3", b"a4", b"a5", b"a6"],
             [b"u1", b"u2"],
             [b"b1", b"b2", b"b3"],
         ]
-        # the flows hold the decoder's own records, not copies
-        decoded = {p.payload_head: p for p in packets}
-        for f in flows:
-            assert all(p is decoded[p.payload_head] for p in f.packets)
         # a2/a3 and b2/b3 share a timestamp: the direction comes from the sender alone
-        assert [payloads(f.split()[0]) for f in flows] == [
-            [b"a1", b"a3", b"a4", b"a6"], [b"u1", b"u2"], [b"b1", b"b3"],
+        assert [list(f.directions) for f in flows] == [
+            [1, 0, 1, 1, 0, 1], [1, 1], [1, 0, 1],
         ]
-        assert [payloads(f.split()[1]) for f in flows] == [[b"a2", b"a5"], [], [b"b2"]]
+        assert [list(f.timestamps) for f in flows] == [
+            [0, 100, 100, 200, 300, 400], [150, 350], [500, 600, 600],
+        ]
         assert flows[0].termination is Termination.TCP_FIN
         assert flows[0].key == flows[2].key
-        assert sum(f.packet_count for f in flows) == len(packets) == len(frames)
+        assert sum(f.packet_count for f in flows) == len(frames)

@@ -1,10 +1,13 @@
 import io
 import ipaddress
+import itertools
+import random
 import socket
 import struct
+from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from camsieve import packets
@@ -21,6 +24,7 @@ from camsieve.packets import (
     decode_packet,
     open_capture,
     read_packets,
+    read_packets_sorted,
 )
 
 from conftest import ipv4_frame, tcp_segment, udp_segment, write_pcap_bytes
@@ -74,6 +78,17 @@ class TestOpenCapture:
         p.write_bytes(write_pcap_bytes([(0, bytes(MAX_RECORD_LENGTH))]))
         assert [len(f.data) for f in open_capture(p)] == [262_144]
 
+    def test_records_straddling_blocks_read_whole(self, tmp_path):
+        # many records cross a block boundary, and two span several blocks
+        rng = random.Random(7)
+        sizes = [rng.randint(0, 3000) for _ in range(300)] + [70_000, 0, 150_000, 1]
+        frames = [(i * 1000, rng.randbytes(size)) for i, size in enumerate(sizes)]
+        p = tmp_path / "blocks.pcap"
+        p.write_bytes(write_pcap_bytes(frames))
+        assert [(f.timestamp, f.data, f.wire_length) for f in open_capture(p)] == [
+            (ts, data, len(data)) for ts, data in frames
+        ]
+
     def test_complete_record_over_max_snaplen_rejected(self, tmp_path):
         frame = ipv4_frame(transport=udp_segment(payload=b"abcd"))
         p = tmp_path / "long.pcap"
@@ -84,8 +99,11 @@ class TestOpenCapture:
             next(it)
 
     def test_absurd_length_rejected_before_reading_body(self, tmp_path, monkeypatch):
+        # the capture is read in blocks no longer than MAX_RECORD_LENGTH: the
+        # claim is rejected from the first block, with no read of the body it claims
         p = tmp_path / "absurd.pcap"
-        p.write_bytes(write_pcap_bytes([]) + struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 60))
+        p.write_bytes(write_pcap_bytes([]) + struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 60)
+                      + bytes(3 * MAX_RECORD_LENGTH))
         reads = []
 
         class SpyFile(io.BytesIO):
@@ -98,7 +116,7 @@ class TestOpenCapture:
                             raising=False)
         with pytest.raises(MalformedCapture, match=str(0xFFFFFFF0)):
             list(open_capture(p))
-        assert reads == [24, 16]  # global header, record header, no body
+        assert len(reads) == 2 and reads[0] == 24  # global header, first block, no more
 
     def test_too_short_for_global_header(self, tmp_path):
         p = tmp_path / "tiny.pcap"
@@ -309,6 +327,83 @@ class TestReadPackets:
         assert [r.timestamp for r in records] == [10, 30]  # ARP dropped
         assert records[0].protocol == IPPROTO_UDP
         assert records[1].tcp_flags == TcpFlags.SYN | TcpFlags.ACK
+
+
+ARP_FRAME = b"\xbb" * 6 + b"\xaa" * 6 + struct.pack("!H", 0x0806) + b"\x00" * 28
+
+
+@st.composite
+def disordered_frames(draw):
+    """(timestamp, decodable) per frame: a timeline with repeated timestamps,
+    then runs moved earlier or later and runs or the whole capture reversed."""
+    steps = draw(st.lists(st.integers(0, 3), max_size=40))  # a 0 step repeats a timestamp
+    timestamps = list(itertools.accumulate(steps))
+    for kind in draw(st.lists(st.sampled_from(["move", "reverse-run", "reverse"]), max_size=3)):
+        if not timestamps:
+            break
+        i = draw(st.integers(0, len(timestamps) - 1))
+        j = draw(st.integers(i, len(timestamps)))
+        if kind == "move":
+            run, rest = timestamps[i:j], timestamps[:i] + timestamps[j:]
+            k = draw(st.integers(0, len(rest)))
+            timestamps = rest[:k] + run + rest[k:]
+        elif kind == "reverse-run":
+            timestamps[i:j] = timestamps[i:j][::-1]
+        else:
+            timestamps.reverse()
+    decodable = draw(st.lists(st.booleans(), min_size=len(timestamps), max_size=len(timestamps)))
+    return [(ts * 250_000, ok) for ts, ok in zip(timestamps, decodable)]
+
+
+def write_numbered_capture(path, frames):
+    """Each decodable frame carries its frame index as its payload."""
+    path.write_bytes(write_pcap_bytes([
+        (ts, ipv4_frame(transport=udp_segment(payload=struct.pack("!I", i))) if ok else ARP_FRAME)
+        for i, (ts, ok) in enumerate(frames)
+    ]))
+
+
+class TestReadPacketsSorted:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(disordered_frames())
+    def test_same_order_as_a_stable_sort(self, tmp_path, frames):
+        p = tmp_path / "disordered.pcap"
+        write_numbered_capture(p, frames)
+        assert list(read_packets_sorted(p)) == sorted(read_packets(p), key=attrgetter("timestamp"))
+
+    def held_while_reading(self, path, monkeypatch) -> list[int]:
+        """For each record read_packets_sorted yields, the records decoded but
+        not yet yielded at that moment."""
+        decoded = []
+        decode = packets.decode_packet
+
+        def counting(*args):
+            decoded.append(None)
+            return decode(*args)
+
+        monkeypatch.setattr(packets, "decode_packet", counting)
+        return [len(decoded) - n for n, _ in enumerate(read_packets_sorted(path), 1)]
+
+    def test_a_sorted_capture_holds_no_record(self, tmp_path, monkeypatch):
+        p = tmp_path / "sorted.pcap"
+        write_numbered_capture(p, [(ts, True) for ts in (0, 10, 10, 20, 30, 30, 30, 40)])
+        assert self.held_while_reading(p, monkeypatch) == [0] * 8
+
+    def test_held_records_grow_with_the_disorder(self, tmp_path, monkeypatch):
+        # the frame at 25 comes after 30, 40 and 50: only those three wait for it
+        p = tmp_path / "late.pcap"
+        write_numbered_capture(p, [(ts, True) for ts in (0, 10, 20, 30, 40, 50, 25, 60, 70)])
+        held = self.held_while_reading(p, monkeypatch)
+        assert max(held) == 3 and held[-2:] == [0, 0]
+
+    def test_malformed_capture_is_rejected_before_the_first_record(self, tmp_path):
+        frame = ipv4_frame(transport=udp_segment(payload=b"abcd"))
+        full = write_pcap_bytes([(0, frame), (1000, frame)])
+        cut = tmp_path / "cut.pcap"
+        cut.write_bytes(full[:-1])
+        with pytest.raises(MalformedCapture, match="truncated record body"):
+            read_packets_sorted(cut)
 
 
 VLAN_TPIDS = (0x8100, 0x88A8)

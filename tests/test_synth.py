@@ -68,9 +68,8 @@ class TestWireValidity:
             key = ((entry["src_ip"], entry["src_port"]), (entry["dst_ip"], entry["dst_port"]))
             flow = by_endpoints[key]
             assert flow.packet_count == entry["packets"]
-            fwd, bwd = flow.split()
-            assert len(fwd) == entry["fwd_packets"]
-            assert len(bwd) == entry["bwd_packets"]
+            assert flow.directions.count(1) == entry["fwd_packets"]
+            assert flow.directions.count(0) == entry["bwd_packets"]
 
     def test_decoded_fields_match_generator_intent(self, small_runs):
         pcap, entries = small_runs[TrafficKind.SHARE]
@@ -88,7 +87,7 @@ class TestConfRtp:
             (f.initiator, f.responder): f
             for f in assemble_flows(read_packets_sorted(pcap))
         }
-        packets = read_packets_sorted(pcap)
+        packets = list(read_packets_sorted(pcap))
         for entry in entries:
             fwd_payloads = [
                 p.payload_head for p in packets
