@@ -27,9 +27,8 @@ CLASSES = (CLASS_IOT_CAM, CLASS_CONF, CLASS_SHARE, CLASS_OTHERS)
 _VERSION_LINE = f"# {SCHEMA_NAME} v{SCHEMA_VERSION}"
 
 # records per read_chunks chunk: bounds a streaming reader's memory, and
-# amortises each np.loadtxt call. Larger chunks fragment predict's heap: at
-# 2048 records its peak grew 7-10% from 2 chunks to 16
-CHUNK_ROWS = 512
+# amortises each np.loadtxt call
+CHUNK_ROWS = 2048
 _NUMERIC_COLUMNS = range(3, len(ALL_COLUMNS) - 1)  # two ports, protocol, 77 values
 # parsing the int cells as int64 is their check; only the values are kept
 _NUMERIC_DTYPE = np.dtype(

@@ -6,13 +6,12 @@ timestamp resolution). pcapng files are rejected at the magic check.
 from __future__ import annotations
 
 import functools
-import heapq
 import ipaddress
+import itertools
 import os
 import socket
 import stat
 import struct
-from array import array
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -82,11 +81,6 @@ class PacketRecord(NamedTuple):
     tcp_window: int = 0  # always 0 for UDP
 
 
-# builds a NamedTuple from a tuple of all its fields in one C call, without
-# the Python __new__ that NamedTuple generates: once per frame and per packet
-_new_tuple = tuple.__new__
-
-
 class CapturedFrame(NamedTuple):
     timestamp: int  # microseconds
     link_type: int
@@ -144,8 +138,7 @@ def _walk_records(fh, path: str | Path, frames: bool) -> Iterator[list]:
                 break
             ts_us = ts_sec * 1_000_000 + ts_frac // subsec_div
             if frames:
-                frame = (ts_us, link_type, block[pos + 16 : end], orig_len)
-                walked.append(_new_tuple(CapturedFrame, frame))
+                walked.append(CapturedFrame(ts_us, link_type, block[pos + 16 : end], orig_len))
             else:
                 walked.append(ts_us)
             pos = end
@@ -330,10 +323,10 @@ def _decode_transport(
         # the head stops at the segment's end, and at the frame's end when
         # snaplen cut the segment
         start = offset + 8
-        return _new_tuple(PacketRecord, (
+        return PacketRecord(
             timestamp, src, dst, src_port, dst_port, IPPROTO_UDP, wire_length, 8,
             segment_length - 8, frame[start : start + min(segment_length - 8, PAYLOAD_HEAD)], 0, 0,
-        ))
+        )
     if proto == IPPROTO_TCP:
         if end - offset < 20:
             return None
@@ -342,11 +335,11 @@ def _decode_transport(
         if header_len < 20 or end - offset < header_len:
             return None
         start = offset + header_len
-        return _new_tuple(PacketRecord, (
+        return PacketRecord(
             timestamp, src, dst, src_port, dst_port, IPPROTO_TCP, wire_length, header_len,
             segment_length - header_len, frame[start : min(end, start + PAYLOAD_HEAD)],
             flags, window,
-        ))
+        )
     return None
 
 
@@ -356,84 +349,51 @@ def read_packets(path: str | Path) -> Iterator[PacketRecord]:
     Raises MalformedCapture on a frame of a link type that decode_packet does
     not read: a pcap has one link type, so no frame of it would decode.
     """
-    for timestamp, link_type, data, wire_length in open_capture(path):
+    return _decoded(path, open_capture(path))
+
+
+def _decoded(path: str | Path, frames: Iterator[CapturedFrame]) -> Iterator[PacketRecord]:
+    for timestamp, link_type, data, wire_length in frames:
         record = decode_packet(data, link_type, timestamp, wire_length)
         if record is not None:
             yield record
         elif link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-            raise _unread_link_type(path, link_type)
-
-
-def _unread_link_type(path: str | Path, link_type: int) -> MalformedCapture:
-    return MalformedCapture(
-        f"{path}: link type {link_type} is not supported; only Ethernet "
-        f"({LINKTYPE_ETHERNET}) and raw IP ({LINKTYPE_RAW_IP}) are read"
-    )
-
-
-# above every timestamp a pcap can hold, in microseconds, and still an array("q") item
-_NO_BOUND = (1 << 63) - 1
+            raise MalformedCapture(
+                f"{path}: link type {link_type} is not supported; only Ethernet "
+                f"({LINKTYPE_ETHERNET}) and raw IP ({LINKTYPE_RAW_IP}) are read"
+            )
 
 
 def read_packets_sorted(path: str | Path) -> Iterator[PacketRecord]:
-    """Every packet of `read_packets(path)`, stably sorted by timestamp, one at a time.
+    """Every packet of `read_packets(path)`, stably sorted by timestamp.
 
     The records come in the order that
-    `sorted(read_packets(path), key=attrgetter("timestamp"))` gives, without a
-    list of them all. This call reads the capture's record headers once,
-    noting each late frame: one whose timestamp is below the largest before
-    it. The returned iterator then decodes the capture in file order. It holds
-    a record back only while a later late frame has a smaller timestamp, so a
-    sorted capture holds none, and what is held grows with the capture's
-    disorder, not its size. Raises MalformedCapture here on a capture that
-    `open_capture` rejects, and from the iterator on a link type that
-    `read_packets` rejects. A capture that is not a regular file, such as a
-    pipe, is read once, and its records are sorted in a list.
+    `sorted(read_packets(path), key=attrgetter("timestamp"))` gives. This call
+    first reads the capture's record headers. If the timestamps never fall,
+    the returned iterator decodes the capture in file order and holds no
+    record; it stops at the frames that first read counted, so frames
+    appended to the file meanwhile are not read. A capture whose timestamps
+    fall somewhere, or that is not a regular file (a pipe cannot be read
+    twice), is decoded here and its records are sorted in a list. The capture
+    must not otherwise change while it is read. Raises MalformedCapture here
+    on a capture that `open_capture` rejects.
     """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        # a pipe cannot be read twice: its records are sorted in memory
-        return iter(sorted(read_packets(path), key=attrgetter("timestamp")))
-    late_index = array("q")
-    late_bound = array("q")  # smallest timestamp of this late frame and every later one
+    if stat.S_ISREG(os.stat(path).st_mode):
+        frames = _frames_if_sorted(path)
+        if frames is not None:
+            return _decoded(path, itertools.islice(open_capture(path), frames))
+    return iter(sorted(read_packets(path), key=attrgetter("timestamp")))
+
+
+def _frames_if_sorted(path: str | Path) -> int | None:
+    """The capture's frame count if no timestamp is below one before it, else None."""
+    latest = -1
+    count = 0
     with open(path, "rb") as fh:
-        latest = -1
-        index = 0
         for timestamps in _walk_records(fh, path, frames=False):
-            for timestamp in timestamps:
-                if timestamp < latest:
-                    late_index.append(index)
-                    late_bound.append(timestamp)
-                else:
-                    latest = timestamp
-                index += 1
-    for k in range(len(late_bound) - 2, -1, -1):
-        if late_bound[k + 1] < late_bound[k]:
-            late_bound[k] = late_bound[k + 1]
-    late_index.append(_NO_BOUND)  # a sentinel past the last frame
-    late_bound.append(_NO_BOUND)
-    return _in_time_order(path, late_index, late_bound)
-
-
-def _in_time_order(path, late_index, late_bound) -> Iterator[PacketRecord]:
-    # bound: the smallest timestamp of any late frame after the current one; a
-    # record no later than it sorts before every frame still to come
-    held: list[tuple[int, int, PacketRecord]] = []  # a heap of (timestamp, frame index, record)
-    k = 0
-    next_late, bound = late_index[0], late_bound[0]
-    for index, (timestamp, link_type, data, wire_length) in enumerate(open_capture(path)):
-        if index == next_late:
-            k += 1
-            next_late, bound = late_index[k], late_bound[k]
-        record = decode_packet(data, link_type, timestamp, wire_length)
-        if record is None:
-            if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-                raise _unread_link_type(path, link_type)
-            continue
-        if not held and timestamp <= bound:
-            yield record
-            continue
-        heapq.heappush(held, (timestamp, index, record))
-        while held and held[0][0] <= bound:
-            yield heapq.heappop(held)[2]
-    while held:
-        yield heapq.heappop(held)[2]
+            # sorting a sorted list is one linear pass in C
+            if timestamps[0] < latest or timestamps != sorted(timestamps):
+                return None
+            latest = timestamps[-1]
+            count += len(timestamps)
+    return count

@@ -15,7 +15,7 @@ import pytest
 
 from camsieve import cli, features, flows
 from camsieve.cli import main
-from camsieve.dataset import CHUNK_ROWS, read_csv
+from camsieve.dataset import read_csv
 from camsieve.packets import PAYLOAD_HEAD
 from camsieve.tree import load_model
 
@@ -506,7 +506,7 @@ class TestPredictStreaming:
     def test_peak_memory_does_not_grow_with_the_input(self, workdir, model_path, tmp_path):
         schema, header, rows = csv_lines(workdir / "conf.csv")
         peaks = []
-        for n in (2 * CHUNK_ROWS, 16 * CHUNK_ROWS):
+        for n in (4096, 32_768):
             src, out = tmp_path / f"{n}.csv", tmp_path / f"{n}.scored.csv"
             with open(src, "w", encoding="utf-8", newline="") as fh:
                 fh.write(f"{schema}\r\n{header}\r\n")

@@ -364,10 +364,14 @@ def write_numbered_capture(path, frames):
 
 
 class TestReadPacketsSorted:
+    # a 150-byte block holds one to three whole records, so the sortedness
+    # check meets frames at a block's start, in its middle and at its end
+    @pytest.mark.parametrize("block_size", [150, packets._BLOCK_SIZE])
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(disordered_frames())
-    def test_same_order_as_a_stable_sort(self, tmp_path, frames):
+    def test_same_order_as_a_stable_sort(self, tmp_path, monkeypatch, block_size, frames):
+        monkeypatch.setattr(packets, "_BLOCK_SIZE", block_size)
         p = tmp_path / "disordered.pcap"
         write_numbered_capture(p, frames)
         assert list(read_packets_sorted(p)) == sorted(read_packets(p), key=attrgetter("timestamp"))
@@ -390,12 +394,13 @@ class TestReadPacketsSorted:
         write_numbered_capture(p, [(ts, True) for ts in (0, 10, 10, 20, 30, 30, 30, 40)])
         assert self.held_while_reading(p, monkeypatch) == [0] * 8
 
-    def test_held_records_grow_with_the_disorder(self, tmp_path, monkeypatch):
-        # the frame at 25 comes after 30, 40 and 50: only those three wait for it
-        p = tmp_path / "late.pcap"
-        write_numbered_capture(p, [(ts, True) for ts in (0, 10, 20, 30, 40, 50, 25, 60, 70)])
-        held = self.held_while_reading(p, monkeypatch)
-        assert max(held) == 3 and held[-2:] == [0, 0]
+    def test_frames_appended_after_the_first_read_are_not_read(self, tmp_path):
+        p = tmp_path / "growing.pcap"
+        write_numbered_capture(p, [(ts, True) for ts in (0, 10, 20)])
+        expected = list(read_packets(p))
+        records = read_packets_sorted(p)
+        write_numbered_capture(p, [(ts, True) for ts in (0, 10, 20, 5, 30)])
+        assert list(records) == expected
 
     def test_malformed_capture_is_rejected_before_the_first_record(self, tmp_path):
         frame = ipv4_frame(transport=udp_segment(payload=b"abcd"))
