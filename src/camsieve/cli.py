@@ -303,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", type=Path, required=True)
     p.add_argument("--prune-threshold", type=float, default=None,
                    help="if set, drop features below this importance and retrain "
-                        "(presets: 1e-6 negligible, 1e-4 compact)")
+                        f"(presets: {tree.IMPORTANCE_THRESHOLD_NEGLIGIBLE:g} negligible, "
+                        f"{tree.IMPORTANCE_THRESHOLD_COMPACT:g} compact)")
     _add_common_model_args(p)
     p.set_defaults(func=cmd_train)
 

@@ -40,18 +40,17 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 @dataclass(frozen=True)
 class LabelTaxonomy:
-    """Application name to class mapping; classes pass through unchanged."""
+    """Application name to class mapping onto CLASSES; classes pass through unchanged."""
 
     app_to_class: dict[str, str]
-    classes: tuple[str, ...] = CLASSES
 
     def __post_init__(self):
-        bad = {c for c in self.app_to_class.values() if c not in self.classes}
+        bad = {c for c in self.app_to_class.values() if c not in CLASSES}
         if bad:
             raise ValueError(f"taxonomy maps to unknown classes: {sorted(bad)}")
 
     def resolve(self, label: str) -> str:
-        if label == "" or label in self.classes:
+        if label == "" or label in CLASSES:
             return label
         return self.app_to_class.get(label, CLASS_OTHERS)
 

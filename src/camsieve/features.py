@@ -156,32 +156,6 @@ def stat_summary(values: Sequence[float]) -> StatSummary:
 
 
 @dataclass(frozen=True)
-class ActivitySegments:
-    """Maximal packet runs with internal gaps <= threshold, and the gaps above it."""
-
-    active: tuple[tuple[int, int], ...]
-    idle: tuple[int, ...]
-    threshold: int
-
-
-def activity_segments(timestamps: Sequence[int], threshold: int) -> ActivitySegments:
-    if not timestamps:
-        return ActivitySegments((), (), threshold)
-    active: list[tuple[int, int]] = []
-    idle: list[int] = []
-    seg_start = prev = timestamps[0]
-    for ts in timestamps[1:]:
-        gap = ts - prev
-        if gap > threshold:
-            active.append((seg_start, prev))
-            idle.append(gap)
-            seg_start = ts
-        prev = ts
-    active.append((seg_start, prev))
-    return ActivitySegments(tuple(active), tuple(idle), threshold)
-
-
-@dataclass(frozen=True)
 class LabeledRecord:
     """One CSV row: six identity columns, 77 feature values, one label."""
 
@@ -203,6 +177,15 @@ def _diffs(timestamps: Sequence[int]) -> list[int]:
     return list(map(sub, timestamps[1:], timestamps[:-1]))
 
 
+def _runs(timestamps: Sequence[int], gaps: Sequence[int], limit: int) -> list[tuple[int, int]]:
+    """(start, end) index bounds of the maximal runs of timestamps whose inner
+    gaps are all <= limit, in order; gaps is _diffs(timestamps). A gap above
+    the limit ends one run and starts the next, so the runs partition the
+    indexes and gaps[start - 1] is the gap before every run but the first."""
+    edges = [0, *[i for i, gap in enumerate(gaps, 1) if gap > limit], len(timestamps)]
+    return list(zip(edges, edges[1:]))
+
+
 def _flag_count(flag_bytes: Counter[int], flag: int) -> int:
     """Packets with flag set, from a count of packets per flags byte."""
     return sum(n for flags, n in flag_bytes.items() if flags & flag)
@@ -219,11 +202,8 @@ def _bulk_stats(timestamps: list[int], lengths: list[int]) -> tuple[float, float
     if len(data_ts) < BULK_MIN_PACKETS:
         return 0.0, 0.0, 0.0
     data_lengths = list(compress(lengths, lengths))
-    gaps = _diffs(data_ts)
-    # each run of data packets is data_ts[start:end]
-    edges = [0, *[i for i, gap in enumerate(gaps, 1) if gap > BULK_GAP_US], len(data_ts)]
     bulks = total_bytes = total_pkts = total_dur_us = 0
-    for start, end in zip(edges, edges[1:]):
+    for start, end in _runs(data_ts, _diffs(data_ts), BULK_GAP_US):
         if end - start >= BULK_MIN_PACKETS:
             bulks += 1
             total_pkts += end - start
@@ -272,15 +252,15 @@ def compute_features(
     fwd_hdr = sum(compress(flow.header_lengths, fwd))
     bwd_hdr = sum(compress(flow.header_lengths, bwd))
 
-    segments = activity_segments(all_ts, activity_threshold_us)
-    active = stat_summary([end - start for start, end in segments.active])
-    idle = stat_summary(segments.idle)
+    activity = _runs(all_ts, all_gaps, activity_threshold_us)
+    active = stat_summary([all_ts[end - 1] - all_ts[start] for start, end in activity])
+    idle = stat_summary([all_gaps[start - 1] for start, _ in activity[1:]])
 
     fwd_flags = Counter(compress(flow.tcp_flags, fwd))
     bwd_flags = Counter(compress(flow.tcp_flags, bwd))
     all_flags = fwd_flags + bwd_flags
 
-    n_subflows = 1 + sum(1 for gap in all_gaps if gap > SUBFLOW_GAP_US)
+    n_subflows = len(_runs(all_ts, all_gaps, SUBFLOW_GAP_US))
     fwd_bulk_bytes, fwd_bulk_pkts, fwd_bulk_rate = _bulk_stats(fwd_ts, fwd_pl)
     bwd_bulk_bytes, bwd_bulk_pkts, bwd_bulk_rate = _bulk_stats(bwd_ts, bwd_pl)
 

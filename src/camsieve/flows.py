@@ -16,7 +16,7 @@ Endpoint = tuple[str, int]
 
 # a payload head's slot in FlowState.payload_heads: a length byte, then the head
 PAYLOAD_SLOT = 1 + PAYLOAD_HEAD
-_PADDING = [bytes(PAYLOAD_HEAD - n) for n in range(PAYLOAD_HEAD)]
+_PADDING = [bytes(PAYLOAD_HEAD - n) for n in range(PAYLOAD_HEAD + 1)]
 
 
 def canonical_key(pkt: PacketRecord) -> tuple[Endpoint, Endpoint, int]:
@@ -106,15 +106,11 @@ class FlowState:
         self.directions.append(forward)
         self.header_lengths.append(header_length)
         self.tcp_flags.append(flags)
-        kept = len(head)
+        head = head[:PAYLOAD_HEAD]  # a decoded head already fits; a hand-built one may not
         slots = self.payload_heads
-        if kept < PAYLOAD_HEAD:
-            slots.append(kept)
-            slots += head
-            slots += _PADDING[kept]
-        else:  # a decoded head is at most PAYLOAD_HEAD bytes; a hand-built one may be longer
-            slots.append(PAYLOAD_HEAD)
-            slots += head if kept == PAYLOAD_HEAD else head[:PAYLOAD_HEAD]
+        slots.append(len(head))
+        slots += head
+        slots += _PADDING[len(head)]
         self.wire_bytes += total_length
         self.last_ts = timestamp
         if forward:

@@ -26,7 +26,6 @@ from .packets import IPPROTO_TCP, IPPROTO_UDP, TcpFlags
 BASE_TIMESTAMP_US = 1_700_000_000_000_000
 FLOW_STAGGER_US = 50_000
 
-ETH_HEADER = 14
 IP_HEADER = 20
 TCP_HEADER = 20
 UDP_HEADER = 8

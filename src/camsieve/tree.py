@@ -218,16 +218,6 @@ class DecisionTreeModel:
     def schema_hash(self) -> str:
         return schema_hash(self.feature_names)
 
-    def leaf_for(self, vector: Sequence[float]) -> TreeNode:
-        if len(vector) != self.n_features:
-            raise DimensionMismatch(
-                f"vector has {len(vector)} features, model expects {self.n_features}"
-            )
-        node = self.nodes[0]
-        while not node.is_leaf:
-            node = self.nodes[node.left if vector[node.feature] <= node.threshold else node.right]
-        return node
-
 
 def _as_matrix(X) -> np.ndarray:
     arr = np.asarray(X, dtype=np.float64)
@@ -318,7 +308,15 @@ def train(
 
 def predict_proba(model: DecisionTreeModel, vector: Sequence[float]) -> tuple[float, ...]:
     """Relative class frequencies of the reached leaf; sums to 1."""
-    counts = model.leaf_for(vector).counts
+    if len(vector) != model.n_features:
+        raise DimensionMismatch(
+            f"vector has {len(vector)} features, model expects {model.n_features}"
+        )
+    nodes = model.nodes
+    node = nodes[0]
+    while not node.is_leaf:
+        node = nodes[node.left if vector[node.feature] <= node.threshold else node.right]
+    counts = node.counts
     total = sum(counts)
     return tuple(c / total for c in counts)
 
@@ -504,12 +502,16 @@ def _model_payload(model: DecisionTreeModel) -> dict:
     }
 
 
+def _checksum(payload) -> str:
+    """sha256 of the payload's canonical JSON body: sorted keys, no spaces."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
 def model_bytes(model: DecisionTreeModel) -> bytes:
     """Canonical serialized form; identical training runs give identical bytes."""
     payload = _model_payload(model)
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return json.dumps({"checksum": checksum, "payload": payload}, sort_keys=True,
+    return json.dumps({"checksum": _checksum(payload), "payload": payload}, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
 
 
@@ -529,10 +531,13 @@ def _node_table(raw, n_features: int, n_classes: int) -> tuple[TreeNode, ...]:
         if not isinstance(node, list) or len(node) != 5:
             raise ValueError(f"node {i} does not have 5 fields")
         feature, threshold, left, right, counts = node
-        if not all(isinstance(v, int) for v in (feature, left, right)):
+        # exact types: bool is an int subclass, so JSON's true would pass as feature 1
+        if not all(type(v) is int for v in (feature, left, right)):
             raise ValueError(f"node {i} has a non-int feature or child")
-        if not isinstance(threshold, (int, float)):
+        if type(threshold) not in (int, float):
             raise ValueError(f"node {i} has a non-numeric threshold")
+        if not math.isfinite(threshold):  # a NaN threshold sends every row right
+            raise ValueError(f"node {i} has a non-finite threshold {threshold}")
         if not -1 <= feature < n_features:
             raise ValueError(f"node {i} splits on feature {feature} of {n_features}")
         if feature == -1 and (left, right) != (-1, -1):
@@ -540,7 +545,7 @@ def _node_table(raw, n_features: int, n_classes: int) -> tuple[TreeNode, ...]:
         if feature >= 0 and not (i < left < len(raw) and i < right < len(raw)):
             raise ValueError(f"node {i} has children {left}, {right} outside {i + 1}..{len(raw) - 1}")
         if not (isinstance(counts, list) and len(counts) == n_classes
-                and all(isinstance(c, int) and c >= 0 for c in counts) and sum(counts) > 0):
+                and all(type(c) is int and c >= 0 for c in counts) and sum(counts) > 0):
             raise ValueError(f"node {i} counts are not {n_classes} non-negative ints with samples")
     return tuple(TreeNode(f, t, l, r, tuple(counts)) for f, t, l, r, counts in raw)
 
@@ -560,8 +565,7 @@ def load_model(path: str | Path) -> DecisionTreeModel:
         payload = wrapper["payload"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CorruptModel(f"{path}: not a model file ({exc})") from exc
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != checksum:
+    if _checksum(payload) != checksum:
         raise CorruptModel(f"{path}: checksum mismatch")
     if not isinstance(payload, dict):
         raise CorruptModel(f"{path}: payload is not an object")

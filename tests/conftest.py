@@ -213,6 +213,14 @@ MALFORMED_PAYLOADS = [
     ("feature-out-of-range", _set_node(2, 0, 77)),
     ("feature-below-minus-one", _set_node(1, 0, -2)),
     ("non-numeric-threshold", _set_node(0, 1, "0.5")),
+    # json writes and reads NaN and Infinity; a NaN root would send every row right
+    ("nan-threshold", _set_node(0, 1, float("nan"))),
+    ("infinite-threshold", _set_node(2, 1, float("inf"))),
+    # bool is an int subclass: true must not pass as feature 1, child 1 or a count
+    ("bool-feature", _set_node(0, 0, True)),
+    ("bool-child", _set_node(0, 2, True)),
+    ("bool-threshold", _set_node(0, 1, False)),
+    ("bool-count", _set_node(3, 4, [False, True])),
     ("counts-too-short", _set_node(3, 4, [2])),
     ("negative-count", _set_node(3, 4, [-1, 2])),
     ("non-int-count", _set_node(3, 4, [0, 1.5])),

@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 
 from camsieve.features import (
     ALL_COLUMNS,
+    BULK_GAP_US,
+    BULK_MIN_PACKETS,
+    DEFAULT_ACTIVITY_THRESHOLD_US,
     FEATURE_NAMES,
-    activity_segments,
+    SUBFLOW_GAP_US,
+    _diffs,
+    _runs,
     compute_features,
     stat_summary,
 )
@@ -59,29 +64,68 @@ class TestStatSummary:
         assert s.minimum == min(values) and s.maximum == max(values)
 
 
+def runs_of(timestamps, limit):
+    return _runs(timestamps, _diffs(timestamps), limit)
+
+
 class TestActivitySegments:
+    """The timeline cut behind Active/Idle, Subflow and Bulk: `_runs`."""
+
     def test_example_gaps(self):
-        segs = activity_segments([0, 1 * S, 2 * S, 10 * S, 11 * S], 5 * S)
-        assert segs.active == ((0, 2 * S), (10 * S, 11 * S))
-        assert segs.idle == (8 * S,)
+        ts = [0, 1 * S, 2 * S, 10 * S, 11 * S]
+        assert runs_of(ts, 5 * S) == [(0, 3), (3, 5)]
 
     def test_single_timestamp(self):
-        segs = activity_segments([123], 5 * S)
-        assert segs.active == ((123, 123),)
-        assert segs.idle == ()
+        assert runs_of([123], 5 * S) == [(0, 1)]
 
     def test_no_gap_exceeds_threshold(self):
-        segs = activity_segments([0, S, 2 * S], 5 * S)
-        assert segs.active == ((0, 2 * S),)
-        assert segs.idle == ()
+        assert runs_of([0, S, 2 * S], 5 * S) == [(0, 3)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 10**9), min_size=1, max_size=40), st.integers(1, 10**7))
     def test_active_plus_idle_equals_span(self, raw_ts, threshold):
         ts = sorted(raw_ts)
-        segs = activity_segments(ts, threshold)
-        covered = sum(e - s for s, e in segs.active) + sum(segs.idle)
-        assert covered == ts[-1] - ts[0]
+        gaps = _diffs(ts)
+        runs = _runs(ts, gaps, threshold)
+        # the runs partition the indexes, in order
+        assert [i for start, end in runs for i in range(start, end)] == list(range(len(ts)))
+        # each run is maximal: its inner gaps are within the limit, the gaps between runs are not
+        assert all(gap <= threshold for start, end in runs for gap in gaps[start:end - 1])
+        idle = [gaps[start - 1] for start, _ in runs[1:]]
+        assert all(gap > threshold for gap in idle)
+        active = [ts[end - 1] - ts[start] for start, end in runs]
+        assert sum(active) + sum(idle) == ts[-1] - ts[0]
+
+
+class TestTimelineCutBoundaries:
+    """A gap equal to a limit keeps one run; one microsecond more splits it."""
+
+    def features(self, fwd, **kwargs):
+        return dict(zip(FEATURE_NAMES, compute_features(make_flow(fwd, []), **kwargs).values))
+
+    @pytest.mark.parametrize("kwargs, threshold", [
+        ({}, DEFAULT_ACTIVITY_THRESHOLD_US),
+        ({"activity_threshold_us": 3 * S}, 3 * S),
+    ])
+    def test_activity_threshold(self, kwargs, threshold):
+        v = self.features([udp_fp(0, 100), udp_fp(threshold, 100)], **kwargs)
+        assert (v["Active Max"], v["Idle Max"]) == (threshold, 0)
+        v = self.features([udp_fp(0, 100), udp_fp(threshold + 1, 100)], **kwargs)
+        assert (v["Active Max"], v["Idle Max"]) == (0, threshold + 1)
+
+    def test_subflow_gap(self):
+        v = self.features([udp_fp(0, 100), udp_fp(SUBFLOW_GAP_US, 100)])
+        assert v["Subflow Fwd Packets"] == 2
+        v = self.features([udp_fp(0, 100), udp_fp(SUBFLOW_GAP_US + 1, 100)])
+        assert v["Subflow Fwd Packets"] == 1
+
+    def test_bulk_gap(self):
+        # BULK_MIN_PACKETS data packets make one bulk only while no gap splits them
+        n = BULK_MIN_PACKETS
+        v = self.features([udp_fp(i * BULK_GAP_US, 100) for i in range(n)])
+        assert v["Fwd Avg Packets/Bulk"] == n
+        v = self.features([udp_fp(i * BULK_GAP_US + (i == n - 1), 100) for i in range(n)])
+        assert v["Fwd Avg Packets/Bulk"] == 0
 
 
 class TestComputeFeatures:
