@@ -13,16 +13,14 @@ Size uses wire bytes.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from operator import sub
-from typing import NamedTuple, Sequence
+from operator import add, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .flows import FlowState
-from .packets import TcpFlags
 
 SCHEMA_NAME = "camsieve-flow-stats"
 SCHEMA_VERSION = "1"
@@ -129,6 +127,8 @@ assert len(ALL_COLUMNS) == 84
 
 def schema_hash(names: Sequence[str] = FEATURE_NAMES) -> str:
     """Stable fingerprint of a feature-name list, used to guard predictions."""
+    import hashlib  # here, not at the top: extract and inspect never hash
+
     return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
 
 
@@ -148,10 +148,13 @@ def stat_summary(values: Sequence[float]) -> StatSummary:
         return StatSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     total = float(sum(values))
     mean = total / n
-    if n < 2:
-        variance = 0.0
-    else:
-        variance = sum([(v - mean) ** 2 for v in values]) / (n - 1)
+    variance = 0.0
+    if n >= 2:
+        # a plain left-to-right sum: Python 3.12's sum() of floats compensates
+        # its rounding, which would make these bytes depend on the version
+        for v in values:
+            variance += (v - mean) ** 2
+        variance /= n - 1
     return StatSummary(float(min(values)), float(max(values)), mean, math.sqrt(variance), variance, total)
 
 
@@ -186,9 +189,20 @@ def _runs(timestamps: Sequence[int], gaps: Sequence[int], limit: int) -> list[tu
     return list(zip(edges, edges[1:]))
 
 
-def _flag_count(flag_bytes: Counter[int], flag: int) -> int:
-    """Packets with flag set, from a count of packets per flags byte."""
-    return sum(n for flags, n in flag_bytes.items() if flags & flag)
+# the bit number of each packets.TcpFlags mask, FIN (0x01) to CWE (0x80)
+_FIN, _SYN, _RST, _PSH, _ACK, _URG, _ECE, _CWE = range(8)
+# the bit numbers set in each flags byte
+_FLAG_BITS = tuple(tuple(bit for bit in range(8) if flags >> bit & 1) for flags in range(256))
+
+
+def _flag_counts(flag_bytes: Iterable[int]) -> list[int]:
+    """The number of packets with each TCP flag bit set, by bit number, in one
+    pass over the distinct flags bytes."""
+    counts = [0] * 8
+    for flags, n in Counter(flag_bytes).items():
+        for bit in _FLAG_BITS[flags]:
+            counts[bit] += n
+    return counts
 
 
 def _bulk_stats(timestamps: list[int], lengths: list[int]) -> tuple[float, float, float]:
@@ -256,9 +270,9 @@ def compute_features(
     active = stat_summary([all_ts[end - 1] - all_ts[start] for start, end in activity])
     idle = stat_summary([all_gaps[start - 1] for start, _ in activity[1:]])
 
-    fwd_flags = Counter(compress(flow.tcp_flags, fwd))
-    bwd_flags = Counter(compress(flow.tcp_flags, bwd))
-    all_flags = fwd_flags + bwd_flags
+    fwd_flags = _flag_counts(compress(flow.tcp_flags, fwd))
+    bwd_flags = _flag_counts(compress(flow.tcp_flags, bwd))
+    all_flags = list(map(add, fwd_flags, bwd_flags))
 
     n_subflows = len(_runs(all_ts, all_gaps, SUBFLOW_GAP_US))
     fwd_bulk_bytes, fwd_bulk_pkts, fwd_bulk_rate = _bulk_stats(fwd_ts, fwd_pl)
@@ -294,10 +308,10 @@ def compute_features(
     v["Bwd IAT Std"] = bwd_iat.std
     v["Bwd IAT Max"] = bwd_iat.maximum
     v["Bwd IAT Min"] = bwd_iat.minimum
-    v["Fwd PSH Flags"] = float(_flag_count(fwd_flags, TcpFlags.PSH))
-    v["Bwd PSH Flags"] = float(_flag_count(bwd_flags, TcpFlags.PSH))
-    v["Fwd URG Flags"] = float(_flag_count(fwd_flags, TcpFlags.URG))
-    v["Bwd URG Flags"] = float(_flag_count(bwd_flags, TcpFlags.URG))
+    v["Fwd PSH Flags"] = float(fwd_flags[_PSH])
+    v["Bwd PSH Flags"] = float(bwd_flags[_PSH])
+    v["Fwd URG Flags"] = float(fwd_flags[_URG])
+    v["Bwd URG Flags"] = float(bwd_flags[_URG])
     v["Fwd Header Length"] = float(fwd_hdr)
     v["Bwd Header Length"] = float(bwd_hdr)
     v["Fwd Packets/s"] = n_fwd / dur_s if duration > 0 else 0.0
@@ -307,14 +321,14 @@ def compute_features(
     v["Packet Length Mean"] = all_len.mean
     v["Packet Length Std"] = all_len.std
     v["Packet Length Variance"] = all_len.variance
-    v["FIN Flag Count"] = float(_flag_count(all_flags, TcpFlags.FIN))
-    v["SYN Flag Count"] = float(_flag_count(all_flags, TcpFlags.SYN))
-    v["RST Flag Count"] = float(_flag_count(all_flags, TcpFlags.RST))
-    v["PSH Flag Count"] = float(_flag_count(all_flags, TcpFlags.PSH))
-    v["ACK Flag Count"] = float(_flag_count(all_flags, TcpFlags.ACK))
-    v["URG Flag Count"] = float(_flag_count(all_flags, TcpFlags.URG))
-    v["CWE Flag Count"] = float(_flag_count(all_flags, TcpFlags.CWE))
-    v["ECE Flag Count"] = float(_flag_count(all_flags, TcpFlags.ECE))
+    v["FIN Flag Count"] = float(all_flags[_FIN])
+    v["SYN Flag Count"] = float(all_flags[_SYN])
+    v["RST Flag Count"] = float(all_flags[_RST])
+    v["PSH Flag Count"] = float(all_flags[_PSH])
+    v["ACK Flag Count"] = float(all_flags[_ACK])
+    v["URG Flag Count"] = float(all_flags[_URG])
+    v["CWE Flag Count"] = float(all_flags[_CWE])
+    v["ECE Flag Count"] = float(all_flags[_ECE])
     v["Down/Up Ratio"] = float(n_bwd // n_fwd) if n_fwd else 0.0
     v["Average Packet Size"] = float(flow.wire_bytes) / n
     v["Avg Fwd Segment Size"] = fwd_len.mean
@@ -350,6 +364,6 @@ def compute_features(
         src_port=flow.initiator[1],
         dst_port=flow.responder[1],
         protocol=flow.protocol,
-        values=tuple(v[name] for name in FEATURE_NAMES),
+        values=tuple(map(v.__getitem__, FEATURE_NAMES)),
         label=label,
     )

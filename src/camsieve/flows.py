@@ -21,11 +21,12 @@ _PADDING = [bytes(PAYLOAD_HEAD - n) for n in range(PAYLOAD_HEAD + 1)]
 
 def canonical_key(pkt: PacketRecord) -> tuple[Endpoint, Endpoint, int]:
     """Direction-independent flow identity: (lower endpoint, higher endpoint, protocol)."""
-    a = (pkt.src_ip, pkt.src_port)
-    b = (pkt.dst_ip, pkt.dst_port)
-    if b < a:
-        a, b = b, a
-    return (a, b, pkt.protocol)
+    return _flow_key((pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port), pkt.protocol)
+
+
+def _flow_key(a: Endpoint, b: Endpoint, protocol: int) -> tuple[Endpoint, Endpoint, int]:
+    """The key rule of canonical_key, given a packet's source and destination."""
+    return (b, a, protocol) if b < a else (a, b, protocol)
 
 
 class Termination(enum.Enum):
@@ -136,40 +137,44 @@ class FlowAssembler:
 
     def ingest(self, pkt: PacketRecord) -> list[FlowState]:
         """Add one packet; returns any flows this packet completed."""
-        timestamp = pkt.timestamp
+        return self._step(pkt) or []
+
+    def _step(self, pkt: PacketRecord) -> list[FlowState] | None:
+        """Add one packet; returns the flows it completed, or None for none."""
+        timestamp, src_ip, dst_ip, src_port, dst_port, protocol, _, _, _, _, flags, _ = pkt
         if self._last_ts is not None and timestamp < self._last_ts:
             raise OutOfOrderTimestamp(
                 f"packet at {timestamp} after {self._last_ts}; sort the capture first"
             )
         self._last_ts = timestamp
 
-        key = canonical_key(pkt)
-        completed: list[FlowState] = []
+        source = (src_ip, src_port)
+        destination = (dst_ip, dst_port)
+        key = _flow_key(source, destination, protocol)
+        completed = None
         flow = self._table.get(key)
 
         if flow is not None:
             if timestamp - flow.start_ts > self.flow_timeout_us:
-                completed.append(self._complete(key, Termination.TIMEOUT))
+                completed = [self._complete(key, Termination.TIMEOUT)]
                 flow = None
             elif (flow.fin_fwd or flow.fin_bwd) and (
                 timestamp - flow.last_ts >= HALF_CLOSE_SILENCE_US
             ):
-                completed.append(self._complete(key, Termination.TCP_FIN))
+                completed = [self._complete(key, Termination.TCP_FIN)]
                 flow = None
 
         if flow is None:
-            flow = FlowState(key, (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port), timestamp)
-            self._table[key] = flow
+            flow = self._table[key] = FlowState(key, source, destination, timestamp)
 
         forward = flow.add(pkt)
 
-        if key[2] == IPPROTO_TCP:
-            flags = pkt.tcp_flags
+        if protocol == IPPROTO_TCP:
             if flags & TcpFlags.RST:
-                completed.append(self._complete(key, Termination.TCP_RST))
-            elif flow.fin_fwd and flow.fin_bwd and flags & (TcpFlags.ACK | TcpFlags.FIN):
-                completed.append(self._complete(key, Termination.TCP_FIN))
-            elif flags & TcpFlags.FIN:
+                return [*(completed or ()), self._complete(key, Termination.TCP_RST)]
+            if flow.fin_fwd and flow.fin_bwd and flags & (TcpFlags.ACK | TcpFlags.FIN):
+                return [*(completed or ()), self._complete(key, Termination.TCP_FIN)]
+            if flags & TcpFlags.FIN:
                 if forward:
                     flow.fin_fwd = True
                 else:
@@ -196,8 +201,11 @@ def assemble_flows(
     """Run the assembler over a sorted packet stream; flows ordered by start time."""
     assembler = FlowAssembler(flow_timeout_us)
     flows: list[FlowState] = []
+    step = assembler._step
     for pkt in packets:
-        flows.extend(assembler.ingest(pkt))
+        completed = step(pkt)
+        if completed is not None:
+            flows.extend(completed)
     flows.extend(assembler.flush())
     flows.sort(key=lambda f: (f.start_ts, f.flow_id))
     return flows

@@ -159,6 +159,10 @@ def _walk_records(fh, path: str | Path, frames: bool) -> Iterator[list]:
         pos = 0
 
 
+# a raw IP frame's version nibble -> the ethertype of its IP version
+_RAW_IP_VERSIONS = {4: ETHERTYPE_IPV4, 6: ETHERTYPE_IPV6}
+
+
 # Each header is read in place with one unpack_from call at its offset in the
 # frame; only the payload head is ever copied out of it.
 _U16 = struct.Struct("!H").unpack_from
@@ -200,69 +204,106 @@ def decode_packet(
 
     Total by design: ARP, ICMP, unknown ethertypes, non-first IP fragments
     and malformed headers all skip rather than raise. 802.1Q tags are
-    unwrapped transparently.
+    unwrapped transparently. Payload lengths come from the IP and UDP length
+    fields, so a snaplen-cut frame reports its wire payload length.
     """
+    captured = len(raw_frame)
     if wire_length is None:
-        wire_length = len(raw_frame)
+        wire_length = captured
 
+    # the link header: `start` is its length, where the IP header begins
     if link_type == LINKTYPE_ETHERNET:
-        if len(raw_frame) < 14:
+        if captured < 14:
             return None
         ethertype = _U16(raw_frame, 12)[0]
-        offset = 14
+        start = 14
         tags = 0
         while ethertype in ETHERTYPE_VLAN and tags < 4:
-            if len(raw_frame) < offset + 4:
+            if captured < start + 4:
                 return None
-            ethertype = _U16(raw_frame, offset + 2)[0]
-            offset += 4
+            ethertype = _U16(raw_frame, start + 2)[0]
+            start += 4
             tags += 1
-        if ethertype == ETHERTYPE_IPV4:
-            return _decode_ipv4(raw_frame, offset, timestamp, wire_length)
-        if ethertype == ETHERTYPE_IPV6:
-            return _decode_ipv6(raw_frame, offset, timestamp, wire_length)
-        return None
-
-    if link_type == LINKTYPE_RAW_IP:
-        if not raw_frame:
+    elif link_type == LINKTYPE_RAW_IP:
+        if not captured:
             return None
-        version = raw_frame[0] >> 4
-        if version == 4:
-            return _decode_ipv4(raw_frame, 0, timestamp, wire_length)
-        if version == 6:
-            return _decode_ipv6(raw_frame, 0, timestamp, wire_length)
+        ethertype = _RAW_IP_VERSIONS.get(raw_frame[0] >> 4)
+        start = 0
+    else:
         return None
 
+    # the IP header: the transport header starts at `offset`, the captured part
+    # of the segment ends at `end`, and the IP header says the segment is
+    # `segment_length` bytes long
+    if ethertype == ETHERTYPE_IPV4:
+        if captured - start < 20:
+            return None
+        version_ihl, total_len, frag_word, proto, src, dst = _IPV4(raw_frame, start)
+        header_len = (version_ihl & 0x0F) * 4
+        if version_ihl >> 4 != 4 or header_len < 20 or captured - start < header_len:
+            return None
+        if frag_word & 0x1FFF:  # non-first fragments carry no transport header
+            return None
+        # zero (segmentation offload), too small, or longer than the frame on
+        # the wire: the length field is wrong, so trust the capture
+        if not header_len <= total_len <= wire_length - start:
+            total_len = captured - start
+        offset = start + header_len
+        end = start + total_len
+        if end > captured:
+            end = captured
+        segment_length = total_len - header_len
+        src = _ipv4_text(src)
+        dst = _ipv4_text(dst)
+    elif ethertype == ETHERTYPE_IPV6:
+        bounds = _ipv6_transport(raw_frame, start, wire_length)
+        if bounds is None:
+            return None
+        proto, src, dst, offset, end, segment_length = bounds
+    else:
+        return None
+
+    if proto == IPPROTO_UDP:
+        if end - offset < 8:
+            return None
+        src_port, dst_port, udp_len = _UDP(raw_frame, offset)
+        if 8 <= udp_len < segment_length:
+            segment_length = udp_len
+        # the head stops at the segment's end, and at the frame's end when
+        # snaplen cut the segment
+        offset += 8
+        payload_length = segment_length - 8
+        head_end = offset + (payload_length if payload_length < PAYLOAD_HEAD else PAYLOAD_HEAD)
+        return PacketRecord(
+            timestamp, src, dst, src_port, dst_port, IPPROTO_UDP, wire_length, 8,
+            payload_length, raw_frame[offset:head_end], 0, 0,
+        )
+    if proto == IPPROTO_TCP:
+        if end - offset < 20:
+            return None
+        src_port, dst_port, data_offset, flags, window = _TCP(raw_frame, offset)
+        header_len = (data_offset >> 4) * 4
+        if header_len < 20 or end - offset < header_len:
+            return None
+        offset += header_len
+        head_end = offset + PAYLOAD_HEAD
+        if head_end > end:
+            head_end = end
+        return PacketRecord(
+            timestamp, src, dst, src_port, dst_port, IPPROTO_TCP, wire_length, header_len,
+            segment_length - header_len, raw_frame[offset:head_end], flags, window,
+        )
     return None
 
 
-def _decode_ipv4(
-    frame: bytes, start: int, timestamp: int, wire_length: int
-) -> PacketRecord | None:
-    """The IPv4 packet at frame[start:], start being the link header's length."""
-    captured = len(frame) - start
-    if captured < 20:
-        return None
-    version_ihl, total_len, frag_word, proto, src, dst = _IPV4(frame, start)
-    header_len = (version_ihl & 0x0F) * 4
-    if version_ihl >> 4 != 4 or header_len < 20 or captured < header_len:
-        return None
-    if frag_word & 0x1FFF:  # non-first fragments carry no transport header
-        return None
-    # zero (segmentation offload), too small, or longer than the frame on the
-    # wire: the length field is wrong, so trust the capture
-    if not header_len <= total_len <= wire_length - start:
-        total_len = captured
-    return _decode_transport(
-        frame, start + header_len, min(start + total_len, len(frame)), proto,
-        _ipv4_text(src), _ipv4_text(dst), timestamp, wire_length, total_len - header_len,
-    )
-
-
-def _decode_ipv6(
-    frame: bytes, start: int, timestamp: int, wire_length: int
-) -> PacketRecord | None:
-    """The IPv6 packet at frame[start:], start being the link header's length."""
+def _ipv6_transport(
+    frame: bytes, start: int, wire_length: int
+) -> tuple[int, str, str, int, int, int] | None:
+    """The transport bounds of the IPv6 packet at frame[start:], start being the
+    link header's length: (protocol, source, destination, the transport
+    header's offset, the captured segment's end, the segment's length by the
+    IP header), or None for a skip. Walks the common extension headers;
+    anything exotic is a skip."""
     captured = len(frame) - start
     if captured < 40:
         return None
@@ -275,7 +316,6 @@ def _decode_ipv6(
     end = start + min(captured, ip_end)
     offset = start + 40
 
-    # walk the common extension-header chain; anything exotic is a skip, and
     # an offset walked past end fails the next length check
     while next_header not in (IPPROTO_TCP, IPPROTO_UDP):
         if next_header in (0, 43, 60):  # hop-by-hop, routing, destination opts
@@ -293,54 +333,7 @@ def _decode_ipv6(
             offset += 8
         else:
             return None
-    return _decode_transport(
-        frame, offset, end, next_header, _ipv6_text(src), _ipv6_text(dst),
-        timestamp, wire_length, start + ip_end - offset,
-    )
-
-
-def _decode_transport(
-    frame: bytes,
-    offset: int,
-    end: int,
-    proto: int,
-    src: str,
-    dst: str,
-    timestamp: int,
-    wire_length: int,
-    segment_length: int,
-) -> PacketRecord | None:
-    """Decode the transport header at frame[offset:], the captured part of a
-    segment that ends at frame[end] and that the IP header says is
-    segment_length bytes long. Payload lengths come from these length fields,
-    so a snaplen-cut frame reports its wire payload length."""
-    if proto == IPPROTO_UDP:
-        if end - offset < 8:
-            return None
-        src_port, dst_port, udp_len = _UDP(frame, offset)
-        if 8 <= udp_len < segment_length:
-            segment_length = udp_len
-        # the head stops at the segment's end, and at the frame's end when
-        # snaplen cut the segment
-        start = offset + 8
-        return PacketRecord(
-            timestamp, src, dst, src_port, dst_port, IPPROTO_UDP, wire_length, 8,
-            segment_length - 8, frame[start : start + min(segment_length - 8, PAYLOAD_HEAD)], 0, 0,
-        )
-    if proto == IPPROTO_TCP:
-        if end - offset < 20:
-            return None
-        src_port, dst_port, data_offset, flags, window = _TCP(frame, offset)
-        header_len = (data_offset >> 4) * 4
-        if header_len < 20 or end - offset < header_len:
-            return None
-        start = offset + header_len
-        return PacketRecord(
-            timestamp, src, dst, src_port, dst_port, IPPROTO_TCP, wire_length, header_len,
-            segment_length - header_len, frame[start : min(end, start + PAYLOAD_HEAD)],
-            flags, window,
-        )
-    return None
+    return next_header, _ipv6_text(src), _ipv6_text(dst), offset, end, start + ip_end - offset
 
 
 def read_packets(path: str | Path) -> Iterator[PacketRecord]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import struct
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .flows import FlowState
@@ -165,6 +166,12 @@ def media_hint(header: RtpHeader, app: AppContext = AppContext.GENERIC) -> tuple
     return (MediaType.UNKNOWN, "")
 
 
+# media_hint's answer without an application context, by payload type
+_GENERIC_MEDIA = tuple(
+    media_hint(RtpHeader(2, False, False, 0, False, pt, 0, 0, 0)) for pt in range(128)
+)
+
+
 def classify_udp_payload(payload: bytes, src_port: int, dst_port: int) -> ProtocolHint:
     """Best-effort hint for one UDP payload; deterministic and total.
 
@@ -182,7 +189,7 @@ def classify_udp_payload(payload: bytes, src_port: int, dst_port: int) -> Protoc
     if mux is MuxClass.RTP:
         header = parse_rtp_header(payload)
         if header is not None:
-            media, note = media_hint(header)
+            media, note = _GENERIC_MEDIA[header.payload_type]
             return ProtocolHint(HintKind.RTP, media, note, rtp=header)
         return ProtocolHint(HintKind.RTP)
     if mux is MuxClass.RTCP:
@@ -232,9 +239,12 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
     if flow.protocol == IPPROTO_UDP:
         src_port, dst_port = flow.initiator[1], flow.responder[1]
         hints = [classify_udp_payload(head, src_port, dst_port) for head in flow.heads()]
-    kind_counts: Counter[HintKind] = Counter(h.kind for h in hints)
+    # list.count compares by identity: no enum member is hashed per payload
+    kinds = [h.kind for h in hints]
+    kind_counts = [(k, c) for k in HintKind if (c := kinds.count(k))]
     if kind_counts:
-        top = max(kind_counts.items(), key=lambda kv: (kv[1], -list(HintKind).index(kv[0])))[0]
+        # max keeps the first of equal counts, the kind declared first
+        top = max(kind_counts, key=itemgetter(1))[0]
         dominant = next(h for h in hints if h.kind is top)
     else:
         dominant = ProtocolHint(HintKind.UNKNOWN)
@@ -255,7 +265,7 @@ def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
         "media": dominant.media.value,
         "codec_note": dominant.codec_note,
         "confidence": dominant.confidence.value,
-        "kind_counts": dict(sorted((k.value, c) for k, c in kind_counts.items())),
+        "kind_counts": dict(sorted((k.value, c) for k, c in kind_counts)),
         # sorted as ints before the keys become strings: 96 comes before 100
         "rtp_payload_types": {str(k): v for k, v in sorted(pt_counts.items())},
         "rtp_continuity": rtp_stream_continuity(headers),

@@ -8,7 +8,6 @@ lowest threshold. Prediction ties go to the first class in declared order.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -504,6 +503,8 @@ def _model_payload(model: DecisionTreeModel) -> dict:
 
 def _checksum(payload) -> str:
     """sha256 of the payload's canonical JSON body: sorted keys, no spaces."""
+    import hashlib  # here, not at the top: extract and inspect never hash
+
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 

@@ -605,6 +605,41 @@ class TestPipedCapture:
         assert from_pipe.read_bytes() == from_file.read_bytes()
 
 
+# runs each CLI command of the JSON list in its first argument
+RUN_COMMANDS = """
+import json, sys
+from camsieve.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def loads_hashlib(script, *args) -> bool:
+    """Whether a fresh interpreter has hashlib loaded after running script."""
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", script + "\nprint('hashlib' in sys.modules)", *args],
+        env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return child.stdout.split()[-1] == "True"
+
+
+class TestCaptureCommandsDoNotHash:
+    """extract and inspect never hash, so they do not pay for loading OpenSSL."""
+
+    def test_no_hashlib_after_extract_and_inspect(self, workdir, tmp_path):
+        if loads_hashlib("import sys, numpy"):
+            # numpy 1.x's numpy.random does
+            pytest.skip("import numpy alone loads hashlib")
+        pcap = str(workdir / "conf.pcap")
+        commands = [
+            ["extract", pcap, "-o", str(tmp_path / "conf.csv")],
+            ["inspect", pcap, "--json", "-o", str(tmp_path / "conf.json")],
+        ]
+        assert not loads_hashlib(RUN_COMMANDS, json.dumps(commands))
+
+
 class TestPacketMemory:
     """A flow holds a few dozen bytes a packet in columns, and the capture is
     read in time order without a list of its records, so the peak grows by

@@ -49,6 +49,11 @@ class TestStatSummary:
         assert s.variance == pytest.approx(5000.0, rel=1e-12)
         assert s.std == pytest.approx(70.71067811865476, rel=1e-12)
 
+    def test_variance_sums_left_to_right_on_every_version(self):
+        # the squared deviations are about 4.4e15, 1.1e15 and 1.1e15: adding them
+        # in order rounds to ...2.5, a compensated sum (Python 3.12's sum()) to ...2.0
+        assert stat_summary([100_000_000, 1, 3]).variance == 3333333200000002.5
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), max_size=30))
     def test_matches_statistics_module(self, values):

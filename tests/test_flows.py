@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from camsieve.errors import OutOfOrderTimestamp
 from camsieve.flows import (
+    HALF_CLOSE_SILENCE_US,
     PAYLOAD_SLOT,
     FlowAssembler,
+    FlowState,
     Termination,
     assemble_flows,
     canonical_key,
@@ -133,6 +135,16 @@ class TestIngest:
         with pytest.raises(OutOfOrderTimestamp):
             asm.ingest(udp_pkt(99))
 
+    def test_one_packet_can_complete_two_flows(self):
+        asm = FlowAssembler(flow_timeout_us=100)
+        asm.ingest(tcp_pkt(0, A, B, TcpFlags.SYN))
+        done = asm.ingest(tcp_pkt(101, B, A, TcpFlags.RST))
+        assert [(f.termination, f.start_ts) for f in done] == [
+            (Termination.TIMEOUT, 0), (Termination.TCP_RST, 101),
+        ]
+        assert done[1].initiator == B
+        assert asm.flush() == []
+
     def test_mid_capture_tcp_without_syn_opens_flow(self):
         asm = FlowAssembler()
         asm.ingest(tcp_pkt(0, A, B, TcpFlags.ACK, payload=b"data"))
@@ -204,6 +216,54 @@ class TestProperties:
                 if f.protocol == IPPROTO_UDP
                 else tcp_pkt(0, f.initiator, f.responder)
             ) == f.key
+
+
+TIMEOUT_US = 10
+# steps between packets: within, at and past the flow timeout, and at the
+# half-close silence, which the timeout must not hide
+STEPS = (0, 1, TIMEOUT_US - 1, TIMEOUT_US, TIMEOUT_US + 1, HALF_CLOSE_SILENCE_US - 1,
+         HALF_CLOSE_SILENCE_US)
+ENDPOINTS = (("10.0.0.1", 5000), ("10.0.0.2", 6000), ("10.0.0.1", 6000))
+FLAGS = (0, TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN, TcpFlags.FIN | TcpFlags.ACK,
+         TcpFlags.RST, TcpFlags.RST | TcpFlags.ACK, TcpFlags.PSH | TcpFlags.ACK)
+
+
+@st.composite
+def packet_streams(draw):
+    """A sorted stream of TCP and UDP packets among a few endpoints."""
+    ts = 0
+    pkts = []
+    for _ in range(draw(st.integers(0, 40))):
+        ts += draw(st.sampled_from(STEPS))
+        src, dst = draw(st.sampled_from(ENDPOINTS)), draw(st.sampled_from(ENDPOINTS))
+        payload = draw(st.binary(max_size=PAYLOAD_HEAD + 2))
+        if draw(st.booleans()):
+            window = draw(st.integers(0, 65535))
+            pkts.append(tcp_pkt(ts, src, dst, draw(st.sampled_from(FLAGS)), payload, window))
+        else:
+            pkts.append(udp_pkt(ts, src, dst, payload))
+    return pkts
+
+
+def flow_fields(flow):
+    """Everything a FlowState holds: key, endpoints, termination and columns."""
+    return tuple(getattr(flow, name) for name in FlowState.__slots__)
+
+
+class TestEntryPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(packet_streams(), st.sampled_from([TIMEOUT_US, HALF_CLOSE_SILENCE_US + 5]))
+    def test_assemble_flows_equals_ingest_then_flush(self, pkts, timeout_us):
+        asm = FlowAssembler(timeout_us)
+        one_by_one = []
+        for pkt in pkts:
+            completed = asm.ingest(pkt)
+            assert type(completed) is list
+            one_by_one += completed
+        one_by_one += asm.flush()
+        one_by_one.sort(key=lambda f: (f.start_ts, f.flow_id))
+        together = assemble_flows(pkts, timeout_us)
+        assert [flow_fields(f) for f in together] == [flow_fields(f) for f in one_by_one]
 
 
 class TestPayloads:

@@ -353,3 +353,23 @@ class TestBuildReport:
         assert entry["hint"] == "IPSEC_NAT_T"
         assert entry["rtp_payload_types"] == {}
         assert entry["rtp_continuity"] is None
+
+    @pytest.mark.parametrize("n_rtp, n_rtcp, dominant", [
+        (2, 2, "RTP"),  # a tie goes to the kind declared first
+        (2, 3, "RTCP"),
+        (3, 2, "RTP"),
+    ])
+    def test_dominant_kind_is_the_most_frequent(self, n_rtp, n_rtcp, dominant):
+        sender_report = bytes([0x80, 200, 0x00, 0x06]) + bytes(24)
+        payloads = [sender_report] * n_rtcp + [rtp_bytes(pt=96, seq=i) for i in range(n_rtp)]
+        report = build_report([make_flow([carrying(i, p) for i, p in enumerate(payloads)], [])])
+        (entry,) = report["flows"]
+        assert entry["hint"] == dominant
+        assert entry["kind_counts"] == {"RTCP": n_rtcp, "RTP": n_rtp}
+
+    def test_generic_media_of_every_payload_type(self):
+        # classify_udp_payload reads media without an application context
+        for pt in range(128):
+            hint = classify_udp_payload(rtp_bytes(pt=pt), 5000, 6000)
+            header = parse_rtp_header(rtp_bytes(pt=pt))
+            assert (hint.media, hint.codec_note) == media_hint(header, AppContext.GENERIC), pt
