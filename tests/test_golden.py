@@ -1,13 +1,18 @@
-"""Pinned sha256 digests of every CLI output on a small fixed synthetic corpus.
+"""Pinned sha256 digests of every CLI output on a small fixed synthetic corpus,
+and of train, cv and report on a seeded corpus that grows a depth-11 tree.
 
 Refactors must keep these bytes. A change that alters an output on purpose
 updates the digest here and says why in CHANGES.md.
 """
 import hashlib
+import json
+import random
 
 import pytest
 
 from camsieve.cli import main
+from camsieve.dataset import write_csv
+from camsieve.features import FEATURE_NAMES, LabeledRecord
 
 SEED = 11
 FLOWS_PER_KIND = 30
@@ -35,6 +40,22 @@ GOLDEN = {
 }
 
 
+# A corpus that grows a deep tree: 1,000 rows of three overlapping classes.
+# Python's random module makes it, through random() and randrange() only,
+# whose streams are the same on every Python version; numpy's generators are
+# not promised stable across numpy versions.
+DEEP_SEED = 16
+DEEP_ROWS = 1000
+DEEP_CLASSES = ("IoTCam", "Conf", "Share")
+DEEP_MEAN_SPREAD = 0.5
+
+DEEP_GOLDEN = {
+    "model.json": "40eb3381122d4048fbf9d04c748a349f80ba785a8726d2416e67e7927fd32188",
+    "cv.txt": "4f249d95ff3cc02f32591531dddcadf3689e334913edc3209b006dc5b61e3acc",
+    "report.txt": "afd3904ddf73e5c43ff9ceeef7ea5617c21726d4a0b68754278d2c337aae6c48",
+}
+
+
 def _run(*argv):
     assert main([str(a) for a in argv]) == 0, argv
 
@@ -46,6 +67,29 @@ def _with_non_finite(csv_bytes: bytes) -> bytes:
         cells[col] = value.encode()
         lines[2 + row] = b",".join(cells)
     return b"\r\n".join(lines)
+
+
+def _deep_records() -> list[LabeledRecord]:
+    """Columns cycle through constant, few-valued (0..3) and two continuous
+    kinds; each class shifts every column by its own fixed random mean."""
+    rng = random.Random(DEEP_SEED)
+    kinds = [("const", "few", "cont", "cont")[j % 4] for j in range(len(FEATURE_NAMES))]
+    means = [[DEEP_MEAN_SPREAD * rng.random() for _ in kinds] for _ in DEEP_CLASSES]
+    records = []
+    for i in range(DEEP_ROWS):
+        c = rng.randrange(len(DEEP_CLASSES))
+        values = []
+        for j, kind in enumerate(kinds):
+            if kind == "const":
+                values.append(float(j))
+            elif kind == "few":
+                values.append(float(rng.randrange(3) + (rng.random() < means[c][j])))
+            else:  # a sum of three uniforms, rounded so that values repeat
+                noise = rng.random() + rng.random() + rng.random()
+                values.append(round(noise + means[c][j], 3))
+        records.append(LabeledRecord(f"deep-{i}", "10.0.0.1", "10.0.0.2", 1024 + i, 443, 6,
+                                     tuple(values), DEEP_CLASSES[c]))
+    return records
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +121,28 @@ def test_predict_input_has_non_finite_cells(outputs):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == GOLDEN[name]
+
+
+@pytest.fixture(scope="module")
+def deep_outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden-deep")
+    write_csv(_deep_records(), d / "deep.csv")
+    _run("train", d / "deep.csv", "-o", d / "model.json")
+    _run("cv", d / "deep.csv", "-o", d / "cv.txt")
+    _run("report", d / "deep.csv", "-o", d / "report.txt")
+    return {name: (d / name).read_bytes() for name in DEEP_GOLDEN}
+
+
+def test_deep_corpus_grows_a_deep_tree(deep_outputs):
+    nodes = json.loads(deep_outputs["model.json"])["payload"]["nodes"]
+    depth = [0] * len(nodes)
+    for i, (feature, _threshold, left, right, _counts) in enumerate(nodes):
+        if feature >= 0:  # children follow their parent in preorder
+            depth[left] = depth[right] = depth[i] + 1
+    assert max(depth) == 11
+    assert len(nodes) >= 200
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_GOLDEN))
+def test_deep_output_digest(deep_outputs, name):
+    assert hashlib.sha256(deep_outputs[name]).hexdigest() == DEEP_GOLDEN[name]
