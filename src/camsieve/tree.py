@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,17 +41,24 @@ IMPORTANCE_THRESHOLD_COMPACT = 1e-4
 MODEL_FORMAT = "camsieve-tree"
 MODEL_VERSION = 1
 
-def _tie_margin(n: int) -> float:
+def _tie_margin(n):
     # float scores within this margin of the best are re-ranked exactly;
     # comfortably above the scan's accumulated rounding error (which grows
-    # with n), and false inclusions only cost an exact re-check
+    # with n), and false inclusions only cost an exact re-check; n may be an
+    # array of node sizes
     return 1e-9 + n * 1e-13
 
 
-# Cells (features x node rows) that one block of the split scan covers. The
-# scan's temporaries take about 42 bytes per cell plus 4 per class, so a
-# block of four classes stays near 15 MB at any dataset size.
-_SCAN_CELLS = 1 << 18
+# Cells (features x level rows) that one block of the split scan covers. The
+# scan's temporaries take about 50 bytes per cell plus 4 per class, so a
+# block of four classes stays near 2 MB, inside a core's L2 cache, at any
+# dataset size. A block holds at least one feature, so a level wider than
+# this is scanned one feature at a time.
+_SCAN_CELLS = 1 << 15
+
+# Below this many rows in a level, the exact re-rank's A <= n**3 / 4 and its
+# other terms fit in int64; from here on it computes with Python ints.
+_INT64_RERANK_ROWS = 1 << 20
 
 
 def gini(class_counts: Sequence[int]) -> float:
@@ -70,35 +77,107 @@ def _presort(X: np.ndarray, features: Sequence[int]) -> np.ndarray:
     return order
 
 
-def _scan(
-    values: np.ndarray, labels: np.ndarray, parent: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float weighted child impurity w = A / (nl * nr) after each position of
-    each sorted row, inf where the next value is equal (no boundary there),
-    and the (classes x features x n - 1) integer counts of each class left of
-    each position.
+class _Level(NamedTuple):
+    """What the scan of one level shares across its blocks. Position p of a
+    row is the split after the p-th row of the level; it puts the rows of its
+    node up to p on the left.
 
-    values and labels are (features x n) in the same sorted order; parent
-    holds the node's class counts as floats.
+    The class counts are packed: a word holds up to 63 // bits classes, each
+    in a bits-wide field that no count of the level can overflow, so one
+    cumulative sum per word counts all of its classes at once."""
+
+    node: np.ndarray  # (m,) node of each position
+    n: np.ndarray  # (m,) float rows of that node
+    nl: np.ndarray  # (m,) float rows left of a split after p
+    nr: np.ndarray  # (m,) float rows right of it; 1 where no split is allowed
+    shut: np.ndarray  # (m,) inf after a node's last row and in unsearched nodes, else 0
+    parent: np.ndarray  # (classes, m) int64 class counts of the position's node
+    bits: int
+    # per word: each row's code (its class's field set to 1) and the packed
+    # counts of the nodes before each position
+    words: tuple[tuple[np.ndarray, np.ndarray], ...]
+    # (block features x m) buffers that every block reuses: fresh arrays of
+    # this size cost a page fault per 4 KiB on each use
+    index: np.ndarray  # intp; take() copies any other index type first
+    work: np.ndarray  # (5, block, m) int64
+    lefts: np.ndarray  # (classes, block, m) class counts left of each position
+
+
+def _level(bounds: np.ndarray, counts: np.ndarray, searched: np.ndarray, y: np.ndarray,
+           block: int) -> _Level:
+    """The level of the node segments [bounds[j], bounds[j + 1]) with the
+    given (nodes x classes) counts, for rows labelled y, scanned block
+    features at a time; only searched nodes may split."""
+    sizes = np.diff(bounds)
+    m = int(bounds[-1])
+    node = np.repeat(np.arange(len(sizes)), sizes)
+    nl = np.arange(1, m + 1) - bounds[:-1][node]
+    n = sizes[node]
+    nr = n - nl
+    shut = np.where((nr == 0) | ~searched[node], np.inf, 0.0)
+    nr[nr == 0] = 1
+    bits = m.bit_length()
+    per_word = 63 // bits
+    classes = np.arange(counts.shape[1])
+    one = np.left_shift(1, bits * (classes % per_word))  # a count of 1 in each class's field
+    before = ((np.cumsum(counts, axis=0) - counts) * one)[node]
+    words = tuple(
+        (np.where(y // per_word == word, one[y], 0), before[:, classes // per_word == word].sum(axis=1))
+        for word in range(-(-len(classes) // per_word))
+    )
+    return _Level(
+        node, n.astype(np.float64), nl.astype(np.float64), nr.astype(np.float64), shut,
+        counts[node].T.astype(np.int64), bits, words,
+        np.empty((block, m), dtype=np.intp), np.empty((5, block, m), dtype=np.int64),
+        np.empty((len(classes), block, m), dtype=np.int32 if m < 2**31 else np.int64),
+    )
+
+
+def _scan(X_t: np.ndarray, features: np.ndarray, rows: np.ndarray,
+          level: _Level) -> tuple[np.ndarray, np.ndarray]:
+    """Float weighted child impurity w = A / (nl * nr) after each position of
+    each sorted row, inf where the next value is equal (no boundary there) or
+    no split is allowed, and the (classes x features x m) integer counts of
+    each class left of each position within its node.
+
+    X_t is the transposed, C-contiguous feature matrix. rows (features x m)
+    holds the level's node segments in every row, each segment sorted by
+    that row's feature in features. Both results are views of the level's
+    buffers, valid until its next scan.
     """
-    n = values.shape[1]
-    nl = np.arange(1, n, dtype=np.float64)
-    sum_sq_left = np.zeros((len(values), n - 1))
-    sum_sq_right = np.zeros((len(values), n - 1))
-    square = np.empty((len(values), n - 1))
-    lefts = np.empty((len(parent), len(values), n - 1), dtype=np.int32 if n < 2**31 else np.int64)
-    left_labels = labels[:, :-1]
-    for c, total in enumerate(parent):
-        left = np.cumsum(left_labels == c, axis=1, dtype=lefts.dtype, out=lefts[c])
-        # squares are exact integers in float64; in int32 they could overflow
-        sum_sq_left += np.multiply(left, left, out=square, dtype=np.float64)
-        np.subtract(left, total, out=square, dtype=np.float64)  # minus the right count
-        sum_sq_right += np.multiply(square, square, out=square)
-    sum_sq_left /= nl
-    sum_sq_right /= nl[::-1]
-    sum_sq_left += sum_sq_right
-    w = np.subtract(n, sum_sq_left, out=sum_sq_left)  # n - (sl / nl + sr / nr)
-    w[values[:, 1:] == values[:, :-1]] = np.inf
+    b, m = rows.shape
+    index, lefts = level.index[:b], level.lefts[:, :b]
+    packed, field, square, sum_sq_left, sum_sq_right = level.work[:, :b]
+    np.copyto(index, rows)
+    cells = np.multiply(features[:, None], X_t.shape[1], out=field)
+    cells += index
+    values = X_t.reshape(-1).take(cells, out=square.view(np.float64))
+    no_boundary = values[:, 1:] == values[:, :-1]
+    per_word = 63 // level.bits
+    for c in range(len(lefts)):
+        if c % per_word == 0:
+            code, before = level.words[c // per_word]
+            np.cumsum(code.take(index, out=packed), axis=1, out=packed)
+            packed -= before  # count from the node's first row, not the level's
+        np.right_shift(packed, level.bits * (c % per_word), out=field)
+        left = np.bitwise_and(field, (1 << level.bits) - 1, out=field)
+        lefts[c] = left
+        # squares and their sums stay below n**2, exact in int64
+        if c == 0:
+            np.multiply(left, left, out=sum_sq_left)
+        else:
+            sum_sq_left += np.multiply(left, left, out=square)
+        right = np.subtract(level.parent[c], left, out=field)
+        if c == 0:
+            np.multiply(right, right, out=sum_sq_right)
+        else:
+            sum_sq_right += np.multiply(right, right, out=square)
+    # below 2**26 rows the sums convert to float64 exactly
+    w = np.divide(sum_sq_left, level.nl, out=packed.view(np.float64))
+    w += np.divide(sum_sq_right, level.nr, out=field.view(np.float64))
+    np.subtract(level.n, w, out=w)  # n - (sl / nl + sr / nr)
+    w += level.shut
+    np.copyto(w[:, :m - 1], np.inf, where=no_boundary)
     return w, lefts
 
 
@@ -108,7 +187,8 @@ def best_split(
     n_classes: int,
     candidate_features: Sequence[int],
     order: np.ndarray | None = None,
-) -> tuple[int, float, float] | None:
+    bounds: Sequence[int] | None = None,
+):
     """Exhaustive best (feature, threshold) by Gini gain; None without positive gain.
 
     y must be integer class ids in [0, n_classes). Returns (feature_index,
@@ -116,76 +196,102 @@ def best_split(
     order[i] lists the node's row indexes of X sorted stably by feature
     sorted(candidate_features)[i], as train passes them down the tree.
 
-    All features are scanned at once in float, in blocks of at most
-    _SCAN_CELLS cells. Every position whose w is within _tie_margin(n) of the
-    smallest w over all features is then re-ranked with exact integers. The
-    float w of any position is off by at most a few ulps of n: counts and
-    their squared sums are exact in float64 below 2**26 rows, and two
-    divisions, one add and one subtract leave an error below n * 5e-16, a
-    hundredth of the margin. So the exact winner, and every position tied
-    with it, is among those re-ranked, and the exact order (impurity, then
-    feature, then threshold) picks the same split as a search that re-ranked
-    every position.
+    With bounds, order holds several nodes side by side: node j is the
+    non-empty column segment [bounds[j], bounds[j + 1]) of every row, and
+    the result is a list of one (feature_index, threshold, gain) or None per
+    node, each the same as a call on that node alone. train makes one such
+    call per tree level.
+
+    All features of all nodes are scanned at once in float, in blocks of at
+    most _SCAN_CELLS cells (at least one feature each). Every position whose
+    w is within _tie_margin(n) of the smallest w of its node is then
+    re-ranked with exact integers. The float w of any position is off by at
+    most a few ulps of n: counts and their squared sums are exact in float64
+    below 2**26 rows, and two divisions, one add and one subtract leave an
+    error below n * 5e-16, a hundredth of the margin. So the exact winner,
+    and every position tied with it, is among those re-ranked, and the exact
+    order (impurity, then feature, then threshold) picks the same split as a
+    search that re-ranked every position.
     """
     features = sorted(candidate_features)
     if order is None:
         order = _presort(X, features)
-    n = order.shape[1]
-    if n < 2 or not features:
-        return None
-    parent_counts = np.bincount(y[order[0]], minlength=n_classes)
-    parent_sq = int((parent_counts * parent_counts).sum())
-    if parent_sq == n * n:  # pure node
-        return None
+    segments = np.array((0, order.shape[1]) if bounds is None else bounds, dtype=np.int64)
+    starts, sizes = segments[:-1], np.diff(segments)
+    splits: list[tuple[int, float, float] | None] = [None] * len(sizes)
+    unsplit = splits if bounds is not None else None
+    if not features or not len(sizes):
+        return unsplit
+    node = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(node * n_classes + y[order[0]], minlength=len(sizes) * n_classes)
+    counts = counts.reshape(len(sizes), n_classes)
+    searched = counts.max(axis=1) < sizes  # neither pure nor a single row
+    if not searched.any():
+        return unsplit
 
-    margin = _tie_margin(n)
-    parent = parent_counts.astype(np.float64)
-    columns = np.array(features)[:, None]
-    block = max(1, _SCAN_CELLS // n)
-    w_min = np.inf
-    # (w, row of order, position, class counts left of it) near a block's min
-    near: list[tuple[float, int, int, list[int]]] = []
+    m = order.shape[1]
+    block = min(len(features), max(1, _SCAN_CELLS // m))
+    level = _level(segments, counts, searched, y, block)
+    margin = _tie_margin(sizes)
+    best = np.full(len(sizes), np.inf)  # each node's smallest w so far
+    X_t = np.ascontiguousarray(X.T)  # a view when X is in Fortran order, as train keeps it
+    columns = np.array(features, dtype=np.int64)
+    # (w, row of order, position, class counts left of it) near a node's min
+    near: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     for start in range(0, len(features), block):
-        rows = order[start:start + block]
-        w, lefts = _scan(X[rows, columns[start:start + block]], y[rows], parent)
-        block_min = w.min()
-        if block_min == np.inf or block_min > w_min + margin:
-            continue
-        w_min = min(w_min, block_min)
-        i, pos = np.nonzero(w <= block_min + margin)
-        near += zip(w[i, pos].tolist(), (i + start).tolist(), pos.tolist(),
-                    lefts[:, i, pos].T.tolist())
-    if w_min == np.inf:
-        return None
+        w, lefts = _scan(X_t, columns[start:start + block], order[start:start + block], level)
+        np.minimum(best, np.minimum.reduceat(w.min(axis=0), starts), out=best)
+        # a node with no boundary so far (best inf) has no candidates
+        limit = np.where(best < np.inf, best + margin, -np.inf)
+        i, pos = np.nonzero(w <= limit[level.node])
+        near.append((w[i, pos], i + start, pos, lefts[:, i, pos]))
+    w, i, pos = (np.concatenate([part[k] for part in near]) for k in range(3))
+    at = level.node[pos]
+    # each node's candidates within its final margin, in ascending (feature,
+    # threshold) order, so that the first exact minimum wins
+    pick = np.flatnonzero(w <= (best + margin)[at])
+    if not len(pick):
+        return unsplit
+    pick = pick[np.argsort(at[pick], kind="stable")]
+    i, pos, at = i[pick], pos[pick], at[pick]
 
-    # Lower weighted child impurity A / (n * nl * nr) means higher gain, so
-    # candidates compare by cross-multiplied integer products. near runs in
-    # ascending (feature, threshold) order, so the first exact minimum wins.
-    totals = parent_counts.tolist()
-    best: tuple[int, int, int, int] | None = None  # (A, nl * nr, row of order, position)
-    for w_float, i, b, l_counts in near:
-        if w_float > w_min + margin:
-            continue
-        nl_i = b + 1
-        nr_i = n - nl_i
-        s_left = sum(c * c for c in l_counts)
-        s_right = sum((t - c) * (t - c) for t, c in zip(totals, l_counts))
-        # A = nr*(nl^2 - sum(left^2)) + nl*(nr^2 - sum(right^2))
-        a = nr_i * (nl_i * nl_i - s_left) + nl_i * (nr_i * nr_i - s_right)
-        pair = nl_i * nr_i
-        if best is None or a * best[1] < best[0] * pair:
-            best = (a, pair, i, b)
+    # Lower weighted child impurity A / (n * nl * nr) means higher gain.
+    exact = np.int64 if m < _INT64_RERANK_ROWS else object
+    left = np.concatenate([part[3] for part in near], axis=1)[:, pick].T.astype(exact)
+    right = counts[at].astype(exact) - left
+    nl = (pos - starts[at] + 1).astype(exact)
+    nr = sizes[at].astype(exact) - nl
+    # A = nr*(nl^2 - sum(left^2)) + nl*(nr^2 - sum(right^2))
+    a = nr * (nl * nl - (left * left).sum(axis=1)) + nl * (nr * nr - (right * right).sum(axis=1))
+    pair = nl * nr
+    # The float quotient of the exact integers is off by an ulp or two, so a
+    # relative 1e-12 keeps every exact minimum of a node; where more than one
+    # candidate is left, cross-multiplied Python ints pick the first minimum.
+    ratio = a.astype(np.float64) / pair.astype(np.float64)
+    first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
+    group = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(at)]))
+    tied = np.flatnonzero(ratio <= np.minimum.reduceat(ratio, first)[group] * (1 + 1e-12))
+    lead = np.r_[True, group[tied[1:]] != group[tied[:-1]]]
+    winners = tied[lead].tolist()  # one per group, as each holds its float minimum
+    a_list, pair_list = a.tolist(), pair.tolist()
+    for g, other in zip(group[tied[~lead]].tolist(), tied[~lead].tolist()):
+        j = winners[g]
+        if a_list[other] * pair_list[j] < a_list[j] * pair_list[other]:
+            winners[g] = other
 
-    a, pair, i, b = best
-    # positive gain check, exact: (n^2 - parent_sq) * pair > A * n
-    if (n * n - parent_sq) * pair <= a * n:
-        return None
-    fi = features[i]
-    lo, hi = X[order[i, b], fi], X[order[i, b + 1], fi]
-    threshold = float((lo + hi) / 2.0)
-    if threshold >= hi:  # midpoint rounded up between adjacent floats
-        threshold = float(lo)
-    return fi, threshold, gini(totals) - a / (n * pair)
+    i, pos, at = i[winners], pos[winners], at[winners]
+    fis = np.array(features)[i]
+    lo, hi = X[order[i, pos], fis], X[order[i, pos + 1], fis]
+    mid = (lo + hi) / 2.0
+    thresholds = np.where(mid >= hi, lo, mid)  # midpoint rounded up between adjacent floats
+    totals_list, sizes_list = counts.tolist(), sizes.tolist()
+    for j, node_j, row, threshold in zip(winners, at.tolist(), i.tolist(), thresholds.tolist()):
+        totals, n = totals_list[node_j], sizes_list[node_j]
+        # positive gain check, exact: (n^2 - parent_sq) * pair > A * n
+        if (n * n - sum(c * c for c in totals)) * pair_list[j] <= a_list[j] * n:
+            continue
+        splits[node_j] = (features[row], threshold, gini(totals) - a_list[j] / (n * pair_list[j]))
+    return splits if bounds is not None else splits[0]
 
 
 @dataclass(frozen=True)
@@ -234,14 +340,22 @@ def train(
     min_samples_split: int = DEFAULT_MIN_SAMPLES_SPLIT,
     seed: int = DEFAULT_SEED,
     candidate_features: Sequence[int] | None = None,
+    *,
+    presorted: np.ndarray | None = None,
 ) -> DecisionTreeModel:
     """Deterministic recursive partitioning; stops at depth, purity or size.
 
     candidate_features restricts which columns may be split on without
     changing the feature space (used by importance pruning).
 
-    Each candidate column is argsorted once; every node hands best_split its
-    rows in that order and splits the order matrix stably into its children.
+    The tree grows one level at a time. Each candidate column is argsorted
+    once (presorted, when given, is that argsort: one row per sorted
+    candidate, as _presort returns it). The order matrix holds every node of
+    a depth that may still split as a column segment, each row sorted by its
+    feature; one best_split call searches them all, and a stable partition of
+    each row (left children, then right children) gives the next depth's
+    segments, still sorted. Nodes are renumbered to preorder at the end, as
+    a depth-first recursion would number them.
 
     seed does not steer training, which has no randomness; it is only
     recorded in training_meta. It stays because training_meta is part of the
@@ -257,6 +371,7 @@ def train(
         raise DimensionMismatch(f"matrix has {f} columns, {len(feature_names)} names given")
     if not np.isfinite(arr).all():
         raise UncleanData("dataset contains non-finite values; run cleaning first")
+    arr = np.asfortranarray(arr)  # each column contiguous, for the scan's gathers
     if class_names is None:
         class_names = sorted(set(y))
     class_index = {c: i for i, c in enumerate(class_names)}
@@ -264,34 +379,74 @@ def train(
     k = len(class_names)
     candidates = tuple(range(f)) if candidate_features is None else tuple(sorted(candidate_features))
 
-    nodes: list[TreeNode] = []
-    # depth first, left before right, so nodes are numbered in preorder as a
-    # recursion would; pending nodes hold disjoint rows, so their row-order
-    # matrices together hold at most n_candidates x n indexes
-    pending = [(_presort(arr, candidates), 0, -1)]  # (order, depth, parent of a right child)
-    goes_left = np.empty(n, dtype=bool)
-    while pending:
-        order, depth, parent = pending.pop()
-        my_index = len(nodes)
-        if parent >= 0:
-            nodes[parent] = replace(nodes[parent], right=my_index)
-        rows = order[0] if candidates else np.arange(n)  # without candidates only the root exists
-        counts = tuple(int(c) for c in np.bincount(labels[rows], minlength=k))
-        nodes.append(TreeNode(-1, 0.0, -1, -1, counts))
-        split = None
-        if depth < max_depth and len(rows) >= min_samples_split:
-            split = best_split(arr, labels, k, candidates, order)
-        if split is not None:
-            fi, threshold, _gain = split
-            nodes[my_index] = TreeNode(fi, threshold, my_index + 1, -1, counts)
-            goes_left[rows] = arr[rows, fi] <= threshold
-            mask = goes_left[order]
-            n_left = int(mask[0].sum())
-            pending.append((order[~mask].reshape(len(order), -1), depth + 1, my_index))
-            pending.append((order[mask].reshape(len(order), n_left), depth + 1, -1))
+    root = np.bincount(labels, minlength=k)
+    # [feature, threshold, left, right, counts] in breadth-first order
+    nodes: list[list] = [[-1, 0.0, -1, -1, tuple(root.tolist())]]
+    # the nodes of this depth that may split, in the order of their segments
+    growing = [0] if candidates and max_depth > 0 and n >= min_samples_split and root.max() < n else []
+    if growing:
+        order = _presort(arr, candidates) if presorted is None else presorted
+        bounds = np.array([0, n])
+    code = np.empty(n, dtype=np.int8)  # per row: 0 left, 1 right child still growing, 2 done
+    depth = 0
+    while growing:
+        splits = best_split(arr, labels, k, candidates, order, bounds)
+        rows = order[0]
+        at = np.repeat(np.arange(len(growing)), np.diff(bounds))
+        feature = np.array([-1 if s is None else s[0] for s in splits])[at]
+        threshold = np.array([0.0 if s is None else s[1] for s in splits])[at]
+        split = feature >= 0
+        child = 2 * at + (arr[rows, feature] > threshold)  # left, right slot per node
+        child_counts = np.bincount(child[split] * k + labels[rows[split]], minlength=2 * len(growing) * k)
+        child_counts = child_counts.reshape(2 * len(growing), k)
+        child_sizes = child_counts.sum(axis=1)
+        depth += 1
+        grows = (child_counts.max(axis=1) < child_sizes) & (child_sizes >= min_samples_split)
+        grows &= depth < max_depth
+        ids = np.full(2 * len(growing), -1)  # node of each child slot
+        counts_list = child_counts.tolist()
+        for j, s in enumerate(splits):
+            if s is not None:
+                ids[2 * j:2 * j + 2] = len(nodes), len(nodes) + 1
+                nodes[growing[j]][:4] = s[0], s[1], len(nodes), len(nodes) + 1
+                nodes += [[-1, 0.0, -1, -1, tuple(c)] for c in counts_list[2 * j:2 * j + 2]]
+        if not grows.any():
+            break
+        # stable partition of every row: the growing left children, then the
+        # growing right children, each in the order of its parent's segment
+        code[rows] = np.where(grows, np.arange(2 * len(growing)) % 2, 2)[child]
+        sizes = child_sizes[0::2][grows[0::2]], child_sizes[1::2][grows[1::2]]
+        m_left, m_right = int(sizes[0].sum()), int(sizes[1].sum())
+        grown = np.empty((len(order), m_left + m_right), dtype=order.dtype)
+        block = max(1, _SCAN_CELLS // order.shape[1])
+        index = np.empty((min(block, len(order)), order.shape[1]), dtype=np.intp)
+        for start in range(0, len(order), block):
+            part = order[start:start + block]
+            np.copyto(index[:len(part)], part)
+            side = code.take(index[:len(part)]).ravel()
+            # np.compress on flat arrays; a 2-D boolean index is several times slower
+            grown[start:start + block, :m_left] = np.compress(side == 0, part).reshape(len(part), m_left)
+            grown[start:start + block, m_left:] = np.compress(side == 1, part).reshape(len(part), m_right)
+        order = grown
+        bounds = np.r_[0, np.cumsum(np.concatenate(sizes))]
+        growing = ids[0::2][grows[0::2]].tolist() + ids[1::2][grows[1::2]].tolist()
 
+    preorder = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        preorder.append(i)
+        if nodes[i][0] >= 0:
+            stack += nodes[i][3], nodes[i][2]
+    number = [0] * len(nodes)
+    for new, i in enumerate(preorder):
+        number[i] = new
     return DecisionTreeModel(
-        nodes=tuple(nodes),
+        nodes=tuple(
+            TreeNode(fi, threshold, number[left], number[right], counts)
+            if fi >= 0 else TreeNode(-1, 0.0, -1, -1, counts)
+            for fi, threshold, left, right, counts in (nodes[i] for i in preorder)
+        ),
         max_depth=max_depth,
         feature_names=tuple(feature_names),
         class_names=tuple(class_names),
@@ -439,13 +594,20 @@ def cross_validate(
     seed: int = DEFAULT_SEED,
     candidate_features: Sequence[int] | None = None,
 ) -> CvReport:
-    """Stratified k-fold accuracy with a summed confusion matrix."""
+    """Stratified k-fold accuracy with a summed confusion matrix.
+
+    The candidate columns are argsorted once. A fold's presort is that order
+    with the held-out rows taken out and the rest renumbered; removing rows
+    keeps the order of ties, so it equals a stable argsort of the fold.
+    """
     arr = _as_matrix(X)
     if class_names is None:
         class_names = sorted(set(y))
     class_index = {c: i for i, c in enumerate(class_names)}
     folds = stratified_folds(y, k, seed)
     y_list = list(y)
+    candidates = range(arr.shape[1]) if candidate_features is None else sorted(candidate_features)
+    order = _presort(arr, candidates)
 
     accuracies: list[float] = []
     confusion = [[0] * len(class_names) for _ in class_names]
@@ -453,11 +615,13 @@ def cross_validate(
         in_train = np.ones(len(y_list), dtype=bool)
         in_train[fold] = False
         train_idx = np.flatnonzero(in_train)
+        renumber = np.cumsum(in_train, dtype=order.dtype) - 1  # row -> row of the fold
+        fold_order = renumber[order[in_train[order]]].reshape(len(order), len(train_idx))
         model = train(
             arr[train_idx], [y_list[i] for i in train_idx], feature_names,
             class_names=class_names, max_depth=max_depth,
             min_samples_split=min_samples_split, seed=seed,
-            candidate_features=candidate_features,
+            candidate_features=candidate_features, presorted=fold_order,
         )
         correct = 0
         for i in fold:

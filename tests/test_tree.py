@@ -159,23 +159,62 @@ def reference_nodes(X, labels, k, candidates, max_depth, min_samples_split):
     return tuple(nodes)
 
 
+# Shapes that break the bookkeeping of a level's node segments: (n,
+# max_depth, min_samples_split, classes present of 4, candidate columns,
+# every row twice). They cover no split at all, a single split, nodes that
+# close at once or split down to one row, nodes with no boundary in any
+# candidate column beside nodes that still split, and runs of equal rows.
+# Candidate "constant" takes tie_heavy's constant columns only, "few" the
+# constant, 3-valued and 12-valued ones.
+SEGMENT_SHAPES = [
+    (2, 11, 2, 2, None, False),
+    (3, 11, 2, 2, None, True),
+    (4, 1, 2, 3, None, False),
+    (5, 0, 2, 2, None, False),
+    (5, 11, 5, 2, None, True),
+    (40, 11, 40, 3, None, False),
+    (60, 1, 2, 4, None, True),
+    (60, 11, 2, 1, None, False),
+    (80, 11, 2, 4, "constant", False),
+    (120, 11, 3, 4, "constant", True),
+    (150, 11, 2, 2, "few", True),
+    (200, 11, 2, 3, "few", False),
+    (200, 11, 2, 4, None, True),
+    (300, 11, 150, 4, None, False),
+]
+
+
 class TestPresortedSplits:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_train_matches_per_node_search(self, seed):
+    @pytest.mark.parametrize(
+        "seed, shape",
+        [(seed, None) for seed in range(8)]
+        + [(100 + i, shape) for i, shape in enumerate(SEGMENT_SHAPES)],
+        ids=[str(seed) for seed in range(8)] + [f"shape{i}" for i in range(len(SEGMENT_SHAPES))],
+    )
+    def test_train_matches_per_node_search(self, seed, shape):
         rng = random.Random(seed)
-        k = 2 + seed % 3
-        n, f = rng.randint(60, 300), rng.randint(5, 10)
-        X, labels = tie_heavy(seed, n, f, k)
-        subset = None if seed % 2 else sorted(rng.sample(range(f), rng.randint(2, f)))
+        if shape is None:
+            k = 2 + seed % 3
+            n, f = rng.randint(60, 300), rng.randint(5, 10)
+            X, labels = tie_heavy(seed, n, f, k)
+            subset = None if seed % 2 else sorted(rng.sample(range(f), rng.randint(2, f)))
+            max_depth, min_samples_split = 7, rng.choice([2, 3, 8])
+        else:
+            n, max_depth, min_samples_split, present, kinds, twice = shape
+            k, f = 4, 9
+            X, labels = tie_heavy(seed, n, f, present)
+            if twice:  # the copies' labels reversed, so equal rows may disagree
+                X, labels = np.vstack([X, X]), np.concatenate([labels, labels[::-1]])
+            subset = {None: None, "constant": [0, 4, 8], "few": [0, 1, 2, 4, 5, 6, 8]}[kinds]
         candidates = tuple(range(f)) if subset is None else tuple(subset)
-        min_samples_split = rng.choice([2, 3, 8])
         classes = [f"c{i}" for i in range(k)]
         model = train(X, [classes[i] for i in labels], [f"x{j}" for j in range(f)],
-                      class_names=classes, max_depth=7, min_samples_split=min_samples_split,
-                      candidate_features=subset)
-        want = reference_nodes(X, labels, k, candidates, 7, min_samples_split)
+                      class_names=classes, max_depth=max_depth,
+                      min_samples_split=min_samples_split, candidate_features=subset)
+        want = reference_nodes(X, labels, k, candidates, max_depth, min_samples_split)
         assert model.nodes == want
-        assert sum(not node.is_leaf for node in want) >= 3
+        if shape is None:
+            assert sum(not node.is_leaf for node in want) >= 3
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tie_heavy_split_matches_exhaustive_oracle(self, seed):
@@ -200,6 +239,18 @@ class TestPresortedSplits:
             assert model.nodes[0].feature == 2
 
 
+    def test_python_int_rerank_grows_the_same_tree(self, monkeypatch):
+        # levels of 2**20 rows or more re-rank with Python ints, not int64
+        X, labels = tie_heavy(12, 600, 8, 4)
+        X[:, 6] = X[:, 5]
+        y = [str(c) for c in labels]
+        names = [f"x{j}" for j in range(8)]
+        want = train(X, y, names)
+        monkeypatch.setattr(tree, "_INT64_RERANK_ROWS", 0)
+        assert train(X, y, names).nodes == want.nodes
+        assert sum(not node.is_leaf for node in want.nodes) >= 20
+
+
 class TestScanMemoryBound:
     def test_order_matrix_is_int32(self):
         assert tree._presort(np.zeros((5, 3)), [0, 2]).dtype == np.int32
@@ -209,7 +260,8 @@ class TestScanMemoryBound:
         n, cut = 60_000, 50_000
         X = np.arange(n, dtype=np.float64)[:, None]
         y = (np.arange(n) >= cut).astype(np.int64)
-        w, lefts = tree._scan(X.T, y[None, :], np.array([cut, n - cut], dtype=np.float64))
+        level = tree._level(np.array([0, n]), np.array([[cut, n - cut]]), np.array([True]), y, 1)
+        w, lefts = tree._scan(X.T, np.array([0]), np.arange(n)[None, :], level)
         assert lefts.dtype == np.int32
         assert lefts[:, 0, cut - 1].tolist() == [cut, 0]
         assert w[0, cut - 1] == 0.0 and w.argmin() == cut - 1
@@ -224,20 +276,21 @@ class TestScanMemoryBound:
         names = [f"x{j}" for j in range(12)]
         want = train(X, y, names)
         assert len(want.nodes) > 50
-        block_rows = set()
+        blocks = []  # (features, level width) of each scanned block
         scan = tree._scan
 
-        def recording_scan(values, *args):
-            block_rows.add(len(values))
-            return scan(values, *args)
+        def recording_scan(X_t, columns, rows, level):
+            blocks.append(rows.shape)
+            return scan(X_t, columns, rows, level)
 
         monkeypatch.setattr(tree, "_SCAN_CELLS", cells)
         monkeypatch.setattr(tree, "_scan", recording_scan)
         assert train(X, y, names).nodes == want.nodes
+        assert all(rows * width <= max(cells, width) for rows, width in blocks)
         if cells == 1:
-            assert block_rows == {1}
-        else:  # blocks of 6 features at the root, all 12 at once in small nodes
-            assert min(block_rows) < 12 == max(block_rows)
+            assert {rows for rows, _ in blocks} == {1}
+        else:  # the levels narrow as nodes close, and their blocks take more features
+            assert len({rows for rows, _ in blocks}) > 1
 
 
 class TestTrain:
@@ -504,6 +557,48 @@ class TestCrossValidate:
         X = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(InsufficientSamples):
             cross_validate(X, ["a", "a", "b"], ["x"], k=2)
+
+    @pytest.mark.parametrize("subset", [None, (1, 2, 3, 5, 6, 7)])
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_fold_presorts_equal_training_each_fold_alone(self, monkeypatch, k, subset):
+        # cross_validate argsorts once and hands each fold that order with
+        # the held-out rows taken out; every fold must grow the tree that
+        # training on the fold's rows alone grows
+        X, labels = tie_heavy(40 + k, 150, 8, 3)
+        X, labels = np.vstack([X, X]), np.concatenate([labels, labels])
+        y = [f"c{c}" for c in labels]
+        names = [f"x{j}" for j in range(8)]
+        fold_models = []
+        train_fold = tree.train
+
+        def recording_train(*args, **kwargs):
+            assert kwargs["presorted"] is not None
+            fold_models.append(train_fold(*args, **kwargs))
+            return fold_models[-1]
+
+        monkeypatch.setattr(tree, "train", recording_train)
+        report = cross_validate(X, y, names, k=k, max_depth=8, seed=3, candidate_features=subset)
+        monkeypatch.undo()
+
+        classes = sorted(set(y))
+        confusion = [[0] * len(classes) for _ in classes]
+        accuracies = []
+        folds = stratified_folds(y, k, 3)
+        assert len(fold_models) == len(folds)
+        for fold, got in zip(folds, fold_models):
+            rest = [i for i in range(len(y)) if i not in set(fold)]
+            alone = train(X[rest], [y[i] for i in rest], names, class_names=classes, max_depth=8,
+                          seed=3, candidate_features=subset)
+            assert got.nodes == alone.nodes
+            correct = 0
+            for i in fold:
+                predicted = predict(alone, X[i])
+                confusion[classes.index(y[i])][classes.index(predicted)] += 1
+                correct += predicted == y[i]
+            accuracies.append(correct / len(fold))
+        assert report.fold_accuracies == tuple(accuracies)
+        assert report.confusion == tuple(tuple(row) for row in confusion)
+        assert sum(not node.is_leaf for node in fold_models[0].nodes) >= 10
 
     def test_deterministic_given_seed(self, rng):
         X = np.array([[rng.random() for _ in range(3)] for _ in range(60)])
