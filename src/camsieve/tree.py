@@ -162,16 +162,14 @@ def _scan(X_t: np.ndarray, features: np.ndarray, rows: np.ndarray,
         np.right_shift(packed, level.bits * (c % per_word), out=field)
         left = np.bitwise_and(field, (1 << level.bits) - 1, out=field)
         lefts[c] = left
+        right = np.subtract(level.parent[c], left, out=square)
         # squares and their sums stay below n**2, exact in int64
         if c == 0:
             np.multiply(left, left, out=sum_sq_left)
-        else:
-            sum_sq_left += np.multiply(left, left, out=square)
-        right = np.subtract(level.parent[c], left, out=field)
-        if c == 0:
             np.multiply(right, right, out=sum_sq_right)
         else:
-            sum_sq_right += np.multiply(right, right, out=square)
+            sum_sq_left += np.multiply(left, left, out=left)
+            sum_sq_right += np.multiply(right, right, out=right)
     # below 2**26 rows the sums convert to float64 exactly
     w = np.divide(sum_sq_left, level.nl, out=packed.view(np.float64))
     w += np.divide(sum_sq_right, level.nr, out=field.view(np.float64))
@@ -188,7 +186,7 @@ def best_split(
     candidate_features: Sequence[int],
     order: np.ndarray | None = None,
     bounds: Sequence[int] | None = None,
-):
+) -> tuple[int, float, float] | None | list[tuple[int, float, float] | None]:
     """Exhaustive best (feature, threshold) by Gini gain; None without positive gain.
 
     y must be integer class ids in [0, n_classes). Returns (feature_index,
@@ -245,7 +243,7 @@ def best_split(
         limit = np.where(best < np.inf, best + margin, -np.inf)
         i, pos = np.nonzero(w <= limit[level.node])
         near.append((w[i, pos], i + start, pos, lefts[:, i, pos]))
-    w, i, pos = (np.concatenate([part[k] for part in near]) for k in range(3))
+    w, i, pos, lefts = (np.concatenate(parts, axis=-1) for parts in zip(*near))
     at = level.node[pos]
     # each node's candidates within its final margin, in ascending (feature,
     # threshold) order, so that the first exact minimum wins
@@ -257,7 +255,7 @@ def best_split(
 
     # Lower weighted child impurity A / (n * nl * nr) means higher gain.
     exact = np.int64 if m < _INT64_RERANK_ROWS else object
-    left = np.concatenate([part[3] for part in near], axis=1)[:, pick].T.astype(exact)
+    left = lefts[:, pick].T.astype(exact)
     right = counts[at].astype(exact) - left
     nl = (pos - starts[at] + 1).astype(exact)
     nr = sizes[at].astype(exact) - nl

@@ -586,7 +586,8 @@ class TestCrossValidate:
         folds = stratified_folds(y, k, 3)
         assert len(fold_models) == len(folds)
         for fold, got in zip(folds, fold_models):
-            rest = [i for i in range(len(y)) if i not in set(fold)]
+            held_out = set(fold)
+            rest = [i for i in range(len(y)) if i not in held_out]
             alone = train(X[rest], [y[i] for i in rest], names, class_names=classes, max_depth=8,
                           seed=3, candidate_features=subset)
             assert got.nodes == alone.nodes
