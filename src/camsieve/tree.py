@@ -41,11 +41,10 @@ IMPORTANCE_THRESHOLD_COMPACT = 1e-4
 MODEL_FORMAT = "camsieve-tree"
 MODEL_VERSION = 1
 
-def _tie_margin(n):
+def _tie_margin(n: int | np.ndarray) -> float | np.ndarray:
     # float scores within this margin of the best are re-ranked exactly;
     # comfortably above the scan's accumulated rounding error (which grows
-    # with n), and false inclusions only cost an exact re-check; n may be an
-    # array of node sizes
+    # with n), and false inclusions only cost an exact re-check
     return 1e-9 + n * 1e-13
 
 

@@ -238,7 +238,6 @@ class TestPresortedSplits:
             model = train(X, [str(c) for c in labels], list("abcdefgh"), max_depth=1)
             assert model.nodes[0].feature == 2
 
-
     def test_python_int_rerank_grows_the_same_tree(self, monkeypatch):
         # levels of 2**20 rows or more re-rank with Python ints, not int64
         X, labels = tie_heavy(12, 600, 8, 4)
