@@ -16,6 +16,7 @@ from .errors import CamsieveError
 
 DEFAULT_FLOW_TIMEOUT_S = flows.DEFAULT_FLOW_TIMEOUT_US / 1e6
 DEFAULT_ACTIVITY_THRESHOLD_S = features.DEFAULT_ACTIVITY_THRESHOLD_US / 1e6
+PREDICT_SLICE = 256  # rows that predict turns into Python floats at a time
 
 
 def extract_records(
@@ -187,13 +188,19 @@ def cmd_predict(args) -> int:
         # each record is echoed as read, nan/inf included; only scoring sees the cleaned rows
         for chunk in dataset.read_chunks(args.csv):
             X, _ = dataset.clean(chunk.values)
-            lines = []
-            for text, row in zip(chunk.texts, X.tolist()):
-                proba = tree.predict_proba(model, row)
-                best = tree.best_class(proba)
-                lines.append(f"{text}{class_cells[best]},{proba[best]!r}\r\n")
-            fh.write("".join(lines))
-            rows += len(lines)
+            # Python floats and output lines for PREDICT_SLICE rows at a time,
+            # and the chunk dropped before the next one is read: then the
+            # peak is the same for any number of rows
+            for start in range(0, len(X), PREDICT_SLICE):
+                texts = chunk.texts[start:start + PREDICT_SLICE]
+                lines = []
+                for text, row in zip(texts, X[start:start + PREDICT_SLICE].tolist()):
+                    proba = tree.predict_proba(model, row)
+                    best = tree.best_class(proba)
+                    lines.append(f"{text}{class_cells[best]},{proba[best]!r}\r\n")
+                fh.write("".join(lines))
+                rows += len(lines)
+            del chunk, X
 
     dataset.atomic_write_text(args.output, emit)
     print(f"predicted {rows} rows into {args.output}")

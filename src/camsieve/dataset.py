@@ -169,7 +169,12 @@ def read_chunks(path: str | Path) -> Iterator[Chunk]:
                 values = _parse_numeric(texts)
                 if values is None:
                     values = _parse_cells(texts, rows)
-                yield Chunk(list(texts), values)
+                chunk = Chunk(list(texts), values)
+                # hold nothing of this chunk while the next one is read, so a
+                # caller that drops it too has its strings freed first
+                del batch, rows, texts, values
+                yield chunk
+                del chunk
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"{path}: not UTF-8 text ({exc})") from exc
 
