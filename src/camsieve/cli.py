@@ -87,15 +87,15 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
 def _load(args) -> tuple[np.ndarray, list[str], int]:
     """The labeled CSV's cleaned feature matrix, its labels resolved through
     the taxonomy, and the number of non-finite cells set to 0."""
-    if args.taxonomy:
-        taxonomy = dataset.LabelTaxonomy.from_json(args.taxonomy)
-    else:
-        taxonomy = dataset.default_taxonomy()
-    records = dataset.read_csv(args.csv, taxonomy)
-    X, replaced = dataset.clean([rec.values for rec in records])
+    taxonomy = (dataset.LabelTaxonomy.from_json(args.taxonomy) if args.taxonomy
+                else dataset.default_taxonomy())
+    values, labels = dataset.read_csv(args.csv, taxonomy)
+    if "" in labels:
+        raise CamsieveError(f"{args.csv}: record {labels.index('') + 1} has no label")
+    X, replaced = dataset.clean(values)
     if replaced:
         print(f"cleaned {replaced} non-finite values to 0", file=sys.stderr)
-    return X, [rec.label for rec in records], replaced
+    return X, labels, replaced
 
 
 def cmd_extract(args) -> int:

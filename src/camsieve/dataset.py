@@ -289,29 +289,28 @@ def _parse_cells(texts: Sequence[str], rows: Sequence[int]) -> np.ndarray:
     return values
 
 
-def read_csv(path: str | Path, taxonomy: LabelTaxonomy | None = None) -> list[LabeledRecord]:
-    """Load records, enforcing the frozen column layout (see read_chunks).
+class LabeledMatrix(NamedTuple):
+    """A flow CSV's raw (n, 77) float64 value matrix and each record's label."""
+
+    values: np.ndarray
+    labels: list[str]
+
+
+def read_csv(path: str | Path, taxonomy: LabelTaxonomy | None = None) -> LabeledMatrix:
+    """The records' raw values and labels, with the checks of read_chunks.
 
     With a taxonomy, application labels are resolved to their class.
     """
-    records: list[LabeledRecord] = []
+    blocks, labels = [np.empty((0, len(FEATURE_NAMES)))], []
     for chunk in read_chunks(path):
-        for text, values in zip(chunk.texts, chunk.values.tolist()):
+        blocks.append(chunk.values)
+        for text in chunk.texts:
             # read_chunks has checked the cells; without a quote the csv
             # module splits a record at every comma
-            if '"' in text:
-                cells = next(csv.reader([text]))
-                label = cells[-1]
-            else:
-                cells = text.split(",", 6)
-                label = text.rpartition(",")[2]
-            if taxonomy is not None:
-                label = taxonomy.resolve(label)
-            records.append(LabeledRecord(
-                cells[0], cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5]),
-                tuple(values), label,
-            ))
-    return records
+            label = next(csv.reader([text]))[-1] if '"' in text else text.rpartition(",")[2]
+            labels.append(label if taxonomy is None else taxonomy.resolve(label))
+        del chunk  # its texts are freed before the next chunk is read
+    return LabeledMatrix(np.concatenate(blocks), labels)
 
 
 class CleanResult(NamedTuple):

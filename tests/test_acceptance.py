@@ -219,16 +219,16 @@ def test_criterion_6_cleaning_contract(tmp_path):
     path = tmp_path / "dirty.csv"
     write_csv(rows, path)
 
-    loaded = read_csv(path)
-    X, replaced = clean([rec.values for rec in loaded])
+    values, y = read_csv(path)
+    X, replaced = clean(values)
     assert replaced == 30
-    assert X.shape == (len(loaded), len(FEATURE_NAMES))
+    assert X.shape == (len(rows), len(FEATURE_NAMES))
     assert np.isfinite(X).all()
-    for row, orig in zip(X.tolist(), loaded):
+    for row, orig in zip(X.tolist(), rows):
         for v_new, v_old in zip(row, orig.values):
             assert v_new == (0.0 if not math.isfinite(v_old) else v_old)
+    assert y == [rec.label for rec in rows]
 
-    y = [rec.label for rec in loaded]
     model = train(X, y, FEATURE_NAMES, max_depth=5, seed=SEED)
     assert model.nodes
     ok(6, f"CSV with {replaced} Inf/-Inf/NaN cells loaded, cleaned to zeros, trained")

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import resource
 import signal
@@ -15,7 +16,7 @@ import pytest
 
 from camsieve import cli, features, flows
 from camsieve.cli import main
-from camsieve.dataset import read_csv
+from camsieve.dataset import read_csv, write_csv
 from camsieve.packets import PAYLOAD_HEAD
 from camsieve.tree import load_model
 
@@ -50,9 +51,11 @@ def workdir(tmp_path_factory):
 
 class TestExtract:
     def test_csv_has_84_columns_and_labels(self, workdir):
-        records = read_csv(workdir / "conf.csv")
-        assert len(records) == 12
-        assert all(r.label == "Conf" for r in records)
+        values, labels = read_csv(workdir / "conf.csv")
+        assert values.shape == (12, len(features.FEATURE_NAMES))
+        assert labels == ["Conf"] * 12
+        rows = list(csv.reader(io.StringIO((workdir / "conf.csv").read_text(), newline="")))
+        assert {len(row) for row in rows[1:]} == {len(features.ALL_COLUMNS)}
 
     def test_extract_is_deterministic(self, workdir, tmp_path):
         out = tmp_path / "again.csv"
@@ -255,7 +258,7 @@ class TestBadInputs:
         out = tmp_path / "out.csv"
         assert main(["extract", str(workdir / "conf.pcap"), "--activity-threshold", "0",
                      "--flow-timeout", "1e-6", "-o", str(out)]) == 0
-        assert len(read_csv(out)) > 12
+        assert len(read_csv(out).labels) > 12
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_synth_without_flows_exits_2(self, tmp_path, capsys, count):
@@ -381,6 +384,17 @@ class TestTrainCvPredict:
         assert "error: cannot train on an empty dataset" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv", "report"])
+    def test_unlabeled_record_is_data_error(self, workdir, tmp_path, capsys, command):
+        schema, header, rows = csv_lines(workdir / "conf.csv")
+        for i in (4, 8):  # records 5 and 9 lose their label, as extract without --label writes
+            rows[i] = rows[i].rsplit(",", 1)[0] + ","
+        src, out = tmp_path / "unlabeled.csv", tmp_path / "out"
+        src.write_bytes("".join(line + "\r\n" for line in [schema, header, *rows]).encode())
+        assert main([command, str(src), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {src}: record 5 has no label\n"
+        assert not out.exists()
+
     def test_corrupt_model_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.model"
         bad.write_text("{}")
@@ -483,7 +497,7 @@ class TestPredictStreaming:
     def test_class_names_are_quoted_as_csv_cells(self, workdir, tmp_path):
         payload = small_model_payload()
         payload["class_names"] = ["", 'say "cam", twice']
-        firsts = sorted(rec.values[0] for rec in read_csv(workdir / "both.csv"))
+        firsts = sorted(read_csv(workdir / "both.csv").values[:, 0].tolist())
         payload["nodes"][0][1] = firsts[len(firsts) // 2]  # the root sends rows both ways
         model, out = tmp_path / "model.json", tmp_path / "scored.csv"
         write_model_payload(model, payload)
@@ -513,6 +527,27 @@ class TestPredictStreaming:
                 fh.writelines(rows[i % len(rows)] + "\r\n" for i in range(n))
             peaks.append(run_for_peak_rss(["predict", str(model_path), str(src), "-o", str(out)]))
         assert peaks[1] <= 1.1 * peaks[0], f"peak RSS {peaks[0]} kB on N rows, {peaks[1]} kB on 8N"
+
+
+class TestTrainMemory:
+    def test_peak_grows_with_the_matrix_not_with_records(self, tmp_path):
+        rng = random.Random(7)
+        peaks = []
+        for n in (2000, 8000):
+            src = tmp_path / f"{n}.csv"
+            write_csv([
+                features.LabeledRecord(f"f{i}", "10.0.0.1", "10.0.0.2", 1024, 443, 6,
+                                       tuple(rng.random() for _ in features.FEATURE_NAMES),
+                                       ("IoTCam", "Conf")[i % 2])
+                for i in range(n)
+            ], src)
+            peaks.append(run_for_peak_rss(["train", str(src), "--max-depth", "1",
+                                           "-o", str(tmp_path / f"{n}.json")]))
+        matrix_kb = 6000 * len(features.FEATURE_NAMES) * 8 // 1024  # the extra rows' matrix
+        assert peaks[1] - peaks[0] <= 5 * matrix_kb, (
+            f"peak RSS {peaks[0]} kB on 2,000 rows, {peaks[1]} kB on 8,000: "
+            f"{matrix_kb} kB more matrix"
+        )
 
 
 class TestOverlongCell:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camsieve import dataset
@@ -19,6 +19,7 @@ from camsieve.dataset import (
     LabelTaxonomy,
     LabeledRecord,
     clean,
+    csv_row,
     default_taxonomy,
     read_chunks,
     read_csv,
@@ -50,8 +51,16 @@ class TestCsvRoundTrip:
         records = [record(seed=i) for i in range(10)]
         path = tmp_path / "flows.csv"
         write_csv(records, path)
-        loaded = read_csv(path)
-        assert loaded == records
+        values, labels = read_csv(path)
+        expected = np.array([rec.values for rec in records])
+        assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert labels == [rec.label for rec in records]
+        cells, _ = cell_by_cell(path)
+        assert [row[:6] for row in cells] == [
+            [rec.flow_id, rec.src_ip, rec.dst_ip, str(rec.src_port), str(rec.dst_port),
+             str(rec.protocol)]
+            for rec in records
+        ]
 
     def test_header_carries_schema_version(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -103,7 +112,9 @@ class TestCsvRoundTrip:
         )
         path = tmp_path / "flows.csv"
         write_csv([rec], path)
-        assert read_csv(path)[0].flow_id == 'weird,"id"'
+        assert cell_by_cell(path)[0][0][0] == 'weird,"id"'
+        values, labels = read_csv(path)
+        assert values.tolist() == [list(rec.values)] and labels == [rec.label]
 
     def test_nonfinite_values_survive_round_trip(self, tmp_path):
         values = list(record().values)
@@ -111,10 +122,10 @@ class TestCsvRoundTrip:
         rec = record(values=tuple(values))
         path = tmp_path / "flows.csv"
         write_csv([rec], path)
-        loaded = read_csv(path)[0]
-        assert math.isinf(loaded.values[0]) and loaded.values[0] > 0
-        assert math.isinf(loaded.values[1]) and loaded.values[1] < 0
-        assert math.isnan(loaded.values[2])
+        loaded = read_csv(path).values[0]
+        assert math.isinf(loaded[0]) and loaded[0] > 0
+        assert math.isinf(loaded[1]) and loaded[1] < 0
+        assert math.isnan(loaded[2])
 
 
 def cell_by_cell(path):
@@ -148,6 +159,20 @@ def chunked(path):
         cells += list(csv.reader(chunk.texts))
         values += chunk.values.tolist()
     return cells, values
+
+
+def labeled(path, taxonomy=None):
+    """read_csv's records in the reference's form: the label cell alone."""
+    values, labels = read_csv(path, taxonomy)
+    assert values.shape == (len(labels), len(FEATURE_NAMES)) and values.dtype == np.float64
+    return [[label] for label in labels], values
+
+
+def labeled_cell_by_cell(path, taxonomy=None):
+    """The reference reader's label cells, resolved through the taxonomy."""
+    cells, values = cell_by_cell(path)
+    resolve = taxonomy.resolve if taxonomy else str
+    return [[resolve(row[-1])] for row in cells], values
 
 
 def outcome(reader, path):
@@ -201,6 +226,25 @@ def flow_csv(draw):
     return text + (end if draw(st.booleans()) else "")
 
 
+def awkward_csv(n):
+    """A flow CSV's text of n records in turn: a quoted label with a comma,
+    CRLF inside a quoted label, needless quotes, nan and inf cells and a plain
+    app label; every third record is followed by a blank row."""
+    lines = ["# camsieve-flow-stats v1", ",".join(ALL_COLUMNS)]
+    for i in range(n):
+        cells = [str(cell) for cell in csv_row(record(label="Teams", seed=i % 7))]
+        if i % 5 == 0:
+            cells[-1] = '"Conf, or not"'
+        elif i % 5 == 1:
+            cells[-1] = '"two\r\nlines"'
+        elif i % 5 == 2:
+            cells[0], cells[4], cells[6] = f'"{cells[0]}"', f'"{cells[4]}"', f'"{cells[6]}"'
+        elif i % 5 == 3:
+            cells[7:11] = ["nan", "inf", "-inf", "NaN"]
+        lines += [",".join(cells)] + [""] * (i % 3 == 0)
+    return "\r\n".join(lines) + "\r\n"
+
+
 class TestChunkReader:
     @settings(max_examples=200, deadline=None)
     @given(flow_csv(), st.integers(1, 4))
@@ -211,6 +255,18 @@ class TestChunkReader:
             expected = outcome(cell_by_cell, path)
             with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
                 assert outcome(chunked, path) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(flow_csv(), st.integers(1, 4))
+    @example(awkward_csv(CHUNK_ROWS + 3), CHUNK_ROWS)  # a chunk boundary inside the file
+    def test_read_csv_matches_cell_by_cell(self, text, chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flows.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            for taxonomy in (None, default_taxonomy()):
+                expected = outcome(lambda p: labeled_cell_by_cell(p, taxonomy), path)
+                with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+                    assert outcome(lambda p: labeled(p, taxonomy), path) == expected
 
     @pytest.mark.parametrize("column, cell", [(8, "1.5\x1c"), (9, "\x1f2"), (4, "80\x1d")])
     def test_space_only_loadtxt_strips_is_an_error(self, tmp_path, column, cell):
@@ -252,7 +308,9 @@ class TestChunkReader:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert list(read_chunks(path)) == []
-            assert read_csv(path) == []
+            values, labels = read_csv(path)
+        assert values.shape == (0, len(FEATURE_NAMES)) and values.dtype == np.float64
+        assert labels == []
 
     def test_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -266,8 +324,7 @@ class TestTaxonomy:
     def test_app_resolves_to_class(self, tmp_path):
         path = tmp_path / "flows.csv"
         write_csv([record(label="Skype")], path)
-        loaded = read_csv(path, default_taxonomy())
-        assert loaded[0].label == "Conf"
+        assert read_csv(path, default_taxonomy()).labels == ["Conf"]
 
     def test_classes_pass_through(self):
         tax = default_taxonomy()
