@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, features, flows, packets, protocols, synth, tree
-from .errors import CamsieveError
+from .errors import CamsieveError, OutOfOrderTimestamp
 
 DEFAULT_FLOW_TIMEOUT_S = flows.DEFAULT_FLOW_TIMEOUT_US / 1e6
 DEFAULT_ACTIVITY_THRESHOLD_S = features.DEFAULT_ACTIVITY_THRESHOLD_US / 1e6
@@ -25,10 +25,23 @@ def extract_records(
     flow_timeout_us: int = flows.DEFAULT_FLOW_TIMEOUT_US,
     activity_threshold_us: int = features.DEFAULT_ACTIVITY_THRESHOLD_US,
 ) -> list[dataset.LabeledRecord]:
-    """pcap to labeled feature records: decode, sort, assemble, summarize."""
-    sorted_packets = packets.read_packets_sorted(pcap_path)
-    flow_list = flows.assemble_flows(sorted_packets, flow_timeout_us)
+    """pcap to labeled feature records: decode, assemble, summarize."""
+    flow_list = _assemble(pcap_path, flow_timeout_us)
     return [features.compute_features(f, activity_threshold_us, label) for f in flow_list]
+
+
+def _assemble(pcap_path: str | Path, flow_timeout_us: int) -> list[flows.FlowState]:
+    """The capture's flows. A regular file is assembled as it is read, and read
+    again sorted only if a timestamp falls; anything else, such as a pipe,
+    which cannot be read twice, is sorted in a list first."""
+    if Path(pcap_path).is_file():
+        try:
+            return flows.assemble_flows(packets.read_packets(pcap_path), flow_timeout_us)
+        except OutOfOrderTimestamp:
+            # read again below, once this block's traceback, which keeps the
+            # aborted attempt's flows alive, is gone
+            pass
+    return flows.assemble_flows(packets.read_packets_sorted(pcap_path), flow_timeout_us)
 
 
 def _class_names(y: list[str]) -> list[str]:
@@ -119,8 +132,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    sorted_packets = packets.read_packets_sorted(args.pcap)
-    flow_list = flows.assemble_flows(sorted_packets, int(args.flow_timeout * 1e6))
+    flow_list = _assemble(args.pcap, int(args.flow_timeout * 1e6))
     report = protocols.build_report(flow_list, protocols.AppContext(args.app.upper()))
     text = json.dumps(report, indent=2) + "\n" if args.json else protocols.render_report(report)
     if args.output:

@@ -185,7 +185,7 @@ def _check_header(fh, path) -> None:
     first = fh.readline()
     if not first.startswith("#"):
         fh.seek(0)
-    elif SCHEMA_NAME not in first:
+    elif first.rstrip("\r\n") != _VERSION_LINE:
         raise SchemaMismatch(f"{path}: unrecognized schema line {first.strip()!r}")
     try:
         header = next(csv.reader(fh), None)

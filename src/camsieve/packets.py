@@ -7,10 +7,7 @@ from __future__ import annotations
 
 import functools
 import ipaddress
-import itertools
-import os
 import socket
-import stat
 import struct
 from operator import attrgetter
 from pathlib import Path
@@ -95,68 +92,48 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
     truncated). Raises MalformedCapture on a bad magic number, a record
     longer than MAX_RECORD_LENGTH or a record cut short by file truncation;
     frames before the bad record are still yielded. The file is read in
-    blocks, none longer than MAX_RECORD_LENGTH bytes.
+    blocks of _BLOCK_SIZE bytes and each record header is parsed in place, so
+    a record costs no read of its own; a record that straddles blocks carries
+    over to the next.
     """
     with open(path, "rb") as fh:
-        for frames in _walk_records(fh, path, frames=True):
-            yield from frames
+        header = fh.read(24)
+        if len(header) < 24:
+            raise MalformedCapture(f"{path}: file shorter than a pcap global header")
+        magic_le = struct.unpack("<I", header[:4])[0]
+        if magic_le not in _PCAP_MAGICS:
+            raise MalformedCapture(f"{path}: unrecognized magic 0x{magic_le:08X}")
+        order, subsec_div = _PCAP_MAGICS[magic_le]
+        link_type = struct.unpack(order + "I", header[20:24])[0]
+        record_header = struct.Struct(order + "IIII").unpack_from
 
-
-def _walk_records(fh, path: str | Path, frames: bool) -> Iterator[list]:
-    """Walk the records of the pcap open in `fh`, in file order.
-
-    Reads the file in blocks of _BLOCK_SIZE bytes and parses each record
-    header in place, so a record costs no read of its own; a record that
-    straddles blocks carries over to the next. Yields, per block, the list
-    of its records: CapturedFrames when `frames` is true, else their
-    timestamps in microseconds. A bad record raises MalformedCapture after
-    the list of the records before it.
-    """
-    header = fh.read(24)
-    if len(header) < 24:
-        raise MalformedCapture(f"{path}: file shorter than a pcap global header")
-    magic_le = struct.unpack("<I", header[:4])[0]
-    if magic_le not in _PCAP_MAGICS:
-        raise MalformedCapture(f"{path}: unrecognized magic 0x{magic_le:08X}")
-    order, subsec_div = _PCAP_MAGICS[magic_le]
-    link_type = struct.unpack(order + "I", header[20:24])[0]
-    record_header = struct.Struct(order + "IIII").unpack_from
-
-    block = b""
-    pos = 0
-    while True:
-        walked = []
-        size = len(block)
-        overlong = None
-        while size - pos >= 16:
-            ts_sec, ts_frac, incl_len, orig_len = record_header(block, pos)
-            if incl_len > MAX_RECORD_LENGTH:
-                overlong = incl_len
-                break
-            end = pos + 16 + incl_len
-            if end > size:
-                break
-            ts_us = ts_sec * 1_000_000 + ts_frac // subsec_div
-            if frames:
-                walked.append(CapturedFrame(ts_us, link_type, block[pos + 16 : end], orig_len))
-            else:
-                walked.append(ts_us)
-            pos = end
-        if walked:
-            yield walked
-        if overlong is not None:
-            raise MalformedCapture(
-                f"{path}: record claims {overlong} bytes, more than {MAX_RECORD_LENGTH}"
-            )
-        more = fh.read(_BLOCK_SIZE)
-        if not more:
-            if pos == size:
-                return
-            if size - pos < 16:
-                raise MalformedCapture(f"{path}: truncated record header")
-            raise MalformedCapture(f"{path}: truncated record body")
-        block = block[pos:] + more
+        block = b""
         pos = 0
+        while True:
+            size = len(block)
+            while size - pos >= 16:
+                ts_sec, ts_frac, incl_len, orig_len = record_header(block, pos)
+                if incl_len > MAX_RECORD_LENGTH:
+                    raise MalformedCapture(
+                        f"{path}: record claims {incl_len} bytes, more than {MAX_RECORD_LENGTH}"
+                    )
+                end = pos + 16 + incl_len
+                if end > size:
+                    break
+                yield CapturedFrame(
+                    ts_sec * 1_000_000 + ts_frac // subsec_div, link_type,
+                    block[pos + 16 : end], orig_len,
+                )
+                pos = end
+            more = fh.read(_BLOCK_SIZE)
+            if not more:
+                if pos == size:
+                    return
+                if size - pos < 16:
+                    raise MalformedCapture(f"{path}: truncated record header")
+                raise MalformedCapture(f"{path}: truncated record body")
+            block = block[pos:] + more
+            pos = 0
 
 
 # a raw IP frame's version nibble -> the ethertype of its IP version
@@ -342,11 +319,7 @@ def read_packets(path: str | Path) -> Iterator[PacketRecord]:
     Raises MalformedCapture on a frame of a link type that decode_packet does
     not read: a pcap has one link type, so no frame of it would decode.
     """
-    return _decoded(path, open_capture(path))
-
-
-def _decoded(path: str | Path, frames: Iterator[CapturedFrame]) -> Iterator[PacketRecord]:
-    for timestamp, link_type, data, wire_length in frames:
+    for timestamp, link_type, data, wire_length in open_capture(path):
         record = decode_packet(data, link_type, timestamp, wire_length)
         if record is not None:
             yield record
@@ -360,33 +333,10 @@ def _decoded(path: str | Path, frames: Iterator[CapturedFrame]) -> Iterator[Pack
 def read_packets_sorted(path: str | Path) -> Iterator[PacketRecord]:
     """Every packet of `read_packets(path)`, stably sorted by timestamp.
 
-    The records come in the order that
-    `sorted(read_packets(path), key=attrgetter("timestamp"))` gives. This call
-    first reads the capture's record headers. If the timestamps never fall,
-    the returned iterator decodes the capture in file order and holds no
-    record; it stops at the frames that first read counted, so frames
-    appended to the file meanwhile are not read. A capture whose timestamps
-    fall somewhere, or that is not a regular file (a pipe cannot be read
-    twice), is decoded here and its records are sorted in a list. The capture
-    must not otherwise change while it is read. Raises MalformedCapture here
-    on a capture that `open_capture` rejects.
+    Decodes the whole capture here and sorts its records in a list, so a pipe
+    is read once; raises MalformedCapture here on a capture that
+    `open_capture` rejects. A capture already in time order needs no sort:
+    feed `read_packets(path)` to the flow assembler, which raises
+    OutOfOrderTimestamp at the first timestamp that falls.
     """
-    if stat.S_ISREG(os.stat(path).st_mode):
-        frames = _frames_if_sorted(path)
-        if frames is not None:
-            return _decoded(path, itertools.islice(open_capture(path), frames))
     return iter(sorted(read_packets(path), key=attrgetter("timestamp")))
-
-
-def _frames_if_sorted(path: str | Path) -> int | None:
-    """The capture's frame count if no timestamp is below one before it, else None."""
-    latest = -1
-    count = 0
-    with open(path, "rb") as fh:
-        for timestamps in _walk_records(fh, path, frames=False):
-            # sorting a sorted list is one linear pass in C
-            if timestamps[0] < latest or timestamps != sorted(timestamps):
-                return None
-            latest = timestamps[-1]
-            count += len(timestamps)
-    return count

@@ -82,6 +82,18 @@ def write_pcap_bytes(frames, magic=0xA1B2C3D4, order="<", subsec_scale=1) -> byt
     return out
 
 
+def swap_records(data: bytes, i: int) -> bytes:
+    """A little-endian pcap's bytes with records i - 1 and i swapped: the
+    timestamp falls at record i unless the two are equal."""
+    records, pos = [], 24
+    while pos < len(data):
+        incl_len = struct.unpack_from("<I", data, pos + 8)[0]
+        records.append(data[pos : pos + 16 + incl_len])
+        pos += 16 + incl_len
+    records[i - 1], records[i] = records[i], records[i - 1]
+    return data[:24] + b"".join(records)
+
+
 def flow_packet(ts, payload_len, total_length, header_len=8, flags=0, window=0):
     """PacketRecord with placeholder endpoints, for make_flow to fill in."""
     return PacketRecord(

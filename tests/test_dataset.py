@@ -69,6 +69,26 @@ class TestCsvRoundTrip:
         assert first_two[0].startswith("#") and "camsieve-flow-stats" in first_two[0]
         assert first_two[1].split(",")[0] == "Flow ID"
 
+    @pytest.mark.parametrize("line", [
+        "# camsieve-flow-stats v2", "# camsieve-flow-stats v1.5",
+        "# camsieve-flow-statsXYZ v9", "# camsieve-flow-stats v1 ", "#",
+    ])
+    def test_other_schema_line_rejected(self, tmp_path, line):
+        path = tmp_path / "other.csv"
+        write_csv([record()], path)
+        _, rest = path.read_bytes().split(b"\r\n", 1)
+        path.write_bytes(line.encode() + b"\r\n" + rest)
+        with pytest.raises(SchemaMismatch, match="unrecognized schema line"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n", "\r"])
+    def test_schema_line_read_with_any_line_ending(self, tmp_path, end):
+        path = tmp_path / "flows.csv"
+        write_csv([record()], path)
+        _, rest = path.read_bytes().split(b"\r\n", 1)
+        path.write_bytes(f"# camsieve-flow-stats v1{end}".encode() + rest)
+        assert read_csv(path).labels == [record().label]
+
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(ALL_COLUMNS[:-1]) + "\n")  # 83 columns

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camsieve import packets
+from camsieve import cli, flows, packets
 from camsieve.errors import MalformedCapture
 from camsieve.packets import (
     IPPROTO_TCP,
@@ -376,23 +376,33 @@ class TestReadPacketsSorted:
         write_numbered_capture(p, frames)
         assert list(read_packets_sorted(p)) == sorted(read_packets(p), key=attrgetter("timestamp"))
 
-    def held_while_reading(self, path, monkeypatch) -> list[int]:
-        """For each record read_packets_sorted yields, the records decoded but
-        not yet yielded at that moment."""
-        decoded = []
+    def held_while_assembling(self, path, monkeypatch) -> list[int]:
+        """For each record the flow assembler takes while `extract` reads path,
+        the records decoded but not yet taken at that moment."""
+        decoded, held = [], []
         decode = packets.decode_packet
+        assemble = flows.assemble_flows
 
         def counting(*args):
             decoded.append(None)
             return decode(*args)
 
+        def watched(records, *args):
+            def taken():
+                for n, record in enumerate(records, 1):
+                    held.append(len(decoded) - n)
+                    yield record
+            return assemble(taken(), *args)
+
         monkeypatch.setattr(packets, "decode_packet", counting)
-        return [len(decoded) - n for n, _ in enumerate(read_packets_sorted(path), 1)]
+        monkeypatch.setattr(flows, "assemble_flows", watched)
+        cli.extract_records(path)
+        return held
 
     def test_a_sorted_capture_holds_no_record(self, tmp_path, monkeypatch):
         p = tmp_path / "sorted.pcap"
         write_numbered_capture(p, [(ts, True) for ts in (0, 10, 10, 20, 30, 30, 30, 40)])
-        assert self.held_while_reading(p, monkeypatch) == [0] * 8
+        assert self.held_while_assembling(p, monkeypatch) == [0] * 8
 
     def test_frames_appended_after_the_first_read_are_not_read(self, tmp_path):
         p = tmp_path / "growing.pcap"

@@ -12,6 +12,8 @@ import pytest
 
 from camsieve import cli, dataset, features, flows, packets, protocols, tree
 
+from conftest import swap_records
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = (dataset, features, flows, packets, protocols, tree)
 
@@ -60,6 +62,11 @@ def test_every_patched_hook_exists_and_is_reached(tracer, tmp_path):
     both = tmp_path / "both.csv"
     both.write_text("\n".join(conf + camera[2:]) + "\n")
     run("inspect", tmp_path / "conf.pcap", "--json", "-o", tmp_path / "inspect.json")
+    # a sorted capture is assembled as it is read; one whose timestamp falls
+    # is read again through read_packets_sorted
+    disordered = tmp_path / "disordered.pcap"
+    disordered.write_bytes(swap_records((tmp_path / "conf.pcap").read_bytes(), -1))
+    run("extract", disordered, "--label", "Conf", "-o", tmp_path / "disordered.csv")
     run("train", both, "--prune-threshold", "1e-4", "-o", tmp_path / "model.json")
     run("predict", tmp_path / "model.json", both, "-o", tmp_path / "scored.csv")
     run("report", both, "-k", 2, "-o", tmp_path / "report.txt")
