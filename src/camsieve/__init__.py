@@ -16,10 +16,10 @@ from .protocols import ProtocolHint, classify_udp_payload, parse_rtp_header
 from .synth import SynthProfile, TrafficKind, generate
 from .tree import (
     DecisionTreeModel,
+    best_class,
     cross_validate,
     feature_importances,
     load_model,
-    predict,
     predict_proba,
     prune_features,
     save_model,
@@ -38,6 +38,7 @@ __all__ = [
     "SynthProfile",
     "TrafficKind",
     "assemble_flows",
+    "best_class",
     "canonical_key",
     "classify_udp_payload",
     "clean",
@@ -50,7 +51,6 @@ __all__ = [
     "load_model",
     "open_capture",
     "parse_rtp_header",
-    "predict",
     "predict_proba",
     "prune_features",
     "read_csv",

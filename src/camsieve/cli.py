@@ -44,14 +44,6 @@ def _assemble(pcap_path: str | Path, flow_timeout_us: int) -> list[flows.FlowSta
     return flows.assemble_flows(packets.read_packets_sorted(pcap_path), flow_timeout_us)
 
 
-def _class_names(y: list[str]) -> list[str]:
-    """Declared taxonomy order for known classes, alphabetical for strays."""
-    present = set(y)
-    ordered = [c for c in dataset.CLASSES if c in present]
-    ordered += sorted(present - set(dataset.CLASSES))
-    return ordered
-
-
 def _int_at_least(minimum: int, unit: str):
     """argparse type: an int no smaller than minimum (exit 2 otherwise)."""
 
@@ -65,6 +57,26 @@ def _int_at_least(minimum: int, unit: str):
         return value
 
     return parse
+
+
+def _flow_count(text: str) -> int:
+    """argparse type: a number of synthetic flows, 1 to synth.MAX_FLOWS (exit 2
+    otherwise), checked before any flow is generated."""
+    value = _int_at_least(1, "flow")(text)
+    if value > synth.MAX_FLOWS:
+        raise argparse.ArgumentTypeError(f"need at most {synth.MAX_FLOWS} flows, got {value}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite number (exit 2 on nan or inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text}")
+    return value
 
 
 def _seconds(minimum_us: int):
@@ -144,31 +156,27 @@ def cmd_inspect(args) -> int:
 
 def cmd_train(args) -> int:
     X, y, _ = _load(args)
-    class_names = _class_names(y)
     if args.prune_threshold is not None:
         selected, model = tree.prune_features(
             X, y, features.FEATURE_NAMES, threshold=args.prune_threshold,
-            class_names=class_names, max_depth=args.max_depth,
-            min_samples_split=args.min_samples_split, seed=args.seed,
+            max_depth=args.max_depth, min_samples_split=args.min_samples_split, seed=args.seed,
         )
         print(f"importance pruning kept {len(selected)} of {len(features.FEATURE_NAMES)} features")
     else:
         model = tree.train(
-            X, y, features.FEATURE_NAMES, class_names=class_names,
-            max_depth=args.max_depth, min_samples_split=args.min_samples_split,
-            seed=args.seed,
+            X, y, features.FEATURE_NAMES, max_depth=args.max_depth,
+            min_samples_split=args.min_samples_split, seed=args.seed,
         )
     tree.save_model(model, args.output)
-    print(f"trained on {len(y)} records ({', '.join(class_names)}); model at {args.output}")
+    print(f"trained on {len(y)} records ({', '.join(model.class_names)}); model at {args.output}")
     return 0
 
 
 def cmd_cv(args) -> int:
     X, y, _ = _load(args)
     report = tree.cross_validate(
-        X, y, features.FEATURE_NAMES, k=args.k, class_names=_class_names(y),
-        max_depth=args.max_depth, min_samples_split=args.min_samples_split,
-        seed=args.seed,
+        X, y, features.FEATURE_NAMES, k=args.k, max_depth=args.max_depth,
+        min_samples_split=args.min_samples_split, seed=args.seed,
     )
     text = report.render()
     if args.output:
@@ -221,17 +229,14 @@ def cmd_predict(args) -> int:
 
 def cmd_report(args) -> int:
     X, y, replaced = _load(args)
-    class_names = _class_names(y)
     lines: list[str] = ["dataset summary:"]
-    for name in class_names:
+    for name in dataset.class_order(y):
         lines.append(f"  {name}: {y.count(name)} records")
     lines.append(f"  non-finite values cleaned: {replaced}")
     lines.append("")
 
-    params = dict(
-        class_names=class_names, max_depth=args.max_depth,
-        min_samples_split=args.min_samples_split, seed=args.seed,
-    )
+    params = dict(max_depth=args.max_depth, min_samples_split=args.min_samples_split,
+                  seed=args.seed)
     full_cv = tree.cross_validate(X, y, features.FEATURE_NAMES, k=args.k, **params)
     lines.append("all features:")
     lines.append(full_cv.render())
@@ -300,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic traffic as pcap + manifest")
     p.add_argument("--kind", choices=[k.value for k in synth.TrafficKind], required=True)
-    p.add_argument("-n", "--count", type=_int_at_least(1, "flow"), default=50,
-                   help="number of flows")
+    p.add_argument("-n", "--count", type=_flow_count, default=50,
+                   help=f"number of flows, at most {synth.MAX_FLOWS}")
     p.add_argument("--seed", type=int, default=tree.DEFAULT_SEED)
     p.add_argument("-o", "--output", type=Path, required=True)
     p.add_argument("--manifest", type=Path, default=None,
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a decision tree from a labeled CSV")
     p.add_argument("csv", type=Path)
     p.add_argument("-o", "--output", type=Path, required=True)
-    p.add_argument("--prune-threshold", type=float, default=None,
+    p.add_argument("--prune-threshold", type=_finite, default=None,
                    help="if set, drop features below this importance and retrain "
                         f"(presets: {tree.IMPORTANCE_THRESHOLD_NEGLIGIBLE:g} negligible, "
                         f"{tree.IMPORTANCE_THRESHOLD_COMPACT:g} compact)")
@@ -344,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv", type=Path)
     p.add_argument("-o", "--output", type=Path, default=None)
     p.add_argument("-k", type=_int_at_least(2, "folds"), default=tree.DEFAULT_K_FOLDS)
-    p.add_argument("--importance-threshold", type=float,
+    p.add_argument("--importance-threshold", type=_finite,
                    default=tree.IMPORTANCE_THRESHOLD_COMPACT)
     _add_common_model_args(p)
     p.set_defaults(func=cmd_report)

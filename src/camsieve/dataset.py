@@ -24,6 +24,14 @@ CLASS_SHARE = "Share"
 CLASS_OTHERS = "Others"
 CLASSES = (CLASS_IOT_CAM, CLASS_CONF, CLASS_SHARE, CLASS_OTHERS)
 
+
+def class_order(labels: Sequence[str]) -> list[str]:
+    """The classes present in labels: those of CLASSES in its order, then any
+    others alphabetically. The one default order of a model's classes."""
+    present = set(labels)
+    return [c for c in CLASSES if c in present] + sorted(present - set(CLASSES))
+
+
 _VERSION_LINE = f"# {SCHEMA_NAME} v{SCHEMA_VERSION}"
 
 # records per read_chunks chunk: bounds a streaming reader's memory, and

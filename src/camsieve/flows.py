@@ -135,12 +135,8 @@ class FlowAssembler:
         self._table: dict[tuple, FlowState] = {}
         self._last_ts: int | None = None
 
-    def ingest(self, pkt: PacketRecord) -> list[FlowState]:
-        """Add one packet; returns any flows this packet completed."""
-        return self._step(pkt) or []
-
-    def _step(self, pkt: PacketRecord) -> list[FlowState] | None:
-        """Add one packet; returns the flows it completed, or None for none."""
+    def ingest(self, pkt: PacketRecord) -> tuple[FlowState, ...]:
+        """Add one packet; returns the flows it completed, () for none."""
         timestamp, src_ip, dst_ip, src_port, dst_port, protocol, _, _, _, _, flags, _ = pkt
         if self._last_ts is not None and timestamp < self._last_ts:
             raise OutOfOrderTimestamp(
@@ -151,17 +147,17 @@ class FlowAssembler:
         source = (src_ip, src_port)
         destination = (dst_ip, dst_port)
         key = _flow_key(source, destination, protocol)
-        completed = None
+        completed = ()
         flow = self._table.get(key)
 
         if flow is not None:
             if timestamp - flow.start_ts > self.flow_timeout_us:
-                completed = [self._complete(key, Termination.TIMEOUT)]
+                completed = (self._complete(key, Termination.TIMEOUT),)
                 flow = None
             elif (flow.fin_fwd or flow.fin_bwd) and (
                 timestamp - flow.last_ts >= HALF_CLOSE_SILENCE_US
             ):
-                completed = [self._complete(key, Termination.TCP_FIN)]
+                completed = (self._complete(key, Termination.TCP_FIN),)
                 flow = None
 
         if flow is None:
@@ -171,9 +167,9 @@ class FlowAssembler:
 
         if protocol == IPPROTO_TCP:
             if flags & TcpFlags.RST:
-                return [*(completed or ()), self._complete(key, Termination.TCP_RST)]
+                return (*completed, self._complete(key, Termination.TCP_RST))
             if flow.fin_fwd and flow.fin_bwd and flags & (TcpFlags.ACK | TcpFlags.FIN):
-                return [*(completed or ()), self._complete(key, Termination.TCP_FIN)]
+                return (*completed, self._complete(key, Termination.TCP_FIN))
             if flags & TcpFlags.FIN:
                 if forward:
                     flow.fin_fwd = True
@@ -201,10 +197,10 @@ def assemble_flows(
     """Run the assembler over a sorted packet stream; flows ordered by start time."""
     assembler = FlowAssembler(flow_timeout_us)
     flows: list[FlowState] = []
-    step = assembler._step
+    ingest = assembler.ingest
     for pkt in packets:
-        completed = step(pkt)
-        if completed is not None:
+        completed = ingest(pkt)
+        if completed:
             flows.extend(completed)
     flows.extend(assembler.flush())
     flows.sort(key=lambda f: (f.start_ts, f.flow_id))

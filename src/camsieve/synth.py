@@ -32,6 +32,11 @@ UDP_HEADER = 8
 
 MEET_SERVER_PORT = 19305
 
+# flow i talks from client port FIRST_CLIENT_PORT + i, so a profile holds at
+# most as many flows as there are ports from there up to 65535
+FIRST_CLIENT_PORT = 20000
+MAX_FLOWS = 65536 - FIRST_CLIENT_PORT
+
 _VIDEO_PAYLOAD_TYPES = {
     "SKYPE": (122, 123),
     "TEAMS": (122, 123),
@@ -59,8 +64,8 @@ class SynthProfile:
     seed: int
 
     def __post_init__(self):
-        if self.n_flows < 1:
-            raise ValueError("n_flows must be >= 1")
+        if not 1 <= self.n_flows <= MAX_FLOWS:
+            raise ValueError(f"n_flows must be in 1..{MAX_FLOWS}, got {self.n_flows}")
 
 
 @dataclass
@@ -282,7 +287,7 @@ def _plan_flow(profile: SynthProfile, index: int) -> _FlowPlan:
         tcp=profile.kind is TrafficKind.SHARE,
         client_ip=client_ip,
         server_ip=server_ip,
-        client_port=20000 + index,
+        client_port=FIRST_CLIENT_PORT + index,
         server_port=_server_port(profile.kind, index),
         client_mac=b"\xaa\x00\x00" + mac_tail,
         server_mac=b"\xbb\x00\x00" + mac_tail,

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import atomic_write_text
+from .dataset import atomic_write_text, class_order
 from .errors import (
     AllFeaturesPruned,
     CorruptModel,
@@ -89,7 +89,7 @@ class _Level(NamedTuple):
     n: np.ndarray  # (m,) float rows of that node
     nl: np.ndarray  # (m,) float rows left of a split after p
     nr: np.ndarray  # (m,) float rows right of it; 1 where no split is allowed
-    shut: np.ndarray  # (m,) inf after a node's last row and in unsearched nodes, else 0
+    shut: np.ndarray  # (m,) inf after a node's last row, else 0
     parent: np.ndarray  # (classes, m) int64 class counts of the position's node
     bits: int
     # per word: each row's code (its class's field set to 1) and the packed
@@ -102,18 +102,17 @@ class _Level(NamedTuple):
     lefts: np.ndarray  # (classes, block, m) class counts left of each position
 
 
-def _level(bounds: np.ndarray, counts: np.ndarray, searched: np.ndarray, y: np.ndarray,
-           block: int) -> _Level:
+def _level(bounds: np.ndarray, counts: np.ndarray, y: np.ndarray, block: int) -> _Level:
     """The level of the node segments [bounds[j], bounds[j + 1]) with the
     given (nodes x classes) counts, for rows labelled y, scanned block
-    features at a time; only searched nodes may split."""
+    features at a time."""
     sizes = np.diff(bounds)
     m = int(bounds[-1])
     node = np.repeat(np.arange(len(sizes)), sizes)
     nl = np.arange(1, m + 1) - bounds[:-1][node]
     n = sizes[node]
     nr = n - nl
-    shut = np.where((nr == 0) | ~searched[node], np.inf, 0.0)
+    shut = np.where(nr == 0, np.inf, 0.0)
     nr[nr == 0] = 1
     bits = m.bit_length()
     per_word = 63 // bits
@@ -183,21 +182,18 @@ def best_split(
     y: np.ndarray,
     n_classes: int,
     candidate_features: Sequence[int],
-    order: np.ndarray | None = None,
-    bounds: Sequence[int] | None = None,
-) -> tuple[int, float, float] | None | list[tuple[int, float, float] | None]:
-    """Exhaustive best (feature, threshold) by Gini gain; None without positive gain.
+    order: np.ndarray,
+    bounds: Sequence[int],
+) -> list[tuple[int, float, float] | None]:
+    """Exhaustive best (feature, threshold) by Gini gain of each node of a level.
 
-    y must be integer class ids in [0, n_classes). Returns (feature_index,
-    threshold, gain). Without order the node is every row of X. With it,
-    order[i] lists the node's row indexes of X sorted stably by feature
-    sorted(candidate_features)[i], as train passes them down the tree.
-
-    With bounds, order holds several nodes side by side: node j is the
-    non-empty column segment [bounds[j], bounds[j + 1]) of every row, and
-    the result is a list of one (feature_index, threshold, gain) or None per
-    node, each the same as a call on that node alone. train makes one such
-    call per tree level.
+    y must be integer class ids in [0, n_classes). order holds the nodes
+    side by side: node j is the non-empty column segment [bounds[j],
+    bounds[j + 1]) of every row, and order[i] lists each node's row indexes
+    of X sorted stably by feature sorted(candidate_features)[i]. train makes
+    one call per tree level. The result holds one (feature_index, threshold,
+    gain) per node, or None where no split has positive gain, as in a pure
+    node or a single row.
 
     All features of all nodes are scanned at once in float, in blocks of at
     most _SCAN_CELLS cells (at least one feature each). Every position whose
@@ -211,24 +207,18 @@ def best_split(
     search that re-ranked every position.
     """
     features = sorted(candidate_features)
-    if order is None:
-        order = _presort(X, features)
-    segments = np.array((0, order.shape[1]) if bounds is None else bounds, dtype=np.int64)
+    segments = np.array(bounds, dtype=np.int64)
     starts, sizes = segments[:-1], np.diff(segments)
     splits: list[tuple[int, float, float] | None] = [None] * len(sizes)
-    unsplit = splits if bounds is not None else None
     if not features or not len(sizes):
-        return unsplit
+        return splits
     node = np.repeat(np.arange(len(sizes)), sizes)
     counts = np.bincount(node * n_classes + y[order[0]], minlength=len(sizes) * n_classes)
     counts = counts.reshape(len(sizes), n_classes)
-    searched = counts.max(axis=1) < sizes  # neither pure nor a single row
-    if not searched.any():
-        return unsplit
 
     m = order.shape[1]
     block = min(len(features), max(1, _SCAN_CELLS // m))
-    level = _level(segments, counts, searched, y, block)
+    level = _level(segments, counts, y, block)
     margin = _tie_margin(sizes)
     best = np.full(len(sizes), np.inf)  # each node's smallest w so far
     X_t = np.ascontiguousarray(X.T)  # a view when X is in Fortran order, as train keeps it
@@ -248,7 +238,7 @@ def best_split(
     # threshold) order, so that the first exact minimum wins
     pick = np.flatnonzero(w <= (best + margin)[at])
     if not len(pick):
-        return unsplit
+        return splits
     pick = pick[np.argsort(at[pick], kind="stable")]
     i, pos, at = i[pick], pos[pick], at[pick]
 
@@ -288,7 +278,7 @@ def best_split(
         if (n * n - sum(c * c for c in totals)) * pair_list[j] <= a_list[j] * n:
             continue
         splits[node_j] = (features[row], threshold, gini(totals) - a_list[j] / (n * pair_list[j]))
-    return splits if bounds is not None else splits[0]
+    return splits
 
 
 @dataclass(frozen=True)
@@ -370,7 +360,7 @@ def train(
         raise UncleanData("dataset contains non-finite values; run cleaning first")
     arr = np.asfortranarray(arr)  # each column contiguous, for the scan's gathers
     if class_names is None:
-        class_names = sorted(set(y))
+        class_names = class_order(y)
     class_index = {c: i for i, c in enumerate(class_names)}
     labels = np.array([class_index[v] for v in y], dtype=np.int64)
     k = len(class_names)
@@ -475,11 +465,6 @@ def predict_proba(model: DecisionTreeModel, vector: Sequence[float]) -> tuple[fl
 def best_class(proba: Sequence[float]) -> int:
     """Index of the most probable class; ties go to the first declared class."""
     return max(range(len(proba)), key=lambda i: (proba[i], -i))
-
-
-def predict(model: DecisionTreeModel, vector: Sequence[float]) -> str:
-    """Majority class of the reached leaf; ties go to the first declared class."""
-    return model.class_names[best_class(predict_proba(model, vector))]
 
 
 def feature_importances(model: DecisionTreeModel) -> tuple[float, ...]:
@@ -599,7 +584,7 @@ def cross_validate(
     """
     arr = _as_matrix(X)
     if class_names is None:
-        class_names = sorted(set(y))
+        class_names = class_order(y)
     class_index = {c: i for i, c in enumerate(class_names)}
     folds = stratified_folds(y, k, seed)
     y_list = list(y)
@@ -622,9 +607,9 @@ def cross_validate(
         )
         correct = 0
         for i in fold:
-            predicted = predict(model, arr[i])
-            confusion[class_index[y_list[i]]][class_index[predicted]] += 1
-            correct += predicted == y_list[i]
+            truth, predicted = class_index[y_list[i]], best_class(predict_proba(model, arr[i]))
+            confusion[truth][predicted] += 1
+            correct += predicted == truth
         accuracies.append(correct / len(fold))
 
     mean = sum(accuracies) / len(accuracies)

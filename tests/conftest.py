@@ -12,7 +12,7 @@ from camsieve import flows
 from camsieve.features import FEATURE_NAMES
 from camsieve.flows import FlowState, Termination
 from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PAYLOAD_HEAD, PacketRecord, TcpFlags
-from camsieve.tree import DecisionTreeModel, TreeNode, _model_payload
+from camsieve.tree import DecisionTreeModel, TreeNode, _model_payload, best_class, predict_proba
 
 
 def ipv4_frame(
@@ -190,6 +190,12 @@ def small_model_payload() -> dict:
     )
     model = DecisionTreeModel(nodes, 2, FEATURE_NAMES, ("Conf", "IoTCam"))
     return _model_payload(model)
+
+
+def predicted_class(model: DecisionTreeModel, row) -> str:
+    """The class that cv, predict and report give a row: the best_class of
+    its predict_proba."""
+    return model.class_names[best_class(predict_proba(model, row))]
 
 
 def write_model_payload(path, payload) -> None:

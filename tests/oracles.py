@@ -4,6 +4,9 @@ Everything here is written straight-line from the documented semantics,
 on purpose not sharing code with the package: statistics come from the
 stdlib statistics module, split gains from exact Fraction arithmetic, and
 packet decoding from a decoder that slices each header out of the frame.
+`node_order` and `split_node` are the exception: they only call the
+package's split search on a single node, for the tests that compare it with
+the oracles.
 """
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ import socket
 import statistics
 import struct
 from fractions import Fraction
+
+import numpy as np
 
 from camsieve.flows import FlowState
 from camsieve.packets import (
@@ -25,6 +30,7 @@ from camsieve.packets import (
     PacketRecord,
     TcpFlags,
 )
+from camsieve.tree import best_split
 
 ACTIVITY_THRESHOLD_US = 5_000_000
 GAP_US = 1_000_000
@@ -201,6 +207,25 @@ def gini_exact(counts) -> Fraction:
     if total == 0:
         return Fraction(0)
     return 1 - sum(Fraction(c, total) ** 2 for c in counts)
+
+
+def node_order(X, rows, features):
+    """The node's rows sorted stably by each feature of sorted(features), one
+    row per feature: a node's segment of best_split's order."""
+    order = np.empty((len(features), len(rows)), dtype=np.int64)
+    for i, fi in enumerate(sorted(features)):
+        order[i] = rows[np.argsort(X[rows, fi], kind="stable")]
+    return order
+
+
+def split_node(X, y, n_classes, candidates, rows=None):
+    """tree.best_split on one node, the given rows of X (all of them by
+    default), as the level [0, len(rows)]. Returns that node's (feature,
+    threshold, gain) or None."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows)
+    order = node_order(X, rows, candidates)
+    return best_split(X, y, n_classes, candidates, order, [0, len(rows)])[0]
 
 
 def exhaustive_best_split(X, y, n_classes):

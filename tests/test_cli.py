@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from camsieve import cli, dataset, features, flows, packets
+from camsieve import cli, dataset, features, flows, packets, synth, tree
 from camsieve.cli import main
 from camsieve.dataset import read_csv, write_csv
 from camsieve.errors import OutOfOrderTimestamp
@@ -271,6 +271,18 @@ class TestBadInputs:
         assert "need at least 1 flow" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_synth_past_the_client_ports_exits_2(self, tmp_path, capsys):
+        # flow i uses client port 20000 + i: 45,536 flows reach port 65535
+        out = tmp_path / "x.pcap"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--kind", "camera", "-n", str(synth.MAX_FLOWS + 1), "-o", str(out)])
+        assert exc.value.code == 2
+        assert "need at most 45536 flows, got 45537" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        args = cli.build_parser().parse_args(["synth", "--kind", "camera", "-n", "45536",
+                                              "-o", str(out)])
+        assert args.count == synth.MAX_FLOWS == 45536
+
 
 class TestDefaults:
     def test_default_seconds_come_from_the_library(self, capsys):
@@ -308,9 +320,20 @@ class TestUsageErrors:
             ("--min-samples-split", "-4", "need at least 2 samples"),
         ]
         for command in ["train", "cv", "report"]
+    ] + [
+        # refused before the CSV is read, not after a full tree is trained
+        pytest.param(command, [f"{flag}={value}"], message, id=f"{flag[2:]}={value}-{command}")
+        for value, message in [
+            ("nan", "need a finite number, got nan"),
+            ("inf", "need a finite number, got inf"),
+            ("-inf", "need a finite number, got -inf"),
+            ("lots", "invalid number: 'lots'"),
+        ]
+        for command, flag in [("train", "--prune-threshold"), ("report", "--importance-threshold")]
     ])
     def test_fewer_than_two_folds_exits_2(self, workdir, tmp_path, capsys, command, argv, message):
-        """-k, --max-depth and --min-samples-split below their minimum are usage errors."""
+        """-k, --max-depth and --min-samples-split below their minimum, and a
+        pruning threshold that is not a finite number, are usage errors."""
         out = tmp_path / "out.txt"
         with pytest.raises(SystemExit) as exc:
             main([command, str(workdir / "both.csv"), *argv, "-o", str(out)])
@@ -348,6 +371,21 @@ class TestTrainCvPredict:
         assert "confusion matrix" in printed
         assert main(["cv", str(workdir / "both.csv"), "-k", "4", "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_library_gives_the_commands_model_and_report(self, workdir, tmp_path):
+        # the README's library use: read, clean, then train or cross_validate
+        # with their defaults give the bytes that train and cv write; both.csv
+        # holds Conf before IoTCam, so an alphabetical default order would not
+        csv_path = workdir / "both.csv"
+        values, labels = read_csv(csv_path, dataset.default_taxonomy())
+        X, _ = dataset.clean(values)
+        model = tree.train(X, labels, features.FEATURE_NAMES)
+        assert model.class_names == ("IoTCam", "Conf")
+        assert main(["train", str(csv_path), "-o", str(tmp_path / "model.json")]) == 0
+        assert (tmp_path / "model.json").read_bytes() == tree.model_bytes(model)
+        report = tree.cross_validate(X, labels, features.FEATURE_NAMES, k=4)
+        assert main(["cv", str(csv_path), "-k", "4", "-o", str(tmp_path / "cv.txt")]) == 0
+        assert (tmp_path / "cv.txt").read_text() == report.render()
 
     def test_train_with_pruning(self, workdir, tmp_path, capsys):
         model_path = tmp_path / "pruned.json"

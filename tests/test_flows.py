@@ -71,7 +71,7 @@ class TestCanonicalKey:
 class TestIngest:
     def test_timeout_splits_flow(self):
         asm = FlowAssembler(flow_timeout_us=600_000_000)
-        assert asm.ingest(udp_pkt(0)) == []
+        assert asm.ingest(udp_pkt(0)) == ()
         done = asm.ingest(udp_pkt(601_000_000))
         assert len(done) == 1
         assert done[0].termination is Termination.TIMEOUT
@@ -82,7 +82,7 @@ class TestIngest:
     def test_exactly_at_timeout_not_split(self):
         asm = FlowAssembler(flow_timeout_us=600_000_000)
         asm.ingest(udp_pkt(0))
-        assert asm.ingest(udp_pkt(600_000_000)) == []
+        assert asm.ingest(udp_pkt(600_000_000)) == ()
         assert asm.flush()[0].packet_count == 2
 
     def test_tcp_fin_handshake_completes(self):
@@ -258,7 +258,7 @@ class TestEntryPoints:
         one_by_one = []
         for pkt in pkts:
             completed = asm.ingest(pkt)
-            assert type(completed) is list
+            assert type(completed) is tuple
             one_by_one += completed
         one_by_one += asm.flush()
         one_by_one.sort(key=lambda f: (f.start_ts, f.flow_id))

@@ -9,8 +9,9 @@ from camsieve.features import FEATURE_NAMES
 from camsieve.flows import assemble_flows
 from camsieve.packets import IPPROTO_TCP, open_capture, decode_packet, read_packets_sorted
 from camsieve.protocols import AppContext, MediaType, media_hint, parse_rtp_header, rtp_stream_continuity
-from camsieve.synth import KIND_LABELS, SynthProfile, TrafficKind, generate
-from camsieve.tree import best_split
+from camsieve.synth import KIND_LABELS, MAX_FLOWS, SynthProfile, TrafficKind, _plan_flow, generate
+
+from oracles import split_node
 
 
 def fidx(name):
@@ -43,6 +44,16 @@ class TestDeterminism:
         generate(SynthProfile(TrafficKind.CAMERA, 2, seed=1), p1)
         generate(SynthProfile(TrafficKind.CAMERA, 2, seed=2), p2)
         assert p1.read_bytes() != p2.read_bytes()
+
+
+class TestProfile:
+    def test_flows_past_the_client_ports_rejected(self):
+        last = _plan_flow(SynthProfile(TrafficKind.CAMERA, MAX_FLOWS, 1), MAX_FLOWS - 1)
+        assert last.client_port == 65535
+        with pytest.raises(ValueError, match="n_flows must be in 1..45536, got 45537"):
+            SynthProfile(TrafficKind.CAMERA, MAX_FLOWS + 1, 1)
+        with pytest.raises(ValueError):
+            SynthProfile(TrafficKind.CONF, 0, 1)
 
 
 class TestWireValidity:
@@ -146,7 +157,7 @@ class TestSeparability:
             )
             y = np.array([0] * len(records[ka]) + [1] * len(records[kb]))
             for col in range(len(names)):
-                result = best_split(X, y, 2, [col])
+                result = split_node(X, y, 2, [col])
                 assert result is not None, (ka, kb, names[col])
                 _, _, gain = result
                 # a gain equal to the parent impurity means a perfect split

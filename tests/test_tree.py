@@ -24,7 +24,6 @@ from camsieve.tree import (
     gini,
     load_model,
     model_bytes,
-    predict,
     predict_proba,
     prune_features,
     save_model,
@@ -32,8 +31,8 @@ from camsieve.tree import (
     train,
 )
 
-from conftest import MALFORMED_PAYLOADS, small_model_payload, write_model_payload
-from oracles import exhaustive_best_split, gini_exact
+from conftest import MALFORMED_PAYLOADS, predicted_class, small_model_payload, write_model_payload
+from oracles import exhaustive_best_split, gini_exact, node_order, split_node
 
 
 def as_xy(rows):
@@ -60,22 +59,22 @@ class TestBestSplit:
     def test_textbook_example(self):
         rows = [((0.0,), 0), ((1.0,), 0), ((2.0,), 1), ((3.0,), 1)]
         X, y = as_xy(rows)
-        fi, threshold, gain = best_split(X, y, 2, [0])
+        fi, threshold, gain = split_node(X, y, 2, [0])
         assert (fi, threshold) == (0, 1.5)
         assert gain == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_labels_give_none(self):
         rows = [((0.0,), 0), ((1.0,), 0), ((2.0,), 0)]
-        assert best_split(*as_xy(rows), 2, [0]) is None
+        assert split_node(*as_xy(rows), 2, [0]) is None
 
     def test_constant_feature_gives_none(self):
         rows = [((5.0,), 0), ((5.0,), 1)]
-        assert best_split(*as_xy(rows), 2, [0]) is None
+        assert split_node(*as_xy(rows), 2, [0]) is None
 
     def test_tie_breaks_to_lowest_feature(self):
         # both features split perfectly; the pinned rule picks feature 0
         rows = [((0.0, 0.0), 0), ((1.0, 1.0), 1)]
-        fi, _, _ = best_split(*as_xy(rows), 2, [0, 1])
+        fi, _, _ = split_node(*as_xy(rows), 2, [0, 1])
         assert fi == 0
 
     def test_matches_exhaustive_oracle_on_random_data(self):
@@ -91,7 +90,7 @@ class TestBestSplit:
                 for _ in range(n)
             ]
             X, y = as_xy(rows)
-            got = best_split(X, y, classes, range(f))
+            got = split_node(X, y, classes, range(f))
             want = exhaustive_best_split([r[0] for r in rows], [r[1] for r in rows], classes)
             if want is None:
                 assert got is None
@@ -126,14 +125,10 @@ def tie_heavy(seed, n, f, k):
     return X, labels
 
 
-def node_order(X, idx, features):
-    """The node's rows idx sorted stably by each feature, one row per feature."""
-    return np.array([idx[np.argsort(X[idx, fi], kind="stable")] for fi in sorted(features)])
-
-
 def reference_nodes(X, labels, k, candidates, max_depth, min_samples_split):
-    """Plain recursion that hands best_split each node's own rows, unsorted;
-    checks on the way that a presorted order gives the same split."""
+    """Plain recursion that searches each node alone, as a matrix of its own
+    rows; checks on the way that its rows' order within X gives the same
+    split."""
     nodes = []
 
     def build(idx, depth):
@@ -142,9 +137,8 @@ def reference_nodes(X, labels, k, candidates, max_depth, min_samples_split):
         nodes.append(None)
         split = None
         if depth < max_depth and len(idx) >= min_samples_split:
-            split = best_split(X[idx], labels[idx], k, candidates)
-            presorted = best_split(X, labels, k, candidates, node_order(X, idx, candidates))
-            assert presorted == split
+            split = split_node(X[idx], labels[idx], k, candidates)
+            assert split_node(X, labels, k, candidates, idx) == split
         if split is None:
             nodes[me] = TreeNode(-1, 0.0, -1, -1, counts)
         else:
@@ -221,12 +215,28 @@ class TestPresortedSplits:
         k = 2 + seed % 3
         X, labels = tie_heavy(100 + seed, 200, 8, k)
         X[:, 6] = X[:, 5]  # an exact tie between two whole columns as well
+        got = split_node(X, labels, k, range(8))
         want = exhaustive_best_split(X.tolist(), labels.tolist(), k)
-        idx = np.arange(len(labels))
-        for got in (best_split(X, labels, k, range(8)),
-                    best_split(X, labels, k, range(8), node_order(X, idx, range(8)))):
-            assert (got[0], got[1]) == (want[0], want[1])
-            assert got[2] == pytest.approx(float(want[2]), abs=1e-12)
+        assert (got[0], got[1]) == (want[0], want[1])
+        assert got[2] == pytest.approx(float(want[2]), abs=1e-12)
+
+        # one call on a level of four nodes: two that split, a pure one and a
+        # single row; each gets the split of a search on it alone
+        pure = 160 + np.flatnonzero(labels[160:] == labels[160])
+        nodes = [np.arange(80), np.arange(80, 159), pure, np.array([159])]
+        assert len(pure) >= 2 and len(set(X[pure, 3])) > 1  # a pure node with boundaries
+        order = np.hstack([node_order(X, idx, range(8)) for idx in nodes])
+        bounds = np.cumsum([0] + [len(idx) for idx in nodes])
+        splits = best_split(X, labels, k, range(8), order, bounds)
+        assert len(splits) == 4 and splits[2] is None and splits[3] is None
+        for idx, got in zip(nodes, splits):
+            want = exhaustive_best_split(X[idx].tolist(), labels[idx].tolist(), k)
+            if want is None:
+                assert got is None
+            else:
+                assert (got[0], got[1]) == (want[0], want[1])
+                assert got[2] == pytest.approx(float(want[2]), abs=1e-12)
+        assert splits[0] is not None and splits[1] is not None
 
     def test_identical_columns_tie_to_lower_index(self, monkeypatch):
         X, labels = tie_heavy(11, 400, 8, 3)
@@ -234,7 +244,7 @@ class TestPresortedSplits:
         for cells in (tree._SCAN_CELLS, 1):  # one block, then one block per feature
             monkeypatch.setattr(tree, "_SCAN_CELLS", cells)
             for candidates in (range(8), [5, 2], [2, 5, 7]):
-                assert best_split(X, labels, 3, candidates)[0] == 2
+                assert split_node(X, labels, 3, candidates)[0] == 2
             model = train(X, [str(c) for c in labels], list("abcdefgh"), max_depth=1)
             assert model.nodes[0].feature == 2
 
@@ -259,12 +269,12 @@ class TestScanMemoryBound:
         n, cut = 60_000, 50_000
         X = np.arange(n, dtype=np.float64)[:, None]
         y = (np.arange(n) >= cut).astype(np.int64)
-        level = tree._level(np.array([0, n]), np.array([[cut, n - cut]]), np.array([True]), y, 1)
+        level = tree._level(np.array([0, n]), np.array([[cut, n - cut]]), y, 1)
         w, lefts = tree._scan(X.T, np.array([0]), np.arange(n)[None, :], level)
         assert lefts.dtype == np.int32
         assert lefts[:, 0, cut - 1].tolist() == [cut, 0]
         assert w[0, cut - 1] == 0.0 and w.argmin() == cut - 1
-        fi, threshold, gain = best_split(X, y, 2, [0])
+        fi, threshold, gain = split_node(X, y, 2, [0])
         assert (fi, threshold) == (0, cut - 0.5)
         assert gain == pytest.approx(1 - (cut / n) ** 2 - ((n - cut) / n) ** 2)
 
@@ -321,21 +331,21 @@ class TestTrain:
 
         assert tree_accuracy_depth2() == 1.0  # oracle: depth 2 suffices
         model = train(X, y, ["x", "y"], max_depth=2)
-        assert [predict(model, r[0]) for r in rows] == [r[1] for r in rows]
+        assert [predicted_class(model, r[0]) for r in rows] == [r[1] for r in rows]
         depth1 = train(X, y, ["x", "y"], max_depth=1)
-        assert sum(predict(depth1, r[0]) == r[1] for r in rows) < 4
+        assert sum(predicted_class(depth1, r[0]) == r[1] for r in rows) < 4
 
     def test_depth_zero_is_majority_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         model = train(X, ["a", "a", "b"], ["x"], max_depth=0)
         assert len(model.nodes) == 1
-        assert predict(model, [99.0]) == "a"
+        assert predicted_class(model, [99.0]) == "a"
 
     def test_linearly_separable_depth_one(self):
         X = np.array([[float(i)] for i in range(10)])
         y = ["lo"] * 5 + ["hi"] * 5
         model = train(X, y, ["x"], max_depth=1)
-        assert all(predict(model, [x]) == lbl for x, lbl in zip(range(10), y))
+        assert all(predicted_class(model, [x]) == lbl for x, lbl in zip(range(10), y))
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
@@ -351,7 +361,7 @@ class TestTrain:
         prev = 0.0
         for depth in range(0, 8):
             model = train(X, y, list("wxyz"), max_depth=depth)
-            acc = sum(predict(model, row) == lbl for row, lbl in zip(X, y)) / len(y)
+            acc = sum(predicted_class(model, row) == lbl for row, lbl in zip(X, y)) / len(y)
             assert acc >= prev - 1e-12
             prev = acc
 
@@ -390,15 +400,15 @@ class TestPredict:
         )
 
     def test_majority(self):
-        assert predict(self.leaf_model((10, 0)), [0.0, 0.0]) == "IoTCam"
+        assert predicted_class(self.leaf_model((10, 0)), [0.0, 0.0]) == "IoTCam"
 
     def test_tie_goes_to_first_declared_class(self):
-        assert predict(self.leaf_model((5, 5)), [0.0, 0.0]) == "IoTCam"
+        assert predicted_class(self.leaf_model((5, 5)), [0.0, 0.0]) == "IoTCam"
         assert best_class((0.2, 0.4, 0.4)) == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            predict(self.leaf_model((1, 1)), [0.0])
+            predict_proba(self.leaf_model((1, 1)), [0.0])
 
     def test_proba_normalized(self):
         assert predict_proba(self.leaf_model((9, 1)), [0.0, 0.0]) == (0.9, 0.1)
@@ -415,7 +425,7 @@ class TestPredict:
             proba = predict_proba(model, v)
             assert sum(proba) == pytest.approx(1.0, abs=1e-12)
             best = max(range(len(proba)), key=lambda i: (proba[i], -i))
-            assert predict(model, v) == model.class_names[best]
+            assert best_class(proba) == best
 
 
 class TestImportances:
@@ -471,7 +481,7 @@ class TestImportances:
         imp_p = feature_importances(model_p)
         assert imp_p == tuple(imp[i] for i in perm)
         for row, row_p in zip(X[:10], Xp[:10]):
-            assert predict(model, row) == predict(model_p, row_p)
+            assert predicted_class(model, row) == predicted_class(model_p, row_p)
 
     def test_importances_nonnegative_sum_one(self, rng):
         X = np.array([[rng.random() for _ in range(5)] for _ in range(60)])
@@ -525,7 +535,7 @@ class TestCrossValidate:
         # wide margin keeps every fold's boundary far from all test points
         X = np.array([[float(i)] for i in range(20)] + [[1000.0 + i] for i in range(20)])
         y = ["lo"] * 20 + ["hi"] * 20
-        gap_split = best_split(X, np.array([0] * 20 + [1] * 20), 2, [0])
+        gap_split = split_node(X, np.array([0] * 20 + [1] * 20), 2, [0])
         assert gap_split is not None and gap_split[2] == pytest.approx(0.5)  # root-split oracle
         report = cross_validate(X, y, ["x"], k=10, max_depth=3, seed=1)
         assert report.mean == 1.0
@@ -592,7 +602,7 @@ class TestCrossValidate:
             assert got.nodes == alone.nodes
             correct = 0
             for i in fold:
-                predicted = predict(alone, X[i])
+                predicted = predicted_class(alone, X[i])
                 confusion[classes.index(y[i])][classes.index(predicted)] += 1
                 correct += predicted == y[i]
             accuracies.append(correct / len(fold))
@@ -632,7 +642,6 @@ class TestPersistence:
         loaded = load_model(path)
         for _ in range(100):
             v = [rng.random() for _ in range(4)]
-            assert predict(model, v) == predict(loaded, v)
             assert predict_proba(model, v) == predict_proba(loaded, v)
 
     def test_wrong_version_rejected(self, tmp_path, rng):
@@ -692,9 +701,9 @@ class TestMalformedModel:
         model = load_model(path)
         assert len(model.nodes) == 5
         row = [0.0] * len(model.feature_names)
-        assert predict(model, row) == "Conf"
+        assert predicted_class(model, row) == "Conf"
         row[0], row[5] = 1.0, 11.0
-        assert predict(model, row) == "IoTCam"
+        assert predicted_class(model, row) == "IoTCam"
 
     @pytest.mark.parametrize(
         "mutate", [pytest.param(m, id=name) for name, m in MALFORMED_PAYLOADS]
