@@ -67,7 +67,7 @@ class LabelTaxonomy:
         """Read a JSON object of label-to-class names; BadTaxonomy if it is not one."""
         try:
             mapping = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise BadTaxonomy(f"{path}: not a JSON file: {exc}") from exc
         if not isinstance(mapping, dict) or not all(isinstance(c, str) for c in mapping.values()):
             raise BadTaxonomy(f"{path}: expected a JSON object mapping labels to class names")

@@ -10,7 +10,7 @@ class MalformedCapture(CamsieveError):
 
 
 class OutOfOrderTimestamp(CamsieveError):
-    """Packet arrived with a timestamp earlier than one already ingested."""
+    """Packet arrived with a timestamp earlier than one already assembled."""
 
 
 class EmptyDataset(CamsieveError):

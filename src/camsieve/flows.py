@@ -52,7 +52,7 @@ class FlowState:
     Per flow it keeps the wire-byte sum (`wire_bytes`) and the TCP window of
     the first packet in each direction (`first_window_fwd`, `first_window_bwd`;
     None before that direction's first packet). The columns are in
-    non-decreasing timestamp order: `FlowAssembler.ingest` rejects a
+    non-decreasing timestamp order: `assemble_flows` rejects a
     decreasing timestamp, and a flow built by hand must add its packets in
     that order, since `compute_features` reads the columns as the flow's
     timeline.
@@ -127,81 +127,60 @@ class FlowState:
         return [slots[i + 1 : i + 1 + slots[i]] for i in range(0, len(slots), PAYLOAD_SLOT)]
 
 
-class FlowAssembler:
-    """Single-writer flow table; requires packets in non-decreasing time order."""
+def assemble_flows(
+    packets: Iterable[PacketRecord], flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US
+) -> list[FlowState]:
+    """Group packets in non-decreasing time order into flows, ordered by
+    (start_ts, flow_id); a decreasing timestamp raises OutOfOrderTimestamp.
 
-    def __init__(self, flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US):
-        self.flow_timeout_us = flow_timeout_us
-        self._table: dict[tuple, FlowState] = {}
-        self._last_ts: int | None = None
-
-    def ingest(self, pkt: PacketRecord) -> tuple[FlowState, ...]:
-        """Add one packet; returns the flows it completed, () for none."""
+    A packet more than flow_timeout_us after its flow's start ends the flow
+    (TIMEOUT), as does one HALF_CLOSE_SILENCE_US or more after the flow's last
+    packet once either side sent FIN (TCP_FIN); the packet then opens a new
+    flow. A TCP packet with RST (TCP_RST), or with ACK or FIN once both sides
+    sent FIN (TCP_FIN), ends its flow after joining it. Flows still open when
+    the packets run out end with END_OF_CAPTURE.
+    """
+    table: dict[tuple, FlowState] = {}
+    flows: list[FlowState] = []
+    last_ts = None
+    for pkt in packets:
         timestamp, src_ip, dst_ip, src_port, dst_port, protocol, _, _, _, _, flags, _ = pkt
-        if self._last_ts is not None and timestamp < self._last_ts:
-            raise OutOfOrderTimestamp(
-                f"packet at {timestamp} after {self._last_ts}; sort the capture first"
-            )
-        self._last_ts = timestamp
+        if last_ts is not None and timestamp < last_ts:
+            raise OutOfOrderTimestamp(f"packet at {timestamp} after {last_ts}; sort the capture first")
+        last_ts = timestamp
 
         source = (src_ip, src_port)
         destination = (dst_ip, dst_port)
         key = _flow_key(source, destination, protocol)
-        completed = ()
-        flow = self._table.get(key)
-
+        flow = table.get(key)
         if flow is not None:
-            if timestamp - flow.start_ts > self.flow_timeout_us:
-                completed = (self._complete(key, Termination.TIMEOUT),)
+            if timestamp - flow.start_ts > flow_timeout_us:
+                flow.termination = Termination.TIMEOUT
+            elif (flow.fin_fwd or flow.fin_bwd) and timestamp - flow.last_ts >= HALF_CLOSE_SILENCE_US:
+                flow.termination = Termination.TCP_FIN
+            if flow.termination is not None:
+                flows.append(flow)
                 flow = None
-            elif (flow.fin_fwd or flow.fin_bwd) and (
-                timestamp - flow.last_ts >= HALF_CLOSE_SILENCE_US
-            ):
-                completed = (self._complete(key, Termination.TCP_FIN),)
-                flow = None
-
         if flow is None:
-            flow = self._table[key] = FlowState(key, source, destination, timestamp)
+            flow = table[key] = FlowState(key, source, destination, timestamp)
 
         forward = flow.add(pkt)
 
         if protocol == IPPROTO_TCP:
             if flags & TcpFlags.RST:
-                return (*completed, self._complete(key, Termination.TCP_RST))
-            if flow.fin_fwd and flow.fin_bwd and flags & (TcpFlags.ACK | TcpFlags.FIN):
-                return (*completed, self._complete(key, Termination.TCP_FIN))
-            if flags & TcpFlags.FIN:
+                flow.termination = Termination.TCP_RST
+            elif flow.fin_fwd and flow.fin_bwd and flags & (TcpFlags.ACK | TcpFlags.FIN):
+                flow.termination = Termination.TCP_FIN
+            elif flags & TcpFlags.FIN:
                 if forward:
                     flow.fin_fwd = True
                 else:
                     flow.fin_bwd = True
-        return completed
+            if flow.termination is not None:
+                flows.append(table.pop(key))
 
-    def flush(self) -> list[FlowState]:
-        """Complete every open flow (END_OF_CAPTURE); idempotent once drained."""
-        flows = sorted(self._table.values(), key=lambda f: (f.start_ts, f.flow_id))
-        for flow in flows:
-            flow.termination = Termination.END_OF_CAPTURE
-        self._table.clear()
-        return flows
-
-    def _complete(self, key: tuple, termination: Termination) -> FlowState:
-        flow = self._table.pop(key)
-        flow.termination = termination
-        return flow
-
-
-def assemble_flows(
-    packets: Iterable[PacketRecord], flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US
-) -> list[FlowState]:
-    """Run the assembler over a sorted packet stream; flows ordered by start time."""
-    assembler = FlowAssembler(flow_timeout_us)
-    flows: list[FlowState] = []
-    ingest = assembler.ingest
-    for pkt in packets:
-        completed = ingest(pkt)
-        if completed:
-            flows.extend(completed)
-    flows.extend(assembler.flush())
+    for flow in table.values():
+        flow.termination = Termination.END_OF_CAPTURE
+    flows += table.values()
     flows.sort(key=lambda f: (f.start_ts, f.flow_id))
     return flows

@@ -84,7 +84,6 @@ def _ipv4_checksum(header: bytes) -> int:
 
 
 def _build_frame(
-    ts: int,
     forward: bool,
     flow: "_FlowPlan",
     payload: bytes,
@@ -144,7 +143,6 @@ def _build_frame(
 
 @dataclass
 class _FlowPlan:
-    index: int
     tcp: bool
     client_ip: str
     server_ip: str
@@ -283,7 +281,6 @@ def _plan_flow(profile: SynthProfile, index: int) -> _FlowPlan:
     server_ip = f"198.51.100.{1 + index % 250}"
     mac_tail = struct.pack("!BH", kind_idx, index & 0xFFFF)
     plan = _FlowPlan(
-        index=index,
         tcp=profile.kind is TrafficKind.SHARE,
         client_ip=client_ip,
         server_ip=server_ip,
@@ -348,7 +345,7 @@ def generate(
         start = BASE_TIMESTAMP_US + i * FLOW_STAGGER_US
         seq_state = {"fwd": 1000 + i, "bwd": 500_000 + i, "ip_id": (i * 131) & 0xFFFF}
         for order, ev in enumerate(events):
-            frame = _build_frame(start + ev.ts, ev.forward, plan, ev.payload, ev.flags, seq_state)
+            frame = _build_frame(ev.forward, plan, ev.payload, ev.flags, seq_state)
             all_frames.append((start + ev.ts, i * 1_000_000 + order, frame))
         entry["packets"] = len(events)
         entry["fwd_packets"] = sum(1 for e in events if e.forward)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -683,8 +684,10 @@ def _node_table(raw, n_features: int, n_classes: int) -> tuple[TreeNode, ...]:
             raise ValueError(f"node {i} has a non-int feature or child")
         if type(threshold) not in (int, float):
             raise ValueError(f"node {i} has a non-numeric threshold")
-        if not math.isfinite(threshold):  # a NaN threshold sends every row right
-            raise ValueError(f"node {i} has a non-finite threshold {threshold}")
+        # a NaN threshold sends every row right, and an int beyond the float
+        # range cannot be compared as a float
+        if not abs(threshold) <= sys.float_info.max:
+            raise ValueError(f"node {i} has a threshold that is not a finite float")
         if not -1 <= feature < n_features:
             raise ValueError(f"node {i} splits on feature {feature} of {n_features}")
         if feature == -1 and (left, right) != (-1, -1):
@@ -710,7 +713,7 @@ def load_model(path: str | Path) -> DecisionTreeModel:
         wrapper = json.loads(Path(path).read_bytes())
         checksum = wrapper["checksum"]
         payload = wrapper["payload"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:  # bad UTF-8 or JSON, too deep
         raise CorruptModel(f"{path}: not a model file ({exc})") from exc
     if _checksum(payload) != checksum:
         raise CorruptModel(f"{path}: checksum mismatch")

@@ -234,6 +234,7 @@ MALFORMED_PAYLOADS = [
     # json writes and reads NaN and Infinity; a NaN root would send every row right
     ("nan-threshold", _set_node(0, 1, float("nan"))),
     ("infinite-threshold", _set_node(2, 1, float("inf"))),
+    ("huge-int-threshold", _set_node(0, 1, 10**400)),
     # bool is an int subclass: true must not pass as feature 1, child 1 or a count
     ("bool-feature", _set_node(0, 0, True)),
     ("bool-child", _set_node(0, 2, True)),

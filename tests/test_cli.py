@@ -215,6 +215,7 @@ class TestBadInputs:
         pytest.param('["Skype", "Conf"]', id="list"),
         pytest.param('{"MyCam": "NotAClass"}', id="unknown-class"),
         pytest.param('{"MyCam": ["IoTCam"]}', id="non-string-class"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
     ])
     @pytest.mark.parametrize("command", ["train", "cv", "report"])
     def test_bad_taxonomy_is_data_error(self, workdir, tmp_path, capsys, command, text):

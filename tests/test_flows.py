@@ -8,8 +8,6 @@ from camsieve.errors import OutOfOrderTimestamp
 from camsieve.flows import (
     HALF_CLOSE_SILENCE_US,
     PAYLOAD_SLOT,
-    FlowAssembler,
-    FlowState,
     Termination,
     assemble_flows,
     canonical_key,
@@ -68,22 +66,23 @@ class TestCanonicalKey:
         assert canonical_key(udp_pkt(0, ep1, ep2)) == canonical_key(udp_pkt(0, ep2, ep1))
 
 
+def ends(flows):
+    """Each flow's termination, packet count and start time, in output order."""
+    return [(f.termination, f.packet_count, f.start_ts) for f in flows]
+
+
 class TestIngest:
+    """The rules that end a flow at a packet, through assemble_flows."""
+
     def test_timeout_splits_flow(self):
-        asm = FlowAssembler(flow_timeout_us=600_000_000)
-        assert asm.ingest(udp_pkt(0)) == ()
-        done = asm.ingest(udp_pkt(601_000_000))
-        assert len(done) == 1
-        assert done[0].termination is Termination.TIMEOUT
-        assert done[0].packet_count == 1
-        tail = asm.flush()
-        assert len(tail) == 1 and tail[0].start_ts == 601_000_000
+        flows = assemble_flows([udp_pkt(0), udp_pkt(601_000_000)], flow_timeout_us=600_000_000)
+        assert ends(flows) == [
+            (Termination.TIMEOUT, 1, 0), (Termination.END_OF_CAPTURE, 1, 601_000_000),
+        ]
 
     def test_exactly_at_timeout_not_split(self):
-        asm = FlowAssembler(flow_timeout_us=600_000_000)
-        asm.ingest(udp_pkt(0))
-        assert asm.ingest(udp_pkt(600_000_000)) == ()
-        assert asm.flush()[0].packet_count == 2
+        flows = assemble_flows([udp_pkt(0), udp_pkt(600_000_000)], flow_timeout_us=600_000_000)
+        assert ends(flows) == [(Termination.END_OF_CAPTURE, 2, 0)]
 
     def test_tcp_fin_handshake_completes(self):
         pkts = [
@@ -94,81 +93,67 @@ class TestIngest:
             tcp_pkt(40, B, A, TcpFlags.FIN | TcpFlags.ACK),
             tcp_pkt(50, A, B, TcpFlags.ACK),
         ]
-        asm = FlowAssembler()
-        done = []
-        for p in pkts:
-            done += asm.ingest(p)
-        assert len(done) == 1
-        assert done[0].termination is Termination.TCP_FIN
-        assert done[0].packet_count == 6
-        assert asm.flush() == []
+        assert ends(assemble_flows(pkts)) == [(Termination.TCP_FIN, 6, 0)]
 
     def test_rst_completes_immediately(self):
-        asm = FlowAssembler()
-        asm.ingest(tcp_pkt(0, A, B, TcpFlags.SYN))
-        done = asm.ingest(tcp_pkt(10, B, A, TcpFlags.RST))
-        assert len(done) == 1 and done[0].termination is Termination.TCP_RST
-        assert done[0].packet_count == 2
+        # the packet after the RST opens a new flow
+        flows = assemble_flows([
+            tcp_pkt(0, A, B, TcpFlags.SYN),
+            tcp_pkt(10, B, A, TcpFlags.RST),
+            tcp_pkt(20, A, B, TcpFlags.ACK),
+        ])
+        assert ends(flows) == [(Termination.TCP_RST, 2, 0), (Termination.END_OF_CAPTURE, 1, 20)]
 
     def test_half_close_then_silence_completes(self):
-        asm = FlowAssembler()
-        asm.ingest(tcp_pkt(0, A, B, TcpFlags.ACK))
-        asm.ingest(tcp_pkt(10, A, B, TcpFlags.FIN | TcpFlags.ACK))
-        done = asm.ingest(tcp_pkt(10 + 1_000_000, A, B, TcpFlags.SYN))
-        assert len(done) == 1
-        assert done[0].termination is Termination.TCP_FIN
-        assert done[0].packet_count == 2
-        assert asm.flush()[0].packet_count == 1
+        flows = assemble_flows([
+            tcp_pkt(0, A, B, TcpFlags.ACK),
+            tcp_pkt(10, A, B, TcpFlags.FIN | TcpFlags.ACK),
+            tcp_pkt(10 + 1_000_000, A, B, TcpFlags.SYN),
+        ])
+        assert ends(flows) == [
+            (Termination.TCP_FIN, 2, 0), (Termination.END_OF_CAPTURE, 1, 1_000_010),
+        ]
 
     def test_direction_assignment(self):
-        asm = FlowAssembler()
-        asm.ingest(udp_pkt(0, A, B))
-        asm.ingest(udp_pkt(1, B, A))
-        asm.ingest(udp_pkt(2, A, B))
-        flow = asm.flush()[0]
+        (flow,) = assemble_flows([udp_pkt(0, A, B), udp_pkt(1, B, A), udp_pkt(2, A, B)])
         assert flow.initiator == A
         assert list(flow.directions) == [1, 0, 1]
 
     def test_out_of_order_raises(self):
-        asm = FlowAssembler()
-        asm.ingest(udp_pkt(100))
-        with pytest.raises(OutOfOrderTimestamp):
-            asm.ingest(udp_pkt(99))
+        with pytest.raises(OutOfOrderTimestamp, match="packet at 99 after 100"):
+            assemble_flows([udp_pkt(100), udp_pkt(99)])
 
     def test_one_packet_can_complete_two_flows(self):
-        asm = FlowAssembler(flow_timeout_us=100)
-        asm.ingest(tcp_pkt(0, A, B, TcpFlags.SYN))
-        done = asm.ingest(tcp_pkt(101, B, A, TcpFlags.RST))
-        assert [(f.termination, f.start_ts) for f in done] == [
-            (Termination.TIMEOUT, 0), (Termination.TCP_RST, 101),
-        ]
-        assert done[1].initiator == B
-        assert asm.flush() == []
+        flows = assemble_flows(
+            [tcp_pkt(0, A, B, TcpFlags.SYN), tcp_pkt(101, B, A, TcpFlags.RST)], flow_timeout_us=100
+        )
+        assert ends(flows) == [(Termination.TIMEOUT, 1, 0), (Termination.TCP_RST, 1, 101)]
+        assert flows[1].initiator == B
 
     def test_mid_capture_tcp_without_syn_opens_flow(self):
-        asm = FlowAssembler()
-        asm.ingest(tcp_pkt(0, A, B, TcpFlags.ACK, payload=b"data"))
-        assert asm.flush()[0].packet_count == 1
+        flows = assemble_flows([tcp_pkt(0, A, B, TcpFlags.ACK, payload=b"data")])
+        assert ends(flows) == [(Termination.END_OF_CAPTURE, 1, 0)]
 
 
 class TestFlush:
+    """The flows still open when the packets run out."""
+
     def test_empty(self):
-        assert FlowAssembler().flush() == []
+        assert assemble_flows([]) == []
 
     def test_three_open_flows(self):
-        asm = FlowAssembler()
-        for i, port in enumerate([1111, 2222, 3333]):
-            asm.ingest(udp_pkt(i, ("10.0.0.9", port), B))
-        flows = asm.flush()
+        flows = assemble_flows(
+            [udp_pkt(i, ("10.0.0.9", port), B) for i, port in enumerate([1111, 2222, 3333])]
+        )
         assert len(flows) == 3
         assert all(f.termination is Termination.END_OF_CAPTURE for f in flows)
         assert [f.start_ts for f in flows] == [0, 1, 2]
 
-    def test_flush_twice_is_empty(self):
-        asm = FlowAssembler()
-        asm.ingest(udp_pkt(0))
-        assert len(asm.flush()) == 1
-        assert asm.flush() == []
+    def test_second_call_starts_empty(self):
+        pkts = [udp_pkt(0)]
+        assert ends(assemble_flows(pkts)) == [(Termination.END_OF_CAPTURE, 1, 0)]
+        assert assemble_flows([]) == []
+        assert ends(assemble_flows(pkts)) == [(Termination.END_OF_CAPTURE, 1, 0)]
 
 
 def _random_stream(seed, n=300):
@@ -245,33 +230,58 @@ def packet_streams(draw):
     return pkts
 
 
-def flow_fields(flow):
-    """Everything a FlowState holds: key, endpoints, termination and columns."""
-    return tuple(getattr(flow, name) for name in FlowState.__slots__)
+def chronological(flows):
+    """Each key's flows in the order they were opened. Flows of one key follow
+    one another, so sorting by start and then last timestamp orders them; of
+    flows that tie on both, all but the last opened ended before it, so the
+    one still open at the end goes last."""
+    by_key = {}
+    for f in sorted(flows, key=lambda f: (f.start_ts, f.last_ts,
+                                          f.termination is Termination.END_OF_CAPTURE)):
+        by_key.setdefault(f.key, []).append(f)
+    return by_key
 
 
-class TestEntryPoints:
+class TestStreamProperties:
     @settings(max_examples=300, deadline=None)
     @given(packet_streams(), st.sampled_from([TIMEOUT_US, HALF_CLOSE_SILENCE_US + 5]))
-    def test_assemble_flows_equals_ingest_then_flush(self, pkts, timeout_us):
-        asm = FlowAssembler(timeout_us)
-        one_by_one = []
+    def test_flow_rules_hold_on_any_stream(self, pkts, timeout_us):
+        flows = assemble_flows(pkts, timeout_us)
+        assert [(f.start_ts, f.flow_id) for f in flows] == sorted(
+            (f.start_ts, f.flow_id) for f in flows
+        )
+        sent = {}
         for pkt in pkts:
-            completed = asm.ingest(pkt)
-            assert type(completed) is tuple
-            one_by_one += completed
-        one_by_one += asm.flush()
-        one_by_one.sort(key=lambda f: (f.start_ts, f.flow_id))
-        together = assemble_flows(pkts, timeout_us)
-        assert [flow_fields(f) for f in together] == [flow_fields(f) for f in one_by_one]
+            sent.setdefault(canonical_key(pkt), []).append(pkt.timestamp)
+        by_key = chronological(flows)
+        assert {key: [ts for f in key_flows for ts in f.timestamps]
+                for key, key_flows in by_key.items()} == sent
+        for key_flows in by_key.values():
+            for earlier, later in zip(key_flows, key_flows[1:]):
+                assert earlier.last_ts <= later.start_ts
+                assert earlier.termination is not Termination.END_OF_CAPTURE
+            # a timeout or a half-close silence ends a flow when the next packet
+            # of its key comes, so a key's last flow ends at its own last packet
+            # (RST, or ACK or FIN once both sides sent FIN) or at the end
+            last = key_flows[-1]
+            assert last.termination is not Termination.TIMEOUT
+            if last.termination is Termination.TCP_FIN:
+                fin_sides = {direction for direction, flags
+                             in zip(last.directions[:-1], last.tcp_flags[:-1])
+                             if flags & TcpFlags.FIN}
+                assert fin_sides == {0, 1}
+                assert last.tcp_flags[-1] & (TcpFlags.ACK | TcpFlags.FIN)
+        for f in flows:
+            assert f.packet_count > 0
+            assert f.last_ts - f.start_ts <= timeout_us
+            if f.termination is Termination.TCP_RST:
+                assert f.tcp_flags[-1] & TcpFlags.RST
 
 
 class TestPayloads:
     def test_heads_keep_at_most_payload_head_bytes(self):
-        asm = FlowAssembler()
-        for ts, payload in enumerate([b"x" * 20, b"", b"yz", b"w" * PAYLOAD_HEAD]):
-            asm.ingest(udp_pkt(ts, payload=payload))
-        (flow,) = asm.flush()
+        payloads = [b"x" * 20, b"", b"yz", b"w" * PAYLOAD_HEAD]
+        (flow,) = assemble_flows([udp_pkt(ts, payload=p) for ts, p in enumerate(payloads)])
         assert flow.heads() == [b"x" * PAYLOAD_HEAD, b"", b"yz", b"w" * PAYLOAD_HEAD]
         assert len(flow.payload_heads) == 4 * PAYLOAD_SLOT
 

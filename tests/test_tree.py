@@ -670,9 +670,11 @@ class TestPersistence:
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"\x00\x01\x02 not json")
-        with pytest.raises(CorruptModel):
-            load_model(path)
+        # not JSON, not UTF-8, and nested past the parser's recursion limit
+        for junk in [b"\x00\x01\x02 not json", b"\x80\x81{}", b"[" * 100_000 + b"]" * 100_000]:
+            path.write_bytes(junk)
+            with pytest.raises(CorruptModel):
+                load_model(path)
 
     def test_blocked_rename_leaves_no_file(self, tmp_path, rng, monkeypatch):
         model = self.trained(rng)
