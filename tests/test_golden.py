@@ -1,5 +1,6 @@
 """Pinned sha256 digests of every CLI output on a small fixed synthetic corpus,
-and of train, cv and report on a seeded corpus that grows a depth-11 tree.
+and of train (plain and importance-pruned), cv and report (at two importance
+thresholds) on a seeded corpus that grows a depth-11 tree.
 
 Refactors must keep these bytes. A change that alters an output on purpose
 updates the digest here and says why in CHANGES.md.
@@ -53,7 +54,14 @@ DEEP_GOLDEN = {
     "model.json": "40eb3381122d4048fbf9d04c748a349f80ba785a8726d2416e67e7927fd32188",
     "cv.txt": "4f249d95ff3cc02f32591531dddcadf3689e334913edc3209b006dc5b61e3acc",
     "report.txt": "afd3904ddf73e5c43ff9ceeef7ea5617c21726d4a0b68754278d2c337aae6c48",
+    "pruned.json": "7bbdca930ff930f4b5f51b9ee97bb3d8c7c656f85c3b85f16890b4f3f8decf03",
+    "report-12-features.txt": "6c7bf00cb160847bfe484a4e1a6d4ff34b9ab1c690b4351b5aa190d81a5a0b00",
 }
+
+# Keeps 12 of the 77 features on the deep corpus, so that the pruned CV
+# searches most of its fold trees again, not only the subtrees below a few
+# splits on dropped features.
+DEEP_NARROW_THRESHOLD = 0.03
 
 
 def _run(*argv):
@@ -130,6 +138,9 @@ def deep_outputs(tmp_path_factory):
     _run("train", d / "deep.csv", "-o", d / "model.json")
     _run("cv", d / "deep.csv", "-o", d / "cv.txt")
     _run("report", d / "deep.csv", "-o", d / "report.txt")
+    _run("train", d / "deep.csv", "--prune-threshold", "1e-4", "-o", d / "pruned.json")
+    _run("report", d / "deep.csv", "--importance-threshold", DEEP_NARROW_THRESHOLD,
+         "-o", d / "report-12-features.txt")
     return {name: (d / name).read_bytes() for name in DEEP_GOLDEN}
 
 
