@@ -244,8 +244,11 @@ def cmd_report(args) -> int:
     full_model = tree.train(X, y, features.FEATURE_NAMES, **params)
     importances = tree.feature_importances(full_model)
     selected = tree.select_features(importances, args.importance_threshold)
+    # the pruned folds are grown from the full CV's fold trees: only the
+    # nodes below their splits on dropped features are searched again
     pruned_cv = tree.cross_validate(
-        X, y, features.FEATURE_NAMES, k=args.k, candidate_features=selected, **params
+        X, y, features.FEATURE_NAMES, k=args.k, candidate_features=selected, prior=full_cv,
+        **params
     )
     lines.append(
         f"importance pruning at {args.importance_threshold:g}: kept {len(selected)} "

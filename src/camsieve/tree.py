@@ -319,6 +319,36 @@ def _as_matrix(X) -> np.ndarray:
     return arr
 
 
+# what train does with a node, given its counterpart in a prior tree
+_SEARCH, _FOLLOW, _COPY = range(3)
+
+
+def _check_prior(prior: DecisionTreeModel, root: np.ndarray, f: int, candidates: tuple[int, ...],
+                 class_names: tuple[str, ...], max_depth: int, min_samples_split: int) -> None:
+    """ValueError unless prior could have been grown on this call's rows from
+    a superset of its candidates with the same class order and limits."""
+    meta, counts = prior.training_meta, tuple(root.tolist())
+    grown_from = meta.get("candidate_features")
+    if grown_from is None:
+        grown_from = range(prior.n_features)
+    problems = [
+        (prior.n_features != f, f"{prior.n_features} features, not {f}"),
+        (prior.class_names != class_names, f"classes {prior.class_names}, not {class_names}"),
+        (prior.max_depth != max_depth, f"max_depth {prior.max_depth!r}, not {max_depth}"),
+        (meta.get("min_samples_split") != min_samples_split,
+         f"min_samples_split {meta.get('min_samples_split')!r}, not {min_samples_split}"),
+        (meta.get("n_samples") != sum(counts),
+         f"{meta.get('n_samples')!r} rows, not {sum(counts)}"),
+        (prior.nodes[0].counts != counts,
+         f"root class counts {prior.nodes[0].counts}, not {counts}"),
+        (not isinstance(grown_from, (list, range)) or any(c not in grown_from for c in candidates),
+         "candidates that are not a superset of these"),
+    ]
+    for failed, what in problems:
+        if failed:
+            raise ValueError(f"prior tree was grown with {what}")
+
+
 def train(
     X,
     y: Sequence[str],
@@ -330,6 +360,7 @@ def train(
     candidate_features: Sequence[int] | None = None,
     *,
     presorted: np.ndarray | None = None,
+    prior: DecisionTreeModel | None = None,
 ) -> DecisionTreeModel:
     """Deterministic recursive partitioning; stops at depth, purity or size.
 
@@ -344,6 +375,17 @@ def train(
     each row (left children, then right children) gives the next depth's
     segments, still sorted. Nodes are renumbered to preorder at the end, as
     a depth-first recursion would number them.
+
+    prior, when given, is a tree grown on the same rows and labels, with the
+    same class order, max_depth and min_samples_split, from a superset of
+    this call's candidates (ValueError otherwise). The result is the tree
+    grown without it, but a node whose counterpart in prior (the node at
+    the same path) is a leaf or splits on a candidate takes that outcome
+    without a search: a split that wins over a superset of the candidates
+    wins over any subset that keeps its feature, and a node with no
+    positive-gain split over the superset has none over a subset. A
+    counterpart's subtree with no split on a dropped feature is copied
+    whole. Only nodes below a split on a dropped feature are searched.
 
     seed does not steer training, which has no randomness; it is only
     recorded in training_meta. It stays because training_meta is part of the
@@ -370,15 +412,55 @@ def train(
     root = np.bincount(labels, minlength=k)
     # [feature, threshold, left, right, counts] in breadth-first order
     nodes: list[list] = [[-1, 0.0, -1, -1, tuple(root.tolist())]]
-    # the nodes of this depth that may split, in the order of their segments
-    growing = [0] if candidates and max_depth > 0 and n >= min_samples_split and root.max() < n else []
+    # Per node of prior: _SEARCH if its split is on a dropped feature,
+    # _FOLLOW if on a candidate with such a split below it, else _COPY (a
+    # leaf, or a subtree this call grows the same).
+    role: list[int] = []
+    if prior is not None:
+        _check_prior(prior, root, f, candidates, tuple(class_names), max_depth, min_samples_split)
+        kept = set(candidates)
+        role = [_COPY] * len(prior.nodes)
+        for i in reversed(range(len(prior.nodes))):  # children come after their parent
+            node = prior.nodes[i]
+            if not node.is_leaf:
+                role[i] = (_SEARCH if node.feature not in kept
+                           else _COPY if role[node.left] == role[node.right] == _COPY else _FOLLOW)
+
+    def graft(at: int, c: int) -> None:
+        """Node at becomes a copy of prior's subtree under node c."""
+        stack = [(at, c)]
+        while stack:
+            at, c = stack.pop()
+            node = prior.nodes[c]
+            nodes[at] = [node.feature, node.threshold, -1, -1, node.counts]
+            if not node.is_leaf:
+                nodes[at][2:4] = len(nodes), len(nodes) + 1
+                nodes.extend((None, None))
+                stack += (nodes[at][2], node.left), (nodes[at][3], node.right)
+
+    # the nodes of this depth that may split, in the order of their segments:
+    # those searched first, then those that follow their counterpart in prior
+    growing: list[int] = []
+    follow: list[int] = []  # counterpart of each following node
+    if candidates and max_depth > 0 and n >= min_samples_split and root.max() < n:
+        if prior is None or role[0] == _SEARCH:
+            growing = [0]
+        elif role[0] == _FOLLOW:
+            growing, follow = [0], [0]
+        else:
+            graft(0, 0)
     if growing:
         order = _presort(arr, candidates) if presorted is None else presorted
         bounds = np.array([0, n])
-    code = np.empty(n, dtype=np.int8)  # per row: 0 left, 1 right child still growing, 2 done
+    code = np.empty(n, dtype=np.int8)  # per row: its child's group, or 4 when done
     depth = 0
     while growing:
-        splits = best_split(arr, labels, k, candidates, order, bounds)
+        # the searched segments lead the order matrix, so a column slice (a
+        # view, no gather) holds just them
+        searched = len(growing) - len(follow)
+        splits = best_split(arr, labels, k, candidates, order[:, :bounds[searched]],
+                            bounds[:searched + 1]) if searched else []
+        splits += [(prior.nodes[c].feature, prior.nodes[c].threshold) for c in follow]
         rows = order[0]
         at = np.repeat(np.arange(len(growing)), np.diff(bounds))
         feature = np.array([-1 if s is None else s[0] for s in splits])[at]
@@ -398,26 +480,46 @@ def train(
                 ids[2 * j:2 * j + 2] = len(nodes), len(nodes) + 1
                 nodes[growing[j]][:4] = s[0], s[1], len(nodes), len(nodes) + 1
                 nodes += [[-1, 0.0, -1, -1, tuple(c)] for c in counts_list[2 * j:2 * j + 2]]
-        if not grows.any():
+        # group of each child slot: 0 and 1 searched left and right children,
+        # 2 and 3 following ones, 4 done; a searched node's children have no
+        # counterpart, and a following node's are its counterpart's
+        side = np.arange(2 * len(growing)) % 2
+        group = np.where(grows, side, 4)
+        counterpart = np.full(2 * len(growing), -1)
+        for j, c in enumerate(follow, start=searched):
+            counterpart[2 * j:2 * j + 2] = prior.nodes[c].left, prior.nodes[c].right
+            for slot in (2 * j, 2 * j + 1):
+                c_role = role[counterpart[slot]]
+                if c_role == _COPY:
+                    graft(int(ids[slot]), int(counterpart[slot]))
+                    group[slot] = 4
+                elif c_role == _FOLLOW:
+                    group[slot] = 2 + side[slot]
+        slots = [np.flatnonzero(group == g) for g in range(4)]
+        if not any(len(s) for s in slots):
             break
-        # stable partition of every row: the growing left children, then the
-        # growing right children, each in the order of its parent's segment
-        code[rows] = np.where(grows, np.arange(2 * len(growing)) % 2, 2)[child]
-        sizes = child_sizes[0::2][grows[0::2]], child_sizes[1::2][grows[1::2]]
-        m_left, m_right = int(sizes[0].sum()), int(sizes[1].sum())
-        grown = np.empty((len(order), m_left + m_right), dtype=order.dtype)
+        # stable partition of every row into the groups in turn, each child's
+        # rows in the order of its parent's segment
+        code[rows] = group[child]
+        widths = [int(child_sizes[s].sum()) for s in slots]
+        grown = np.empty((len(order), sum(widths)), dtype=order.dtype)
         block = max(1, _SCAN_CELLS // order.shape[1])
         index = np.empty((min(block, len(order)), order.shape[1]), dtype=np.intp)
         for start in range(0, len(order), block):
             part = order[start:start + block]
             np.copyto(index[:len(part)], part)
-            side = code.take(index[:len(part)]).ravel()
-            # np.compress on flat arrays; a 2-D boolean index is several times slower
-            grown[start:start + block, :m_left] = np.compress(side == 0, part).reshape(len(part), m_left)
-            grown[start:start + block, m_left:] = np.compress(side == 1, part).reshape(len(part), m_right)
+            side_of = code.take(index[:len(part)]).ravel()
+            end = 0
+            for g, width in enumerate(widths):
+                if width:
+                    # np.compress on flat arrays; a 2-D boolean index is several times slower
+                    grown[start:start + block, end:end + width] = np.compress(
+                        side_of == g, part).reshape(len(part), width)
+                    end += width
         order = grown
-        bounds = np.r_[0, np.cumsum(np.concatenate(sizes))]
-        growing = ids[0::2][grows[0::2]].tolist() + ids[1::2][grows[1::2]].tolist()
+        bounds = np.r_[0, np.cumsum(np.concatenate([child_sizes[s] for s in slots]))]
+        growing = np.concatenate([ids[s] for s in slots]).tolist()
+        follow = np.concatenate([counterpart[s] for s in slots[2:]]).tolist()
 
     preorder = []
     stack = [0]
@@ -508,7 +610,12 @@ def prune_features(
     seed: int = DEFAULT_SEED,
 ) -> tuple[tuple[int, ...], DecisionTreeModel]:
     """Single pass: train on everything, drop features with importance below
-    the threshold, retrain restricted to the survivors."""
+    the threshold, retrain restricted to the survivors.
+
+    The retrained tree is grown with the full one as its prior (see train):
+    same rows, labels, class order and limits, and the survivors are a
+    subset of all features, so only the nodes below the full tree's splits
+    on dropped features are searched again."""
     full = train(
         X, y, feature_names, class_names=class_names, max_depth=max_depth,
         min_samples_split=min_samples_split, seed=seed,
@@ -516,7 +623,7 @@ def prune_features(
     selected = select_features(feature_importances(full), threshold)
     pruned = train(
         X, y, feature_names, class_names=full.class_names, max_depth=max_depth,
-        min_samples_split=min_samples_split, seed=seed, candidate_features=selected,
+        min_samples_split=min_samples_split, seed=seed, candidate_features=selected, prior=full,
     )
     pruned.training_meta["importance_threshold"] = threshold
     return selected, pruned
@@ -530,6 +637,9 @@ class CvReport:
     confusion: tuple[tuple[int, ...], ...]  # rows true class, columns predicted
     class_names: tuple[str, ...]
     params: dict
+    # each fold's tree, in fold order; a later cross_validate may grow its
+    # folds from them (its prior)
+    fold_models: tuple[DecisionTreeModel, ...] = field(default=(), compare=False, repr=False)
 
     def render(self) -> str:
         lines = [
@@ -576,17 +686,34 @@ def cross_validate(
     min_samples_split: int = DEFAULT_MIN_SAMPLES_SPLIT,
     seed: int = DEFAULT_SEED,
     candidate_features: Sequence[int] | None = None,
+    *,
+    prior: CvReport | None = None,
 ) -> CvReport:
     """Stratified k-fold accuracy with a summed confusion matrix.
 
     The candidate columns are argsorted once. A fold's presort is that order
     with the held-out rows taken out and the rest renumbered; removing rows
     keeps the order of ties, so it equals a stable argsort of the fold.
+
+    prior, when given, is a report of this function on the same X and y,
+    with the same k, seed, max_depth, min_samples_split and class names
+    (ValueError otherwise), from a superset of these candidates. Each fold
+    is then grown with the same fold of prior as its prior tree (see train),
+    which searches only below the splits on dropped features; the report is
+    the one grown without it.
     """
     arr = _as_matrix(X)
     if class_names is None:
         class_names = class_order(y)
     class_index = {c: i for i, c in enumerate(class_names)}
+    params = {"k": k, "max_depth": max_depth, "min_samples_split": min_samples_split, "seed": seed}
+    if prior is not None and (prior.params != params or prior.class_names != tuple(class_names)
+                              or len(prior.fold_models) != k):
+        raise ValueError(
+            f"prior report has {prior.params}, classes {prior.class_names} and "
+            f"{len(prior.fold_models)} fold trees; this one needs {params}, classes "
+            f"{tuple(class_names)} and {k}"
+        )
     folds = stratified_folds(y, k, seed)
     y_list = list(y)
     candidates = range(arr.shape[1]) if candidate_features is None else sorted(candidate_features)
@@ -594,7 +721,8 @@ def cross_validate(
 
     accuracies: list[float] = []
     confusion = [[0] * len(class_names) for _ in class_names]
-    for fold in folds:
+    models: list[DecisionTreeModel] = []
+    for fold, fold_prior in zip(folds, [None] * k if prior is None else prior.fold_models):
         in_train = np.ones(len(y_list), dtype=bool)
         in_train[fold] = False
         train_idx = np.flatnonzero(in_train)
@@ -605,7 +733,9 @@ def cross_validate(
             class_names=class_names, max_depth=max_depth,
             min_samples_split=min_samples_split, seed=seed,
             candidate_features=candidate_features, presorted=fold_order,
+            prior=fold_prior,
         )
+        models.append(model)
         correct = 0
         for i in fold:
             truth, predicted = class_index[y_list[i]], best_class(predict_proba(model, arr[i]))
@@ -624,12 +754,8 @@ def cross_validate(
         std=std,
         confusion=tuple(tuple(row) for row in confusion),
         class_names=tuple(class_names),
-        params={
-            "k": k,
-            "max_depth": max_depth,
-            "min_samples_split": min_samples_split,
-            "seed": seed,
-        },
+        params=params,
+        fold_models=tuple(models),
     )
 
 
@@ -703,12 +829,25 @@ def _node_table(raw, n_features: int, n_classes: int) -> tuple[TreeNode, ...]:
 def _names(raw, field_name: str) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(name, str) for name in raw):
         raise ValueError(f"{field_name} is not a list of strings")
+    if len(set(raw)) != len(raw):
+        raise ValueError(f"{field_name} repeats a name")
     return tuple(raw)
 
 
+def _table_depth(nodes: Sequence[TreeNode]) -> int:
+    depth = [0] * len(nodes)
+    for i, node in enumerate(nodes):  # children come after their parent
+        if not node.is_leaf:
+            depth[node.left] = depth[node.right] = depth[i] + 1
+    return max(depth)
+
+
 def load_model(path: str | Path) -> DecisionTreeModel:
-    """Inverse of save_model; checksum, version or node-table problems raise
-    CorruptModel."""
+    """Inverse of save_model; checksum, version, node-table or field problems
+    raise CorruptModel. Beyond the node table, a field is checked to be what
+    save_model writes: max_depth an int no smaller than the table's depth,
+    the names distinct, the feature names non-empty, training_meta an
+    object. A class may be named "": the library trains on any label."""
     try:
         wrapper = json.loads(Path(path).read_bytes())
         checksum = wrapper["checksum"]
@@ -725,13 +864,21 @@ def load_model(path: str | Path) -> DecisionTreeModel:
         )
     try:
         feature_names = _names(payload["feature_names"], "feature_names")
+        if "" in feature_names:
+            raise ValueError("feature_names has an empty name")
         class_names = _names(payload["class_names"], "class_names")
+        nodes = _node_table(payload["nodes"], len(feature_names), len(class_names))
+        max_depth, training_meta = payload["max_depth"], payload["training_meta"]
+        if type(max_depth) is not int or max_depth < _table_depth(nodes):  # bool is not an int here
+            raise ValueError(f"max_depth {max_depth!r} is not an int of at least the table's depth")
+        if not isinstance(training_meta, dict):
+            raise ValueError("training_meta is not an object")
         return DecisionTreeModel(
-            nodes=_node_table(payload["nodes"], len(feature_names), len(class_names)),
-            max_depth=payload["max_depth"],
+            nodes=nodes,
+            max_depth=max_depth,
             feature_names=feature_names,
             class_names=class_names,
-            training_meta=payload["training_meta"],
+            training_meta=training_meta,
         )
     except KeyError as exc:
         raise CorruptModel(f"{path}: model has no {exc} field") from exc

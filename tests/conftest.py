@@ -244,4 +244,17 @@ MALFORMED_PAYLOADS = [
     ("negative-count", _set_node(3, 4, [-1, 2])),
     ("non-int-count", _set_node(3, 4, [0, 1.5])),
     ("empty-leaf", _set_node(4, 4, [0, 0])),
+    # fields beside the node table must be what save_model writes: a prior
+    # tree is checked against max_depth and training_meta
+    ("max-depth-not-an-int", lambda payload: payload.update(max_depth="x")),
+    ("max-depth-float", lambda payload: payload.update(max_depth=2.0)),
+    # the table is cut to one leaf, so that only the bool check rejects it
+    ("max-depth-bool", lambda payload: payload.update(max_depth=True,
+                                                      nodes=[[-1, 0.0, -1, -1, [3, 3]]])),
+    ("max-depth-below-table-depth", lambda payload: payload.update(max_depth=1)),
+    ("repeated-class-name", lambda payload: payload.update(class_names=["Conf", "Conf"])),
+    ("repeated-feature-name",
+     lambda payload: payload["feature_names"].__setitem__(1, FEATURE_NAMES[0])),
+    ("empty-feature-name", lambda payload: payload["feature_names"].__setitem__(3, "")),
+    ("training-meta-not-an-object", lambda payload: payload.update(training_meta=True)),
 ]

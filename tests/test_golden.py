@@ -9,8 +9,10 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
+from camsieve import tree
 from camsieve.cli import main
 from camsieve.dataset import write_csv
 from camsieve.features import FEATURE_NAMES, LabeledRecord
@@ -157,3 +159,23 @@ def test_deep_corpus_grows_a_deep_tree(deep_outputs):
 @pytest.mark.parametrize("name", sorted(DEEP_GOLDEN))
 def test_deep_output_digest(deep_outputs, name):
     assert hashlib.sha256(deep_outputs[name]).hexdigest() == DEEP_GOLDEN[name]
+
+
+def test_pruned_cv_grown_from_full_cv_searches_and_matches():
+    # report grows its pruned CV from the full CV's fold trees; the digest
+    # above only shows the search below a dropped feature's split if some
+    # fold tree has such a split
+    records = _deep_records()
+    X = np.array([r.values for r in records])
+    y = [r.label for r in records]
+    full = tree.train(X, y, FEATURE_NAMES)
+    selected = set(tree.select_features(tree.feature_importances(full),
+                                        tree.IMPORTANCE_THRESHOLD_COMPACT))
+    full_cv = tree.cross_validate(X, y, FEATURE_NAMES)
+    dropped_splits = [sum(not node.is_leaf and node.feature not in selected for node in m.nodes)
+                      for m in full_cv.fold_models]
+    assert len(dropped_splits) == 10 and max(dropped_splits) >= 1
+    grown = tree.cross_validate(X, y, FEATURE_NAMES, candidate_features=selected, prior=full_cv)
+    scratch = tree.cross_validate(X, y, FEATURE_NAMES, candidate_features=selected)
+    assert grown.render() == scratch.render()
+    assert grown.confusion == scratch.confusion

@@ -1,8 +1,11 @@
+import dataclasses
 import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camsieve import tree
 from camsieve.errors import (
@@ -617,6 +620,105 @@ class TestCrossValidate:
         r2 = cross_validate(X, y, list("abc"), k=5, seed=11)
         assert r1 == r2
         assert r1.render() == r2.render()
+
+
+@st.composite
+def prior_cases(draw):
+    """A tie-heavy problem, a candidate subset C and a superset S of it (None
+    for every feature): 1-5 declared classes in a drawn order, columns that
+    are constant or take 2-4 values, a third of the rows repeated with
+    labels that may disagree, max_depth 0-12, min_samples_split 2-n."""
+    n = draw(st.integers(2, 48))
+    f = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, rng.integers(1, 5, f), (n, f)) * 0.5
+    X[n - n // 3:] = X[rng.integers(0, n - n // 3, n // 3)]
+    signal = (X * np.arange(1, f + 1)).sum(axis=1).astype(np.int64) % k
+    labels = np.where(rng.random(n) < 0.7, signal, rng.integers(0, k, n))
+    class_names = draw(st.permutations([f"c{c}" for c in range(k)]))
+    C = draw(st.sets(st.integers(0, f - 1)))
+    S = draw(st.none() | st.sets(st.integers(0, f - 1)).map(C.union))
+    return dict(X=X, y=[f"c{c}" for c in labels], names=[f"x{j}" for j in range(f)],
+                class_names=class_names, C=sorted(C), S=None if S is None else sorted(S),
+                max_depth=draw(st.integers(0, 12)), min_samples_split=draw(st.integers(2, n)))
+
+
+class TestPriorTree:
+    @settings(max_examples=150, deadline=None)
+    @given(prior_cases())
+    def test_grown_from_prior_equals_grown_from_scratch(self, case):
+        X, y, names, C = case["X"], case["y"], case["names"], case["C"]
+        params = dict(class_names=case["class_names"], max_depth=case["max_depth"],
+                      min_samples_split=case["min_samples_split"])
+        prior = train(X, y, names, candidate_features=case["S"], **params)
+        assert model_bytes(train(X, y, names, candidate_features=C, prior=prior, **params)) == \
+            model_bytes(train(X, y, names, candidate_features=C, **params))
+
+        # cross_validate grows each fold from the same fold of a prior report
+        if min(y.count(c) for c in set(y)) >= 2:
+            full_cv = cross_validate(X, y, names, k=2, candidate_features=case["S"], **params)
+            grown = cross_validate(X, y, names, k=2, candidate_features=C, prior=full_cv, **params)
+            scratch = cross_validate(X, y, names, k=2, candidate_features=C, **params)
+            assert grown == scratch and grown.render() == scratch.render()
+            assert [model_bytes(m) for m in grown.fold_models] == \
+                [model_bytes(m) for m in scratch.fold_models]
+
+        # a prior grown any other way is refused
+        classes = case["class_names"]
+        others = [
+            dict(params, max_depth=case["max_depth"] + 1),
+            dict(params, min_samples_split=case["min_samples_split"] + 1),
+        ]
+        if len(classes) > 1:
+            others.append(dict(params, class_names=classes[1:] + classes[:1]))
+        for kwargs in others:
+            wrong = train(X, y, names, candidate_features=case["S"], **kwargs)
+            with pytest.raises(ValueError, match="prior tree"):
+                train(X, y, names, candidate_features=C, prior=wrong, **params)
+        fewer_rows = train(X[:-1], y[:-1], names, candidate_features=case["S"], **params)
+        with pytest.raises(ValueError, match="prior tree"):
+            train(X, y, names, candidate_features=C, prior=fewer_rows, **params)
+        if C:
+            narrower = train(X, y, names, candidate_features=C[1:], **params)
+            with pytest.raises(ValueError, match="prior tree"):
+                train(X, y, names, candidate_features=C, prior=narrower, **params)
+
+    def test_cross_validate_refuses_another_report(self):
+        X, labels = tie_heavy(5, 60, 6, 3)
+        y = [f"c{c}" for c in labels]
+        names = [f"x{j}" for j in range(6)]
+        base = dict(k=3, max_depth=4)
+        full_cv = cross_validate(X, y, names, **base)
+        for change in (dict(k=2), dict(seed=1), dict(max_depth=5), dict(min_samples_split=3),
+                       dict(class_names=["c2", "c1", "c0"])):
+            with pytest.raises(ValueError, match="prior report"):
+                cross_validate(X, y, names, candidate_features=[1, 3], prior=full_cv,
+                               **{**base, **change})
+        # the fold trees take no part in == or repr
+        assert len(full_cv.fold_models) == 3
+        assert dataclasses.replace(full_cv, fold_models=()) == full_cv
+        assert "fold_models" not in repr(full_cv)
+
+    def test_prune_features_grows_from_the_full_tree(self, monkeypatch):
+        X, labels = tie_heavy(9, 200, 12, 3)
+        y = [f"c{c}" for c in labels]
+        names = [f"x{j}" for j in range(12)]
+        priors = []
+        train_tree = tree.train
+
+        def recording_train(*args, **kwargs):
+            priors.append(kwargs.get("prior"))
+            return train_tree(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "train", recording_train)
+        selected, pruned = prune_features(X, y, names, threshold=0.05, max_depth=8)
+        monkeypatch.undo()
+        assert priors[0] is None and priors[1] is not None
+        assert any(not node.is_leaf and node.feature not in selected for node in priors[1].nodes)
+        scratch = train(X, y, names, max_depth=8, candidate_features=selected)
+        scratch.training_meta["importance_threshold"] = 0.05
+        assert model_bytes(pruned) == model_bytes(scratch)
 
 
 class TestPersistence:
