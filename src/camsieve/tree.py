@@ -373,7 +373,8 @@ def train(
     a depth that may still split as a column segment, each row sorted by its
     feature; one best_split call searches them all, and a stable partition of
     each row (left children, then right children) gives the next depth's
-    segments, still sorted. Nodes are renumbered to preorder at the end, as
+    segments, still sorted; with a prior, the children to search come
+    before those that follow it. Nodes are renumbered to preorder at the end, as
     a depth-first recursion would number them.
 
     prior, when given, is a tree grown on the same rows and labels, with the
@@ -483,18 +484,16 @@ def train(
         # group of each child slot: 0 and 1 searched left and right children,
         # 2 and 3 following ones, 4 done; a searched node's children have no
         # counterpart, and a following node's are its counterpart's
-        side = np.arange(2 * len(growing)) % 2
-        group = np.where(grows, side, 4)
+        group = np.where(grows, np.arange(2 * len(growing)) % 2, 4)
         counterpart = np.full(2 * len(growing), -1)
         for j, c in enumerate(follow, start=searched):
-            counterpart[2 * j:2 * j + 2] = prior.nodes[c].left, prior.nodes[c].right
-            for slot in (2 * j, 2 * j + 1):
-                c_role = role[counterpart[slot]]
-                if c_role == _COPY:
-                    graft(int(ids[slot]), int(counterpart[slot]))
+            for slot, c_child in (2 * j, prior.nodes[c].left), (2 * j + 1, prior.nodes[c].right):
+                counterpart[slot] = c_child
+                if role[c_child] == _COPY:
+                    graft(int(ids[slot]), c_child)
                     group[slot] = 4
-                elif c_role == _FOLLOW:
-                    group[slot] = 2 + side[slot]
+                elif role[c_child] == _FOLLOW:
+                    group[slot] = 2 + slot % 2
         slots = [np.flatnonzero(group == g) for g in range(4)]
         if not any(len(s) for s in slots):
             break
@@ -508,13 +507,13 @@ def train(
         for start in range(0, len(order), block):
             part = order[start:start + block]
             np.copyto(index[:len(part)], part)
-            side_of = code.take(index[:len(part)]).ravel()
+            group_of = code.take(index[:len(part)]).ravel()
             end = 0
             for g, width in enumerate(widths):
                 if width:
                     # np.compress on flat arrays; a 2-D boolean index is several times slower
                     grown[start:start + block, end:end + width] = np.compress(
-                        side_of == g, part).reshape(len(part), width)
+                        group_of == g, part).reshape(len(part), width)
                     end += width
         order = grown
         bounds = np.r_[0, np.cumsum(np.concatenate([child_sizes[s] for s in slots]))]
