@@ -1,5 +1,5 @@
-"""Pinned sha256 digests of every CLI output on a small fixed synthetic corpus,
-and of train (plain and importance-pruned), cv and report (at two importance
+"""Pinned sha256 digests of every CLI output on a small fixed synthetic corpus
+(inspect's report on each capture under two application contexts), and of train (plain and importance-pruned), cv and report (at two importance
 thresholds) on a seeded corpus that grows a depth-11 tree.
 
 Refactors must keep these bytes. A change that alters an output on purpose
@@ -20,6 +20,7 @@ from camsieve.features import FEATURE_NAMES, LabeledRecord
 SEED = 11
 FLOWS_PER_KIND = 30
 KINDS = (("camera", "Ezviz"), ("conf", "Teams"), ("share", "YouTube"))
+INSPECT_APPS = ("teams", "generic")
 
 # cells overwritten in the predict input: (data row, CSV column, value); columns
 # 6 and 7 are the first two features, which the corpus's tree splits on
@@ -39,6 +40,11 @@ GOLDEN = {
     "cv.txt": "896365dcfe7a5c22057d404ab84b7523a81d20be9add9f53066dc1185a962392",
     "report.txt": "a8281768e0d4a354c40288590838e73b4596187556933db13f93b5a7cd945568",
     "inspect.json": "d5f7d857c48c39a80e2c6934878b6ce501feacd7d07fd491fea0adab3d20a7d6",
+    "inspect-conf-generic.json": "703b65a54788405b78bf004ea5eda41b0163e4d4dc0e7736705504dd418ce3d8",
+    "inspect-camera-teams.json": "40b19b12c46fddae7f87ea79ab31b2ce54d0ff15367ec4ed3ffffb0a1a21e707",
+    "inspect-camera-generic.json": "16bf1f5773bc43f7642e4378eb2057e4c767d3e7aa6675bbb230da39cb9c1b0d",
+    "inspect-share-teams.json": "8432302ec2945a47b7368fa18272acfa229608bd28517e14f677b0f54b5cb308",
+    "inspect-share-generic.json": "61071946fe16473bf0d07b6c2749cd43461315fa03f8e34c990a9f0d7ad97a8d",
     "scored.csv": "fb9f0dcb2ed21f24a426a70de292a199ca5bdc5d76e6379df93dc936dc0a3368",
 }
 
@@ -64,6 +70,11 @@ DEEP_GOLDEN = {
 # searches most of its fold trees again, not only the subtrees below a few
 # splits on dropped features.
 DEEP_NARROW_THRESHOLD = 0.03
+
+
+def _inspect_name(kind: str, app: str) -> str:
+    # the conf capture under teams was the first inspect pin, named inspect.json
+    return "inspect.json" if (kind, app) == ("conf", "teams") else f"inspect-{kind}-{app}.json"
 
 
 def _run(*argv):
@@ -117,7 +128,10 @@ def outputs(tmp_path_factory):
     _run("train", d / "corpus.csv", "-o", d / "model.json")
     _run("cv", d / "corpus.csv", "-k", 4, "-o", d / "cv.txt")
     _run("report", d / "corpus.csv", "-k", 4, "-o", d / "report.txt")
-    _run("inspect", d / "conf.pcap", "--app", "teams", "--json", "-o", d / "inspect.json")
+    for kind, _ in KINDS:
+        for app in INSPECT_APPS:
+            _run("inspect", d / f"{kind}.pcap", "--app", app, "--json",
+                 "-o", d / _inspect_name(kind, app))
     _run("predict", d / "model.json", d / "nonfinite.csv", "-o", d / "scored.csv")
     return {name: (d / name).read_bytes() for name in GOLDEN}
 
