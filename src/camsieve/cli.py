@@ -30,18 +30,24 @@ def extract_records(
     return [features.compute_features(f, activity_threshold_us, label) for f in flow_list]
 
 
-def _assemble(pcap_path: str | Path, flow_timeout_us: int) -> list[flows.FlowState]:
+def _assemble(
+    pcap_path: str | Path, flow_timeout_us: int, hints: protocols.PayloadHints | None = None
+) -> list[flows.FlowState]:
     """The capture's flows. A regular file is assembled as it is read, and read
     again sorted only if a timestamp falls; anything else, such as a pipe,
-    which cannot be read twice, is sorted in a list first."""
+    which cannot be read twice, is sorted in a list first. Given `hints`, its
+    `observe` classifies each packet's payload as the packet joins its flow,
+    and it holds the state of the returned flows only."""
+    observer = hints.observe if hints is not None else None
     if Path(pcap_path).is_file():
         try:
-            return flows.assemble_flows(packets.read_packets(pcap_path), flow_timeout_us)
+            return flows.assemble_flows(packets.read_packets(pcap_path), flow_timeout_us, observer)
         except OutOfOrderTimestamp:
             # read again below, once this block's traceback, which keeps the
-            # aborted attempt's flows alive, is gone
-            pass
-    return flows.assemble_flows(packets.read_packets_sorted(pcap_path), flow_timeout_us)
+            # aborted attempt's flows alive, is gone; their state goes now
+            if hints is not None:
+                hints.clear()
+    return flows.assemble_flows(packets.read_packets_sorted(pcap_path), flow_timeout_us, observer)
 
 
 def _int_at_least(minimum: int, unit: str):
@@ -144,8 +150,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    flow_list = _assemble(args.pcap, int(args.flow_timeout * 1e6))
-    report = protocols.build_report(flow_list, protocols.AppContext(args.app.upper()))
+    hints = protocols.PayloadHints()
+    flow_list = _assemble(args.pcap, int(args.flow_timeout * 1e6), hints)
+    report = protocols.build_report(flow_list, hints, protocols.AppContext(args.app.upper()))
     text = json.dumps(report, indent=2) + "\n" if args.json else protocols.render_report(report)
     if args.output:
         dataset.atomic_write_text(args.output, lambda fh: fh.write(text))

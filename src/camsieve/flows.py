@@ -3,20 +3,16 @@ from __future__ import annotations
 
 import enum
 from array import array
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import OutOfOrderTimestamp
-from .packets import IPPROTO_TCP, PAYLOAD_HEAD, PacketRecord, TcpFlags
+from .packets import IPPROTO_TCP, PacketRecord, TcpFlags
 
 DEFAULT_FLOW_TIMEOUT_US = 600_000_000
 # a half-closed TCP flow is considered finished after this much silence
 HALF_CLOSE_SILENCE_US = 1_000_000
 
 Endpoint = tuple[str, int]
-
-# a payload head's slot in FlowState.payload_heads: a length byte, then the head
-PAYLOAD_SLOT = 1 + PAYLOAD_HEAD
-_PADDING = [bytes(PAYLOAD_HEAD - n) for n in range(PAYLOAD_HEAD + 1)]
 
 
 def canonical_key(pkt: PacketRecord) -> tuple[Endpoint, Endpoint, int]:
@@ -46,8 +42,10 @@ class FlowState:
       initiator's endpoint) and 0 for a backward one
     - `header_lengths` (transport header bytes) and `tcp_flags` (the raw flags
       byte, 0 for UDP): `bytearray`s
-    - `payload_heads`: a `bytearray` of PAYLOAD_SLOT-byte slots, each the
-      head's length and then the payload head, zero-padded; `heads()` reads it
+
+    No payload byte is kept: a reader of payloads, such as `inspect`, reads
+    each packet's `payload_head` as it is added, through `assemble_flows`'s
+    observer.
 
     Per flow it keeps the wire-byte sum (`wire_bytes`) and the TCP window of
     the first packet in each direction (`first_window_fwd`, `first_window_bwd`;
@@ -61,7 +59,7 @@ class FlowState:
     __slots__ = (
         "key", "initiator", "responder", "start_ts", "last_ts", "termination", "fin_fwd",
         "fin_bwd", "timestamps", "payload_lengths", "directions", "header_lengths",
-        "tcp_flags", "payload_heads", "wire_bytes", "first_window_fwd", "first_window_bwd",
+        "tcp_flags", "wire_bytes", "first_window_fwd", "first_window_bwd",
     )
 
     def __init__(self, key: tuple[Endpoint, Endpoint, int], initiator: Endpoint,
@@ -79,7 +77,6 @@ class FlowState:
         self.directions = bytearray()
         self.header_lengths = bytearray()
         self.tcp_flags = bytearray()
-        self.payload_heads = bytearray()
         self.wire_bytes = 0
         self.first_window_fwd: int | None = None
         self.first_window_bwd: int | None = None
@@ -100,18 +97,13 @@ class FlowState:
     def add(self, pkt: PacketRecord) -> bool:
         """Append one packet to the columns; returns whether it is forward."""
         (timestamp, src_ip, _, src_port, _, _, total_length, header_length, payload_length,
-         head, flags, window) = pkt
+         _, flags, window) = pkt
         forward = src_port == self.initiator[1] and src_ip == self.initiator[0]
         self.timestamps.append(timestamp)
         self.payload_lengths.append(payload_length)
         self.directions.append(forward)
         self.header_lengths.append(header_length)
         self.tcp_flags.append(flags)
-        head = head[:PAYLOAD_HEAD]  # a decoded head already fits; a hand-built one may not
-        slots = self.payload_heads
-        slots.append(len(head))
-        slots += head
-        slots += _PADDING[len(head)]
         self.wire_bytes += total_length
         self.last_ts = timestamp
         if forward:
@@ -121,14 +113,11 @@ class FlowState:
             self.first_window_bwd = window
         return forward
 
-    def heads(self) -> list[bytes]:
-        """Each packet's payload head, in the order the packets were added."""
-        slots = bytes(self.payload_heads)
-        return [slots[i + 1 : i + 1 + slots[i]] for i in range(0, len(slots), PAYLOAD_SLOT)]
-
 
 def assemble_flows(
-    packets: Iterable[PacketRecord], flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US
+    packets: Iterable[PacketRecord],
+    flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US,
+    observer: Callable[[FlowState, PacketRecord], object] | None = None,
 ) -> list[FlowState]:
     """Group packets in non-decreasing time order into flows, ordered by
     (start_ts, flow_id); a decreasing timestamp raises OutOfOrderTimestamp.
@@ -139,6 +128,10 @@ def assemble_flows(
     flow. A TCP packet with RST (TCP_RST), or with ACK or FIN once both sides
     sent FIN (TCP_FIN), ends its flow after joining it. Flows still open when
     the packets run out end with END_OF_CAPTURE.
+
+    `observer`, when given, is called with (flow, packet) after each packet
+    joins its flow, so that it can read what the flow does not keep, such as
+    the payload head.
     """
     table: dict[tuple, FlowState] = {}
     flows: list[FlowState] = []
@@ -165,6 +158,8 @@ def assemble_flows(
             flow = table[key] = FlowState(key, source, destination, timestamp)
 
         forward = flow.add(pkt)
+        if observer is not None:
+            observer(flow, pkt)
 
         if protocol == IPPROTO_TCP:
             if flags & TcpFlags.RST:

@@ -97,6 +97,11 @@ class ProtocolHint(NamedTuple):
 # first byte, second byte, sequence, timestamp, SSRC
 _RTP = struct.Struct("!BBHII").unpack_from
 
+# Builds a header or hint from the tuple of its fields without the
+# Python-level `__new__` that NamedTuple gives each class; inspect makes one
+# of each per RTP payload.
+_new = tuple.__new__
+
 
 def parse_rtp_header(payload: bytes) -> RtpHeader | None:
     """Decode the fixed RTP header; None for short payloads or version != 2."""
@@ -105,10 +110,10 @@ def parse_rtp_header(payload: bytes) -> RtpHeader | None:
     b0, b1, sequence, timestamp, ssrc = _RTP(payload)
     if b0 >> 6 != 2:
         return None
-    return RtpHeader(
-        2, bool(b0 & 0x20), bool(b0 & 0x10), b0 & 0x0F, bool(b1 & 0x80), b1 & 0x7F,
+    return _new(RtpHeader, (
+        2, b0 & 0x20 != 0, b0 & 0x10 != 0, b0 & 0x0F, b1 & 0x80 != 0, b1 & 0x7F,
         sequence, timestamp, ssrc,
-    )
+    ))
 
 
 def demux_rtp_rtcp(payload: bytes) -> MuxClass:
@@ -190,7 +195,7 @@ def classify_udp_payload(payload: bytes, src_port: int, dst_port: int) -> Protoc
         header = parse_rtp_header(payload)
         if header is not None:
             media, note = _GENERIC_MEDIA[header.payload_type]
-            return ProtocolHint(HintKind.RTP, media, note, rtp=header)
+            return _new(ProtocolHint, (HintKind.RTP, media, note, Confidence.WEAK, header))
         return ProtocolHint(HintKind.RTP)
     if mux is MuxClass.RTCP:
         return ProtocolHint(HintKind.RTCP)
@@ -229,56 +234,124 @@ def port_profile(ports: Sequence[int]) -> dict[int, float]:
     return {port: c / len(ports) for port, c in sorted(counts.items())}
 
 
-def inspect_flow(flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
-    """One flow's entry in the inspection report, plus its RTP payload-type counts.
+class _FlowHints:
+    """One UDP flow's running state, built payload by payload by PayloadHints."""
 
-    The RTP statistics read only the headers of payloads classified RTP, so
-    TCP flows, RTCP and payloads on the QUIC and IPSec ports add none.
+    __slots__ = ("kinds", "payload_types", "first_rtp", "ssrcs")
+
+    def __init__(self):
+        self.kinds: dict[str, list] = {}  # kind name -> [payloads, the kind's first hint]
+        self.payload_types: Counter[int] = Counter()  # of every parsed RTP header
+        self.first_rtp: RtpHeader | None = None
+        self.ssrcs: dict[int, list[int]] = {}  # SSRC -> [headers, last sequence, hits]
+
+
+class PayloadHints:
+    """Classifies each UDP payload once, as its packet joins its flow: pass
+    `observe` to `assemble_flows` as its observer, then the flows and this to
+    `build_report`.
+
+    A flow keeps no payload bytes, so this keeps, per UDP flow, what the
+    report reads: the payloads of each kind and each kind's first hint, the
+    first parsed RTP header, a count of the RTP payload types, and per SSRC
+    the headers, the last sequence number and the hits (a sequence number
+    one past the last, mod 2**16). TCP flows are not classified. `clear`
+    drops the state of every flow, for flows that are thrown away.
     """
-    hints = []
-    if flow.protocol == IPPROTO_UDP:
-        src_port, dst_port = flow.initiator[1], flow.responder[1]
-        hints = [classify_udp_payload(head, src_port, dst_port) for head in flow.heads()]
-    # list.count compares by identity: no enum member is hashed per payload
-    kinds = [h.kind for h in hints]
-    kind_counts = [(k, c) for k in HintKind if (c := kinds.count(k))]
-    if kind_counts:
-        # max keeps the first of equal counts, the kind declared first
-        top = max(kind_counts, key=itemgetter(1))[0]
-        dominant = next(h for h in hints if h.kind is top)
-    else:
-        dominant = ProtocolHint(HintKind.UNKNOWN)
 
-    headers = [h.rtp for h in hints if h.rtp is not None]
-    pt_counts: Counter[int] = Counter()
-    if dominant.kind is HintKind.RTP and headers:
-        pt_counts.update(h.payload_type for h in headers)
-        media, note = media_hint(headers[0], app)
-        dominant = dominant._replace(media=media, codec_note=note)
-    entry = {
-        "flow_id": flow.flow_id,
-        "protocol": PROTOCOL_NAMES[flow.protocol],
-        "src_port": flow.initiator[1],
-        "dst_port": flow.responder[1],
-        "packets": flow.packet_count,
-        "hint": dominant.kind.value,
-        "media": dominant.media.value,
-        "codec_note": dominant.codec_note,
-        "confidence": dominant.confidence.value,
-        "kind_counts": dict(sorted((k.value, c) for k, c in kind_counts)),
-        # sorted as ints before the keys become strings: 96 comes before 100
-        "rtp_payload_types": {str(k): v for k, v in sorted(pt_counts.items())},
-        "rtp_continuity": rtp_stream_continuity(headers),
-    }
-    return entry, pt_counts
+    __slots__ = ("_flows",)
+
+    def __init__(self):
+        self._flows: dict[FlowState, _FlowHints] = {}
+
+    def clear(self) -> None:
+        self._flows.clear()
+
+    def observe(self, flow: FlowState, pkt) -> None:
+        if pkt[5] != IPPROTO_UDP:
+            return
+        # classify_udp_payload reads no more than a decoded head's 12 bytes
+        hint = classify_udp_payload(pkt[9], pkt[3], pkt[4])
+        state = self._flows.get(flow)
+        if state is None:
+            state = self._flows[flow] = _FlowHints()
+        # keyed by name: hashing an enum member runs Python code
+        entry = state.kinds.get(hint.kind._name_)
+        if entry is None:
+            state.kinds[hint.kind._name_] = [1, hint]
+        else:
+            entry[0] += 1
+        header = hint.rtp
+        if header is None:
+            return
+        _, _, _, _, _, payload_type, sequence, _, ssrc = header
+        if state.first_rtp is None:
+            state.first_rtp = header
+        state.payload_types[payload_type] += 1
+        stream = state.ssrcs.get(ssrc)
+        if stream is None:
+            state.ssrcs[ssrc] = [1, sequence, 0]
+        else:
+            if (sequence - stream[1]) % 65536 == 1:
+                stream[2] += 1
+            stream[0] += 1
+            stream[1] = sequence
+
+    def entry(self, flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
+        """One flow's entry in the inspection report, plus its RTP payload-type counts.
+
+        The RTP statistics read only the headers of payloads classified RTP,
+        so TCP flows, RTCP and payloads on the QUIC and IPSec ports add none.
+        """
+        state = self._flows.get(flow) or _FlowHints()
+        kind_counts = [(k, entry[0]) for k in HintKind if (entry := state.kinds.get(k._name_))]
+        if kind_counts:
+            # max keeps the first of equal counts, the kind declared first
+            top = max(kind_counts, key=itemgetter(1))[0]
+            dominant = state.kinds[top._name_][1]
+        else:
+            dominant = ProtocolHint(HintKind.UNKNOWN)
+
+        pt_counts: Counter[int] = Counter()
+        if dominant.kind is HintKind.RTP and state.first_rtp is not None:
+            pt_counts = state.payload_types
+            media, note = media_hint(state.first_rtp, app)
+            dominant = dominant._replace(media=media, codec_note=note)
+        continuity = None
+        if state.ssrcs:
+            # the most frequent SSRC, the lowest of equal counts, as in
+            # rtp_stream_continuity
+            _, (count, _, hits) = max(state.ssrcs.items(), key=lambda kv: (kv[1][0], -kv[0]))
+            if count >= 2:
+                continuity = hits / (count - 1)
+        entry = {
+            "flow_id": flow.flow_id,
+            "protocol": PROTOCOL_NAMES[flow.protocol],
+            "src_port": flow.initiator[1],
+            "dst_port": flow.responder[1],
+            "packets": flow.packet_count,
+            "hint": dominant.kind.value,
+            "media": dominant.media.value,
+            "codec_note": dominant.codec_note,
+            "confidence": dominant.confidence.value,
+            "kind_counts": dict(sorted((k.value, c) for k, c in kind_counts)),
+            # sorted as ints before the keys become strings: 96 comes before 100
+            "rtp_payload_types": {str(k): v for k, v in sorted(pt_counts.items())},
+            "rtp_continuity": continuity,
+        }
+        return entry, pt_counts
 
 
-def build_report(flows: Sequence[FlowState], app: AppContext = AppContext.GENERIC) -> dict:
-    """Inspection report: per-flow hints, port profiles and payload-type totals."""
+def build_report(flows: Sequence[FlowState], hints: PayloadHints,
+                 app: AppContext = AppContext.GENERIC) -> dict:
+    """Inspection report: per-flow hints, port profiles and payload-type totals.
+
+    `hints` observed every packet of `flows` as `assemble_flows` assembled them.
+    """
     entries = []
     pt_total: Counter[int] = Counter()
     for flow in flows:
-        entry, pt_counts = inspect_flow(flow, app)
+        entry, pt_counts = hints.entry(flow, app)
         entries.append(entry)
         pt_total.update(pt_counts)
     src_shares = port_profile([f.initiator[1] for f in flows])

@@ -4,16 +4,20 @@ Everything here is written straight-line from the documented semantics,
 on purpose not sharing code with the package: statistics come from the
 stdlib statistics module, split gains from exact Fraction arithmetic, and
 packet decoding from a decoder that slices each header out of the frame.
-`node_order` and `split_node` are the exception: they only call the
+`node_order` and `split_node` are an exception: they only call the
 package's split search on a single node, for the tests that compare it with
-the oracles.
+the oracles. `reference_report` is another: it holds every payload head of a
+flow and classifies them with the package's per-payload functions after the
+flow ends, where `inspect` keeps running state as each packet joins.
 """
 from __future__ import annotations
 
 import socket
 import statistics
 import struct
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +33,15 @@ from camsieve.packets import (
     PAYLOAD_HEAD,
     PacketRecord,
     TcpFlags,
+)
+from camsieve.protocols import (
+    AppContext,
+    HintKind,
+    ProtocolHint,
+    classify_udp_payload,
+    media_hint,
+    port_profile,
+    rtp_stream_continuity,
 )
 from camsieve.tree import best_split
 
@@ -456,3 +469,67 @@ def _reference_transport(
             tcp_window=window,
         )
     return None
+
+
+# The inspection report from every payload head of each flow, classified after
+# the flow ends: the flows once held their heads, and inspect read them so.
+
+
+def reference_inspect_flow(
+    flow: FlowState, heads: list[bytes], app: AppContext
+) -> tuple[dict, Counter[int]]:
+    """One flow's report entry and RTP payload-type counts, from `heads`, its
+    packets' payload heads in the order they joined it."""
+    hints = []
+    if flow.protocol == IPPROTO_UDP:
+        src_port, dst_port = flow.initiator[1], flow.responder[1]
+        hints = [classify_udp_payload(head[:PAYLOAD_HEAD], src_port, dst_port) for head in heads]
+    kinds = [h.kind for h in hints]
+    kind_counts = [(k, c) for k in HintKind if (c := kinds.count(k))]
+    if kind_counts:
+        # max keeps the first of equal counts, the kind declared first
+        top = max(kind_counts, key=itemgetter(1))[0]
+        dominant = next(h for h in hints if h.kind is top)
+    else:
+        dominant = ProtocolHint(HintKind.UNKNOWN)
+
+    headers = [h.rtp for h in hints if h.rtp is not None]
+    pt_counts: Counter[int] = Counter()
+    if dominant.kind is HintKind.RTP and headers:
+        pt_counts.update(h.payload_type for h in headers)
+        media, note = media_hint(headers[0], app)
+        dominant = dominant._replace(media=media, codec_note=note)
+    entry = {
+        "flow_id": flow.flow_id,
+        "protocol": {IPPROTO_TCP: "TCP", IPPROTO_UDP: "UDP"}[flow.protocol],
+        "src_port": flow.initiator[1],
+        "dst_port": flow.responder[1],
+        "packets": len(heads),
+        "hint": dominant.kind.value,
+        "media": dominant.media.value,
+        "codec_note": dominant.codec_note,
+        "confidence": dominant.confidence.value,
+        "kind_counts": dict(sorted((k.value, c) for k, c in kind_counts)),
+        "rtp_payload_types": {str(k): v for k, v in sorted(pt_counts.items())},
+        "rtp_continuity": rtp_stream_continuity(headers),
+    }
+    return entry, pt_counts
+
+
+def reference_report(flows, heads_of: dict, app: AppContext = AppContext.GENERIC) -> dict:
+    """The inspection report of `flows`; `heads_of[flow]` lists the flow's payload heads."""
+    entries = []
+    pt_total: Counter[int] = Counter()
+    for flow in flows:
+        entry, pt_counts = reference_inspect_flow(flow, heads_of[flow], app)
+        entries.append(entry)
+        pt_total.update(pt_counts)
+    src_shares = port_profile([f.initiator[1] for f in flows])
+    dst_shares = port_profile([f.responder[1] for f in flows])
+    return {
+        "app_context": app.value,
+        "flows": entries,
+        "port_profile_src": {str(p): share for p, share in src_shares.items()},
+        "port_profile_dst": {str(p): share for p, share in dst_shares.items()},
+        "rtp_payload_type_totals": {str(k): v for k, v in sorted(pt_total.items())},
+    }

@@ -1,4 +1,6 @@
 import random
+import struct
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 from camsieve.errors import OutOfOrderTimestamp
 from camsieve.flows import (
     HALF_CLOSE_SILENCE_US,
-    PAYLOAD_SLOT,
     Termination,
     assemble_flows,
     canonical_key,
@@ -20,6 +21,7 @@ from camsieve.packets import (
     TcpFlags,
     read_packets_sorted,
 )
+from camsieve.protocols import PayloadHints, build_report
 
 from conftest import ipv4_frame, tcp_segment, udp_segment, write_pcap_bytes
 
@@ -280,10 +282,23 @@ class TestStreamProperties:
 
 class TestPayloads:
     def test_heads_keep_at_most_payload_head_bytes(self):
-        payloads = [b"x" * 20, b"", b"yz", b"w" * PAYLOAD_HEAD]
-        (flow,) = assemble_flows([udp_pkt(ts, payload=p) for ts, p in enumerate(payloads)])
-        assert flow.heads() == [b"x" * PAYLOAD_HEAD, b"", b"yz", b"w" * PAYLOAD_HEAD]
-        assert len(flow.payload_heads) == 4 * PAYLOAD_SLOT
+        # a flow keeps no payload: the observer reads each packet's head after
+        # the packet joins, and what inspect makes of a head is what it makes
+        # of the head's first PAYLOAD_HEAD bytes
+        rtp = struct.pack("!BBHII", 0x80, 96, 1, 0, 7)
+        payloads = [rtp + b"x" * 8, b"", b"yz", b"w" * PAYLOAD_HEAD]
+        seen, whole, cut = [], PayloadHints(), PayloadHints()
+
+        def observe(flow, pkt):
+            seen.append((flow.packet_count, pkt.payload_head))
+            whole.observe(flow, pkt)
+            cut.observe(flow, pkt._replace(payload_head=pkt.payload_head[:PAYLOAD_HEAD]))
+
+        (flow,) = assemble_flows([udp_pkt(ts, payload=p) for ts, p in enumerate(payloads)],
+                                 observer=observe)
+        assert seen == [(1, rtp + b"x" * 8), (2, b""), (3, b"yz"), (4, b"w" * PAYLOAD_HEAD)]
+        assert build_report([flow], whole) == build_report([flow], cut)
+        assert build_report([flow], whole)["flows"][0]["kind_counts"] == {"RTP": 1, "UNKNOWN": 3}
 
     def test_each_flow_keeps_its_own_payloads_in_capture_order(self, tmp_path):
         client, server = ("10.0.0.1", 5000), ("10.0.0.2", 80)
@@ -312,9 +327,11 @@ class TestPayloads:
         ]
         pcap = tmp_path / "reuse.pcap"
         pcap.write_bytes(write_pcap_bytes(frames))
-        flows = assemble_flows(read_packets_sorted(pcap))
+        heads = defaultdict(list)
+        flows = assemble_flows(read_packets_sorted(pcap),
+                               observer=lambda flow, pkt: heads[flow].append(pkt.payload_head))
 
-        assert [f.heads() for f in flows] == [
+        assert [heads[f] for f in flows] == [
             [b"a1", b"a2", b"a3", b"a4", b"a5", b"a6"],
             [b"u1", b"u2"],
             [b"b1", b"b2", b"b3"],

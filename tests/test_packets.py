@@ -566,6 +566,83 @@ class TestReferenceDecoder:
         assert sum(decoded) >= len(decoded) // 10
 
 
+@st.composite
+def common_edge_frames(draw):
+    """(frame, wire length or None) of Ethernet, IPv4 and UDP or TCP frames at
+    the edges of decode_packet's one-call path: 40-70 captured bytes, IHL 5 or
+    6, with or without a VLAN tag, each fragment-word bit, total lengths at and
+    around their bounds, short and exact UDP lengths, every TCP data offset,
+    and a wire length below, at or above the captured one."""
+    proto = draw(st.sampled_from([IPPROTO_UDP, IPPROTO_TCP]))
+    ihl = draw(st.sampled_from([5, 5, 5, 6]))
+    vlan = draw(st.sampled_from([False, False, False, True]))
+    captured = draw(st.one_of(st.integers(50, 70), st.integers(40, 70)))
+    link = 18 if vlan else 14
+    wire_length = draw(st.one_of(
+        st.none(), st.integers(max(0, captured - 20), captured - 1), st.just(captured),
+        st.integers(captured + 1, captured + 40),
+    ))
+    ip_wire = (captured if wire_length is None else wire_length) - link
+    total_len = draw(st.one_of(
+        st.sampled_from([0, 19, 20, ip_wire, ip_wire + 1, captured - link]),
+        st.integers(ip_wire, ip_wire + 30), st.integers(0, 0xFFFF),
+    )) % 0x10000
+    frag_word = draw(st.one_of(st.just(0), single_bits))
+    ports = draw(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)))
+    if proto == IPPROTO_UDP:
+        segment = total_len - ihl * 4
+        udp_len = draw(st.one_of(
+            st.integers(0, 9), st.sampled_from([segment, captured - link - ihl * 4]),
+        )) % 0x10000
+        transport = struct.pack("!HHHH", *ports, udp_len, 0)
+    else:
+        data_offset = draw(st.one_of(st.just(5), st.integers(0, 15)))
+        transport = struct.pack(
+            "!HHIIBBHHH", *ports, draw(st.integers(0, 0xFFFFFFFF)), 1, data_offset << 4,
+            draw(st.integers(0, 0xFF)), draw(st.integers(0, 0xFFFF)), 0, 0,
+        )
+    ip = struct.pack(
+        "!BBHHHBBH4s4s", 4 << 4 | ihl, 0, total_len, 0, frag_word, 64, proto, 0,
+        draw(st.binary(min_size=4, max_size=4)), draw(st.binary(min_size=4, max_size=4)),
+    ) + bytes(ihl * 4 - 20)
+    tag = struct.pack("!HH", 0x8100, 42) if vlan else b""
+    frame = b"\xbb" * 6 + b"\xaa" * 6 + tag + b"\x08\x00" + ip + transport
+    frame += draw(st.binary(min_size=max(0, captured - len(frame)), max_size=max(0, captured - len(frame))))
+    return frame[:captured], wire_length
+
+
+class TestCommonFrame:
+    """decode_packet reads the common frame (untagged Ethernet, IPv4 with IHL 5,
+    no fragment offset, UDP or TCP, at least 50 captured bytes) with one call;
+    at that path's edges it must agree with the slicing decoder."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(common_edge_frames())
+    def test_edges_match_the_reference(self, case):
+        frame, wire_length = case
+        got = decode_packet(frame, LINKTYPE_ETHERNET, 1_000_003, wire_length)
+        want = reference_decode(frame, LINKTYPE_ETHERNET, 1_000_003, wire_length)
+        assert type(got) is type(want), (got, want)
+        assert got == want, (got, want)
+
+    def test_edges_reach_the_one_call_path(self):
+        # the generator must reach records of the common frame, not only skips
+        # and the general path
+        common = []
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @given(common_edge_frames())
+        def tally(case):
+            frame, wire_length = case
+            shape = (len(frame) >= 50 and frame[12:15] == b"\x08\x00\x45"
+                     and not struct.unpack_from("!H", frame, 20)[0] & 0x1FFF)
+            common.append(shape and decode_packet(frame, LINKTYPE_ETHERNET, 0, wire_length)
+                          is not None)
+
+        tally()
+        assert sum(common) >= len(common) // 10
+
+
 class TestAddressCache:
     def test_bounded_and_same_text_as_uncached(self):
         n = packets._ADDRESS_CACHE_SIZE + 100
@@ -582,7 +659,7 @@ class TestAddressCache:
                                 + udp_segment(), LINKTYPE_ETHERNET)
             assert rec.src_ip == f"::ffff:a00:{i:x}"
             assert rec.dst_ip == str(ipaddress.IPv6Address(plain))
-        assert 0 < packets._ipv4_text.cache_info().currsize <= packets._ADDRESS_CACHE_SIZE
+        assert 0 < len(packets._ipv4_texts) <= packets._ADDRESS_CACHE_SIZE
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=8, max_size=8))

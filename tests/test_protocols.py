@@ -4,14 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PAYLOAD_HEAD
+from camsieve.flows import assemble_flows
+from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PAYLOAD_HEAD, PacketRecord
 from camsieve.protocols import (
+    IPSEC_NAT_T_PORT,
+    MEET_PORT,
+    QUIC_PORT,
     RTCP_TYPES,
+    ZOOM_PORT,
     AppContext,
     Confidence,
     HintKind,
     MediaType,
     MuxClass,
+    PayloadHints,
     build_report,
     classify_udp_payload,
     demux_rtp_rtcp,
@@ -22,6 +28,7 @@ from camsieve.protocols import (
 )
 
 from conftest import flow_packet, make_flow
+from oracles import reference_report
 
 
 def rtp_bytes(version=2, padding=0, extension=0, cc=0, marker=0, pt=96,
@@ -45,6 +52,16 @@ def carrying(ts, payload):
     its first PAYLOAD_HEAD bytes."""
     return flow_packet(ts, len(payload), 42 + len(payload))._replace(
         payload_head=payload[:PAYLOAD_HEAD])
+
+
+def report_of(flows, app=AppContext.GENERIC):
+    """build_report on flows built by hand, each packet given to the observer
+    in the order it was added, as assemble_flows gives it."""
+    hints = PayloadHints()
+    for flow in flows:
+        for pkt in flow.records:
+            hints.observe(flow, pkt)
+    return build_report(flows, hints, app)
 
 
 class TestParseRtpHeader:
@@ -264,13 +281,13 @@ class TestPortProfile:
         assert port_profile([]) == {}
 
     def test_both_sides_single_flow(self):
-        report = build_report([_one_packet_flow(5000, 6000)])
+        report = report_of([_one_packet_flow(5000, 6000)])
         assert report["port_profile_src"] == {"5000": 1.0}
         assert report["port_profile_dst"] == {"6000": 1.0}
 
     def test_proportions_sum_to_one(self, rng):
         flows = [_one_packet_flow(rng.randint(1, 99), rng.randint(100, 200)) for _ in range(37)]
-        report = build_report(flows)
+        report = report_of(flows)
         for key in ("port_profile_src", "port_profile_dst"):
             assert sum(report[key].values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -293,7 +310,7 @@ class TestBuildReport:
 
     def test_payload_types_read_from_packets_and_sorted_numerically(self):
         flows = [self.rtp_flow([100, 100, 96, 100], 5000), self.rtp_flow([9, 9], 5001)]
-        report = build_report(flows, AppContext.GENERIC)
+        report = report_of(flows, AppContext.GENERIC)
         first, second = report["flows"]
         assert first["hint"] == "RTP" and first["packets"] == 5
         assert first["kind_counts"] == {"RTP": 4, "UNKNOWN": 1}
@@ -304,7 +321,7 @@ class TestBuildReport:
 
     def test_rtp_without_header_extension_is_rtp(self):
         flows = [self.rtp_flow([96, 100, 100, 96], 5000, extension=0)]
-        report = build_report(flows, AppContext.MEET)
+        report = report_of(flows, AppContext.MEET)
         (entry,) = report["flows"]
         assert entry["hint"] == "RTP"
         assert entry["media"] == "VIDEO" and entry["codec_note"] == "dynamic video"
@@ -321,7 +338,7 @@ class TestBuildReport:
         payloads.insert(2, sender_report)
         payloads.insert(5, sender_report)
         fwd = [carrying(i, p) for i, p in enumerate(payloads)]
-        report = build_report([make_flow(fwd, [])], AppContext.GENERIC)
+        report = report_of([make_flow(fwd, [])], AppContext.GENERIC)
         (entry,) = report["flows"]
         assert entry["kind_counts"] == {"RTCP": 2, "RTP": 6}
         assert entry["rtp_payload_types"] == {"96": 6}
@@ -332,7 +349,7 @@ class TestBuildReport:
     def test_rtcp_with_sixteen_or_more_blocks_adds_no_payload_type(self, packet_type):
         # read as RTP, 0x90-0x9F then 200-203 would count as payload types 72-75
         payloads = [rtcp_bytes(packet_type, count) for count in range(16, 32)]
-        report = build_report([make_flow([carrying(i, p) for i, p in enumerate(payloads)], [])])
+        report = report_of([make_flow([carrying(i, p) for i, p in enumerate(payloads)], [])])
         (entry,) = report["flows"]
         assert entry["hint"] == "RTCP"
         assert entry["kind_counts"] == {"RTCP": 16}
@@ -341,14 +358,14 @@ class TestBuildReport:
         assert entry["rtp_continuity"] is None
 
     def test_tcp_flow_has_no_rtp_statistics(self):
-        report = build_report([self.rtp_looking_flow(IPPROTO_TCP, 6000)])
+        report = report_of([self.rtp_looking_flow(IPPROTO_TCP, 6000)])
         (entry,) = report["flows"]
         assert entry["hint"] == "UNKNOWN" and entry["kind_counts"] == {}
         assert entry["rtp_payload_types"] == {}
         assert entry["rtp_continuity"] is None
 
     def test_ipsec_port_flow_has_no_rtp_statistics(self):
-        report = build_report([self.rtp_looking_flow(IPPROTO_UDP, 4500)])
+        report = report_of([self.rtp_looking_flow(IPPROTO_UDP, 4500)])
         (entry,) = report["flows"]
         assert entry["hint"] == "IPSEC_NAT_T"
         assert entry["rtp_payload_types"] == {}
@@ -362,7 +379,7 @@ class TestBuildReport:
     def test_dominant_kind_is_the_most_frequent(self, n_rtp, n_rtcp, dominant):
         sender_report = bytes([0x80, 200, 0x00, 0x06]) + bytes(24)
         payloads = [sender_report] * n_rtcp + [rtp_bytes(pt=96, seq=i) for i in range(n_rtp)]
-        report = build_report([make_flow([carrying(i, p) for i, p in enumerate(payloads)], [])])
+        report = report_of([make_flow([carrying(i, p) for i, p in enumerate(payloads)], [])])
         (entry,) = report["flows"]
         assert entry["hint"] == dominant
         assert entry["kind_counts"] == {"RTCP": n_rtcp, "RTP": n_rtp}
@@ -373,3 +390,86 @@ class TestBuildReport:
             hint = classify_udp_payload(rtp_bytes(pt=pt), 5000, 6000)
             header = parse_rtp_header(rtp_bytes(pt=pt))
             assert (hint.media, hint.codec_note) == media_hint(header, AppContext.GENERIC), pt
+
+
+@st.composite
+def inspected_payloads(draw):
+    """A UDP payload of one of the kinds that inspect tells apart: RTP with
+    one of three SSRCs and near-wrapping sequence numbers (so streams tie and
+    continuity varies), muxed RTCP, a short or RTP-extension-bit payload, or
+    arbitrary bytes; up to 24 bytes, longer than a decoded head."""
+    kind = draw(st.sampled_from(["rtp", "rtp", "rtp", "rtcp", "short", "bytes"]))
+    if kind == "rtp":
+        return rtp_bytes(
+            extension=draw(st.integers(0, 1)), marker=draw(st.integers(0, 1)),
+            pt=draw(st.sampled_from([0, 9, 96, 100, 104, 111, 118, 122, 123, 127])),
+            seq=draw(st.one_of(st.integers(0, 3), st.integers(65534, 65535))),
+            ssrc=draw(st.sampled_from([1, 2, 3])), tail=draw(st.binary(max_size=12)),
+        )
+    if kind == "rtcp":
+        first = 0x80 | draw(st.integers(0, 0x3F))
+        return bytes([first, draw(st.sampled_from(sorted(RTCP_TYPES)))]) + draw(
+            st.binary(max_size=22))
+    if kind == "short":
+        return draw(st.one_of(st.binary(max_size=11),
+                              st.binary(max_size=10).map(lambda b: b"\x90" + b)))
+    return draw(st.binary(max_size=24))
+
+
+@st.composite
+def inspected_captures(draw):
+    """Packets of up to four flows in time order: UDP flows on ordinary, QUIC,
+    IPSec NAT-T, Zoom and Meet ports, and TCP flows whose payloads look like RTP."""
+    ports = st.sampled_from([5004, 6000, QUIC_PORT, IPSEC_NAT_T_PORT, ZOOM_PORT, MEET_PORT])
+    flows = [(draw(st.sampled_from([IPPROTO_UDP] * 3 + [IPPROTO_TCP])), draw(ports), draw(ports))
+             for _ in range(draw(st.integers(1, 4)))]
+    records = []
+    for ts in range(draw(st.integers(1, 40))):
+        i = draw(st.integers(0, len(flows) - 1))
+        protocol, port_a, port_b = flows[i]
+        src, dst = (f"10.0.{i}.1", port_a), (f"10.0.{i}.2", port_b)
+        if draw(st.booleans()):
+            src, dst = dst, src
+        payload = draw(inspected_payloads())
+        records.append(PacketRecord(
+            timestamp=ts * 1000, src_ip=src[0], dst_ip=dst[0], src_port=src[1],
+            dst_port=dst[1], protocol=protocol, total_length=42 + len(payload),
+            transport_header_length=8 if protocol == IPPROTO_UDP else 20,
+            payload_length=len(payload), payload_head=payload,
+        ))
+    return records
+
+
+class TestClassifiedAtIngest:
+    """inspect classifies each payload as its packet joins its flow and keeps
+    running state; its report must equal the one from every payload head,
+    classified after the flow ends (oracles.reference_report)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(inspected_captures())
+    def test_report_equals_the_heads_oracle(self, records):
+        hints, heads = PayloadHints(), {}
+
+        def observe(flow, pkt):
+            heads.setdefault(flow, []).append(pkt.payload_head)
+            hints.observe(flow, pkt)
+
+        flows = assemble_flows(records, observer=observe)
+        for app in AppContext:
+            assert build_report(flows, hints, app) == reference_report(flows, heads, app)
+
+    def test_tied_ssrcs_go_to_the_lowest(self):
+        # SSRCs 9 and 7 have two headers each; 7's sequence numbers skip
+        payloads = [rtp_bytes(seq=1, ssrc=9), rtp_bytes(seq=5, ssrc=7),
+                    rtp_bytes(seq=2, ssrc=9), rtp_bytes(seq=9, ssrc=7)]
+        report = report_of([make_flow([carrying(i, p) for i, p in enumerate(payloads)], [])])
+        assert report["flows"][0]["rtp_continuity"] == 0.0
+        assert rtp_stream_continuity([parse_rtp_header(p) for p in payloads]) == 0.0
+
+    def test_clear_drops_every_flow(self):
+        flow = make_flow([carrying(0, rtp_bytes(seq=1))], [])
+        hints = PayloadHints()
+        hints.observe(flow, flow.records[0])
+        hints.clear()
+        (entry,) = build_report([flow], hints)["flows"]
+        assert entry["kind_counts"] == {} and entry["hint"] == "UNKNOWN"
