@@ -845,8 +845,11 @@ def load_model(path: str | Path) -> DecisionTreeModel:
     """Inverse of save_model; checksum, version, node-table or field problems
     raise CorruptModel. Beyond the node table, a field is checked to be what
     save_model writes: max_depth an int no smaller than the table's depth,
-    the names distinct, the feature names non-empty, training_meta an
-    object. A class may be named "": the library trains on any label."""
+    the names distinct, the feature names non-empty, the stored schema hash
+    that of the feature names, training_meta an object. A class may be
+    named "": the library trains on any label. Last, the loaded model must
+    save to the same checksum, so every field is as save_model writes it,
+    JSON type for JSON type (a `"version": true` is not 1)."""
     try:
         wrapper = json.loads(Path(path).read_bytes())
         checksum = wrapper["checksum"]
@@ -865,6 +868,10 @@ def load_model(path: str | Path) -> DecisionTreeModel:
         feature_names = _names(payload["feature_names"], "feature_names")
         if "" in feature_names:
             raise ValueError("feature_names has an empty name")
+        stored_hash, names_hash = payload["schema_hash"], schema_hash(feature_names)
+        if stored_hash != names_hash:
+            raise ValueError(f"stored schema hash {stored_hash!r} is not the schema hash "
+                             f"{names_hash} of its feature_names")
         class_names = _names(payload["class_names"], "class_names")
         nodes = _node_table(payload["nodes"], len(feature_names), len(class_names))
         max_depth, training_meta = payload["max_depth"], payload["training_meta"]
@@ -872,7 +879,7 @@ def load_model(path: str | Path) -> DecisionTreeModel:
             raise ValueError(f"max_depth {max_depth!r} is not an int of at least the table's depth")
         if not isinstance(training_meta, dict):
             raise ValueError("training_meta is not an object")
-        return DecisionTreeModel(
+        model = DecisionTreeModel(
             nodes=nodes,
             max_depth=max_depth,
             feature_names=feature_names,
@@ -883,3 +890,6 @@ def load_model(path: str | Path) -> DecisionTreeModel:
         raise CorruptModel(f"{path}: model has no {exc} field") from exc
     except ValueError as exc:
         raise CorruptModel(f"{path}: {exc}") from exc
+    if _checksum(_model_payload(model)) != checksum:
+        raise CorruptModel(f"{path}: a field is not as save_model writes it")
+    return model

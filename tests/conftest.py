@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from camsieve import flows
-from camsieve.features import FEATURE_NAMES
+from camsieve.features import FEATURE_NAMES, schema_hash
 from camsieve.flows import FlowState, Termination
 from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PAYLOAD_HEAD, PacketRecord, TcpFlags
 from camsieve.tree import DecisionTreeModel, TreeNode, _model_payload, best_class, predict_proba
@@ -257,4 +257,9 @@ MALFORMED_PAYLOADS = [
      lambda payload: payload["feature_names"].__setitem__(1, FEATURE_NAMES[0])),
     ("empty-feature-name", lambda payload: payload["feature_names"].__setitem__(3, "")),
     ("training-meta-not-an-object", lambda payload: payload.update(training_meta=True)),
+    # a model loads only as save_model writes it: true is not version 1, and
+    # the stored schema hash is the feature names' own
+    ("version-bool", lambda payload: payload.update(version=True)),
+    ("stale-schema-hash",
+     lambda payload: payload.update(schema_hash=schema_hash(FEATURE_NAMES[::-1]))),
 ]
