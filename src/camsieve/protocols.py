@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .flows import FlowState
-from .packets import IPPROTO_UDP, PROTOCOL_NAMES
+from .packets import IPPROTO_UDP, PROTOCOL_NAMES, PacketRecord
 
 # RTCP packet types: SR, RR, SDES, BYE and APP (200-204), then transport and
 # payload-specific feedback (205, 206)
@@ -267,11 +267,14 @@ class PayloadHints:
     def clear(self) -> None:
         self._flows.clear()
 
-    def observe(self, flow: FlowState, pkt) -> None:
-        if pkt[5] != IPPROTO_UDP:
+    def observe(self, flow: FlowState, pkt: PacketRecord) -> None:
+        """Classify the payload of `pkt`, which has just joined `flow`."""
+        _, _, _, src_port, dst_port, protocol, _, _, _, head, _, _ = pkt
+        if protocol != IPPROTO_UDP:
             return
-        # classify_udp_payload reads no more than a decoded head's 12 bytes
-        hint = classify_udp_payload(pkt[9], pkt[3], pkt[4])
+        # a head longer than a decoded one's 12 bytes gets the hint of its
+        # first 12: no heuristic reads further
+        hint = classify_udp_payload(head, src_port, dst_port)
         state = self._flows.get(flow)
         if state is None:
             state = self._flows[flow] = _FlowHints()
