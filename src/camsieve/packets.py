@@ -156,12 +156,14 @@ _UDP = struct.Struct("!HHH").unpack_from
 # source port, destination port, data offset, flags, window
 _TCP = struct.Struct("!HH8xBBH").unpack_from
 
-# The common frame, read with one call: untagged Ethernet, then IPv4 without
-# options (version/IHL 0x45), then the first 16 bytes of a UDP or TCP header.
-# UDP's length field shares its bytes with the high half of TCP's sequence
-# number, so one layout serves both. Ethertype, version/IHL, total length,
-# fragment word, protocol, source, destination, source port, destination
-# port, UDP length, TCP data offset, TCP flags, TCP window.
+# The common frame's fields, read with one call: untagged Ethernet, then IPv4
+# without options (version/IHL 0x45), then the first 16 bytes of a UDP or TCP
+# header. The call only reads: decode_packet checks these fields by the rules
+# it checks every other frame's by. UDP's length field shares its bytes with
+# the high half of TCP's sequence number, so one layout serves both.
+# Ethertype, version/IHL, total length, fragment word, protocol, source,
+# destination, source port, destination port, UDP length, TCP data offset,
+# TCP flags, TCP window.
 _COMMON = struct.Struct("!12xHBxH2xHxB2x4s4sHHH6xBBH")
 _COMMON_LENGTH = _COMMON.size  # 50: the TCP window ends there
 _common_frame = _COMMON.unpack_from
@@ -212,48 +214,20 @@ def decode_packet(
     if wire_length is None:
         wire_length = captured
 
-    # the common frame in one call, by the general path's rules with the IP
-    # header at 14 and the transport header at 34; a frame of another shape,
-    # or one that fails a check here, goes on to the general path
+    # the common frame's fields in one call; any other frame is read header
+    # by header into the same locals, and both go through the rules below
     if link_type == LINKTYPE_ETHERNET and captured >= _COMMON_LENGTH:
         (ethertype, version_ihl, total_len, frag_word, proto, src, dst, src_port, dst_port,
          udp_len, data_offset, flags, window) = _common_frame(raw_frame)
-        if ethertype == ETHERTYPE_IPV4 and version_ihl == 0x45 and not frag_word & 0x1FFF:
-            if not 20 <= total_len <= wire_length - 14:
-                total_len = captured - 14
-            end = 14 + total_len
-            if end > captured:
-                end = captured
-            if proto == IPPROTO_UDP:
-                if end >= 42:
-                    segment_length = total_len - 20
-                    if 8 <= udp_len < segment_length:
-                        segment_length = udp_len
-                    payload_length = segment_length - 8
-                    head_end = 42 + (payload_length if payload_length < PAYLOAD_HEAD
-                                     else PAYLOAD_HEAD)
-                    return _new(PacketRecord, (
-                        timestamp, _ipv4_texts.get(src) or _new_ipv4_text(src),
-                        _ipv4_texts.get(dst) or _new_ipv4_text(dst), src_port, dst_port,
-                        IPPROTO_UDP, wire_length, 8, payload_length, raw_frame[42:head_end],
-                        0, 0,
-                    ))
-            elif proto == IPPROTO_TCP:
-                header_len = (data_offset >> 4) * 4
-                if header_len >= 20 and end - 34 >= header_len:
-                    offset = 34 + header_len
-                    head_end = offset + PAYLOAD_HEAD
-                    if head_end > end:
-                        head_end = end
-                    return _new(PacketRecord, (
-                        timestamp, _ipv4_texts.get(src) or _new_ipv4_text(src),
-                        _ipv4_texts.get(dst) or _new_ipv4_text(dst), src_port, dst_port,
-                        IPPROTO_TCP, wire_length, header_len, total_len - 20 - header_len,
-                        raw_frame[offset:head_end], flags, window,
-                    ))
+        common = ethertype == ETHERTYPE_IPV4 and version_ihl == 0x45
+    else:
+        common = False
 
     # the link header: `start` is its length, where the IP header begins
-    if link_type == LINKTYPE_ETHERNET:
+    if common:
+        start = 14
+        header_len = 20
+    elif link_type == LINKTYPE_ETHERNET:
         if captured < 14:
             return None
         ethertype = _U16(raw_frame, 12)[0]
@@ -277,12 +251,13 @@ def decode_packet(
     # of the segment ends at `end`, and the IP header says the segment is
     # `segment_length` bytes long
     if ethertype == ETHERTYPE_IPV4:
-        if captured - start < 20:
-            return None
-        version_ihl, total_len, frag_word, proto, src, dst = _IPV4(raw_frame, start)
-        header_len = (version_ihl & 0x0F) * 4
-        if version_ihl >> 4 != 4 or header_len < 20 or captured - start < header_len:
-            return None
+        if not common:
+            if captured - start < 20:
+                return None
+            version_ihl, total_len, frag_word, proto, src, dst = _IPV4(raw_frame, start)
+            header_len = (version_ihl & 0x0F) * 4
+            if version_ihl >> 4 != 4 or header_len < 20 or captured - start < header_len:
+                return None
         if frag_word & 0x1FFF:  # non-first fragments carry no transport header
             return None
         # zero (segmentation offload), too small, or longer than the frame on
@@ -304,10 +279,12 @@ def decode_packet(
     else:
         return None
 
+    # the transport header, its fields already read for the common frame
     if proto == IPPROTO_UDP:
         if end - offset < 8:
             return None
-        src_port, dst_port, udp_len = _UDP(raw_frame, offset)
+        if not common:
+            src_port, dst_port, udp_len = _UDP(raw_frame, offset)
         if 8 <= udp_len < segment_length:
             segment_length = udp_len
         # the head stops at the segment's end, and at the frame's end when
@@ -320,9 +297,10 @@ def decode_packet(
             payload_length, raw_frame[offset:head_end], 0, 0,
         ))
     if proto == IPPROTO_TCP:
-        if end - offset < 20:
-            return None
-        src_port, dst_port, data_offset, flags, window = _TCP(raw_frame, offset)
+        if not common:  # the data-offset check below bounds the common frame's header
+            if end - offset < 20:
+                return None
+            src_port, dst_port, data_offset, flags, window = _TCP(raw_frame, offset)
         header_len = (data_offset >> 4) * 4
         if header_len < 20 or end - offset < header_len:
             return None
