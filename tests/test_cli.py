@@ -180,6 +180,31 @@ class TestUnsupportedLinkType:
         assert out.exists()
 
 
+class TestLinkTypeField:
+    """The pcap header's link-type field keeps the link type in its low 16
+    bits; bit 26 and bits 28-31 announce an FCS length (draft-ietf-opsawg-pcap)."""
+
+    @pytest.mark.parametrize("fcs_bits", [
+        pytest.param(0x04000000, id="fcs-flag"),
+        pytest.param(0x24000000, id="fcs-flag-and-length-2"),
+    ])
+    def test_fcs_bits_leave_the_bytes_alone(self, tmp_path, fcs_bits):
+        plain, flagged = tmp_path / "plain.pcap", tmp_path / "flagged.pcap"
+        assert main(["synth", "--kind", "conf", "-n", "3", "--seed", "1", "-o", str(plain)]) == 0
+        data = bytearray(plain.read_bytes())
+        link_type = struct.unpack_from("<I", data, 20)[0]
+        struct.pack_into("<I", data, 20, link_type | fcs_bits)
+        flagged.write_bytes(data)
+        for name in ("plain", "flagged"):
+            pcap = str(tmp_path / f"{name}.pcap")
+            assert main(["extract", pcap, "--label", "Conf",
+                         "-o", str(tmp_path / f"{name}.csv")]) == 0
+            assert main(["inspect", pcap, "--json", "-o", str(tmp_path / f"{name}.json")]) == 0
+        for suffix in ("csv", "json"):
+            assert (tmp_path / f"flagged.{suffix}").read_bytes() == \
+                (tmp_path / f"plain.{suffix}").read_bytes()
+
+
 class TestWriteErrors:
     """A failed write names the output path the user gave, not a temp file."""
 
