@@ -643,6 +643,78 @@ class TestCommonFrame:
         assert sum(common) >= len(common) // 10
 
 
+@st.composite
+def pcap_files(draw):
+    """(capture, the same capture with the link-type field's upper 16 bits
+    clear): a valid global header of either byte order and timestamp
+    resolution, then records of frames for the one-call reader, the general
+    reader and neither, record lengths that may lie, and any trailing bytes."""
+    order = draw(st.sampled_from("<>"))
+    magic = draw(st.sampled_from([0xA1B2C3D4, 0xA1B23C4D]))  # micro-, nanoseconds
+    link_type = draw(st.sampled_from([LINKTYPE_ETHERNET] * 6 + [LINKTYPE_RAW_IP, 0, 113]))
+    upper_bits = draw(st.one_of(
+        st.just(0), st.sampled_from([0x04000000, 0x24000000]),  # the FCS flag and length
+        st.integers(0, 0xFFFF).map(lambda bits: bits << 16),
+    ))
+    records = b""
+    for _ in range(draw(st.integers(1, 6))):
+        frame = draw(st.one_of(
+            common_edge_frames().map(lambda case: case[0]),
+            captured_frames().map(lambda case: case[0]),
+            st.binary(max_size=80),
+        ))
+        # one record length in eight lies; a wire length may be anything
+        lies = draw(st.sampled_from([False] * 7 + [True]))
+        incl_len = draw(st.integers(0, 0xFFFFFFFF)) if lies else len(frame)
+        orig_len = draw(st.one_of(st.just(len(frame)), st.integers(0, 0xFFFFFFFF)))
+        ts_sec, ts_frac = draw(st.integers(0, 0xFFFFFFFF)), draw(st.integers(0, 0xFFFFFFFF))
+        records += struct.pack(order + "IIII", ts_sec, ts_frac, incl_len, orig_len) + frame
+    if draw(st.sampled_from([False] * 3 + [True])):
+        records += draw(st.binary(min_size=1, max_size=24))
+    header = struct.pack(order + "IHHiII", magic, 2, 4, 0, 0, 65535)
+    return (header + struct.pack(order + "I", link_type | upper_bits) + records,
+            header + struct.pack(order + "I", link_type) + records)
+
+
+class TestCaptureBytes:
+    # a 64-byte block makes records straddle blocks; the default holds them whole
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pcap_files(), st.sampled_from([64, packets._BLOCK_SIZE]))
+    def test_records_or_malformed_capture(self, tmp_path, monkeypatch, case, block_size):
+        monkeypatch.setattr(packets, "_BLOCK_SIZE", block_size)
+        outcomes = []
+        for name, data in zip(("flagged", "plain"), case):
+            p = tmp_path / f"{name}.pcap"
+            p.write_bytes(data)
+            try:
+                records = list(read_packets(p))
+            except MalformedCapture:
+                outcomes.append(MalformedCapture)
+            else:
+                assert all(type(record) is PacketRecord for record in records)
+                outcomes.append(records)
+        # the upper bits of the link-type field do not change the link type
+        assert outcomes[0] == outcomes[1]
+
+    def test_captures_decode_often_enough_to_compare(self, tmp_path):
+        # the generator must reach records, not only data errors and skips
+        decoded = []
+
+        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+        @given(pcap_files())
+        def tally(case):
+            p = tmp_path / "capture.pcap"
+            p.write_bytes(case[0])
+            try:
+                decoded.append(any(True for _ in read_packets(p)))
+            except MalformedCapture:
+                decoded.append(False)
+
+        tally()
+        assert sum(decoded) >= len(decoded) // 10
+
+
 class TestAddressCache:
     def test_bounded_and_same_text_as_uncached(self):
         n = packets._ADDRESS_CACHE_SIZE + 100
