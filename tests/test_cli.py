@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from camsieve import cli, dataset, features, flows, packets, synth, tree
 from camsieve.cli import main
@@ -502,6 +504,48 @@ def model_path(workdir):
     path = workdir / "stream_model.json"
     assert main(["train", str(workdir / "both.csv"), "-o", str(path)]) == 0
     return path
+
+
+# (kind, position, bytes): flip the byte at position by bytes[0], cut
+# len(bytes) bytes there, or insert bytes there; positions wrap around, and
+# the bytes are any bytes or the characters of CSV numbers and rows
+csv_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "cut", "insert"]), st.integers(0, 1 << 16),
+        st.one_of(st.binary(min_size=1, max_size=8),
+                  st.text("0123456789.-+eEinfaN,\"\r\n", min_size=1, max_size=8).map(str.encode)),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def edited(data: bytes, edits) -> bytes:
+    data = bytearray(data)
+    for kind, position, blob in edits:
+        at = position % (len(data) + 1)
+        if kind == "insert":
+            data[at:at] = blob
+        elif kind == "cut":
+            del data[at : at + len(blob)]
+        elif data:  # a flip
+            data[position % len(data)] ^= blob[0] or 0xFF
+    return bytes(data)
+
+
+class TestEditedCsv:
+    """The model commands on a flow CSV with bytes flipped, cut or inserted:
+    each exits 0 or 1, and none raises."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_edits)
+    def test_model_commands_exit_0_or_1(self, workdir, model_path, tmp_path, edits):
+        flows_csv = tmp_path / "edited.csv"
+        flows_csv.write_bytes(edited((workdir / "both.csv").read_bytes(), edits))
+        for argv in (["train", flows_csv, "-o", tmp_path / "model.json"],
+                     ["cv", flows_csv, "-k", "2", "-o", tmp_path / "cv.txt"],
+                     ["predict", model_path, flows_csv, "-o", tmp_path / "scored.csv"]):
+            assert main([str(a) for a in argv]) in (0, 1), argv
 
 
 def csv_lines(path):
