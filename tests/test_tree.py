@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import os
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from camsieve import tree
@@ -825,3 +826,102 @@ class TestMalformedModel:
         write_model_payload(path, [small_model_payload()])
         with pytest.raises(CorruptModel, match="payload is not an object"):
             load_model(path)
+
+
+def field_paths(value, path=()):
+    """The path (dict keys and list indexes) of every field below value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+# top-level field -> its path and the paths below it, so that the 77 feature
+# names do not crowd out the other fields
+MODEL_FIELD_PATHS = {
+    field: [(field,), *field_paths(value, (field,))]
+    for field, value in small_model_payload().items()
+}
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 80), st.integers(),
+              st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def neighbours(value):
+    """Values one small step from a field's value, often of another JSON type."""
+    if isinstance(value, bool):
+        return [not value, int(value)]
+    if isinstance(value, int):
+        return [value - 1, value + 1, -value, float(value), value == 1, str(value), [value]]
+    if isinstance(value, float):
+        return [value / 2, value * 2 + 1, -value, int(value), str(value), float("inf")]
+    if isinstance(value, str):
+        return [value + "x", value[:-1], value.upper(), "", 1]
+    if isinstance(value, list):
+        return [value[:-1], value + value[-1:], value[::-1], [], [value]]
+    return [{}, {"note": value}, [value]]
+
+
+@st.composite
+def mutated_payloads(draw):
+    """small_model_payload() with one field deleted, set to a neighbouring
+    value, or set to any JSON value."""
+    payload = small_model_payload()
+    field = draw(st.sampled_from(sorted(MODEL_FIELD_PATHS)))
+    *parents, key = draw(st.sampled_from(MODEL_FIELD_PATHS[field]))
+    container = payload
+    for parent in parents:
+        container = container[parent]
+    kind = draw(st.sampled_from(["delete", "neighbour", "any"]))
+    if kind == "delete":
+        del container[key]
+    elif kind == "neighbour":
+        container[key] = draw(st.sampled_from(neighbours(container[key])))
+    else:
+        container[key] = draw(json_values)
+    return payload
+
+
+class TestLoadModelProperty:
+    """A mutated model file loads only as save_model would write it."""
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_payloads())
+    def test_corrupt_or_the_bytes_save_model_writes(self, tmp_path, payload):
+        path = tmp_path / "model.json"
+        write_model_payload(path, payload)
+        try:
+            model = load_model(path)
+        except CorruptModel:
+            return
+        # the file in save_model's layout: sorted keys, no spaces
+        written = json.dumps(json.loads(path.read_bytes()), sort_keys=True, separators=(",", ":"))
+        assert model_bytes(model) == written.encode("utf-8")
+
+    def test_mutations_load_often_enough_to_compare(self, tmp_path):
+        # the generator must reach models that load, not only rejections
+        loaded = []
+
+        @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @given(mutated_payloads())
+        def tally(payload):
+            path = tmp_path / "model.json"
+            write_model_payload(path, payload)
+            try:
+                loaded.append(load_model(path) is not None)
+            except CorruptModel:
+                loaded.append(False)
+
+        tally()
+        assert sum(loaded) >= len(loaded) // 40
