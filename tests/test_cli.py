@@ -509,7 +509,7 @@ def model_path(workdir):
 # (kind, position, bytes): flip the byte at position by bytes[0], cut
 # len(bytes) bytes there, or insert bytes there; positions wrap around, and
 # the bytes are any bytes or the characters of CSV numbers and rows
-csv_edits = st.lists(
+byte_edits = st.lists(
     st.tuples(
         st.sampled_from(["flip", "cut", "insert"]), st.integers(0, 1 << 16),
         st.one_of(st.binary(min_size=1, max_size=8),
@@ -532,13 +532,13 @@ def edited(data: bytes, edits) -> bytes:
     return bytes(data)
 
 
-class TestEditedCsv:
-    """The model commands on a flow CSV with bytes flipped, cut or inserted:
-    each exits 0 or 1, and none raises."""
+class TestEditedInputs:
+    """The model commands on a flow CSV or taxonomy with bytes flipped, cut
+    or inserted: each exits 0 or 1, and none raises."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(csv_edits)
+    @given(byte_edits)
     def test_model_commands_exit_0_or_1(self, workdir, model_path, tmp_path, edits):
         flows_csv = tmp_path / "edited.csv"
         flows_csv.write_bytes(edited((workdir / "both.csv").read_bytes(), edits))
@@ -546,6 +546,16 @@ class TestEditedCsv:
                      ["cv", flows_csv, "-k", "2", "-o", tmp_path / "cv.txt"],
                      ["predict", model_path, flows_csv, "-o", tmp_path / "scored.csv"]):
             assert main([str(a) for a in argv]) in (0, 1), argv
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(byte_edits)
+    def test_train_with_an_edited_taxonomy_exits_0_or_1(self, workdir, tmp_path, edits):
+        # a taxonomy has no canonical writer, so it gets only this property
+        taxonomy = tmp_path / "taxonomy.json"
+        taxonomy.write_bytes(edited(b'{"Conf": "Others", "MyCam": "IoTCam"}', edits))
+        argv = ["train", workdir / "both.csv", "--taxonomy", taxonomy, "-o", tmp_path / "m.json"]
+        assert main([str(a) for a in argv]) in (0, 1)
 
 
 def csv_lines(path):
