@@ -108,10 +108,9 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
         if magic_le not in _PCAP_MAGICS:
             raise MalformedCapture(f"{path}: unrecognized magic 0x{magic_le:08X}")
         order, subsec_div = _PCAP_MAGICS[magic_le]
-        # the link type is the field's low 16 bits (libpcap's LT_LINKTYPE): the
-        # upper bits may announce an FCS length (draft-ietf-opsawg-pcap). FCS
-        # bytes stay in the frame, as libpcap hands them over; the IP lengths
-        # bound the payload.
+        # the field's low 16 bits, as libpcap's LT_LINKTYPE reads them: the upper
+        # bits may announce an FCS length (draft-ietf-opsawg-pcap), whose bytes
+        # stay in the frame as libpcap hands them over
         link_type = struct.unpack(order + "I", header[20:24])[0] & 0xFFFF
         record_header = struct.Struct(order + "IIII").unpack_from
 
