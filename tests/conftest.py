@@ -94,6 +94,25 @@ def swap_records(data: bytes, i: int) -> bytes:
     return data[:24] + b"".join(records)
 
 
+def ipv6_capture(data: bytes, prefix: bytes) -> bytes:
+    """A little-endian pcap of Ethernet/IPv4 frames without IP options, as
+    synth writes them, with each IPv4 header replaced by an IPv6 one: each
+    address is the 12-byte `prefix` followed by the IPv4 address, the payload
+    length is the IPv4 total length less 20, the next header is the IPv4
+    protocol, and each record's captured and wire lengths grow by 20."""
+    out, pos = [data[:24]], 24
+    while pos < len(data):
+        ts_sec, ts_frac, incl_len, orig_len = struct.unpack_from("<IIII", data, pos)
+        frame = data[pos + 16 : pos + 16 + incl_len]
+        total_length, protocol = struct.unpack_from("!H5xB", frame, 16)
+        ip6 = struct.pack("!IHBB", 6 << 28, total_length - 20, protocol, 64)
+        ip6 += prefix + frame[26:30] + prefix + frame[30:34]
+        out.append(struct.pack("<IIII", ts_sec, ts_frac, incl_len + 20, orig_len + 20))
+        out.append(frame[:12] + struct.pack("!H", 0x86DD) + ip6 + frame[34:])
+        pos += 16 + incl_len
+    return b"".join(out)
+
+
 def flow_packet(ts, payload_len, total_length, header_len=8, flags=0, window=0):
     """PacketRecord with placeholder endpoints, for make_flow to fill in."""
     return PacketRecord(

@@ -7,6 +7,7 @@ import random
 import re
 import resource
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -26,12 +27,14 @@ from camsieve.tree import load_model
 from conftest import (
     MALFORMED_PAYLOADS,
     ipv4_frame,
+    ipv6_capture,
     small_model_payload,
     swap_records,
     udp_segment,
     write_model_payload,
     write_pcap_bytes,
 )
+from oracles import _reference_ipv6_text
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +208,64 @@ class TestLinkTypeField:
         for suffix in ("csv", "json"):
             assert (tmp_path / f"flagged.{suffix}").read_bytes() == \
                 (tmp_path / f"plain.{suffix}").read_bytes()
+
+
+class TestIPv6Capture:
+    """A synth capture rewritten from IPv4 to IPv6 (conftest.ipv6_capture)
+    holds the same flows: the same rows in the same order, with the identity
+    cells in IPv6 text and every packet 20 bytes longer on the wire."""
+
+    PREFIXES = [
+        pytest.param(bytes.fromhex("20010db8") + bytes(8), id="2001-db8"),
+        # spelled ::ffff:a00:1 on every Python, although 3.13's ipaddress
+        # writes ::ffff:10.0.0.1
+        pytest.param(bytes(10) + b"\xff\xff", id="ipv4-mapped"),
+    ]
+
+    @staticmethod
+    def captures(tmp_path, kind, prefix):
+        v4, v6 = tmp_path / "v4.pcap", tmp_path / "v6.pcap"
+        assert main(["synth", "--kind", kind, "-n", "20", "--seed", "3", "-o", str(v4)]) == 0
+        v6.write_bytes(ipv6_capture(v4.read_bytes(), prefix))
+        return v4, v6
+
+    @staticmethod
+    def ipv6_flow_id(flow_id, prefix):
+        src, dst, rest = flow_id.split("-", 2)
+        text = [_reference_ipv6_text(prefix + socket.inet_aton(a)) for a in (src, dst)]
+        return f"{text[0]}-{text[1]}-{rest}"
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @pytest.mark.parametrize("kind", ["camera", "conf", "share"])
+    def test_extract_gives_the_same_rows(self, tmp_path, kind, prefix):
+        rows = []
+        for pcap in self.captures(tmp_path, kind, prefix):
+            out = tmp_path / (pcap.stem + ".csv")
+            assert main(["extract", str(pcap), "--label", "Conf", "-o", str(out)]) == 0
+            with open(out, newline="") as fh:
+                rows.append(list(csv.reader(fh))[2:])
+        v4_rows, v6_rows = rows
+        size = 6 + features.FEATURE_NAMES.index("Average Packet Size")
+        assert len(v6_rows) == len(v4_rows) > 0
+        for old, new in zip(v4_rows, v6_rows):
+            expected = [self.ipv6_flow_id(old[0], prefix)] + [
+                _reference_ipv6_text(prefix + socket.inet_aton(a)) for a in old[1:3]
+            ] + old[3:]
+            expected[size] = repr(float(old[size]) + 20.0)
+            assert new == expected
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    def test_inspect_gives_the_same_report(self, tmp_path, prefix):
+        reports = []
+        for pcap in self.captures(tmp_path, "conf", prefix):
+            out = tmp_path / (pcap.stem + ".json")
+            assert main(["inspect", str(pcap), "--app", "teams", "--json", "-o", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        v4_report, v6_report = reports
+        assert v4_report["flows"]
+        for entry in v4_report["flows"]:
+            entry["flow_id"] = self.ipv6_flow_id(entry["flow_id"], prefix)
+        assert v6_report == v4_report
 
 
 class TestWriteErrors:
