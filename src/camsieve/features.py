@@ -21,6 +21,7 @@ from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .flows import FlowState
+from .packets import address_text
 
 SCHEMA_NAME = "camsieve-flow-stats"
 SCHEMA_VERSION = "1"
@@ -359,8 +360,8 @@ def compute_features(
 
     return LabeledRecord(
         flow_id=flow.flow_id,
-        src_ip=flow.initiator[0],
-        dst_ip=flow.responder[0],
+        src_ip=address_text(flow.initiator[0]),
+        dst_ip=address_text(flow.responder[0]),
         src_port=flow.initiator[1],
         dst_port=flow.responder[1],
         protocol=flow.protocol,

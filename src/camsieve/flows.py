@@ -6,17 +6,18 @@ from array import array
 from typing import Callable, Iterable
 
 from .errors import OutOfOrderTimestamp
-from .packets import IPPROTO_TCP, PacketRecord, TcpFlags
+from .packets import IPPROTO_TCP, PacketRecord, TcpFlags, address_text
 
 DEFAULT_FLOW_TIMEOUT_US = 600_000_000
 # a half-closed TCP flow is considered finished after this much silence
 HALF_CLOSE_SILENCE_US = 1_000_000
 
-Endpoint = tuple[str, int]
+Endpoint = tuple[bytes, int]  # (raw address, port)
 
 
 def canonical_key(pkt: PacketRecord) -> tuple[Endpoint, Endpoint, int]:
-    """Direction-independent flow identity: (lower endpoint, higher endpoint, protocol)."""
+    """Direction-independent flow identity: (lower endpoint, higher endpoint, protocol).
+    Endpoints order by raw address bytes; output sorts by `flow_id` text instead."""
     return _flow_key((pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port), pkt.protocol)
 
 
@@ -47,13 +48,15 @@ class FlowState:
     each packet's `payload_head` as it is added, through `assemble_flows`'s
     observer.
 
-    Per flow it keeps the wire-byte sum (`wire_bytes`) and the TCP window of
-    the first packet in each direction (`first_window_fwd`, `first_window_bwd`;
-    None before that direction's first packet). The columns are in
-    non-decreasing timestamp order: `assemble_flows` rejects a
-    decreasing timestamp, and a flow built by hand must add its packets in
-    that order, since `compute_features` reads the columns as the flow's
-    timeline.
+    Per flow it keeps the first packet's source and destination endpoints,
+    (raw address, port) pairs that only `flow_id` and the identity cells spell
+    as text, as `initiator` and `responder`; the wire-byte sum (`wire_bytes`);
+    and the TCP window of the first packet in each direction
+    (`first_window_fwd`, `first_window_bwd`; None before that direction's
+    first packet). The columns are in non-decreasing timestamp order:
+    `assemble_flows` rejects a decreasing timestamp, and a flow built by hand
+    must add its packets in that order, since `compute_features` reads the
+    columns as the flow's timeline.
     """
 
     __slots__ = (
@@ -88,7 +91,8 @@ class FlowState:
     @property
     def flow_id(self) -> str:
         src, dst = self.initiator, self.responder
-        return f"{src[0]}-{dst[0]}-{src[1]}-{dst[1]}-{self.protocol}-{self.start_ts}"
+        return (f"{address_text(src[0])}-{address_text(dst[0])}-{src[1]}-{dst[1]}-"
+                f"{self.protocol}-{self.start_ts}")
 
     @property
     def packet_count(self) -> int:

@@ -64,8 +64,8 @@ class PacketRecord(NamedTuple):
     """One decoded TCP or UDP packet, timestamp in microseconds since epoch."""
 
     timestamp: int
-    src_ip: str
-    dst_ip: str
+    src_ip: bytes  # raw network-order address: 4 bytes for IPv4, 16 for IPv6
+    dst_ip: bytes
     src_port: int
     dst_port: int
     protocol: int  # IPPROTO_TCP or IPPROTO_UDP
@@ -171,29 +171,17 @@ _COMMON = struct.Struct("!12xHBxH2xHxB2x4s4sHHH6xBBH")
 _COMMON_LENGTH = _COMMON.size  # 50: the TCP window ends there
 _common_frame = _COMMON.unpack_from
 
-# A capture's packets come from few hosts, so the text of each IPv4 address is
-# cached in a dict; it is emptied when it reaches the bound, so a capture of
-# many hosts does not grow it. A dict hit costs about a third of an lru_cache
-# hit, and a packet makes two.
-_ADDRESS_CACHE_SIZE = 4096
-_ipv4_texts: dict[bytes, str] = {}
-
-
-def _new_ipv4_text(address: bytes) -> str:
-    """The text of a 4-byte IPv4 address not in _ipv4_texts, which keeps it."""
-    if len(_ipv4_texts) >= _ADDRESS_CACHE_SIZE:
-        _ipv4_texts.clear()
-    text = _ipv4_texts[address] = socket.inet_ntoa(address)
-    return text
-
 _IPV4_MAPPED_PREFIX = bytes(10) + b"\xff\xff"
 _IPV4_MAPPED_TAIL = struct.Struct("!HH").unpack_from
 
 
-def _ipv6_text(address: bytes) -> str:
-    """The text of a 16-byte IPv6 address as `ipaddress` writes it on Python
+def address_text(address: bytes) -> str:
+    """The text of a raw 4-byte IPv4 or 16-byte IPv6 address, as a flow's
+    identity is written. IPv6 is spelled as `ipaddress` spells it on Python
     3.10-3.12, on every version: 3.13 writes an IPv4-mapped address with a
     dotted tail (::ffff:1.2.3.4), where earlier versions write ::ffff:102:304."""
+    if len(address) == 4:
+        return socket.inet_ntoa(address)
     if address[:12] == _IPV4_MAPPED_PREFIX:
         # the leading five zero groups are the longest run, so they compress
         return "::ffff:%x:%x" % _IPV4_MAPPED_TAIL(address, 12)
@@ -211,7 +199,8 @@ def decode_packet(
     Total by design: ARP, ICMP, unknown ethertypes, non-first IP fragments
     and malformed headers all skip rather than raise. 802.1Q tags are
     unwrapped transparently. Payload lengths come from the IP and UDP length
-    fields, so a snaplen-cut frame reports its wire payload length.
+    fields, so a snaplen-cut frame reports its wire payload length. Addresses
+    stay raw bytes: no text is made per frame.
     """
     captured = len(raw_frame)
     if wire_length is None:
@@ -272,8 +261,6 @@ def decode_packet(
         if end > captured:
             end = captured
         segment_length = total_len - header_len
-        src = _ipv4_texts.get(src) or _new_ipv4_text(src)
-        dst = _ipv4_texts.get(dst) or _new_ipv4_text(dst)
     elif ethertype == ETHERTYPE_IPV6:
         bounds = _ipv6_transport(raw_frame, start, wire_length)
         if bounds is None:
@@ -320,9 +307,9 @@ def decode_packet(
 
 def _ipv6_transport(
     frame: bytes, start: int, wire_length: int
-) -> tuple[int, str, str, int, int, int] | None:
+) -> tuple[int, bytes, bytes, int, int, int] | None:
     """The transport bounds of the IPv6 packet at frame[start:], start being the
-    link header's length: (protocol, source, destination, the transport
+    link header's length: (protocol, raw source, raw destination, the transport
     header's offset, the captured segment's end, the segment's length by the
     IP header), or None for a skip. Walks the common extension headers;
     anything exotic is a skip."""
@@ -355,7 +342,7 @@ def _ipv6_transport(
             offset += 8
         else:
             return None
-    return next_header, _ipv6_text(src), _ipv6_text(dst), offset, end, start + ip_end - offset
+    return next_header, src, dst, offset, end, start + ip_end - offset
 
 
 def read_packets(path: str | Path) -> Iterator[PacketRecord]:

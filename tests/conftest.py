@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import socket
 import struct
 
 import pytest
@@ -116,7 +117,7 @@ def ipv6_capture(data: bytes, prefix: bytes) -> bytes:
 def flow_packet(ts, payload_len, total_length, header_len=8, flags=0, window=0):
     """PacketRecord with placeholder endpoints, for make_flow to fill in."""
     return PacketRecord(
-        timestamp=ts, src_ip="", dst_ip="", src_port=0, dst_port=0, protocol=IPPROTO_UDP,
+        timestamp=ts, src_ip=b"", dst_ip=b"", src_port=0, dst_port=0, protocol=IPPROTO_UDP,
         total_length=total_length, transport_header_length=header_len,
         payload_length=payload_len, payload_head=bytes(min(payload_len, PAYLOAD_HEAD)),
         tcp_flags=flags, tcp_window=window,
@@ -148,7 +149,8 @@ def recorded_flows(monkeypatch):
 
 
 def make_flow(fwd_packets, bwd_packets, protocol=IPPROTO_UDP,
-              initiator=("10.0.0.1", 5000), responder=("10.0.0.2", 6000)) -> RecordedFlow:
+              initiator=(socket.inet_aton("10.0.0.1"), 5000),
+              responder=(socket.inet_aton("10.0.0.2"), 6000)) -> RecordedFlow:
     """A flow built by hand through `FlowState.add`, bypassing the assembler.
 
     Each packet gets the flow's protocol and the endpoints of its direction;

@@ -12,7 +12,6 @@ flow ends, where `inspect` keeps running state as each packet joins.
 """
 from __future__ import annotations
 
-import socket
 import statistics
 import struct
 from collections import Counter
@@ -347,8 +346,8 @@ def _reference_ipv4(
     if frag_word & 0x1FFF:  # non-first fragments carry no transport header
         return None
     proto = data[9]
-    src = socket.inet_ntoa(data[12:16])
-    dst = socket.inet_ntoa(data[16:20])
+    src = data[12:16]
+    dst = data[16:20]
     # zero (segmentation offload), too small, or longer than the frame on the
     # wire: the length field is wrong, so trust the capture
     if not header_len <= total_len <= wire_length - link_length:
@@ -381,8 +380,8 @@ def _reference_ipv6(
         return None
     payload_len = struct.unpack("!H", data[4:6])[0]
     next_header = data[6]
-    src = _reference_ipv6_text(data[8:24])
-    dst = _reference_ipv6_text(data[24:40])
+    src = data[8:24]
+    dst = data[24:40]
     ip_end = 40 + payload_len
     if not payload_len or ip_end > wire_length - link_length:  # jumbogram or bogus
         ip_end = len(data)
@@ -417,8 +416,8 @@ def _reference_ipv6(
 def _reference_transport(
     data: bytes,
     proto: int,
-    src: str,
-    dst: str,
+    src: bytes,
+    dst: bytes,
     timestamp: int,
     wire_length: int,
     segment_length: int,

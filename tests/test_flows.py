@@ -1,4 +1,5 @@
 import random
+import socket
 import struct
 from collections import defaultdict
 
@@ -26,7 +27,11 @@ from camsieve.protocols import PayloadHints, build_report
 from conftest import ipv4_frame, tcp_segment, udp_segment, write_pcap_bytes
 
 
-def udp_pkt(ts, src=("10.0.0.1", 5000), dst=("10.0.0.2", 6000), payload=b"x"):
+A = (socket.inet_aton("10.0.0.1"), 5000)
+B = (socket.inet_aton("10.0.0.2"), 6000)
+
+
+def udp_pkt(ts, src=A, dst=B, payload=b"x"):
     return PacketRecord(
         timestamp=ts, src_ip=src[0], dst_ip=dst[0], src_port=src[1], dst_port=dst[1],
         protocol=IPPROTO_UDP, total_length=42 + len(payload),
@@ -34,7 +39,7 @@ def udp_pkt(ts, src=("10.0.0.1", 5000), dst=("10.0.0.2", 6000), payload=b"x"):
     )
 
 
-def tcp_pkt(ts, src=("10.0.0.1", 5000), dst=("10.0.0.2", 6000), flags=TcpFlags.ACK,
+def tcp_pkt(ts, src=A, dst=B, flags=TcpFlags.ACK,
             payload=b"", window=8192):
     return PacketRecord(
         timestamp=ts, src_ip=src[0], dst_ip=dst[0], src_port=src[1], dst_port=dst[1],
@@ -42,10 +47,6 @@ def tcp_pkt(ts, src=("10.0.0.1", 5000), dst=("10.0.0.2", 6000), flags=TcpFlags.A
         transport_header_length=20, payload_length=len(payload), payload_head=payload,
         tcp_flags=flags, tcp_window=window,
     )
-
-
-A = ("10.0.0.1", 5000)
-B = ("10.0.0.2", 6000)
 
 
 class TestCanonicalKey:
@@ -56,13 +57,14 @@ class TestCanonicalKey:
         assert canonical_key(udp_pkt(0)) != canonical_key(tcp_pkt(0))
 
     def test_self_flow(self):
-        key = canonical_key(udp_pkt(0, ("10.0.0.1", 80), ("10.0.0.1", 80)))
-        assert key == (("10.0.0.1", 80), ("10.0.0.1", 80), IPPROTO_UDP)
+        endpoint = (socket.inet_aton("10.0.0.1"), 80)
+        key = canonical_key(udp_pkt(0, endpoint, endpoint))
+        assert key == (endpoint, endpoint, IPPROTO_UDP)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.tuples(st.ip_addresses(v=4).map(str), st.integers(0, 65535)),
-        st.tuples(st.ip_addresses(v=4).map(str), st.integers(0, 65535)),
+        st.tuples(st.ip_addresses(v=4).map(lambda a: a.packed), st.integers(0, 65535)),
+        st.tuples(st.ip_addresses(v=4).map(lambda a: a.packed), st.integers(0, 65535)),
     )
     def test_symmetry_property(self, ep1, ep2):
         assert canonical_key(udp_pkt(0, ep1, ep2)) == canonical_key(udp_pkt(0, ep2, ep1))
@@ -145,7 +147,8 @@ class TestFlush:
 
     def test_three_open_flows(self):
         flows = assemble_flows(
-            [udp_pkt(i, ("10.0.0.9", port), B) for i, port in enumerate([1111, 2222, 3333])]
+            [udp_pkt(i, (socket.inet_aton("10.0.0.9"), port), B)
+             for i, port in enumerate([1111, 2222, 3333])]
         )
         assert len(flows) == 3
         assert all(f.termination is Termination.END_OF_CAPTURE for f in flows)
@@ -160,7 +163,7 @@ class TestFlush:
 
 def _random_stream(seed, n=300):
     rng = random.Random(seed)
-    endpoints = [("10.0.0.%d" % i, 1000 + i) for i in range(1, 6)]
+    endpoints = [(bytes([10, 0, 0, i]), 1000 + i) for i in range(1, 6)]
     ts = 0
     pkts = []
     for _ in range(n):
@@ -210,7 +213,7 @@ TIMEOUT_US = 10
 # half-close silence, which the timeout must not hide
 STEPS = (0, 1, TIMEOUT_US - 1, TIMEOUT_US, TIMEOUT_US + 1, HALF_CLOSE_SILENCE_US - 1,
          HALF_CLOSE_SILENCE_US)
-ENDPOINTS = (("10.0.0.1", 5000), ("10.0.0.2", 6000), ("10.0.0.1", 6000))
+ENDPOINTS = (A, B, (A[0], 6000))
 FLAGS = (0, TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN, TcpFlags.FIN | TcpFlags.ACK,
          TcpFlags.RST, TcpFlags.RST | TcpFlags.ACK, TcpFlags.PSH | TcpFlags.ACK)
 

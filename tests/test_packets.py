@@ -1,3 +1,4 @@
+import csv
 import io
 import ipaddress
 import itertools
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camsieve import cli, flows, packets
+from camsieve import cli, flows, packets, synth
 from camsieve.errors import MalformedCapture
 from camsieve.packets import (
     IPPROTO_TCP,
@@ -28,7 +29,7 @@ from camsieve.packets import (
 )
 
 from conftest import ipv4_frame, tcp_segment, udp_segment, write_pcap_bytes
-from oracles import reference_decode
+from oracles import _reference_ipv6_text, reference_decode
 
 
 class TestOpenCapture:
@@ -135,8 +136,8 @@ class TestDecodePacket:
         rec = decode_packet(frame, LINKTYPE_ETHERNET, timestamp=7)
         assert rec == PacketRecord(
             timestamp=7,
-            src_ip="10.0.0.1",
-            dst_ip="10.0.0.2",
+            src_ip=socket.inet_aton("10.0.0.1"),
+            dst_ip=socket.inet_aton("10.0.0.2"),
             src_port=5000,
             dst_port=6000,
             protocol=IPPROTO_UDP,
@@ -198,7 +199,7 @@ class TestDecodePacket:
         assert rec is not None
         assert rec.src_port == 1111
         assert rec.payload_head == b"hello"
-        assert ":" in rec.src_ip
+        assert ":" in packets.address_text(rec.src_ip)
 
     def test_unknown_link_type_skips(self):
         assert decode_packet(b"\x00" * 64, 147) is None
@@ -715,30 +716,53 @@ class TestCaptureBytes:
         assert sum(decoded) >= len(decoded) // 10
 
 
-class TestAddressCache:
-    def test_bounded_and_same_text_as_uncached(self):
-        n = packets._ADDRESS_CACHE_SIZE + 100
+class TestAddressText:
+    """Records hold raw addresses; `address_text` spells them where a flow is written."""
+
+    def test_extract_spells_addresses_past_the_old_cache_bound(self, tmp_path):
+        # one packet a flow from more than 4,096 IPv4 and as many IPv6 sources,
+        # the bound of the IPv4 text cache that records no longer go through
+        n = 4096 + 100
+        frames, expected = [], []
         for i in range(n):
             src, dst = struct.pack("!I", 0x0A000000 + i), struct.pack("!I", 0xC0A80000 + i)
             frame = ipv4_frame(transport=udp_segment())
-            frame = frame[:26] + src + dst + frame[34:]
-            rec = decode_packet(frame, LINKTYPE_ETHERNET)
-            assert (rec.src_ip, rec.dst_ip) == (socket.inet_ntoa(src), socket.inet_ntoa(dst))
+            frames.append((2 * i, frame[:26] + src + dst + frame[34:]))
+            expected.append((socket.inet_ntoa(src), socket.inet_ntoa(dst)))
 
             mapped = b"\x00" * 10 + b"\xff\xff" + src
             plain = struct.pack("!QQ", 0x20010DB8 << 32, i)
-            rec = decode_packet(ipv6_frame(IPPROTO_UDP, udp_segment())[:22] + mapped + plain
-                                + udp_segment(), LINKTYPE_ETHERNET)
-            assert rec.src_ip == f"::ffff:a00:{i:x}"
-            assert rec.dst_ip == str(ipaddress.IPv6Address(plain))
-        assert 0 < len(packets._ipv4_texts) <= packets._ADDRESS_CACHE_SIZE
+            frames.append((2 * i + 1, ipv6_frame(IPPROTO_UDP, udp_segment())[:22] + mapped + plain
+                           + udp_segment()))
+            expected.append((f"::ffff:a00:{i:x}", str(ipaddress.IPv6Address(plain))))
+        pcap, out = tmp_path / "hosts.pcap", tmp_path / "hosts.csv"
+        synth.write_pcap(pcap, frames)
+        assert cli.main(["extract", str(pcap), "--label", "Conf", "-o", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[2:]
+        assert [(row[1], row[2]) for row in rows] == expected
+        for (ts, _), (src, dst), row in zip(frames, expected, rows):
+            assert row[0] == f"{src}-{dst}-5000-6000-{IPPROTO_UDP}-{ts}"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.binary(min_size=4, max_size=4),
+        st.binary(min_size=4, max_size=4).map(lambda tail: b"\x00" * 10 + b"\xff\xff" + tail),
+        st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=8, max_size=8)
+        .map(lambda groups: struct.pack("!8H", *groups)),
+    ))
+    def test_address_text_matches_the_references(self, address):
+        if len(address) == 4:
+            assert packets.address_text(address) == socket.inet_ntoa(address)
+        else:
+            assert packets.address_text(address) == _reference_ipv6_text(address)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=8, max_size=8))
     def test_ipv6_text_is_ipaddress_text_outside_the_mapped_range(self, groups):
         address = struct.pack("!8H", *groups)
         if address[:12] != b"\x00" * 10 + b"\xff\xff":
-            assert packets._ipv6_text(address) == str(ipaddress.IPv6Address(address))
+            assert packets.address_text(address) == str(ipaddress.IPv6Address(address))
 
     def test_ipv4_mapped_spelling(self):
         # ipaddress's spelling on Python 3.10-3.12, on every version: 3.13
@@ -747,4 +771,4 @@ class TestAddressCache:
         for tail, text in ((bytes([1, 2, 3, 4]), "::ffff:102:304"), (bytes(4), "::ffff:0:0")):
             mapped = b"\x00" * 10 + b"\xff\xff" + tail
             rec = decode_packet(frame[:22] + mapped + frame[38:], LINKTYPE_ETHERNET)
-            assert rec.src_ip == text
+            assert packets.address_text(rec.src_ip) == text

@@ -1,3 +1,4 @@
+import socket
 import struct
 
 import pytest
@@ -268,7 +269,8 @@ class TestContinuity:
 def _one_packet_flow(src_port, dst_port, protocol=IPPROTO_UDP):
     pkt = flow_packet(0, 10, 60)
     return make_flow([pkt], [], protocol,
-                     initiator=("10.0.0.1", src_port), responder=("10.0.0.2", dst_port))
+                     initiator=(socket.inet_aton("10.0.0.1"), src_port),
+                     responder=(socket.inet_aton("10.0.0.2"), dst_port))
 
 
 class TestPortProfile:
@@ -302,11 +304,11 @@ class TestBuildReport:
 
         fwd = [rtp_packet(i, pt) for i, pt in enumerate(fwd_pts)]
         bwd = [carrying(len(fwd), b"xx")]
-        return make_flow(fwd, bwd, initiator=("10.0.0.1", src_port))
+        return make_flow(fwd, bwd, initiator=(socket.inet_aton("10.0.0.1"), src_port))
 
     def rtp_looking_flow(self, protocol, dst_port):
         fwd = [carrying(i, rtp_bytes(pt=96, seq=i, ssrc=7)) for i in range(6)]
-        return make_flow(fwd, [], protocol, responder=("10.0.0.2", dst_port))
+        return make_flow(fwd, [], protocol, responder=(socket.inet_aton("10.0.0.2"), dst_port))
 
     def test_payload_types_read_from_packets_and_sorted_numerically(self):
         flows = [self.rtp_flow([100, 100, 96, 100], 5000), self.rtp_flow([9, 9], 5001)]
@@ -427,7 +429,7 @@ def inspected_captures(draw):
     for ts in range(draw(st.integers(1, 40))):
         i = draw(st.integers(0, len(flows) - 1))
         protocol, port_a, port_b = flows[i]
-        src, dst = (f"10.0.{i}.1", port_a), (f"10.0.{i}.2", port_b)
+        src, dst = (bytes([10, 0, i, 1]), port_a), (bytes([10, 0, i, 2]), port_b)
         if draw(st.booleans()):
             src, dst = dst, src
         payload = draw(inspected_payloads())

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ class TestWireValidity:
         flows = assemble_flows(read_packets_sorted(pcap))
         by_endpoints = {(f.initiator, f.responder): f for f in flows}
         for entry in entries:
-            key = ((entry["src_ip"], entry["src_port"]), (entry["dst_ip"], entry["dst_port"]))
+            key = ((socket.inet_aton(entry["src_ip"]), entry["src_port"]),
+                   (socket.inet_aton(entry["dst_ip"]), entry["dst_port"]))
             flow = by_endpoints[key]
             assert flow.packet_count == entry["packets"]
             assert flow.directions.count(1) == entry["fwd_packets"]
@@ -86,8 +88,8 @@ class TestWireValidity:
         pcap, entries = small_runs[TrafficKind.SHARE]
         flows = assemble_flows(read_packets_sorted(pcap))
         for flow, entry in zip(flows, sorted(entries, key=lambda e: e["first_ts_us"])):
-            assert flow.initiator == (entry["src_ip"], entry["src_port"])
-            assert flow.responder == (entry["dst_ip"], entry["dst_port"])
+            assert flow.initiator == (socket.inet_aton(entry["src_ip"]), entry["src_port"])
+            assert flow.responder == (socket.inet_aton(entry["dst_ip"]), entry["dst_port"])
             assert flow.protocol == IPPROTO_TCP
 
 
@@ -102,7 +104,7 @@ class TestConfRtp:
         for entry in entries:
             fwd_payloads = [
                 p.payload_head for p in packets
-                if (p.src_ip, p.src_port) == (entry["src_ip"], entry["src_port"])
+                if (p.src_ip, p.src_port) == (socket.inet_aton(entry["src_ip"]), entry["src_port"])
             ]
             assert fwd_payloads
             headers = [parse_rtp_header(p) for p in fwd_payloads]
