@@ -93,12 +93,14 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
     """Yield raw frames from a pcap file in file order.
 
     Timestamps are converted to microseconds (nanosecond captures are
-    truncated). Raises MalformedCapture on a bad magic number, a record
-    longer than MAX_RECORD_LENGTH or a record cut short by file truncation;
-    frames before the bad record are still yielded. The file is read in
-    blocks of _BLOCK_SIZE bytes and each record header is parsed in place, so
-    a record costs no read of its own; a record that straddles blocks carries
-    over to the next.
+    truncated). A frame's data stops before the FCS that the header's
+    link-type field announces, as far as the record holds it; its wire
+    length keeps the FCS. Raises MalformedCapture on a bad magic number, a
+    record longer than MAX_RECORD_LENGTH or a record cut short by file
+    truncation; frames before the bad record are still yielded. The file is
+    read in blocks of _BLOCK_SIZE bytes and each record header is parsed in
+    place, so a record costs no read of its own; a record that straddles
+    blocks carries over to the next.
     """
     with open(path, "rb") as fh:
         header = fh.read(24)
@@ -108,10 +110,12 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
         if magic_le not in _PCAP_MAGICS:
             raise MalformedCapture(f"{path}: unrecognized magic 0x{magic_le:08X}")
         order, subsec_div = _PCAP_MAGICS[magic_le]
-        # the field's low 16 bits, as libpcap's LT_LINKTYPE reads them: the upper
-        # bits may announce an FCS length (draft-ietf-opsawg-pcap), whose bytes
-        # stay in the frame as libpcap hands them over
-        link_type = struct.unpack(order + "I", header[20:24])[0] & 0xFFFF
+        # the field's low 16 bits, as libpcap's LT_LINKTYPE reads them; bit 26
+        # announces that each frame ends in an FCS of the 16-bit words in bits
+        # 28-31 (draft-ietf-opsawg-pcap)
+        field = struct.unpack(order + "I", header[20:24])[0]
+        link_type = field & 0xFFFF
+        fcs = (field >> 28) * 2 if field & 0x04000000 else 0
         record_header = struct.Struct(order + "IIII").unpack_from
 
         block = b""
@@ -127,9 +131,12 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
                 end = pos + 16 + incl_len
                 if end > size:
                     break
+                frame_end = end
+                if fcs and orig_len - fcs < incl_len:  # the record holds FCS bytes
+                    frame_end = pos + 16 + max(orig_len - fcs, 0)
                 yield _new(CapturedFrame, (
                     ts_sec * 1_000_000 + ts_frac // subsec_div, link_type,
-                    block[pos + 16 : end], orig_len,
+                    block[pos + 16 : frame_end], orig_len,
                 ))
                 pos = end
             more = fh.read(_BLOCK_SIZE)

@@ -119,6 +119,30 @@ class TestOpenCapture:
             list(open_capture(p))
         assert len(reads) == 2 and reads[0] == 24  # global header, first block, no more
 
+    @pytest.mark.parametrize("held, payload_length", [
+        pytest.param(4, 20, id="whole-fcs"),
+        pytest.param(2, 20, id="fcs-cut-by-snaplen"),
+        pytest.param(-5, 15, id="cut-before-the-fcs"),
+    ])
+    def test_fcs_bytes_are_not_payload(self, tmp_path, held, payload_length):
+        # IP total length and UDP length 0 (segmentation offload): the payload
+        # length falls back to the captured bytes, which hold `held` of the 4
+        # FCS bytes that the link-type field 0x24000001 announces
+        udp = struct.pack("!HHHH", 5000, 6000, 0, 0) + bytes(range(20))
+        frame = ipv4_frame(transport=udp, total_length=0)
+        record = (frame + b"\xfc" * 4)[: len(frame) + held]
+        data = bytearray(write_pcap_bytes([]))
+        struct.pack_into("<I", data, 20, 0x24000001)
+        data += struct.pack("<IIII", 0, 0, len(record), len(frame) + 4) + record
+        p = tmp_path / "fcs.pcap"
+        p.write_bytes(data)
+        (captured,) = open_capture(p)
+        assert captured.data == record[: len(frame)]
+        assert captured.wire_length == len(frame) + 4
+        (rec,) = read_packets(p)
+        assert rec.payload_length == payload_length
+        assert rec.total_length == len(frame) + 4
+
     def test_too_short_for_global_header(self, tmp_path):
         p = tmp_path / "tiny.pcap"
         p.write_bytes(b"\xd4\xc3\xb2\xa1short")
@@ -647,9 +671,10 @@ class TestCommonFrame:
 @st.composite
 def pcap_files(draw):
     """(capture, the same capture with the link-type field's upper 16 bits
-    clear): a valid global header of either byte order and timestamp
-    resolution, then records of frames for the one-call reader, the general
-    reader and neither, record lengths that may lie, and any trailing bytes."""
+    clear, the FCS bytes that those bits announce): a valid global header of
+    either byte order and timestamp resolution, then records of frames for the
+    one-call reader, the general reader and neither, record lengths that may
+    lie, and any trailing bytes."""
     order = draw(st.sampled_from("<>"))
     magic = draw(st.sampled_from([0xA1B2C3D4, 0xA1B23C4D]))  # micro-, nanoseconds
     link_type = draw(st.sampled_from([LINKTYPE_ETHERNET] * 6 + [LINKTYPE_RAW_IP, 0, 113]))
@@ -673,8 +698,9 @@ def pcap_files(draw):
     if draw(st.sampled_from([False] * 3 + [True])):
         records += draw(st.binary(min_size=1, max_size=24))
     header = struct.pack(order + "IHHiII", magic, 2, 4, 0, 0, 65535)
+    fcs = (upper_bits >> 28) * 2 if upper_bits & 0x04000000 else 0
     return (header + struct.pack(order + "I", link_type | upper_bits) + records,
-            header + struct.pack(order + "I", link_type) + records)
+            header + struct.pack(order + "I", link_type) + records, fcs)
 
 
 class TestCaptureBytes:
@@ -684,8 +710,18 @@ class TestCaptureBytes:
     @given(pcap_files(), st.sampled_from([64, packets._BLOCK_SIZE]))
     def test_records_or_malformed_capture(self, tmp_path, monkeypatch, case, block_size):
         monkeypatch.setattr(packets, "_BLOCK_SIZE", block_size)
+        fcs = case[2]
+        open_capture = packets.open_capture
+
+        def without_fcs(path):
+            # each frame cut where the announced FCS begins on the wire
+            for frame in open_capture(path):
+                yield frame._replace(data=frame.data[: max(frame.wire_length - fcs, 0)])
+
         outcomes = []
         for name, data in zip(("flagged", "plain"), case):
+            if name == "plain" and fcs:
+                monkeypatch.setattr(packets, "open_capture", without_fcs)
             p = tmp_path / f"{name}.pcap"
             p.write_bytes(data)
             try:
@@ -695,7 +731,8 @@ class TestCaptureBytes:
             else:
                 assert all(type(record) is PacketRecord for record in records)
                 outcomes.append(records)
-        # the upper bits of the link-type field do not change the link type
+        # the upper bits of the link-type field do not change the link type,
+        # and an FCS that they announce is not frame data
         assert outcomes[0] == outcomes[1]
 
     def test_captures_decode_often_enough_to_compare(self, tmp_path):
