@@ -230,10 +230,12 @@ class TestIPv6Capture:
         return v4, v6
 
     @staticmethod
-    def ipv6_flow_id(flow_id, prefix):
+    def ipv6_text(ipv4_text, prefix):
+        return _reference_ipv6_text(prefix + socket.inet_aton(ipv4_text))
+
+    def ipv6_flow_id(self, flow_id, prefix):
         src, dst, rest = flow_id.split("-", 2)
-        text = [_reference_ipv6_text(prefix + socket.inet_aton(a)) for a in (src, dst)]
-        return f"{text[0]}-{text[1]}-{rest}"
+        return f"{self.ipv6_text(src, prefix)}-{self.ipv6_text(dst, prefix)}-{rest}"
 
     @pytest.mark.parametrize("prefix", PREFIXES)
     @pytest.mark.parametrize("kind", ["camera", "conf", "share"])
@@ -248,9 +250,8 @@ class TestIPv6Capture:
         size = 6 + features.FEATURE_NAMES.index("Average Packet Size")
         assert len(v6_rows) == len(v4_rows) > 0
         for old, new in zip(v4_rows, v6_rows):
-            expected = [self.ipv6_flow_id(old[0], prefix)] + [
-                _reference_ipv6_text(prefix + socket.inet_aton(a)) for a in old[1:3]
-            ] + old[3:]
+            expected = [self.ipv6_flow_id(old[0], prefix), self.ipv6_text(old[1], prefix),
+                        self.ipv6_text(old[2], prefix), *old[3:]]
             expected[size] = repr(float(old[size]) + 20.0)
             assert new == expected
 
