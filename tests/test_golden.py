@@ -1,6 +1,7 @@
 """Pinned sha256 digests of every CLI output on a small fixed synthetic corpus
 (inspect's report on each capture under two application contexts), and of train (plain and importance-pruned), cv and report (at two importance
-thresholds) on a seeded corpus that grows a depth-11 tree.
+thresholds) on a seeded corpus that grows a depth-11 tree, and of one synth
+capture at the benchmark's scale.
 
 Refactors must keep these bytes. A change that alters an output on purpose
 updates the digest here and says why in CHANGES.md.
@@ -46,6 +47,16 @@ GOLDEN = {
     "inspect-share-teams.json": "8432302ec2945a47b7368fa18272acfa229608bd28517e14f677b0f54b5cb308",
     "inspect-share-generic.json": "61071946fe16473bf0d07b6c2749cd43461315fa03f8e34c990a9f0d7ad97a8d",
     "scored.csv": "fb9f0dcb2ed21f24a426a70de292a199ca5bdc5d76e6379df93dc936dc0a3368",
+}
+
+
+# The camera capture at the benchmark's scale: about 455 of its flows are open
+# at once, so the frames of many flows interleave in time order
+BENCH_FLOWS = 500
+BENCH_SEED = 3
+BENCH_GOLDEN = {
+    "camera.pcap": "6fab4ea90ba869328a864b59c7f08229b61ad312a87455301427ccde1785d917",
+    "camera.pcap.manifest.jsonl": "6ccc14dd0586fc403568abdaf08e8dbffbb7de221256bf7fdc14fde4a062baa6",
 }
 
 
@@ -145,6 +156,19 @@ def test_predict_input_has_non_finite_cells(outputs):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == GOLDEN[name]
+
+
+@pytest.fixture(scope="module")
+def bench_outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden-bench")
+    _run("synth", "--kind", "camera", "-n", BENCH_FLOWS, "--seed", BENCH_SEED,
+         "-o", d / "camera.pcap")
+    return {name: (d / name).read_bytes() for name in BENCH_GOLDEN}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
+def test_bench_scale_digest(bench_outputs, name):
+    assert hashlib.sha256(bench_outputs[name]).hexdigest() == BENCH_GOLDEN[name]
 
 
 @pytest.fixture(scope="module")
