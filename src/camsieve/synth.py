@@ -12,13 +12,15 @@ seed): same inputs, byte-identical pcap and manifest.
 from __future__ import annotations
 
 import enum
+import heapq
 import json
+import math
 import random
 import socket
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .dataset import atomic_write_text
 from .packets import IPPROTO_TCP, IPPROTO_UDP, TcpFlags
@@ -72,73 +74,9 @@ class SynthProfile:
 class _Event:
     ts: int
     forward: bool
-    payload: bytes
+    size: int  # payload bytes: the head, then zeros
     flags: int = 0
-
-
-def _ipv4_checksum(header: bytes) -> int:
-    total = sum(struct.unpack("!%dH" % (len(header) // 2), header))
-    total = (total & 0xFFFF) + (total >> 16)
-    total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
-def _build_frame(
-    forward: bool,
-    flow: "_FlowPlan",
-    payload: bytes,
-    flags: int,
-    seq_state: dict[str, int],
-) -> bytes:
-    if forward:
-        src_mac, dst_mac = flow.client_mac, flow.server_mac
-        src_ip, dst_ip = flow.client_ip, flow.server_ip
-        src_port, dst_port = flow.client_port, flow.server_port
-    else:
-        src_mac, dst_mac = flow.server_mac, flow.client_mac
-        src_ip, dst_ip = flow.server_ip, flow.client_ip
-        src_port, dst_port = flow.server_port, flow.client_port
-
-    eth = dst_mac + src_mac + struct.pack("!H", 0x0800)
-    if flow.tcp:
-        side = "fwd" if forward else "bwd"
-        seq = seq_state[side]
-        ack = seq_state["bwd" if forward else "fwd"]
-        # transport checksums are left zero; the decoder does not verify them
-        transport = struct.pack(
-            "!HHIIBBHHH",
-            src_port,
-            dst_port,
-            seq & 0xFFFFFFFF,
-            ack & 0xFFFFFFFF,
-            (TCP_HEADER // 4) << 4,
-            flags,
-            flow.client_window if forward else flow.server_window,
-            0,
-            0,
-        ) + payload
-        seq_state[side] = seq + len(payload) + (1 if flags & (TcpFlags.SYN | TcpFlags.FIN) else 0)
-    else:
-        transport = struct.pack("!HHHH", src_port, dst_port, UDP_HEADER + len(payload), 0) + payload
-
-    total_len = IP_HEADER + len(transport)
-    ip_wo_ck = struct.pack(
-        "!BBHHHBBH4s4s",
-        0x45,
-        0,
-        total_len,
-        seq_state["ip_id"] & 0xFFFF,
-        0,
-        64,
-        IPPROTO_TCP if flow.tcp else IPPROTO_UDP,
-        0,
-        socket.inet_aton(src_ip),
-        socket.inet_aton(dst_ip),
-    )
-    seq_state["ip_id"] += 1
-    checksum = _ipv4_checksum(ip_wo_ck)
-    ip = ip_wo_ck[:10] + struct.pack("!H", checksum) + ip_wo_ck[12:]
-    return eth + ip + transport
+    head: bytes = b""
 
 
 @dataclass
@@ -152,17 +90,6 @@ class _FlowPlan:
     server_mac: bytes
     client_window: int = 0
     server_window: int = 0
-
-
-def _rtp_payload(
-    pt: int, seq: int, rtp_ts: int, ssrc: int, marker: bool, size: int
-) -> bytes:
-    # version 2 with the extension bit set; the RTP/RTCP demux calls this RTP
-    # at once, before it looks for an RTCP type or the full 12-byte header
-    b0 = 0x90
-    b1 = (0x80 if marker else 0) | pt
-    header = struct.pack("!BBHII", b0, b1, seq & 0xFFFF, rtp_ts & 0xFFFFFFFF, ssrc)
-    return header + b"\x00" * max(0, size - 12)
 
 
 def _gap(rng: random.Random, mean_us: float, cap_us: float) -> int:
@@ -179,7 +106,7 @@ def _camera_events(rng: random.Random, manifest: dict) -> list[_Event]:
     ts = 0
     for i in range(n_fwd):
         size = max(450, min(760, round(rng.gauss(600, 45))))
-        events.append(_Event(ts, True, b"\x00" * size))
+        events.append(_Event(ts, True, size))
         fwd_times.append(ts)
         if i in idle_at:
             ts += int(rng.uniform(6_000_000, 20_000_000))
@@ -190,7 +117,7 @@ def _camera_events(rng: random.Random, manifest: dict) -> list[_Event]:
     for _ in range(n_bwd):
         size = max(50, min(150, round(rng.gauss(90, 18))))
         anchor = fwd_times[rng.randrange(n_fwd)]
-        events.append(_Event(anchor + rng.randint(200, 2000), False, b"\x00" * size))
+        events.append(_Event(anchor + rng.randint(200, 2000), False, size))
     events.sort(key=lambda e: (e.ts, not e.forward))
     manifest["params"] = {
         "fwd_packets": n_fwd,
@@ -220,9 +147,11 @@ def _conf_events(rng: random.Random, manifest: dict) -> list[_Event]:
         for i in range(n_each):
             size = max(962, min(1362, round(rng.gauss(1162, 80))))
             marker = rng.random() < 0.08
-            events.append(
-                _Event(ts, forward, _rtp_payload(pt, seq0 + i, rtp_ts, ssrc, marker, size))
-            )
+            # version 2 with the extension bit set; the RTP/RTCP demux calls this
+            # RTP at once, before it looks for an RTCP type or the full header
+            rtp = struct.pack("!BBHII", 0x90, (0x80 if marker else 0) | pt,
+                              (seq0 + i) & 0xFFFF, rtp_ts & 0xFFFFFFFF, ssrc)
+            events.append(_Event(ts, forward, size, head=rtp))
             rtp_ts += 3000
             ts += _gap(rng, 30_000, 900_000)
     events.sort(key=lambda e: (e.ts, not e.forward))
@@ -240,21 +169,21 @@ def _share_events(rng: random.Random, manifest: dict) -> list[_Event]:
     n_data = rng.randint(60, 120)
     rtt = int(rng.uniform(15_000, 40_000))
     events = [
-        _Event(0, True, b"", TcpFlags.SYN),
-        _Event(rtt, False, b"", TcpFlags.SYN | TcpFlags.ACK),
-        _Event(2 * rtt, True, b"", TcpFlags.ACK),
-        _Event(2 * rtt + 1000, True, b"\x00" * 250, TcpFlags.PSH | TcpFlags.ACK),
+        _Event(0, True, 0, TcpFlags.SYN),
+        _Event(rtt, False, 0, TcpFlags.SYN | TcpFlags.ACK),
+        _Event(2 * rtt, True, 0, TcpFlags.ACK),
+        _Event(2 * rtt + 1000, True, 250, TcpFlags.PSH | TcpFlags.ACK),
     ]
     ts = 3 * rtt
     for i in range(n_data):
         size = max(1300, min(1460, round(rng.gauss(1400, 30))))
-        events.append(_Event(ts, False, b"\x00" * size, TcpFlags.PSH | TcpFlags.ACK))
+        events.append(_Event(ts, False, size, TcpFlags.PSH | TcpFlags.ACK))
         if (i + 1) % 16 == 0:
-            events.append(_Event(ts + rtt // 2, True, b"", TcpFlags.ACK))
+            events.append(_Event(ts + rtt // 2, True, 0, TcpFlags.ACK))
         ts += _gap(rng, 12_000, 700_000)
-    events.append(_Event(ts, False, b"", TcpFlags.FIN | TcpFlags.ACK))
-    events.append(_Event(ts + rtt, True, b"", TcpFlags.FIN | TcpFlags.ACK))
-    events.append(_Event(ts + 2 * rtt, False, b"", TcpFlags.ACK))
+    events.append(_Event(ts, False, 0, TcpFlags.FIN | TcpFlags.ACK))
+    events.append(_Event(ts + rtt, True, 0, TcpFlags.FIN | TcpFlags.ACK))
+    events.append(_Event(ts + 2 * rtt, False, 0, TcpFlags.ACK))
     events.sort(key=lambda e: e.ts)
     manifest["params"] = {"data_packets": n_data, "rtt_us": rtt, "payload_mean": 1400}
     return events
@@ -300,14 +229,78 @@ def _flow_rng(profile: SynthProfile, index: int) -> random.Random:
     return random.Random(profile.seed * 1_000_003 + kind_idx * 7_919 + index)
 
 
+# Ethernet, then IPv4 from its total length to the ports, then the rest of the
+# UDP header (length, zero checksum) or of the TCP header (sequence, ack, data
+# offset, flags, window, zero checksum and urgent pointer). Transport checksums
+# are left zero; the decoder does not verify them.
+_UDP_HEAD = struct.Struct("!16sHH4sH12sH2x")
+_TCP_HEAD = struct.Struct("!16sHH4sH12sIIBBH4x")
+_RECORD = struct.Struct("<IIII")
+
+
+def _flow_frames(plan: _FlowPlan, index: int, events: list[_Event]) -> Iterator[tuple]:
+    """Flow index's frames in event order, each as (timestamp, merge key, frame).
+
+    Each direction's constant header bytes are made once, and so is the sum of
+    the constant IPv4 header words: a frame adds its total length and IP id to
+    that sum and folds it. The sum's order does not change its value.
+    """
+    proto = IPPROTO_TCP if plan.tcp else IPPROTO_UDP
+    transport_header = TCP_HEADER if plan.tcp else UDP_HEADER
+    client_ip, server_ip = socket.inet_aton(plan.client_ip), socket.inet_aton(plan.server_ip)
+    ttl_proto = bytes((0, 0, 64, proto))  # no fragmenting, TTL 64
+    constant_sum = 0x4500 + (64 << 8 | proto) + sum(struct.unpack("!4H", client_ip + server_ip))
+    # the Ethernet header, then IPv4's version, header length and zero TOS
+    eth_ip = {True: plan.server_mac + plan.client_mac + b"\x08\x00\x45\x00",
+              False: plan.client_mac + plan.server_mac + b"\x08\x00\x45\x00"}
+    ends = {True: client_ip + server_ip + struct.pack("!HH", plan.client_port, plan.server_port),
+            False: server_ip + client_ip + struct.pack("!HH", plan.server_port, plan.client_port)}
+    seq = {True: 1000 + index, False: 500_000 + index}
+    window = {True: plan.client_window, False: plan.server_window}
+    start = BASE_TIMESTAMP_US + index * FLOW_STAGGER_US
+    key = index * 1_000_000
+    ip_id = index * 131
+    for ev in events:
+        forward, size = ev.forward, ev.size
+        ip_id &= 0xFFFF
+        total = IP_HEADER + transport_header + size
+        checksum = constant_sum + total + ip_id
+        checksum = (checksum & 0xFFFF) + (checksum >> 16)
+        checksum = ~((checksum & 0xFFFF) + (checksum >> 16)) & 0xFFFF
+        if plan.tcp:
+            head = _TCP_HEAD.pack(eth_ip[forward], total, ip_id, ttl_proto, checksum,
+                                  ends[forward], seq[forward] & 0xFFFFFFFF,
+                                  seq[not forward] & 0xFFFFFFFF, (TCP_HEADER // 4) << 4,
+                                  ev.flags, window[forward])
+            seq[forward] += size + (1 if ev.flags & (TcpFlags.SYN | TcpFlags.FIN) else 0)
+        else:
+            head = _UDP_HEAD.pack(eth_ip[forward], total, ip_id, ttl_proto, checksum,
+                                  ends[forward], UDP_HEADER + size)
+        yield start + ev.ts, key, head + ev.head + bytes(size - len(ev.head))
+        key += 1
+        ip_id += 1
+
+
+def _merged(heap: list, before: float) -> Iterator[tuple[int, bytes]]:
+    """The open flows' frames in (timestamp, merge key) order while the
+    earliest is before the given time; each popped flow draws its next frame."""
+    while heap and heap[0][0] < before:
+        ts, _, frame, frames = heap[0]
+        yield ts, frame
+        following = next(frames, None)
+        if following is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (*following, frames))
+
+
 def write_pcap(path: str | Path, frames: Iterable[tuple[int, bytes]]) -> None:
     """Little-endian, microsecond pcap with Ethernet link type."""
 
     def emit(fh):
         fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
         for ts, frame in frames:
-            fh.write(struct.pack("<IIII", ts // 1_000_000, ts % 1_000_000, len(frame), len(frame)))
-            fh.write(frame)
+            fh.write(_RECORD.pack(ts // 1_000_000, ts % 1_000_000, len(frame), len(frame)) + frame)
 
     atomic_write_text(path, emit, binary=True)
 
@@ -315,46 +308,51 @@ def write_pcap(path: str | Path, frames: Iterable[tuple[int, bytes]]) -> None:
 def generate(
     profile: SynthProfile, out: str | Path, manifest_path: str | Path | None = None
 ) -> list[dict]:
-    """Write the pcap plus a JSON-lines manifest; returns the manifest entries."""
-    label = KIND_LABELS[profile.kind]
-    all_frames: list[tuple[int, int, bytes]] = []  # (ts, tiebreak, frame)
-    manifest_entries: list[dict] = []
+    """Write the pcap plus a JSON-lines manifest; returns the manifest entries.
 
-    builders = {
+    Frames are written as they are built, in time order. A flow's events are
+    drawn once every frame before its start is written, so memory follows the
+    flows open at once, not the size of the capture.
+    """
+    label = KIND_LABELS[profile.kind]
+    manifest_entries: list[dict] = []
+    builder = {
         TrafficKind.CAMERA: _camera_events,
         TrafficKind.CONF: _conf_events,
         TrafficKind.SHARE: _share_events,
-    }
+    }[profile.kind]
 
-    for i in range(profile.n_flows):
-        rng = _flow_rng(profile, i)
-        plan = _plan_flow(profile, i)
-        entry: dict = {
-            "flow_index": i,
-            "label": label,
-            "kind": profile.kind.value,
-            "src_ip": plan.client_ip,
-            "src_port": plan.client_port,
-            "dst_ip": plan.server_ip,
-            "dst_port": plan.server_port,
-            "protocol": IPPROTO_TCP if plan.tcp else IPPROTO_UDP,
-            "rtp": None,
-            "seed": profile.seed,
-        }
-        events = builders[profile.kind](rng, entry)
-        start = BASE_TIMESTAMP_US + i * FLOW_STAGGER_US
-        seq_state = {"fwd": 1000 + i, "bwd": 500_000 + i, "ip_id": (i * 131) & 0xFFFF}
-        for order, ev in enumerate(events):
-            frame = _build_frame(ev.forward, plan, ev.payload, ev.flags, seq_state)
-            all_frames.append((start + ev.ts, i * 1_000_000 + order, frame))
-        entry["packets"] = len(events)
-        entry["fwd_packets"] = sum(1 for e in events if e.forward)
-        entry["bwd_packets"] = sum(1 for e in events if not e.forward)
-        entry["first_ts_us"] = start
-        manifest_entries.append(entry)
+    def frames() -> Iterator[tuple[int, bytes]]:
+        # one (timestamp, merge key, frame, later frames) per open flow; flow
+        # starts rise with i and no event comes before its flow's start
+        heap: list = []
+        for i in range(profile.n_flows):
+            start = BASE_TIMESTAMP_US + i * FLOW_STAGGER_US
+            yield from _merged(heap, start)
+            plan = _plan_flow(profile, i)
+            entry: dict = {
+                "flow_index": i,
+                "label": label,
+                "kind": profile.kind.value,
+                "src_ip": plan.client_ip,
+                "src_port": plan.client_port,
+                "dst_ip": plan.server_ip,
+                "dst_port": plan.server_port,
+                "protocol": IPPROTO_TCP if plan.tcp else IPPROTO_UDP,
+                "rtp": None,
+                "seed": profile.seed,
+            }
+            events = builder(_flow_rng(profile, i), entry)
+            entry["packets"] = len(events)
+            entry["fwd_packets"] = sum(1 for e in events if e.forward)
+            entry["bwd_packets"] = sum(1 for e in events if not e.forward)
+            entry["first_ts_us"] = start
+            manifest_entries.append(entry)
+            flow = _flow_frames(plan, i, events)
+            heapq.heappush(heap, (*next(flow), flow))
+        yield from _merged(heap, math.inf)
 
-    all_frames.sort(key=lambda item: (item[0], item[1]))
-    write_pcap(out, ((ts, frame) for ts, _, frame in all_frames))
+    write_pcap(out, frames())
 
     if manifest_path is None:
         manifest_path = str(out) + ".manifest.jsonl"

@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import socket
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from camsieve import flows
+from camsieve import cli, flows
 from camsieve.features import FEATURE_NAMES, schema_hash
 from camsieve.flows import FlowState, Termination
 from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PAYLOAD_HEAD, PacketRecord, TcpFlags
@@ -70,17 +74,43 @@ def tcp_segment(
 
 def write_pcap_bytes(frames, magic=0xA1B2C3D4, order="<", subsec_scale=1) -> bytes:
     """Minimal pcap writer independent of the package's own."""
-    out = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    out = [struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)]
     for ts_us, frame in frames:
-        out += struct.pack(
+        out.append(struct.pack(
             order + "IIII",
             ts_us // 1_000_000,
             (ts_us % 1_000_000) * subsec_scale,
             len(frame),
             len(frame),
-        )
-        out += frame
-    return out
+        ))
+        out.append(frame)
+    return b"".join(out)
+
+
+# On Linux a process's peak RSS starts at the resident size of the process it
+# was forked from, so the command is started from this small launcher, not from
+# the test process; the launcher prints the command's peak RSS in kB
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+command = "import sys; from camsieve.cli import main; sys.exit(main(sys.argv[1:]))"
+child = subprocess.Popen([sys.executable, "-c", command, *sys.argv[1:]])
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+if child.returncode:
+    sys.exit(f"command exited with {child.returncode}")
+print(usage.ru_maxrss)
+"""
+
+
+def run_for_peak_rss(argv) -> int:
+    """Peak RSS in kB of a child process that runs one CLI command."""
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    launcher = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_LAUNCHER, *argv],
+        env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return int(launcher.stdout.split()[-1])
 
 
 def swap_records(data: bytes, i: int) -> bytes:

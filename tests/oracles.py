@@ -9,9 +9,13 @@ package's split search on a single node, for the tests that compare it with
 the oracles. `reference_report` is another: it holds every payload head of a
 flow and classifies them with the package's per-payload functions after the
 flow ends, where `inspect` keeps running state as each packet joins.
+`reference_capture` is a third: it draws each flow's events with the
+package's synth builders, then builds every frame field by field and sorts
+them all, where `synth.generate` streams them from precomputed header bytes.
 """
 from __future__ import annotations
 
+import socket
 import statistics
 import struct
 from collections import Counter
@@ -41,6 +45,20 @@ from camsieve.protocols import (
     media_hint,
     port_profile,
     rtp_stream_continuity,
+)
+from camsieve.synth import (
+    BASE_TIMESTAMP_US,
+    FLOW_STAGGER_US,
+    IP_HEADER,
+    TCP_HEADER,
+    UDP_HEADER,
+    SynthProfile,
+    TrafficKind,
+    _camera_events,
+    _conf_events,
+    _flow_rng,
+    _plan_flow,
+    _share_events,
 )
 from camsieve.tree import best_split
 
@@ -532,3 +550,95 @@ def reference_report(flows, heads_of: dict, app: AppContext = AppContext.GENERIC
         "port_profile_dst": {str(p): share for p, share in dst_shares.items()},
         "rtp_payload_type_totals": {str(k): v for k, v in sorted(pt_total.items())},
     }
+
+
+# synth's capture built the plain way: every frame of every flow made field by
+# field from the flow's plan, held in one list, sorted, then returned.
+
+
+def _ipv4_checksum(header: bytes) -> int:
+    total = sum(struct.unpack("!%dH" % (len(header) // 2), header))
+    total = (total & 0xFFFF) + (total >> 16)
+    total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def _build_frame(forward: bool, flow, payload: bytes, flags: int, seq_state: dict) -> bytes:
+    if forward:
+        src_mac, dst_mac = flow.client_mac, flow.server_mac
+        src_ip, dst_ip = flow.client_ip, flow.server_ip
+        src_port, dst_port = flow.client_port, flow.server_port
+    else:
+        src_mac, dst_mac = flow.server_mac, flow.client_mac
+        src_ip, dst_ip = flow.server_ip, flow.client_ip
+        src_port, dst_port = flow.server_port, flow.client_port
+
+    eth = dst_mac + src_mac + struct.pack("!H", 0x0800)
+    if flow.tcp:
+        side = "fwd" if forward else "bwd"
+        seq = seq_state[side]
+        ack = seq_state["bwd" if forward else "fwd"]
+        transport = struct.pack(
+            "!HHIIBBHHH",
+            src_port,
+            dst_port,
+            seq & 0xFFFFFFFF,
+            ack & 0xFFFFFFFF,
+            (TCP_HEADER // 4) << 4,
+            flags,
+            flow.client_window if forward else flow.server_window,
+            0,
+            0,
+        ) + payload
+        seq_state[side] = seq + len(payload) + (1 if flags & (TcpFlags.SYN | TcpFlags.FIN) else 0)
+    else:
+        transport = struct.pack("!HHHH", src_port, dst_port, UDP_HEADER + len(payload), 0) + payload
+
+    total_len = IP_HEADER + len(transport)
+    ip_wo_ck = struct.pack(
+        "!BBHHHBBH4s4s",
+        0x45,
+        0,
+        total_len,
+        seq_state["ip_id"] & 0xFFFF,
+        0,
+        64,
+        IPPROTO_TCP if flow.tcp else IPPROTO_UDP,
+        0,
+        socket.inet_aton(src_ip),
+        socket.inet_aton(dst_ip),
+    )
+    seq_state["ip_id"] += 1
+    checksum = _ipv4_checksum(ip_wo_ck)
+    ip = ip_wo_ck[:10] + struct.pack("!H", checksum) + ip_wo_ck[12:]
+    return eth + ip + transport
+
+
+def reference_rtp_payload(pt: int, seq: int, rtp_ts: int, ssrc: int, marker: bool, size: int) -> bytes:
+    """A conf payload: an RTP version 2 header with the extension bit set, then zeros."""
+    b0 = 0x90
+    b1 = (0x80 if marker else 0) | pt
+    header = struct.pack("!BBHII", b0, b1, seq & 0xFFFF, rtp_ts & 0xFFFFFFFF, ssrc)
+    return header + b"\x00" * max(0, size - 12)
+
+
+def reference_capture(profile: SynthProfile) -> list[tuple[int, bytes]]:
+    """Every (timestamp, frame) of the profile's capture, in the order
+    `synth.generate` writes them."""
+    builder = {
+        TrafficKind.CAMERA: _camera_events,
+        TrafficKind.CONF: _conf_events,
+        TrafficKind.SHARE: _share_events,
+    }[profile.kind]
+    all_frames = []  # (ts, tiebreak, frame)
+    for i in range(profile.n_flows):
+        plan = _plan_flow(profile, i)
+        events = builder(_flow_rng(profile, i), {"flow_index": i})
+        start = BASE_TIMESTAMP_US + i * FLOW_STAGGER_US
+        seq_state = {"fwd": 1000 + i, "bwd": 500_000 + i, "ip_id": (i * 131) & 0xFFFF}
+        for order, ev in enumerate(events):
+            payload = ev.head + b"\x00" * (ev.size - len(ev.head))
+            frame = _build_frame(ev.forward, plan, payload, ev.flags, seq_state)
+            all_frames.append((start + ev.ts, i * 1_000_000 + order, frame))
+    all_frames.sort(key=lambda item: (item[0], item[1]))
+    return [(ts, frame) for ts, _, frame in all_frames]

@@ -28,6 +28,7 @@ from conftest import (
     MALFORMED_PAYLOADS,
     ipv4_frame,
     ipv6_capture,
+    run_for_peak_rss,
     small_model_payload,
     swap_records,
     udp_segment,
@@ -625,32 +626,6 @@ def csv_lines(path):
     camsieve wrote, without their CRLF endings."""
     schema, header, *rows = path.read_bytes().decode().split("\r\n")[:-1]
     return schema, header, rows
-
-
-# On Linux a process's peak RSS starts at the resident size of the process it
-# was forked from, so the command is started from this small launcher, not from
-# the test process; the launcher prints the command's peak RSS in kB
-PEAK_RSS_LAUNCHER = """
-import os, subprocess, sys
-command = "import sys; from camsieve.cli import main; sys.exit(main(sys.argv[1:]))"
-child = subprocess.Popen([sys.executable, "-c", command, *sys.argv[1:]])
-_, status, usage = os.wait4(child.pid, 0)
-child.returncode = os.waitstatus_to_exitcode(status)
-if child.returncode:
-    sys.exit(f"command exited with {child.returncode}")
-print(usage.ru_maxrss)
-"""
-
-
-def run_for_peak_rss(argv) -> int:
-    """Peak RSS in kB of a child process that runs one CLI command."""
-    src_dir = Path(cli.__file__).resolve().parents[1]
-    launcher = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_LAUNCHER, *argv],
-        env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
-        check=True, timeout=120,
-    )
-    return int(launcher.stdout.split()[-1])
 
 
 class TestPeakRss:

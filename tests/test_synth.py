@@ -1,8 +1,11 @@
 import json
 import socket
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from camsieve import cli
 from camsieve.errors import IoFailure
@@ -10,9 +13,21 @@ from camsieve.features import FEATURE_NAMES
 from camsieve.flows import assemble_flows
 from camsieve.packets import IPPROTO_TCP, open_capture, decode_packet, read_packets_sorted
 from camsieve.protocols import AppContext, MediaType, media_hint, parse_rtp_header, rtp_stream_continuity
-from camsieve.synth import KIND_LABELS, MAX_FLOWS, SynthProfile, TrafficKind, _plan_flow, generate
+from camsieve.synth import (
+    FLOW_STAGGER_US,
+    KIND_LABELS,
+    MAX_FLOWS,
+    SynthProfile,
+    TrafficKind,
+    _conf_events,
+    _flow_rng,
+    _plan_flow,
+    _share_events,
+    generate,
+)
 
-from oracles import split_node
+from conftest import run_for_peak_rss, write_pcap_bytes
+from oracles import reference_capture, reference_rtp_payload, split_node
 
 
 def fidx(name):
@@ -47,6 +62,29 @@ class TestDeterminism:
         assert p1.read_bytes() != p2.read_bytes()
 
 
+class TestReferenceCapture:
+    # 80 flows start over 4 s; conf and share flows last about 1-2 s, so the
+    # first flows end before the last ones start, and camera flows outlast that
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(TrafficKind), st.integers(1, 80), st.integers(0, 2**32))
+    @example(TrafficKind.CAMERA, 80, 3)
+    @example(TrafficKind.CONF, 80, 3)
+    @example(TrafficKind.SHARE, 80, 3)
+    def test_pcap_is_the_sorted_capture_built_frame_by_frame(self, tmp_path_factory, kind,
+                                                             n_flows, seed):
+        profile = SynthProfile(kind, n_flows, seed)
+        pcap = tmp_path_factory.mktemp("diff") / "out.pcap"
+        generate(profile, pcap)
+        assert pcap.read_bytes() == write_pcap_bytes(reference_capture(profile))
+
+    @pytest.mark.parametrize("kind, builder", [(TrafficKind.CONF, _conf_events),
+                                               (TrafficKind.SHARE, _share_events)])
+    def test_eighty_flows_end_the_first_before_the_last_starts(self, kind, builder):
+        profile = SynthProfile(kind, 80, 3)
+        first = builder(_flow_rng(profile, 0), {"flow_index": 0})
+        assert first[-1].ts < 79 * FLOW_STAGGER_US
+
+
 class TestProfile:
     def test_flows_past_the_client_ports_rejected(self):
         last = _plan_flow(SynthProfile(TrafficKind.CAMERA, MAX_FLOWS, 1), MAX_FLOWS - 1)
@@ -66,6 +104,15 @@ class TestWireValidity:
                 assert rec is not None, f"{kind} produced an undecodable frame"
                 total += 1
             assert total == sum(e["packets"] for e in entries)
+
+    def test_ipv4_header_checksums_verify(self, small_runs):
+        # the decoder does not check them: the header's words must fold to 0xFFFF
+        for kind, (pcap, _) in small_runs.items():
+            for frame in open_capture(pcap):
+                total = sum(struct.unpack("!10H", frame.data[14:34]))
+                while total > 0xFFFF:
+                    total = (total & 0xFFFF) + (total >> 16)
+                assert total == 0xFFFF, kind
 
     def test_flow_count_matches_manifest(self, small_runs):
         for kind, (pcap, entries) in small_runs.items():
@@ -114,6 +161,28 @@ class TestConfRtp:
             media, _ = media_hint(headers[0], AppContext(entry["rtp"]["app"]))
             assert media is MediaType.VIDEO
             assert headers[0].payload_type == entry["rtp"]["payload_type"]
+
+    def test_payloads_are_the_reference_rtp_payloads(self, small_runs):
+        # sequence numbers and RTP timestamps step by 1 and 3000 from the
+        # first packet's each way; only the marker bit varies at random
+        pcap, entries = small_runs[TrafficKind.CONF]
+        senders = {}  # the sender's address and port -> (payload type, SSRC)
+        for e in entries:
+            pt, rtp = e["rtp"]["payload_type"], e["rtp"]
+            senders[socket.inet_aton(e["src_ip"]), e["src_port"]] = (pt, rtp["ssrc_fwd"])
+            senders[socket.inet_aton(e["dst_ip"]), e["dst_port"]] = (pt, rtp["ssrc_bwd"])
+        streams = {}
+        for frame in open_capture(pcap):
+            sender = (frame.data[26:30], struct.unpack_from("!H", frame.data, 34)[0])
+            streams.setdefault(sender, []).append(frame.data[42:])
+        assert streams.keys() == senders.keys()
+        for sender, payloads in streams.items():
+            pt, ssrc = senders[sender]
+            _, _, seq0, ts0, _ = struct.unpack_from("!BBHII", payloads[0])
+            for i, payload in enumerate(payloads):
+                marker = bool(payload[1] & 0x80)
+                assert payload == reference_rtp_payload(pt, seq0 + i, ts0 + 3000 * i, ssrc,
+                                                        marker, len(payload))
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +279,14 @@ class TestWriteFailure:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["out.pcap"] + (["out.manifest.jsonl"] if blocked == "manifest" else [])
         )
+
+
+class TestSynthMemory:
+    def test_peak_follows_open_flows_not_capture_size(self, tmp_path):
+        # conf flows last about 1-2 s and start 50 ms apart, so some 30 are
+        # open at once whatever the flow count; 1,000 flows write a 130 MB
+        # capture, which a list of all its frames would hold in memory
+        peaks = [run_for_peak_rss(["synth", "--kind", "conf", "-n", str(n), "--seed", "3",
+                                   "-o", str(tmp_path / f"conf-{n}.pcap")])
+                 for n in (250, 1000)]
+        assert peaks[1] - peaks[0] < 10 << 10, f"peak RSS {peaks} kB"
