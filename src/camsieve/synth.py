@@ -189,6 +189,13 @@ def _share_events(rng: random.Random, manifest: dict) -> list[_Event]:
     return events
 
 
+_EVENT_BUILDERS = {
+    TrafficKind.CAMERA: _camera_events,
+    TrafficKind.CONF: _conf_events,
+    TrafficKind.SHARE: _share_events,
+}
+
+
 # plausible camera cloud-relay ports, none with a payload-heuristic meaning
 _CAMERA_SERVER_PORTS = (32100, 6000, 26656, 10317)
 
@@ -229,10 +236,10 @@ def _flow_rng(profile: SynthProfile, index: int) -> random.Random:
     return random.Random(profile.seed * 1_000_003 + kind_idx * 7_919 + index)
 
 
-# Ethernet, then IPv4 from its total length to the ports, then the rest of the
-# UDP header (length, zero checksum) or of the TCP header (sequence, ack, data
-# offset, flags, window, zero checksum and urgent pointer). Transport checksums
-# are left zero; the decoder does not verify them.
+# Ethernet and IPv4's first two bytes; IPv4's total length, id, fragment-TTL-
+# protocol bytes, checksum and addresses; the ports; the rest of the UDP header
+# or of the TCP header (sequence, ack, offset, flags, window). Transport
+# checksums are left zero; the decoder does not verify them.
 _UDP_HEAD = struct.Struct("!16sHH4sH12sH2x")
 _TCP_HEAD = struct.Struct("!16sHH4sH12sIIBBH4x")
 _RECORD = struct.Struct("<IIII")
@@ -258,11 +265,9 @@ def _flow_frames(plan: _FlowPlan, index: int, events: list[_Event]) -> Iterator[
     seq = {True: 1000 + index, False: 500_000 + index}
     window = {True: plan.client_window, False: plan.server_window}
     start = BASE_TIMESTAMP_US + index * FLOW_STAGGER_US
-    key = index * 1_000_000
-    ip_id = index * 131
-    for ev in events:
+    ip_id = (index * 131) & 0xFFFF
+    for key, ev in enumerate(events, index * 1_000_000):
         forward, size = ev.forward, ev.size
-        ip_id &= 0xFFFF
         total = IP_HEADER + transport_header + size
         checksum = constant_sum + total + ip_id
         checksum = (checksum & 0xFFFF) + (checksum >> 16)
@@ -277,8 +282,7 @@ def _flow_frames(plan: _FlowPlan, index: int, events: list[_Event]) -> Iterator[
             head = _UDP_HEAD.pack(eth_ip[forward], total, ip_id, ttl_proto, checksum,
                                   ends[forward], UDP_HEADER + size)
         yield start + ev.ts, key, head + ev.head + bytes(size - len(ev.head))
-        key += 1
-        ip_id += 1
+        ip_id = (ip_id + 1) & 0xFFFF
 
 
 def _merged(heap: list, before: float) -> Iterator[tuple[int, bytes]]:
@@ -316,11 +320,7 @@ def generate(
     """
     label = KIND_LABELS[profile.kind]
     manifest_entries: list[dict] = []
-    builder = {
-        TrafficKind.CAMERA: _camera_events,
-        TrafficKind.CONF: _conf_events,
-        TrafficKind.SHARE: _share_events,
-    }[profile.kind]
+    builder = _EVENT_BUILDERS[profile.kind]
 
     def frames() -> Iterator[tuple[int, bytes]]:
         # one (timestamp, merge key, frame, later frames) per open flow; flow

@@ -53,12 +53,9 @@ from camsieve.synth import (
     TCP_HEADER,
     UDP_HEADER,
     SynthProfile,
-    TrafficKind,
-    _camera_events,
-    _conf_events,
+    _EVENT_BUILDERS,
     _flow_rng,
     _plan_flow,
-    _share_events,
 )
 from camsieve.tree import best_split
 
@@ -625,11 +622,7 @@ def reference_rtp_payload(pt: int, seq: int, rtp_ts: int, ssrc: int, marker: boo
 def reference_capture(profile: SynthProfile) -> list[tuple[int, bytes]]:
     """Every (timestamp, frame) of the profile's capture, in the order
     `synth.generate` writes them."""
-    builder = {
-        TrafficKind.CAMERA: _camera_events,
-        TrafficKind.CONF: _conf_events,
-        TrafficKind.SHARE: _share_events,
-    }[profile.kind]
+    builder = _EVENT_BUILDERS[profile.kind]
     all_frames = []  # (ts, tiebreak, frame)
     for i in range(profile.n_flows):
         plan = _plan_flow(profile, i)

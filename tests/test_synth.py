@@ -168,9 +168,11 @@ class TestConfRtp:
         pcap, entries = small_runs[TrafficKind.CONF]
         senders = {}  # the sender's address and port -> (payload type, SSRC)
         for e in entries:
-            pt, rtp = e["rtp"]["payload_type"], e["rtp"]
-            senders[socket.inet_aton(e["src_ip"]), e["src_port"]] = (pt, rtp["ssrc_fwd"])
-            senders[socket.inet_aton(e["dst_ip"]), e["dst_port"]] = (pt, rtp["ssrc_bwd"])
+            rtp = e["rtp"]
+            client = (socket.inet_aton(e["src_ip"]), e["src_port"])
+            server = (socket.inet_aton(e["dst_ip"]), e["dst_port"])
+            senders[client] = (rtp["payload_type"], rtp["ssrc_fwd"])
+            senders[server] = (rtp["payload_type"], rtp["ssrc_bwd"])
         streams = {}
         for frame in open_capture(pcap):
             sender = (frame.data[26:30], struct.unpack_from("!H", frame.data, 34)[0])
