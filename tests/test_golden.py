@@ -1,7 +1,7 @@
 """Pinned sha256 digests of every CLI output on a small fixed synthetic corpus
 (inspect's report on each capture under two application contexts), and of train (plain and importance-pruned), cv and report (at two importance
-thresholds) on a seeded corpus that grows a depth-11 tree, and of one synth
-capture at the benchmark's scale.
+thresholds) on a seeded corpus that grows a depth-11 tree, and of the synth
+captures at the benchmark's scale.
 
 Refactors must keep these bytes. A change that alters an output on purpose
 updates the digest here and says why in CHANGES.md.
@@ -50,13 +50,19 @@ GOLDEN = {
 }
 
 
-# The camera capture at the benchmark's scale: about 455 of its flows are open
-# at once, so the frames of many flows interleave in time order
+# The three captures at the benchmark's scale: about 455 camera flows are open
+# at once, so the frames of many flows interleave in time order; conf carries
+# an RTP head in every payload and share takes the TCP header path
 BENCH_FLOWS = 500
 BENCH_SEED = 3
+BENCH_KINDS = ("camera", "conf", "share")
 BENCH_GOLDEN = {
     "camera.pcap": "6fab4ea90ba869328a864b59c7f08229b61ad312a87455301427ccde1785d917",
     "camera.pcap.manifest.jsonl": "6ccc14dd0586fc403568abdaf08e8dbffbb7de221256bf7fdc14fde4a062baa6",
+    "conf.pcap": "2f032f10688cb3f44a1fecd6dc3da4cabf46aa038cc0a85c51d0f9b29fbaf2fb",
+    "conf.pcap.manifest.jsonl": "2d0f3911ac9d21b90077708e77d7eb5064ebebf4d67cdba8b2080bb60eff7f76",
+    "share.pcap": "0350548a011a29d2980334b5d6a4b5474640aa80c9b206230ea7eba66ee923bc",
+    "share.pcap.manifest.jsonl": "a5ac5105aff1e5e3b587d182c1a4cb6da8063a92b8149b92b3b26f6c9e2b5944",
 }
 
 
@@ -161,8 +167,9 @@ def test_output_digest(outputs, name):
 @pytest.fixture(scope="module")
 def bench_outputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden-bench")
-    _run("synth", "--kind", "camera", "-n", BENCH_FLOWS, "--seed", BENCH_SEED,
-         "-o", d / "camera.pcap")
+    for kind in BENCH_KINDS:
+        _run("synth", "--kind", kind, "-n", BENCH_FLOWS, "--seed", BENCH_SEED,
+             "-o", d / f"{kind}.pcap")
     return {name: (d / name).read_bytes() for name in BENCH_GOLDEN}
 
 
