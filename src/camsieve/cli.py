@@ -143,9 +143,8 @@ def cmd_extract(args) -> int:
 
 def cmd_synth(args) -> int:
     profile = synth.SynthProfile(synth.TrafficKind(args.kind), args.count, args.seed)
-    entries = synth.generate(profile, args.output, args.manifest)
-    print(f"wrote {sum(e['packets'] for e in entries)} packets in "
-          f"{len(entries)} {args.kind} flows to {args.output}")
+    flows, packets = synth.generate(profile, args.output, args.manifest)
+    print(f"wrote {packets} packets in {flows} {args.kind} flows to {args.output}")
     return 0
 
 

@@ -20,7 +20,7 @@ import socket
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .dataset import atomic_write_text
 from .packets import IPPROTO_TCP, IPPROTO_UDP, TcpFlags
@@ -70,13 +70,21 @@ class SynthProfile:
             raise ValueError(f"n_flows must be in 1..{MAX_FLOWS}, got {self.n_flows}")
 
 
-@dataclass
-class _Event:
+class _Event(NamedTuple):
     ts: int
     forward: bool
     size: int  # payload bytes: the head, then zeros
     flags: int = 0
     head: bytes = b""
+
+
+# Builds an event from the tuple of its fields without the Python-level
+# `__new__` that NamedTuple gives each class: _new(_Event, fields).
+_new = tuple.__new__
+
+# conf's 12-byte RTP header: first byte, marker and payload type, sequence
+# number, RTP timestamp, SSRC
+_RTP_HEAD = struct.Struct("!BBHII")
 
 
 @dataclass
@@ -106,7 +114,7 @@ def _camera_events(rng: random.Random, manifest: dict) -> list[_Event]:
     ts = 0
     for i in range(n_fwd):
         size = max(450, min(760, round(rng.gauss(600, 45))))
-        events.append(_Event(ts, True, size))
+        events.append(_new(_Event, (ts, True, size, 0, b"")))
         fwd_times.append(ts)
         if i in idle_at:
             ts += int(rng.uniform(6_000_000, 20_000_000))
@@ -117,7 +125,7 @@ def _camera_events(rng: random.Random, manifest: dict) -> list[_Event]:
     for _ in range(n_bwd):
         size = max(50, min(150, round(rng.gauss(90, 18))))
         anchor = fwd_times[rng.randrange(n_fwd)]
-        events.append(_Event(anchor + rng.randint(200, 2000), False, size))
+        events.append(_new(_Event, (anchor + rng.randint(200, 2000), False, size, 0, b"")))
     events.sort(key=lambda e: (e.ts, not e.forward))
     manifest["params"] = {
         "fwd_packets": n_fwd,
@@ -149,9 +157,9 @@ def _conf_events(rng: random.Random, manifest: dict) -> list[_Event]:
             marker = rng.random() < 0.08
             # version 2 with the extension bit set; the RTP/RTCP demux calls this
             # RTP at once, before it looks for an RTCP type or the full header
-            rtp = struct.pack("!BBHII", 0x90, (0x80 if marker else 0) | pt,
-                              (seq0 + i) & 0xFFFF, rtp_ts & 0xFFFFFFFF, ssrc)
-            events.append(_Event(ts, forward, size, head=rtp))
+            rtp = _RTP_HEAD.pack(0x90, (0x80 if marker else 0) | pt,
+                                 (seq0 + i) & 0xFFFF, rtp_ts & 0xFFFFFFFF, ssrc)
+            events.append(_new(_Event, (ts, forward, size, 0, rtp)))
             rtp_ts += 3000
             ts += _gap(rng, 30_000, 900_000)
     events.sort(key=lambda e: (e.ts, not e.forward))
@@ -168,22 +176,23 @@ def _conf_events(rng: random.Random, manifest: dict) -> list[_Event]:
 def _share_events(rng: random.Random, manifest: dict) -> list[_Event]:
     n_data = rng.randint(60, 120)
     rtt = int(rng.uniform(15_000, 40_000))
+    psh_ack, ack = TcpFlags.PSH | TcpFlags.ACK, TcpFlags.ACK
     events = [
         _Event(0, True, 0, TcpFlags.SYN),
-        _Event(rtt, False, 0, TcpFlags.SYN | TcpFlags.ACK),
-        _Event(2 * rtt, True, 0, TcpFlags.ACK),
-        _Event(2 * rtt + 1000, True, 250, TcpFlags.PSH | TcpFlags.ACK),
+        _Event(rtt, False, 0, TcpFlags.SYN | ack),
+        _Event(2 * rtt, True, 0, ack),
+        _Event(2 * rtt + 1000, True, 250, psh_ack),
     ]
     ts = 3 * rtt
     for i in range(n_data):
         size = max(1300, min(1460, round(rng.gauss(1400, 30))))
-        events.append(_Event(ts, False, size, TcpFlags.PSH | TcpFlags.ACK))
+        events.append(_new(_Event, (ts, False, size, psh_ack, b"")))
         if (i + 1) % 16 == 0:
-            events.append(_Event(ts + rtt // 2, True, 0, TcpFlags.ACK))
+            events.append(_new(_Event, (ts + rtt // 2, True, 0, ack, b"")))
         ts += _gap(rng, 12_000, 700_000)
-    events.append(_Event(ts, False, 0, TcpFlags.FIN | TcpFlags.ACK))
-    events.append(_Event(ts + rtt, True, 0, TcpFlags.FIN | TcpFlags.ACK))
-    events.append(_Event(ts + 2 * rtt, False, 0, TcpFlags.ACK))
+    events.append(_Event(ts, False, 0, TcpFlags.FIN | ack))
+    events.append(_Event(ts + rtt, True, 0, TcpFlags.FIN | ack))
+    events.append(_Event(ts + 2 * rtt, False, 0, ack))
     events.sort(key=lambda e: e.ts)
     manifest["params"] = {"data_packets": n_data, "rtt_us": rtt, "payload_mean": 1400}
     return events
@@ -244,16 +253,25 @@ _UDP_HEAD = struct.Struct("!16sHH4sH12sH2x")
 _TCP_HEAD = struct.Struct("!16sHH4sH12sIIBBH4x")
 _RECORD = struct.Struct("<IIII")
 
+_SNAPLEN = 65535
+# a frame's zero bytes are a slice of this one buffer; records gather in a
+# block that is written out each time it passes _WRITE_BLOCK bytes
+_ZEROS = memoryview(bytes(_SNAPLEN))
+_WRITE_BLOCK = 1 << 16
+
 
 def _flow_frames(plan: _FlowPlan, index: int, events: list[_Event]) -> Iterator[tuple]:
-    """Flow index's frames in event order, each as (timestamp, merge key, frame).
+    """Flow index's frames in event order, each as (timestamp, merge key,
+    header bytes, count of zero payload bytes after them).
 
-    Each direction's constant header bytes are made once, and so is the sum of
-    the constant IPv4 header words: a frame adds its total length and IP id to
-    that sum and folds it. The sum's order does not change its value.
+    The header bytes are the link, IPv4 and transport headers, then conf's RTP
+    head. Each direction's constant header bytes are made once, and so is the
+    sum of the constant IPv4 header words: a frame adds its total length and IP
+    id to that sum and folds it. The sum's order does not change its value.
     """
-    proto = IPPROTO_TCP if plan.tcp else IPPROTO_UDP
-    transport_header = TCP_HEADER if plan.tcp else UDP_HEADER
+    tcp = plan.tcp
+    proto = IPPROTO_TCP if tcp else IPPROTO_UDP
+    transport_header = TCP_HEADER if tcp else UDP_HEADER
     client_ip, server_ip = socket.inet_aton(plan.client_ip), socket.inet_aton(plan.server_ip)
     ttl_proto = bytes((0, 0, 64, proto))  # no fragmenting, TTL 64
     constant_sum = 0x4500 + (64 << 8 | proto) + sum(struct.unpack("!4H", client_ip + server_ip))
@@ -266,31 +284,30 @@ def _flow_frames(plan: _FlowPlan, index: int, events: list[_Event]) -> Iterator[
     window = {True: plan.client_window, False: plan.server_window}
     start = BASE_TIMESTAMP_US + index * FLOW_STAGGER_US
     ip_id = (index * 131) & 0xFFFF
-    for key, ev in enumerate(events, index * 1_000_000):
-        forward, size = ev.forward, ev.size
+    for key, (ts, forward, size, flags, rtp) in enumerate(events, index * 1_000_000):
         total = IP_HEADER + transport_header + size
         checksum = constant_sum + total + ip_id
         checksum = (checksum & 0xFFFF) + (checksum >> 16)
         checksum = ~((checksum & 0xFFFF) + (checksum >> 16)) & 0xFFFF
-        if plan.tcp:
+        if tcp:
             head = _TCP_HEAD.pack(eth_ip[forward], total, ip_id, ttl_proto, checksum,
                                   ends[forward], seq[forward] & 0xFFFFFFFF,
                                   seq[not forward] & 0xFFFFFFFF, (TCP_HEADER // 4) << 4,
-                                  ev.flags, window[forward])
-            seq[forward] += size + (1 if ev.flags & (TcpFlags.SYN | TcpFlags.FIN) else 0)
+                                  flags, window[forward])
+            seq[forward] += size + (1 if flags & (TcpFlags.SYN | TcpFlags.FIN) else 0)
         else:
             head = _UDP_HEAD.pack(eth_ip[forward], total, ip_id, ttl_proto, checksum,
                                   ends[forward], UDP_HEADER + size)
-        yield start + ev.ts, key, head + ev.head + bytes(size - len(ev.head))
+        yield start + ts, key, head + rtp, size - len(rtp)
         ip_id = (ip_id + 1) & 0xFFFF
 
 
-def _merged(heap: list, before: float) -> Iterator[tuple[int, bytes]]:
+def _merged(heap: list, before: float) -> Iterator[tuple[int, bytes, int]]:
     """The open flows' frames in (timestamp, merge key) order while the
     earliest is before the given time; each popped flow draws its next frame."""
     while heap and heap[0][0] < before:
-        ts, _, frame, frames = heap[0]
-        yield ts, frame
+        ts, _, head, zeros, frames = heap[0]
+        yield ts, head, zeros
         following = next(frames, None)
         if following is None:
             heapq.heappop(heap)
@@ -298,33 +315,56 @@ def _merged(heap: list, before: float) -> Iterator[tuple[int, bytes]]:
             heapq.heapreplace(heap, (*following, frames))
 
 
-def write_pcap(path: str | Path, frames: Iterable[tuple[int, bytes]]) -> None:
-    """Little-endian, microsecond pcap with Ethernet link type."""
+def write_pcap(path: str | Path, frames: Iterable[tuple[int, bytes, int]]) -> None:
+    """Little-endian, microsecond pcap with Ethernet link type.
+
+    Each frame is (timestamp in microseconds, header bytes, count of zero
+    bytes after them), at most _SNAPLEN bytes in all (ValueError otherwise).
+    Records are appended to one block, the zeros as a slice of one shared
+    buffer, and the block is written out each time it passes _WRITE_BLOCK
+    bytes.
+    """
 
     def emit(fh):
-        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
-        for ts, frame in frames:
-            fh.write(_RECORD.pack(ts // 1_000_000, ts % 1_000_000, len(frame), len(frame)) + frame)
+        block = bytearray(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, _SNAPLEN, 1))
+        for ts, head, zeros in frames:
+            length = len(head) + zeros
+            if length > _SNAPLEN:
+                raise ValueError(f"a {length}-byte frame is longer than the snaplen {_SNAPLEN}")
+            block += _RECORD.pack(ts // 1_000_000, ts % 1_000_000, length, length)
+            block += head
+            block += _ZEROS[:zeros]
+            if len(block) >= _WRITE_BLOCK:
+                fh.write(block)
+                block.clear()
+        fh.write(block)
 
     atomic_write_text(path, emit, binary=True)
 
 
 def generate(
     profile: SynthProfile, out: str | Path, manifest_path: str | Path | None = None
-) -> list[dict]:
-    """Write the pcap plus a JSON-lines manifest; returns the manifest entries.
+) -> tuple[int, int]:
+    """Write the pcap plus a JSON-lines manifest, by default at out plus
+    ".manifest.jsonl"; returns (flows, packets), the counts written.
 
     Frames are written as they are built, in time order. A flow's events are
-    drawn once every frame before its start is written, so memory follows the
-    flows open at once, not the size of the capture.
+    drawn once every frame before its start is written, and its manifest line
+    is written then, so memory follows the flows open at once, not the size
+    of the capture. A failed pcap write leaves neither file; a failed
+    manifest write leaves the pcap.
     """
     label = KIND_LABELS[profile.kind]
-    manifest_entries: list[dict] = []
     builder = _EVENT_BUILDERS[profile.kind]
+    if manifest_path is None:
+        manifest_path = str(out) + ".manifest.jsonl"
+    packets = 0
 
-    def frames() -> Iterator[tuple[int, bytes]]:
-        # one (timestamp, merge key, frame, later frames) per open flow; flow
-        # starts rise with i and no event comes before its flow's start
+    def frames(manifest) -> Iterator[tuple[int, bytes, int]]:
+        # one (timestamp, merge key, header bytes, zeros, later frames) per
+        # open flow; flow starts rise with i and no event comes before its
+        # flow's start
+        nonlocal packets
         heap: list = []
         for i in range(profile.n_flows):
             start = BASE_TIMESTAMP_US + i * FLOW_STAGGER_US
@@ -343,19 +383,18 @@ def generate(
                 "seed": profile.seed,
             }
             events = builder(_flow_rng(profile, i), entry)
+            fwd = sum(e.forward for e in events)
             entry["packets"] = len(events)
-            entry["fwd_packets"] = sum(1 for e in events if e.forward)
-            entry["bwd_packets"] = sum(1 for e in events if not e.forward)
+            entry["fwd_packets"] = fwd
+            entry["bwd_packets"] = len(events) - fwd
             entry["first_ts_us"] = start
-            manifest_entries.append(entry)
+            manifest.write(json.dumps(entry, sort_keys=True) + "\n")
+            packets += len(events)
             flow = _flow_frames(plan, i, events)
             heapq.heappush(heap, (*next(flow), flow))
         yield from _merged(heap, math.inf)
 
-    write_pcap(out, frames())
-
-    if manifest_path is None:
-        manifest_path = str(out) + ".manifest.jsonl"
-    text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in manifest_entries)
-    atomic_write_text(manifest_path, lambda fh: fh.write(text))
-    return manifest_entries
+    # the manifest's temp file is opened outside the pcap's, so its rename
+    # comes after the pcap's
+    atomic_write_text(manifest_path, lambda manifest: write_pcap(out, frames(manifest)))
+    return profile.n_flows, packets

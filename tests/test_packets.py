@@ -773,7 +773,7 @@ class TestAddressText:
                            + udp_segment()))
             expected.append((f"::ffff:a00:{i:x}", str(ipaddress.IPv6Address(plain))))
         pcap, out = tmp_path / "hosts.pcap", tmp_path / "hosts.csv"
-        synth.write_pcap(pcap, frames)
+        synth.write_pcap(pcap, [(ts, frame, 0) for ts, frame in frames])
         assert cli.main(["extract", str(pcap), "--label", "Conf", "-o", str(out)]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[2:]

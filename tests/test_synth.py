@@ -24,6 +24,7 @@ from camsieve.synth import (
     _plan_flow,
     _share_events,
     generate,
+    write_pcap,
 )
 
 from conftest import run_for_peak_rss, write_pcap_bytes
@@ -34,14 +35,19 @@ def fidx(name):
     return FEATURE_NAMES.index(name)
 
 
+def _manifest_entries(pcap):
+    return [json.loads(line)
+            for line in pcap.with_name(pcap.name + ".manifest.jsonl").read_text().splitlines()]
+
+
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
     base = tmp_path_factory.mktemp("synth")
     out = {}
     for kind in TrafficKind:
         pcap = base / f"{kind.value}.pcap"
-        entries = generate(SynthProfile(kind, 12, seed=11), pcap)
-        out[kind] = (pcap, entries)
+        generate(SynthProfile(kind, 12, seed=11), pcap)
+        out[kind] = (pcap, _manifest_entries(pcap))
     return out
 
 
@@ -268,6 +274,26 @@ class TestManifest:
     def test_labels_per_kind(self, small_runs):
         for kind, (_, entries) in small_runs.items():
             assert {e["label"] for e in entries} == {KIND_LABELS[kind]}
+
+    def test_returns_the_flow_and_packet_counts_of_the_manifest(self, tmp_path):
+        pcap = tmp_path / "share.pcap"
+        counts = generate(SynthProfile(TrafficKind.SHARE, 7, seed=2), pcap)
+        entries = _manifest_entries(pcap)
+        assert counts == (7, sum(e["packets"] for e in entries))
+        assert [e["flow_index"] for e in entries] == list(range(7))
+
+
+class TestWritePcap:
+    def test_frame_is_its_header_bytes_then_zeros(self, tmp_path):
+        pcap = tmp_path / "out.pcap"
+        write_pcap(pcap, [(1_500_000, b"\x01\x02", 3), (2_000_001, b"", 0)])
+        assert pcap.read_bytes() == write_pcap_bytes([(1_500_000, b"\x01\x02\x00\x00\x00"),
+                                                      (2_000_001, b"")])
+
+    def test_frame_longer_than_the_snaplen_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="65536-byte frame"):
+            write_pcap(tmp_path / "out.pcap", [(0, bytes(14), 65522)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteFailure:
