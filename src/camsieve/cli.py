@@ -16,7 +16,7 @@ from .errors import CamsieveError, OutOfOrderTimestamp
 
 DEFAULT_FLOW_TIMEOUT_S = flows.DEFAULT_FLOW_TIMEOUT_US / 1e6
 DEFAULT_ACTIVITY_THRESHOLD_S = features.DEFAULT_ACTIVITY_THRESHOLD_US / 1e6
-PREDICT_SLICE = 256  # rows that predict turns into Python floats at a time
+PREDICT_SLICE = 256  # rows whose output lines predict writes at once
 
 
 def extract_records(
@@ -205,6 +205,8 @@ def cmd_predict(args) -> int:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="").writerow(["", name])
         class_cells.append(buf.getvalue())
+    # a leaf's probabilities -> its output cells, made once a leaf
+    tails: dict[tuple[float, ...], str] = {}
     rows = 0
 
     def emit(fh):
@@ -214,16 +216,19 @@ def cmd_predict(args) -> int:
         # each record is echoed as read, nan/inf included; only scoring sees the cleaned rows
         for chunk in dataset.read_chunks(args.csv):
             X, _ = dataset.clean(chunk.values)
-            # Python floats and output lines for PREDICT_SLICE rows at a time,
-            # and the chunk dropped before the next one is read: then the
-            # peak is the same for any number of rows
+            # output lines for PREDICT_SLICE rows at a time, and the chunk
+            # dropped before the next one is read: then the peak is the same
+            # for any number of rows
             for start in range(0, len(X), PREDICT_SLICE):
                 texts = chunk.texts[start:start + PREDICT_SLICE]
                 lines = []
-                for text, row in zip(texts, X[start:start + PREDICT_SLICE].tolist()):
+                for text, row in zip(texts, tree.row_views(X[start:start + PREDICT_SLICE])):
                     proba = tree.predict_proba(model, row)
-                    best = tree.best_class(proba)
-                    lines.append(f"{text}{class_cells[best]},{proba[best]!r}\r\n")
+                    tail = tails.get(proba)
+                    if tail is None:
+                        best = tree.best_class(proba)
+                        tail = tails[proba] = f"{class_cells[best]},{proba[best]!r}\r\n"
+                    lines.append(text + tail)
                 fh.write("".join(lines))
                 rows += len(lines)
             del chunk, X
@@ -276,7 +281,7 @@ def cmd_report(args) -> int:
         X[train_idx], [y[i] for i in train_idx], features.FEATURE_NAMES, **params
     )
     confident = 0
-    for row in X_te:
+    for row in tree.row_views(X_te):
         if max(tree.predict_proba(deploy_model, row)) >= 0.9:
             confident += 1
     frac = confident / len(X_te) if len(X_te) else 0.0

@@ -14,7 +14,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -302,6 +302,11 @@ class DecisionTreeModel:
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
     training_meta: dict = field(default_factory=dict)
+    # predict_proba's flat node tables, made from nodes once
+    _walk: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_walk", _walk_tables(self.nodes, len(self.feature_names)))
 
     @property
     def n_features(self) -> int:
@@ -310,6 +315,28 @@ class DecisionTreeModel:
     @property
     def schema_hash(self) -> str:
         return schema_hash(self.feature_names)
+
+
+def _walk_tables(nodes: Sequence[TreeNode], n_features: int) -> tuple:
+    """Each node's feature (-1 at a leaf), threshold, left and right child,
+    and a leaf's class probabilities (None elsewhere), as five lists; then the
+    number of features."""
+    leaves = []
+    for node in nodes:
+        total = sum(node.counts)
+        leaves.append(tuple(c / total for c in node.counts) if node.is_leaf else None)
+    return ([n.feature for n in nodes], [n.threshold for n in nodes], [n.left for n in nodes],
+            [n.right for n in nodes], leaves, n_features)
+
+
+def row_views(X: np.ndarray) -> Iterator[memoryview]:
+    """Each row of a 2-D matrix as a memoryview of float64. Indexing a view
+    gives a Python float, and only the features a walk reads are made into
+    floats."""
+    arr = np.ascontiguousarray(X, dtype=np.float64)
+    n = arr.shape[1]
+    flat = memoryview(arr.reshape(-1))
+    return (flat[i * n:i * n + n] for i in range(len(arr)))
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -550,23 +577,24 @@ def train(
 
 
 def predict_proba(model: DecisionTreeModel, vector: Sequence[float]) -> tuple[float, ...]:
-    """Relative class frequencies of the reached leaf; sums to 1."""
-    if len(vector) != model.n_features:
+    """Relative class frequencies of the reached leaf; sums to 1. Every row
+    that reaches a leaf gets the same tuple, made when the model was."""
+    features, thresholds, lefts, rights, leaves, n_features = model._walk
+    if len(vector) != n_features:
         raise DimensionMismatch(
-            f"vector has {len(vector)} features, model expects {model.n_features}"
+            f"vector has {len(vector)} features, model expects {n_features}"
         )
-    nodes = model.nodes
-    node = nodes[0]
-    while not node.is_leaf:
-        node = nodes[node.left if vector[node.feature] <= node.threshold else node.right]
-    counts = node.counts
-    total = sum(counts)
-    return tuple(c / total for c in counts)
+    i = 0
+    feature = features[0]
+    while feature >= 0:
+        i = lefts[i] if vector[feature] <= thresholds[i] else rights[i]
+        feature = features[i]
+    return leaves[i]
 
 
 def best_class(proba: Sequence[float]) -> int:
     """Index of the most probable class; ties go to the first declared class."""
-    return max(range(len(proba)), key=lambda i: (proba[i], -i))
+    return proba.index(max(proba))
 
 
 def feature_importances(model: DecisionTreeModel) -> tuple[float, ...]:
@@ -736,8 +764,8 @@ def cross_validate(
         )
         models.append(model)
         correct = 0
-        for i in fold:
-            truth, predicted = class_index[y_list[i]], best_class(predict_proba(model, arr[i]))
+        for i, row in zip(fold, row_views(arr[fold])):
+            truth, predicted = class_index[y_list[i]], best_class(predict_proba(model, row))
             confusion[truth][predicted] += 1
             correct += predicted == truth
         accuracies.append(correct / len(fold))

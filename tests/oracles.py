@@ -12,6 +12,8 @@ flow ends, where `inspect` keeps running state as each packet joins.
 `reference_capture` is a third: it draws each flow's events with the
 package's synth builders, then builds every frame field by field and sorts
 them all, where `synth.generate` streams them from precomputed header bytes.
+`reference_predict_proba` walks a model's TreeNode objects, where
+`tree.predict_proba` walks flat tables made from them.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ from camsieve.synth import (
     _flow_rng,
     _plan_flow,
 )
-from camsieve.tree import best_split
+from camsieve.tree import DecisionTreeModel, best_split
 
 ACTIVITY_THRESHOLD_US = 5_000_000
 GAP_US = 1_000_000
@@ -635,3 +637,19 @@ def reference_capture(profile: SynthProfile) -> list[tuple[int, bytes]]:
             all_frames.append((start + ev.ts, i * 1_000_000 + order, frame))
     all_frames.sort(key=lambda item: (item[0], item[1]))
     return [(ts, frame) for ts, _, frame in all_frames]
+
+
+def reference_predict_proba(model: DecisionTreeModel, vector) -> tuple[float, ...]:
+    """The reached leaf's class counts over their sum, walking the TreeNode
+    objects from the root: left when the value is at most the threshold."""
+    nodes = model.nodes
+    node = nodes[0]
+    while not node.is_leaf:
+        node = nodes[node.left if vector[node.feature] <= node.threshold else node.right]
+    total = sum(node.counts)
+    return tuple(c / total for c in node.counts)
+
+
+def reference_best_class(proba) -> int:
+    """The most probable class; a tie goes to the first of the tied classes."""
+    return max(range(len(proba)), key=lambda i: (proba[i], -i))

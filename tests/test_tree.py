@@ -36,7 +36,14 @@ from camsieve.tree import (
 )
 
 from conftest import MALFORMED_PAYLOADS, predicted_class, small_model_payload, write_model_payload
-from oracles import exhaustive_best_split, gini_exact, node_order, split_node
+from oracles import (
+    exhaustive_best_split,
+    gini_exact,
+    node_order,
+    reference_best_class,
+    reference_predict_proba,
+    split_node,
+)
 
 
 def as_xy(rows):
@@ -428,8 +435,33 @@ class TestPredict:
             v = [rng.random() for _ in range(3)]
             proba = predict_proba(model, v)
             assert sum(proba) == pytest.approx(1.0, abs=1e-12)
-            best = max(range(len(proba)), key=lambda i: (proba[i], -i))
-            assert best_class(proba) == best
+            assert best_class(proba) == reference_best_class(proba)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4), st.integers(2, 60))
+    def test_flat_walk_is_the_node_walk(self, seed, n_classes, n_features, n_rows):
+        # few distinct values, so that many rows sit on a split's threshold,
+        # and leaves of equal class counts are common
+        rng = random.Random(seed)
+        X = np.array([[float(rng.randrange(4)) for _ in range(n_features)]
+                      for _ in range(n_rows)])
+        y = [rng.randrange(n_classes) for _ in range(n_rows)]
+        model = train(X, y, [f"f{j}" for j in range(n_features)],
+                      class_names=list(range(n_classes)), max_depth=rng.randint(0, 5))
+        thresholds = [node.threshold for node in model.nodes if not node.is_leaf]
+        probes = [list(row) for row in X] + [[rng.choice(thresholds + [0.0, 3.0])
+                                              for _ in range(n_features)] for _ in range(20)]
+        for row in probes:
+            proba = predict_proba(model, row)
+            assert proba == reference_predict_proba(model, row)
+            assert best_class(proba) == reference_best_class(proba)
+        for row_view, row in zip(tree.row_views(X), X.tolist()):
+            assert predict_proba(model, row_view) == reference_predict_proba(model, row)
+
+    def test_tie_goes_to_the_first_of_the_tied_classes(self):
+        model = self.leaf_model((2, 5, 5), classes=("a", "b", "c"))
+        proba = predict_proba(model, [0.0, 0.0])
+        assert best_class(proba) == reference_best_class(proba) == 1
 
 
 class TestImportances:
