@@ -17,13 +17,10 @@ Endpoint = tuple[bytes, int]  # (raw address, port)
 
 def canonical_key(pkt: PacketRecord) -> tuple[Endpoint, Endpoint, int]:
     """Direction-independent flow identity: (lower endpoint, higher endpoint, protocol).
-    Endpoints order by raw address bytes; output sorts by `flow_id` text instead."""
-    return _flow_key((pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port), pkt.protocol)
-
-
-def _flow_key(a: Endpoint, b: Endpoint, protocol: int) -> tuple[Endpoint, Endpoint, int]:
-    """The key rule of canonical_key, given a packet's source and destination."""
-    return (b, a, protocol) if b < a else (a, b, protocol)
+    Endpoints order by raw address bytes; output sorts by `flow_id` text instead.
+    `assemble_flows` applies the same rule inline."""
+    a, b = (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)
+    return (b, a, pkt.protocol) if b < a else (a, b, pkt.protocol)
 
 
 class Termination(enum.Enum):
@@ -148,7 +145,10 @@ def assemble_flows(
 
         source = (src_ip, src_port)
         destination = (dst_ip, dst_port)
-        key = _flow_key(source, destination, protocol)
+        if destination < source:  # canonical_key's rule
+            key = (destination, source, protocol)
+        else:
+            key = (source, destination, protocol)
         flow = table.get(key)
         if flow is not None:
             if timestamp - flow.start_ts > flow_timeout_us:
