@@ -346,10 +346,6 @@ def _as_matrix(X) -> np.ndarray:
     return arr
 
 
-# what train does with a node, given its counterpart in a prior tree
-_SEARCH, _FOLLOW, _COPY = range(3)
-
-
 def _check_prior(prior: DecisionTreeModel, root: np.ndarray, f: int, candidates: tuple[int, ...],
                  class_names: tuple[str, ...], max_depth: int, min_samples_split: int) -> None:
     """ValueError unless prior could have been grown on this call's rows from
@@ -396,24 +392,24 @@ def train(
 
     The tree grows one level at a time. Each candidate column is argsorted
     once (presorted, when given, is that argsort: one row per sorted
-    candidate, as _presort returns it). The order matrix holds every node of
-    a depth that may still split as a column segment, each row sorted by its
+    candidate, as _presort returns it). The order matrix holds every node
+    that may still split as a column segment, each row sorted by its
     feature; one best_split call searches them all, and a stable partition of
-    each row (left children, then right children) gives the next depth's
-    segments, still sorted; with a prior, the children to search come
-    before those that follow it. Nodes are renumbered to preorder at the end, as
-    a depth-first recursion would number them.
+    each row (left children, then right children) gives the next segments,
+    still sorted. Nodes are renumbered to preorder at the end, as a
+    depth-first recursion would number them.
 
     prior, when given, is a tree grown on the same rows and labels, with the
     same class order, max_depth and min_samples_split, from a superset of
     this call's candidates (ValueError otherwise). The result is the tree
-    grown without it, but a node whose counterpart in prior (the node at
-    the same path) is a leaf or splits on a candidate takes that outcome
-    without a search: a split that wins over a superset of the candidates
+    grown without it. prior's table is cut at the first split on a dropped
+    feature on each path, and only the nodes cut there grow again, all in
+    the same calls whatever their depth. Above a cut every node keeps its
+    outcome in prior: a split that wins over a superset of the candidates
     wins over any subset that keeps its feature, and a node with no
-    positive-gain split over the superset has none over a subset. A
-    counterpart's subtree with no split on a dropped feature is copied
-    whole. Only nodes below a split on a dropped feature are searched.
+    positive-gain split over the superset has none over a subset. The order
+    matrix starts as the rows of the cut nodes, grouped by a stable argsort
+    that holds an intp matrix of its shape.
 
     seed does not steer training, which has no randomness; it is only
     recorded in training_meta. It stays because training_meta is part of the
@@ -440,55 +436,50 @@ def train(
     root = np.bincount(labels, minlength=k)
     # [feature, threshold, left, right, counts] in breadth-first order
     nodes: list[list] = [[-1, 0.0, -1, -1, tuple(root.tolist())]]
-    # Per node of prior: _SEARCH if its split is on a dropped feature,
-    # _FOLLOW if on a candidate with such a split below it, else _COPY (a
-    # leaf, or a subtree this call grows the same).
-    role: list[int] = []
+    growing: list[int] = []  # the nodes that may split, in the order of their segments
+    depth: list[int] = []  # the depth of each
     if prior is not None:
         _check_prior(prior, root, f, candidates, tuple(class_names), max_depth, min_samples_split)
-        kept = set(candidates)
-        role = [_COPY] * len(prior.nodes)
-        for i in reversed(range(len(prior.nodes))):  # children come after their parent
-            node = prior.nodes[i]
-            if not node.is_leaf:
-                role[i] = (_SEARCH if node.feature not in kept
-                           else _COPY if role[node.left] == role[node.right] == _COPY else _FOLLOW)
-
-    def graft(at: int, c: int) -> None:
-        """Node at becomes a copy of prior's subtree under node c."""
-        stack = [(at, c)]
+        # prior's table, cut at the first split on a dropped feature on each
+        # path: that node becomes a leaf that grows again, and the nodes below
+        # it are never reached
+        nodes = [[node.feature, node.threshold, node.left, node.right, node.counts] for node in prior.nodes]
+        kept, stack = set(candidates), [(0, 0)]
         while stack:
-            at, c = stack.pop()
-            node = prior.nodes[c]
-            nodes[at] = [node.feature, node.threshold, -1, -1, node.counts]
-            if not node.is_leaf:
-                nodes[at][2:4] = len(nodes), len(nodes) + 1
-                nodes.extend((None, None))
-                stack += (nodes[at][2], node.left), (nodes[at][3], node.right)
-
-    # the nodes of this depth that may split, in the order of their segments:
-    # those searched first, then those that follow their counterpart in prior
-    growing: list[int] = []
-    follow: list[int] = []  # counterpart of each following node
-    if candidates and max_depth > 0 and n >= min_samples_split and root.max() < n:
-        if prior is None or role[0] == _SEARCH:
-            growing = [0]
-        elif role[0] == _FOLLOW:
-            growing, follow = [0], [0]
-        else:
-            graft(0, 0)
-    if growing:
+            i, d = stack.pop()
+            if nodes[i][0] in kept:
+                stack += (nodes[i][3], d + 1), (nodes[i][2], d + 1)
+            elif nodes[i][0] >= 0:
+                nodes[i][:4] = -1, 0.0, -1, -1
+                growing.append(i)
+                depth.append(d)
+    elif max_depth > 0 and n >= min_samples_split and root.max() < n:
+        growing, depth = [0], [0]
+    if growing and candidates:
         order = _presort(arr, candidates) if presorted is None else presorted
         bounds = np.array([0, n])
-    code = np.empty(n, dtype=np.int8)  # per row: its child's group, or 4 when done
-    depth = 0
+        if prior is not None:
+            # each row walks the cut table down to its node; every row of
+            # order is then grouped by cut node, stably so that each segment
+            # stays sorted, and the rows that reached no cut node are dropped
+            feature, threshold = np.array([x[0] for x in nodes]), np.array([x[1] for x in nodes])
+            children = np.array([x[2:4] for x in nodes])
+            at = np.zeros(n, dtype=np.intp)
+            for _ in range(max_depth):
+                fi = feature[at]
+                at = np.where(fi >= 0, children[at, (arr[np.arange(n), fi] > threshold[at]) * 1], at)
+            segment = np.full(len(nodes), len(growing), dtype=order.dtype)
+            segment[growing] = np.arange(len(growing))
+            cut = segment[at]
+            bounds = np.r_[0, np.cumsum(np.bincount(cut, minlength=len(growing) + 1)[:-1])]
+            by_cut = np.argsort(cut[order], axis=1, kind="stable")[:, :bounds[-1]]
+            order = np.take_along_axis(order, by_cut, axis=1)
+    else:
+        growing = []
+    depth = np.array(depth)
+    code = np.empty(n, dtype=np.int8)  # per row: 0 left, 1 right child still growing, 2 done
     while growing:
-        # the searched segments lead the order matrix, so a column slice (a
-        # view, no gather) holds just them
-        searched = len(growing) - len(follow)
-        splits = best_split(arr, labels, k, candidates, order[:, :bounds[searched]],
-                            bounds[:searched + 1]) if searched else []
-        splits += [(prior.nodes[c].feature, prior.nodes[c].threshold) for c in follow]
+        splits = best_split(arr, labels, k, candidates, order, bounds)
         rows = order[0]
         at = np.repeat(np.arange(len(growing)), np.diff(bounds))
         feature = np.array([-1 if s is None else s[0] for s in splits])[at]
@@ -500,7 +491,7 @@ def train(
         child_sizes = child_counts.sum(axis=1)
         depth += 1
         grows = (child_counts.max(axis=1) < child_sizes) & (child_sizes >= min_samples_split)
-        grows &= depth < max_depth
+        grows &= np.repeat(depth, 2) < max_depth
         ids = np.full(2 * len(growing), -1)  # node of each child slot
         counts_list = child_counts.tolist()
         for j, s in enumerate(splits):
@@ -508,44 +499,27 @@ def train(
                 ids[2 * j:2 * j + 2] = len(nodes), len(nodes) + 1
                 nodes[growing[j]][:4] = s[0], s[1], len(nodes), len(nodes) + 1
                 nodes += [[-1, 0.0, -1, -1, tuple(c)] for c in counts_list[2 * j:2 * j + 2]]
-        # group of each child slot: 0 and 1 searched left and right children,
-        # 2 and 3 following ones, 4 done; a searched node's children have no
-        # counterpart, and a following node's are its counterpart's
-        group = np.where(grows, np.arange(2 * len(growing)) % 2, 4)
-        counterpart = np.full(2 * len(growing), -1)
-        for j, c in enumerate(follow, start=searched):
-            for slot, c_child in (2 * j, prior.nodes[c].left), (2 * j + 1, prior.nodes[c].right):
-                counterpart[slot] = c_child
-                if role[c_child] == _COPY:
-                    graft(int(ids[slot]), c_child)
-                    group[slot] = 4
-                elif role[c_child] == _FOLLOW:
-                    group[slot] = 2 + slot % 2
-        slots = [np.flatnonzero(group == g) for g in range(4)]
-        if not any(len(s) for s in slots):
+        if not grows.any():
             break
-        # stable partition of every row into the groups in turn, each child's
-        # rows in the order of its parent's segment
-        code[rows] = group[child]
-        widths = [int(child_sizes[s].sum()) for s in slots]
-        grown = np.empty((len(order), sum(widths)), dtype=order.dtype)
+        # stable partition of every row: the growing left children, then the
+        # growing right children, each in the order of its parent's segment
+        code[rows] = np.where(grows, np.arange(2 * len(growing)) % 2, 2)[child]
+        sizes = child_sizes[0::2][grows[0::2]], child_sizes[1::2][grows[1::2]]
+        m_left, m_right = int(sizes[0].sum()), int(sizes[1].sum())
+        grown = np.empty((len(order), m_left + m_right), dtype=order.dtype)
         block = max(1, _SCAN_CELLS // order.shape[1])
         index = np.empty((min(block, len(order)), order.shape[1]), dtype=np.intp)
         for start in range(0, len(order), block):
             part = order[start:start + block]
             np.copyto(index[:len(part)], part)
-            group_of = code.take(index[:len(part)]).ravel()
-            end = 0
-            for g, width in enumerate(widths):
-                if width:
-                    # np.compress on flat arrays; a 2-D boolean index is several times slower
-                    grown[start:start + block, end:end + width] = np.compress(
-                        group_of == g, part).reshape(len(part), width)
-                    end += width
+            side = code.take(index[:len(part)]).ravel()
+            # np.compress on flat arrays; a 2-D boolean index is several times slower
+            grown[start:start + block, :m_left] = np.compress(side == 0, part).reshape(len(part), m_left)
+            grown[start:start + block, m_left:] = np.compress(side == 1, part).reshape(len(part), m_right)
         order = grown
-        bounds = np.r_[0, np.cumsum(np.concatenate([child_sizes[s] for s in slots]))]
-        growing = np.concatenate([ids[s] for s in slots]).tolist()
-        follow = np.concatenate([counterpart[s] for s in slots[2:]]).tolist()
+        bounds = np.r_[0, np.cumsum(np.concatenate(sizes))]
+        growing = ids[0::2][grows[0::2]].tolist() + ids[1::2][grows[1::2]].tolist()
+        depth = np.r_[depth[grows[0::2]], depth[grows[1::2]]]
 
     preorder = []
     stack = [0]
