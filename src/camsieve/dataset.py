@@ -102,6 +102,9 @@ def atomic_write_text(path: str | Path, writer: Callable, binary: bool = False) 
     partial output behind. writer gets a UTF-8 text handle without newline
     translation, or a bytes handle when binary is set.
 
+    The file gets the mode open() would give it, 0o666 less the umask, not
+    the temp file's owner-only 0o600.
+
     IoFailure names path when the temp file cannot be made or renamed to it;
     an error raised by writer itself, such as one reading its input, passes
     through as it is.
@@ -119,6 +122,9 @@ def atomic_write_text(path: str | Path, writer: Callable, binary: bool = False) 
         with fh:
             writer(fh)
         try:
+            umask = os.umask(0o077)  # reading the umask means setting it
+            os.umask(umask)
+            os.chmod(tmp_name, 0o666 & ~umask)
             os.replace(tmp_name, path)
         except OSError as exc:
             raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc

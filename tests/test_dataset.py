@@ -1,6 +1,8 @@
 import csv
 import math
+import os
 import random
+import stat
 import struct
 import tempfile
 import warnings
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from camsieve import dataset
+from camsieve import dataset, synth, tree
 from camsieve.dataset import (
     CHUNK_ROWS,
     CLASSES,
@@ -263,6 +265,31 @@ def awkward_csv(n):
             cells[7:11] = ["nan", "inf", "-inf", "NaN"]
         lines += [",".join(cells)] + [""] * (i % 3 == 0)
     return "\r\n".join(lines) + "\r\n"
+
+
+class TestWrittenMode:
+    """Every output is written through atomic_write_text, whose temp file is
+    made owner-only; the renamed file must have the mode open() gives."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, umask):
+        model = tree.train([[0.0], [1.0]], ["a", "b"], ["x"])
+        writes = {
+            "flows.csv": lambda path: write_csv([record()], path),
+            "model.json": lambda path: tree.save_model(model, path),
+            "capture.pcap": lambda path: synth.write_pcap(path, [(0, b"\x01" * 14, 46)]),
+        }
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            for name, write in writes.items():
+                write(tmp_path / name)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o666 & ~umask
+        for name in writes:
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask, name
 
 
 class TestChunkReader:
