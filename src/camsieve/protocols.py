@@ -207,26 +207,6 @@ def classify_udp_payload(payload: bytes, src_port: int, dst_port: int) -> Protoc
     return ProtocolHint(HintKind.UNKNOWN, codec_note=note)
 
 
-def rtp_stream_continuity(headers: Sequence[RtpHeader | None]) -> float | None:
-    """Fraction of consecutive RTP sequence numbers incrementing by exactly 1.
-
-    `headers` are a flow's parsed RTP headers in packet order; None entries
-    (payloads that did not parse) are skipped. Headers are filtered to the
-    most frequent SSRC (lowest wins a tie); None when fewer than two such
-    headers remain.
-    """
-    headers = [h for h in headers if h is not None]
-    if len(headers) >= 2:
-        ssrc_counts = Counter(h.ssrc for h in headers)
-        top = max(ssrc_counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        headers = [h for h in headers if h.ssrc == top]
-    if len(headers) < 2:
-        return None
-    pairs = list(zip(headers, headers[1:]))
-    hits = sum(1 for a, b in pairs if (b.sequence - a.sequence) % 65536 == 1)
-    return hits / len(pairs)
-
-
 def port_profile(ports: Sequence[int]) -> dict[int, float]:
     """Each port's share of `ports`, in port order; the shares sum to 1 when
     `ports` is not empty."""
@@ -322,8 +302,7 @@ class PayloadHints:
             dominant = dominant._replace(media=media, codec_note=note)
         continuity = None
         if state.ssrcs:
-            # the most frequent SSRC, the lowest of equal counts, as in
-            # rtp_stream_continuity
+            # the most frequent SSRC, the lowest of equal counts
             _, (count, _, hits) = max(state.ssrcs.items(), key=lambda kv: (kv[1][0], -kv[0]))
             if count >= 2:
                 continuity = hits / (count - 1)

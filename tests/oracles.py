@@ -14,6 +14,8 @@ package's synth builders, then builds every frame field by field and sorts
 them all, where `synth.generate` streams them from precomputed header bytes.
 `reference_predict_proba` walks a model's TreeNode objects, where
 `tree.predict_proba` walks flat tables made from them.
+`rtp_stream_continuity` reads a flow's whole list of RTP headers, where
+`protocols.PayloadHints` counts the same hits as each payload joins.
 """
 from __future__ import annotations
 
@@ -45,8 +47,8 @@ from camsieve.protocols import (
     ProtocolHint,
     classify_udp_payload,
     media_hint,
+    RtpHeader,
     port_profile,
-    rtp_stream_continuity,
 )
 from camsieve.synth import (
     BASE_TIMESTAMP_US,
@@ -489,6 +491,25 @@ def _reference_transport(
 
 # The inspection report from every payload head of each flow, classified after
 # the flow ends: the flows once held their heads, and inspect read them so.
+
+
+def rtp_stream_continuity(headers: list[RtpHeader | None]) -> float | None:
+    """Fraction of consecutive RTP sequence numbers incrementing by exactly 1
+    (mod 2**16), over a flow's parsed RTP headers in packet order. None
+    entries (payloads that did not parse) are skipped. Headers are filtered
+    to the most frequent SSRC (lowest wins a tie); None when fewer than two
+    such headers remain. `PayloadHints` counts the same as each payload
+    joins its flow."""
+    headers = [h for h in headers if h is not None]
+    if len(headers) >= 2:
+        ssrc_counts = Counter(h.ssrc for h in headers)
+        top = max(ssrc_counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        headers = [h for h in headers if h.ssrc == top]
+    if len(headers) < 2:
+        return None
+    pairs = list(zip(headers, headers[1:]))
+    hits = sum(1 for a, b in pairs if (b.sequence - a.sequence) % 65536 == 1)
+    return hits / len(pairs)
 
 
 def reference_inspect_flow(

@@ -25,11 +25,10 @@ from camsieve.protocols import (
     media_hint,
     parse_rtp_header,
     port_profile,
-    rtp_stream_continuity,
 )
 
 from conftest import flow_packet, make_flow
-from oracles import reference_report
+from oracles import reference_report, rtp_stream_continuity
 
 
 def rtp_bytes(version=2, padding=0, extension=0, cc=0, marker=0, pt=96,
@@ -241,29 +240,38 @@ class TestClassifyUdpPayload:
 
 
 class TestContinuity:
+    """A flow's rtp_continuity as build_report gives it from PayloadHints,
+    which counts hits as each payload joins the flow; the oracle reads the
+    whole list of headers and must agree."""
+
+    def continuity(self, payloads):
+        report = report_of([make_flow([carrying(i, p) for i, p in enumerate(payloads)], [])])
+        value = report["flows"][0]["rtp_continuity"]
+        assert value == rtp_stream_continuity([parse_rtp_header(p) for p in payloads])
+        return value
+
     def seqs(self, numbers, ssrc=7):
-        return [parse_rtp_header(rtp_bytes(pt=96, seq=n, ssrc=ssrc)) for n in numbers]
+        return [rtp_bytes(pt=96, seq=n, ssrc=ssrc) for n in numbers]
 
     def test_perfect_increments(self):
-        assert rtp_stream_continuity(self.seqs([5, 6, 7, 8])) == 1.0
+        assert self.continuity(self.seqs([5, 6, 7, 8])) == 1.0
 
     def test_one_skip(self):
-        assert rtp_stream_continuity(self.seqs([5, 7, 8])) == 0.5
+        assert self.continuity(self.seqs([5, 7, 8])) == 0.5
 
     def test_duplicates_never_count(self):
-        assert rtp_stream_continuity(self.seqs([5, 5])) == 0.0
+        assert self.continuity(self.seqs([5, 5])) == 0.0
 
     def test_wraparound_counts(self):
-        assert rtp_stream_continuity(self.seqs([65535, 0])) == 1.0
+        assert self.continuity(self.seqs([65535, 0])) == 1.0
 
     def test_insufficient(self):
-        assert rtp_stream_continuity(self.seqs([5])) is None
-        assert rtp_stream_continuity([parse_rtp_header(b"notrtp")]) is None
-        assert rtp_stream_continuity(self.seqs([1], ssrc=7) + self.seqs([2], ssrc=9)) is None
+        assert self.continuity(self.seqs([5])) is None
+        assert self.continuity([b"notrtp"]) is None
+        assert self.continuity(self.seqs([1], ssrc=7) + self.seqs([2], ssrc=9)) is None
 
     def test_filters_to_dominant_ssrc(self):
-        headers = self.seqs([1, 2, 3], ssrc=7) + self.seqs([100], ssrc=9)
-        assert rtp_stream_continuity(headers) == 1.0
+        assert self.continuity(self.seqs([1, 2, 3], ssrc=7) + self.seqs([100], ssrc=9)) == 1.0
 
 
 def _one_packet_flow(src_port, dst_port, protocol=IPPROTO_UDP):

@@ -12,7 +12,7 @@ from camsieve.errors import IoFailure
 from camsieve.features import FEATURE_NAMES
 from camsieve.flows import assemble_flows
 from camsieve.packets import IPPROTO_TCP, open_capture, decode_packet, read_packets_sorted
-from camsieve.protocols import AppContext, MediaType, media_hint, parse_rtp_header, rtp_stream_continuity
+from camsieve.protocols import AppContext, MediaType, media_hint, parse_rtp_header
 from camsieve.synth import (
     FLOW_STAGGER_US,
     KIND_LABELS,
@@ -28,7 +28,7 @@ from camsieve.synth import (
 )
 
 from conftest import run_for_peak_rss, write_pcap_bytes
-from oracles import reference_capture, reference_rtp_payload, split_node
+from oracles import reference_capture, reference_rtp_payload, rtp_stream_continuity, split_node
 
 
 def fidx(name):
