@@ -206,10 +206,12 @@ def test_deep_output_digest(deep_outputs, name):
     assert hashlib.sha256(deep_outputs[name]).hexdigest() == DEEP_GOLDEN[name]
 
 
-def test_pruned_cv_grown_from_full_cv_searches_and_matches():
+def test_pruned_cv_grown_from_full_cv_searches_and_matches(monkeypatch):
     # report grows its pruned CV from the full CV's fold trees; the digest
     # above only shows the search below a dropped feature's split if some
-    # fold tree has such a split
+    # fold tree has such a split. Each fold's cut nodes grow in shared
+    # calls, whatever their depth: 47, where searching the nodes of each
+    # depth in turn made 60 and growing the folds from scratch makes 110
     records = _deep_records()
     X = np.array([r.values for r in records])
     y = [r.label for r in records]
@@ -220,7 +222,18 @@ def test_pruned_cv_grown_from_full_cv_searches_and_matches():
     dropped_splits = [sum(not node.is_leaf and node.feature not in selected for node in m.nodes)
                       for m in full_cv.fold_models]
     assert len(dropped_splits) == 10 and max(dropped_splits) >= 1
+    calls = 0
+    search = tree.best_split
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(tree, "best_split", counting)
     grown = tree.cross_validate(X, y, FEATURE_NAMES, candidate_features=selected, prior=full_cv)
+    monkeypatch.undo()
+    assert calls == 47
     scratch = tree.cross_validate(X, y, FEATURE_NAMES, candidate_features=selected)
     assert grown.render() == scratch.render()
     assert grown.confusion == scratch.confusion

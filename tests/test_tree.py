@@ -712,6 +712,31 @@ class TestPriorTree:
             with pytest.raises(ValueError, match="prior tree"):
                 train(X, y, names, candidate_features=C, prior=narrower, **params)
 
+    def test_cut_nodes_at_two_depths_grow_in_the_same_calls(self, monkeypatch):
+        # the full tree first splits on x0 at node 1 (depth 1) and at node 8
+        # (depth 2). Without x0 both are cut and grow again in the same
+        # calls: node 1 for two levels, node 8 for one, where max_depth 3
+        # stops it with an impure leaf
+        X = [[0, 0, 1], [3, 2, 2], [1, 2, 0], [2, 3, 2], [2, 0, 2], [2, 0, 1], [0, 1, 0], [3, 3, 0],
+             [0, 3, 0], [0, 3, 3], [3, 2, 1], [3, 1, 0], [1, 3, 1], [1, 1, 3], [0, 3, 0]]
+        y = list("bbabbbbaaaaabbb")
+        names, params = ["x0", "x1", "x2"], dict(class_names=["a", "b"], max_depth=3)
+        prior = train(X, y, names, **params)
+        assert [prior.nodes[i].feature for i in (0, 1, 6, 8)] == [2, 0, 1, 0]
+        segments = []
+
+        def counting(*args):
+            segments.append(len(args[5]) - 1)
+            return best_split(*args)
+
+        monkeypatch.setattr(tree, "best_split", counting)
+        grown = train(X, y, names, candidate_features=[1, 2], prior=prior, **params)
+        monkeypatch.undo()
+        assert model_bytes(grown) == model_bytes(train(X, y, names, candidate_features=[1, 2], **params))
+        assert segments == [2, 2]
+        assert [grown.nodes[i].feature for i in (1, 3, 8)] == [1, 1, 2]
+        assert grown.nodes[9].is_leaf and grown.nodes[9].counts == (1, 3)
+
     def test_cross_validate_refuses_another_report(self):
         X, labels = tie_heavy(5, 60, 6, 3)
         y = [f"c{c}" for c in labels]
