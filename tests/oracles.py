@@ -45,9 +45,9 @@ from camsieve.protocols import (
     AppContext,
     HintKind,
     ProtocolHint,
+    RtpHeader,
     classify_udp_payload,
     media_hint,
-    RtpHeader,
     port_profile,
 )
 from camsieve.synth import (
