@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .dataset import LabeledRecord, LabelTaxonomy, clean, default_taxonomy, read_csv, write_csv
 from .features import FEATURE_NAMES, compute_features
-from .flows import FlowState, assemble_flows, canonical_key
+from .flows import FlowState, assemble_flows
 from .packets import PacketRecord, decode_packet, open_capture, read_packets
 from .protocols import ProtocolHint, classify_udp_payload, parse_rtp_header
 from .synth import SynthProfile, TrafficKind, generate
@@ -38,7 +38,6 @@ __all__ = [
     "TrafficKind",
     "assemble_flows",
     "best_class",
-    "canonical_key",
     "classify_udp_payload",
     "clean",
     "compute_features",

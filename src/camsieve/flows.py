@@ -15,14 +15,6 @@ HALF_CLOSE_SILENCE_US = 1_000_000
 Endpoint = tuple[bytes, int]  # (raw address, port)
 
 
-def canonical_key(pkt: PacketRecord) -> tuple[Endpoint, Endpoint, int]:
-    """Direction-independent flow identity: (lower endpoint, higher endpoint, protocol).
-    Endpoints order by raw address bytes; output sorts by `flow_id` text instead.
-    `assemble_flows` applies the same rule inline."""
-    a, b = (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)
-    return (b, a, pkt.protocol) if b < a else (a, b, pkt.protocol)
-
-
 class Termination(enum.Enum):
     TIMEOUT = "TIMEOUT"
     TCP_FIN = "TCP_FIN"
@@ -45,9 +37,10 @@ class FlowState:
     each packet's `payload_head` as it is added, through `assemble_flows`'s
     observer.
 
-    Per flow it keeps the first packet's source and destination endpoints,
-    (raw address, port) pairs that only `flow_id` and the identity cells spell
-    as text, as `initiator` and `responder`; the wire-byte sum (`wire_bytes`);
+    Per flow it keeps its identity: the first packet's source and destination
+    endpoints, (raw address, port) pairs that only `flow_id` and the identity
+    cells spell as text, as `initiator` and `responder`, and the IP protocol
+    number as `protocol`. It also keeps the wire-byte sum (`wire_bytes`)
     and the TCP window of the first packet in each direction
     (`first_window_fwd`, `first_window_bwd`; None before that direction's
     first packet). The columns are in non-decreasing timestamp order:
@@ -57,16 +50,15 @@ class FlowState:
     """
 
     __slots__ = (
-        "key", "initiator", "responder", "start_ts", "last_ts", "termination", "fin_fwd",
+        "initiator", "responder", "protocol", "start_ts", "last_ts", "termination", "fin_fwd",
         "fin_bwd", "timestamps", "payload_lengths", "directions", "header_lengths",
         "tcp_flags", "wire_bytes", "first_window_fwd", "first_window_bwd",
     )
 
-    def __init__(self, key: tuple[Endpoint, Endpoint, int], initiator: Endpoint,
-                 responder: Endpoint, start_ts: int):
-        self.key = key
+    def __init__(self, initiator: Endpoint, responder: Endpoint, protocol: int, start_ts: int):
         self.initiator = initiator
         self.responder = responder
+        self.protocol = protocol
         self.start_ts = start_ts
         self.last_ts = start_ts
         self.termination: Termination | None = None
@@ -80,10 +72,6 @@ class FlowState:
         self.wire_bytes = 0
         self.first_window_fwd: int | None = None
         self.first_window_bwd: int | None = None
-
-    @property
-    def protocol(self) -> int:
-        return self.key[2]
 
     @property
     def flow_id(self) -> str:
@@ -145,7 +133,7 @@ def assemble_flows(
 
         source = (src_ip, src_port)
         destination = (dst_ip, dst_port)
-        if destination < source:  # canonical_key's rule
+        if destination < source:  # one key for both directions: the lower endpoint first
             key = (destination, source, protocol)
         else:
             key = (source, destination, protocol)
@@ -159,7 +147,7 @@ def assemble_flows(
                 flows.append(flow)
                 flow = None
         if flow is None:
-            flow = table[key] = FlowState(key, source, destination, timestamp)
+            flow = table[key] = FlowState(source, destination, protocol, timestamp)
 
         forward = flow.add(pkt)
         if observer is not None:

@@ -194,8 +194,7 @@ def make_flow(fwd_packets, bwd_packets, protocol=IPPROTO_UDP,
     packets = [sent(p, initiator, responder) for p in fwd_packets]
     packets += [sent(p, responder, initiator) for p in bwd_packets]
     packets.sort(key=lambda p: p.timestamp)
-    a, b = sorted([initiator, responder])
-    flow = RecordedFlow((a, b, protocol), initiator, responder, packets[0].timestamp)
+    flow = RecordedFlow(initiator, responder, protocol, packets[0].timestamp)
     for pkt in packets:
         flow.add(pkt)
     flow.termination = Termination.END_OF_CAPTURE

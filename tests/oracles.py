@@ -489,6 +489,22 @@ def _reference_transport(
     return None
 
 
+def canonical_key(pkt: PacketRecord) -> tuple:
+    """Direction-independent flow identity: (lower endpoint, higher endpoint,
+    protocol), where an endpoint is the (raw address, port) pair. Packets of
+    one flow, in either direction, share this key."""
+    a, b = (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)
+    return (b, a, pkt.protocol) if b < a else (a, b, pkt.protocol)
+
+
+def flow_key(flow: FlowState) -> tuple:
+    """The canonical key of an assembled flow's packets, from its initiator,
+    responder and protocol."""
+    (src_ip, src_port), (dst_ip, dst_port) = flow.initiator, flow.responder
+    return canonical_key(PacketRecord(0, src_ip, dst_ip, src_port, dst_port, flow.protocol,
+                                      0, 0, 0, b""))
+
+
 # The inspection report from every payload head of each flow, classified after
 # the flow ends: the flows once held their heads, and inspect read them so.
 

@@ -12,7 +12,6 @@ from camsieve.flows import (
     HALF_CLOSE_SILENCE_US,
     Termination,
     assemble_flows,
-    canonical_key,
 )
 from camsieve.packets import (
     IPPROTO_TCP,
@@ -25,6 +24,7 @@ from camsieve.packets import (
 from camsieve.protocols import PayloadHints, build_report
 
 from conftest import ipv4_frame, tcp_segment, udp_segment, write_pcap_bytes
+from oracles import canonical_key, flow_key
 
 
 A = (socket.inet_aton("10.0.0.1"), 5000)
@@ -49,25 +49,41 @@ def tcp_pkt(ts, src=A, dst=B, flags=TcpFlags.ACK,
     )
 
 
+def ip_endpoint(version):
+    return st.tuples(st.ip_addresses(v=version).map(lambda a: a.packed), st.integers(0, 65535))
+
+
 class TestCanonicalKey:
+    """The assembler's flow key, checked against the oracle's canonical_key."""
+
     def test_symmetric(self):
-        assert canonical_key(udp_pkt(0, A, B)) == canonical_key(udp_pkt(0, B, A))
+        pkts = [udp_pkt(0, A, B), udp_pkt(1, B, A)]
+        (flow,) = assemble_flows(pkts)
+        assert list(flow.directions) == [1, 0]
+        assert flow_key(flow) == canonical_key(pkts[0]) == canonical_key(pkts[1])
 
     def test_protocol_distinguishes(self):
-        assert canonical_key(udp_pkt(0)) != canonical_key(tcp_pkt(0))
+        pkts = [udp_pkt(0), tcp_pkt(1)]
+        flows = assemble_flows(pkts)
+        assert [f.packet_count for f in flows] == [1, 1]
+        assert [flow_key(f) for f in flows] == [canonical_key(p) for p in pkts]
+        assert flow_key(flows[0]) != flow_key(flows[1])
 
     def test_self_flow(self):
         endpoint = (socket.inet_aton("10.0.0.1"), 80)
-        key = canonical_key(udp_pkt(0, endpoint, endpoint))
-        assert key == (endpoint, endpoint, IPPROTO_UDP)
+        (flow,) = assemble_flows([udp_pkt(0, endpoint, endpoint), udp_pkt(1, endpoint, endpoint)])
+        assert list(flow.directions) == [1, 1]
+        assert flow_key(flow) == (endpoint, endpoint, IPPROTO_UDP)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.tuples(st.ip_addresses(v=4).map(lambda a: a.packed), st.integers(0, 65535)),
-        st.tuples(st.ip_addresses(v=4).map(lambda a: a.packed), st.integers(0, 65535)),
-    )
-    def test_symmetry_property(self, ep1, ep2):
-        assert canonical_key(udp_pkt(0, ep1, ep2)) == canonical_key(udp_pkt(0, ep2, ep1))
+    @given(st.sampled_from((4, 6)).flatmap(lambda v: st.tuples(ip_endpoint(v), ip_endpoint(v))))
+    def test_symmetry_property(self, endpoints):
+        ep1, ep2 = endpoints
+        pkts = [udp_pkt(0, ep1, ep2), udp_pkt(1, ep2, ep1)]
+        (flow,) = assemble_flows(pkts)
+        assert (flow.initiator, flow.responder) == (ep1, ep2)
+        assert list(flow.directions) == [1, int(ep1 == ep2)]
+        assert flow_key(flow) == canonical_key(pkts[0]) == canonical_key(pkts[1])
 
 
 def ends(flows):
@@ -196,16 +212,12 @@ class TestProperties:
             (f.flow_id, f.packet_count, f.termination) for f in b
         ]
 
-    def test_every_packet_key_matches_flow_key(self):
+    def test_every_packet_key_matches_flow_key(self, recorded_flows):
         pkts = _random_stream(4)
         flows = assemble_flows(pkts)
         for f in flows:
             assert f.directions[0] == 1, "the first packet must be forward"
-            assert canonical_key(
-                udp_pkt(0, f.initiator, f.responder)
-                if f.protocol == IPPROTO_UDP
-                else tcp_pkt(0, f.initiator, f.responder)
-            ) == f.key
+            assert {canonical_key(pkt) for pkt in f.records} == {flow_key(f)}
 
 
 TIMEOUT_US = 10
@@ -243,7 +255,7 @@ def chronological(flows):
     by_key = {}
     for f in sorted(flows, key=lambda f: (f.start_ts, f.last_ts,
                                           f.termination is Termination.END_OF_CAPTURE)):
-        by_key.setdefault(f.key, []).append(f)
+        by_key.setdefault(flow_key(f), []).append(f)
     return by_key
 
 
@@ -347,5 +359,5 @@ class TestPayloads:
             [0, 100, 100, 200, 300, 400], [150, 350], [500, 600, 600],
         ]
         assert flows[0].termination is Termination.TCP_FIN
-        assert flows[0].key == flows[2].key
+        assert flow_key(flows[0]) == flow_key(flows[2])
         assert sum(f.packet_count for f in flows) == len(frames)
