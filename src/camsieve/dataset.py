@@ -15,7 +15,15 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadEncoding, BadTaxonomy, EmptyClass, IoFailure, RowParseError, SchemaMismatch
+from .errors import (
+    BadEncoding,
+    BadTaxonomy,
+    EmptyClass,
+    InsufficientSamples,
+    IoFailure,
+    RowParseError,
+    SchemaMismatch,
+)
 from .features import ALL_COLUMNS, FEATURE_NAMES, SCHEMA_NAME, SCHEMA_VERSION, LabeledRecord
 
 CLASS_IOT_CAM = "IoTCam"
@@ -343,6 +351,33 @@ def clean(values) -> CleanResult:
     return CleanResult(X, int(bad.sum()))
 
 
+def _shuffled_classes(labels: Sequence[str], seed: int) -> Iterator[tuple[str, list[int]]]:
+    """Each class's row indexes, classes in sorted order, each shuffled in turn
+    by one random.Random(seed): the draw that the folds and the split deal from."""
+    by_class: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        by_class.setdefault(label, []).append(i)
+    rng = random.Random(seed)
+    for label in sorted(by_class):
+        group = by_class[label]
+        rng.shuffle(group)
+        yield label, group
+
+
+def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[list[int]]:
+    """Deterministic stratified folds of row indexes, each sorted: fold j
+    gets positions j, j+k, ... of each class's shuffled order."""
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got {k}")
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for label, group in _shuffled_classes(labels, seed):
+        if len(group) < k:
+            raise InsufficientSamples(f"class {label!r} has {len(group)} samples, need >= {k}")
+        for j, fold in enumerate(folds):
+            fold += group[j::k]
+    return [sorted(fold) for fold in folds]
+
+
 def stratified_split(
     labels: Sequence[str], fractions: Sequence[float], seed: int
 ) -> list[list[int]]:
@@ -356,15 +391,8 @@ def stratified_split(
     if not labels:
         raise EmptyClass("no records to split")
 
-    by_class: dict[str, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_class.setdefault(label, []).append(i)
-
-    rng = random.Random(seed)
     partitions: list[list[int]] = [[] for _ in fractions]
-    for label in sorted(by_class):
-        group = by_class[label]
-        rng.shuffle(group)
+    for _, group in _shuffled_classes(labels, seed):
         c = len(group)
         cumulative = 0.0
         prev_boundary = 0

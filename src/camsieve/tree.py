@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,13 +17,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import atomic_write_text, class_order
+from .dataset import atomic_write_text, class_order, stratified_folds
 from .errors import (
     AllFeaturesPruned,
     CorruptModel,
     DimensionMismatch,
     EmptyDataset,
-    InsufficientSamples,
     UncleanData,
 )
 from .features import schema_hash
@@ -656,25 +654,6 @@ class CvReport:
         for name, row in zip(self.class_names, self.confusion):
             lines.append(f"{name:>{width}}" + "".join(f"{v:>{width}}" for v in row))
         return "\n".join(lines) + "\n"
-
-
-def stratified_folds(y: Sequence[str], k: int, seed: int) -> list[list[int]]:
-    """Deterministic stratified fold assignment: per-class shuffle, round robin."""
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
-    by_class: dict[str, list[int]] = {}
-    for i, label in enumerate(y):
-        by_class.setdefault(label, []).append(i)
-    rng = random.Random(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for label in sorted(by_class):
-        idx = by_class[label]
-        if len(idx) < k:
-            raise InsufficientSamples(f"class {label!r} has {len(idx)} samples, need >= {k}")
-        rng.shuffle(idx)
-        for j, sample in enumerate(idx):
-            folds[j % k].append(sample)
-    return [sorted(fold) for fold in folds]
 
 
 def cross_validate(

@@ -25,6 +25,7 @@ from camsieve.dataset import (
     default_taxonomy,
     read_chunks,
     read_csv,
+    stratified_folds,
     stratified_split,
     write_csv,
 )
@@ -490,6 +491,21 @@ class TestStratifiedSplit:
             expected[0] += group[:cut]
             expected[1] += group[cut:]
         assert stratified_split(labels, (0.8, 0.2), seed=7) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 6), st.integers(0, 2**32))
+    def test_folds_deal_the_split_order(self, data, k, seed):
+        # the CV folds and the hold-out draw one shuffle: fold j holds
+        # positions j, j+k, ... of each class's order in a one-part split
+        counts = data.draw(st.lists(st.integers(k, 3 * k), min_size=1, max_size=4))
+        labels = data.draw(st.permutations(
+            [f"c{c}" for c, count in enumerate(counts) for _ in range(count)]))
+        (order,) = stratified_split(labels, (1.0,), seed)
+        folds = stratified_folds(labels, k, seed)
+        for label in set(labels):
+            dealt = [i for i in order if labels[i] == label]
+            assert [[i for i in fold if labels[i] == label] for fold in folds] == [
+                sorted(dealt[j::k]) for j in range(k)]
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):

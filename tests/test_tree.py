@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from camsieve import tree
+from camsieve.dataset import stratified_folds
 from camsieve.errors import (
     AllFeaturesPruned,
     CorruptModel,
@@ -31,7 +32,6 @@ from camsieve.tree import (
     predict_proba,
     prune_features,
     save_model,
-    stratified_folds,
     train,
 )
 
