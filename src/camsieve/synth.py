@@ -46,6 +46,11 @@ _VIDEO_PAYLOAD_TYPES = {
 }
 
 
+def _conf_app(index: int) -> str:
+    """The app that conf flow `index` imitates, for its payload types and server port."""
+    return ("SKYPE", "TEAMS", "MEET")[index % 3]
+
+
 class TrafficKind(enum.Enum):
     CAMERA = "camera"
     CONF = "conf"
@@ -137,7 +142,7 @@ def _camera_events(rng: random.Random, manifest: dict) -> list[_Event]:
 
 
 def _conf_events(rng: random.Random, manifest: dict) -> list[_Event]:
-    app = ("SKYPE", "TEAMS", "MEET")[manifest["flow_index"] % 3]
+    app = _conf_app(manifest["flow_index"])
     pt = rng.choice(_VIDEO_PAYLOAD_TYPES[app])
     ssrc_fwd = rng.getrandbits(32)
     ssrc_bwd = rng.getrandbits(32)
@@ -214,8 +219,7 @@ def _server_port(kind: TrafficKind, index: int) -> int:
         return 443
     if kind is TrafficKind.CAMERA:
         return _CAMERA_SERVER_PORTS[index % len(_CAMERA_SERVER_PORTS)]
-    app = ("SKYPE", "TEAMS", "MEET")[index % 3]
-    if app == "MEET":
+    if _conf_app(index) == "MEET":
         return MEET_SERVER_PORT
     return 30000 + (index * 97) % 20000
 
