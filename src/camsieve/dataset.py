@@ -353,7 +353,7 @@ def clean(values) -> CleanResult:
 
 def _shuffled_classes(labels: Sequence[str], seed: int) -> Iterator[tuple[str, list[int]]]:
     """Each class's row indexes, classes in sorted order, each shuffled in turn
-    by one random.Random(seed): the draw that the folds and the split deal from."""
+    by one generator seeded with seed: the draw the folds and the split deal from."""
     by_class: dict[str, list[int]] = {}
     for i, label in enumerate(labels):
         by_class.setdefault(label, []).append(i)
