@@ -48,10 +48,12 @@ def _tie_margin(n: int | np.ndarray) -> float | np.ndarray:
 
 
 # Cells (features x level rows) that one block of the split scan covers. The
-# scan's temporaries take about 50 bytes per cell plus 4 per class, so a
-# block of four classes stays near 2 MB, inside a core's L2 cache, at any
-# dataset size. A block holds at least one feature, so a level wider than
-# this is scanned one feature at a time.
+# scan's buffers take 41 bytes per cell plus 8 per word of packed class
+# counts, and 16 more on levels wider than 46,340 rows, whose counts are
+# int64; a block of up to five classes on a level of at most 2,047 rows (one
+# word) stays near 1.6 MB, inside a core's L2 cache, at any dataset size. A
+# block holds at least one feature, so a level wider than this is scanned one
+# feature at a time.
 _SCAN_CELLS = 1 << 15
 
 # Below this many rows in a level, the exact re-rank's A <= n**3 / 4 and its
@@ -75,30 +77,46 @@ def _presort(X: np.ndarray, features: Sequence[int]) -> np.ndarray:
     return order
 
 
+def _varying(X: np.ndarray, features: Sequence[int]) -> tuple[int, ...]:
+    """The features, in the given order, that take more than one value over
+    the rows of X. The others hold no boundary in any node of a tree grown on
+    these rows, so no split search needs them."""
+    if not len(X):
+        return ()
+    spread = X.max(axis=0) > X.min(axis=0)
+    return tuple(fi for fi in features if spread[fi])
+
+
 class _Level(NamedTuple):
     """What the scan of one level shares across its blocks. Position p of a
     row is the split after the p-th row of the level; it puts the rows of its
-    node up to p on the left.
+    node up to p on the left, nl of them, and the nr others on the right.
 
     The class counts are packed: a word holds up to 63 // bits classes, each
     in a bits-wide field that no count of the level can overflow, so one
-    cumulative sum per word counts all of its classes at once."""
+    cumulative sum per word counts all of its classes at once. A field is cut
+    out in int64 and narrowed to the count dtype, int32 while the level is at
+    most 46,340 rows wide (a sum of squared counts is at most m**2 < 2**31
+    there) and int64 above that."""
 
     node: np.ndarray  # (m,) node of each position
-    n: np.ndarray  # (m,) float rows of that node
-    nl: np.ndarray  # (m,) float rows left of a split after p
-    nr: np.ndarray  # (m,) float rows right of it; 1 where no split is allowed
-    shut: np.ndarray  # (m,) inf after a node's last row, else 0
-    parent: np.ndarray  # (classes, m) int64 class counts of the position's node
+    ends: np.ndarray  # the last position of each node, where no split is allowed
+    inv_left: np.ndarray  # (m,) float64 -1 / nl
+    inv_right: np.ndarray  # (m,) float64 -1 / nr; -1 at a node's last position, where nr is 0
+    parent: np.ndarray  # (classes, m) class counts of the position's node, in the count dtype
     bits: int
     # per word: each row's code (its class's field set to 1) and the packed
     # counts of the nodes before each position
     words: tuple[tuple[np.ndarray, np.ndarray], ...]
     # (block features x m) buffers that every block reuses: fresh arrays of
     # this size cost a page fault per 4 KiB on each use
-    index: np.ndarray  # intp; take() copies any other index type first
-    work: np.ndarray  # (5, block, m) int64
-    lefts: np.ndarray  # (classes, block, m) class counts left of each position
+    index: np.ndarray  # intp rows; take() copies any other index type first
+    # (2, block, m) int64: the cell indexes, then shifted fields; as float64,
+    # the gathered values, then the two halves of w
+    wide: np.ndarray
+    packed: np.ndarray  # (words, block, m) int64 packed class counts left of each position
+    counts: np.ndarray  # (4, block, m) left and right counts and their sums of squares
+    boundary: np.ndarray  # (block, m) bool: the next value differs, and the node does not end
 
 
 def _level(bounds: np.ndarray, counts: np.ndarray, y: np.ndarray, block: int) -> _Level:
@@ -109,10 +127,9 @@ def _level(bounds: np.ndarray, counts: np.ndarray, y: np.ndarray, block: int) ->
     m = int(bounds[-1])
     node = np.repeat(np.arange(len(sizes)), sizes)
     nl = np.arange(1, m + 1) - bounds[:-1][node]
-    n = sizes[node]
-    nr = n - nl
-    shut = np.where(nr == 0, np.inf, 0.0)
-    nr[nr == 0] = 1
+    nr = sizes[node] - nl
+    ends = bounds[1:] - 1
+    nr[ends] = 1
     bits = m.bit_length()
     per_word = 63 // bits
     classes = np.arange(counts.shape[1])
@@ -122,20 +139,25 @@ def _level(bounds: np.ndarray, counts: np.ndarray, y: np.ndarray, block: int) ->
         (np.where(y // per_word == word, one[y], 0), before[:, classes // per_word == word].sum(axis=1))
         for word in range(-(-len(classes) // per_word))
     )
+    count_type = np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
     return _Level(
-        node, n.astype(np.float64), nl.astype(np.float64), nr.astype(np.float64), shut,
-        counts[node].T.astype(np.int64), bits, words,
-        np.empty((block, m), dtype=np.intp), np.empty((5, block, m), dtype=np.int64),
-        np.empty((len(classes), block, m), dtype=np.int32 if m < 2**31 else np.int64),
+        node, ends, -1.0 / nl, -1.0 / nr, counts[node].T.astype(count_type), bits, words,
+        np.empty((block, m), dtype=np.intp), np.empty((2, block, m), dtype=np.int64),
+        np.empty((len(words), block, m), dtype=np.int64),
+        np.empty((4, block, m), dtype=count_type), np.empty((block, m), dtype=bool),
     )
 
 
 def _scan(X_t: np.ndarray, features: np.ndarray, rows: np.ndarray,
           level: _Level) -> tuple[np.ndarray, np.ndarray]:
-    """Float weighted child impurity w = A / (nl * nr) after each position of
-    each sorted row, inf where the next value is equal (no boundary there) or
-    no split is allowed, and the (classes x features x m) integer counts of
-    each class left of each position within its node.
+    """Float w = -(sum(left**2) / nl + sum(right**2) / nr) after each position
+    of each sorted row, over the class counts left and right of it in its
+    node. w is the weighted child impurity A / (nl * nr) less the node's n,
+    so it ranks a node's positions as the impurity does, and it is at most
+    -n / classes wherever a split is allowed. Where none is, because the
+    next value is equal (no boundary there) or the node ends, w is 0. Also
+    returns the (words x features x m) packed class counts left of each
+    position.
 
     X_t is the transposed, C-contiguous feature matrix. rows (features x m)
     holds the level's node segments in every row, each segment sorted by
@@ -143,24 +165,27 @@ def _scan(X_t: np.ndarray, features: np.ndarray, rows: np.ndarray,
     buffers, valid until its next scan.
     """
     b, m = rows.shape
-    index, lefts = level.index[:b], level.lefts[:, :b]
-    packed, field, square, sum_sq_left, sum_sq_right = level.work[:, :b]
+    index, boundary = level.index[:b], level.boundary[:b]
+    cells, spare = level.wide[:, :b]
+    left, right, sum_sq_left, sum_sq_right = level.counts[:, :b]
     np.copyto(index, rows)
-    cells = np.multiply(features[:, None], X_t.shape[1], out=field)
-    cells += index
-    values = X_t.reshape(-1).take(cells, out=square.view(np.float64))
-    no_boundary = values[:, 1:] == values[:, :-1]
-    per_word = 63 // level.bits
-    for c in range(len(lefts)):
-        if c % per_word == 0:
-            code, before = level.words[c // per_word]
+    np.add(index, (features * X_t.shape[1])[:, None], out=cells)
+    values = X_t.reshape(-1).take(cells, out=spare.view(np.float64))
+    np.not_equal(values[:, 1:], values[:, :-1], out=boundary[:, :-1])
+    boundary[:, level.ends] = False
+    per_word, mask = 63 // level.bits, (1 << level.bits) - 1
+    for c in range(len(level.parent)):
+        word, slot = divmod(c, per_word)
+        packed = field = level.packed[word, :b]
+        if slot == 0:
+            code, before = level.words[word]
             np.cumsum(code.take(index, out=packed), axis=1, out=packed)
             packed -= before  # count from the node's first row, not the level's
-        np.right_shift(packed, level.bits * (c % per_word), out=field)
-        left = np.bitwise_and(field, (1 << level.bits) - 1, out=field)
-        lefts[c] = left
-        right = np.subtract(level.parent[c], left, out=square)
-        # squares and their sums stay below n**2, exact in int64
+        else:
+            field = np.right_shift(packed, level.bits * slot, out=cells)
+        np.bitwise_and(field, mask, out=left)  # at most m, so it fits the count dtype
+        np.subtract(level.parent[c], left, out=right)
+        # squares and their sums stay at most m**2, inside the count dtype
         if c == 0:
             np.multiply(left, left, out=sum_sq_left)
             np.multiply(right, right, out=sum_sq_right)
@@ -168,12 +193,10 @@ def _scan(X_t: np.ndarray, features: np.ndarray, rows: np.ndarray,
             sum_sq_left += np.multiply(left, left, out=left)
             sum_sq_right += np.multiply(right, right, out=right)
     # below 2**26 rows the sums convert to float64 exactly
-    w = np.divide(sum_sq_left, level.nl, out=packed.view(np.float64))
-    w += np.divide(sum_sq_right, level.nr, out=field.view(np.float64))
-    np.subtract(level.n, w, out=w)  # n - (sl / nl + sr / nr)
-    w += level.shut
-    np.copyto(w[:, :m - 1], np.inf, where=no_boundary)
-    return w, lefts
+    w = np.multiply(sum_sq_left, level.inv_left, out=spare.view(np.float64))
+    w += np.multiply(sum_sq_right, level.inv_right, out=cells.view(np.float64))
+    w *= boundary  # a product, not a masked copy: no branch per cell
+    return w, level.packed[:, :b]
 
 
 def best_split(
@@ -197,11 +220,15 @@ def best_split(
     All features of all nodes are scanned at once in float, in blocks of at
     most _SCAN_CELLS cells (at least one feature each). Every position whose
     w is within _tie_margin(n) of the smallest w of its node is then
-    re-ranked with exact integers. The float w of any position is off by at
-    most a few ulps of n: counts and their squared sums are exact in float64
-    below 2**26 rows, and two divisions, one add and one subtract leave an
-    error below n * 5e-16, a hundredth of the margin. So the exact winner,
-    and every position tied with it, is among those re-ranked, and the exact
+    re-ranked with exact integers. The float w of a position is off from the
+    exact -(sl / nl + sr / nr) by at most n * 3.4e-16, under a two-hundredth
+    of the margin: the sums of squared counts sl and sr are at most n**2 and
+    exact in float64 below 2**26 rows, and the reciprocals -1 / nl and
+    -1 / nr, the two products and their sum are each rounded once, which
+    leaves a relative error below (1 + 2**-53)**3 - 1 < 3.4e-16 of
+    sl / nl + sr / nr <= n. The exact winner's w is therefore within twice
+    that of the smallest float w of its node. So the exact winner, and
+    every position tied with it, is among those re-ranked, and the exact
     order (impurity, then feature, then threshold) picks the same split as a
     search that re-ranked every position.
     """
@@ -219,19 +246,23 @@ def best_split(
     block = min(len(features), max(1, _SCAN_CELLS // m))
     level = _level(segments, counts, y, block)
     margin = _tie_margin(sizes)
-    best = np.full(len(sizes), np.inf)  # each node's smallest w so far
+    best = np.zeros(len(sizes))  # each node's smallest w so far
     X_t = np.ascontiguousarray(X.T)  # a view when X is in Fortran order, as train keeps it
     columns = np.array(features, dtype=np.int64)
-    # (w, row of order, position, class counts left of it) near a node's min
+    # (w, row of order, position, packed counts left of it) near a node's min
     near: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     for start in range(0, len(features), block):
-        w, lefts = _scan(X_t, columns[start:start + block], order[start:start + block], level)
-        np.minimum(best, np.minimum.reduceat(w.min(axis=0), starts), out=best)
-        # a node with no boundary so far (best inf) has no candidates
-        limit = np.where(best < np.inf, best + margin, -np.inf)
-        i, pos = np.nonzero(w <= limit[level.node])
-        near.append((w[i, pos], i + start, pos, lefts[:, i, pos]))
-    w, i, pos, lefts = (np.concatenate(parts, axis=-1) for parts in zip(*near))
+        w, packed = _scan(X_t, columns[start:start + block], order[start:start + block], level)
+        low = w.min(axis=0)
+        np.minimum(best, np.minimum.reduceat(low, starts), out=best)
+        # a node with no boundary so far (best 0) has no candidates, and
+        # only positions whose block minimum is near hold any
+        limit = np.where(best < 0, best + margin, -np.inf)[level.node]
+        pos = np.flatnonzero(low <= limit)
+        i, j = np.nonzero(w[:, pos] <= limit[pos])
+        pos = pos[j]
+        near.append((w[i, pos], i + start, pos, packed[:, i, pos]))
+    w, i, pos, packed = (np.concatenate(parts, axis=-1) for parts in zip(*near))
     at = level.node[pos]
     # each node's candidates within its final margin, in ascending (feature,
     # threshold) order, so that the first exact minimum wins
@@ -239,11 +270,13 @@ def best_split(
     if not len(pick):
         return splits
     pick = pick[np.argsort(at[pick], kind="stable")]
-    i, pos, at = i[pick], pos[pick], at[pick]
+    i, pos, at, packed = i[pick], pos[pick], at[pick], packed[:, pick]
 
     # Lower weighted child impurity A / (n * nl * nr) means higher gain.
     exact = np.int64 if m < _INT64_RERANK_ROWS else object
-    left = lefts[:, pick].T.astype(exact)
+    per_word, mask = 63 // level.bits, (1 << level.bits) - 1
+    left = np.stack([(packed[c // per_word] >> level.bits * (c % per_word)) & mask
+                     for c in range(n_classes)], axis=1).astype(exact)
     right = counts[at].astype(exact) - left
     nl = (pos - starts[at] + 1).astype(exact)
     nr = sizes[at].astype(exact) - nl
@@ -388,13 +421,15 @@ def train(
     candidate_features restricts which columns may be split on without
     changing the feature space (used by importance pruning).
 
-    The tree grows one level at a time. Each candidate column is argsorted
-    once (presorted, when given, is that argsort: one row per sorted
-    candidate, as _presort returns it). The order matrix holds every node
-    that may still split as a column segment, each row sorted by its
-    feature; one best_split call searches them all, and a stable partition of
-    each row (left children, then right children) gives the next segments,
-    still sorted. Nodes are renumbered to preorder at the end, as a
+    The tree grows one level at a time. A candidate column with one value
+    over all rows can split no node, so it is dropped once, before the first
+    level; training_meta still records the candidates asked for. Each other
+    candidate column is argsorted once (presorted, when given, is that
+    argsort: one row per such column in ascending order, as _presort returns
+    it for them). The order matrix holds every node that may still split as
+    a column segment, each row sorted by its feature; one best_split call
+    searches them all, and a stable partition of each row (left children,
+    then right children) gives the next segments, still sorted. Nodes are renumbered to preorder at the end, as a
     depth-first recursion would number them.
 
     prior, when given, is a tree grown on the same rows and labels, with the
@@ -453,8 +488,9 @@ def train(
                 depth.append(d)
     elif max_depth > 0 and n >= min_samples_split and root.max() < n:
         growing, depth = [0], [0]
-    if growing and candidates:
-        order = _presort(arr, candidates) if presorted is None else presorted
+    varying = _varying(arr, candidates)
+    if growing and varying:
+        order = _presort(arr, varying) if presorted is None else presorted
         bounds = np.array([0, n])
         if prior is not None:
             # each row walks the cut table down to its node; every row of
@@ -477,7 +513,7 @@ def train(
     depth = np.array(depth)
     code = np.empty(n, dtype=np.int8)  # per row: 0 left, 1 right child still growing, 2 done
     while growing:
-        splits = best_split(arr, labels, k, candidates, order, bounds)
+        splits = best_split(arr, labels, k, varying, order, bounds)
         rows = order[0]
         at = np.repeat(np.arange(len(growing)), np.diff(bounds))
         feature = np.array([-1 if s is None else s[0] for s in splits])[at]
@@ -671,9 +707,11 @@ def cross_validate(
 ) -> CvReport:
     """Stratified k-fold accuracy with a summed confusion matrix.
 
-    The candidate columns are argsorted once. A fold's presort is that order
-    with the held-out rows taken out and the rest renumbered; removing rows
-    keeps the order of ties, so it equals a stable argsort of the fold.
+    The candidate columns are argsorted once, but for those with one value
+    over all rows, which split no fold. A fold's presort is that order with
+    the held-out rows taken out and the rest renumbered; removing rows keeps
+    the order of ties, so it equals a stable argsort of the fold. It leaves
+    out the columns with one value over the fold's rows, as train does.
 
     prior, when given, is a report of this function on the same X and y,
     with the same k, seed, max_depth, min_samples_split and class names
@@ -697,6 +735,7 @@ def cross_validate(
     folds = stratified_folds(y, k, seed)
     y_list = list(y)
     candidates = range(arr.shape[1]) if candidate_features is None else sorted(candidate_features)
+    candidates = _varying(arr, candidates)
     order = _presort(arr, candidates)
 
     accuracies: list[float] = []
@@ -706,10 +745,13 @@ def cross_validate(
         in_train = np.ones(len(y_list), dtype=bool)
         in_train[fold] = False
         train_idx = np.flatnonzero(in_train)
+        fold_X = arr[train_idx]
+        varying = _varying(fold_X, candidates)
+        rows = order if len(varying) == len(candidates) else order[np.isin(candidates, varying)]
         renumber = np.cumsum(in_train, dtype=order.dtype) - 1  # row -> row of the fold
-        fold_order = renumber[order[in_train[order]]].reshape(len(order), len(train_idx))
+        fold_order = renumber[rows[in_train[rows]]].reshape(len(rows), len(train_idx))
         model = train(
-            arr[train_idx], [y_list[i] for i in train_idx], feature_names,
+            fold_X, [y_list[i] for i in train_idx], feature_names,
             class_names=class_names, max_depth=max_depth,
             min_samples_split=min_samples_split, seed=seed,
             candidate_features=candidate_features, presorted=fold_order,

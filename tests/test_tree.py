@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,14 @@ from oracles import (
     reference_predict_proba,
     split_node,
 )
+
+
+def unpacked_counts(packed, bits, n_classes):
+    """The (classes x features x m) class counts that the scan packs into
+    (words x features x m) int64 words, bits per class field."""
+    per_word = 63 // bits
+    return np.stack([(packed[c // per_word] >> (bits * (c % per_word))) & ((1 << bits) - 1)
+                     for c in range(n_classes)])
 
 
 def as_xy(rows):
@@ -276,18 +285,37 @@ class TestScanMemoryBound:
         assert tree._presort(np.zeros((5, 3)), [0, 2]).dtype == np.int32
 
     def test_int32_class_counts_square_exactly(self):
-        # 50,000 squared is past 2**31: the squares must be taken in float64
+        # 50,000 squared is past 2**31: a level this wide counts in int64
         n, cut = 60_000, 50_000
         X = np.arange(n, dtype=np.float64)[:, None]
         y = (np.arange(n) >= cut).astype(np.int64)
         level = tree._level(np.array([0, n]), np.array([[cut, n - cut]]), y, 1)
-        w, lefts = tree._scan(X.T, np.array([0]), np.arange(n)[None, :], level)
-        assert lefts.dtype == np.int32
-        assert lefts[:, 0, cut - 1].tolist() == [cut, 0]
-        assert w[0, cut - 1] == 0.0 and w.argmin() == cut - 1
+        assert level.counts.dtype == np.int64 and level.parent.dtype == np.int64
+        w, packed = tree._scan(X.T, np.array([0]), np.arange(n)[None, :], level)
+        assert unpacked_counts(packed, level.bits, 2)[:, 0, cut - 1].tolist() == [cut, 0]
+        assert abs(w[0, cut - 1] + n) <= n * 3.4e-16 and w.argmin() == cut - 1
         fi, threshold, gain = split_node(X, y, 2, [0])
         assert (fi, threshold) == (0, cut - 0.5)
         assert gain == pytest.approx(1 - (cut / n) ** 2 - ((n - cut) / n) ** 2)
+
+    @pytest.mark.parametrize("n, count_type", [(46_340, np.int32), (46_341, np.int64)])
+    def test_count_dtype_switches_where_squares_leave_int32(self, n, count_type):
+        # the winning split leaves n - 7 rows of class 0 on the left: its
+        # squared count is within 0.1% of n**2, the most a level can hold
+        cut = n - 7
+        X = np.arange(n, dtype=np.float64)[:, None]
+        y = (np.arange(n) >= cut).astype(np.int64)
+        level = tree._level(np.array([0, n]), np.array([[cut, n - cut]]), y, 1)
+        assert level.counts.dtype == count_type
+        w, packed = tree._scan(X.T, np.array([0]), np.arange(n)[None, :], level)
+        left = unpacked_counts(packed, level.bits, 2)[:, 0]
+        assert left[:, cut - 1].tolist() == [cut, 0] and left[:, -2].tolist() == [cut, n - 1 - cut]
+        assert abs(w[0, cut - 1] + n) <= n * 3.4e-16 and w.argmin() == cut - 1
+        assert w[0, -1] == 0  # the node ends: no split
+        fi, threshold, gain = split_node(X, y, 2, [0])
+        assert (fi, threshold) == (0, cut - 0.5)
+        exact = 1 - Fraction(cut, n) ** 2 - Fraction(n - cut, n) ** 2
+        assert gain == pytest.approx(float(exact), abs=1e-15)
 
     @pytest.mark.parametrize("cells", [1, 20_000])
     def test_tiny_budget_grows_the_same_tree(self, monkeypatch, cells):
@@ -311,6 +339,71 @@ class TestScanMemoryBound:
             assert {rows for rows, _ in blocks} == {1}
         else:  # the levels narrow as nodes close, and their blocks take more features
             assert len({rows for rows, _ in blocks}) > 1
+
+
+@st.composite
+def scan_levels(draw, widths):
+    """A level for tree._scan of a width in widths: 1-6 classes, often
+    skewed towards class 0 so that counts come near the width, up to 8
+    nodes, and 1-4 features of 1 to about m values (one feature of about m
+    values on wide levels, so that nearly every position is scored)."""
+    m = draw(st.integers(*widths))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = min(m, draw(st.integers(1, 8)))
+    bounds = np.r_[0, np.sort(rng.choice(np.arange(1, m), nodes - 1, replace=False)), m]
+    f, values = 1, 10**6
+    if m <= 1000:
+        f, values = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 5, 60, 10**6]))
+    X = rng.integers(0, values, (m, f)) * 0.25
+    skew = draw(st.sampled_from([0.0, 0.5, 0.99, 1.0]))
+    y = np.where(rng.random(m) < skew, 0, rng.integers(0, k, m))
+    return k, X, y, bounds
+
+
+class TestScanFloatError:
+    # the docstring of best_split states this bound on the float w
+    BOUND = 3.4e-16
+
+    @pytest.mark.parametrize("widths, examples", [((2, 300), 60), ((46_330, 46_340), 3),
+                                                  ((46_341, 46_350), 3)],
+                             ids=["narrow", "int32-wide", "int64-wide"])
+    def test_w_within_bound_of_exact(self, widths, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(scan_levels(widths))
+        def check(case):
+            k, X, y, bounds = case
+            m, f = X.shape
+            order = np.vstack([np.hstack([lo + np.argsort(X[lo:hi, i], kind="stable")
+                                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+                               for i in range(f)])
+            sizes = np.diff(bounds)
+            node = np.repeat(np.arange(len(sizes)), sizes)
+            counts = np.array([np.bincount(y[lo:hi], minlength=k)
+                               for lo, hi in zip(bounds[:-1], bounds[1:])])
+            level = tree._level(bounds, counts, y, f)
+            assert level.counts.dtype == (np.int32 if m <= 46_340 else np.int64)
+            w, packed = tree._scan(np.ascontiguousarray(X.T), np.arange(f), order, level)
+            left = unpacked_counts(packed, level.bits, k)
+            nl = np.arange(1, m + 1) - bounds[:-1][node]
+            for i in range(f):
+                # class counts left of each position, from the node's first row
+                cum = np.cumsum(np.eye(k, dtype=np.int64)[y[order[i]]], axis=0)
+                want = cum - np.vstack([np.zeros(k, dtype=np.int64), cum])[bounds[:-1]][node]
+                assert (left[:, i].T == want).all()
+                values = X[order[i], i]
+                shut = np.r_[values[1:] == values[:-1], True]
+                shut[bounds[1:] - 1] = True
+                assert ((w[i] == 0) == shut).all() and (w[i] <= 0).all()
+                sum_sq_left = (want * want).sum(axis=1).tolist()
+                right = counts[node] - want
+                sum_sq_right = (right * right).sum(axis=1).tolist()
+                for p in np.flatnonzero(~shut).tolist():
+                    n, a = int(sizes[node[p]]), int(nl[p])
+                    exact = -Fraction(sum_sq_left[p], a) - Fraction(sum_sq_right[p], n - a)
+                    assert abs(Fraction(float(w[i, p])) - exact) <= Fraction(n * self.BOUND)
+
+        check()
 
 
 class TestTrain:
@@ -772,6 +865,85 @@ class TestPriorTree:
         scratch = train(X, y, names, max_depth=8, candidate_features=selected)
         scratch.training_meta["importance_threshold"] = 0.05
         assert model_bytes(pruned) == model_bytes(scratch)
+
+
+class TestConstantColumns:
+    @staticmethod
+    def recorded_calls(monkeypatch):
+        """(X, candidate_features, is_root) of each best_split call from now on."""
+        calls = []
+        search = tree.best_split
+
+        def recording(X, y, n_classes, candidate_features, order, bounds):
+            calls.append((X, list(candidate_features), list(bounds) == [0, len(X)]))
+            return search(X, y, n_classes, candidate_features, order, bounds)
+
+        monkeypatch.setattr(tree, "best_split", recording)
+        return calls
+
+    @staticmethod
+    def varying(X, candidates):
+        return [c for c in candidates if X[:, c].min() < X[:, c].max()]
+
+    def test_no_constant_column_reaches_best_split(self, monkeypatch):
+        X, labels = tie_heavy(21, 300, 12, 3)  # columns 0, 4 and 8 are constant
+        y = [f"c{c}" for c in labels]
+        names = [f"x{j}" for j in range(12)]
+        calls = self.recorded_calls(monkeypatch)
+        train(X, y, names, max_depth=6)
+        train(X, y, names, max_depth=6, candidate_features=[0, 1, 2, 4])
+        selected, _ = prune_features(X, y, names, threshold=0.05, max_depth=6)
+        full_cv = cross_validate(X, y, names, k=5, max_depth=6)
+        cross_validate(X, y, names, k=5, max_depth=6, candidate_features=selected, prior=full_cv)
+        # two trains, prune_features' full tree and the five full-CV folds
+        # search their roots; the grown-from-prior trees keep theirs
+        assert len(calls) > 20 and sum(root for _, _, root in calls) == 8
+        for X_call, candidates, _ in calls:
+            # each call gets every requested column that varies over its
+            # tree's rows, and no other
+            assert {0, 4, 8}.isdisjoint(candidates) and candidates
+            assert candidates in [self.varying(X_call, requested)
+                                  for requested in (range(12), [0, 1, 2, 4], selected)]
+
+    def test_a_column_constant_in_one_fold_is_searched_in_the_others(self, monkeypatch):
+        X, labels = tie_heavy(22, 120, 6, 3)
+        X[:, 0] = 0.0
+        X[17, 0] = 1.0  # varies only in the folds that train on row 17
+        y = [f"c{c}" for c in labels]
+        names = [f"x{j}" for j in range(6)]
+        calls = self.recorded_calls(monkeypatch)
+        report = cross_validate(X, y, names, k=4, max_depth=5, seed=9)
+        monkeypatch.undo()
+        roots = [candidates for _, candidates, root in calls if root]
+        held_out = next(i for i, fold in enumerate(stratified_folds(y, 4, 9)) if 17 in fold)
+        assert len(roots) == 4
+        for i, candidates in enumerate(roots):
+            assert (0 in candidates) == (i != held_out)
+            assert 1 in candidates and 4 not in candidates  # x4 is constant everywhere
+        scratch = [train(X[rest], [y[j] for j in rest], names, class_names=report.class_names,
+                         max_depth=5, seed=9)
+                   for rest in ([j for j in range(120) if j not in set(fold)]
+                                for fold in stratified_folds(y, 4, 9))]
+        assert [model_bytes(m) for m in report.fold_models] == [model_bytes(m) for m in scratch]
+
+    @pytest.mark.parametrize("candidates", [None, [0, 2]])
+    def test_all_constant_matrix_gives_one_leaf(self, monkeypatch, candidates):
+        X = np.full((40, 3), 2.5)
+        X[:, 1] = -1.0
+        y = ["Share"] * 15 + ["IoTCam"] * 25
+        calls = self.recorded_calls(monkeypatch)
+        model = train(X, y, ["a", "b", "c"], seed=7, candidate_features=candidates)
+        report = cross_validate(X, y, ["a", "b", "c"], k=5, candidate_features=candidates)
+        assert calls == []
+        want = DecisionTreeModel(
+            nodes=(TreeNode(-1, 0.0, -1, -1, (25, 15)),), max_depth=tree.DEFAULT_MAX_DEPTH,
+            feature_names=("a", "b", "c"), class_names=("IoTCam", "Share"),
+            training_meta={"seed": 7, "n_samples": 40, "min_samples_split": 2,
+                           "candidate_features": candidates, "importance_threshold": None},
+        )
+        assert model_bytes(model) == model_bytes(want)
+        assert report.confusion == ((25, 0), (15, 0))
+        assert all(len(m.nodes) == 1 for m in report.fold_models)
 
 
 class TestPersistence:
