@@ -377,5 +377,18 @@ def read_packets_sorted(path: str | Path) -> Iterator[PacketRecord]:
     `open_capture` rejects. A capture already in time order needs no sort:
     feed `read_packets(path)` to the flow assembler, which raises
     OutOfOrderTimestamp at the first timestamp that falls.
+
+    The held records share one `bytes` object per distinct address, where
+    decode_packet gives each record its own two.
     """
-    return iter(sorted(read_packets(path), key=attrgetter("timestamp")))
+    addresses: dict[bytes, bytes] = {}
+    records = []
+    for record in read_packets(path):
+        src, dst = record[1], record[2]
+        shared_src = addresses.setdefault(src, src)
+        shared_dst = addresses.setdefault(dst, dst)
+        if shared_src is not src or shared_dst is not dst:
+            record = _new(PacketRecord, (record[0], shared_src, shared_dst) + record[3:])
+        records.append(record)
+    records.sort(key=attrgetter("timestamp"))
+    return iter(records)

@@ -51,12 +51,6 @@ class RtpHeader(NamedTuple):
     ssrc: int
 
 
-class MuxClass(enum.Enum):
-    RTP = "RTP"
-    RTCP = "RTCP"
-    NEITHER = "NEITHER"
-
-
 class HintKind(enum.Enum):
     """Declared in priority order, which breaks a tie for a flow's dominant kind."""
 
@@ -116,29 +110,6 @@ def parse_rtp_header(payload: bytes) -> RtpHeader | None:
     ))
 
 
-def demux_rtp_rtcp(payload: bytes) -> MuxClass:
-    """Separate multiplexed RTP from RTCP on a shared port.
-
-    Version bits must equal 2. A known RTCP packet type in the second byte
-    means RTCP, as RFC 5761 section 4 separates the two: RTP on a muxed port
-    avoids the payload types that would put 200-206 there. It is tested first
-    because bit 4 of the first byte is also RTCP's, the top bit of a 16-31
-    report or source count. Otherwise that bit (RTP's header-extension bit X)
-    set means RTP, and so does any other payload holding the full 12-byte
-    fixed header, RTP without an extension.
-    """
-    if len(payload) < 2:
-        return MuxClass.NEITHER
-    b0 = payload[0]
-    if b0 >> 6 != 2:
-        return MuxClass.NEITHER
-    if payload[1] in RTCP_TYPES:
-        return MuxClass.RTCP
-    if b0 & 0x10 or len(payload) >= 12:
-        return MuxClass.RTP
-    return MuxClass.NEITHER
-
-
 # per-application payload-type tables; values outside them fall through to
 # the dynamic-range rule (96-127 can carry either audio or video)
 _MEDIA_TABLES: dict[AppContext, dict[int, tuple[MediaType, str]]] = {
@@ -171,40 +142,63 @@ def media_hint(header: RtpHeader, app: AppContext = AppContext.GENERIC) -> tuple
     return (MediaType.UNKNOWN, "")
 
 
-# media_hint's answer without an application context, by payload type
-_GENERIC_MEDIA = tuple(
-    media_hint(RtpHeader(2, False, False, 0, False, pt, 0, 0, 0)) for pt in range(128)
+# an RTP hint's fields but its header, by payload type: the kind, media_hint's
+# answer without an application context, and the confidence
+_RTP_FIELDS = tuple(
+    (HintKind.RTP, *media_hint(RtpHeader(2, False, False, 0, False, pt, 0, 0, 0)), Confidence.WEAK)
+    for pt in range(128)
 )
+
+# Every hint without a header, built once and shared by every payload it fits.
+# An enum member lookup costs 164 ns on Python 3.11 (51 on 3.12, 38 on 3.13), a module name 9.
+_QUIC_LONG = ProtocolHint(HintKind.QUIC_LONG, confidence=Confidence.STRONG)
+_QUIC_SHORT = ProtocolHint(HintKind.QUIC_SHORT, confidence=Confidence.STRONG)
+_IPSEC_NAT_T = ProtocolHint(HintKind.IPSEC_NAT_T, codec_note="UDP-encapsulated ESP")
+_RTCP_HINT = ProtocolHint(HintKind.RTCP)
+_HEADERLESS_RTP = ProtocolHint(HintKind.RTP)
+_ZOOM_UNKNOWN = ProtocolHint(HintKind.UNKNOWN, codec_note="Zoom-associated port")
+_MEET_UNKNOWN = ProtocolHint(HintKind.UNKNOWN, codec_note="Meet-associated port")
+_UNKNOWN = ProtocolHint(HintKind.UNKNOWN)
 
 
 def classify_udp_payload(payload: bytes, src_port: int, dst_port: int) -> ProtocolHint:
     """Best-effort hint for one UDP payload; deterministic and total.
 
-    Priority: QUIC on port 443 (first payload bit selects long vs short
-    header), IPSec NAT traversal on port 4500, then the RTP/RTCP demux on
-    any port. Port-based hints never become model features.
+    The first rule that holds gives the hint:
+
+    1. port 443 and a non-empty payload: QUIC, long or short header by the
+       payload's first bit;
+    2. port 4500: IPSec NAT traversal;
+    3. version 2, at least 2 bytes, and a second byte of 200-206: RTCP. RFC
+       5761 section 4 separates RTCP from RTP muxed on one port so; it comes
+       before bit 4 of the first byte, which is also the top bit of an RTCP
+       count of 16-31;
+    4. a header that parse_rtp_header reads (version 2, 12 bytes): RTP with
+       that header;
+    5. version 2, at least 2 bytes, and bit 4 (RTP's extension bit X) set:
+       RTP without a header;
+    6. otherwise UNKNOWN, noted on Zoom's (8801) or Meet's (19305) port.
+
+    Only rule 4 builds a hint; every other hint is a shared immutable value,
+    so compare hints with ==. Port-based hints never become model features.
     """
     ports = (src_port, dst_port)
     if QUIC_PORT in ports and payload:
-        kind = HintKind.QUIC_LONG if payload[0] & 0x80 else HintKind.QUIC_SHORT
-        return ProtocolHint(kind, confidence=Confidence.STRONG)
+        return _QUIC_LONG if payload[0] & 0x80 else _QUIC_SHORT
     if IPSEC_NAT_T_PORT in ports:
-        return ProtocolHint(HintKind.IPSEC_NAT_T, codec_note="UDP-encapsulated ESP")
-    mux = demux_rtp_rtcp(payload)
-    if mux is MuxClass.RTP:
-        header = parse_rtp_header(payload)
-        if header is not None:
-            media, note = _GENERIC_MEDIA[header.payload_type]
-            return _new(ProtocolHint, (HintKind.RTP, media, note, Confidence.WEAK, header))
-        return ProtocolHint(HintKind.RTP)
-    if mux is MuxClass.RTCP:
-        return ProtocolHint(HintKind.RTCP)
-    note = ""
+        return _IPSEC_NAT_T
+    if len(payload) >= 2 and payload[1] in RTCP_TYPES and payload[0] >> 6 == 2:
+        return _RTCP_HINT
+    header = parse_rtp_header(payload)
+    if header is not None:
+        return _new(ProtocolHint, _RTP_FIELDS[header.payload_type] + (header,))
+    if len(payload) >= 2 and payload[0] & 0xD0 == 0x90:  # version 2, bit 4 set
+        return _HEADERLESS_RTP
     if ZOOM_PORT in ports:
-        note = "Zoom-associated port"
-    elif MEET_PORT in ports:
-        note = "Meet-associated port"
-    return ProtocolHint(HintKind.UNKNOWN, codec_note=note)
+        return _ZOOM_UNKNOWN
+    if MEET_PORT in ports:
+        return _MEET_UNKNOWN
+    return _UNKNOWN
 
 
 def port_profile(ports: Sequence[int]) -> dict[int, float]:
@@ -220,8 +214,11 @@ class _FlowHints:
     __slots__ = ("kinds", "payload_types", "first_rtp", "ssrcs")
 
     def __init__(self):
-        self.kinds: dict[str, list] = {}  # kind name -> [payloads, the kind's first hint]
-        self.payload_types: Counter[int] = Counter()  # of every parsed RTP header
+        # kind name -> [payloads, the kind's first hint], for the hints without a
+        # header; those with one are counted in payload_types alone
+        self.kinds: dict[str, list] = {}
+        # of every parsed RTP header; a dict: updating a Counter costs about three times as much
+        self.payload_types: dict[int, int] = {}
         self.first_rtp: RtpHeader | None = None
         self.ssrcs: dict[int, list[int]] = {}  # SSRC -> [headers, last sequence, hits]
 
@@ -232,11 +229,12 @@ class PayloadHints:
     `build_report`.
 
     A flow keeps no payload bytes, so this keeps, per UDP flow, what the
-    report reads: the payloads of each kind and each kind's first hint, the
-    first parsed RTP header, a count of the RTP payload types, and per SSRC
-    the headers, the last sequence number and the hits (a sequence number
-    one past the last, mod 2**16). TCP flows are not classified. `clear`
-    drops the state of every flow, for flows that are thrown away.
+    report reads: the payloads of each kind and the first hint of each kind
+    without a header, the first parsed RTP header, a count of the RTP
+    payload types (which counts the RTP payloads with a header), and per
+    SSRC the headers, the last sequence number and the hits (a sequence
+    number one past the last, mod 2**16). TCP flows are not classified.
+    `clear` drops the state of every flow, for flows that are thrown away.
     """
 
     __slots__ = ("_flows",)
@@ -249,28 +247,28 @@ class PayloadHints:
 
     def observe(self, flow: FlowState, pkt: PacketRecord) -> None:
         """Classify the payload of `pkt`, which has just joined `flow`."""
-        _, _, _, src_port, dst_port, protocol, _, _, _, head, _, _ = pkt
-        if protocol != IPPROTO_UDP:
+        if pkt[5] != IPPROTO_UDP:  # the record's protocol
             return
-        # a head longer than a decoded one's 12 bytes gets the hint of its
-        # first 12: no heuristic reads further
-        hint = classify_udp_payload(head, src_port, dst_port)
+        # the record's head and ports; a head longer than a decoded one's 12
+        # bytes gets the hint of its first 12: no heuristic reads further
+        hint = classify_udp_payload(pkt[9], pkt[3], pkt[4])
         state = self._flows.get(flow)
         if state is None:
             state = self._flows[flow] = _FlowHints()
-        # keyed by name: hashing an enum member runs Python code
-        entry = state.kinds.get(hint.kind._name_)
-        if entry is None:
-            state.kinds[hint.kind._name_] = [1, hint]
-        else:
-            entry[0] += 1
-        header = hint.rtp
+        kind, _, _, _, header = hint
         if header is None:
+            # keyed by name: hashing an enum member runs Python code
+            entry = state.kinds.get(kind._name_)
+            if entry is None:
+                state.kinds[kind._name_] = [1, hint]
+            else:
+                entry[0] += 1
             return
         _, _, _, _, _, payload_type, sequence, _, ssrc = header
         if state.first_rtp is None:
             state.first_rtp = header
-        state.payload_types[payload_type] += 1
+        payload_types = state.payload_types
+        payload_types[payload_type] = payload_types.get(payload_type, 0) + 1
         stream = state.ssrcs.get(ssrc)
         if stream is None:
             state.ssrcs[ssrc] = [1, sequence, 0]
@@ -280,22 +278,28 @@ class PayloadHints:
             stream[0] += 1
             stream[1] = sequence
 
-    def entry(self, flow: FlowState, app: AppContext) -> tuple[dict, Counter[int]]:
+    def entry(self, flow: FlowState, app: AppContext) -> tuple[dict, dict[int, int]]:
         """One flow's entry in the inspection report, plus its RTP payload-type counts.
 
         The RTP statistics read only the headers of payloads classified RTP,
         so TCP flows, RTCP and payloads on the QUIC and IPSec ports add none.
         """
         state = self._flows.get(flow) or _FlowHints()
-        kind_counts = [(k, entry[0]) for k in HintKind if (entry := state.kinds.get(k._name_))]
+        counts = {name: entry[0] for name, entry in state.kinds.items()}
+        if state.payload_types:
+            counts["RTP"] = counts.get("RTP", 0) + sum(state.payload_types.values())
+        kind_counts = [(k, counts[k._name_]) for k in HintKind if k._name_ in counts]
         if kind_counts:
             # max keeps the first of equal counts, the kind declared first
             top = max(kind_counts, key=itemgetter(1))[0]
-            dominant = state.kinds[top._name_][1]
+            # only RTP can be counted without a first hint; its media and
+            # note come from the first header, below
+            first = state.kinds.get(top._name_)
+            dominant = first[1] if first is not None else _HEADERLESS_RTP
         else:
-            dominant = ProtocolHint(HintKind.UNKNOWN)
+            dominant = _UNKNOWN
 
-        pt_counts: Counter[int] = Counter()
+        pt_counts: dict[int, int] = {}
         if dominant.kind is HintKind.RTP and state.first_rtp is not None:
             pt_counts = state.payload_types
             media, note = media_hint(state.first_rtp, app)

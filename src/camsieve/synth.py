@@ -160,8 +160,9 @@ def _conf_events(rng: random.Random, manifest: dict) -> list[_Event]:
         for i in range(n_each):
             size = max(962, min(1362, round(rng.gauss(1162, 80))))
             marker = rng.random() < 0.08
-            # version 2 with the extension bit set; the RTP/RTCP demux calls this
-            # RTP at once, before it looks for an RTCP type or the full header
+            # version 2 with the extension bit set, and a second byte (marker,
+            # payload type) that is no RTCP type: classify_udp_payload reads
+            # the full header and calls it RTP
             rtp = _RTP_HEAD.pack(0x90, (0x80 if marker else 0) | pt,
                                  (seq0 + i) & 0xFFFF, rtp_ts & 0xFFFFFFFF, ssrc)
             events.append(_new(_Event, (ts, forward, size, 0, rtp)))

@@ -442,7 +442,9 @@ def train(
     wins over any subset that keeps its feature, and a node with no
     positive-gain split over the superset has none over a subset. The order
     matrix starts as the rows of the cut nodes, grouped by a stable argsort
-    that holds an intp matrix of its shape.
+    of their cut nodes' numbers, in the smallest unsigned dtype that holds
+    them (a radix sort below 65,536 cut nodes); the argsort holds an intp
+    matrix of the order matrix's shape.
 
     seed does not steer training, which has no randomness; it is only
     recorded in training_meta. It stays because training_meta is part of the
@@ -502,7 +504,11 @@ def train(
             for _ in range(max_depth):
                 fi = feature[at]
                 at = np.where(fi >= 0, children[at, (arr[np.arange(n), fi] > threshold[at]) * 1], at)
-            segment = np.full(len(nodes), len(growing), dtype=order.dtype)
+            # the smallest unsigned keys that hold every cut node's number and
+            # len(growing), the no-cut key: numpy's stable argsort radix-sorts
+            # keys of 16 bits or fewer, and comparison-sorts wider ones
+            keys = np.min_scalar_type(len(growing))
+            segment = np.full(len(nodes), len(growing), dtype=keys)
             segment[growing] = np.arange(len(growing))
             cut = segment[at]
             bounds = np.r_[0, np.cumsum(np.bincount(cut, minlength=len(growing) + 1)[:-1])]

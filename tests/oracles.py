@@ -7,7 +7,7 @@ packet decoding from a decoder that slices each header out of the frame.
 `node_order` and `split_node` are an exception: they only call the
 package's split search on a single node, for the tests that compare it with
 the oracles. `reference_report` is another: it holds every payload head of a
-flow and classifies them with the package's per-payload functions after the
+flow and classifies them with `reference_classify_udp_payload` after the
 flow ends, where `inspect` keeps running state as each packet joins.
 `reference_capture` is a third: it draws each flow's events with the
 package's synth builders, then builds every frame field by field and sorts
@@ -16,9 +16,15 @@ them all, where `synth.generate` streams them from precomputed header bytes.
 `tree.predict_proba` walks flat tables made from them.
 `rtp_stream_continuity` reads a flow's whole list of RTP headers, where
 `protocols.PayloadHints` counts the same hits as each payload joins.
+`reference_classify_udp_payload` demultiplexes RTP from RTCP with
+`demux_rtp_rtcp` and then parses the header with the package's
+`parse_rtp_header`, building each hint afresh, where
+`protocols.classify_udp_payload` reads the header once and shares the hints
+that carry none.
 """
 from __future__ import annotations
 
+import enum
 import socket
 import statistics
 import struct
@@ -42,12 +48,18 @@ from camsieve.packets import (
     TcpFlags,
 )
 from camsieve.protocols import (
+    IPSEC_NAT_T_PORT,
+    MEET_PORT,
+    QUIC_PORT,
+    RTCP_TYPES,
+    ZOOM_PORT,
     AppContext,
+    Confidence,
     HintKind,
     ProtocolHint,
     RtpHeader,
-    classify_udp_payload,
     media_hint,
+    parse_rtp_header,
     port_profile,
 )
 from camsieve.synth import (
@@ -509,6 +521,62 @@ def flow_key(flow: FlowState) -> tuple:
 # the flow ends: the flows once held their heads, and inspect read them so.
 
 
+class MuxClass(enum.Enum):
+    RTP = "RTP"
+    RTCP = "RTCP"
+    NEITHER = "NEITHER"
+
+
+def demux_rtp_rtcp(payload: bytes) -> MuxClass:
+    """Separate multiplexed RTP from RTCP on a shared port.
+
+    Version bits must equal 2. A known RTCP packet type in the second byte
+    means RTCP, as RFC 5761 section 4 separates the two: RTP on a muxed port
+    avoids the payload types that would put 200-206 there. It is tested first
+    because bit 4 of the first byte is also RTCP's, the top bit of a 16-31
+    report or source count. Otherwise that bit (RTP's header-extension bit X)
+    set means RTP, and so does any other payload holding the full 12-byte
+    fixed header, RTP without an extension.
+    """
+    if len(payload) < 2:
+        return MuxClass.NEITHER
+    b0 = payload[0]
+    if b0 >> 6 != 2:
+        return MuxClass.NEITHER
+    if payload[1] in RTCP_TYPES:
+        return MuxClass.RTCP
+    if b0 & 0x10 or len(payload) >= 12:
+        return MuxClass.RTP
+    return MuxClass.NEITHER
+
+
+def reference_classify_udp_payload(payload: bytes, src_port: int, dst_port: int) -> ProtocolHint:
+    """The hint of one UDP payload: QUIC on port 443 (the first payload bit
+    selects the long or short header), IPSec NAT traversal on port 4500, then
+    the RTP/RTCP demux on any port, each hint built afresh."""
+    ports = (src_port, dst_port)
+    if QUIC_PORT in ports and payload:
+        kind = HintKind.QUIC_LONG if payload[0] & 0x80 else HintKind.QUIC_SHORT
+        return ProtocolHint(kind, confidence=Confidence.STRONG)
+    if IPSEC_NAT_T_PORT in ports:
+        return ProtocolHint(HintKind.IPSEC_NAT_T, codec_note="UDP-encapsulated ESP")
+    mux = demux_rtp_rtcp(payload)
+    if mux is MuxClass.RTP:
+        header = parse_rtp_header(payload)
+        if header is not None:
+            media, note = media_hint(header)
+            return ProtocolHint(HintKind.RTP, media, note, Confidence.WEAK, header)
+        return ProtocolHint(HintKind.RTP)
+    if mux is MuxClass.RTCP:
+        return ProtocolHint(HintKind.RTCP)
+    note = ""
+    if ZOOM_PORT in ports:
+        note = "Zoom-associated port"
+    elif MEET_PORT in ports:
+        note = "Meet-associated port"
+    return ProtocolHint(HintKind.UNKNOWN, codec_note=note)
+
+
 def rtp_stream_continuity(headers: list[RtpHeader | None]) -> float | None:
     """Fraction of consecutive RTP sequence numbers incrementing by exactly 1
     (mod 2**16), over a flow's parsed RTP headers in packet order. None
@@ -536,7 +604,8 @@ def reference_inspect_flow(
     hints = []
     if flow.protocol == IPPROTO_UDP:
         src_port, dst_port = flow.initiator[1], flow.responder[1]
-        hints = [classify_udp_payload(head[:PAYLOAD_HEAD], src_port, dst_port) for head in heads]
+        hints = [reference_classify_udp_payload(head[:PAYLOAD_HEAD], src_port, dst_port)
+                 for head in heads]
     kinds = [h.kind for h in hints]
     kind_counts = [(k, c) for k in HintKind if (c := kinds.count(k))]
     if kind_counts:

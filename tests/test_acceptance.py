@@ -20,9 +20,7 @@ from camsieve.packets import read_packets, read_packets_sorted
 from camsieve.protocols import (
     AppContext,
     MediaType,
-    MuxClass,
     classify_udp_payload,
-    demux_rtp_rtcp,
     media_hint,
     parse_rtp_header,
 )
@@ -37,7 +35,14 @@ from camsieve.tree import (
 )
 
 from conftest import random_flow
-from oracles import exhaustive_best_split, gini_exact, reference_features, split_node
+from oracles import (
+    MuxClass,
+    demux_rtp_rtcp,
+    exhaustive_best_split,
+    gini_exact,
+    reference_features,
+    split_node,
+)
 
 SEED = 42
 FLOWS_PER_CLASS = 300

@@ -17,18 +17,22 @@ from camsieve.protocols import (
     Confidence,
     HintKind,
     MediaType,
-    MuxClass,
     PayloadHints,
     build_report,
     classify_udp_payload,
-    demux_rtp_rtcp,
     media_hint,
     parse_rtp_header,
     port_profile,
 )
 
 from conftest import flow_packet, make_flow
-from oracles import reference_report, rtp_stream_continuity
+from oracles import (
+    MuxClass,
+    demux_rtp_rtcp,
+    reference_classify_udp_payload,
+    reference_report,
+    rtp_stream_continuity,
+)
 
 
 def rtp_bytes(version=2, padding=0, extension=0, cc=0, marker=0, pt=96,
@@ -93,30 +97,46 @@ class TestParseRtpHeader:
             111, 0xBEEF, 0x12345678, 0xCAFEBABE)
 
 
+# the kind classify_udp_payload gives on a port pair with no port rule, for
+# each class of the oracle's RTP/RTCP demux
+_MUX_KINDS = {MuxClass.RTP: HintKind.RTP, MuxClass.RTCP: HintKind.RTCP,
+              MuxClass.NEITHER: HintKind.UNKNOWN}
+
+
+def demux(payload):
+    """The oracle's demux class of payload, after checking that
+    classify_udp_payload on a neutral port pair gives its kind."""
+    mux = demux_rtp_rtcp(payload)
+    assert classify_udp_payload(payload, 50000, 50001).kind is _MUX_KINDS[mux]
+    return mux
+
+
 class TestDemux:
+    """The RTP/RTCP rule, through the oracle's demux and classify_udp_payload."""
+
     def test_bit_four_set_is_rtp(self):
-        assert demux_rtp_rtcp(bytes([0x90, 0x60])) is MuxClass.RTP
+        assert demux(bytes([0x90, 0x60])) is MuxClass.RTP
 
     def test_rtcp_type_byte_confirms(self):
-        assert demux_rtp_rtcp(bytes([0x80, 0xC8])) is MuxClass.RTCP  # type 200
+        assert demux(bytes([0x80, 0xC8])) is MuxClass.RTCP  # type 200
 
     def test_version_one_is_neither(self):
-        assert demux_rtp_rtcp(bytes([0x40, 0xC8])) is MuxClass.NEITHER
+        assert demux(bytes([0x40, 0xC8])) is MuxClass.NEITHER
 
     def test_bit_four_clear_without_rtcp_type_is_neither(self):
-        assert demux_rtp_rtcp(bytes([0x80, 0x60])) is MuxClass.NEITHER
+        assert demux(bytes([0x80, 0x60])) is MuxClass.NEITHER
 
     @pytest.mark.parametrize("pt", [0, 96, 100, 127])
     def test_full_header_without_bit_four_is_rtp(self, pt):
         payload = rtp_bytes(extension=0, pt=pt)
-        assert demux_rtp_rtcp(payload) is MuxClass.RTP
-        assert demux_rtp_rtcp(payload[:11]) is MuxClass.NEITHER  # one byte short
+        assert demux(payload) is MuxClass.RTP
+        assert demux(payload[:11]) is MuxClass.NEITHER  # one byte short
 
     def test_rtcp_type_wins_over_full_header(self):
-        assert demux_rtp_rtcp(bytes([0x80, 0xC8]) + b"\x00" * 26) is MuxClass.RTCP
+        assert demux(bytes([0x80, 0xC8]) + b"\x00" * 26) is MuxClass.RTCP
 
     def test_short_payload(self):
-        assert demux_rtp_rtcp(b"\x90") is MuxClass.NEITHER
+        assert demux(b"\x90") is MuxClass.NEITHER
 
     @pytest.mark.parametrize("packet_type", [200, 201, 202, 203])
     def test_rtcp_with_sixteen_or_more_blocks_is_rtcp(self, packet_type):
@@ -126,7 +146,7 @@ class TestDemux:
                 payload = rtcp_bytes(packet_type, count, padding)
                 assert payload[0] & 0x10
                 assert payload[0] & 0x1F == count
-                assert demux_rtp_rtcp(payload) is MuxClass.RTCP
+                assert demux(payload) is MuxClass.RTCP
                 hint = classify_udp_payload(payload, 50000, 50001)
                 assert hint.kind is HintKind.RTCP and hint.rtp is None
 
@@ -135,7 +155,7 @@ class TestDemux:
     def test_rtcp_type_byte_is_rtcp_whatever_the_first_byte(self, b0, packet_type, tail):
         payload = bytes([b0, packet_type]) + tail
         want = MuxClass.RTCP if b0 >> 6 == 2 else MuxClass.NEITHER
-        assert demux_rtp_rtcp(payload) is want
+        assert demux(payload) is want
 
 
 class TestMediaHint:
@@ -161,7 +181,52 @@ class TestMediaHint:
         assert media_hint(header, app) == (media, note)
 
 
+@st.composite
+def demux_edge_payloads(draw):
+    """0-24 bytes, most with a version-2 first byte, many with a second byte
+    of 192-223 (around the RTCP types 200-206), and bit 4 of the first byte
+    (RTP's extension bit, the top bit of an RTCP count) set or clear."""
+    raw = bytearray(draw(st.binary(max_size=24)))
+    if raw and draw(st.integers(0, 3)):
+        raw[0] = 0x80 | raw[0] & 0x3F
+    if raw:
+        bit4 = draw(st.sampled_from([None, 0, 1]))
+        if bit4 is not None:
+            raw[0] = raw[0] & ~0x10 | bit4 << 4
+    if len(raw) >= 2 and draw(st.booleans()):
+        raw[1] = draw(st.integers(192, 223))
+    return bytes(raw)
+
+
+RULE_PORTS = st.one_of(st.sampled_from([QUIC_PORT, IPSEC_NAT_T_PORT, ZOOM_PORT, MEET_PORT, 5004]),
+                       st.integers(0, 65535))
+
+
 class TestClassifyUdpPayload:
+    @settings(max_examples=1000, deadline=None)
+    @given(demux_edge_payloads(), RULE_PORTS, RULE_PORTS)
+    def test_matches_the_reference_classifier(self, payload, src, dst):
+        # equal in all five fields, the parsed header included
+        assert classify_udp_payload(payload, src, dst) == reference_classify_udp_payload(
+            payload, src, dst)
+
+    def test_hints_without_a_header_are_shared(self):
+        # one immutable value per kind and note, not one per payload
+        for payload, ports in [
+            (bytes([0xC3]), (40000, 443)),
+            (bytes([0x43]), (443, 40000)),
+            (b"", (35301, 4500)),
+            (bytes([0x80, 0xC8]), (50000, 50001)),
+            (bytes([0x90, 0x60]), (50000, 50001)),
+            (b"\x00", (52000, 8801)),
+            (b"\x00", (19305, 52000)),
+            (b"\x00", (50000, 50001)),
+        ]:
+            first = classify_udp_payload(payload, *ports)
+            assert first.rtp is None
+            assert classify_udp_payload(payload + b"\x00", *ports) is first
+            assert first == reference_classify_udp_payload(payload, *ports)
+
     def test_quic_long_header(self):
         hint = classify_udp_payload(bytes([0xC3]) + b"\x00" * 20, 40000, 443)
         assert hint.kind is HintKind.QUIC_LONG

@@ -830,6 +830,28 @@ class TestPriorTree:
         assert [grown.nodes[i].feature for i in (1, 3, 8)] == [1, 1, 2]
         assert grown.nodes[9].is_leaf and grown.nodes[9].counts == (1, 3)
 
+    def test_more_cut_nodes_than_a_byte_numbers(self, monkeypatch):
+        # each pair of rows shares x0, and a row's label is its random x1,
+        # inverted on every other pair: x1 is the first split on 291 paths,
+        # more than 8-bit keys number, so the rows are grouped by 16-bit ones
+        n = 4000
+        X = np.c_[np.arange(n) // 2, np.random.default_rng(1).integers(0, 2, n)].astype(float)
+        y = ["ba"[(i // 2 + int(x1)) % 2] for i, x1 in enumerate(X[:, 1])]
+        names, params = ["x0", "x1"], dict(max_depth=40)
+        prior = train(X, y, names, **params)
+        segments = []
+
+        def counting(*args):
+            segments.append(len(args[5]) - 1)
+            return best_split(*args)
+
+        monkeypatch.setattr(tree, "best_split", counting)
+        grown = train(X, y, names, candidate_features=[0], prior=prior, **params)
+        monkeypatch.undo()
+        assert segments[0] == 291
+        scratch = train(X, y, names, candidate_features=[0], **params)
+        assert model_bytes(grown) == model_bytes(scratch)
+
     def test_cross_validate_refuses_another_report(self):
         X, labels = tie_heavy(5, 60, 6, 3)
         y = [f"c{c}" for c in labels]
