@@ -6,7 +6,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from .errors import CamsieveError, OutOfOrderTimestamp
 DEFAULT_FLOW_TIMEOUT_S = flows.DEFAULT_FLOW_TIMEOUT_US / 1e6
 DEFAULT_ACTIVITY_THRESHOLD_S = features.DEFAULT_ACTIVITY_THRESHOLD_US / 1e6
 PREDICT_SLICE = 256  # rows whose output lines predict writes at once
+WRITE_BATCH = 4096  # text chunks joined into one write
 
 
 def extract_records(
@@ -35,19 +38,48 @@ def _assemble(
 ) -> list[flows.FlowState]:
     """The capture's flows. A regular file is assembled as it is read, and read
     again sorted only if a timestamp falls; anything else, such as a pipe,
-    which cannot be read twice, is sorted in a list first. Given `hints`, its
-    `observe` classifies each packet's payload as the packet joins its flow,
-    and it holds the state of the returned flows only."""
+    which cannot be read twice, is sorted in a list first.
+
+    Without `hints` the flows keep their columns, which `compute_features`
+    reads. Given `hints`, its `observe` classifies each packet's payload as
+    the packet joins its flow, and it holds the state of the returned flows
+    only; the flows keep no columns, since inspect's report reads only their
+    identity and packet count."""
     observer = hints.observe if hints is not None else None
+    columns = hints is None
     if Path(pcap_path).is_file():
         try:
-            return flows.assemble_flows(packets.read_packets(pcap_path), flow_timeout_us, observer)
+            return flows.assemble_flows(packets.read_packets(pcap_path), flow_timeout_us,
+                                        observer, columns)
         except OutOfOrderTimestamp:
             # read again below, once this block's traceback, which keeps the
             # aborted attempt's flows alive, is gone; their state goes now
             if hints is not None:
                 hints.clear()
-    return flows.assemble_flows(packets.read_packets_sorted(pcap_path), flow_timeout_us, observer)
+    return flows.assemble_flows(packets.read_packets_sorted(pcap_path), flow_timeout_us,
+                                observer, columns)
+
+
+class _ReaderGone(Exception):
+    """The reader of standard output has closed its end of the pipe."""
+
+
+def _write_batched(fh, chunks) -> None:
+    """Write text chunks WRITE_BATCH at a time: one write per chunk would cost a
+    call each, and a flush each at every newline on a line-buffered stdout."""
+    chunks = iter(chunks)
+    while batch := list(islice(chunks, WRITE_BATCH)):
+        fh.write("".join(batch))
+
+
+def _to_stdout(chunks=()) -> None:
+    """Write text chunks to standard output, then flush it; _ReaderGone when
+    its reader has closed the pipe."""
+    try:
+        _write_batched(sys.stdout, chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise _ReaderGone from None
 
 
 def _int_at_least(minimum: int, unit: str):
@@ -152,11 +184,16 @@ def cmd_inspect(args) -> int:
     hints = protocols.PayloadHints()
     flow_list = _assemble(args.pcap, int(args.flow_timeout * 1e6), hints)
     report = protocols.build_report(flow_list, hints, protocols.AppContext(args.app.upper()))
-    text = json.dumps(report, indent=2) + "\n" if args.json else protocols.render_report(report)
-    if args.output:
-        dataset.atomic_write_text(args.output, lambda fh: fh.write(text))
+    if args.json:
+        # the chunks that json.dumps(report, indent=2) joins, written as they
+        # come: the same bytes without the whole text in memory
+        chunks = chain(json.JSONEncoder(indent=2).iterencode(report), ["\n"])
     else:
-        sys.stdout.write(text)
+        chunks = [protocols.render_report(report)]
+    if args.output:
+        dataset.atomic_write_text(args.output, lambda fh: _write_batched(fh, chunks))
+    else:
+        _to_stdout(chunks)
     return 0
 
 
@@ -187,7 +224,7 @@ def cmd_cv(args) -> int:
     text = report.render()
     if args.output:
         dataset.atomic_write_text(args.output, lambda fh: fh.write(text))
-    sys.stdout.write(text)
+    _to_stdout([text])
     return 0
 
 
@@ -293,7 +330,7 @@ def cmd_report(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.output:
         dataset.atomic_write_text(args.output, lambda fh: fh.write(text))
-    sys.stdout.write(text)
+    _to_stdout([text])
     return 0
 
 
@@ -375,7 +412,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _to_stdout()  # what print() left in the buffer
+        return code
+    except _ReaderGone:
+        # a reader that stops early, such as `head`, is not an error. The rest
+        # of the output goes to /dev/null, so that the interpreter's last
+        # flush meets no closed pipe (the signal module's note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (CamsieveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

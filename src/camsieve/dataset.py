@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import stat
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -111,35 +112,61 @@ def atomic_write_text(path: str | Path, writer: Callable, binary: bool = False) 
     translation, or a bytes handle when binary is set.
 
     The file gets the mode open() would give it, 0o666 less the umask, not
-    the temp file's owner-only 0o600.
+    the temp file's owner-only 0o600. A symlink stays a link: the temp file is
+    made beside the link's resolved target, and the rename replaces the
+    target (a dangling link's target is created, as open() would create it).
+    A hard link does not stay one: the rename gives the path a new file.
 
-    IoFailure names path when the temp file cannot be made or renamed to it;
-    an error raised by writer itself, such as one reading its input, passes
-    through as it is.
+    A path that exists but is neither a regular file nor a directory, such as
+    a FIFO, a device or /dev/stdout, cannot be replaced: it is opened and
+    written in place, with no temp file, so a failure can leave part of the
+    output in it. A directory is not written: the rename fails.
+
+    IoFailure names path when the temp file cannot be made or renamed to it,
+    or the path cannot be opened in place; an error raised by writer itself,
+    such as one reading its input, passes through as it is.
     """
     path = Path(path)
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        mode = os.stat(path).st_mode  # follows links
+    except OSError:  # nothing there yet: the file is made below
+        mode = stat.S_IFREG
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        try:
+            fh = _open_output(path, binary)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
+        with fh:
+            writer(fh)
+        return
+    target = Path(os.path.realpath(path))
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".",
+                                        suffix=".tmp")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
     try:
-        if binary:
-            fh = os.fdopen(fd, "wb")
-        else:
-            fh = os.fdopen(fd, "w", encoding="utf-8", newline="")
-        with fh:
+        with _open_output(fd, binary) as fh:
             writer(fh)
         try:
             umask = os.umask(0o077)  # reading the umask means setting it
             os.umask(umask)
             os.chmod(tmp_name, 0o666 & ~umask)
-            os.replace(tmp_name, path)
+            os.replace(tmp_name, target)
         except OSError as exc:
             raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def _open_output(file: Path | int, binary: bool):
+    """A bytes handle, or a UTF-8 text handle without newline translation, on
+    a path or a file descriptor."""
+    if binary:
+        return open(file, "wb")
+    return open(file, "w", encoding="utf-8", newline="")
 
 
 def csv_row(rec: LabeledRecord) -> list:

@@ -23,9 +23,18 @@ class Termination(enum.Enum):
 
 
 class FlowState:
-    """One flow's packets, both directions, held as columns in the order they were added.
+    """One flow: its identity, its timing, its TCP FIN state, its packet count
+    and, for a flow made with columns (the default), its packets' columns.
 
-    Each packet added by `add` appends one entry to every per-packet column:
+    Every flow keeps its identity: the first packet's source and destination
+    endpoints, (raw address, port) pairs that only `flow_id` and the identity
+    cells spell as text, as `initiator` and `responder`, and the IP protocol
+    number as `protocol`. It keeps `start_ts` and `last_ts`, the first and
+    last packet's timestamps, the `termination` that `assemble_flows` gives
+    it, whether each side sent FIN (`fin_fwd`, `fin_bwd`) and `packet_count`.
+
+    A flow with columns takes its packets through `add`, which appends one
+    entry to every per-packet column:
 
     - `timestamps` and `payload_lengths`: `array('q')`
     - `directions`: a `bytearray`, 1 for a forward packet (sent from the
@@ -33,29 +42,32 @@ class FlowState:
     - `header_lengths` (transport header bytes) and `tcp_flags` (the raw flags
       byte, 0 for UDP): `bytearray`s
 
+    It also keeps the wire-byte sum (`wire_bytes`) and the TCP window of the
+    first packet in each direction (`first_window_fwd`, `first_window_bwd`;
+    None before that direction's first packet). `compute_features` reads all
+    of these, so it needs a flow with columns. The columns are in
+    non-decreasing timestamp order: `assemble_flows` rejects a decreasing
+    timestamp, and a flow built by hand must add its packets in that order,
+    since `compute_features` reads the columns as the flow's timeline.
+
+    A flow made with `columns=False` takes its packets through `count`, and
+    has none of the column attributes: its memory does not grow with its
+    packets. `inspect` assembles such flows, since its report reads only
+    each flow's identity and packet count.
+
     No payload byte is kept: a reader of payloads, such as `inspect`, reads
     each packet's `payload_head` as it is added, through `assemble_flows`'s
     observer.
-
-    Per flow it keeps its identity: the first packet's source and destination
-    endpoints, (raw address, port) pairs that only `flow_id` and the identity
-    cells spell as text, as `initiator` and `responder`, and the IP protocol
-    number as `protocol`. It also keeps the wire-byte sum (`wire_bytes`)
-    and the TCP window of the first packet in each direction
-    (`first_window_fwd`, `first_window_bwd`; None before that direction's
-    first packet). The columns are in non-decreasing timestamp order:
-    `assemble_flows` rejects a decreasing timestamp, and a flow built by hand
-    must add its packets in that order, since `compute_features` reads the
-    columns as the flow's timeline.
     """
 
     __slots__ = (
         "initiator", "responder", "protocol", "start_ts", "last_ts", "termination", "fin_fwd",
-        "fin_bwd", "timestamps", "payload_lengths", "directions", "header_lengths",
+        "fin_bwd", "counted", "timestamps", "payload_lengths", "directions", "header_lengths",
         "tcp_flags", "wire_bytes", "first_window_fwd", "first_window_bwd",
     )
 
-    def __init__(self, initiator: Endpoint, responder: Endpoint, protocol: int, start_ts: int):
+    def __init__(self, initiator: Endpoint, responder: Endpoint, protocol: int, start_ts: int,
+                 columns: bool = True):
         self.initiator = initiator
         self.responder = responder
         self.protocol = protocol
@@ -64,6 +76,10 @@ class FlowState:
         self.termination: Termination | None = None
         self.fin_fwd = False
         self.fin_bwd = False
+        if not columns:
+            self.counted: int | None = 0  # the packets taken by `count`
+            return
+        self.counted = None  # the columns count the packets
         self.timestamps = array("q")
         self.payload_lengths = array("q")
         self.directions = bytearray()
@@ -81,7 +97,7 @@ class FlowState:
 
     @property
     def packet_count(self) -> int:
-        return len(self.timestamps)
+        return len(self.timestamps) if self.counted is None else self.counted
 
     def add(self, pkt: PacketRecord) -> bool:
         """Append one packet to the columns; returns whether it is forward."""
@@ -102,11 +118,18 @@ class FlowState:
             self.first_window_bwd = window
         return forward
 
+    def count(self, pkt: PacketRecord) -> bool:
+        """Count one packet of a flow without columns; returns whether it is forward."""
+        self.counted += 1
+        self.last_ts = pkt[0]
+        return pkt[3] == self.initiator[1] and pkt[1] == self.initiator[0]
+
 
 def assemble_flows(
     packets: Iterable[PacketRecord],
     flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US,
     observer: Callable[[FlowState, PacketRecord], object] | None = None,
+    columns: bool = True,
 ) -> list[FlowState]:
     """Group packets in non-decreasing time order into flows, ordered by
     (start_ts, flow_id); a decreasing timestamp raises OutOfOrderTimestamp.
@@ -121,7 +144,14 @@ def assemble_flows(
     `observer`, when given, is called with (flow, packet) after each packet
     joins its flow, so that it can read what the flow does not keep, such as
     the payload head.
+
+    With `columns` false, the flows keep no per-packet columns (see
+    FlowState): enough for a reader of their identity, timing and packet
+    count, such as `inspect`, but not for `compute_features`.
     """
+    # looked up once a call, so that a FlowState class put in its place is used
+    new_flow = FlowState
+    take = new_flow.add if columns else new_flow.count
     table: dict[tuple, FlowState] = {}
     flows: list[FlowState] = []
     last_ts = None
@@ -147,9 +177,9 @@ def assemble_flows(
                 flows.append(flow)
                 flow = None
         if flow is None:
-            flow = table[key] = FlowState(source, destination, protocol, timestamp)
+            flow = table[key] = new_flow(source, destination, protocol, timestamp, columns)
 
-        forward = flow.add(pkt)
+        forward = take(flow, pkt)
         if observer is not None:
             observer(flow, pkt)
 

@@ -228,12 +228,14 @@ class PayloadHints:
     `observe` to `assemble_flows` as its observer, then the flows and this to
     `build_report`.
 
-    A flow keeps no payload bytes, so this keeps, per UDP flow, what the
-    report reads: the payloads of each kind and the first hint of each kind
-    without a header, the first parsed RTP header, a count of the RTP
-    payload types (which counts the RTP payloads with a header), and per
-    SSRC the headers, the last sequence number and the hits (a sequence
-    number one past the last, mod 2**16). TCP flows are not classified.
+    A flow keeps no payload bytes, and inspect's flows keep no per-packet
+    columns either (`assemble_flows(..., columns=False)`), so this keeps, per
+    UDP flow, what the report reads: the payloads of each kind and the first
+    hint of each kind without a header, the first parsed RTP header, a count
+    of the RTP payload types (which counts the RTP payloads with a header),
+    and per SSRC the headers, the last sequence number and the hits (a
+    sequence number one past the last, mod 2**16). TCP flows are not
+    classified.
     `clear` drops the state of every flow, for flows that are thrown away.
     """
 
@@ -283,6 +285,8 @@ class PayloadHints:
 
         The RTP statistics read only the headers of payloads classified RTP,
         so TCP flows, RTCP and payloads on the QUIC and IPSec ports add none.
+        Of the flow itself, only its identity and `packet_count` are read, so
+        a flow without columns will do.
         """
         state = self._flows.get(flow) or _FlowHints()
         counts = {name: entry[0] for name, entry in state.kinds.items()}
@@ -332,7 +336,9 @@ def build_report(flows: Sequence[FlowState], hints: PayloadHints,
                  app: AppContext = AppContext.GENERIC) -> dict:
     """Inspection report: per-flow hints, port profiles and payload-type totals.
 
-    `hints` observed every packet of `flows` as `assemble_flows` assembled them.
+    `hints` observed every packet of `flows` as `assemble_flows` assembled
+    them. Of each flow, only its identity and `packet_count` are read, so the
+    flows may keep no columns.
     """
     entries = []
     pt_total: Counter[int] = Counter()

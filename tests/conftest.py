@@ -172,6 +172,13 @@ class RecordedFlow(FlowState):
         return super().add(pkt)
 
 
+def kept_without_columns(flow) -> tuple:
+    """What every flow keeps, with columns or without: its identity, timing,
+    termination, FIN state and packet count."""
+    return (flow.initiator, flow.responder, flow.protocol, flow.start_ts, flow.last_ts,
+            flow.termination, flow.fin_fwd, flow.fin_bwd, flow.packet_count)
+
+
 @pytest.fixture
 def recorded_flows(monkeypatch):
     """While active, the assembler builds every flow as a RecordedFlow."""

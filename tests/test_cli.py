@@ -8,16 +8,19 @@ import re
 import resource
 import signal
 import socket
+import stat
 import struct
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camsieve import cli, dataset, features, flows, packets, synth, tree
+from camsieve import cli, dataset, features, flows, packets, protocols, synth, tree
 from camsieve.cli import main
 from camsieve.dataset import read_csv, write_csv
 from camsieve.errors import OutOfOrderTimestamp
@@ -270,22 +273,26 @@ class TestIPv6Capture:
         assert v6_report == v4_report
 
 
+def output_argv(command, workdir, model_path, out):
+    """The arguments of a command that writes its output to `out`."""
+    inputs = {
+        "extract": [workdir / "conf.pcap"],
+        "inspect": [workdir / "conf.pcap"],
+        "train": [workdir / "both.csv"],
+        "cv": [workdir / "both.csv"],
+        "predict": [model_path, workdir / "both.csv"],
+        "report": [workdir / "both.csv", "-k", "4"],
+    }[command]
+    return [command, *map(str, inputs), "-o", str(out)]
+
+
 class TestWriteErrors:
     """A failed write names the output path the user gave, not a temp file."""
-
-    def argv(self, command, workdir, model_path, out):
-        inputs = {
-            "extract": [workdir / "conf.pcap"],
-            "inspect": [workdir / "conf.pcap"],
-            "cv": [workdir / "both.csv"],
-            "predict": [model_path, workdir / "both.csv"],
-        }[command]
-        return [command, *map(str, inputs), "-o", str(out)]
 
     @pytest.mark.parametrize("command", ["extract", "inspect", "cv", "predict"])
     def test_missing_directory(self, workdir, model_path, tmp_path, capsys, command):
         out = tmp_path / "missing" / "out"
-        assert main(self.argv(command, workdir, model_path, out)) == 1
+        assert main(output_argv(command, workdir, model_path, out)) == 1
         assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
 
     @pytest.mark.parametrize("command", ["extract", "inspect", "cv", "predict"])
@@ -293,9 +300,124 @@ class TestWriteErrors:
                                                       capsys, command):
         out = tmp_path / "out"
         out.mkdir()  # the final rename fails
-        assert main(self.argv(command, workdir, model_path, out)) == 1
+        assert main(output_argv(command, workdir, model_path, out)) == 1
         assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
         assert list(tmp_path.iterdir()) == [out]
+
+
+@contextlib.contextmanager
+def drained(fifo):
+    """A thread reads the FIFO at `fifo` to its end while the block runs;
+    yields a function that gives the bytes it read."""
+    read = {}
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            read["bytes"] = fh.read()
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    try:
+        yield lambda: read["bytes"]
+    finally:
+        thread.join(timeout=10)
+        if thread.is_alive():
+            # nothing opened the FIFO: a writer that closes at once ends the read
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestOutputInPlace:
+    """An output path that is a FIFO is written to, not replaced by a file; so
+    a reader of the FIFO gets the bytes that a regular file gets."""
+
+    @pytest.mark.parametrize("command", ["extract", "inspect", "train", "cv", "predict", "report"])
+    def test_fifo_gets_the_files_bytes(self, workdir, model_path, tmp_path, command):
+        regular, fifo = tmp_path / "regular", tmp_path / "fifo"
+        json_report = ["--json"] if command == "inspect" else []
+        assert main(output_argv(command, workdir, model_path, regular) + json_report) == 0
+        os.mkfifo(fifo)
+        with drained(fifo) as read:
+            assert main(output_argv(command, workdir, model_path, fifo) + json_report) == 0
+        assert read() == regular.read_bytes()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(tmp_path.iterdir()) == [fifo, regular]  # no temp file left
+
+    def test_synth_fifos_get_the_files_bytes(self, tmp_path):
+        argv = ["synth", "--kind", "conf", "-n", "3", "--seed", "1"]
+        pcap, manifest = tmp_path / "conf.pcap", tmp_path / "conf.jsonl"
+        assert main([*argv, "-o", str(pcap), "--manifest", str(manifest)]) == 0
+        pcap_fifo, manifest_fifo = tmp_path / "pcap.fifo", tmp_path / "manifest.fifo"
+        os.mkfifo(pcap_fifo)
+        os.mkfifo(manifest_fifo)
+        with drained(pcap_fifo) as read_pcap, drained(manifest_fifo) as read_manifest:
+            assert main([*argv, "-o", str(pcap_fifo), "--manifest", str(manifest_fifo)]) == 0
+        assert read_pcap() == pcap.read_bytes()
+        assert read_manifest() == manifest.read_bytes()
+        assert stat.S_ISFIFO(os.stat(pcap_fifo).st_mode)
+        assert stat.S_ISFIFO(os.stat(manifest_fifo).st_mode)
+
+    def test_fifo_without_reader_left_is_an_error(self, workdir, tmp_path, capsys):
+        # the reader takes one byte and goes: the rest meets a closed pipe
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        pcap = tmp_path / "rtp.pcap"
+        write_rtp_capture(pcap, 2000, 400, 100)
+
+        def read_one():
+            with open(fifo, "rb", buffering=0) as fh:
+                fh.read(1)
+
+        thread = threading.Thread(target=read_one, daemon=True)
+        thread.start()
+        assert main(["inspect", str(pcap), "--json", "-o", str(fifo)]) == 1
+        thread.join(timeout=10)
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def stdout_mode(request):
+    """Environment variables for a child whose stdout is buffered, as by
+    default, or unbuffered, as under PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if request.param == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class TestClosedStdout:
+    """A reader that closes standard output early, as `head -n 1` does, ends
+    the command with exit 0 and nothing on stderr."""
+
+    def start(self, argv, env):
+        src_dir = Path(cli.__file__).resolve().parents[1]
+        return subprocess.Popen(
+            [sys.executable, "-m", "camsieve.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**env, "PYTHONPATH": str(src_dir)},
+        )
+
+    def test_inspect_json_after_one_line(self, tmp_path, stdout_mode):
+        pcap = tmp_path / "rtp.pcap"
+        write_rtp_capture(pcap, 2000, 400, 100)
+        assert main(["inspect", str(pcap), "--json", "-o", str(tmp_path / "report.json")]) == 0
+        # more than twice what a pipe holds (64 KiB), so the writer meets the closed pipe
+        assert (tmp_path / "report.json").stat().st_size > 2 * 65536
+        child = self.start(["inspect", str(pcap), "--json"], stdout_mode)
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        assert child.wait(timeout=120) == 0
+        assert child.stderr.read() == b""
+        child.stderr.close()
+
+    def test_cv_after_none(self, workdir, stdout_mode):
+        # cv's report is smaller than a pipe holds: the reader closes before it is written
+        child = self.start(["cv", str(workdir / "both.csv"), "-k", "4"], stdout_mode)
+        child.stdout.close()
+        assert child.wait(timeout=120) == 0
+        assert child.stderr.read() == b""
+        child.stderr.close()
 
 
 class TestBadInputs:
@@ -904,6 +1026,41 @@ class TestPacketMemory:
         assert per_frame < self.MAX_BYTES_PER_FRAME, (
             f"peak RSS {peaks[0]} kB at {self.FRAMES[0]} frames, {peaks[1]} kB at "
             f"{self.FRAMES[1]}: {per_frame:.0f} bytes a frame"
+        )
+
+
+class TestInspectFlowMemory:
+    """inspect's flows keep no per-packet columns, and its payload hints keep
+    running counts, so what `_assemble` returns for inspect does not grow with
+    the packets of a flow."""
+
+    FLOWS = 100
+    # every count a flow and its hints keep is above 256 at both sizes: CPython
+    # shares the int objects of -5 to 256, so below that a count holds no
+    # bytes of its own, and each of a flow's five counts would add 32 bytes
+    PACKETS = (300, 1200)
+
+    def held_bytes(self, pcap) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hints = protocols.PayloadHints()
+            flow_list = cli._assemble(pcap, flows.DEFAULT_FLOW_TIMEOUT_US, hints)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(flow_list) == self.FLOWS
+        return held
+
+    def test_same_bytes_for_more_packets(self, tmp_path):
+        held = []
+        for per_flow in (3, *self.PACKETS):  # the first fills what a first run fills
+            pcap = tmp_path / f"{per_flow}.pcap"
+            write_rtp_capture(pcap, self.FLOWS * per_flow, self.FLOWS, 100)
+            held.append(self.held_bytes(pcap))
+        del held[0]
+        assert abs(held[1] - held[0]) <= 1024, (
+            f"{held} bytes held at {self.PACKETS} packets a flow"
         )
 
 

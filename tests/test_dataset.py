@@ -292,6 +292,29 @@ class TestWrittenMode:
         for name in writes:
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask, name
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    @pytest.mark.parametrize("dangling", [False, True], ids=["target", "dangling"])
+    def test_symlink_stays_a_link(self, tmp_path, umask, dangling):
+        # the link's target gets the bytes and the mode of the test above; a
+        # dangling link's target is made, as open() makes it
+        links, targets = tmp_path / "links", tmp_path / "targets"
+        links.mkdir()
+        targets.mkdir()
+        if not dangling:
+            (targets / "flows.csv").write_bytes(b"old bytes")
+        (links / "flows.csv").symlink_to(Path("..") / "targets" / "flows.csv")
+        old = os.umask(umask)
+        try:
+            write_csv([record()], links / "flows.csv")
+        finally:
+            os.umask(old)
+        write_csv([record()], tmp_path / "regular.csv")
+        assert (links / "flows.csv").is_symlink()
+        assert (targets / "flows.csv").read_bytes() == (tmp_path / "regular.csv").read_bytes()
+        assert stat.S_IMODE(os.stat(targets / "flows.csv").st_mode) == 0o666 & ~umask
+        for directory in (links, targets):  # no temp file left
+            assert [p.name for p in directory.iterdir()] == ["flows.csv"]
+
 
 class TestChunkReader:
     @settings(max_examples=200, deadline=None)

@@ -23,7 +23,13 @@ from camsieve.packets import (
 )
 from camsieve.protocols import PayloadHints, build_report
 
-from conftest import ipv4_frame, tcp_segment, udp_segment, write_pcap_bytes
+from conftest import (
+    ipv4_frame,
+    kept_without_columns,
+    tcp_segment,
+    udp_segment,
+    write_pcap_bytes,
+)
 from oracles import canonical_key, flow_key
 
 
@@ -293,6 +299,10 @@ class TestStreamProperties:
             assert f.last_ts - f.start_ts <= timeout_us
             if f.termination is Termination.TCP_RST:
                 assert f.tcp_flags[-1] & TcpFlags.RST
+
+        # flows without columns, as inspect assembles them, split and end alike
+        lean = assemble_flows(pkts, timeout_us, columns=False)
+        assert list(map(kept_without_columns, lean)) == list(map(kept_without_columns, flows))
 
 
 class TestPayloads:

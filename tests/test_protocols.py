@@ -25,7 +25,7 @@ from camsieve.protocols import (
     port_profile,
 )
 
-from conftest import flow_packet, make_flow
+from conftest import flow_packet, kept_without_columns, make_flow
 from oracles import (
     MuxClass,
     demux_rtp_rtcp,
@@ -532,6 +532,14 @@ class TestClassifiedAtIngest:
         flows = assemble_flows(records, observer=observe)
         for app in AppContext:
             assert build_report(flows, hints, app) == reference_report(flows, heads, app)
+
+        # inspect's flows keep no columns, and give the same flows and reports
+        lean_hints = PayloadHints()
+        lean = assemble_flows(records, observer=lean_hints.observe, columns=False)
+        assert not any(hasattr(f, "timestamps") for f in lean)
+        assert list(map(kept_without_columns, lean)) == list(map(kept_without_columns, flows))
+        for app in AppContext:
+            assert build_report(lean, lean_hints, app) == build_report(flows, hints, app)
 
     def test_tied_ssrcs_go_to_the_lowest(self):
         # SSRCs 9 and 7 have two headers each; 7's sequence numbers skip
