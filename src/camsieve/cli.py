@@ -82,6 +82,25 @@ def _to_stdout(chunks=()) -> None:
         raise _ReaderGone from None
 
 
+def _is_stdout(path: Path) -> bool:
+    """Whether path names the file that standard output writes to, as
+    /dev/stdout does."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file yet, or a stdout with no descriptor
+        return False
+
+
+def _write_report(text: str, output: Path | None) -> None:
+    """Write cv's or report's text to output, when given, and to standard
+    output, unless output is standard output: the text goes there once."""
+    echo = output is None or not _is_stdout(output)  # before a rename can replace it
+    if output is not None:
+        dataset.atomic_write_text(output, lambda fh: fh.write(text))
+    if echo:
+        _to_stdout([text])
+
+
 def _int_at_least(minimum: int, unit: str):
     """argparse type: an int no smaller than minimum (exit 2 otherwise)."""
 
@@ -169,14 +188,14 @@ def cmd_extract(args) -> int:
         activity_threshold_us=int(args.activity_threshold * 1e6),
     )
     dataset.write_csv(records, args.output)
-    print(f"wrote {len(records)} flows to {args.output}")
+    print(f"wrote {len(records)} flows to {args.output}", file=sys.stderr)
     return 0
 
 
 def cmd_synth(args) -> int:
     profile = synth.SynthProfile(synth.TrafficKind(args.kind), args.count, args.seed)
     flows, packets = synth.generate(profile, args.output, args.manifest)
-    print(f"wrote {packets} packets in {flows} {args.kind} flows to {args.output}")
+    print(f"wrote {packets} packets in {flows} {args.kind} flows to {args.output}", file=sys.stderr)
     return 0
 
 
@@ -204,14 +223,16 @@ def cmd_train(args) -> int:
             X, y, features.FEATURE_NAMES, threshold=args.prune_threshold,
             max_depth=args.max_depth, min_samples_split=args.min_samples_split, seed=args.seed,
         )
-        print(f"importance pruning kept {len(selected)} of {len(features.FEATURE_NAMES)} features")
+        print(f"importance pruning kept {len(selected)} of {len(features.FEATURE_NAMES)} features",
+              file=sys.stderr)
     else:
         model = tree.train(
             X, y, features.FEATURE_NAMES, max_depth=args.max_depth,
             min_samples_split=args.min_samples_split, seed=args.seed,
         )
     tree.save_model(model, args.output)
-    print(f"trained on {len(y)} records ({', '.join(model.class_names)}); model at {args.output}")
+    print(f"trained on {len(y)} records ({', '.join(model.class_names)}); model at {args.output}",
+          file=sys.stderr)
     return 0
 
 
@@ -221,10 +242,7 @@ def cmd_cv(args) -> int:
         X, y, features.FEATURE_NAMES, k=args.k, max_depth=args.max_depth,
         min_samples_split=args.min_samples_split, seed=args.seed,
     )
-    text = report.render()
-    if args.output:
-        dataset.atomic_write_text(args.output, lambda fh: fh.write(text))
-    _to_stdout([text])
+    _write_report(report.render(), args.output)
     return 0
 
 
@@ -271,7 +289,7 @@ def cmd_predict(args) -> int:
             del chunk, X
 
     dataset.atomic_write_text(args.output, emit)
-    print(f"predicted {rows} rows into {args.output}")
+    print(f"predicted {rows} rows into {args.output}", file=sys.stderr)
     return 0
 
 
@@ -327,10 +345,7 @@ def cmd_report(args) -> int:
         f"({confident}/{len(X_te)})"
     )
 
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        dataset.atomic_write_text(args.output, lambda fh: fh.write(text))
-    _to_stdout([text])
+    _write_report("\n".join(lines) + "\n", args.output)
     return 0
 
 

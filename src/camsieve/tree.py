@@ -313,11 +313,12 @@ def best_split(
     return splits
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
+    """One row of a tree's node table. A leaf is (-1, 0.0, -1, -1, counts)."""
+
     feature: int  # -1 marks a leaf
     threshold: float
-    left: int  # child indexes into the node array, -1 for leaves
+    left: int  # child indexes into the node table, -1 for leaves
     right: int
     counts: tuple[int, ...]
 
@@ -333,11 +334,16 @@ class DecisionTreeModel:
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
     training_meta: dict = field(default_factory=dict)
-    # predict_proba's flat node tables, made from nodes once
+    # predict_proba's walk, made from nodes once: their feature, threshold, left
+    # and right columns, each leaf's class probabilities, and the feature count
     _walk: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_walk", _walk_tables(self.nodes, len(self.feature_names)))
+        features, thresholds, lefts, rights, counts = zip(*self.nodes)
+        leaves = tuple(tuple(c / total for c in row) if fi < 0 else None
+                       for fi, row, total in zip(features, counts, map(sum, counts)))
+        object.__setattr__(self, "_walk", (features, thresholds, lefts, rights, leaves,
+                                           len(self.feature_names)))
 
     @property
     def n_features(self) -> int:
@@ -346,18 +352,6 @@ class DecisionTreeModel:
     @property
     def schema_hash(self) -> str:
         return schema_hash(self.feature_names)
-
-
-def _walk_tables(nodes: Sequence[TreeNode], n_features: int) -> tuple:
-    """Each node's feature (-1 at a leaf), threshold, left and right child,
-    and a leaf's class probabilities (None elsewhere), as five lists; then the
-    number of features."""
-    leaves = []
-    for node in nodes:
-        total = sum(node.counts)
-        leaves.append(tuple(c / total for c in node.counts) if node.is_leaf else None)
-    return ([n.feature for n in nodes], [n.threshold for n in nodes], [n.left for n in nodes],
-            [n.right for n in nodes], leaves, n_features)
 
 
 def row_views(X: np.ndarray) -> Iterator[memoryview]:
@@ -458,6 +452,8 @@ def train(
         raise EmptyDataset("cannot train on an empty dataset")
     if f != len(feature_names):
         raise DimensionMismatch(f"matrix has {f} columns, {len(feature_names)} names given")
+    if len(y) != n:
+        raise DimensionMismatch(f"matrix has {n} rows, {len(y)} labels given")
     if not np.isfinite(arr).all():
         raise UncleanData("dataset contains non-finite values; run cleaning first")
     arr = np.asfortranarray(arr)  # each column contiguous, for the scan's gathers
@@ -469,8 +465,7 @@ def train(
     candidates = tuple(range(f)) if candidate_features is None else tuple(sorted(candidate_features))
 
     root = np.bincount(labels, minlength=k)
-    # [feature, threshold, left, right, counts] in breadth-first order
-    nodes: list[list] = [[-1, 0.0, -1, -1, tuple(root.tolist())]]
+    nodes = [TreeNode(-1, 0.0, -1, -1, tuple(root.tolist()))]  # in breadth-first order
     growing: list[int] = []  # the nodes that may split, in the order of their segments
     depth: list[int] = []  # the depth of each
     if prior is not None:
@@ -478,16 +473,18 @@ def train(
         # prior's table, cut at the first split on a dropped feature on each
         # path: that node becomes a leaf that grows again, and the nodes below
         # it are never reached
-        nodes = [[node.feature, node.threshold, node.left, node.right, node.counts] for node in prior.nodes]
+        nodes = list(prior.nodes)
         kept, stack = set(candidates), [(0, 0)]
         while stack:
             i, d = stack.pop()
-            if nodes[i][0] in kept:
-                stack += (nodes[i][3], d + 1), (nodes[i][2], d + 1)
-            elif nodes[i][0] >= 0:
-                nodes[i][:4] = -1, 0.0, -1, -1
-                growing.append(i)
-                depth.append(d)
+            node = nodes[i]
+            if node.feature in kept:
+                stack += (node.right, d + 1), (node.left, d + 1)
+            else:  # a leaf, written as train writes one, or a cut node
+                nodes[i] = TreeNode(-1, 0.0, -1, -1, node.counts)
+                if not node.is_leaf:
+                    growing.append(i)
+                    depth.append(d)
     elif max_depth > 0 and n >= min_samples_split and root.max() < n:
         growing, depth = [0], [0]
     varying = _varying(arr, candidates)
@@ -498,12 +495,12 @@ def train(
             # each row walks the cut table down to its node; every row of
             # order is then grouped by cut node, stably so that each segment
             # stays sorted, and the rows that reached no cut node are dropped
-            feature, threshold = np.array([x[0] for x in nodes]), np.array([x[1] for x in nodes])
-            children = np.array([x[2:4] for x in nodes])
+            feature, threshold, left, right, _ = zip(*nodes)
+            feature, threshold, children = np.array(feature), np.array(threshold), np.array((left, right))
             at = np.zeros(n, dtype=np.intp)
             for _ in range(max_depth):
                 fi = feature[at]
-                at = np.where(fi >= 0, children[at, (arr[np.arange(n), fi] > threshold[at]) * 1], at)
+                at = np.where(fi >= 0, children[(arr[np.arange(n), fi] > threshold[at]) * 1, at], at)
             # the smallest unsigned keys that hold every cut node's number and
             # len(growing), the no-cut key: numpy's stable argsort radix-sorts
             # keys of 16 bits or fewer, and comparison-sorts wider ones
@@ -537,8 +534,9 @@ def train(
         for j, s in enumerate(splits):
             if s is not None:
                 ids[2 * j:2 * j + 2] = len(nodes), len(nodes) + 1
-                nodes[growing[j]][:4] = s[0], s[1], len(nodes), len(nodes) + 1
-                nodes += [[-1, 0.0, -1, -1, tuple(c)] for c in counts_list[2 * j:2 * j + 2]]
+                parent = growing[j]
+                nodes[parent] = TreeNode(s[0], s[1], len(nodes), len(nodes) + 1, nodes[parent].counts)
+                nodes += [TreeNode(-1, 0.0, -1, -1, tuple(c)) for c in counts_list[2 * j:2 * j + 2]]
         if not grows.any():
             break
         # stable partition of every row: the growing left children, then the
@@ -566,17 +564,14 @@ def train(
     while stack:
         i = stack.pop()
         preorder.append(i)
-        if nodes[i][0] >= 0:
-            stack += nodes[i][3], nodes[i][2]
-    number = [0] * len(nodes)
+        if not nodes[i].is_leaf:
+            stack += nodes[i].right, nodes[i].left
+    number = [-1] * (len(nodes) + 1)  # the last entry keeps a leaf's -1 children -1
     for new, i in enumerate(preorder):
         number[i] = new
     return DecisionTreeModel(
-        nodes=tuple(
-            TreeNode(fi, threshold, number[left], number[right], counts)
-            if fi >= 0 else TreeNode(-1, 0.0, -1, -1, counts)
-            for fi, threshold, left, right, counts in (nodes[i] for i in preorder)
-        ),
+        nodes=tuple(nodes[i]._replace(left=number[nodes[i].left], right=number[nodes[i].right])
+                    for i in preorder),
         max_depth=max_depth,
         feature_names=tuple(feature_names),
         class_names=tuple(class_names),
@@ -727,6 +722,8 @@ def cross_validate(
     the one grown without it.
     """
     arr = _as_matrix(X)
+    if len(y) != len(arr):
+        raise DimensionMismatch(f"matrix has {len(arr)} rows, {len(y)} labels given")
     if class_names is None:
         class_names = class_order(y)
     class_index = {c: i for i, c in enumerate(class_names)}
@@ -796,9 +793,7 @@ def _model_payload(model: DecisionTreeModel) -> dict:
         "schema_hash": model.schema_hash,
         "class_names": list(model.class_names),
         "training_meta": model.training_meta,
-        "nodes": [
-            [n.feature, n.threshold, n.left, n.right, list(n.counts)] for n in model.nodes
-        ],
+        "nodes": [[*node[:4], list(node.counts)] for node in model.nodes],
     }
 
 

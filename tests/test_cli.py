@@ -377,6 +377,44 @@ class TestOutputInPlace:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+def cli_child(argv, env=None):
+    """camsieve.cli run with argv in a child process whose stdout and stderr
+    are pipes, with this source tree on its path and env, when given, as its
+    other environment."""
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(src_dir)}
+    return subprocess.Popen([sys.executable, "-m", "camsieve.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+class TestOutputToStdout:
+    """`-o /dev/stdout` on a pipe gets the output alone: status lines go to
+    stderr, and cv and report write their text there once."""
+
+    @pytest.mark.parametrize("command", ["extract", "inspect", "train", "cv", "predict", "report"])
+    def test_pipe_gets_the_files_bytes(self, workdir, model_path, tmp_path, command):
+        regular = tmp_path / "regular"
+        assert main(output_argv(command, workdir, model_path, regular)) == 0
+        child = cli_child(output_argv(command, workdir, model_path, "/dev/stdout"))
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert out == regular.read_bytes()
+        assert err == {
+            "extract": b"wrote 12 flows to /dev/stdout\n",
+            "train": b"trained on 24 records (IoTCam, Conf); model at /dev/stdout\n",
+            "predict": b"predicted 24 rows into /dev/stdout\n",
+        }.get(command, b"")
+        text = out.decode()
+        if command == "extract":
+            schema, *rows = text.splitlines()
+            assert schema.startswith("# camsieve-flow-stats")
+            assert {len(row) for row in csv.reader(rows)} == {len(features.ALL_COLUMNS)}
+        elif command == "train":
+            assert json.loads(text)["payload"]["format"] == tree.MODEL_FORMAT
+        elif command in ("cv", "report"):  # report holds two cross-validations
+            assert text.count("mean accuracy") == (1 if command == "cv" else 2)
+
+
 @pytest.fixture(params=["buffered", "unbuffered"])
 def stdout_mode(request):
     """Environment variables for a child whose stdout is buffered, as by
@@ -391,20 +429,13 @@ class TestClosedStdout:
     """A reader that closes standard output early, as `head -n 1` does, ends
     the command with exit 0 and nothing on stderr."""
 
-    def start(self, argv, env):
-        src_dir = Path(cli.__file__).resolve().parents[1]
-        return subprocess.Popen(
-            [sys.executable, "-m", "camsieve.cli", *argv], stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env={**env, "PYTHONPATH": str(src_dir)},
-        )
-
     def test_inspect_json_after_one_line(self, tmp_path, stdout_mode):
         pcap = tmp_path / "rtp.pcap"
         write_rtp_capture(pcap, 2000, 400, 100)
         assert main(["inspect", str(pcap), "--json", "-o", str(tmp_path / "report.json")]) == 0
         # more than twice what a pipe holds (64 KiB), so the writer meets the closed pipe
         assert (tmp_path / "report.json").stat().st_size > 2 * 65536
-        child = self.start(["inspect", str(pcap), "--json"], stdout_mode)
+        child = cli_child(["inspect", str(pcap), "--json"], stdout_mode)
         assert child.stdout.readline() == b"{\n"
         child.stdout.close()
         assert child.wait(timeout=120) == 0
@@ -413,7 +444,7 @@ class TestClosedStdout:
 
     def test_cv_after_none(self, workdir, stdout_mode):
         # cv's report is smaller than a pipe holds: the reader closes before it is written
-        child = self.start(["cv", str(workdir / "both.csv"), "-k", "4"], stdout_mode)
+        child = cli_child(["cv", str(workdir / "both.csv"), "-k", "4"], stdout_mode)
         child.stdout.close()
         assert child.wait(timeout=120) == 0
         assert child.stderr.read() == b""
@@ -799,7 +830,7 @@ class TestPredictStreaming:
         src.write_bytes(f"{schema}\r\n{header}\r\n".encode())
         assert main(["predict", str(model_path), str(src), "-o", str(out)]) == 0
         assert out.read_bytes() == f"{header},Predicted Class,Prediction Probability\r\n".encode()
-        assert "predicted 0 rows" in capsys.readouterr().out
+        assert "predicted 0 rows" in capsys.readouterr().err
 
     def test_class_names_are_quoted_as_csv_cells(self, workdir, tmp_path):
         payload = small_model_payload()

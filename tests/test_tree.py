@@ -459,6 +459,14 @@ class TestTrain:
         with pytest.raises(UncleanData):
             train(np.array([[1.0], [float("nan")]]), ["a", "b"], ["x"])
 
+    @pytest.mark.parametrize("n_labels", [9, 11])
+    @pytest.mark.parametrize("fit", [train, cross_validate])
+    def test_labels_not_one_per_row(self, fit, n_labels):
+        # 10 rows: one label short, or one over, which would count in the root
+        X = np.array([[float(i)] for i in range(10)])
+        with pytest.raises(DimensionMismatch, match=f"10 rows, {n_labels} labels"):
+            fit(X, (["a", "b"] * 6)[:n_labels], ["x"])
+
     def test_monotone_capacity_in_depth(self, rng):
         X = np.array([[rng.random() for _ in range(4)] for _ in range(60)])
         y = [rng.choice("abc") for _ in range(60)]
@@ -829,6 +837,20 @@ class TestPriorTree:
         assert segments == [2, 2]
         assert [grown.nodes[i].feature for i in (1, 3, 8)] == [1, 1, 2]
         assert grown.nodes[9].is_leaf and grown.nodes[9].counts == (1, 3)
+
+    def test_prior_leaves_come_out_as_train_writes_them(self):
+        # a leaf that holds a threshold, as a hand-edited model file may, is
+        # a leaf with threshold 0.0 in the grown tree, as without the prior
+        X = np.array([[float(i), float(i % 2)] for i in range(8)])
+        y = list("aaaabcbc")
+        names = ["x0", "x1"]
+        prior = train(X, y, names)
+        assert prior.nodes[0].feature == 0 and prior.nodes[1].is_leaf
+        assert any(node.feature == 1 for node in prior.nodes)  # a split to cut
+        edited = dataclasses.replace(prior, nodes=tuple(
+            node._replace(threshold=2.5) if node.is_leaf else node for node in prior.nodes))
+        grown = train(X, y, names, candidate_features=[0], prior=edited)
+        assert model_bytes(grown) == model_bytes(train(X, y, names, candidate_features=[0]))
 
     def test_more_cut_nodes_than_a_byte_numbers(self, monkeypatch):
         # each pair of rows shares x0, and a row's label is its random x1,
