@@ -307,7 +307,15 @@ def cmd_report(args) -> int:
     lines.append("all features:")
     lines.append(full_cv.render())
 
-    full_model = tree.train(X, y, features.FEATURE_NAMES, **params)
+    # the full model and the deployment-style model of a held-out split are
+    # independent, so they grow side by side; after the full CV, whose folds
+    # already fill the workers, and which fails first on an empty dataset
+    train_idx, test_idx = dataset.stratified_split(y, (0.8, 0.2), args.seed)
+    full_model, deploy_model = tree.run_independent([
+        lambda: tree.train(X, y, features.FEATURE_NAMES, **params),
+        lambda: tree.train(X[train_idx], [y[i] for i in train_idx], features.FEATURE_NAMES,
+                           **params),
+    ])
     importances = tree.feature_importances(full_model)
     selected = tree.select_features(importances, args.importance_threshold)
     # the pruned folds are grown from the full CV's fold trees: only the
@@ -329,12 +337,7 @@ def cmd_report(args) -> int:
             lines.append(f"  {features.FEATURE_NAMES[idx]}: {imp:.6f}")
     lines.append("")
 
-    # deployment-style probability summary on a held-out split
-    train_idx, test_idx = dataset.stratified_split(y, (0.8, 0.2), args.seed)
     X_te = X[test_idx]
-    deploy_model = tree.train(
-        X[train_idx], [y[i] for i in train_idx], features.FEATURE_NAMES, **params
-    )
     confident = 0
     for row in tree.row_views(X_te):
         if max(tree.predict_proba(deploy_model, row)) >= 0.9:

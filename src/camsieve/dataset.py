@@ -393,13 +393,17 @@ def _shuffled_classes(labels: Sequence[str], seed: int) -> Iterator[tuple[str, l
 
 def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[list[int]]:
     """Deterministic stratified folds of row indexes, each sorted: fold j
-    gets positions j, j+k, ... of each class's shuffled order."""
+    gets positions j, j+k, ... of each class's shuffled order. Every class
+    is checked to fill k folds before any fold is made, so a k far above
+    the class sizes fails without allocating k lists."""
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for label, group in _shuffled_classes(labels, seed):
+    groups = list(_shuffled_classes(labels, seed))
+    for label, group in groups:
         if len(group) < k:
             raise InsufficientSamples(f"class {label!r} has {len(group)} samples, need >= {k}")
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for _, group in groups:
         for j, fold in enumerate(folds):
             fold += group[j::k]
     return [sorted(fold) for fold in folds]

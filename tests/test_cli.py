@@ -387,6 +387,62 @@ def cli_child(argv, env=None):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
 
 
+# runs each CLI command of the JSON list in its first argument on one CPU of
+# its affinity set, where no thread may start
+ON_ONE_CPU = """
+import json, os, sys, threading
+from camsieve.cli import main
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+def refuse(thread):
+    raise AssertionError("a thread started on one CPU")
+
+threading.Thread.start = refuse
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+class TestModelCommandsOnCores:
+    """cv and report grow their independent trees on up to two threads, as
+    the affinity set allows; the bytes do not depend on how many there are."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_cpu_starts_no_thread_and_writes_the_same_bytes(self, workdir, tmp_path,
+                                                                 monkeypatch):
+        src = str(workdir / "both.csv")
+        commands = [[command, src, "-k", "3", "-o", str(tmp_path / f"{command}-one.txt")]
+                    for command in ("cv", "report")]
+        child = subprocess.run(
+            [sys.executable, "-c", ON_ONE_CPU, json.dumps(commands)],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        monkeypatch.setattr(tree, "_cores", lambda: 3)
+        monkeypatch.setattr(tree, "_MAX_WORKERS", 3)
+        for command in ("cv", "report"):
+            threaded = tmp_path / f"{command}-three.txt"
+            assert main([command, src, "-k", "3", "-o", str(threaded)]) == 0
+            assert threaded.read_bytes() == (tmp_path / f"{command}-one.txt").read_bytes()
+
+    @pytest.mark.parametrize("command", ["cv", "report"])
+    def test_huge_k_fails_before_making_folds(self, workdir, tmp_path, capsys, command):
+        # both.csv holds 12 records of each class; 2,000,000 empty fold lists
+        # took over 100 MB before the class sizes were checked
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main([command, str(workdir / "both.csv"), "-k", "2000000", "-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == "error: class 'Conf' has 12 samples, need >= 2000000\n"
+        assert peak < 16 * 2**20
+        assert not out.exists()
+
+
 class TestOutputToStdout:
     """`-o /dev/stdout` on a pipe gets the output alone: status lines go to
     stderr, and cv and report write their text there once."""

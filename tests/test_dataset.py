@@ -29,7 +29,13 @@ from camsieve.dataset import (
     stratified_split,
     write_csv,
 )
-from camsieve.errors import BadEncoding, EmptyClass, RowParseError, SchemaMismatch
+from camsieve.errors import (
+    BadEncoding,
+    EmptyClass,
+    InsufficientSamples,
+    RowParseError,
+    SchemaMismatch,
+)
 from camsieve.features import ALL_COLUMNS, FEATURE_NAMES
 
 
@@ -529,6 +535,15 @@ class TestStratifiedSplit:
             dealt = [i for i in order if labels[i] == label]
             assert [[i for i in fold if labels[i] == label] for fold in folds] == [
                 sorted(dealt[j::k]) for j in range(k)]
+
+    def test_folds_beyond_a_class_fail_before_any_fold_is_made(self):
+        # the first class in sorted order that cannot fill k folds is named;
+        # k empty fold lists at 10**12 would need terabytes
+        labels = ["b"] * 4 + ["a"] * 3 + ["c"] * 2
+        with pytest.raises(InsufficientSamples, match="class 'a' has 3 samples, need >= 10+$"):
+            stratified_folds(labels, 10**12, 0)
+        with pytest.raises(InsufficientSamples, match="class 'c' has 2 samples, need >= 3$"):
+            stratified_folds(labels, 3, 0)
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):

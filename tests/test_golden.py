@@ -9,6 +9,7 @@ updates the digest here and says why in CHANGES.md.
 import hashlib
 import json
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -224,10 +225,12 @@ def test_pruned_cv_grown_from_full_cv_searches_and_matches(monkeypatch):
     assert len(dropped_splits) == 10 and max(dropped_splits) >= 1
     calls = 0
     search = tree.best_split
+    lock = threading.Lock()  # the folds grow on several threads
 
     def counting(*args):
         nonlocal calls
-        calls += 1
+        with lock:
+            calls += 1
         return search(*args)
 
     monkeypatch.setattr(tree, "best_split", counting)

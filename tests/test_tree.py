@@ -2,11 +2,15 @@ import dataclasses
 import json
 import os
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from camsieve import tree
@@ -709,13 +713,16 @@ class TestCrossValidate:
         X, labels = np.vstack([X, X]), np.concatenate([labels, labels])
         y = [f"c{c}" for c in labels]
         names = [f"x{j}" for j in range(8)]
+        # the folds may grow on several threads, in any order: each recorded
+        # model is found by the rows and labels it was given
         fold_models = []
         train_fold = tree.train
 
         def recording_train(*args, **kwargs):
             assert kwargs["presorted"] is not None
-            fold_models.append(train_fold(*args, **kwargs))
-            return fold_models[-1]
+            model = train_fold(*args, **kwargs)
+            fold_models.append(((args[0].tobytes(), tuple(args[1])), model))
+            return model
 
         monkeypatch.setattr(tree, "train", recording_train)
         report = cross_validate(X, y, names, k=k, max_depth=8, seed=3, candidate_features=subset)
@@ -726,9 +733,13 @@ class TestCrossValidate:
         accuracies = []
         folds = stratified_folds(y, k, 3)
         assert len(fold_models) == len(folds)
-        for fold, got in zip(folds, fold_models):
+        models = []
+        for fold in folds:
             held_out = set(fold)
             rest = [i for i in range(len(y)) if i not in held_out]
+            given = X[rest].tobytes(), tuple(y[i] for i in rest)
+            got = next(model for rows, model in fold_models if rows == given)
+            models.append(got)
             alone = train(X[rest], [y[i] for i in rest], names, class_names=classes, max_depth=8,
                           seed=3, candidate_features=subset)
             assert got.nodes == alone.nodes
@@ -740,7 +751,7 @@ class TestCrossValidate:
             accuracies.append(correct / len(fold))
         assert report.fold_accuracies == tuple(accuracies)
         assert report.confusion == tuple(tuple(row) for row in confusion)
-        assert sum(not node.is_leaf for node in fold_models[0].nodes) >= 10
+        assert sum(not node.is_leaf for node in models[0].nodes) >= 10
 
     def test_deterministic_given_seed(self, rng):
         X = np.array([[rng.random() for _ in range(3)] for _ in range(60)])
@@ -911,6 +922,155 @@ class TestPriorTree:
         assert model_bytes(pruned) == model_bytes(scratch)
 
 
+    def test_pruned_train_at_a_huge_max_depth_finishes(self):
+        # each row walks the cut table as deep as the table goes, not
+        # max_depth steps: at 10**9 that walk would never end
+        child = subprocess.run([sys.executable, "-c", PRUNE_AT_HUGE_DEPTH],
+                               env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["same"]
+
+
+SRC_DIR = Path(tree.__file__).resolve().parents[1]
+
+# prune_features at max_depth 10**9 on a case whose full tree splits on a
+# dropped feature, against the tree grown without a prior
+PRUNE_AT_HUGE_DEPTH = """
+import numpy as np
+from camsieve.tree import model_bytes, prune_features, train
+rng = np.random.default_rng(9)
+X = rng.integers(0, 6, (200, 12)) * 0.5
+y = [f"c{c}" for c in (X[:, 0] + X[:, 5] + rng.integers(0, 3, 200)).astype(int) % 3]
+names = [f"x{j}" for j in range(12)]
+full = train(X, y, names, max_depth=10**9)
+selected, pruned = prune_features(X, y, names, threshold=0.05, max_depth=10**9)
+assert any(not node.is_leaf and node.feature not in selected for node in full.nodes)
+scratch = train(X, y, names, max_depth=10**9, candidate_features=selected)
+scratch.training_meta["importance_threshold"] = 0.05
+print("same" if model_bytes(pruned) == model_bytes(scratch) else "differ")
+"""
+
+
+class TestIndependentTrees:
+    """cross_validate grows its folds through run_independent, at most two at
+    once; the report and every fold tree are the same for any number of
+    workers, three included, past the cap."""
+
+    @staticmethod
+    def workers(monkeypatch, n):
+        """n workers: n cores, and the cap raised to n."""
+        monkeypatch.setattr(tree, "_cores", lambda: n)
+        monkeypatch.setattr(tree, "_MAX_WORKERS", n)
+
+    @staticmethod
+    def cv_outputs(X, y, names, k, full_candidates, pruned_candidates, **params):
+        """The full CV and a pruned CV grown from it: each report, its
+        rendering and its fold trees' bytes."""
+        full = cross_validate(X, y, names, k=k, candidate_features=full_candidates, **params)
+        pruned = cross_validate(X, y, names, k=k, candidate_features=pruned_candidates,
+                                prior=full, **params)
+        return [(report, report.render(), [model_bytes(m) for m in report.fold_models])
+                for report in (full, pruned)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(prior_cases(), st.integers(2, 4))
+    def test_same_bytes_on_one_two_and_three_cores(self, case, k):
+        k = min(k, min(case["y"].count(c) for c in set(case["y"])))
+        assume(k >= 2)
+        outputs = []
+        for n in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                self.workers(monkeypatch, n)
+                outputs.append(self.cv_outputs(
+                    case["X"], case["y"], case["names"], k, case["S"], case["C"],
+                    class_names=case["class_names"], max_depth=case["max_depth"],
+                    min_samples_split=case["min_samples_split"]))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_stress_three_workers_with_a_short_switch_interval(self, monkeypatch):
+        X, labels = tie_heavy(21, 240, 10, 3)
+        y = [f"c{c}" for c in labels]
+        names = [f"x{j}" for j in range(10)]
+        args = (X, y, names, 6, None, [1, 2, 3, 5, 6, 9])
+        self.workers(monkeypatch, 1)
+        serial = self.cv_outputs(*args, max_depth=8)
+        self.workers(monkeypatch, 3)
+        threaded = []
+
+        def run():
+            threaded.append(self.cv_outputs(*args, max_depth=8))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert threaded == [serial]
+
+    @pytest.mark.parametrize("cores, most", [(1, 0), (2, 2), (64, 2)])
+    def test_threads_started_are_at_most_cores_and_two(self, monkeypatch, cores, most):
+        # k is 3, so 64 cores would take 3 threads but for the cap
+        X, labels = tie_heavy(4, 90, 6, 3)
+        y = [f"c{c}" for c in labels]
+        monkeypatch.setattr(tree, "_cores", lambda: cores)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        callers = set()
+        train_tree = tree.train
+
+        def recording_train(*args, **kwargs):
+            callers.add(threading.current_thread())
+            return train_tree(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "train", recording_train)
+        cross_validate(X, y, [f"x{j}" for j in range(6)], k=3)
+        # a pool starts a thread per call until one is idle, so at most `most`
+        if most:
+            assert 1 <= len(started) <= most and callers <= set(started)
+        else:
+            assert not started and callers == {threading.current_thread()}
+
+    def test_results_in_call_order_and_the_first_failure_raised(self, monkeypatch):
+        self.workers(monkeypatch, 3)
+        ready = threading.Event()
+
+        def late():
+            assert ready.wait(timeout=30)
+            return "late"
+
+        def early():
+            ready.set()
+            return "early"
+
+        assert tree.run_independent([late, early]) == ["late", "early"]
+
+        def fails(message):
+            def call():
+                raise ValueError(message)
+            return call
+
+        with pytest.raises(ValueError, match="first"):
+            tree.run_independent([lambda: 1, fails("first"), fails("second")])
+
+    def test_cores_are_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert tree._cores() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert tree._cores() == 5
+
+
 class TestConstantColumns:
     @staticmethod
     def recorded_calls(monkeypatch):
@@ -958,16 +1118,20 @@ class TestConstantColumns:
         calls = self.recorded_calls(monkeypatch)
         report = cross_validate(X, y, names, k=4, max_depth=5, seed=9)
         monkeypatch.undo()
-        roots = [candidates for _, candidates, root in calls if root]
-        held_out = next(i for i, fold in enumerate(stratified_folds(y, 4, 9)) if 17 in fold)
+        roots = [(X_call, candidates) for X_call, candidates, root in calls if root]
+        folds = stratified_folds(y, 4, 9)
+        rests = [[j for j in range(120) if j not in set(fold)] for fold in folds]
+        held_out = next(i for i, fold in enumerate(folds) if 17 in fold)
         assert len(roots) == 4
-        for i, candidates in enumerate(roots):
+        # the folds may grow on several threads, in any order: each root
+        # search is matched to its fold by the rows it was given
+        for i, rest in enumerate(rests):
+            (candidates,) = [c for X_call, c in roots if X_call.tobytes() == X[rest].tobytes()]
             assert (0 in candidates) == (i != held_out)
             assert 1 in candidates and 4 not in candidates  # x4 is constant everywhere
         scratch = [train(X[rest], [y[j] for j in rest], names, class_names=report.class_names,
                          max_depth=5, seed=9)
-                   for rest in ([j for j in range(120) if j not in set(fold)]
-                                for fold in stratified_folds(y, 4, 9))]
+                   for rest in rests]
         assert [model_bytes(m) for m in report.fold_models] == [model_bytes(m) for m in scratch]
 
     @pytest.mark.parametrize("candidates", [None, [0, 2]])
