@@ -34,30 +34,21 @@ def extract_records(
 
 
 def _assemble(
-    pcap_path: str | Path, flow_timeout_us: int, hints: protocols.PayloadHints | None = None
-) -> list[flows.FlowState]:
-    """The capture's flows. A regular file is assembled as it is read, and read
-    again sorted only if a timestamp falls; anything else, such as a pipe,
-    which cannot be read twice, is sorted in a list first.
-
-    Without `hints` the flows keep their columns, which `compute_features`
-    reads. Given `hints`, its `observe` classifies each packet's payload as
-    the packet joins its flow, and it holds the state of the returned flows
-    only; the flows keep no columns, since inspect's report reads only their
-    identity and packet count."""
-    observer = hints.observe if hints is not None else None
-    columns = hints is None
+    pcap_path: str | Path, flow_timeout_us: int, flow_type: type[flows.Flow] = flows.FlowState
+) -> list[flows.Flow]:
+    """The capture's flows, made as `flow_type`. A regular file is assembled as
+    it is read, and read again sorted only if a timestamp falls; anything
+    else, such as a pipe, which cannot be read twice, is sorted in a list
+    first. The flows of an aborted pass are freed, with all they keep, once
+    the except block's traceback is gone."""
     if Path(pcap_path).is_file():
         try:
             return flows.assemble_flows(packets.read_packets(pcap_path), flow_timeout_us,
-                                        observer, columns)
+                                        flow_type)
         except OutOfOrderTimestamp:
-            # read again below, once this block's traceback, which keeps the
-            # aborted attempt's flows alive, is gone; their state goes now
-            if hints is not None:
-                hints.clear()
+            pass  # read again below
     return flows.assemble_flows(packets.read_packets_sorted(pcap_path), flow_timeout_us,
-                                observer, columns)
+                                flow_type)
 
 
 class _ReaderGone(Exception):
@@ -137,22 +128,27 @@ def _finite(text: str) -> float:
 
 
 def _seconds(minimum_us: int):
-    """argparse type: a finite, non-negative number of seconds that is still at
-    least minimum_us once the command truncates it to microseconds (exit 2
-    otherwise)."""
+    """argparse type: a finite, non-negative number of seconds, given as the
+    whole microseconds in the text's exact decimal value, truncated; at least
+    minimum_us (exit 2 otherwise)."""
 
-    def parse(text: str) -> float:
+    def parse(text: str) -> int:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}") from None
         if not math.isfinite(value * 1e6):  # nan, inf, or too large in microseconds
             raise argparse.ArgumentTypeError(f"need a finite number of seconds, got {text}")
-        if value < 0 or int(value * 1e6) < minimum_us:
-            raise argparse.ArgumentTypeError(
-                f"need at least {minimum_us / 1e6:g} seconds, got {text}"
-            )
-        return value
+        if value >= 0:
+            # not int(value * 1e6): the float 1.001 gives 1000999.99... A
+            # finite float count of microseconds has at most 309 integer
+            # digits, so 400 digits rounded down truncate the text's value
+            import decimal
+            microseconds = int(decimal.Decimal(text).scaleb(
+                6, decimal.Context(prec=400, rounding=decimal.ROUND_DOWN)))
+            if microseconds >= minimum_us:
+                return microseconds
+        raise argparse.ArgumentTypeError(f"need at least {minimum_us / 1e6:g} seconds, got {text}")
 
     return parse
 
@@ -184,8 +180,8 @@ def cmd_extract(args) -> int:
     records = extract_records(
         args.pcap,
         label=args.label,
-        flow_timeout_us=int(args.flow_timeout * 1e6),
-        activity_threshold_us=int(args.activity_threshold * 1e6),
+        flow_timeout_us=args.flow_timeout,
+        activity_threshold_us=args.activity_threshold,
     )
     dataset.write_csv(records, args.output)
     print(f"wrote {len(records)} flows to {args.output}", file=sys.stderr)
@@ -200,9 +196,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    hints = protocols.PayloadHints()
-    flow_list = _assemble(args.pcap, int(args.flow_timeout * 1e6), hints)
-    report = protocols.build_report(flow_list, hints, protocols.AppContext(args.app.upper()))
+    flow_list = _assemble(args.pcap, args.flow_timeout, protocols.InspectedFlow)
+    report = protocols.build_report(flow_list, protocols.AppContext(args.app.upper()))
     if args.json:
         # the chunks that json.dumps(report, indent=2) joins, written as they
         # come: the same bytes without the whole text in memory
@@ -364,12 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pcap", type=Path)
     p.add_argument("-o", "--output", type=Path, required=True)
     p.add_argument("--label", default="", help="label written on every flow")
+    # these two hold microseconds, which _seconds gives and the library takes
     p.add_argument("--flow-timeout", type=_seconds(minimum_us=1),
-                   default=DEFAULT_FLOW_TIMEOUT_S,
-                   help="flow window in seconds (default %(default)g)")
+                   default=flows.DEFAULT_FLOW_TIMEOUT_US,
+                   help=f"flow window in seconds (default {DEFAULT_FLOW_TIMEOUT_S:g})")
     p.add_argument("--activity-threshold", type=_seconds(minimum_us=0),
-                   default=DEFAULT_ACTIVITY_THRESHOLD_S,
-                   help="active/idle gap threshold in seconds (default %(default)g)")
+                   default=features.DEFAULT_ACTIVITY_THRESHOLD_US,
+                   help="active/idle gap threshold in seconds "
+                        f"(default {DEFAULT_ACTIVITY_THRESHOLD_S:g})")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("synth", help="generate synthetic traffic as pcap + manifest")
@@ -388,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--app", choices=[a.value.lower() for a in protocols.AppContext],
                    default="generic", help="payload-type table to apply")
-    p.add_argument("--flow-timeout", type=_seconds(minimum_us=1), default=DEFAULT_FLOW_TIMEOUT_S)
+    p.add_argument("--flow-timeout", type=_seconds(minimum_us=1),
+                   default=flows.DEFAULT_FLOW_TIMEOUT_US)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("train", help="train a decision tree from a labeled CSV")

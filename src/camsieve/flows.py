@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import enum
 from array import array
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import OutOfOrderTimestamp
 from .packets import IPPROTO_TCP, PacketRecord, TcpFlags, address_text
@@ -22,52 +22,30 @@ class Termination(enum.Enum):
     END_OF_CAPTURE = "END_OF_CAPTURE"
 
 
-class FlowState:
-    """One flow: its identity, its timing, its TCP FIN state, its packet count
-    and, for a flow made with columns (the default), its packets' columns.
+class Flow:
+    """What every flow keeps, whatever reads it: its identity, its timing, the
+    `termination` that `assemble_flows` gives it and whether each side sent
+    FIN (`fin_fwd`, `fin_bwd`).
 
-    Every flow keeps its identity: the first packet's source and destination
-    endpoints, (raw address, port) pairs that only `flow_id` and the identity
-    cells spell as text, as `initiator` and `responder`, and the IP protocol
-    number as `protocol`. It keeps `start_ts` and `last_ts`, the first and
-    last packet's timestamps, the `termination` that `assemble_flows` gives
-    it, whether each side sent FIN (`fin_fwd`, `fin_bwd`) and `packet_count`.
+    The identity is the first packet's source and destination endpoints,
+    (raw address, port) pairs that only `flow_id` and the identity cells spell
+    as text, as `initiator` and `responder`, and the IP protocol number as
+    `protocol`. `start_ts` and `last_ts` are the first and last packet's
+    timestamps.
 
-    A flow with columns takes its packets through `add`, which appends one
-    entry to every per-packet column:
-
-    - `timestamps` and `payload_lengths`: `array('q')`
-    - `directions`: a `bytearray`, 1 for a forward packet (sent from the
-      initiator's endpoint) and 0 for a backward one
-    - `header_lengths` (transport header bytes) and `tcp_flags` (the raw flags
-      byte, 0 for UDP): `bytearray`s
-
-    It also keeps the wire-byte sum (`wire_bytes`) and the TCP window of the
-    first packet in each direction (`first_window_fwd`, `first_window_bwd`;
-    None before that direction's first packet). `compute_features` reads all
-    of these, so it needs a flow with columns. The columns are in
-    non-decreasing timestamp order: `assemble_flows` rejects a decreasing
-    timestamp, and a flow built by hand must add its packets in that order,
-    since `compute_features` reads the columns as the flow's timeline.
-
-    A flow made with `columns=False` takes its packets through `count`, and
-    has none of the column attributes: its memory does not grow with its
-    packets. `inspect` assembles such flows, since its report reads only
-    each flow's identity and packet count.
-
-    No payload byte is kept: a reader of payloads, such as `inspect`, reads
-    each packet's `payload_head` as it is added, through `assemble_flows`'s
-    observer.
+    Each reader of a capture has its own subclass, which keeps what that
+    reader needs of the packets: `FlowState` for the feature vector,
+    `protocols.InspectedFlow` for inspect's report. `assemble_flows` builds
+    flows of the one it is given and hands each packet to the flow's `add`,
+    which sets `last_ts` and returns whether the packet is forward (sent from
+    the initiator's endpoint). No flow keeps payload bytes: a reader of
+    payloads reads each packet's `payload_head` in `add`.
     """
 
-    __slots__ = (
-        "initiator", "responder", "protocol", "start_ts", "last_ts", "termination", "fin_fwd",
-        "fin_bwd", "counted", "timestamps", "payload_lengths", "directions", "header_lengths",
-        "tcp_flags", "wire_bytes", "first_window_fwd", "first_window_bwd",
-    )
+    __slots__ = ("initiator", "responder", "protocol", "start_ts", "last_ts", "termination",
+                 "fin_fwd", "fin_bwd")
 
-    def __init__(self, initiator: Endpoint, responder: Endpoint, protocol: int, start_ts: int,
-                 columns: bool = True):
+    def __init__(self, initiator: Endpoint, responder: Endpoint, protocol: int, start_ts: int):
         self.initiator = initiator
         self.responder = responder
         self.protocol = protocol
@@ -76,10 +54,42 @@ class FlowState:
         self.termination: Termination | None = None
         self.fin_fwd = False
         self.fin_bwd = False
-        if not columns:
-            self.counted: int | None = 0  # the packets taken by `count`
-            return
-        self.counted = None  # the columns count the packets
+
+    @property
+    def flow_id(self) -> str:
+        src, dst = self.initiator, self.responder
+        return (f"{address_text(src[0])}-{address_text(dst[0])}-{src[1]}-{dst[1]}-"
+                f"{self.protocol}-{self.start_ts}")
+
+    def add(self, pkt: PacketRecord) -> bool:
+        """Take one packet of the flow; returns whether it is forward."""
+        raise NotImplementedError
+
+
+class FlowState(Flow):
+    """A flow with its packets' columns, which `compute_features` reads.
+
+    `add` appends one entry to every per-packet column:
+
+    - `timestamps` and `payload_lengths`: `array('q')`
+    - `directions`: a `bytearray`, 1 for a forward packet and 0 for a
+      backward one
+    - `header_lengths` (transport header bytes) and `tcp_flags` (the raw flags
+      byte, 0 for UDP): `bytearray`s
+
+    It also keeps the wire-byte sum (`wire_bytes`) and the TCP window of the
+    first packet in each direction (`first_window_fwd`, `first_window_bwd`;
+    None before that direction's first packet). The columns are in
+    non-decreasing timestamp order: `assemble_flows` rejects a decreasing
+    timestamp, and a flow built by hand must add its packets in that order,
+    since `compute_features` reads the columns as the flow's timeline.
+    """
+
+    __slots__ = ("timestamps", "payload_lengths", "directions", "header_lengths", "tcp_flags",
+                 "wire_bytes", "first_window_fwd", "first_window_bwd")
+
+    def __init__(self, initiator: Endpoint, responder: Endpoint, protocol: int, start_ts: int):
+        super().__init__(initiator, responder, protocol, start_ts)
         self.timestamps = array("q")
         self.payload_lengths = array("q")
         self.directions = bytearray()
@@ -90,14 +100,8 @@ class FlowState:
         self.first_window_bwd: int | None = None
 
     @property
-    def flow_id(self) -> str:
-        src, dst = self.initiator, self.responder
-        return (f"{address_text(src[0])}-{address_text(dst[0])}-{src[1]}-{dst[1]}-"
-                f"{self.protocol}-{self.start_ts}")
-
-    @property
     def packet_count(self) -> int:
-        return len(self.timestamps) if self.counted is None else self.counted
+        return len(self.timestamps)
 
     def add(self, pkt: PacketRecord) -> bool:
         """Append one packet to the columns; returns whether it is forward."""
@@ -118,19 +122,12 @@ class FlowState:
             self.first_window_bwd = window
         return forward
 
-    def count(self, pkt: PacketRecord) -> bool:
-        """Count one packet of a flow without columns; returns whether it is forward."""
-        self.counted += 1
-        self.last_ts = pkt[0]
-        return pkt[3] == self.initiator[1] and pkt[1] == self.initiator[0]
-
 
 def assemble_flows(
     packets: Iterable[PacketRecord],
     flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US,
-    observer: Callable[[FlowState, PacketRecord], object] | None = None,
-    columns: bool = True,
-) -> list[FlowState]:
+    flow_type: type[Flow] = FlowState,
+) -> list[Flow]:
     """Group packets in non-decreasing time order into flows, ordered by
     (start_ts, flow_id); a decreasing timestamp raises OutOfOrderTimestamp.
 
@@ -141,19 +138,12 @@ def assemble_flows(
     sent FIN (TCP_FIN), ends its flow after joining it. Flows still open when
     the packets run out end with END_OF_CAPTURE.
 
-    `observer`, when given, is called with (flow, packet) after each packet
-    joins its flow, so that it can read what the flow does not keep, such as
-    the payload head.
-
-    With `columns` false, the flows keep no per-packet columns (see
-    FlowState): enough for a reader of their identity, timing and packet
-    count, such as `inspect`, but not for `compute_features`.
+    The flows are made as `flow_type`, a Flow subclass, and each packet goes to
+    its flow's `add` as it joins.
     """
-    # looked up once a call, so that a FlowState class put in its place is used
-    new_flow = FlowState
-    take = new_flow.add if columns else new_flow.count
-    table: dict[tuple, FlowState] = {}
-    flows: list[FlowState] = []
+    add = flow_type.add
+    table: dict[tuple, Flow] = {}
+    flows: list[Flow] = []
     last_ts = None
     for pkt in packets:
         timestamp, src_ip, dst_ip, src_port, dst_port, protocol, _, _, _, _, flags, _ = pkt
@@ -177,11 +167,9 @@ def assemble_flows(
                 flows.append(flow)
                 flow = None
         if flow is None:
-            flow = table[key] = new_flow(source, destination, protocol, timestamp, columns)
+            flow = table[key] = flow_type(source, destination, protocol, timestamp)
 
-        forward = take(flow, pkt)
-        if observer is not None:
-            observer(flow, pkt)
+        forward = add(flow, pkt)
 
         if protocol == IPPROTO_TCP:
             if flags & TcpFlags.RST:

@@ -13,7 +13,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .flows import FlowState
+from .flows import Endpoint, Flow
 from .packets import IPPROTO_UDP, PROTOCOL_NAMES, PacketRecord
 
 # RTCP packet types: SR, RR, SDES, BYE and APP (200-204), then transport and
@@ -208,12 +208,24 @@ def port_profile(ports: Sequence[int]) -> dict[int, float]:
     return {port: c / len(ports) for port, c in sorted(counts.items())}
 
 
-class _FlowHints:
-    """One UDP flow's running state, built payload by payload by PayloadHints."""
+class InspectedFlow(Flow):
+    """A flow as inspect reads it: classifies each UDP payload once, as its
+    packet joins the flow, and keeps what the report reads of them.
 
-    __slots__ = ("kinds", "payload_types", "first_rtp", "ssrcs")
+    The flow keeps no per-packet columns and no payload bytes, only running
+    state: `packet_count`; the payloads of each kind and the first hint of
+    each kind without a header (`kinds`); the first parsed RTP header
+    (`first_rtp`); a count of the RTP payload types (`payload_types`, which
+    counts the RTP payloads with a header); and per SSRC the headers, the
+    last sequence number and the hits, a sequence number one past the last,
+    mod 2**16 (`ssrcs`). TCP payloads are not classified.
+    """
 
-    def __init__(self):
+    __slots__ = ("packet_count", "kinds", "payload_types", "first_rtp", "ssrcs")
+
+    def __init__(self, initiator: Endpoint, responder: Endpoint, protocol: int, start_ts: int):
+        super().__init__(initiator, responder, protocol, start_ts)
+        self.packet_count = 0
         # kind name -> [payloads, the kind's first hint], for the hints without a
         # header; those with one are counted in payload_types alone
         self.kinds: dict[str, list] = {}
@@ -222,104 +234,77 @@ class _FlowHints:
         self.first_rtp: RtpHeader | None = None
         self.ssrcs: dict[int, list[int]] = {}  # SSRC -> [headers, last sequence, hits]
 
-
-class PayloadHints:
-    """Classifies each UDP payload once, as its packet joins its flow: pass
-    `observe` to `assemble_flows` as its observer, then the flows and this to
-    `build_report`.
-
-    A flow keeps no payload bytes, and inspect's flows keep no per-packet
-    columns either (`assemble_flows(..., columns=False)`), so this keeps, per
-    UDP flow, what the report reads: the payloads of each kind and the first
-    hint of each kind without a header, the first parsed RTP header, a count
-    of the RTP payload types (which counts the RTP payloads with a header),
-    and per SSRC the headers, the last sequence number and the hits (a
-    sequence number one past the last, mod 2**16). TCP flows are not
-    classified.
-    `clear` drops the state of every flow, for flows that are thrown away.
-    """
-
-    __slots__ = ("_flows",)
-
-    def __init__(self):
-        self._flows: dict[FlowState, _FlowHints] = {}
-
-    def clear(self) -> None:
-        self._flows.clear()
-
-    def observe(self, flow: FlowState, pkt: PacketRecord) -> None:
-        """Classify the payload of `pkt`, which has just joined `flow`."""
+    def add(self, pkt: PacketRecord) -> bool:
+        """Count one packet and classify its payload; returns whether it is forward."""
+        self.packet_count += 1
+        self.last_ts = pkt[0]
+        forward = pkt[3] == self.initiator[1] and pkt[1] == self.initiator[0]
         if pkt[5] != IPPROTO_UDP:  # the record's protocol
-            return
+            return forward
         # the record's head and ports; a head longer than a decoded one's 12
         # bytes gets the hint of its first 12: no heuristic reads further
         hint = classify_udp_payload(pkt[9], pkt[3], pkt[4])
-        state = self._flows.get(flow)
-        if state is None:
-            state = self._flows[flow] = _FlowHints()
         kind, _, _, _, header = hint
         if header is None:
             # keyed by name: hashing an enum member runs Python code
-            entry = state.kinds.get(kind._name_)
+            entry = self.kinds.get(kind._name_)
             if entry is None:
-                state.kinds[kind._name_] = [1, hint]
+                self.kinds[kind._name_] = [1, hint]
             else:
                 entry[0] += 1
-            return
+            return forward
         _, _, _, _, _, payload_type, sequence, _, ssrc = header
-        if state.first_rtp is None:
-            state.first_rtp = header
-        payload_types = state.payload_types
+        if self.first_rtp is None:
+            self.first_rtp = header
+        payload_types = self.payload_types
         payload_types[payload_type] = payload_types.get(payload_type, 0) + 1
-        stream = state.ssrcs.get(ssrc)
+        stream = self.ssrcs.get(ssrc)
         if stream is None:
-            state.ssrcs[ssrc] = [1, sequence, 0]
+            self.ssrcs[ssrc] = [1, sequence, 0]
         else:
             if (sequence - stream[1]) % 65536 == 1:
                 stream[2] += 1
             stream[0] += 1
             stream[1] = sequence
+        return forward
 
-    def entry(self, flow: FlowState, app: AppContext) -> tuple[dict, dict[int, int]]:
-        """One flow's entry in the inspection report, plus its RTP payload-type counts.
+    def entry(self, app: AppContext) -> tuple[dict, dict[int, int]]:
+        """The flow's entry in the inspection report, plus its RTP payload-type counts.
 
         The RTP statistics read only the headers of payloads classified RTP,
         so TCP flows, RTCP and payloads on the QUIC and IPSec ports add none.
-        Of the flow itself, only its identity and `packet_count` are read, so
-        a flow without columns will do.
         """
-        state = self._flows.get(flow) or _FlowHints()
-        counts = {name: entry[0] for name, entry in state.kinds.items()}
-        if state.payload_types:
-            counts["RTP"] = counts.get("RTP", 0) + sum(state.payload_types.values())
+        counts = {name: entry[0] for name, entry in self.kinds.items()}
+        if self.payload_types:
+            counts["RTP"] = counts.get("RTP", 0) + sum(self.payload_types.values())
         kind_counts = [(k, counts[k._name_]) for k in HintKind if k._name_ in counts]
         if kind_counts:
             # max keeps the first of equal counts, the kind declared first
             top = max(kind_counts, key=itemgetter(1))[0]
             # only RTP can be counted without a first hint; its media and
             # note come from the first header, below
-            first = state.kinds.get(top._name_)
+            first = self.kinds.get(top._name_)
             dominant = first[1] if first is not None else _HEADERLESS_RTP
         else:
             dominant = _UNKNOWN
 
         pt_counts: dict[int, int] = {}
-        if dominant.kind is HintKind.RTP and state.first_rtp is not None:
-            pt_counts = state.payload_types
-            media, note = media_hint(state.first_rtp, app)
+        if dominant.kind is HintKind.RTP and self.first_rtp is not None:
+            pt_counts = self.payload_types
+            media, note = media_hint(self.first_rtp, app)
             dominant = dominant._replace(media=media, codec_note=note)
         continuity = None
-        if state.ssrcs:
+        if self.ssrcs:
             # the most frequent SSRC, the lowest of equal counts
-            _, (count, _, hits) = max(state.ssrcs.items(), key=lambda kv: (kv[1][0], -kv[0]))
+            _, (count, _, hits) = max(self.ssrcs.items(), key=lambda kv: (kv[1][0], -kv[0]))
             if count >= 2:
                 continuity = hits / (count - 1)
         entry = {
-            "flow_id": flow.flow_id,
-            "protocol": PROTOCOL_NAMES[flow.protocol],
-            "src_port": flow.initiator[1],
-            "dst_port": flow.responder[1],
-            "packets": flow.packet_count,
+            "flow_id": self.flow_id,
+            "protocol": PROTOCOL_NAMES[self.protocol],
+            "src_port": self.initiator[1],
+            "dst_port": self.responder[1],
+            "packets": self.packet_count,
             "hint": dominant.kind.value,
             "media": dominant.media.value,
             "codec_note": dominant.codec_note,
@@ -332,18 +317,13 @@ class PayloadHints:
         return entry, pt_counts
 
 
-def build_report(flows: Sequence[FlowState], hints: PayloadHints,
-                 app: AppContext = AppContext.GENERIC) -> dict:
-    """Inspection report: per-flow hints, port profiles and payload-type totals.
-
-    `hints` observed every packet of `flows` as `assemble_flows` assembled
-    them. Of each flow, only its identity and `packet_count` are read, so the
-    flows may keep no columns.
-    """
+def build_report(flows: Sequence[InspectedFlow], app: AppContext = AppContext.GENERIC) -> dict:
+    """Inspection report: per-flow hints, port profiles and payload-type totals,
+    from flows that `assemble_flows` made as InspectedFlow."""
     entries = []
     pt_total: Counter[int] = Counter()
     for flow in flows:
-        entry, pt_counts = hints.entry(flow, app)
+        entry, pt_counts = flow.entry(app)
         entries.append(entry)
         pt_total.update(pt_counts)
     src_shares = port_profile([f.initiator[1] for f in flows])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from camsieve import cli, flows
+from camsieve import cli
 from camsieve.features import FEATURE_NAMES, schema_hash
 from camsieve.flows import FlowState, Termination
 from camsieve.packets import IPPROTO_TCP, IPPROTO_UDP, PAYLOAD_HEAD, PacketRecord, TcpFlags
@@ -173,16 +173,10 @@ class RecordedFlow(FlowState):
 
 
 def kept_without_columns(flow) -> tuple:
-    """What every flow keeps, with columns or without: its identity, timing,
-    termination, FIN state and packet count."""
+    """What every flow type keeps, with columns or without: its identity,
+    timing, termination, FIN state and packet count."""
     return (flow.initiator, flow.responder, flow.protocol, flow.start_ts, flow.last_ts,
             flow.termination, flow.fin_fwd, flow.fin_bwd, flow.packet_count)
-
-
-@pytest.fixture
-def recorded_flows(monkeypatch):
-    """While active, the assembler builds every flow as a RecordedFlow."""
-    monkeypatch.setattr(flows, "FlowState", RecordedFlow)
 
 
 def make_flow(fwd_packets, bwd_packets, protocol=IPPROTO_UDP,

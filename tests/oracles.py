@@ -15,7 +15,7 @@ them all, where `synth.generate` streams them from precomputed header bytes.
 `reference_predict_proba` walks a model's TreeNode objects, where
 `tree.predict_proba` walks flat tables made from them.
 `rtp_stream_continuity` reads a flow's whole list of RTP headers, where
-`protocols.PayloadHints` counts the same hits as each payload joins.
+`protocols.InspectedFlow` counts the same hits as each payload joins.
 `reference_classify_udp_payload` demultiplexes RTP from RTCP with
 `demux_rtp_rtcp` and then parses the header with the package's
 `parse_rtp_header`, building each hint afresh, where
@@ -582,8 +582,8 @@ def rtp_stream_continuity(headers: list[RtpHeader | None]) -> float | None:
     (mod 2**16), over a flow's parsed RTP headers in packet order. None
     entries (payloads that did not parse) are skipped. Headers are filtered
     to the most frequent SSRC (lowest wins a tie); None when fewer than two
-    such headers remain. `PayloadHints` counts the same as each payload
-    joins its flow."""
+    such headers remain. `InspectedFlow` counts the same as each payload
+    joins it."""
     headers = [h for h in headers if h is not None]
     if len(headers) >= 2:
         ssrc_counts = Counter(h.ssrc for h in headers)

@@ -34,6 +34,7 @@ from conftest import (
     run_for_peak_rss,
     small_model_payload,
     swap_records,
+    tcp_segment,
     udp_segment,
     write_model_payload,
     write_pcap_bytes,
@@ -584,6 +585,38 @@ class TestBadInputs:
         assert args.count == synth.MAX_FLOWS == 45536
 
 
+class TestSecondsToMicroseconds:
+    """--flow-timeout and --activity-threshold take the whole microseconds of
+    the text's exact decimal value: 1.001 is 1,001,000, where the float
+    1.001 times 1e6 falls just below."""
+
+    GAP_US = 1_001_000
+
+    def extract_two_packets(self, tmp_path, *options):
+        """extract's CSV of two UDP packets GAP_US apart."""
+        frame = ipv4_frame(transport=udp_segment(5000, 6000, b"x"))
+        pcap, out = tmp_path / "gap.pcap", tmp_path / "gap.csv"
+        pcap.write_bytes(write_pcap_bytes([(0, frame), (self.GAP_US, frame)]))
+        assert main(["extract", str(pcap), *options, "-o", str(out)]) == 0
+        return read_csv(out)
+
+    def test_every_millisecond_is_exact(self):
+        parse = cli._seconds(minimum_us=1)
+        assert [parse(f"{ms / 1000:.3f}") for ms in range(1, 100_001)] == list(
+            range(1000, 100_000_001, 1000))
+        assert parse("1.0019999999999999999999") == 1_001_999
+
+    @pytest.mark.parametrize("timeout, flow_count", [("1.001", 1), ("1.000999", 2)])
+    def test_flow_timeout_of_the_gap_keeps_one_flow(self, tmp_path, timeout, flow_count):
+        values, _ = self.extract_two_packets(tmp_path, "--flow-timeout", timeout)
+        assert len(values) == flow_count
+
+    @pytest.mark.parametrize("threshold, idle_us", [("1.001", 0), ("1.000999", GAP_US)])
+    def test_activity_threshold_of_the_gap_is_not_idle(self, tmp_path, threshold, idle_us):
+        values, _ = self.extract_two_packets(tmp_path, "--activity-threshold", threshold)
+        assert values[0][features.FEATURE_NAMES.index("Idle Max")] == idle_us
+
+
 class TestDefaults:
     def test_default_seconds_come_from_the_library(self, capsys):
         assert int(cli.DEFAULT_FLOW_TIMEOUT_S * 1e6) == flows.DEFAULT_FLOW_TIMEOUT_US
@@ -993,6 +1026,21 @@ def write_rtp_capture(path, frames, flows, payload_size):
             fh.write(frame)
 
 
+def write_tcp_capture(path, frames, flows, payload_size):
+    """A capture of `flows` TCP flows taking turns, one frame a millisecond,
+    each an ACK from the client with a `payload_size`-byte payload; no flow
+    ends before the capture does."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
+        for i in range(frames):
+            flow, seq = i % flows, i // flows
+            segment = tcp_segment(40000 + flow, 80, seq=seq * payload_size,
+                                  payload=bytes(payload_size))
+            frame = ipv4_frame("10.0.0.1", "10.0.1.1", proto=6, transport=segment)
+            fh.write(struct.pack("<IIII", i // 1000, i % 1000 * 1000, len(frame), len(frame)))
+            fh.write(frame)
+
+
 class TestPayloadMemory:
     """Flows keep PAYLOAD_HEAD payload bytes a packet, not the payload, so two
     captures that differ only in payload size peak alike."""
@@ -1117,38 +1165,44 @@ class TestPacketMemory:
 
 
 class TestInspectFlowMemory:
-    """inspect's flows keep no per-packet columns, and its payload hints keep
-    running counts, so what `_assemble` returns for inspect does not grow with
-    the packets of a flow."""
+    """inspect's flows keep no per-packet columns, only running counts, so
+    what `_assemble` returns for inspect does not grow with the packets of a
+    flow, UDP or TCP."""
 
     FLOWS = 100
-    # every count a flow and its hints keep is above 256 at both sizes: CPython
-    # shares the int objects of -5 to 256, so below that a count holds no
-    # bytes of its own, and each of a flow's five counts would add 32 bytes
+    # every count a flow keeps is above 256 at both sizes: CPython shares the
+    # int objects of -5 to 256, so below that a count holds no bytes of its
+    # own, and each of a flow's five counts would add 32 bytes
     PACKETS = (300, 1200)
 
     def held_bytes(self, pcap) -> int:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            hints = protocols.PayloadHints()
-            flow_list = cli._assemble(pcap, flows.DEFAULT_FLOW_TIMEOUT_US, hints)
+            flow_list = cli._assemble(pcap, flows.DEFAULT_FLOW_TIMEOUT_US,
+                                      protocols.InspectedFlow)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(flow_list) == self.FLOWS
         return held
 
-    def test_same_bytes_for_more_packets(self, tmp_path):
+    def assert_same_bytes(self, tmp_path, write_capture):
         held = []
         for per_flow in (3, *self.PACKETS):  # the first fills what a first run fills
             pcap = tmp_path / f"{per_flow}.pcap"
-            write_rtp_capture(pcap, self.FLOWS * per_flow, self.FLOWS, 100)
+            write_capture(pcap, self.FLOWS * per_flow, self.FLOWS, 100)
             held.append(self.held_bytes(pcap))
         del held[0]
         assert abs(held[1] - held[0]) <= 1024, (
             f"{held} bytes held at {self.PACKETS} packets a flow"
         )
+
+    def test_same_bytes_for_more_packets(self, tmp_path):
+        self.assert_same_bytes(tmp_path, write_rtp_capture)
+
+    def test_same_bytes_for_more_tcp_packets(self, tmp_path):
+        self.assert_same_bytes(tmp_path, write_tcp_capture)
 
 
 class TestInspect:

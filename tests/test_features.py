@@ -268,12 +268,12 @@ class TestOracleEquivalence:
                 want = expected[name]
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), name
 
-    def test_assembled_flows_match_reference(self, recorded_flows, tmp_path):
+    def test_assembled_flows_match_reference(self, tmp_path):
         # the assembler fills the columns; the oracle reads the records it was given
         for kind in TrafficKind:
             pcap = tmp_path / f"{kind.value}.pcap"
             generate(SynthProfile(kind, 12, seed=5), pcap)
-            flows = assemble_flows(read_packets_sorted(pcap))
+            flows = assemble_flows(read_packets_sorted(pcap), flow_type=RecordedFlow)
             assert flows and all(isinstance(f, RecordedFlow) for f in flows)
             for flow in flows:
                 expected = reference_features(flow)

@@ -1,7 +1,6 @@
 import random
 import socket
 import struct
-from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +20,10 @@ from camsieve.packets import (
     TcpFlags,
     read_packets_sorted,
 )
-from camsieve.protocols import PayloadHints, build_report
+from camsieve.protocols import InspectedFlow, build_report
 
 from conftest import (
+    RecordedFlow,
     ipv4_frame,
     kept_without_columns,
     tcp_segment,
@@ -218,9 +218,9 @@ class TestProperties:
             (f.flow_id, f.packet_count, f.termination) for f in b
         ]
 
-    def test_every_packet_key_matches_flow_key(self, recorded_flows):
+    def test_every_packet_key_matches_flow_key(self):
         pkts = _random_stream(4)
-        flows = assemble_flows(pkts)
+        flows = assemble_flows(pkts, flow_type=RecordedFlow)
         for f in flows:
             assert f.directions[0] == 1, "the first packet must be forward"
             assert {canonical_key(pkt) for pkt in f.records} == {flow_key(f)}
@@ -301,29 +301,48 @@ class TestStreamProperties:
                 assert f.tcp_flags[-1] & TcpFlags.RST
 
         # flows without columns, as inspect assembles them, split and end alike
-        lean = assemble_flows(pkts, timeout_us, columns=False)
+        lean = assemble_flows(pkts, timeout_us, flow_type=InspectedFlow)
         assert list(map(kept_without_columns, lean)) == list(map(kept_without_columns, flows))
+
+
+class HeadsSeen(InspectedFlow):
+    """An InspectedFlow that also keeps, for each packet given to `add`, its
+    packet count once added and the payload head it read."""
+
+    __slots__ = ("seen",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen: list[tuple[int, bytes]] = []
+
+    def add(self, pkt: PacketRecord) -> bool:
+        forward = super().add(pkt)
+        self.seen.append((self.packet_count, pkt.payload_head))
+        return forward
+
+
+class HeadsCut(InspectedFlow):
+    """An InspectedFlow given only the first PAYLOAD_HEAD bytes of each head."""
+
+    __slots__ = ()
+
+    def add(self, pkt: PacketRecord) -> bool:
+        return super().add(pkt._replace(payload_head=pkt.payload_head[:PAYLOAD_HEAD]))
 
 
 class TestPayloads:
     def test_heads_keep_at_most_payload_head_bytes(self):
-        # a flow keeps no payload: the observer reads each packet's head after
-        # the packet joins, and what inspect makes of a head is what it makes
-        # of the head's first PAYLOAD_HEAD bytes
+        # a flow keeps no payload: its `add` reads each packet's head as the
+        # packet joins, and what inspect makes of a head is what it makes of
+        # the head's first PAYLOAD_HEAD bytes
         rtp = struct.pack("!BBHII", 0x80, 96, 1, 0, 7)
         payloads = [rtp + b"x" * 8, b"", b"yz", b"w" * PAYLOAD_HEAD]
-        seen, whole, cut = [], PayloadHints(), PayloadHints()
-
-        def observe(flow, pkt):
-            seen.append((flow.packet_count, pkt.payload_head))
-            whole.observe(flow, pkt)
-            cut.observe(flow, pkt._replace(payload_head=pkt.payload_head[:PAYLOAD_HEAD]))
-
-        (flow,) = assemble_flows([udp_pkt(ts, payload=p) for ts, p in enumerate(payloads)],
-                                 observer=observe)
-        assert seen == [(1, rtp + b"x" * 8), (2, b""), (3, b"yz"), (4, b"w" * PAYLOAD_HEAD)]
-        assert build_report([flow], whole) == build_report([flow], cut)
-        assert build_report([flow], whole)["flows"][0]["kind_counts"] == {"RTP": 1, "UNKNOWN": 3}
+        pkts = [udp_pkt(ts, payload=p) for ts, p in enumerate(payloads)]
+        (whole,) = assemble_flows(pkts, flow_type=HeadsSeen)
+        (cut,) = assemble_flows(pkts, flow_type=HeadsCut)
+        assert whole.seen == [(1, rtp + b"x" * 8), (2, b""), (3, b"yz"), (4, b"w" * PAYLOAD_HEAD)]
+        assert build_report([whole]) == build_report([cut])
+        assert build_report([whole])["flows"][0]["kind_counts"] == {"RTP": 1, "UNKNOWN": 3}
 
     def test_each_flow_keeps_its_own_payloads_in_capture_order(self, tmp_path):
         client, server = ("10.0.0.1", 5000), ("10.0.0.2", 80)
@@ -352,11 +371,9 @@ class TestPayloads:
         ]
         pcap = tmp_path / "reuse.pcap"
         pcap.write_bytes(write_pcap_bytes(frames))
-        heads = defaultdict(list)
-        flows = assemble_flows(read_packets_sorted(pcap),
-                               observer=lambda flow, pkt: heads[flow].append(pkt.payload_head))
+        flows = assemble_flows(read_packets_sorted(pcap), flow_type=RecordedFlow)
 
-        assert [heads[f] for f in flows] == [
+        assert [[pkt.payload_head for pkt in f.records] for f in flows] == [
             [b"a1", b"a2", b"a3", b"a4", b"a5", b"a6"],
             [b"u1", b"u2"],
             [b"b1", b"b2", b"b3"],

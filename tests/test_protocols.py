@@ -16,8 +16,8 @@ from camsieve.protocols import (
     AppContext,
     Confidence,
     HintKind,
+    InspectedFlow,
     MediaType,
-    PayloadHints,
     build_report,
     classify_udp_payload,
     media_hint,
@@ -25,7 +25,7 @@ from camsieve.protocols import (
     port_profile,
 )
 
-from conftest import flow_packet, kept_without_columns, make_flow
+from conftest import RecordedFlow, flow_packet, kept_without_columns, make_flow
 from oracles import (
     MuxClass,
     demux_rtp_rtcp,
@@ -59,13 +59,16 @@ def carrying(ts, payload):
 
 
 def report_of(flows, app=AppContext.GENERIC):
-    """build_report on flows built by hand, each packet given to the observer
-    in the order it was added, as assemble_flows gives it."""
-    hints = PayloadHints()
+    """build_report on flows built by hand: each flow's packets are given
+    again, in the order they were added, as assemble_flows gives them, to an
+    InspectedFlow of the same identity."""
+    inspected = []
     for flow in flows:
+        again = InspectedFlow(flow.initiator, flow.responder, flow.protocol, flow.start_ts)
         for pkt in flow.records:
-            hints.observe(flow, pkt)
-    return build_report(flows, hints, app)
+            again.add(pkt)
+        inspected.append(again)
+    return build_report(inspected, app)
 
 
 class TestParseRtpHeader:
@@ -305,7 +308,7 @@ class TestClassifyUdpPayload:
 
 
 class TestContinuity:
-    """A flow's rtp_continuity as build_report gives it from PayloadHints,
+    """A flow's rtp_continuity as build_report gives it from InspectedFlow,
     which counts hits as each payload joins the flow; the oracle reads the
     whole list of headers and must agree."""
 
@@ -523,23 +526,16 @@ class TestClassifiedAtIngest:
     @settings(max_examples=400, deadline=None)
     @given(inspected_captures())
     def test_report_equals_the_heads_oracle(self, records):
-        hints, heads = PayloadHints(), {}
+        # the oracle reads every head that the flows with columns were given
+        flows = assemble_flows(records, flow_type=RecordedFlow)
+        heads = {flow: [pkt.payload_head for pkt in flow.records] for flow in flows}
 
-        def observe(flow, pkt):
-            heads.setdefault(flow, []).append(pkt.payload_head)
-            hints.observe(flow, pkt)
-
-        flows = assemble_flows(records, observer=observe)
-        for app in AppContext:
-            assert build_report(flows, hints, app) == reference_report(flows, heads, app)
-
-        # inspect's flows keep no columns, and give the same flows and reports
-        lean_hints = PayloadHints()
-        lean = assemble_flows(records, observer=lean_hints.observe, columns=False)
+        # inspect's flows keep no columns, and split and end as those do
+        lean = assemble_flows(records, flow_type=InspectedFlow)
         assert not any(hasattr(f, "timestamps") for f in lean)
         assert list(map(kept_without_columns, lean)) == list(map(kept_without_columns, flows))
         for app in AppContext:
-            assert build_report(lean, lean_hints, app) == build_report(flows, hints, app)
+            assert build_report(lean, app) == reference_report(flows, heads, app)
 
     def test_tied_ssrcs_go_to_the_lowest(self):
         # SSRCs 9 and 7 have two headers each; 7's sequence numbers skip
@@ -548,11 +544,3 @@ class TestClassifiedAtIngest:
         report = report_of([make_flow([carrying(i, p) for i, p in enumerate(payloads)], [])])
         assert report["flows"][0]["rtp_continuity"] == 0.0
         assert rtp_stream_continuity([parse_rtp_header(p) for p in payloads]) == 0.0
-
-    def test_clear_drops_every_flow(self):
-        flow = make_flow([carrying(0, rtp_bytes(seq=1))], [])
-        hints = PayloadHints()
-        hints.observe(flow, flow.records[0])
-        hints.clear()
-        (entry,) = build_report([flow], hints)["flows"]
-        assert entry["kind_counts"] == {} and entry["hint"] == "UNKNOWN"
