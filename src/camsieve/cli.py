@@ -305,7 +305,7 @@ def cmd_report(args) -> int:
     # the full model and the deployment-style model of a held-out split are
     # independent, so they grow side by side; after the full CV, whose folds
     # already fill the workers, and which fails first on an empty dataset
-    train_idx, test_idx = dataset.stratified_split(y, (0.8, 0.2), args.seed)
+    train_idx, test_idx = dataset.stratified_split(y, args.seed)
     full_model, deploy_model = tree.run_independent([
         lambda: tree.train(X, y, features.FEATURE_NAMES, **params),
         lambda: tree.train(X[train_idx], [y[i] for i in train_idx], features.FEATURE_NAMES,

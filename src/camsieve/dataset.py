@@ -36,7 +36,9 @@ CLASSES = (CLASS_IOT_CAM, CLASS_CONF, CLASS_SHARE, CLASS_OTHERS)
 
 def class_order(labels: Sequence[str]) -> list[str]:
     """The classes present in labels: those of CLASSES in its order, then any
-    others alphabetically. The one default order of a model's classes."""
+    others alphabetically. The one order of a model's classes: train,
+    cross_validate and prune_features take no other, and a prediction tie
+    goes to the first class in it."""
     present = set(labels)
     return [c for c in CLASSES if c in present] + sorted(present - set(CLASSES))
 
@@ -409,27 +411,16 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[list[int]
     return [sorted(fold) for fold in folds]
 
 
-def stratified_split(
-    labels: Sequence[str], fractions: Sequence[float], seed: int
-) -> list[list[int]]:
-    """Split row indexes preserving per-class proportions within one sample.
-
-    Partition sizes come from cumulative targets rounded half up, so the
-    first partition takes the rounding benefit and sizes always sum exactly.
-    """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions sum to {sum(fractions)}, expected 1")
+def stratified_split(labels: Sequence[str], seed: int) -> tuple[list[int], list[int]]:
+    """The 80/20 hold-out: row indexes to train on and to test on. Each
+    class's shuffled order is cut after floor(0.8 * size + 0.5) rows, so
+    every class keeps at least one training row."""
     if not labels:
         raise EmptyClass("no records to split")
-
-    partitions: list[list[int]] = [[] for _ in fractions]
+    train: list[int] = []
+    test: list[int] = []
     for _, group in _shuffled_classes(labels, seed):
-        c = len(group)
-        cumulative = 0.0
-        prev_boundary = 0
-        for i, frac in enumerate(fractions):
-            cumulative += frac
-            boundary = c if i == len(fractions) - 1 else math.floor(c * cumulative + 0.5)
-            partitions[i].extend(group[prev_boundary:boundary])
-            prev_boundary = boundary
-    return partitions
+        cut = math.floor(len(group) * 0.8 + 0.5)
+        train += group[:cut]
+        test += group[cut:]
+    return train, test

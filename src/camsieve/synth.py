@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .dataset import atomic_write_text
+from .dataset import CLASS_CONF, CLASS_IOT_CAM, CLASS_SHARE, atomic_write_text
 from .packets import IPPROTO_TCP, IPPROTO_UDP, TcpFlags
 
 BASE_TIMESTAMP_US = 1_700_000_000_000_000
@@ -58,9 +58,9 @@ class TrafficKind(enum.Enum):
 
 
 KIND_LABELS = {
-    TrafficKind.CAMERA: "IoTCam",
-    TrafficKind.CONF: "Conf",
-    TrafficKind.SHARE: "Share",
+    TrafficKind.CAMERA: CLASS_IOT_CAM,
+    TrafficKind.CONF: CLASS_CONF,
+    TrafficKind.SHARE: CLASS_SHARE,
 }
 
 

@@ -4,7 +4,8 @@ Splits minimize Gini impurity over every midpoint between consecutive
 distinct feature values. Near-tied candidates are re-compared with exact
 integer arithmetic so the chosen split is reproducible across platforms
 and reimplementations: ties go to the lowest feature index, then the
-lowest threshold. Prediction ties go to the first class in declared order.
+lowest threshold. A tree's classes are dataset.class_order of its labels,
+and prediction ties go to the first class in that order.
 """
 from __future__ import annotations
 
@@ -376,7 +377,7 @@ def _as_matrix(X) -> np.ndarray:
 def _check_prior(prior: DecisionTreeModel, root: np.ndarray, f: int, candidates: tuple[int, ...],
                  class_names: tuple[str, ...], max_depth: int, min_samples_split: int) -> None:
     """ValueError unless prior could have been grown on this call's rows from
-    a superset of its candidates with the same class order and limits."""
+    a superset of its candidates, with the same classes and limits."""
     meta, counts = prior.training_meta, tuple(root.tolist())
     grown_from = meta.get("candidate_features")
     if grown_from is None:
@@ -403,7 +404,6 @@ def train(
     X,
     y: Sequence[str],
     feature_names: Sequence[str],
-    class_names: Sequence[str] | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     min_samples_split: int = DEFAULT_MIN_SAMPLES_SPLIT,
     seed: int = DEFAULT_SEED,
@@ -413,6 +413,7 @@ def train(
     prior: DecisionTreeModel | None = None,
 ) -> DecisionTreeModel:
     """Deterministic recursive partitioning; stops at depth, purity or size.
+    The classes are dataset.class_order(y).
 
     candidate_features restricts which columns may be split on without
     changing the feature space (used by importance pruning).
@@ -424,13 +425,15 @@ def train(
     argsort: one row per such column in ascending order, as _presort returns
     it for them). The order matrix holds every node that may still split as
     a column segment, each row sorted by its feature; one best_split call
-    searches them all, and a stable partition of each row (left children,
-    then right children) gives the next segments, still sorted. Nodes are renumbered to preorder at the end, as a
-    depth-first recursion would number them.
+    searches them all. A stable partition of each row (left children, then
+    right children) is written back over the start of that row, and the
+    next level is that column slice of the same matrix, still sorted. So
+    presorted, when given, is reordered in place. Nodes are renumbered to
+    preorder at the end, as a depth-first recursion would number them.
 
     prior, when given, is a tree grown on the same rows and labels, with the
-    same class order, max_depth and min_samples_split, from a superset of
-    this call's candidates (ValueError otherwise). The result is the tree
+    same max_depth and min_samples_split, from a superset of this call's
+    candidates (ValueError otherwise). The result is the tree
     grown without it. prior's table is cut at the first split on a dropped
     feature on each path, and only the nodes cut there grow again, all in
     the same calls whatever their depth. Above a cut every node keeps its
@@ -459,8 +462,7 @@ def train(
     if not np.isfinite(arr).all():
         raise UncleanData("dataset contains non-finite values; run cleaning first")
     arr = np.asfortranarray(arr)  # each column contiguous, for the scan's gathers
-    if class_names is None:
-        class_names = class_order(y)
+    class_names = tuple(class_order(y))
     class_index = {c: i for i, c in enumerate(class_names)}
     labels = np.array([class_index[v] for v in y], dtype=np.int64)
     k = len(class_names)
@@ -471,7 +473,7 @@ def train(
     growing: list[int] = []  # the nodes that may split, in the order of their segments
     depth: list[int] = []  # the depth of each
     if prior is not None:
-        _check_prior(prior, root, f, candidates, tuple(class_names), max_depth, min_samples_split)
+        _check_prior(prior, root, f, candidates, class_names, max_depth, min_samples_split)
         # prior's table, cut at the first split on a dropped feature on each
         # path: that node becomes a leaf that grows again, and the nodes below
         # it are never reached
@@ -546,17 +548,19 @@ def train(
         code[rows] = np.where(grows, np.arange(2 * len(growing)) % 2, 2)[child]
         sizes = child_sizes[0::2][grows[0::2]], child_sizes[1::2][grows[1::2]]
         m_left, m_right = int(sizes[0].sum()), int(sizes[1].sum())
-        grown = np.empty((len(order), m_left + m_right), dtype=order.dtype)
         block = max(1, _SCAN_CELLS // order.shape[1])
         index = np.empty((min(block, len(order)), order.shape[1]), dtype=np.intp)
         for start in range(0, len(order), block):
             part = order[start:start + block]
             np.copyto(index[:len(part)], part)
             side = code.take(index[:len(part)]).ravel()
-            # np.compress on flat arrays; a 2-D boolean index is several times slower
-            grown[start:start + block, :m_left] = np.compress(side == 0, part).reshape(len(part), m_left)
-            grown[start:start + block, m_left:] = np.compress(side == 1, part).reshape(len(part), m_right)
-        order = grown
+            # np.compress on flat arrays; a 2-D boolean index is several times
+            # slower. Both sides are copied out before either is written back
+            left = np.compress(side == 0, part).reshape(len(part), m_left)
+            right = np.compress(side == 1, part).reshape(len(part), m_right)
+            part[:, :m_left] = left
+            part[:, m_left:m_left + m_right] = right
+        order = order[:, :m_left + m_right]
         bounds = np.r_[0, np.cumsum(np.concatenate(sizes))]
         growing = ids[0::2][grows[0::2]].tolist() + ids[1::2][grows[1::2]].tolist()
         depth = np.r_[depth[grows[0::2]], depth[grows[1::2]]]
@@ -576,7 +580,7 @@ def train(
                     for i in preorder),
         max_depth=max_depth,
         feature_names=tuple(feature_names),
-        class_names=tuple(class_names),
+        class_names=class_names,
         training_meta={
             "seed": seed,
             "n_samples": n,
@@ -604,7 +608,8 @@ def predict_proba(model: DecisionTreeModel, vector: Sequence[float]) -> tuple[fl
 
 
 def best_class(proba: Sequence[float]) -> int:
-    """Index of the most probable class; ties go to the first declared class."""
+    """Index of the most probable class; ties go to the first class of the
+    model's class_names."""
     return proba.index(max(proba))
 
 
@@ -642,7 +647,6 @@ def prune_features(
     y: Sequence[str],
     feature_names: Sequence[str],
     threshold: float = IMPORTANCE_THRESHOLD_COMPACT,
-    class_names: Sequence[str] | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     min_samples_split: int = DEFAULT_MIN_SAMPLES_SPLIT,
     seed: int = DEFAULT_SEED,
@@ -651,18 +655,14 @@ def prune_features(
     the threshold, retrain restricted to the survivors.
 
     The retrained tree is grown with the full one as its prior (see train):
-    same rows, labels, class order and limits, and the survivors are a
-    subset of all features, so only the nodes below the full tree's splits
-    on dropped features are searched again."""
-    full = train(
-        X, y, feature_names, class_names=class_names, max_depth=max_depth,
-        min_samples_split=min_samples_split, seed=seed,
-    )
+    same rows, labels and limits, and the survivors are a subset of all
+    features, so only the nodes below the full tree's splits on dropped
+    features are searched again."""
+    full = train(X, y, feature_names, max_depth=max_depth, min_samples_split=min_samples_split,
+                 seed=seed)
     selected = select_features(feature_importances(full), threshold)
-    pruned = train(
-        X, y, feature_names, class_names=full.class_names, max_depth=max_depth,
-        min_samples_split=min_samples_split, seed=seed, candidate_features=selected, prior=full,
-    )
+    pruned = train(X, y, feature_names, max_depth=max_depth, min_samples_split=min_samples_split,
+                   seed=seed, candidate_features=selected, prior=full)
     pruned.training_meta["importance_threshold"] = threshold
     return selected, pruned
 
@@ -740,7 +740,6 @@ def cross_validate(
     y: Sequence[str],
     feature_names: Sequence[str],
     k: int = DEFAULT_K_FOLDS,
-    class_names: Sequence[str] | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     min_samples_split: int = DEFAULT_MIN_SAMPLES_SPLIT,
     seed: int = DEFAULT_SEED,
@@ -758,8 +757,12 @@ def cross_validate(
     folds are grown through run_independent, at most two at once, and scored
     in fold order, so the report is the same for any number of cores.
 
+    The classes are dataset.class_order(y). A fold holds out at most
+    ceil(c / k) <= c - 1 of a class's c >= k rows, so each fold's tree has
+    the same classes.
+
     prior, when given, is a report of this function on the same X and y,
-    with the same k, seed, max_depth, min_samples_split and class names
+    with the same k, seed, max_depth, min_samples_split and classes
     (ValueError otherwise), from a superset of these candidates. Each fold
     is then grown with the same fold of prior as its prior tree (see train),
     which searches only below the splits on dropped features; the report is
@@ -768,16 +771,15 @@ def cross_validate(
     arr = _as_matrix(X)
     if len(y) != len(arr):
         raise DimensionMismatch(f"matrix has {len(arr)} rows, {len(y)} labels given")
-    if class_names is None:
-        class_names = class_order(y)
+    class_names = tuple(class_order(y))
     class_index = {c: i for i, c in enumerate(class_names)}
     params = {"k": k, "max_depth": max_depth, "min_samples_split": min_samples_split, "seed": seed}
-    if prior is not None and (prior.params != params or prior.class_names != tuple(class_names)
+    if prior is not None and (prior.params != params or prior.class_names != class_names
                               or len(prior.fold_models) != k):
         raise ValueError(
             f"prior report has {prior.params}, classes {prior.class_names} and "
             f"{len(prior.fold_models)} fold trees; this one needs {params}, classes "
-            f"{tuple(class_names)} and {k}"
+            f"{class_names} and {k}"
         )
     if not len(arr):
         raise EmptyDataset("cannot train on an empty dataset")
@@ -797,8 +799,7 @@ def cross_validate(
         renumber = np.cumsum(in_train, dtype=order.dtype) - 1  # row -> row of the fold
         fold_order = renumber[rows[in_train[rows]]].reshape(len(rows), len(train_idx))
         return train(
-            fold_X, [y_list[i] for i in train_idx], feature_names,
-            class_names=class_names, max_depth=max_depth,
+            fold_X, [y_list[i] for i in train_idx], feature_names, max_depth=max_depth,
             min_samples_split=min_samples_split, seed=seed,
             candidate_features=candidate_features, presorted=fold_order,
             prior=fold_prior,
@@ -826,7 +827,7 @@ def cross_validate(
         mean=mean,
         std=std,
         confusion=tuple(tuple(row) for row in confusion),
-        class_names=tuple(class_names),
+        class_names=class_names,
         params=params,
         fold_models=tuple(models),
     )

@@ -182,19 +182,17 @@ def test_criterion_4_decision_tree_oracle():
 def test_criterion_5_end_to_end_synthetic_analog(corpus):
     t0 = time.perf_counter()
     X, y = corpus["X"], corpus["y"]
-    class_names = class_order(y)
 
-    full = cross_validate(X, y, FEATURE_NAMES, k=10, class_names=class_names,
-                          max_depth=11, seed=SEED)
+    full = cross_validate(X, y, FEATURE_NAMES, k=10, max_depth=11, seed=SEED)
+    assert full.class_names == tuple(class_order(y))
     assert full.mean >= 0.95
     assert full.std <= 0.05
 
-    selected, _ = prune_features(X, y, FEATURE_NAMES, threshold=1e-4,
-                                 class_names=class_names, max_depth=11, seed=SEED)
+    selected, _ = prune_features(X, y, FEATURE_NAMES, threshold=1e-4, max_depth=11, seed=SEED)
     removed = len(FEATURE_NAMES) - len(selected)
     assert removed >= 10
-    pruned = cross_validate(X, y, FEATURE_NAMES, k=10, class_names=class_names,
-                            max_depth=11, seed=SEED, candidate_features=selected)
+    pruned = cross_validate(X, y, FEATURE_NAMES, k=10, max_depth=11, seed=SEED,
+                            candidate_features=selected)
     assert abs(full.mean - pruned.mean) <= 0.02
 
     elapsed = corpus["elapsed_build"] + (time.perf_counter() - t0)
@@ -273,11 +271,11 @@ def test_criterion_7_pipeline_determinism(tmp_path):
 def test_criterion_8_probability_contract(corpus):
     from camsieve.dataset import stratified_split
 
-    train_idx, test_idx = stratified_split(corpus["y"], (0.8, 0.2), SEED)
+    train_idx, test_idx = stratified_split(corpus["y"], SEED)
     X_tr, y_tr = corpus["X"][train_idx], [corpus["y"][i] for i in train_idx]
     X_te = corpus["X"][test_idx]
-    model = train(X_tr, y_tr, FEATURE_NAMES, class_names=class_order(y_tr),
-                  max_depth=11, seed=SEED)
+    model = train(X_tr, y_tr, FEATURE_NAMES, max_depth=11, seed=SEED)
+    assert model.class_names == tuple(class_order(corpus["y"]))
     confident = 0
     for row in X_te:
         proba = predict_proba(model, row)

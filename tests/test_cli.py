@@ -720,6 +720,23 @@ class TestTrainCvPredict:
         assert main(["cv", str(csv_path), "-k", "4", "-o", str(tmp_path / "cv.txt")]) == 0
         assert (tmp_path / "cv.txt").read_text() == report.render()
 
+    def test_every_tree_of_report_has_the_class_order(self, workdir, tmp_path, monkeypatch):
+        # both CVs' fold trees, the full tree and the 80/20 hold-out tree
+        trees = []
+        train_tree = tree.train
+
+        def recording_train(*args, **kwargs):
+            trees.append(train_tree(*args, **kwargs))
+            return trees[-1]
+
+        monkeypatch.setattr(tree, "train", recording_train)
+        assert main(["report", str(workdir / "both.csv"), "-k", "4",
+                     "-o", str(tmp_path / "report.txt")]) == 0
+        held_out = dataset.stratified_split(read_csv(workdir / "both.csv").labels, 42)[1]
+        assert len(trees) == 4 + 2 + 4
+        assert [t.training_meta["n_samples"] for t in trees].count(24 - len(held_out)) == 1
+        assert {t.class_names for t in trees} == {("IoTCam", "Conf")}
+
     def test_train_with_pruning(self, workdir, tmp_path, capsys):
         model_path = tmp_path / "pruned.json"
         assert main(["train", str(workdir / "both.csv"), "-o", str(model_path),

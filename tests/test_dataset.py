@@ -20,6 +20,7 @@ from camsieve.dataset import (
     CLASSES,
     LabelTaxonomy,
     LabeledRecord,
+    class_order,
     clean,
     csv_row,
     default_taxonomy,
@@ -485,7 +486,7 @@ class TestClean:
 class TestStratifiedSplit:
     def test_exact_divisibility(self):
         labels = ["A"] * 100 + ["B"] * 100
-        parts = stratified_split(labels, (0.8, 0.2), seed=1)
+        parts = stratified_split(labels, seed=1)
         assert len(parts[0]) == 160 and len(parts[1]) == 40
         for label in ("A", "B"):
             assert sum(1 for i in parts[0] if labels[i] == label) == 80
@@ -493,18 +494,27 @@ class TestStratifiedSplit:
 
     def test_deterministic(self):
         labels = ["A", "B"] * 20
-        a = stratified_split(labels, (0.5, 0.5), seed=9)
-        b = stratified_split(labels, (0.5, 0.5), seed=9)
+        a = stratified_split(labels, seed=9)
+        b = stratified_split(labels, seed=9)
         assert a == b
-        assert stratified_split(labels, (0.5, 0.5), seed=10) != a
+        assert stratified_split(labels, seed=10) != a
 
     def test_round_half_up_on_first_partition(self):
-        parts = stratified_split(["A"] * 3, (0.5, 0.5), seed=0)
-        assert (len(parts[0]), len(parts[1])) == (2, 1)
+        # a class of c rows trains on floor(0.8 * c + 0.5) of them: 1 of 1, 2
+        # of 2, 2 of 3, 3 of 4; so the training part holds every class
+        sizes = range(1, 21)
+        labels = [f"c{c:02d}" for c in sizes for _ in range(c)]
+        train_idx, test_idx = stratified_split(labels, seed=0)
+        for c in sizes:
+            label = f"c{c:02d}"
+            assert sum(labels[i] == label for i in train_idx) == math.floor(c * 0.8 + 0.5) >= 1
+            assert sum(labels[i] == label for i in test_idx) == c - math.floor(c * 0.8 + 0.5)
+        assert [math.floor(c * 0.8 + 0.5) for c in (1, 2, 3, 4)] == [1, 2, 2, 3]
+        assert class_order([labels[i] for i in train_idx]) == class_order(labels)
 
     def test_union_is_input_multiset(self):
         labels = ["A", "B", "C"] * 7
-        parts = stratified_split(labels, (0.3, 0.3, 0.4), seed=3)
+        parts = stratified_split(labels, seed=3)
         assert sorted(i for part in parts for i in part) == list(range(len(labels)))
 
     def test_same_rows_as_a_per_class_shuffle(self):
@@ -519,22 +529,42 @@ class TestStratifiedSplit:
             cut = math.floor(len(group) * 0.8 + 0.5)
             expected[0] += group[:cut]
             expected[1] += group[cut:]
-        assert stratified_split(labels, (0.8, 0.2), seed=7) == expected
+        assert list(stratified_split(labels, seed=7)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(2, 6), st.integers(0, 2**32))
     def test_folds_deal_the_split_order(self, data, k, seed):
         # the CV folds and the hold-out draw one shuffle: fold j holds
-        # positions j, j+k, ... of each class's order in a one-part split
+        # positions j, j+k, ... of each class's order, which is its training
+        # rows then its test rows in the split
         counts = data.draw(st.lists(st.integers(k, 3 * k), min_size=1, max_size=4))
         labels = data.draw(st.permutations(
             [f"c{c}" for c, count in enumerate(counts) for _ in range(count)]))
-        (order,) = stratified_split(labels, (1.0,), seed)
+        train_idx, test_idx = stratified_split(labels, seed)
         folds = stratified_folds(labels, k, seed)
         for label in set(labels):
-            dealt = [i for i in order if labels[i] == label]
+            dealt = [i for i in train_idx + test_idx if labels[i] == label]
             assert [[i for i in fold if labels[i] == label] for fold in folds] == [
                 sorted(dealt[j::k]) for j in range(k)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 10), st.integers(0, 2**32))
+    def test_every_fold_and_the_split_train_on_every_class(self, data, k, seed):
+        # a class of c >= k rows loses at most ceil(c / k) <= c - 1 to a fold,
+        # so every tree grown on a fold's or the split's training rows has the
+        # class order of all the labels
+        names = data.draw(st.lists(st.sampled_from(CLASSES + ("", "zeta", "Alpha")),
+                                   min_size=1, max_size=5, unique=True))
+        counts = data.draw(st.lists(st.integers(k, 3 * k), min_size=len(names),
+                                    max_size=len(names)))
+        labels = data.draw(st.permutations(
+            [name for name, count in zip(names, counts) for _ in range(count)]))
+        order = class_order(labels)
+        for fold in stratified_folds(labels, k, seed):
+            held_out = set(fold)
+            assert class_order([v for i, v in enumerate(labels) if i not in held_out]) == order
+        train_idx, _ = stratified_split(labels, seed)
+        assert class_order([labels[i] for i in train_idx]) == order
 
     def test_folds_beyond_a_class_fail_before_any_fold_is_made(self):
         # the first class in sorted order that cannot fill k folds is named;
@@ -545,10 +575,6 @@ class TestStratifiedSplit:
         with pytest.raises(InsufficientSamples, match="class 'c' has 2 samples, need >= 3$"):
             stratified_folds(labels, 3, 0)
 
-    def test_bad_fractions(self):
-        with pytest.raises(ValueError):
-            stratified_split(["A"], (0.5, 0.4), seed=0)
-
     def test_empty_records(self):
         with pytest.raises(EmptyClass):
-            stratified_split([], (0.5, 0.5), seed=0)
+            stratified_split([], seed=0)

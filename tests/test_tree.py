@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from camsieve import tree
-from camsieve.dataset import stratified_folds
+from camsieve.dataset import CLASSES, class_order, stratified_folds, stratified_split
 from camsieve.errors import (
     AllFeaturesPruned,
     CorruptModel,
@@ -225,11 +226,14 @@ class TestPresortedSplits:
                 X, labels = np.vstack([X, X]), np.concatenate([labels, labels[::-1]])
             subset = {None: None, "constant": [0, 4, 8], "few": [0, 1, 2, 4, 5, 6, 8]}[kinds]
         candidates = tuple(range(f)) if subset is None else tuple(subset)
-        classes = [f"c{i}" for i in range(k)]
-        model = train(X, [classes[i] for i in labels], [f"x{j}" for j in range(f)],
-                      class_names=classes, max_depth=max_depth,
-                      min_samples_split=min_samples_split, candidate_features=subset)
-        want = reference_nodes(X, labels, k, candidates, max_depth, min_samples_split)
+        model = train(X, [f"c{i}" for i in labels], [f"x{j}" for j in range(f)],
+                      max_depth=max_depth, min_samples_split=min_samples_split,
+                      candidate_features=subset)
+        # the tree's classes are the ones present, c0 < c1 < ... in class_order
+        present = np.unique(labels)
+        assert model.class_names == tuple(f"c{i}" for i in present)
+        want = reference_nodes(X, np.searchsorted(present, labels), len(present), candidates,
+                               max_depth, min_samples_split)
         assert model.nodes == want
         if shape is None:
             assert sum(not node.is_leaf for node in want) >= 3
@@ -320,6 +324,26 @@ class TestScanMemoryBound:
         assert (fi, threshold) == (0, cut - 0.5)
         exact = 1 - Fraction(cut, n) ** 2 - Fraction(n - cut, n) ** 2
         assert gain == pytest.approx(float(exact), abs=1e-15)
+
+    def test_train_partitions_the_order_matrix_in_place(self):
+        # each level's partition is written back over the order matrix, and
+        # the next level is a column slice of it: the peak above the inputs
+        # is 2.27 times the int32 order here, and a second order matrix per
+        # level put it at 3.36
+        n, f = 8000, 77
+        rng = np.random.default_rng(0)
+        X = np.asfortranarray(rng.random((n, f)))
+        y = [CLASSES[i] for i in rng.integers(0, 3, n)]
+        names = [f"x{j}" for j in range(f)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = train(X, y, names)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert tree._table_depth(model.nodes) == tree.DEFAULT_MAX_DEPTH
+        assert peak <= 2.8 * n * f * np.dtype(np.int32).itemsize
 
     @pytest.mark.parametrize("cells", [1, 20_000])
     def test_tiny_budget_grows_the_same_tree(self, monkeypatch, cells):
@@ -551,8 +575,7 @@ class TestPredict:
         X = np.array([[float(rng.randrange(4)) for _ in range(n_features)]
                       for _ in range(n_rows)])
         y = [rng.randrange(n_classes) for _ in range(n_rows)]
-        model = train(X, y, [f"f{j}" for j in range(n_features)],
-                      class_names=list(range(n_classes)), max_depth=rng.randint(0, 5))
+        model = train(X, y, [f"f{j}" for j in range(n_features)], max_depth=rng.randint(0, 5))
         thresholds = [node.threshold for node in model.nodes if not node.is_leaf]
         on_thresholds = [[rng.choice(thresholds + [0.0, 3.0]) for _ in range(n_features)]
                          for _ in range(20)]
@@ -740,8 +763,9 @@ class TestCrossValidate:
             given = X[rest].tobytes(), tuple(y[i] for i in rest)
             got = next(model for rows, model in fold_models if rows == given)
             models.append(got)
-            alone = train(X[rest], [y[i] for i in rest], names, class_names=classes, max_depth=8,
-                          seed=3, candidate_features=subset)
+            alone = train(X[rest], [y[i] for i in rest], names, max_depth=8, seed=3,
+                          candidate_features=subset)
+            assert alone.class_names == tuple(classes)
             assert got.nodes == alone.nodes
             correct = 0
             for i in fold:
@@ -765,9 +789,9 @@ class TestCrossValidate:
 @st.composite
 def prior_cases(draw):
     """A tie-heavy problem, a candidate subset C and a superset S of it (None
-    for every feature): 1-5 declared classes in a drawn order, columns that
-    are constant or take 2-4 values, a third of the rows repeated with
-    labels that may disagree, max_depth 0-12, min_samples_split 2-n."""
+    for every feature): 1-5 classes, columns that are constant or take 2-4
+    values, a third of the rows repeated with labels that may disagree,
+    max_depth 0-12, min_samples_split 2-n."""
     n = draw(st.integers(2, 48))
     f = draw(st.integers(1, 6))
     k = draw(st.integers(1, 5))
@@ -776,12 +800,68 @@ def prior_cases(draw):
     X[n - n // 3:] = X[rng.integers(0, n - n // 3, n // 3)]
     signal = (X * np.arange(1, f + 1)).sum(axis=1).astype(np.int64) % k
     labels = np.where(rng.random(n) < 0.7, signal, rng.integers(0, k, n))
-    class_names = draw(st.permutations([f"c{c}" for c in range(k)]))
     C = draw(st.sets(st.integers(0, f - 1)))
     S = draw(st.none() | st.sets(st.integers(0, f - 1)).map(C.union))
     return dict(X=X, y=[f"c{c}" for c in labels], names=[f"x{j}" for j in range(f)],
-                class_names=class_names, C=sorted(C), S=None if S is None else sorted(S),
+                C=sorted(C), S=None if S is None else sorted(S),
                 max_depth=draw(st.integers(0, 12)), min_samples_split=draw(st.integers(2, n)))
+
+
+class TestOneClassOrder:
+    """Every tree the package grows orders its classes as class_order of all
+    the labels, so a prediction tie goes to the same class in each: the fold
+    trees, grown from scratch or from a prior, both trees of prune_features
+    and the hold-out tree that report grows."""
+
+    K = 5
+    # CLASSES names out of their order, "Others", "" and a label outside
+    # CLASSES; "zeta" has exactly K rows, so one of each fold's held-out
+    # rows is a zeta
+    COUNTS = {"zeta": 5, "Share": 23, "": 9, "IoTCam": 31, "Others": 12}
+
+    def problem(self, seed=3):
+        rng = np.random.default_rng(seed)
+        y = [label for label, count in self.COUNTS.items() for _ in range(count)]
+        y = [y[i] for i in rng.permutation(len(y))]
+        X = rng.integers(0, 6, (len(y), 8)) * 0.5
+        X[:, 2] += [len(label) for label in y]  # some signal, so the trees split
+        return X, y, [f"x{j}" for j in range(8)]
+
+    def test_fold_trees_from_scratch_and_from_a_prior(self):
+        X, y, names = self.problem()
+        order = tuple(class_order(y))
+        assert order == ("IoTCam", "Share", "Others", "", "zeta")
+        full = cross_validate(X, y, names, k=self.K, max_depth=6, seed=2)
+        grown = cross_validate(X, y, names, k=self.K, max_depth=6, seed=2,
+                               candidate_features=[0, 1, 3, 4, 5, 6], prior=full)
+        for report in (full, grown):
+            assert report.class_names == order
+            assert [m.class_names for m in report.fold_models] == [order] * self.K
+        assert any(not node.is_leaf for node in full.fold_models[0].nodes)
+
+    def test_both_trees_of_prune_features(self, monkeypatch):
+        X, y, names = self.problem()
+        trees = []
+        train_tree = tree.train
+
+        def recording_train(*args, **kwargs):
+            trees.append(train_tree(*args, **kwargs))
+            return trees[-1]
+
+        monkeypatch.setattr(tree, "train", recording_train)
+        _, pruned = prune_features(X, y, names, threshold=0.05, max_depth=6)
+        monkeypatch.undo()
+        assert len(trees) == 2 and trees[1] is pruned
+        assert [t.class_names for t in trees] == [tuple(class_order(y))] * 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hold_out_tree(self, seed):
+        # report trains on stratified_split's first part, which keeps a row
+        # of every class
+        X, y, names = self.problem(seed)
+        train_idx, _ = stratified_split(y, seed)
+        model = train(X[train_idx], [y[i] for i in train_idx], names, max_depth=6, seed=seed)
+        assert model.class_names == tuple(class_order(y))
 
 
 class TestPriorTree:
@@ -789,8 +869,7 @@ class TestPriorTree:
     @given(prior_cases())
     def test_grown_from_prior_equals_grown_from_scratch(self, case):
         X, y, names, C = case["X"], case["y"], case["names"], case["C"]
-        params = dict(class_names=case["class_names"], max_depth=case["max_depth"],
-                      min_samples_split=case["min_samples_split"])
+        params = dict(max_depth=case["max_depth"], min_samples_split=case["min_samples_split"])
         prior = train(X, y, names, candidate_features=case["S"], **params)
         assert model_bytes(train(X, y, names, candidate_features=C, prior=prior, **params)) == \
             model_bytes(train(X, y, names, candidate_features=C, **params))
@@ -804,16 +883,15 @@ class TestPriorTree:
             assert [model_bytes(m) for m in grown.fold_models] == \
                 [model_bytes(m) for m in scratch.fold_models]
 
-        # a prior grown any other way is refused
-        classes = case["class_names"]
+        # a prior grown any other way is refused, one grown on other labels
+        # with the same counts too
         others = [
-            dict(params, max_depth=case["max_depth"] + 1),
-            dict(params, min_samples_split=case["min_samples_split"] + 1),
+            (y, dict(params, max_depth=case["max_depth"] + 1)),
+            (y, dict(params, min_samples_split=case["min_samples_split"] + 1)),
+            (["d" + label for label in y], params),
         ]
-        if len(classes) > 1:
-            others.append(dict(params, class_names=classes[1:] + classes[:1]))
-        for kwargs in others:
-            wrong = train(X, y, names, candidate_features=case["S"], **kwargs)
+        for labels, kwargs in others:
+            wrong = train(X, labels, names, candidate_features=case["S"], **kwargs)
             with pytest.raises(ValueError, match="prior tree"):
                 train(X, y, names, candidate_features=C, prior=wrong, **params)
         fewer_rows = train(X[:-1], y[:-1], names, candidate_features=case["S"], **params)
@@ -832,7 +910,7 @@ class TestPriorTree:
         X = [[0, 0, 1], [3, 2, 2], [1, 2, 0], [2, 3, 2], [2, 0, 2], [2, 0, 1], [0, 1, 0], [3, 3, 0],
              [0, 3, 0], [0, 3, 3], [3, 2, 1], [3, 1, 0], [1, 3, 1], [1, 1, 3], [0, 3, 0]]
         y = list("bbabbbbaaaaabbb")
-        names, params = ["x0", "x1", "x2"], dict(class_names=["a", "b"], max_depth=3)
+        names, params = ["x0", "x1", "x2"], dict(max_depth=3)
         prior = train(X, y, names, **params)
         assert [prior.nodes[i].feature for i in (0, 1, 6, 8)] == [2, 0, 1, 0]
         segments = []
@@ -891,11 +969,14 @@ class TestPriorTree:
         names = [f"x{j}" for j in range(6)]
         base = dict(k=3, max_depth=4)
         full_cv = cross_validate(X, y, names, **base)
-        for change in (dict(k=2), dict(seed=1), dict(max_depth=5), dict(min_samples_split=3),
-                       dict(class_names=["c2", "c1", "c0"])):
+        for change in (dict(k=2), dict(seed=1), dict(max_depth=5), dict(min_samples_split=3)):
             with pytest.raises(ValueError, match="prior report"):
                 cross_validate(X, y, names, candidate_features=[1, 3], prior=full_cv,
                                **{**base, **change})
+        # a report on other labels, with the same folds and counts
+        other_labels = cross_validate(X, ["d" + label for label in y], names, **base)
+        with pytest.raises(ValueError, match="prior report"):
+            cross_validate(X, y, names, candidate_features=[1, 3], prior=other_labels, **base)
         # the fold trees take no part in == or repr
         assert len(full_cv.fold_models) == 3
         assert dataclasses.replace(full_cv, fold_models=()) == full_cv
@@ -984,8 +1065,7 @@ class TestIndependentTrees:
                 self.workers(monkeypatch, n)
                 outputs.append(self.cv_outputs(
                     case["X"], case["y"], case["names"], k, case["S"], case["C"],
-                    class_names=case["class_names"], max_depth=case["max_depth"],
-                    min_samples_split=case["min_samples_split"]))
+                    max_depth=case["max_depth"], min_samples_split=case["min_samples_split"]))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_stress_three_workers_with_a_short_switch_interval(self, monkeypatch):
@@ -1129,8 +1209,7 @@ class TestConstantColumns:
             (candidates,) = [c for X_call, c in roots if X_call.tobytes() == X[rest].tobytes()]
             assert (0 in candidates) == (i != held_out)
             assert 1 in candidates and 4 not in candidates  # x4 is constant everywhere
-        scratch = [train(X[rest], [y[j] for j in rest], names, class_names=report.class_names,
-                         max_depth=5, seed=9)
+        scratch = [train(X[rest], [y[j] for j in rest], names, max_depth=5, seed=9)
                    for rest in rests]
         assert [model_bytes(m) for m in report.fold_models] == [model_bytes(m) for m in scratch]
 
