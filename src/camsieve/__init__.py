@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .dataset import LabeledRecord, LabelTaxonomy, clean, default_taxonomy, read_csv, write_csv
 from .features import FEATURE_NAMES, compute_features
-from .flows import FlowState, assemble_flows
+from .flows import FlowState, assemble_flows, read_flows
 from .packets import PacketRecord, decode_packet, open_capture, read_packets
 from .protocols import ProtocolHint, classify_udp_payload, parse_rtp_header
 from .synth import SynthProfile, TrafficKind, generate
@@ -52,6 +52,7 @@ __all__ = [
     "predict_proba",
     "prune_features",
     "read_csv",
+    "read_flows",
     "read_packets",
     "save_model",
     "train",

@@ -13,42 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, features, flows, packets, protocols, synth, tree
-from .errors import CamsieveError, OutOfOrderTimestamp
+from . import dataset, features, flows, protocols, synth, tree
+from .errors import CamsieveError
 
 DEFAULT_FLOW_TIMEOUT_S = flows.DEFAULT_FLOW_TIMEOUT_US / 1e6
 DEFAULT_ACTIVITY_THRESHOLD_S = features.DEFAULT_ACTIVITY_THRESHOLD_US / 1e6
 PREDICT_SLICE = 256  # rows whose output lines predict writes at once
 WRITE_BATCH = 4096  # text chunks joined into one write
-
-
-def extract_records(
-    pcap_path: str | Path,
-    label: str = "",
-    flow_timeout_us: int = flows.DEFAULT_FLOW_TIMEOUT_US,
-    activity_threshold_us: int = features.DEFAULT_ACTIVITY_THRESHOLD_US,
-) -> list[dataset.LabeledRecord]:
-    """pcap to labeled feature records: decode, assemble, summarize."""
-    flow_list = _assemble(pcap_path, flow_timeout_us)
-    return [features.compute_features(f, activity_threshold_us, label) for f in flow_list]
-
-
-def _assemble(
-    pcap_path: str | Path, flow_timeout_us: int, flow_type: type[flows.Flow] = flows.FlowState
-) -> list[flows.Flow]:
-    """The capture's flows, made as `flow_type`. A regular file is assembled as
-    it is read, and read again sorted only if a timestamp falls; anything
-    else, such as a pipe, which cannot be read twice, is sorted in a list
-    first. The flows of an aborted pass are freed, with all they keep, once
-    the except block's traceback is gone."""
-    if Path(pcap_path).is_file():
-        try:
-            return flows.assemble_flows(packets.read_packets(pcap_path), flow_timeout_us,
-                                        flow_type)
-        except OutOfOrderTimestamp:
-            pass  # read again below
-    return flows.assemble_flows(packets.read_packets_sorted(pcap_path), flow_timeout_us,
-                                flow_type)
 
 
 class _ReaderGone(Exception):
@@ -177,14 +148,12 @@ def _load(args) -> tuple[np.ndarray, list[str], int]:
 
 
 def cmd_extract(args) -> int:
-    records = extract_records(
-        args.pcap,
-        label=args.label,
-        flow_timeout_us=args.flow_timeout,
-        activity_threshold_us=args.activity_threshold,
-    )
-    dataset.write_csv(records, args.output)
-    print(f"wrote {len(records)} flows to {args.output}", file=sys.stderr)
+    # every flow is read before the first row is written, so a capture that
+    # fails mid-read leaves no CSV; each row is made as it is written
+    flow_list = flows.read_flows(args.pcap, args.flow_timeout)
+    dataset.write_csv((features.compute_features(f, args.activity_threshold, args.label)
+                       for f in flow_list), args.output)
+    print(f"wrote {len(flow_list)} flows to {args.output}", file=sys.stderr)
     return 0
 
 
@@ -196,7 +165,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    flow_list = _assemble(args.pcap, args.flow_timeout, protocols.InspectedFlow)
+    flow_list = flows.read_flows(args.pcap, args.flow_timeout, protocols.InspectedFlow)
     report = protocols.build_report(flow_list, protocols.AppContext(args.app.upper()))
     if args.json:
         # the chunks that json.dumps(report, indent=2) joins, written as they

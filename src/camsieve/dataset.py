@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,8 +182,8 @@ def csv_row(rec: LabeledRecord) -> list:
     )
 
 
-def write_csv(records: Sequence[LabeledRecord], path: str | Path) -> None:
-    """Write the 84-column CSV, one `csv_row` per record."""
+def write_csv(records: Iterable[LabeledRecord], path: str | Path) -> None:
+    """Write the 84-column CSV, one `csv_row` per record, each as it comes."""
 
     def emit(fh):
         fh.write(_VERSION_LINE + "\r\n")

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import enum
 from array import array
+from pathlib import Path
 from typing import Iterable
 
+from . import packets
 from .errors import OutOfOrderTimestamp
 from .packets import IPPROTO_TCP, PacketRecord, TcpFlags, address_text
 
@@ -189,3 +191,24 @@ def assemble_flows(
     flows += table.values()
     flows.sort(key=lambda f: (f.start_ts, f.flow_id))
     return flows
+
+
+def read_flows(
+    pcap_path: str | Path,
+    flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US,
+    flow_type: type[Flow] = FlowState,
+) -> list[Flow]:
+    """The capture's flows, as `assemble_flows` makes them from its packets in
+    stable timestamp order, whatever the capture's own order.
+
+    A regular file is assembled as it is read, and read again sorted only if
+    a timestamp falls; anything else, such as a pipe, which cannot be read
+    twice, is sorted in a list first. The flows of an aborted pass are freed,
+    with all they keep, once the except block's traceback is gone.
+    """
+    if Path(pcap_path).is_file():
+        try:
+            return assemble_flows(packets.read_packets(pcap_path), flow_timeout_us, flow_type)
+        except OutOfOrderTimestamp:
+            pass  # read again below
+    return assemble_flows(packets.read_packets_sorted(pcap_path), flow_timeout_us, flow_type)

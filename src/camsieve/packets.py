@@ -374,9 +374,8 @@ def read_packets_sorted(path: str | Path) -> Iterator[PacketRecord]:
 
     Decodes the whole capture here and sorts its records in a list, so a pipe
     is read once; raises MalformedCapture here on a capture that
-    `open_capture` rejects. A capture already in time order needs no sort:
-    feed `read_packets(path)` to the flow assembler, which raises
-    OutOfOrderTimestamp at the first timestamp that falls.
+    `open_capture` rejects. `flows.read_flows` calls it only for a capture
+    that is not a regular file or whose timestamps fall.
 
     The held records share one `bytes` object per distinct address, where
     decode_packet gives each record its own two.

@@ -11,11 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from camsieve import cli
 from camsieve.cli import main
 from camsieve.dataset import LabeledRecord, class_order, clean, read_csv, write_csv
 from camsieve.features import FEATURE_NAMES, compute_features
-from camsieve.flows import assemble_flows
+from camsieve.flows import assemble_flows, read_flows
 from camsieve.packets import read_packets, read_packets_sorted
 from camsieve.protocols import (
     AppContext,
@@ -63,7 +62,7 @@ def corpus(tmp_path_factory):
         pcap = base / f"{kind.value}.pcap"
         generate(SynthProfile(kind, FLOWS_PER_CLASS, seed=SEED), pcap)
         pcaps[kind] = pcap
-        records.extend(cli.extract_records(pcap, label=KIND_LABELS[kind]))
+        records.extend(compute_features(f, label=KIND_LABELS[kind]) for f in read_flows(pcap))
     X, _ = clean([rec.values for rec in records])
     return {
         "dir": base,

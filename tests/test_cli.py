@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -1181,9 +1182,33 @@ class TestPacketMemory:
         )
 
 
+class TestExtractRowMemory:
+    """extract makes each flow's record as write_csv writes its row. The
+    writer still holds the record before while the next one is made, so at
+    most two are alive at once, whatever the number of flows."""
+
+    def test_at_most_two_records_alive(self, tmp_path, monkeypatch):
+        pcap = tmp_path / "conf.pcap"
+        synth.generate(synth.SynthProfile(synth.TrafficKind.CONF, 40, seed=3), pcap)
+        compute = features.compute_features
+        made, most_alive = [], 0
+
+        def watched(*args):
+            nonlocal most_alive
+            record = compute(*args)
+            made.append(weakref.ref(record))
+            most_alive = max(most_alive, sum(ref() is not None for ref in made))
+            return record
+
+        monkeypatch.setattr(features, "compute_features", watched)
+        assert main(["extract", str(pcap), "-o", str(tmp_path / "conf.csv")]) == 0
+        assert len(made) == 40
+        assert most_alive <= 2
+
+
 class TestInspectFlowMemory:
     """inspect's flows keep no per-packet columns, only running counts, so
-    what `_assemble` returns for inspect does not grow with the packets of a
+    what `read_flows` returns for inspect does not grow with the packets of a
     flow, UDP or TCP."""
 
     FLOWS = 100
@@ -1196,8 +1221,7 @@ class TestInspectFlowMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            flow_list = cli._assemble(pcap, flows.DEFAULT_FLOW_TIMEOUT_US,
-                                      protocols.InspectedFlow)
+            flow_list = flows.read_flows(pcap, flow_type=protocols.InspectedFlow)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

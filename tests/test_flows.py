@@ -1,16 +1,21 @@
+import os
 import random
 import socket
 import struct
+import threading
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camsieve.errors import OutOfOrderTimestamp
+from camsieve import packets, synth
+from camsieve.errors import MalformedCapture, OutOfOrderTimestamp
 from camsieve.flows import (
     HALF_CLOSE_SILENCE_US,
     Termination,
     assemble_flows,
+    read_flows,
 )
 from camsieve.packets import (
     IPPROTO_TCP,
@@ -18,6 +23,7 @@ from camsieve.packets import (
     PAYLOAD_HEAD,
     PacketRecord,
     TcpFlags,
+    read_packets,
     read_packets_sorted,
 )
 from camsieve.protocols import InspectedFlow, build_report
@@ -26,6 +32,7 @@ from conftest import (
     RecordedFlow,
     ipv4_frame,
     kept_without_columns,
+    swap_records,
     tcp_segment,
     udp_segment,
     write_pcap_bytes,
@@ -388,3 +395,77 @@ class TestPayloads:
         assert flows[0].termination is Termination.TCP_FIN
         assert flow_key(flows[0]) == flow_key(flows[2])
         assert sum(f.packet_count for f in flows) == len(frames)
+
+
+def recorded(flows):
+    return [(kept_without_columns(f), f.records) for f in flows]
+
+
+class TestReadFlows:
+    """read_flows gives the flows of the capture's packets in stable timestamp
+    order, and sorts a list of them only when it must."""
+
+    @pytest.fixture
+    def capture(self, tmp_path):
+        pcap = tmp_path / "conf.pcap"
+        synth.generate(synth.SynthProfile(synth.TrafficKind.CONF, 12, seed=3), pcap)
+        return pcap
+
+    @pytest.fixture
+    def unsorted_read_only(self, monkeypatch):
+        def refused(path):
+            raise AssertionError(f"{path} was read again sorted")
+
+        monkeypatch.setattr(packets, "read_packets_sorted", refused)
+
+    @staticmethod
+    def sorted_flows(pcap):
+        return assemble_flows(sorted(read_packets(pcap), key=attrgetter("timestamp")),
+                              flow_type=RecordedFlow)
+
+    def disordered(self, capture):
+        data = swap_records(capture.read_bytes(), 5)
+        disordered = capture.with_name("disordered.pcap")
+        disordered.write_bytes(data)
+        with pytest.raises(OutOfOrderTimestamp):
+            assemble_flows(read_packets(disordered))
+        return disordered
+
+    def test_an_ordered_file_is_not_read_again_sorted(self, capture, unsorted_read_only):
+        flows = read_flows(capture, flow_type=RecordedFlow)
+        assert recorded(flows) == recorded(self.sorted_flows(capture))
+
+    def test_a_disordered_file_gives_the_sorted_records_flows(self, capture):
+        disordered = self.disordered(capture)
+        flows = read_flows(disordered, flow_type=RecordedFlow)
+        assert recorded(flows) == recorded(self.sorted_flows(disordered))
+
+    def test_a_pipe_gives_the_sorted_records_flows(self, capture):
+        disordered = self.disordered(capture)
+        data = disordered.read_bytes()
+        read_end, write_end = os.pipe()
+
+        def feed():
+            try:
+                with os.fdopen(write_end, "wb") as fh:
+                    fh.write(data)
+            except BrokenPipeError:  # the reader failed and closed its end
+                pass
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        try:
+            assert not os.path.isfile(f"/dev/fd/{read_end}")
+            flows = read_flows(f"/dev/fd/{read_end}", flow_type=RecordedFlow)
+        finally:
+            os.close(read_end)
+            feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert recorded(flows) == recorded(self.sorted_flows(disordered))
+
+    def test_a_truncated_ordered_file_fails_on_the_first_pass(self, capture,
+                                                               unsorted_read_only):
+        cut = capture.with_name("cut.pcap")
+        cut.write_bytes(capture.read_bytes()[:-1])
+        with pytest.raises(MalformedCapture, match="truncated record body"):
+            read_flows(cut)

@@ -11,7 +11,7 @@ EXPORTS = [
     "best_class", "classify_udp_payload", "clean", "compute_features",
     "cross_validate", "decode_packet", "default_taxonomy", "feature_importances", "generate",
     "load_model", "open_capture", "parse_rtp_header", "predict_proba", "prune_features",
-    "read_csv", "read_packets", "save_model", "train", "write_csv",
+    "read_csv", "read_flows", "read_packets", "save_model", "train", "write_csv",
 ]
 
 
@@ -23,6 +23,16 @@ def test_exports_resolve_and_star_import_binds_them():
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(camsieve.__all__)
     assert all(namespace[name] is getattr(camsieve, name) for name in namespace)
+
+
+def test_the_cli_module_holds_commands_only():
+    # a library call lives in the module whose job it is; cli.py holds the
+    # commands, their parser and entry points, and private helpers
+    module = ast.parse((Path(camsieve.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    public = [statement.name for statement in module.body
+              if isinstance(statement, ast.FunctionDef) and not statement.name.startswith("_")]
+    assert [name for name in public if not name.startswith("cmd_")
+            and name not in ("main", "entrypoint", "build_parser")] == []
 
 
 def test_every_top_level_name_has_a_caller_in_the_package():

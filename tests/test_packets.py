@@ -403,7 +403,7 @@ class TestReadPacketsSorted:
         assert list(read_packets_sorted(p)) == sorted(read_packets(p), key=attrgetter("timestamp"))
 
     def held_while_assembling(self, path, monkeypatch) -> list[int]:
-        """For each record the flow assembler takes while `extract` reads path,
+        """For each record the flow assembler takes while `read_flows` reads path,
         the records decoded but not yet taken at that moment."""
         decoded, held = [], []
         decode = packets.decode_packet
@@ -422,7 +422,7 @@ class TestReadPacketsSorted:
 
         monkeypatch.setattr(packets, "decode_packet", counting)
         monkeypatch.setattr(flows, "assemble_flows", watched)
-        cli.extract_records(path)
+        flows.read_flows(path)
         return held
 
     def test_a_sorted_capture_holds_no_record(self, tmp_path, monkeypatch):

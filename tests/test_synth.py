@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from camsieve import cli
 from camsieve.errors import IoFailure
-from camsieve.features import FEATURE_NAMES
-from camsieve.flows import assemble_flows
+from camsieve.features import FEATURE_NAMES, compute_features
+from camsieve.flows import assemble_flows, read_flows
 from camsieve.packets import IPPROTO_TCP, open_capture, decode_packet, read_packets_sorted
 from camsieve.protocols import AppContext, MediaType, media_hint, parse_rtp_header
 from camsieve.synth import (
@@ -200,7 +199,7 @@ def records(tmp_path_factory):
     for kind in TrafficKind:
         pcap = base / f"{kind.value}.pcap"
         generate(SynthProfile(kind, 10, seed=3), pcap)
-        recs[kind] = cli.extract_records(pcap, label=KIND_LABELS[kind])
+        recs[kind] = [compute_features(f, label=KIND_LABELS[kind]) for f in read_flows(pcap)]
     return recs
 
 
