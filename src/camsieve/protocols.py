@@ -11,6 +11,7 @@ import enum
 import struct
 from collections import Counter
 from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .flows import Endpoint, Flow
@@ -208,6 +209,10 @@ def port_profile(ports: Sequence[int]) -> dict[int, float]:
     return {port: c / len(ports) for port, c in sorted(counts.items())}
 
 
+# kinds, payload_types and ssrcs of every flow that is not UDP
+_NO_PAYLOADS = MappingProxyType({})
+
+
 class InspectedFlow(Flow):
     """A flow as inspect reads it: classifies each UDP payload once, as its
     packet joins the flow, and keeps what the report reads of them.
@@ -226,13 +231,19 @@ class InspectedFlow(Flow):
     def __init__(self, initiator: Endpoint, responder: Endpoint, protocol: int, start_ts: int):
         super().__init__(initiator, responder, protocol, start_ts)
         self.packet_count = 0
-        # kind name -> [payloads, the kind's first hint], for the hints without a
-        # header; those with one are counted in payload_types alone
-        self.kinds: dict[str, list] = {}
-        # of every parsed RTP header; a dict: updating a Counter costs about three times as much
-        self.payload_types: dict[int, int] = {}
         self.first_rtp: RtpHeader | None = None
-        self.ssrcs: dict[int, list[int]] = {}  # SSRC -> [headers, last sequence, hits]
+        if protocol == IPPROTO_UDP:
+            # kind name -> [payloads, the kind's first hint], for the hints without
+            # a header; those with one are counted in payload_types alone
+            self.kinds: dict[str, list] = {}
+            # of every parsed RTP header; a dict: updating a Counter costs about
+            # three times as much
+            self.payload_types: dict[int, int] = {}
+            self.ssrcs: dict[int, list[int]] = {}  # SSRC -> [headers, last sequence, hits]
+        else:
+            # no payload is classified, so the three stay empty: one shared
+            # read-only view, not three dicts a flow
+            self.kinds = self.payload_types = self.ssrcs = _NO_PAYLOADS
 
     def add(self, pkt: PacketRecord) -> bool:
         """Count one packet and classify its payload; returns whether it is forward."""

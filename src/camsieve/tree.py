@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -678,33 +679,86 @@ def _cores() -> int:
 
 _T = TypeVar("_T")
 
-# The most trees grown at once. The Python part of each level holds the
-# interpreter lock, so two threads grew trees 1.2-1.4 times as fast as one
-# on a 2-CPU host, and a third was never measured; each tree in flight holds
-# its own fold copy and order matrix, so the cap also bounds the memory
+# The most trees grown at once, each in its own process (see run_independent).
+# Two grew cv's folds 1.6-2 times as fast as one on a 2-CPU host; a third was
+# never measured. Each tree in flight holds its own fold copy and order
+# matrix, so the cap also bounds the memory
 _MAX_WORKERS = 2
+
+
+def _run_share(calls: Sequence[Callable[[], _T]], start: int, step: int) -> list[tuple]:
+    """(index, ok, result or exception) of calls[start::step], in turn, up
+    to and with the first that raises: a later one could not raise first."""
+    outcomes = []
+    for i in range(start, len(calls), step):
+        try:
+            outcomes.append((i, True, calls[i]()))
+        except Exception as exc:
+            outcomes.append((i, False, exc))
+            break
+    return outcomes
+
+
+def _send_share(writer, calls: Sequence[Callable[[], _T]], start: int, step: int) -> None:
+    """A worker process's body: its share of the calls, sent to the parent."""
+    # Ctrl-C reaches the whole process group: the parent stops and kills
+    # this process, which must not print a traceback of its own
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    writer.send(_run_share(calls, start, step))
 
 
 def run_independent(calls: Sequence[Callable[[], _T]]) -> list[_T]:
     """Each call's result, in the order of calls, from
-    min(len(calls), cores, _MAX_WORKERS) threads. The calls must share no
-    state that one of them changes. numpy releases the interpreter lock in
-    most of a tree's array work, so trees grown side by side overlap. With
-    one worker the calls run one after another in this thread, and no
-    thread starts. Every result is read in call order, so the first failing
-    call's exception is raised, as in a serial loop, and the calls not yet
-    started are dropped."""
-    workers = min(len(calls), _cores(), _MAX_WORKERS)
-    if workers <= 1:
-        return [call() for call in calls]
-    from concurrent.futures import ThreadPoolExecutor  # here: extract and inspect never train
+    w = min(len(calls), cores, _MAX_WORKERS) workers. The calls must share no
+    state that one of them changes, and their results must pickle.
 
-    pool = ThreadPoolExecutor(workers)
+    This process runs calls 0, w, 2w, ... itself, and w - 1 forked children
+    run the rest, child j calls j, j + w, ...; a child inherits the calls and
+    what they read, so nothing but its results is pickled, and it sends them
+    back through a pipe. fork, not spawn or forkserver: those take about
+    0.2 s to start a worker, most of what a second worker saves on cv. The
+    parent grows its own share rather than wait, so w workers keep w CPUs
+    busy and no more. The exception of the lowest failing call is raised,
+    as in a serial loop; a child that exits without sending raises
+    ChildProcessError. Every child is killed and reaped before this returns
+    or raises.
+
+    With one worker, or where the platform has no fork, the calls run one
+    after another in this process, and no process starts."""
+    workers = min(len(calls), _cores(), _MAX_WORKERS)
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [call() for call in calls]
+    import multiprocessing  # here: extract and inspect never train
+
+    context = multiprocessing.get_context("fork")
+    children = []
     try:
-        futures = [pool.submit(call) for call in calls]
-        return [future.result() for future in futures]
+        for j in range(1, workers):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=_send_share, args=(writer, calls, j, workers))
+            child.start()
+            children.append((child, reader))
+            writer.close()  # the child's end: EOF on the reader once the child exits
+        outcomes = _run_share(calls, 0, workers)
+        for child, reader in children:
+            try:
+                outcomes += reader.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"tree worker {child.pid} exited with code {child.exitcode} "
+                    "before sending its results"
+                ) from None
     finally:
-        pool.shutdown(cancel_futures=True)
+        for child, reader in children:
+            child.kill()
+            child.join()
+            reader.close()
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, ok, value in outcomes:
+        if not ok:
+            raise value
+    return [result for _, _, result in outcomes]
 
 
 @dataclass(frozen=True)

@@ -390,24 +390,26 @@ def cli_child(argv, env=None):
 
 
 # runs each CLI command of the JSON list in its first argument on one CPU of
-# its affinity set, where no thread may start
+# its affinity set, where no thread or process may start
 ON_ONE_CPU = """
 import json, os, sys, threading
 from camsieve.cli import main
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-def refuse(thread):
-    raise AssertionError("a thread started on one CPU")
+def refuse(*args):
+    raise AssertionError("a thread or process started on one CPU")
 
 threading.Thread.start = refuse
+os.fork = refuse
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
 """
 
 
 class TestModelCommandsOnCores:
-    """cv and report grow their independent trees on up to two threads, as
-    the affinity set allows; the bytes do not depend on how many there are."""
+    """cv and report grow their independent trees in this process and up to
+    one forked child, as the affinity set allows; the bytes do not depend on
+    how many workers there are."""
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
     def test_one_cpu_starts_no_thread_and_writes_the_same_bytes(self, workdir, tmp_path,
@@ -423,10 +425,33 @@ class TestModelCommandsOnCores:
         assert child.returncode == 0, child.stderr
         monkeypatch.setattr(tree, "_cores", lambda: 3)
         monkeypatch.setattr(tree, "_MAX_WORKERS", 3)
+
+        def refuse(thread):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         for command in ("cv", "report"):
-            threaded = tmp_path / f"{command}-three.txt"
-            assert main([command, src, "-k", "3", "-o", str(threaded)]) == 0
-            assert threaded.read_bytes() == (tmp_path / f"{command}-one.txt").read_bytes()
+            forked = tmp_path / f"{command}-three.txt"
+            assert main([command, src, "-k", "3", "-o", str(forked)]) == 0
+            assert forked.read_bytes() == (tmp_path / f"{command}-one.txt").read_bytes()
+
+    @pytest.mark.parametrize("command", ["cv", "report"])
+    def test_a_worker_that_dies_fails_the_command(self, workdir, tmp_path, capsys, monkeypatch,
+                                                  command):
+        monkeypatch.setattr(tree, "_cores", lambda: 2)
+        parent = os.getpid()
+        train_tree = tree.train
+
+        def dies_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train_tree(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "train", dies_in_a_worker)
+        out = tmp_path / "report.txt"
+        assert main([command, str(workdir / "both.csv"), "-k", "3", "-o", str(out)]) == 1
+        assert "error: tree worker" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["cv", "report"])
     def test_huge_k_fails_before_making_folds(self, workdir, tmp_path, capsys, command):
@@ -722,7 +747,9 @@ class TestTrainCvPredict:
         assert (tmp_path / "cv.txt").read_text() == report.render()
 
     def test_every_tree_of_report_has_the_class_order(self, workdir, tmp_path, monkeypatch):
-        # both CVs' fold trees, the full tree and the 80/20 hold-out tree
+        # both CVs' fold trees, the full tree and the 80/20 hold-out tree, all
+        # grown on one worker: a forked worker's trees would not be recorded here
+        monkeypatch.setattr(tree, "_cores", lambda: 1)
         trees = []
         train_tree = tree.train
 
@@ -1132,11 +1159,11 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def loads_hashlib(script, *args) -> bool:
-    """Whether a fresh interpreter has hashlib loaded after running script."""
+def loads(module, script, *args) -> bool:
+    """Whether a fresh interpreter has module loaded after running script."""
     src_dir = Path(cli.__file__).resolve().parents[1]
     child = subprocess.run(
-        [sys.executable, "-c", script + "\nprint('hashlib' in sys.modules)", *args],
+        [sys.executable, "-c", script + f"\nprint({module!r} in sys.modules)", *args],
         env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
         check=True, timeout=120,
     )
@@ -1144,10 +1171,11 @@ def loads_hashlib(script, *args) -> bool:
 
 
 class TestCaptureCommandsDoNotHash:
-    """extract and inspect never hash, so they do not pay for loading OpenSSL."""
+    """extract and inspect never hash, so they do not pay for loading OpenSSL,
+    and the capture commands grow no tree, so they do not load multiprocessing."""
 
     def test_no_hashlib_after_extract_and_inspect(self, workdir, tmp_path):
-        if loads_hashlib("import sys, numpy"):
+        if loads("hashlib", "import sys, numpy"):
             # numpy 1.x's numpy.random does
             pytest.skip("import numpy alone loads hashlib")
         pcap = str(workdir / "conf.pcap")
@@ -1155,7 +1183,16 @@ class TestCaptureCommandsDoNotHash:
             ["extract", pcap, "-o", str(tmp_path / "conf.csv")],
             ["inspect", pcap, "--json", "-o", str(tmp_path / "conf.json")],
         ]
-        assert not loads_hashlib(RUN_COMMANDS, json.dumps(commands))
+        assert not loads("hashlib", RUN_COMMANDS, json.dumps(commands))
+
+    def test_no_multiprocessing_after_synth_extract_and_inspect(self, tmp_path):
+        pcap = str(tmp_path / "conf.pcap")
+        commands = [
+            ["synth", "--kind", "conf", "-n", "20", "--seed", "3", "-o", pcap],
+            ["extract", pcap, "-o", str(tmp_path / "conf.csv")],
+            ["inspect", pcap, "--json", "-o", str(tmp_path / "conf.json")],
+        ]
+        assert not loads("multiprocessing", RUN_COMMANDS, json.dumps(commands))
 
 
 class TestPacketMemory:

@@ -9,7 +9,6 @@ updates the digest here and says why in CHANGES.md.
 import hashlib
 import json
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -64,6 +63,8 @@ BENCH_GOLDEN = {
     "conf.pcap.manifest.jsonl": "2d0f3911ac9d21b90077708e77d7eb5064ebebf4d67cdba8b2080bb60eff7f76",
     "share.pcap": "0350548a011a29d2980334b5d6a4b5474640aa80c9b206230ea7eba66ee923bc",
     "share.pcap.manifest.jsonl": "a5ac5105aff1e5e3b587d182c1a4cb6da8063a92b8149b92b3b26f6c9e2b5944",
+    # inspect's report on the all-TCP share capture, whose flows classify no payload
+    "inspect-share.json": "79b187ee2281cbf5a6f41e42c2843a96e6db45796f8a4d81174c2c99cad5b92d",
 }
 
 
@@ -171,6 +172,7 @@ def bench_outputs(tmp_path_factory):
     for kind in BENCH_KINDS:
         _run("synth", "--kind", kind, "-n", BENCH_FLOWS, "--seed", BENCH_SEED,
              "-o", d / f"{kind}.pcap")
+    _run("inspect", d / "share.pcap", "--json", "-o", d / "inspect-share.json")
     return {name: (d / name).read_bytes() for name in BENCH_GOLDEN}
 
 
@@ -225,14 +227,14 @@ def test_pruned_cv_grown_from_full_cv_searches_and_matches(monkeypatch):
     assert len(dropped_splits) == 10 and max(dropped_splits) >= 1
     calls = 0
     search = tree.best_split
-    lock = threading.Lock()  # the folds grow on several threads
 
     def counting(*args):
         nonlocal calls
-        with lock:
-            calls += 1
+        calls += 1
         return search(*args)
 
+    # a forked worker's calls would not be counted here, so one worker grows every fold
+    monkeypatch.setattr(tree, "_cores", lambda: 1)
     monkeypatch.setattr(tree, "best_split", counting)
     grown = tree.cross_validate(X, y, FEATURE_NAMES, candidate_features=selected, prior=full_cv)
     monkeypatch.undo()

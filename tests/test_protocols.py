@@ -1,5 +1,6 @@
 import socket
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -536,6 +537,23 @@ class TestClassifiedAtIngest:
         assert list(map(kept_without_columns, lean)) == list(map(kept_without_columns, flows))
         for app in AppContext:
             assert build_report(lean, app) == reference_report(flows, heads, app)
+
+    def test_a_tcp_flow_holds_no_payload_dicts(self):
+        # a TCP payload is never classified, so a TCP flow shares one empty
+        # view for kinds, payload_types and ssrcs where a UDP flow has three dicts
+        def held_per_flow(protocol):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                held = [InspectedFlow((b"\x0a\x00\x00\x01", 1024 + i),
+                                      (b"\x0a\x00\x00\x02", 443), protocol, i)
+                        for i in range(1000)]
+                return (tracemalloc.get_traced_memory()[0] - before) / len(held)
+            finally:
+                tracemalloc.stop()
+
+        # three empty dicts take 192 bytes on CPython 3.11
+        assert held_per_flow(IPPROTO_UDP) - held_per_flow(IPPROTO_TCP) >= 150
 
     def test_tied_ssrcs_go_to_the_lowest(self):
         # SSRCs 9 and 7 have two headers each; 7's sequence numbers skip

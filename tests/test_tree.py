@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -736,8 +739,10 @@ class TestCrossValidate:
         X, labels = np.vstack([X, X]), np.concatenate([labels, labels])
         y = [f"c{c}" for c in labels]
         names = [f"x{j}" for j in range(8)]
-        # the folds may grow on several threads, in any order: each recorded
-        # model is found by the rows and labels it was given
+        # a recorder patched in here never hears from a forked worker, so one
+        # worker grows every fold; each recorded model is found by the rows
+        # and labels it was given
+        monkeypatch.setattr(tree, "_cores", lambda: 1)
         fold_models = []
         train_fold = tree.train
 
@@ -1092,38 +1097,49 @@ class TestIndependentTrees:
         assert not runner.is_alive()
         assert threaded == [serial]
 
-    @pytest.mark.parametrize("cores, most", [(1, 0), (2, 2), (64, 2)])
-    def test_threads_started_are_at_most_cores_and_two(self, monkeypatch, cores, most):
-        # k is 3, so 64 cores would take 3 threads but for the cap
+    @staticmethod
+    def forks(monkeypatch) -> list[int]:
+        """The pid of each process forked from now on."""
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @staticmethod
+    def assert_all_reaped(pids):
+        assert multiprocessing.active_children() == []
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # no such child: not a zombie
+                os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("cores, children", [(1, 0), (2, 1), (64, 1)])
+    def test_processes_started_are_cores_and_two_less_one(self, monkeypatch, cores, children):
+        # k is 3, so 64 cores would take 3 workers but for the cap; the
+        # parent is one of them
         X, labels = tie_heavy(4, 90, 6, 3)
         y = [f"c{c}" for c in labels]
         monkeypatch.setattr(tree, "_cores", lambda: cores)
-        started = []
-        start = threading.Thread.start
+        pids = self.forks(monkeypatch)
 
-        def counted_start(thread):
-            started.append(thread)
-            start(thread)
+        def refuse(thread):
+            raise AssertionError("a thread started")
 
-        monkeypatch.setattr(threading.Thread, "start", counted_start)
-        callers = set()
-        train_tree = tree.train
-
-        def recording_train(*args, **kwargs):
-            callers.add(threading.current_thread())
-            return train_tree(*args, **kwargs)
-
-        monkeypatch.setattr(tree, "train", recording_train)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         cross_validate(X, y, [f"x{j}" for j in range(6)], k=3)
-        # a pool starts a thread per call until one is idle, so at most `most`
-        if most:
-            assert 1 <= len(started) <= most and callers <= set(started)
-        else:
-            assert not started and callers == {threading.current_thread()}
+        assert len(pids) == children
+        self.assert_all_reaped(pids)
 
     def test_results_in_call_order_and_the_first_failure_raised(self, monkeypatch):
         self.workers(monkeypatch, 3)
-        ready = threading.Event()
+        # the parent runs the first call, a forked child the second
+        ready = multiprocessing.get_context("fork").Event()
 
         def late():
             assert ready.wait(timeout=30)
@@ -1151,10 +1167,92 @@ class TestIndependentTrees:
         assert tree._cores() == 5
 
 
+class TestWorkerFailures:
+    """A call that fails in a forked worker fails run_independent as it would
+    in a serial loop; a worker that dies fails it with ChildProcessError; and
+    no worker outlives it."""
+
+    @pytest.fixture
+    def pids(self, monkeypatch):
+        TestIndependentTrees.workers(monkeypatch, 2)
+        pids = TestIndependentTrees.forks(monkeypatch)
+        yield pids
+        TestIndependentTrees.assert_all_reaped(pids)
+
+    @staticmethod
+    def raising(exc):
+        def call():
+            raise exc
+        return call
+
+    @pytest.mark.parametrize("exc", [ValueError("bad fold"), EmptyDataset("no rows in fold")])
+    def test_a_child_error_is_raised_with_its_type_and_message(self, pids, exc):
+        # call 1 runs in the child
+        with pytest.raises(type(exc), match=f"^{exc}$") as raised:
+            tree.run_independent([lambda: 0, self.raising(exc)])
+        assert type(raised.value) is type(exc) and len(pids) == 1
+
+    @pytest.mark.parametrize("failing, first", [
+        ((1, 2), 1),  # the child's failure comes first
+        ((2, 3), 2),  # the parent's
+        ((0, 1), 0),
+        ((3,), 3),
+    ])
+    def test_the_lowest_failing_call_wins(self, pids, failing, first):
+        # the parent runs calls 0 and 2, the child 1 and 3
+        calls = [self.raising(ValueError(f"call {i}")) if i in failing else (lambda: 0)
+                 for i in range(4)]
+        with pytest.raises(ValueError, match=f"^call {first}$"):
+            tree.run_independent(calls)
+
+    def test_a_child_killed_mid_call_raises_child_process_error(self, pids):
+        def killed():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(ChildProcessError, match="exited with code -9"):
+            tree.run_independent([lambda: 0, killed])
+
+    def test_a_result_that_cannot_be_pickled_raises_child_process_error(self, pids, capfd):
+        with pytest.raises(ChildProcessError, match="exited with code 1"):
+            tree.run_independent([lambda: 0, lambda: (lambda: "not picklable")])
+        assert "pickle" in capfd.readouterr().err  # the child says why
+
+    def test_an_interrupt_in_the_parent_kills_the_children(self, pids):
+        started = time.monotonic()
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            tree.run_independent([interrupted, lambda: time.sleep(60)])
+        assert time.monotonic() - started < 30 and len(pids) == 1
+
+    def test_children_ignore_ctrl_c(self, pids, capfd):
+        events = multiprocessing.get_context("fork")
+        started, interrupted = events.Event(), events.Event()
+
+        def parent():
+            assert started.wait(timeout=30)
+            os.kill(pids[0], signal.SIGINT)
+            interrupted.set()
+            return "parent"
+
+        def child():
+            started.set()
+            assert interrupted.wait(timeout=30)
+            time.sleep(0.1)  # the signal has arrived by now
+            return "child"
+
+        assert tree.run_independent([parent, child]) == ["parent", "child"]
+        assert capfd.readouterr().err == ""
+
+
 class TestConstantColumns:
     @staticmethod
     def recorded_calls(monkeypatch):
-        """(X, candidate_features, is_root) of each best_split call from now on."""
+        """(X, candidate_features, is_root) of each best_split call from now on,
+        on one worker: a forked worker's calls would not be recorded here."""
+        monkeypatch.setattr(tree, "_cores", lambda: 1)
         calls = []
         search = tree.best_split
 
@@ -1203,8 +1301,7 @@ class TestConstantColumns:
         rests = [[j for j in range(120) if j not in set(fold)] for fold in folds]
         held_out = next(i for i, fold in enumerate(folds) if 17 in fold)
         assert len(roots) == 4
-        # the folds may grow on several threads, in any order: each root
-        # search is matched to its fold by the rows it was given
+        # each root search is matched to its fold by the rows it was given
         for i, rest in enumerate(rests):
             (candidates,) = [c for X_call, c in roots if X_call.tobytes() == X[rest].tobytes()]
             assert (0 in candidates) == (i != held_out)
