@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, features, flows, protocols, synth, tree
+from . import dataset, features, flows, protocols, synth, tree, workers
 from .errors import CamsieveError
 
 DEFAULT_FLOW_TIMEOUT_S = flows.DEFAULT_FLOW_TIMEOUT_US / 1e6
@@ -275,7 +275,7 @@ def cmd_report(args) -> int:
     # independent, so they grow side by side; after the full CV, whose folds
     # already fill the workers, and which fails first on an empty dataset
     train_idx, test_idx = dataset.stratified_split(y, args.seed)
-    full_model, deploy_model = tree.run_independent([
+    full_model, deploy_model = workers.run_independent([
         lambda: tree.train(X, y, features.FEATURE_NAMES, **params),
         lambda: tree.train(X[train_idx], [y[i] for i in train_idx], features.FEATURE_NAMES,
                            **params),

@@ -10,12 +10,14 @@ import stat
 import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import workers
 from .errors import (
     BadEncoding,
     BadTaxonomy,
@@ -210,22 +212,47 @@ def read_chunks(path: str | Path) -> Iterator[Chunk]:
     value cells; otherwise RowParseError names the record's row, counting the
     column header as row 1 and blank rows too. A file that is not UTF-8 raises
     BadEncoding.
+
+    The chunks are read in rounds of w = workers.worker_count() chunks: this
+    process reads the round's record texts, then parses the round's first
+    chunk itself while forked workers parse the others (run_independent), and
+    the round's chunks are yielded in file order. What is yielded, and where
+    and what is raised, is the same for any w: a chunk's error, in its text
+    or in its cells, is raised only after every chunk before it is yielded.
+    A round holds at most w chunks, and nothing of one round is held while
+    the next is read, so a caller that drops each chunk has its strings freed
+    first.
     """
+    width = workers.worker_count()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             _check_header(fh, path)
             records = _records(fh)
-            while batch := list(islice(records, CHUNK_ROWS)):
-                rows, texts = zip(*batch)
-                values = _parse_numeric(texts)
-                if values is None:
-                    values = _parse_cells(texts, rows)
-                chunk = Chunk(list(texts), values)
-                # hold nothing of this chunk while the next one is read, so a
-                # caller that drops it too has its strings freed first
-                del batch, rows, texts, values
-                yield chunk
-                del chunk
+            while True:
+                batches, unread = [], None
+                try:
+                    while len(batches) < width and (batch := list(islice(records, CHUNK_ROWS))):
+                        batches.append(batch)
+                except UnicodeDecodeError as exc:
+                    if not batches:
+                        raise
+                    unread = exc  # raised once the chunks read before it are yielded
+                if not batches:
+                    break
+                parts = [tuple(zip(*batch)) for batch in batches]  # (rows, texts) a chunk
+                del batch, batches
+                parsed = workers.run_independent(
+                    [partial(_parse, texts, rows) for rows, texts in parts])
+                while parts:
+                    texts, values = parts.pop(0)[1], parsed.pop(0)
+                    if isinstance(values, RowParseError):
+                        raise values
+                    chunk = Chunk(list(texts), values)
+                    del texts, values
+                    yield chunk
+                    del chunk
+                if unread is not None:
+                    raise unread
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"{path}: not UTF-8 text ({exc})") from exc
 
@@ -318,6 +345,20 @@ def _parse_numeric(texts: Sequence[str]) -> np.ndarray | None:
     except (ValueError, Warning):
         return None
     return table["values"]
+
+
+def _parse(texts: Sequence[str], rows: Sequence[int]) -> np.ndarray | RowParseError:
+    """The value matrix of one chunk's records, through np.loadtxt where it
+    gives what int() and float() give and cell by cell otherwise; or the
+    RowParseError of its first bad record, returned, not raised, so that
+    read_chunks yields the chunks before it first."""
+    values = _parse_numeric(texts)
+    if values is not None:
+        return values
+    try:
+        return _parse_cells(texts, rows)
+    except RowParseError as exc:
+        return exc
 
 
 def _parse_cells(texts: Sequence[str], rows: Sequence[int]) -> np.ndarray:

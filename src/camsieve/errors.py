@@ -49,8 +49,13 @@ class RowParseError(CamsieveError):
     """A CSV row could not be parsed; carries the 1-based row number."""
 
     def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
+        # both arguments in args: a copy unpickled from a worker is rebuilt from them
+        super().__init__(row, message)
         self.row = row
+
+    def __str__(self) -> str:
+        row, message = self.args
+        return f"row {row}: {message}"
 
 
 class EmptyClass(CamsieveError):

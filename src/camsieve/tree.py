@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import signal
 import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from .errors import (
     UncleanData,
 )
 from .features import schema_hash
+from .workers import run_independent
 
 DEFAULT_MAX_DEPTH = 11
 DEFAULT_MIN_SAMPLES_SPLIT = 2
@@ -666,99 +665,6 @@ def prune_features(
                    seed=seed, candidate_features=selected, prior=full)
     pruned.training_meta["importance_threshold"] = threshold
     return selected, pruned
-
-
-def _cores() -> int:
-    """The CPUs this process may run on: its affinity set, which taskset
-    limits, or every CPU where the platform has no affinity call."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-_T = TypeVar("_T")
-
-# The most trees grown at once, each in its own process (see run_independent).
-# Two grew cv's folds 1.6-2 times as fast as one on a 2-CPU host; a third was
-# never measured. Each tree in flight holds its own fold copy and order
-# matrix, so the cap also bounds the memory
-_MAX_WORKERS = 2
-
-
-def _run_share(calls: Sequence[Callable[[], _T]], start: int, step: int) -> list[tuple]:
-    """(index, ok, result or exception) of calls[start::step], in turn, up
-    to and with the first that raises: a later one could not raise first."""
-    outcomes = []
-    for i in range(start, len(calls), step):
-        try:
-            outcomes.append((i, True, calls[i]()))
-        except Exception as exc:
-            outcomes.append((i, False, exc))
-            break
-    return outcomes
-
-
-def _send_share(writer, calls: Sequence[Callable[[], _T]], start: int, step: int) -> None:
-    """A worker process's body: its share of the calls, sent to the parent."""
-    # Ctrl-C reaches the whole process group: the parent stops and kills
-    # this process, which must not print a traceback of its own
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    writer.send(_run_share(calls, start, step))
-
-
-def run_independent(calls: Sequence[Callable[[], _T]]) -> list[_T]:
-    """Each call's result, in the order of calls, from
-    w = min(len(calls), cores, _MAX_WORKERS) workers. The calls must share no
-    state that one of them changes, and their results must pickle.
-
-    This process runs calls 0, w, 2w, ... itself, and w - 1 forked children
-    run the rest, child j calls j, j + w, ...; a child inherits the calls and
-    what they read, so nothing but its results is pickled, and it sends them
-    back through a pipe. fork, not spawn or forkserver: those take about
-    0.2 s to start a worker, most of what a second worker saves on cv. The
-    parent grows its own share rather than wait, so w workers keep w CPUs
-    busy and no more. The exception of the lowest failing call is raised,
-    as in a serial loop; a child that exits without sending raises
-    ChildProcessError. Every child is killed and reaped before this returns
-    or raises.
-
-    With one worker, or where the platform has no fork, the calls run one
-    after another in this process, and no process starts."""
-    workers = min(len(calls), _cores(), _MAX_WORKERS)
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [call() for call in calls]
-    import multiprocessing  # here: extract and inspect never train
-
-    context = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for j in range(1, workers):
-            reader, writer = context.Pipe(duplex=False)
-            child = context.Process(target=_send_share, args=(writer, calls, j, workers))
-            child.start()
-            children.append((child, reader))
-            writer.close()  # the child's end: EOF on the reader once the child exits
-        outcomes = _run_share(calls, 0, workers)
-        for child, reader in children:
-            try:
-                outcomes += reader.recv()
-            except EOFError:
-                child.join()
-                raise ChildProcessError(
-                    f"tree worker {child.pid} exited with code {child.exitcode} "
-                    "before sending its results"
-                ) from None
-    finally:
-        for child, reader in children:
-            child.kill()
-            child.join()
-            reader.close()
-    outcomes.sort(key=lambda outcome: outcome[0])
-    for _, ok, value in outcomes:
-        if not ok:
-            raise value
-    return [result for _, _, result in outcomes]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camsieve import cli, dataset, features, flows, packets, protocols, synth, tree
+from camsieve import cli, dataset, features, flows, packets, protocols, synth, tree, workers
 from camsieve.cli import main
 from camsieve.dataset import read_csv, write_csv
 from camsieve.errors import OutOfOrderTimestamp
@@ -407,38 +407,82 @@ for argv in json.loads(sys.argv[1]):
 
 
 class TestModelCommandsOnCores:
-    """cv and report grow their independent trees in this process and up to
-    one forked child, as the affinity set allows; the bytes do not depend on
-    how many workers there are."""
+    """cv and report grow their independent trees, and every command that
+    reads a CSV parses its chunks, in this process and up to one forked
+    child, as the affinity set allows; the bytes do not depend on how many
+    workers there are."""
+
+    @staticmethod
+    def commands(workdir, tmp_path, suffix):
+        """cv and report on both.csv, then train and predict on a CSV of three
+        chunks of its records, each writing to a file named for suffix."""
+        big = tmp_path / "big.csv"
+        if not big.exists():
+            schema, header, *rows = (workdir / "both.csv").read_text().splitlines()
+            big.write_text("\r\n".join([schema, header] + [
+                rows[i % len(rows)] for i in range(2 * dataset.CHUNK_ROWS + 100)]) + "\r\n")
+        src, model = str(workdir / "both.csv"), str(tmp_path / f"model-{suffix}.json")
+        return [[command, src, "-k", "3", "-o", str(tmp_path / f"{command}-{suffix}.txt")]
+                for command in ("cv", "report")] + [
+            ["train", str(big), "-o", model],
+            ["predict", model, str(big), "-o", str(tmp_path / f"scored-{suffix}.csv")],
+        ]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
     def test_one_cpu_starts_no_thread_and_writes_the_same_bytes(self, workdir, tmp_path,
                                                                  monkeypatch):
-        src = str(workdir / "both.csv")
-        commands = [[command, src, "-k", "3", "-o", str(tmp_path / f"{command}-one.txt")]
-                    for command in ("cv", "report")]
         child = subprocess.run(
-            [sys.executable, "-c", ON_ONE_CPU, json.dumps(commands)],
+            [sys.executable, "-c", ON_ONE_CPU,
+             json.dumps(self.commands(workdir, tmp_path, "one"))],
             env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
             capture_output=True, text=True, timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        monkeypatch.setattr(tree, "_cores", lambda: 3)
-        monkeypatch.setattr(tree, "_MAX_WORKERS", 3)
 
         def refuse(thread):
             raise AssertionError("a thread started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        for command in ("cv", "report"):
-            forked = tmp_path / f"{command}-three.txt"
-            assert main([command, src, "-k", "3", "-o", str(forked)]) == 0
-            assert forked.read_bytes() == (tmp_path / f"{command}-one.txt").read_bytes()
+        outputs = ["cv-{}.txt", "report-{}.txt", "model-{}.json", "scored-{}.csv"]
+        for n, suffix in ((2, "two"), (3, "three")):
+            monkeypatch.setattr(workers, "_cores", lambda: n)
+            monkeypatch.setattr(workers, "_MAX_WORKERS", n)
+            for argv in self.commands(workdir, tmp_path, suffix):
+                assert main(argv) == 0, argv
+            for name in outputs:
+                forked = (tmp_path / name.format(suffix)).read_bytes()
+                assert forked == (tmp_path / name.format("one")).read_bytes(), name
+
+    def test_predict_through_a_fifo_writes_the_same_bytes_before_an_error(
+            self, workdir, model_path, tmp_path, monkeypatch, capsys):
+        # chunks of 5 records: the bad row is in chunk 2, which two workers
+        # parse in the second round and three in the first
+        schema, header, *rows = (workdir / "both.csv").read_text().splitlines()
+        records = [rows[i % len(rows)] for i in range(23)]
+        cells = records[12].split(",")
+        cells[40] = "1_0x"
+        records[12] = ",".join(cells)
+        src = tmp_path / "bad.csv"
+        src.write_text("\r\n".join([schema, header] + records) + "\r\n")
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", 5)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        outputs = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(workers, "_cores", lambda: n)
+            monkeypatch.setattr(workers, "_MAX_WORKERS", n)
+            with drained(fifo) as read:
+                assert main(["predict", str(model_path), str(src), "-o", str(fifo)]) == 1
+            outputs.append(read())
+            assert capsys.readouterr().err == (
+                "error: row 14: could not convert string to float: '1_0x'\n")
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert outputs[0].count(b"\r\n") == 1 + 10
 
     @pytest.mark.parametrize("command", ["cv", "report"])
     def test_a_worker_that_dies_fails_the_command(self, workdir, tmp_path, capsys, monkeypatch,
                                                   command):
-        monkeypatch.setattr(tree, "_cores", lambda: 2)
+        monkeypatch.setattr(workers, "_cores", lambda: 2)
         parent = os.getpid()
         train_tree = tree.train
 
@@ -450,7 +494,7 @@ class TestModelCommandsOnCores:
         monkeypatch.setattr(tree, "train", dies_in_a_worker)
         out = tmp_path / "report.txt"
         assert main([command, str(workdir / "both.csv"), "-k", "3", "-o", str(out)]) == 1
-        assert "error: tree worker" in capsys.readouterr().err
+        assert "error: worker" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["cv", "report"])
@@ -749,7 +793,7 @@ class TestTrainCvPredict:
     def test_every_tree_of_report_has_the_class_order(self, workdir, tmp_path, monkeypatch):
         # both CVs' fold trees, the full tree and the 80/20 hold-out tree, all
         # grown on one worker: a forked worker's trees would not be recorded here
-        monkeypatch.setattr(tree, "_cores", lambda: 1)
+        monkeypatch.setattr(workers, "_cores", lambda: 1)
         trees = []
         train_tree = tree.train
 

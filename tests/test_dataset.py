@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from camsieve import dataset, synth, tree
+from camsieve import dataset, synth, tree, workers
 from camsieve.dataset import (
     CHUNK_ROWS,
     CLASSES,
@@ -256,13 +256,16 @@ def flow_csv(draw):
     return text + (end if draw(st.booleans()) else "")
 
 
-def awkward_csv(n):
+def awkward_csv(n, bad=None):
     """A flow CSV's text of n records in turn: a quoted label with a comma,
     CRLF inside a quoted label, needless quotes, nan and inf cells and a plain
-    app label; every third record is followed by a blank row."""
+    app label; every third record is followed by a blank row. bad maps a
+    record's index to the text put in its 35th value cell."""
     lines = ["# camsieve-flow-stats v1", ",".join(ALL_COLUMNS)]
     for i in range(n):
         cells = [str(cell) for cell in csv_row(record(label="Teams", seed=i % 7))]
+        if bad and i in bad:
+            cells[40] = bad[i]
         if i % 5 == 0:
             cells[-1] = '"Conf, or not"'
         elif i % 5 == 1:
@@ -396,6 +399,89 @@ class TestChunkReader:
         path.write_bytes(path.read_bytes().replace(b"Kamera", "Kämera".encode("latin-1")))
         with pytest.raises(BadEncoding, match="flows.csv: not UTF-8"):
             read_csv(path)
+
+
+def read_events(path):
+    """What read_chunks yields and raises, in turn: each chunk's texts and
+    value bits, then the type, message and row of the exception it raises."""
+    events = []
+    try:
+        for chunk in read_chunks(path):
+            events.append((chunk.texts, chunk.values.view(np.uint64).tolist()))
+    except (RowParseError, BadEncoding) as exc:
+        events.append((type(exc), str(exc), getattr(exc, "row", None)))
+    return events
+
+
+class TestChunkReaderWorkers:
+    """read_chunks parses each round's chunks in this process and forked
+    workers; what it yields and raises, and in what order, is the same on
+    one, two and three workers."""
+
+    @staticmethod
+    def events(text, chunk_rows):
+        """read_events of the CSV text, chunk_rows records a chunk, the same
+        on 1, 2 and 3 workers."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flows.csv"
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            runs = []
+            for n in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    monkeypatch.setattr(workers, "_cores", lambda: n)
+                    monkeypatch.setattr(workers, "_MAX_WORKERS", n)
+                    monkeypatch.setattr(dataset, "CHUNK_ROWS", chunk_rows)
+                    runs.append(read_events(path))
+            assert runs[1] == runs[0] and runs[2] == runs[0]
+            return runs[0]
+
+    @staticmethod
+    def reference_error(text):
+        """The RowParseError event of the reference reader on the CSV text."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flows.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            kind, row, message = outcome(cell_by_cell, path)
+        assert kind == "error"
+        return RowParseError, message, row
+
+    @pytest.mark.parametrize("n, chunk_rows", [(23, 4), (24, 4), (7, 8), (30, 3)])
+    def test_chunks_in_file_order(self, n, chunk_rows):
+        text = awkward_csv(n)
+        events = self.events(text, chunk_rows)
+        assert [len(texts) for texts, _ in events] == [
+            min(chunk_rows, n - start) for start in range(0, n, chunk_rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flows.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            cells, values = cell_by_cell(path)
+        assert [row for texts, _ in events for row in csv.reader(texts)] == cells
+        assert [bits for _, chunk_bits in events for bits in chunk_bits] == (
+            np.array(values).view(np.uint64).tolist())
+
+    @pytest.mark.parametrize("bad, chunks_before", [
+        ({3: "bad3", 9: "bad9"}, 0),  # both chunks of a round: the lower row wins
+        ({9: "bad9", 17: "bad17"}, 1),  # the second chunk of a round, then the third
+        ({17: "bad17"}, 2),
+    ])
+    def test_the_first_bad_row_is_raised_after_the_chunks_before_it(self, bad, chunks_before):
+        text = awkward_csv(20, bad)
+        events = self.events(text, 8)
+        assert len(events) == chunks_before + 1
+        assert events[-1] == self.reference_error(text)
+        assert str(min(bad)) in events[-1][1]
+
+    def test_a_bad_row_comes_before_a_later_chunk_not_utf8(self):
+        # the invalid byte is in the last record of chunk 1, beyond what the
+        # text layer decodes ahead while chunk 0 is read: without the bad row,
+        # chunk 0 is yielded before the file's encoding fails
+        not_utf8 = {15: "\udcff"}
+        events = self.events(awkward_csv(20, not_utf8), 8)
+        assert [len(event[0]) for event in events[:-1]] == [8]
+        assert events[-1][0] is BadEncoding
+        text = awkward_csv(20, {2: "bad2", **not_utf8})
+        events = self.events(text, 8)
+        assert events == [self.reference_error(awkward_csv(20, {2: "bad2"}))]
 
 
 class TestTaxonomy:

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from camsieve import tree
+from camsieve import tree, workers
 from camsieve.cli import main
 from camsieve.dataset import write_csv
 from camsieve.features import FEATURE_NAMES, LabeledRecord
@@ -234,7 +234,7 @@ def test_pruned_cv_grown_from_full_cv_searches_and_matches(monkeypatch):
         return search(*args)
 
     # a forked worker's calls would not be counted here, so one worker grows every fold
-    monkeypatch.setattr(tree, "_cores", lambda: 1)
+    monkeypatch.setattr(workers, "_cores", lambda: 1)
     monkeypatch.setattr(tree, "best_split", counting)
     grown = tree.cross_validate(X, y, FEATURE_NAMES, candidate_features=selected, prior=full_cv)
     monkeypatch.undo()

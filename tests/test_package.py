@@ -1,8 +1,11 @@
 import ast
+import inspect
+import pickle
 from collections import Counter
 from pathlib import Path
 
 import camsieve
+from camsieve import errors
 
 # the public names; a name leaves or joins the package API only with this list
 EXPORTS = [
@@ -23,6 +26,18 @@ def test_exports_resolve_and_star_import_binds_them():
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(camsieve.__all__)
     assert all(namespace[name] is getattr(camsieve, name) for name in namespace)
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # a forked worker's exception reaches the parent through pickle
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.CamsieveError)]
+    assert len(classes) > 10
+    for cls in classes:
+        exc = cls(5, "bad cell") if cls is errors.RowParseError else cls("what went wrong")
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is cls
+        assert str(copy) == str(exc) and vars(copy) == vars(exc)
 
 
 def test_the_cli_module_holds_commands_only():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from camsieve import tree
+from camsieve import tree, workers
 from camsieve.dataset import CLASSES, class_order, stratified_folds, stratified_split
 from camsieve.errors import (
     AllFeaturesPruned,
@@ -26,6 +26,7 @@ from camsieve.errors import (
     EmptyDataset,
     InsufficientSamples,
     IoFailure,
+    RowParseError,
     UncleanData,
 )
 from camsieve.tree import (
@@ -742,7 +743,7 @@ class TestCrossValidate:
         # a recorder patched in here never hears from a forked worker, so one
         # worker grows every fold; each recorded model is found by the rows
         # and labels it was given
-        monkeypatch.setattr(tree, "_cores", lambda: 1)
+        monkeypatch.setattr(workers, "_cores", lambda: 1)
         fold_models = []
         train_fold = tree.train
 
@@ -1044,10 +1045,10 @@ class TestIndependentTrees:
     workers, three included, past the cap."""
 
     @staticmethod
-    def workers(monkeypatch, n):
+    def use_workers(monkeypatch, n):
         """n workers: n cores, and the cap raised to n."""
-        monkeypatch.setattr(tree, "_cores", lambda: n)
-        monkeypatch.setattr(tree, "_MAX_WORKERS", n)
+        monkeypatch.setattr(workers, "_cores", lambda: n)
+        monkeypatch.setattr(workers, "_MAX_WORKERS", n)
 
     @staticmethod
     def cv_outputs(X, y, names, k, full_candidates, pruned_candidates, **params):
@@ -1067,7 +1068,7 @@ class TestIndependentTrees:
         outputs = []
         for n in (1, 2, 3):
             with pytest.MonkeyPatch.context() as monkeypatch:
-                self.workers(monkeypatch, n)
+                self.use_workers(monkeypatch, n)
                 outputs.append(self.cv_outputs(
                     case["X"], case["y"], case["names"], k, case["S"], case["C"],
                     max_depth=case["max_depth"], min_samples_split=case["min_samples_split"]))
@@ -1078,9 +1079,9 @@ class TestIndependentTrees:
         y = [f"c{c}" for c in labels]
         names = [f"x{j}" for j in range(10)]
         args = (X, y, names, 6, None, [1, 2, 3, 5, 6, 9])
-        self.workers(monkeypatch, 1)
+        self.use_workers(monkeypatch, 1)
         serial = self.cv_outputs(*args, max_depth=8)
-        self.workers(monkeypatch, 3)
+        self.use_workers(monkeypatch, 3)
         threaded = []
 
         def run():
@@ -1125,7 +1126,7 @@ class TestIndependentTrees:
         # parent is one of them
         X, labels = tie_heavy(4, 90, 6, 3)
         y = [f"c{c}" for c in labels]
-        monkeypatch.setattr(tree, "_cores", lambda: cores)
+        monkeypatch.setattr(workers, "_cores", lambda: cores)
         pids = self.forks(monkeypatch)
 
         def refuse(thread):
@@ -1137,7 +1138,7 @@ class TestIndependentTrees:
         self.assert_all_reaped(pids)
 
     def test_results_in_call_order_and_the_first_failure_raised(self, monkeypatch):
-        self.workers(monkeypatch, 3)
+        self.use_workers(monkeypatch, 3)
         # the parent runs the first call, a forked child the second
         ready = multiprocessing.get_context("fork").Event()
 
@@ -1149,7 +1150,7 @@ class TestIndependentTrees:
             ready.set()
             return "early"
 
-        assert tree.run_independent([late, early]) == ["late", "early"]
+        assert workers.run_independent([late, early]) == ["late", "early"]
 
         def fails(message):
             def call():
@@ -1157,14 +1158,22 @@ class TestIndependentTrees:
             return call
 
         with pytest.raises(ValueError, match="first"):
-            tree.run_independent([lambda: 1, fails("first"), fails("second")])
+            workers.run_independent([lambda: 1, fails("first"), fails("second")])
 
     def test_cores_are_the_affinity_set(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert tree._cores() == 1
+        assert workers._cores() == 1
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert tree._cores() == 5
+        assert workers._cores() == 5
+
+
+class TwoArguments(Exception):
+    """Pickles, but does not unpickle: its args hold one message, and its
+    constructor takes two arguments."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
 
 
 class TestWorkerFailures:
@@ -1174,7 +1183,7 @@ class TestWorkerFailures:
 
     @pytest.fixture
     def pids(self, monkeypatch):
-        TestIndependentTrees.workers(monkeypatch, 2)
+        TestIndependentTrees.use_workers(monkeypatch, 2)
         pids = TestIndependentTrees.forks(monkeypatch)
         yield pids
         TestIndependentTrees.assert_all_reaped(pids)
@@ -1185,12 +1194,19 @@ class TestWorkerFailures:
             raise exc
         return call
 
-    @pytest.mark.parametrize("exc", [ValueError("bad fold"), EmptyDataset("no rows in fold")])
+    @pytest.mark.parametrize("exc", [ValueError("bad fold"), EmptyDataset("no rows in fold"),
+                                     RowParseError(5, "bad cell")])
     def test_a_child_error_is_raised_with_its_type_and_message(self, pids, exc):
         # call 1 runs in the child
         with pytest.raises(type(exc), match=f"^{exc}$") as raised:
-            tree.run_independent([lambda: 0, self.raising(exc)])
+            workers.run_independent([lambda: 0, self.raising(exc)])
         assert type(raised.value) is type(exc) and len(pids) == 1
+        assert vars(raised.value) == vars(exc)
+
+    def test_an_error_that_cannot_be_unpickled_raises_child_process_error(self, pids):
+        with pytest.raises(ChildProcessError, match="cannot be read back") as raised:
+            workers.run_independent([lambda: 0, self.raising(TwoArguments(1, 2))])
+        assert f"worker {pids[0]} " in str(raised.value)
 
     @pytest.mark.parametrize("failing, first", [
         ((1, 2), 1),  # the child's failure comes first
@@ -1203,18 +1219,18 @@ class TestWorkerFailures:
         calls = [self.raising(ValueError(f"call {i}")) if i in failing else (lambda: 0)
                  for i in range(4)]
         with pytest.raises(ValueError, match=f"^call {first}$"):
-            tree.run_independent(calls)
+            workers.run_independent(calls)
 
     def test_a_child_killed_mid_call_raises_child_process_error(self, pids):
         def killed():
             os.kill(os.getpid(), signal.SIGKILL)
 
         with pytest.raises(ChildProcessError, match="exited with code -9"):
-            tree.run_independent([lambda: 0, killed])
+            workers.run_independent([lambda: 0, killed])
 
     def test_a_result_that_cannot_be_pickled_raises_child_process_error(self, pids, capfd):
         with pytest.raises(ChildProcessError, match="exited with code 1"):
-            tree.run_independent([lambda: 0, lambda: (lambda: "not picklable")])
+            workers.run_independent([lambda: 0, lambda: (lambda: "not picklable")])
         assert "pickle" in capfd.readouterr().err  # the child says why
 
     def test_an_interrupt_in_the_parent_kills_the_children(self, pids):
@@ -1224,7 +1240,7 @@ class TestWorkerFailures:
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            tree.run_independent([interrupted, lambda: time.sleep(60)])
+            workers.run_independent([interrupted, lambda: time.sleep(60)])
         assert time.monotonic() - started < 30 and len(pids) == 1
 
     def test_children_ignore_ctrl_c(self, pids, capfd):
@@ -1243,7 +1259,7 @@ class TestWorkerFailures:
             time.sleep(0.1)  # the signal has arrived by now
             return "child"
 
-        assert tree.run_independent([parent, child]) == ["parent", "child"]
+        assert workers.run_independent([parent, child]) == ["parent", "child"]
         assert capfd.readouterr().err == ""
 
 
@@ -1252,7 +1268,7 @@ class TestConstantColumns:
     def recorded_calls(monkeypatch):
         """(X, candidate_features, is_root) of each best_split call from now on,
         on one worker: a forked worker's calls would not be recorded here."""
-        monkeypatch.setattr(tree, "_cores", lambda: 1)
+        monkeypatch.setattr(workers, "_cores", lambda: 1)
         calls = []
         search = tree.best_split
 
